@@ -1,30 +1,17 @@
-// F11 — Scaling curves for the sharded ingestion engine plus the
-// skew-aware rebalancing win (BENCHMARKS.md). Three BENCH line groups:
+// F11 — Scaling curve for the sharded ingestion engine (BENCHMARKS.md).
+// One BENCH line group:
 //
 //   f11_shard_scaling    shards in {1,2,4,8}: end-to-end events/sec
 //                        (the f2 axis) and apply-ns/event from the
 //                        per-shard apply_nanos counters (the f6 axis),
 //                        with the worker-thread accounting needed to
 //                        read the curve on a small host.
-//   f11_skew             a Zipf(s = 1.5) tenant mix at 4 shards, once
-//                        with static hash routing and once with
-//                        `RebalanceOptions::enabled`, reporting the
-//                        bottleneck shard's share of total apply time.
-//   f11_rebalance_win    the comparison row: critical-path speedup
-//                        (max-shard apply time static / dynamic) plus
-//                        the route-table actions that produced it.
-//
-// Wall-clock throughput only separates static from dynamic routing when
-// the shards own real cores; on an oversubscribed host the honest win
-// metric is the critical path — the busiest shard's apply time, which
-// is what bounds throughput once cores exist. Both are reported.
 //
 //   ./bench_f11_scaling            # full sizing
 //   ./bench_f11_scaling --quick    # CI sizing, same schema
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -61,18 +48,6 @@ Engine MakeEngine(const EngineOptions& options) {
 struct RunResult {
   double events_per_sec = 0.0;
   double apply_ns_per_event = 0.0;
-  /// Busiest shard's fraction of all routed events (1/shards =
-  /// balanced). Deterministic for a fixed stream and route policy, so
-  /// it is the headline imbalance metric.
-  double max_event_share = 0.0;
-  /// Busiest shard's fraction of summed apply time. Tracks
-  /// `max_event_share` on a quiet host, but absorbs preemption noise
-  /// when shards are oversubscribed onto fewer cores.
-  double max_apply_share = 0.0;
-  /// Busiest shard's apply time — the projected parallel critical path.
-  double max_apply_ms = 0.0;
-  double estimate = 0.0;
-  RebalanceStats rebalance;
 };
 
 RunResult RunOnce(const EngineOptions& options,
@@ -88,32 +63,17 @@ RunResult RunOnce(const EngineOptions& options,
 
   RunResult result;
   std::uint64_t apply_total = 0;
-  std::uint64_t apply_max = 0;
   std::uint64_t consumed = 0;
-  std::uint64_t consumed_max = 0;
   for (std::size_t s = 0; s < options.num_shards; ++s) {
     const ShardCounters counters = engine.shard_counters(s);
     apply_total += counters.apply_nanos;
-    apply_max = std::max(apply_max, counters.apply_nanos);
     consumed += counters.events_consumed;
-    consumed_max = std::max(consumed_max, counters.events_consumed);
   }
   result.events_per_sec = static_cast<double>(events.size()) / seconds;
   result.apply_ns_per_event =
       consumed == 0 ? 0.0
                     : static_cast<double>(apply_total) /
                           static_cast<double>(consumed);
-  result.max_event_share =
-      consumed == 0 ? 0.0
-                    : static_cast<double>(consumed_max) /
-                          static_cast<double>(consumed);
-  result.max_apply_share =
-      apply_total == 0 ? 0.0
-                       : static_cast<double>(apply_max) /
-                             static_cast<double>(apply_total);
-  result.max_apply_ms = static_cast<double>(apply_max) * 1e-6;
-  result.estimate = engine.MergedEstimator().Estimate();
-  result.rebalance = engine.rebalance_stats();
   return result;
 }
 
@@ -125,31 +85,6 @@ std::vector<CitationEvent> UniformStream(std::size_t num_events) {
   events.reserve(num_events);
   for (std::size_t i = 0; i < num_events; ++i) {
     events.push_back(CitationEvent{rng.UniformU64(kUniverse), 1});
-  }
-  return events;
-}
-
-// Zipf(s) tenant stream by inverse-CDF over the whole universe: rank-1
-// tenant carries ~1/zeta(s) of all events (s = 1.5 -> ~38%), the load
-// shape static hashing cannot balance because one key is one shard.
-std::vector<CitationEvent> ZipfStream(std::size_t num_events, double s) {
-  std::vector<double> cdf(kUniverse);
-  double total = 0.0;
-  for (std::uint64_t rank = 0; rank < kUniverse; ++rank) {
-    total += 1.0 / std::pow(static_cast<double>(rank + 1), s);
-    cdf[rank] = total;
-  }
-  Rng rng(22);
-  std::vector<CitationEvent> events;
-  events.reserve(num_events);
-  for (std::size_t i = 0; i < num_events; ++i) {
-    const double u = rng.UniformDouble() * total;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    const auto rank =
-        static_cast<std::uint64_t>(std::distance(cdf.begin(), it));
-    // Rank -> tenant id through a mix so hot tenants land on arbitrary
-    // shards (rank 0 would otherwise always hash from id 0).
-    events.push_back(CitationEvent{(rank * 2654435761u) % kUniverse, 1});
   }
   return events;
 }
@@ -184,67 +119,6 @@ void RunShardScaling(std::size_t num_events) {
   }
 }
 
-void RunSkewComparison(std::size_t num_events) {
-  const std::vector<CitationEvent> events = ZipfStream(num_events, 1.5);
-  constexpr std::size_t kShards = 4;
-
-  EngineOptions static_options;
-  static_options.num_shards = kShards;
-  static_options.batch_size = 256;
-  static_options.queue_capacity = 4096;
-
-  EngineOptions dynamic_options = static_options;
-  dynamic_options.rebalance.enabled = true;
-  // Same relative cadence at every sizing (64 checks per run), so the
-  // --quick smoke converges like the full run instead of ending after
-  // a handful of checks.
-  dynamic_options.rebalance.check_interval_events =
-      std::max<std::uint64_t>(512, events.size() / 64);
-  dynamic_options.rebalance.hot_ratio = 1.5;
-  dynamic_options.rebalance.route_slots = 256;
-
-  const RunResult stat = RunOnce(static_options, events);
-  const RunResult dyn = RunOnce(dynamic_options, events);
-
-  const auto emit = [&](const char* mode, const RunResult& r) {
-    std::printf(
-        "BENCH{\"bench\":\"f11_skew\",\"mode\":\"%s\",\"shards\":%zu,"
-        "\"zipf_s\":1.5,\"events\":%zu,\"events_per_sec\":%.0f,"
-        "\"max_event_share\":%.3f,\"max_apply_share\":%.3f,"
-        "\"max_apply_ms\":%.3f,\"estimate\":%.2f}\n",
-        mode, kShards, events.size(), r.events_per_sec, r.max_event_share,
-        r.max_apply_share, r.max_apply_ms, r.estimate);
-  };
-  emit("static", stat);
-  emit("dynamic", dyn);
-
-  // The win row: how much lighter the busiest shard got. Both modes
-  // apply the same events, so with per-event cost held equal the
-  // parallel critical path scales with the busiest shard's *share* of
-  // the stream. Event shares are used for the headline because they
-  // are deterministic; the apply-time shares are reported alongside
-  // but absorb preemption noise when shards are oversubscribed onto
-  // fewer cores (where wall clock never separates the modes either).
-  std::printf(
-      "BENCH{\"bench\":\"f11_rebalance_win\",\"shards\":%zu,"
-      "\"critical_path_speedup\":%.2f,\"wall_speedup\":%.2f,"
-      "\"static_max_event_share\":%.3f,\"dynamic_max_event_share\":%.3f,"
-      "\"static_max_apply_share\":%.3f,\"dynamic_max_apply_share\":%.3f,"
-      "\"rebalance_checks\":%llu,\"slot_moves\":%llu,"
-      "\"slot_splits\":%llu,\"hardware_concurrency\":%u}\n",
-      kShards,
-      dyn.max_event_share > 0.0 ? stat.max_event_share / dyn.max_event_share
-                                : 1.0,
-      stat.events_per_sec > 0.0 ? dyn.events_per_sec / stat.events_per_sec
-                                : 1.0,
-      stat.max_event_share, dyn.max_event_share,
-      stat.max_apply_share, dyn.max_apply_share,
-      static_cast<unsigned long long>(dyn.rebalance.checks),
-      static_cast<unsigned long long>(dyn.rebalance.slot_moves),
-      static_cast<unsigned long long>(dyn.rebalance.slot_splits),
-      std::thread::hardware_concurrency());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,9 +126,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
-  const std::size_t scaling_events = quick ? (1u << 14) : (1u << 17);
-  const std::size_t skew_events = quick ? (1u << 15) : (1u << 18);
-  RunShardScaling(scaling_events);
-  RunSkewComparison(skew_events);
+  RunShardScaling(quick ? (1u << 14) : (1u << 17));
   return 0;
 }

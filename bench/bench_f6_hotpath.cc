@@ -16,8 +16,8 @@
 //    the batch API; both sides are cross-checked for identical results.
 //  * `f6_simd_kernels` — the hand-vectorized kernels in isolation
 //    (tabulation hash, pairwise-range row hash, count-sketch row
-//    hash+sign, EH level search) on full-range keys, scalar twin vs
-//    AVX2 kernel, repeats alternating. Full-range keys matter: the
+//    hash+sign) on full-range keys, scalar twin vs AVX2 kernel,
+//    repeats alternating. Full-range keys matter: the
 //    scalar Mersenne/Barrett paths carry data-dependent fixup branches
 //    that predict well on small-universe streams and mispredict at full
 //    range, so small-key end-to-end rows understate what the branch-free
@@ -388,8 +388,8 @@ void RunSimdKernels(const F6Options& options) {
   };
 
   // Tabulation and pairwise-range measure through the public HashBatch
-  // under pinned dispatch; the two sketch-internal kernels (count-sketch
-  // row, EH search) call their scalar twin / kernel directly.
+  // under pinned dispatch; the sketch-internal count-sketch row kernel
+  // is called directly against its scalar twin.
   {
     TabulationHash hash(11);
     double scalar_s = 0.0;
@@ -470,67 +470,6 @@ void RunSimdKernels(const F6Options& options) {
     check_equal("count_sketch_row");
     if (signs_a != signs_b) std::exit(1);
     emit("count_sketch_row", scalar_s, simd_s);
-  }
-  {
-    // The EH grid for eps = 0.1, cap 2^20 (the f6 sketch geometry), with
-    // values drawn like the sketch rows' streams.
-    const auto grid_holder =
-        ExponentialHistogramEstimator::Create(0.1, 1u << 20).value();
-    const std::vector<double>& powers_vec = grid_holder.grid().powers();
-    const double* powers = powers_vec.data();
-    const std::size_t levels = powers_vec.size();
-    std::vector<std::uint64_t> values(n);
-    for (auto& v : values) v = 1 + rng.UniformU64(1u << 20);
-    double scalar_s = 0.0;
-    double simd_s = 0.0;
-    MinSecondsAlternating(
-        options.repeats,
-        [&] {
-          // The scalar twin: the 4-wide branchless search from
-          // ExponentialHistogramEstimator::AddBatch.
-          std::size_t i = 0;
-          for (; i + 4 <= n; i += 4) {
-            const double x0 = static_cast<double>(values[i]);
-            const double x1 = static_cast<double>(values[i + 1]);
-            const double x2 = static_cast<double>(values[i + 2]);
-            const double x3 = static_cast<double>(values[i + 3]);
-            std::size_t b0 = 0;
-            std::size_t b1 = 0;
-            std::size_t b2 = 0;
-            std::size_t b3 = 0;
-            std::size_t len = levels;
-            while (len > 1) {
-              const std::size_t half = len >> 1;
-              b0 += powers[b0 + half] <= x0 ? half : 0;
-              b1 += powers[b1 + half] <= x1 ? half : 0;
-              b2 += powers[b2 + half] <= x2 ? half : 0;
-              b3 += powers[b3 + half] <= x3 ? half : 0;
-              len -= half;
-            }
-            out_a[i] = b0;
-            out_a[i + 1] = b1;
-            out_a[i + 2] = b2;
-            out_a[i + 3] = b3;
-          }
-          for (; i < n; ++i) {
-            const double x = static_cast<double>(values[i]);
-            std::size_t b = 0;
-            std::size_t len = levels;
-            while (len > 1) {
-              const std::size_t half = len >> 1;
-              b += powers[b + half] <= x ? half : 0;
-              len -= half;
-            }
-            out_a[i] = b;
-          }
-        },
-        [&] {
-          simd::EhLevelSearchAvx2(powers, levels, values.data(),
-                                  out_b.data(), n);
-        },
-        &scalar_s, &simd_s);
-    check_equal("eh_level_search");
-    emit("eh_level_search", scalar_s, simd_s);
   }
 #else
   (void)options;

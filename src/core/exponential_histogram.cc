@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "hash/simd_kernels.h"
 
 namespace himpact {
 namespace {
@@ -54,27 +53,6 @@ void ExponentialHistogramEstimator::AddBatch(
   const std::size_t levels = static_cast<std::size_t>(grid_.num_levels());
   std::uint64_t* const buckets = bucket_.data();
   const std::size_t n = values.size();
-#ifdef HIMPACT_HAVE_AVX2_KERNELS
-  if (simd::Avx2Active() && SimdLevelForced()) {
-    // Same halving schedule, gathered 8 lanes at a time; level indices
-    // land in a tile and the 0/1 increments stay scalar (they touch the
-    // shared bucket array). Forced-dispatch only: the serial gather
-    // chain measures ~0.8x of the cmov search on gather-bound hosts
-    // (BENCH f6_simd_kernels), so ambient dispatch keeps the scalar
-    // search while tests and explicit HIMPACT_SIMD runs cover the
-    // kernel. Both produce byte-identical bucket state.
-    constexpr std::size_t kTile = 256;
-    std::uint64_t tile[kTile];
-    for (std::size_t base = 0; base < n; base += kTile) {
-      const std::size_t m = std::min(kTile, n - base);
-      simd::EhLevelSearchAvx2(powers, levels, values.data() + base, tile, m);
-      for (std::size_t j = 0; j < m; ++j) {
-        buckets[tile[j]] += values[base + j] != 0;
-      }
-    }
-    return;
-  }
-#endif
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const double x0 = static_cast<double>(values[i]);

@@ -1,7 +1,6 @@
 #ifndef HIMPACT_ENGINE_SHARDED_ENGINE_H_
 #define HIMPACT_ENGINE_SHARDED_ENGINE_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -18,7 +17,6 @@
 #include "common/status.h"
 #include "engine/spsc_ring.h"
 #include "engine/stats.h"
-#include "engine/task_runtime.h"
 #include "fault/backoff.h"
 #include "fault/fault.h"
 #include "fault/health.h"
@@ -66,48 +64,6 @@
 
 namespace himpact {
 
-/// Skew-aware dynamic rebalancing (off by default — the legacy static
-/// `SplitMix64(key) % num_shards` routing is byte-for-byte preserved
-/// when disabled).
-///
-/// When enabled, the producer routes events through a power-of-two
-/// slot table (`route_slots` slots; slot = low bits of the mixed key)
-/// instead of the modulo, and every `check_interval_events` ingests it
-/// compares per-shard load using the workers' `apply_nanos` counters —
-/// actual time spent applying events, which captures per-event cost
-/// skew as well as event-count skew. When the hottest shard's load
-/// exceeds `hot_ratio` times the mean, the hottest slot routed to it
-/// either MOVES to the coldest shard, or — when that one slot alone
-/// carries the majority of the hot shard's events, so no placement
-/// helps — is marked SPLIT and round-robins across all shards.
-///
-/// Splitting is safe for exactly the estimators the engine already
-/// requires: merge-on-query composes disjoint sub-streams, and the
-/// merged result is invariant to how events were partitioned (the
-/// merge-associativity property, tests/merge_associativity_test.cc) —
-/// so spreading one slot's events over every shard changes only load,
-/// never answers. All rebalancing state is producer-side: workers are
-/// untouched and the hot path gains one table load.
-struct RebalanceOptions {
-  bool enabled = false;
-  /// Producer ingests between load checks.
-  std::uint64_t check_interval_events = 1u << 16;
-  /// A shard is "hot" when its apply-time delta since the last check
-  /// exceeds `hot_ratio` times the mean across shards.
-  double hot_ratio = 2.0;
-  /// Route-table size (rounded up to a power of two). More slots give
-  /// finer-grained moves; 256 makes a slot ~0.4% of the keyspace.
-  std::size_t route_slots = 256;
-};
-
-/// Monotone counters for the rebalancer (producer-thread reads only,
-/// like the route table itself).
-struct RebalanceStats {
-  std::uint64_t checks = 0;      // load comparisons run
-  std::uint64_t slot_moves = 0;  // slot reassigned hot -> cold shard
-  std::uint64_t slot_splits = 0;  // slot marked round-robin
-};
-
 /// Engine geometry. `num_shards` workers, each behind a ring of
 /// `queue_capacity` events (rounded up to a power of two), dequeued in
 /// batches of up to `batch_size`.
@@ -115,8 +71,7 @@ struct RebalanceStats {
 /// The producer-wait knobs bound how long `Ingest` busy-waits at a full
 /// ring before sleeping (`producer_sleep_micros` per nap), and `health`
 /// configures the per-shard watchdog (fault/health.h). Checkpoint writes
-/// retry transient failures per `checkpoint_retry`. `rebalance`
-/// opts into skew-aware dynamic routing (see `RebalanceOptions`).
+/// retry transient failures per `checkpoint_retry`.
 struct EngineOptions {
   std::size_t num_shards = 2;
   std::size_t queue_capacity = 4096;
@@ -126,7 +81,6 @@ struct EngineOptions {
   std::uint64_t producer_sleep_micros = 50;
   HealthOptions health;
   RetryOptions checkpoint_retry;
-  RebalanceOptions rebalance;
 };
 
 /// Result of a degraded (deadline-bounded) merge-on-query: the merge of
@@ -188,22 +142,12 @@ class ShardedEngine {
     if (options.queue_capacity < options.batch_size) {
       return Status::InvalidArgument("queue_capacity must be >= batch_size");
     }
-    if (options.rebalance.enabled) {
-      if (options.rebalance.check_interval_events < 1) {
-        return Status::InvalidArgument(
-            "rebalance.check_interval_events must be >= 1");
-      }
-      if (!(options.rebalance.hot_ratio >= 1.0)) {
-        return Status::InvalidArgument("rebalance.hot_ratio must be >= 1.0");
-      }
-    }
     ShardedEngine engine(options);
     engine.shards_.reserve(options.num_shards);
     for (std::size_t i = 0; i < options.num_shards; ++i) {
       engine.shards_.push_back(std::make_unique<Shard>(
           options.queue_capacity, options.health, factory(i)));
     }
-    engine.ResetRouteState();
     return StatusOr<ShardedEngine>(std::move(engine));
   }
 
@@ -213,12 +157,6 @@ class ShardedEngine {
         workers_(std::move(other.workers_)),
         stop_(std::move(other.stop_)),
         started_(other.started_),
-        route_(std::move(other.route_)),
-        slot_events_(std::move(other.slot_events_)),
-        last_apply_nanos_(std::move(other.last_apply_nanos_)),
-        events_since_check_(other.events_since_check_),
-        split_rr_(other.split_rr_),
-        rebalance_stats_(other.rebalance_stats_),
         last_merge_seconds_(other.last_merge_seconds_),
         merge_cache_(std::move(other.merge_cache_)),
         merge_cache_versions_(std::move(other.merge_cache_versions_)),
@@ -239,12 +177,6 @@ class ShardedEngine {
       workers_ = std::move(other.workers_);
       stop_ = std::move(other.stop_);
       started_ = other.started_;
-      route_ = std::move(other.route_);
-      slot_events_ = std::move(other.slot_events_);
-      last_apply_nanos_ = std::move(other.last_apply_nanos_);
-      events_since_check_ = other.events_since_check_;
-      split_rr_ = other.split_rr_;
-      rebalance_stats_ = other.rebalance_stats_;
       last_merge_seconds_ = other.last_merge_seconds_;
       merge_cache_ = std::move(other.merge_cache_);
       merge_cache_versions_ = std::move(other.merge_cache_versions_);
@@ -295,7 +227,6 @@ class ShardedEngine {
                                        options_.producer_yield_limit));
     }
     shard.stats.pushed.fetch_add(1, std::memory_order_release);
-    MaybeRebalance();
   }
 
   /// Non-blocking offer: spins briefly at a full ring but never yields
@@ -309,7 +240,6 @@ class ShardedEngine {
       return false;
     }
     shard.stats.pushed.fetch_add(1, std::memory_order_release);
-    MaybeRebalance();
     return true;
   }
 
@@ -325,23 +255,6 @@ class ShardedEngine {
         std::this_thread::yield();
       }
     }
-  }
-
-  /// `Drain` with a deadline: returns true if every shard caught up
-  /// within `timeout_nanos` of the call, false if the wait was cut
-  /// short. Producer thread only. Timing goes through `FaultClock` so
-  /// the clock-skew fault point exercises this path.
-  bool DrainWithDeadline(std::uint64_t timeout_nanos) {
-    const std::uint64_t deadline = FaultClock::NowNanos() + timeout_nanos;
-    for (auto& shard : shards_) {
-      const std::uint64_t pushed =
-          shard->stats.pushed.load(std::memory_order_relaxed);
-      while (shard->stats.consumed.load(std::memory_order_acquire) < pushed) {
-        if (FaultClock::NowNanos() >= deadline) return false;
-        std::this_thread::yield();
-      }
-    }
-    return true;
   }
 
   /// Advances every shard's health state machine from its current
@@ -511,21 +424,6 @@ class ShardedEngine {
   /// first call).
   double last_merge_seconds() const { return last_merge_seconds_; }
 
-  /// Sentinel in the dynamic route table: events on this slot
-  /// round-robin across all shards.
-  static constexpr std::uint32_t kRouteSplit = 0xffffffffu;
-
-  /// Rebalancer counters (all zero while rebalancing is disabled).
-  /// Producer thread only, like the route table they describe.
-  const RebalanceStats& rebalance_stats() const { return rebalance_stats_; }
-
-  /// Dynamic-routing introspection for tests and benches: the slot
-  /// count (0 when static routing is active — rebalance disabled or a
-  /// single shard) and slot `i`'s target (`kRouteSplit` for a split
-  /// slot). Producer thread only.
-  std::size_t route_slots() const { return route_.size(); }
-  std::uint32_t route_entry(std::size_t slot) const { return route_[slot]; }
-
   /// Snapshot of shard `i`'s counters. Safe from any thread.
   ShardCounters shard_counters(std::size_t i) const {
     ShardCounters counters = shards_[i]->stats.Snapshot();
@@ -548,44 +446,28 @@ class ShardedEngine {
   /// quiescence.
   Status CheckpointTo(const std::string& path) const {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const Status status = CheckpointShard(path, i);
+      ByteWriter writer;
+      writer.U64(kEngineShardMagic);
+      writer.U64(static_cast<std::uint64_t>(i));
+      writer.U64(static_cast<std::uint64_t>(shards_.size()));
+      writer.U64(shards_[i]->stats.pushed.load(std::memory_order_relaxed));
+      Traits::Serialize(shards_[i]->estimator, writer);
+      const Status status = RetryWithBackoff(options_.checkpoint_retry, [&] {
+        return WriteCheckpointFile(ShardPath(path, i),
+                                   CheckpointTag::kEngineShard,
+                                   writer.buffer());
+      });
       if (!status.ok()) return status;
     }
-    return WriteManifest(path);
-  }
-
-  /// `CheckpointTo` with the per-shard serialization and writes fanned
-  /// out as `kCheckpoint` jobs on `runtime` — the shard payloads are
-  /// independent, so they serialize and write in parallel while this
-  /// thread waits. The manifest (the commit point of the crash-safety
-  /// argument) is still written last, by the calling thread, only after
-  /// every shard landed. Same quiescence contract and on-disk layout as
-  /// the serial overload; the first shard failure wins.
-  Status CheckpointTo(const std::string& path, TaskRuntime& runtime) const {
-    std::vector<Status> results(shards_.size(), Status::OK());
-    std::vector<TaskHandle> handles;
-    handles.reserve(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      handles.push_back(
-          runtime.Submit(JobClass::kCheckpoint, [this, &path, &results, i] {
-            results[i] = CheckpointShard(path, i);
-          }));
-    }
-    for (TaskHandle& handle : handles) handle.Wait();
-    for (const Status& status : results) {
-      if (!status.ok()) return status;
-    }
-    return WriteManifest(path);
-  }
-
-  /// Submits a `kMergeWarm` job that refreshes the merge-on-query cache
-  /// (`MergedEstimatorCached`) off the producer thread, so the next
-  /// foreground query is a version-sweep hit instead of a full
-  /// re-merge. The cached-merge quiescence contract transfers to the
-  /// job: do not ingest or query until the returned handle completes.
-  TaskHandle WarmMergeCacheAsync(TaskRuntime& runtime) const {
-    return runtime.Submit(JobClass::kMergeWarm,
-                          [this] { (void)MergedEstimatorCached(); });
+    // The manifest is written last: it is the commit point.
+    ByteWriter manifest;
+    manifest.U64(kEngineManifestMagic);
+    manifest.U64(static_cast<std::uint64_t>(shards_.size()));
+    manifest.U64(total_events());
+    return RetryWithBackoff(options_.checkpoint_retry, [&] {
+      return WriteCheckpointFile(path, CheckpointTag::kEngineManifest,
+                                 manifest.buffer());
+    });
   }
 
   /// Reads just the manifest of an engine checkpoint, so callers can
@@ -656,9 +538,6 @@ class ShardedEngine {
     // cached version vector while the estimators changed; never let the
     // cache answer for a different history.
     InvalidateMergeCache();
-    // Restored shards carry a different load history than the live run
-    // that built the current route table; start routing fresh.
-    ResetRouteState();
     return Status::OK();
   }
 
@@ -689,140 +568,10 @@ class ShardedEngine {
 
   explicit ShardedEngine(const EngineOptions& options) : options_(options) {}
 
-  /// One shard's framed envelope: serialize + atomic write with retry.
-  /// Reads only that shard's quiescent state, so the parallel
-  /// checkpoint overload runs one of these per `kCheckpoint` job.
-  Status CheckpointShard(const std::string& path, std::size_t i) const {
-    ByteWriter writer;
-    writer.U64(kEngineShardMagic);
-    writer.U64(static_cast<std::uint64_t>(i));
-    writer.U64(static_cast<std::uint64_t>(shards_.size()));
-    writer.U64(shards_[i]->stats.pushed.load(std::memory_order_relaxed));
-    Traits::Serialize(shards_[i]->estimator, writer);
-    return RetryWithBackoff(options_.checkpoint_retry, [&] {
-      return WriteCheckpointFile(ShardPath(path, i),
-                                 CheckpointTag::kEngineShard,
-                                 writer.buffer());
-    });
-  }
-
-  Status WriteManifest(const std::string& path) const {
-    ByteWriter manifest;
-    manifest.U64(kEngineManifestMagic);
-    manifest.U64(static_cast<std::uint64_t>(shards_.size()));
-    manifest.U64(total_events());
-    return RetryWithBackoff(options_.checkpoint_retry, [&] {
-      return WriteCheckpointFile(path, CheckpointTag::kEngineManifest,
-                                 manifest.buffer());
-    });
-  }
-
-  /// Routes one key. Static routing (rebalance disabled, or a single
-  /// shard) is the legacy modulo; dynamic routing goes through the slot
-  /// table and counts the slot for the next load check. Producer thread
-  /// only, like its callers.
-  std::size_t ShardOf(std::uint64_t key) {
+  /// Routes one key: the static `SplitMix64(key) % num_shards`.
+  std::size_t ShardOf(std::uint64_t key) const {
     if (shards_.size() == 1) return 0;
-    const std::uint64_t mixed = SplitMix64(key);
-    if (route_.empty()) {
-      return static_cast<std::size_t>(mixed % shards_.size());
-    }
-    const std::size_t slot =
-        static_cast<std::size_t>(mixed) & (route_.size() - 1);
-    ++slot_events_[slot];
-    const std::uint32_t target = route_[slot];
-    if (target == kRouteSplit) {
-      return static_cast<std::size_t>(split_rr_++ % shards_.size());
-    }
-    return static_cast<std::size_t>(target);
-  }
-
-  /// Rebuilds the dynamic-routing state from the options: identity-ish
-  /// initial placement (slot i -> shard i mod N), zeroed slot counters,
-  /// and the load baseline re-taken from the workers' current
-  /// `apply_nanos` (so a restore does not see pre-restore work as a
-  /// fresh load delta). `route_` stays empty when rebalancing is off —
-  /// that emptiness IS the static/dynamic dispatch in `ShardOf`.
-  void ResetRouteState() {
-    route_.clear();
-    slot_events_.clear();
-    last_apply_nanos_.clear();
-    events_since_check_ = 0;
-    split_rr_ = 0;
-    rebalance_stats_ = RebalanceStats{};
-    if (!options_.rebalance.enabled || shards_.size() < 2) return;
-    std::size_t slots = 8;
-    while (slots < options_.rebalance.route_slots) slots <<= 1;
-    route_.resize(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      route_[i] = static_cast<std::uint32_t>(i % shards_.size());
-    }
-    slot_events_.assign(slots, 0);
-    last_apply_nanos_.resize(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      last_apply_nanos_[i] =
-          shards_[i]->stats.apply_nanos.load(std::memory_order_relaxed);
-    }
-  }
-
-  void MaybeRebalance() {
-    if (route_.empty()) return;
-    if (++events_since_check_ < options_.rebalance.check_interval_events) {
-      return;
-    }
-    Rebalance();
-  }
-
-  /// One load check (see `RebalanceOptions` for the policy). Reads the
-  /// workers' `apply_nanos` counters relaxed — the signal intentionally
-  /// lags consumption a little; a backlog only sharpens the skew it
-  /// reports. Producer thread only.
-  void Rebalance() {
-    events_since_check_ = 0;
-    ++rebalance_stats_.checks;
-    const std::size_t n = shards_.size();
-    std::uint64_t total = 0;
-    std::size_t hot = 0;
-    std::size_t cold = 0;
-    std::vector<std::uint64_t> delta(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t now =
-          shards_[i]->stats.apply_nanos.load(std::memory_order_relaxed);
-      delta[i] = now - last_apply_nanos_[i];
-      last_apply_nanos_[i] = now;
-      total += delta[i];
-      if (delta[i] > delta[hot]) hot = i;
-      if (delta[i] < delta[cold]) cold = i;
-    }
-    const double mean = static_cast<double>(total) / static_cast<double>(n);
-    if (total > 0 && hot != cold &&
-        static_cast<double>(delta[hot]) >
-            options_.rebalance.hot_ratio * mean) {
-      // The hot shard's busiest slot is the candidate. Slots already
-      // split route nowhere in particular, so they never re-match here.
-      std::uint64_t hot_events = 0;
-      std::size_t busiest = route_.size();
-      for (std::size_t s = 0; s < route_.size(); ++s) {
-        if (route_[s] != static_cast<std::uint32_t>(hot)) continue;
-        hot_events += slot_events_[s];
-        if (busiest == route_.size() ||
-            slot_events_[s] > slot_events_[busiest]) {
-          busiest = s;
-        }
-      }
-      if (busiest < route_.size() && slot_events_[busiest] > 0) {
-        if (slot_events_[busiest] * 2 >= hot_events) {
-          // This one slot alone carries the hot shard: no placement
-          // can help, so spread its events across every shard.
-          route_[busiest] = kRouteSplit;
-          ++rebalance_stats_.slot_splits;
-        } else {
-          route_[busiest] = static_cast<std::uint32_t>(cold);
-          ++rebalance_stats_.slot_moves;
-        }
-      }
-    }
-    std::fill(slot_events_.begin(), slot_events_.end(), 0);
+    return static_cast<std::size_t>(SplitMix64(key) % shards_.size());
   }
 
   static void WorkerLoop(Shard& shard, const std::atomic<bool>& stop,
@@ -873,15 +622,6 @@ class ShardedEngine {
   std::unique_ptr<std::atomic<bool>> stop_ =
       std::make_unique<std::atomic<bool>>(false);
   bool started_ = false;
-
-  // Skew-aware dynamic routing (producer thread only; empty `route_`
-  // means static modulo routing — see ShardOf/ResetRouteState).
-  std::vector<std::uint32_t> route_;
-  std::vector<std::uint64_t> slot_events_;
-  std::vector<std::uint64_t> last_apply_nanos_;
-  std::uint64_t events_since_check_ = 0;
-  std::uint64_t split_rr_ = 0;
-  RebalanceStats rebalance_stats_;
 
   mutable double last_merge_seconds_ = 0.0;
 

@@ -26,14 +26,10 @@ const char* JobClassName(JobClass job_class) {
   switch (job_class) {
     case JobClass::kGeneric:
       return "generic";
-    case JobClass::kCheckpoint:
-      return "checkpoint";
     case JobClass::kDeltaCollapse:
       return "delta_collapse";
     case JobClass::kTierDemotion:
       return "tier_demotion";
-    case JobClass::kMergeWarm:
-      return "merge_warm";
   }
   return "generic";
 }

@@ -17,10 +17,9 @@
 /// Work-stealing background task runtime.
 ///
 /// `TaskRuntime` generalizes the ad-hoc background threads that grew
-/// around the engine and service layers (the session's detached
-/// delta-chain collapse worker, inline checkpoint serialization, inline
-/// cold-tier seal writes) into one pool of workers fed by Chase-Lev
-/// work-stealing deques:
+/// around the service layer (the session's detached delta-chain
+/// collapse worker and inline cold-tier seal writes) into one pool of
+/// workers fed by Chase-Lev work-stealing deques:
 ///
 ///   - each worker owns a deque; jobs submitted *from* a worker go to
 ///     its own deque (LIFO pop, cache-warm), and idle workers steal
@@ -51,15 +50,13 @@ namespace himpact {
 /// docs/PERFORMANCE.md for who submits what):
 enum class JobClass : int {
   kGeneric = 0,        // tests, benches, uncategorized work
-  kCheckpoint = 1,     // per-shard engine checkpoint serialization+write
-  kDeltaCollapse = 2,  // session background delta-chain fold to full
-  kTierDemotion = 3,   // cold-tier seal flush of pending demotion records
-  kMergeWarm = 4,      // pre-warming the engine merge-on-query cache
+  kDeltaCollapse = 1,  // session background delta-chain fold to full
+  kTierDemotion = 2,   // cold-tier seal flush of pending demotion records
 };
 
-inline constexpr std::size_t kNumJobClasses = 5;
+inline constexpr std::size_t kNumJobClasses = 3;
 
-/// Stable lowercase name for reports ("generic", "checkpoint", ...).
+/// Stable lowercase name for reports ("generic", "delta_collapse", ...).
 const char* JobClassName(JobClass job_class);
 
 /// Pool geometry. `num_workers == 0` resolves to

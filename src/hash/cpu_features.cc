@@ -1,8 +1,6 @@
 #include "hash/cpu_features.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace himpact {
 namespace {
@@ -21,17 +19,6 @@ SimdLevel Detect() {
   return SimdLevel::kScalar;
 }
 
-SimdLevel EnvRequest() {
-  const char* env = std::getenv("HIMPACT_SIMD");
-  if (env != nullptr && std::strcmp(env, "scalar") == 0) {
-    return SimdLevel::kScalar;
-  }
-  // Unset, "avx2", or unrecognized: take everything detection offers.
-  return SimdLevel::kAvx2;
-}
-
-bool EnvPinned() { return std::getenv("HIMPACT_SIMD") != nullptr; }
-
 }  // namespace
 
 SimdLevel DetectedSimdLevel() {
@@ -48,16 +35,10 @@ SimdLevel ActiveSimdLevel() {
   if (level < 0) {
     const int detected = static_cast<int>(DetectedSimdLevel());
     const int request = g_override.load(std::memory_order_relaxed);
-    const int wanted =
-        request >= 0 ? request : static_cast<int>(EnvRequest());
-    level = wanted < detected ? wanted : detected;
+    level = request >= 0 && request < detected ? request : detected;
     g_active.store(level, std::memory_order_relaxed);
   }
   return static_cast<SimdLevel>(level);
-}
-
-bool SimdLevelForced() {
-  return g_override.load(std::memory_order_relaxed) >= 0 || EnvPinned();
 }
 
 void SetSimdLevelOverride(SimdLevel level) {

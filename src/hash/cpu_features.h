@@ -5,14 +5,13 @@
 /// Runtime CPU feature detection and SIMD dispatch control.
 ///
 /// The batch kernels (tabulation hashing, count-min/count-sketch row
-/// tiles, EH level search) each keep a scalar implementation that is the
-/// semantic ground truth and an optional hand-vectorized AVX2 variant.
+/// tiles) each keep a scalar implementation that is the semantic ground
+/// truth and an optional hand-vectorized AVX2 variant.
 /// Dispatch happens once per process through `ActiveSimdLevel()`:
 ///
 ///   1. `SetSimdLevelOverride()` — programmatic override, used by
 ///      `batch_equivalence_test` to force both paths in one process;
-///   2. `HIMPACT_SIMD=scalar|avx2` — environment override, read once;
-///   3. cpuid detection (`__builtin_cpu_supports`), clamped to what the
+///   2. cpuid detection (`__builtin_cpu_supports`), clamped to what the
 ///      host actually offers.
 ///
 /// Requesting a level above the detected one clamps down to detection,
@@ -33,17 +32,10 @@ enum class SimdLevel : int {
 SimdLevel DetectedSimdLevel();
 
 /// The level the batch kernels actually dispatch to right now:
-/// min(DetectedSimdLevel(), override-or-env request). Cached after first
-/// resolution; `SetSimdLevelOverride` invalidates the cache.
+/// min(DetectedSimdLevel(), override) — detection alone when no override
+/// is set. Cached after first resolution; `SetSimdLevelOverride`
+/// invalidates the cache.
 SimdLevel ActiveSimdLevel();
-
-/// True when the active level was pinned explicitly — programmatic
-/// override or the `HIMPACT_SIMD` env var — rather than chosen by
-/// detection. Kernels whose vector variant loses to its scalar twin on
-/// measured hosts (the EH gather search) only dispatch to the vector
-/// path under forcing: production defaults keep the faster path, while
-/// tests and explicit env runs still exercise the kernel.
-bool SimdLevelForced();
 
 /// Forces dispatch to `min(level, DetectedSimdLevel())` process-wide.
 /// Intended for tests that must exercise both paths deterministically.
@@ -51,8 +43,8 @@ bool SimdLevelForced();
 /// setup, before kernels run on other threads.
 void SetSimdLevelOverride(SimdLevel level);
 
-/// Clears the programmatic override; the env var / detection order
-/// applies again on the next `ActiveSimdLevel()` call.
+/// Clears the programmatic override; detection applies again on the
+/// next `ActiveSimdLevel()` call.
 void ClearSimdLevelOverride();
 
 /// Stable lowercase name for reports ("scalar", "avx2").

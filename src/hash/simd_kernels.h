@@ -26,8 +26,6 @@
 ///     guard at the dispatch sites: every compared value then fits well
 ///     below 2^62.
 ///   - Tabulation hashing is pure XOR of gathered table words.
-///   - The EH level search runs the identical `powers[b+half] <= x`
-///     halving schedule with `_CMP_LE_OQ` compares on the same doubles.
 ///
 /// The kernels only exist on x86_64 (`HIMPACT_HAVE_AVX2_KERNELS`); they
 /// are compiled with `__attribute__((target("avx2")))` so the rest of the
@@ -64,14 +62,6 @@ void CountSketchRowHashBatchAvx2(const std::uint64_t* bucket_coeffs,
                                  const std::uint64_t* keys,
                                  std::uint64_t* buckets, std::int64_t* signs,
                                  std::size_t n);
-
-/// Last-power-<=x level search over the EH geometric grid: for each
-/// value, the index of the largest `powers[i] <= (double)value` reachable
-/// by the halving schedule (identical to the scalar branchless search in
-/// `ExponentialHistogramEstimator::AddBatch`). Requires `levels >= 1`.
-void EhLevelSearchAvx2(const double* powers, std::size_t levels,
-                       const std::uint64_t* values, std::uint64_t* out_levels,
-                       std::size_t n);
 
 #endif  // x86_64
 

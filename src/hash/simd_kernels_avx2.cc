@@ -79,15 +79,6 @@ HIMPACT_AVX2 inline __m256i AddModM61(__m256i a, __m256i b) {
   return CondSub(_mm256_add_epi64(a, b), M61v());
 }
 
-// u64 -> f64, 4 lanes. AVX2 has no packed u64 convert, so the lanes
-// convert scalar-wise — exactly the scalar path's static_cast. (The
-// 2^52 magic-constant OR/SUB trick measured slower here: its per-group
-// range test breaks the search loop's scheduling.)
-HIMPACT_AVX2 inline __m256d U64ToPd(const std::uint64_t* v) {
-  return _mm256_set_pd(static_cast<double>(v[3]), static_cast<double>(v[2]),
-                       static_cast<double>(v[1]), static_cast<double>(v[0]));
-}
-
 // BarrettMod(x, d, m) for x < 2^61, d < 2^31, m = ~0ULL/d. The scalar
 // quotient undershoots by at most 3, so r = x - q*d < 4d < 2^33 and
 // three conditional-subtract rounds replace the fixup loop exactly.
@@ -217,52 +208,6 @@ HIMPACT_AVX2 void CountSketchRowHashBatchAvx2(
     }
     buckets[i] = BarrettMod(b, width, barrett);
     signs[i] = (s & 1) == 0 ? 1 : -1;
-  }
-}
-
-HIMPACT_AVX2 void EhLevelSearchAvx2(const double* powers, std::size_t levels,
-                                    const std::uint64_t* values,
-                                    std::uint64_t* out_levels, std::size_t n) {
-  std::size_t i = 0;
-  // Two 4-lane groups: each group's search is a serial chain of gathers
-  // (the next index depends on the previous compare), so a single group
-  // is latency-bound; a second independent group interleaves into the
-  // chain's idle slots. The halving schedule is data-independent, so one
-  // `len` drives both.
-  for (; i + 8 <= n; i += 8) {
-    const __m256d xa = U64ToPd(values + i);
-    const __m256d xb = U64ToPd(values + i + 4);
-    __m256i ba = _mm256_setzero_si256();
-    __m256i bb = _mm256_setzero_si256();
-    std::size_t len = levels;
-    while (len > 1) {
-      const std::size_t half = len >> 1;
-      const __m256i vh = _mm256_set1_epi64x(static_cast<long long>(half));
-      const __m256d pa =
-          _mm256_i64gather_pd(powers, _mm256_add_epi64(ba, vh), 8);
-      const __m256d pb =
-          _mm256_i64gather_pd(powers, _mm256_add_epi64(bb, vh), 8);
-      const __m256i lea =
-          _mm256_castpd_si256(_mm256_cmp_pd(pa, xa, _CMP_LE_OQ));
-      const __m256i leb =
-          _mm256_castpd_si256(_mm256_cmp_pd(pb, xb, _CMP_LE_OQ));
-      ba = _mm256_add_epi64(ba, _mm256_and_si256(lea, vh));
-      bb = _mm256_add_epi64(bb, _mm256_and_si256(leb, vh));
-      len -= half;
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_levels + i), ba);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_levels + i + 4), bb);
-  }
-  for (; i < n; ++i) {
-    const double x = static_cast<double>(values[i]);
-    std::size_t b = 0;
-    std::size_t len = levels;
-    while (len > 1) {
-      const std::size_t half = len >> 1;
-      b += powers[b + half] <= x ? half : 0;
-      len -= half;
-    }
-    out_levels[i] = b;
   }
 }
 

@@ -354,10 +354,9 @@ TEST(ShardedEngineTest, CheckpointRestoreRoundTrip) {
   RemoveEngineCheckpoint(path, kShards);
 }
 
-TEST(ShardedEngineTest, DisabledRebalancePreservesLegacyRouting) {
+TEST(ShardedEngineTest, StaticRoutingIsSplitMixModulo) {
   constexpr std::size_t kShards = 3;
   AggregateEngine engine = MakeAggregateEngine(kShards, 0.2, 10000);
-  EXPECT_EQ(engine.route_slots(), 0u);  // static routing active
   engine.Start();
   Rng rng(123);
   std::vector<std::uint64_t> expected(kShards, 0);
@@ -370,170 +369,6 @@ TEST(ShardedEngineTest, DisabledRebalancePreservesLegacyRouting) {
   for (std::size_t i = 0; i < kShards; ++i) {
     EXPECT_EQ(engine.shard_counters(i).events_pushed, expected[i]) << i;
   }
-  EXPECT_EQ(engine.rebalance_stats().checks, 0u);
-}
-
-TEST(ShardedEngineTest, SkewedStreamRebalancesWithoutChangingAnswers) {
-  constexpr double kEps = 0.15;
-  constexpr std::uint64_t kMaxH = 100000;
-  constexpr std::size_t kShards = 4;
-  EngineOptions options;
-  options.num_shards = kShards;
-  options.queue_capacity = 1024;
-  options.batch_size = 128;
-  options.rebalance.enabled = true;
-  options.rebalance.check_interval_events = 2048;
-  options.rebalance.hot_ratio = 1.5;
-  options.rebalance.route_slots = 64;
-  auto created = AggregateEngine::Create(options, [&](std::size_t) {
-    return ExponentialHistogramEstimator::Create(kEps, kMaxH).value();
-  });
-  ASSERT_TRUE(created.ok());
-  AggregateEngine engine = std::move(created).value();
-  EXPECT_EQ(engine.route_slots(), 64u);
-
-  // One dominant tenant (70% of traffic on a single key, hence a single
-  // route slot) over a uniform background.
-  Rng rng(321);
-  constexpr std::uint64_t kHotKey = 424242;
-  std::vector<std::uint64_t> stream;
-  for (int i = 0; i < 100000; ++i) {
-    stream.push_back(rng.UniformU64(10) < 7 ? kHotKey
-                                            : 1 + rng.UniformU64(50000));
-  }
-
-  engine.Start();
-  for (const std::uint64_t value : stream) engine.Ingest(value);
-  engine.Finish();
-
-  const RebalanceStats& stats = engine.rebalance_stats();
-  EXPECT_GT(stats.checks, 0u);
-  EXPECT_GE(stats.slot_moves + stats.slot_splits, 1u)
-      << "skewed load never triggered a route change";
-
-  // Dynamic routing repartitions the stream but must not change the
-  // merged answer: counters match a single-instance twin exactly.
-  auto whole = ExponentialHistogramEstimator::Create(kEps, kMaxH).value();
-  for (const std::uint64_t value : stream) whole.Add(value);
-  const ExponentialHistogramEstimator merged = engine.MergedEstimator();
-  EXPECT_DOUBLE_EQ(merged.Estimate(), whole.Estimate());
-  for (int level = 0; level < whole.grid().num_levels(); ++level) {
-    EXPECT_EQ(merged.Counter(level), whole.Counter(level));
-  }
-}
-
-TEST(ShardedEngineTest, RestoreResetsRouteState) {
-  constexpr std::size_t kShards = 4;
-  const std::string path = TempPath("route-reset");
-  RemoveEngineCheckpoint(path, kShards);
-  EngineOptions options;
-  options.num_shards = kShards;
-  options.queue_capacity = 1024;
-  options.batch_size = 128;
-  options.rebalance.enabled = true;
-  options.rebalance.check_interval_events = 1024;
-  options.rebalance.hot_ratio = 1.2;
-  options.rebalance.route_slots = 32;
-  auto make = [] {
-    return ExponentialHistogramEstimator::Create(0.2, 100000).value();
-  };
-  auto created =
-      AggregateEngine::Create(options, [&](std::size_t) { return make(); });
-  ASSERT_TRUE(created.ok());
-  AggregateEngine engine = std::move(created).value();
-
-  engine.Start();
-  Rng rng(77);
-  for (int i = 0; i < 50000; ++i) {
-    engine.Ingest(rng.UniformU64(10) < 8 ? 99999u
-                                         : 1 + rng.UniformU64(50000));
-  }
-  engine.Finish();
-  ASSERT_GE(engine.rebalance_stats().slot_moves +
-                engine.rebalance_stats().slot_splits,
-            1u);
-  ASSERT_TRUE(engine.CheckpointTo(path).ok());
-
-  // Restoring (same engine or a fresh one) starts routing fresh: the
-  // restored shards' load history is not the live run's.
-  ASSERT_TRUE(engine.RestoreFrom(path).ok());
-  EXPECT_EQ(engine.rebalance_stats().checks, 0u);
-  EXPECT_EQ(engine.rebalance_stats().slot_moves, 0u);
-  EXPECT_EQ(engine.rebalance_stats().slot_splits, 0u);
-  ASSERT_EQ(engine.route_slots(), 32u);
-  for (std::size_t i = 0; i < engine.route_slots(); ++i) {
-    EXPECT_EQ(engine.route_entry(i),
-              static_cast<std::uint32_t>(i % kShards));
-  }
-  RemoveEngineCheckpoint(path, kShards);
-}
-
-TEST(ShardedEngineTest, ParallelCheckpointMatchesSerial) {
-  constexpr double kEps = 0.15;
-  constexpr std::uint64_t kMaxH = 5000;
-  constexpr std::size_t kShards = 3;
-  const std::string serial_path = TempPath("serial-ckpt");
-  const std::string parallel_path = TempPath("parallel-ckpt");
-  RemoveEngineCheckpoint(serial_path, kShards);
-  RemoveEngineCheckpoint(parallel_path, kShards);
-
-  AggregateEngine engine = MakeAggregateEngine(kShards, kEps, kMaxH);
-  engine.Start();
-  Rng rng(91);
-  for (int i = 0; i < 5000; ++i) engine.Ingest(1 + rng.UniformU64(4000));
-  engine.Drain();
-  ASSERT_TRUE(engine.CheckpointTo(serial_path).ok());
-  TaskRuntime runtime(TaskRuntimeOptions{.num_workers = 4});
-  ASSERT_TRUE(engine.CheckpointTo(parallel_path, runtime).ok());
-  engine.Finish();
-
-  // The fan-out must not change the on-disk format: every shard
-  // envelope and the manifest are byte-identical to the serial write.
-  auto read_bytes = [](const std::string& path) {
-    std::string bytes;
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(file, nullptr) << path;
-    if (file == nullptr) return bytes;
-    char buffer[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-      bytes.append(buffer, n);
-    }
-    std::fclose(file);
-    return bytes;
-  };
-  EXPECT_EQ(read_bytes(serial_path), read_bytes(parallel_path));
-  for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_EQ(read_bytes(AggregateEngine::ShardPath(serial_path, i)),
-              read_bytes(AggregateEngine::ShardPath(parallel_path, i)));
-  }
-  const TaskRuntimeStats stats = runtime.Stats();
-  EXPECT_EQ(stats.completed[static_cast<std::size_t>(JobClass::kCheckpoint)],
-            kShards);
-
-  RemoveEngineCheckpoint(serial_path, kShards);
-  RemoveEngineCheckpoint(parallel_path, kShards);
-}
-
-TEST(ShardedEngineTest, WarmMergeCacheAsyncMakesNextQueryAHit) {
-  AggregateEngine engine = MakeAggregateEngine(2, 0.2, 10000);
-  engine.Start();
-  Rng rng(17);
-  for (int i = 0; i < 2000; ++i) engine.Ingest(1 + rng.UniformU64(1000));
-  engine.Drain();
-  engine.InvalidateMergeCache();
-
-  TaskRuntime runtime(TaskRuntimeOptions{.num_workers = 2});
-  engine.WarmMergeCacheAsync(runtime).Wait();
-  EXPECT_FALSE(engine.last_merge_cache_hit());  // the warm was the miss
-
-  // The warmed cache serves the foreground query without a re-merge.
-  (void)engine.MergedEstimatorCached();
-  EXPECT_TRUE(engine.last_merge_cache_hit());
-  const TaskRuntimeStats stats = runtime.Stats();
-  EXPECT_EQ(stats.completed[static_cast<std::size_t>(JobClass::kMergeWarm)],
-            1u);
-  engine.Finish();
 }
 
 TEST(ShardedEngineTest, RestoreRejectsShardCountMismatch) {

@@ -16,6 +16,7 @@
 // The child's death is asserted to be exactly our SIGKILL — a crash or
 // CHECK-abort under load would surface as a different termination.
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -29,6 +30,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -382,6 +384,42 @@ pid_t SpawnServeTcp(const std::string& checkpoint, std::uint16_t* port) {
   return pid;
 }
 
+// Reads replies off `sock` until at least `count` have arrived (text
+// lines, or binary reply frames when `binary`). The server writes the
+// reply to the `--checkpoint-every`-th mutation only after that
+// mutation's inline checkpoint returned, so once this succeeds a kill
+// leaves a completed checkpoint behind. A receive timeout bounds the
+// wait: false means the server stalled, closed, or died.
+bool AwaitReplies(int sock, int count, bool binary) {
+  timeval timeout{};
+  timeout.tv_sec = 30;
+  if (::setsockopt(sock, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                   sizeof(timeout)) != 0) {
+    return false;
+  }
+  std::string pending;
+  int seen = 0;
+  char chunk[4096];
+  while (seen < count) {
+    const ssize_t n = ::recv(sock, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    if (!binary) {
+      seen += static_cast<int>(std::count(chunk, chunk + n, '\n'));
+      continue;
+    }
+    pending.append(chunk, static_cast<std::size_t>(n));
+    while (pending.size() >= himpact::kWirePreludeBytes) {
+      const std::size_t frame = himpact::kWirePreludeBytes +
+                                himpact::WirePayloadLength(pending.data());
+      if (pending.size() < frame) break;
+      pending.erase(0, frame);
+      ++seen;
+    }
+  }
+  return true;
+}
+
 int ConnectBlocking(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
@@ -415,9 +453,10 @@ TEST(KillResumeDrill, TcpServerSurvivesSigkillMidLoadMonotonically) {
     const int sock = ConnectBlocking(port);
     ASSERT_GE(sock, 0) << "connect failed in round " << round;
 
-    // Live load over the socket. Replies are left to pile up in the
-    // socket buffers — the kill lands with the pipeline as full as it
-    // gets. The values echo the stdin drill so estimates keep growing.
+    // Live load over the socket. Only the first checkpoint's worth of
+    // replies is read back; the rest pile up in the socket buffers, so
+    // the kill lands with the pipeline as full as it gets. The values
+    // echo the stdin drill so estimates keep growing.
     bool wrote_all = true;
     for (int i = 0; i < kAddsPerRound && wrote_all; ++i) {
       const int user = 1 + i % kBatteryUsers;
@@ -428,6 +467,10 @@ TEST(KillResumeDrill, TcpServerSurvivesSigkillMidLoadMonotonically) {
     }
     EXPECT_TRUE(wrote_all) << "TCP server died before the kill in round "
                            << round;
+    // Kill only once this round has a landed checkpoint, so every round
+    // verifies real state rather than racing the first save.
+    EXPECT_TRUE(AwaitReplies(sock, std::atoi(kCheckpointEvery), false))
+        << "no checkpoint-covering reply before the kill in round " << round;
 
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     ::close(sock);
@@ -482,7 +525,8 @@ TEST(KillResumeDrill, TcpBinaryProtocolSurvivesSigkillMidLoadMonotonically) {
     ASSERT_GE(sock, 0) << "connect failed in round " << round;
 
     // The same load shape as the text drill, encoded as request frames.
-    // Replies pile up unread so the kill hits a full pipeline.
+    // Past the first checkpoint's replies, the rest pile up unread so
+    // the kill hits a full pipeline.
     bool wrote_all = true;
     for (int i = 0; i < kAddsPerRound && wrote_all; ++i) {
       himpact::Command add;
@@ -495,6 +539,10 @@ TEST(KillResumeDrill, TcpBinaryProtocolSurvivesSigkillMidLoadMonotonically) {
     }
     EXPECT_TRUE(wrote_all) << "TCP server died before the kill in round "
                            << round;
+    // Kill only once this round has a landed checkpoint, so every round
+    // verifies real state rather than racing the first save.
+    EXPECT_TRUE(AwaitReplies(sock, std::atoi(kCheckpointEvery), true))
+        << "no checkpoint-covering reply before the kill in round " << round;
 
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     ::close(sock);

@@ -104,30 +104,26 @@ TEST(TaskRuntimeTest, DequeGrowsPastInitialCapacity) {
 
 TEST(TaskRuntimeTest, PerClassCounters) {
   TaskRuntime runtime(TaskRuntimeOptions{.num_workers = 2});
-  runtime.Submit(JobClass::kCheckpoint, [] {}).Wait();
+  runtime.Submit(JobClass::kGeneric, [] {}).Wait();
   runtime.Submit(JobClass::kDeltaCollapse, [] {}).Wait();
   runtime.Submit(JobClass::kDeltaCollapse, [] {}).Wait();
   runtime.Submit(JobClass::kTierDemotion, [] {}).Wait();
-  runtime.Submit(JobClass::kMergeWarm, [] {}).Wait();
   const TaskRuntimeStats stats = runtime.Stats();
-  EXPECT_EQ(stats.submitted[static_cast<std::size_t>(JobClass::kCheckpoint)],
+  EXPECT_EQ(stats.submitted[static_cast<std::size_t>(JobClass::kGeneric)],
             1u);
   EXPECT_EQ(
       stats.submitted[static_cast<std::size_t>(JobClass::kDeltaCollapse)],
       2u);
   EXPECT_EQ(
       stats.submitted[static_cast<std::size_t>(JobClass::kTierDemotion)], 1u);
-  EXPECT_EQ(stats.submitted[static_cast<std::size_t>(JobClass::kMergeWarm)],
-            1u);
   EXPECT_EQ(stats.completed, stats.submitted);
 }
 
 TEST(TaskRuntimeTest, JobClassNamesAreStable) {
+  EXPECT_EQ(kNumJobClasses, 3u);
   EXPECT_STREQ(JobClassName(JobClass::kGeneric), "generic");
-  EXPECT_STREQ(JobClassName(JobClass::kCheckpoint), "checkpoint");
   EXPECT_STREQ(JobClassName(JobClass::kDeltaCollapse), "delta_collapse");
   EXPECT_STREQ(JobClassName(JobClass::kTierDemotion), "tier_demotion");
-  EXPECT_STREQ(JobClassName(JobClass::kMergeWarm), "merge_warm");
 }
 
 TEST(TaskRuntimeTest, WaitIdleCoversTransitiveSubmissions) {

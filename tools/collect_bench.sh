@@ -17,7 +17,7 @@
 #   bench_f8_wire         text-vs-binary wire framing (docs/PROTOCOL.md)
 #   bench_f9_coldtier     paged cold tier page-in latency + delta sizing
 #   bench_f10_durability  WAL fsync-policy qps/p99 + replay throughput
-#   bench_f11_scaling     shard scaling curves + skew-rebalancing win
+#   bench_f11_scaling     shard scaling curves
 #
 # The aggregate is a single json object: {"git_sha", "quick", "host",
 # "results"} where results is the array of BENCH payloads in emission
