@@ -7,32 +7,58 @@
 namespace himpact {
 namespace {
 
-/// The 256-entry CRC32 table for the reflected IEEE 802.3 polynomial,
-/// built once at static-init time.
-std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE 802.3 polynomial, built
+/// once on first use. `t[0]` is the classic bytewise table;
+/// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so one
+/// step folds eight input bytes with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
 
-const std::array<std::uint32_t, 256>& CrcTable() {
-  static const std::array<std::uint32_t, 256> table = BuildCrcTable();
-  return table;
+const CrcTables& Tables() {
+  static const CrcTables tables = BuildCrcTables();
+  return tables;
+}
+
+/// Little-endian 32-bit load from bytes: endian-independent and free of
+/// alignment assumptions (compilers fold it into one load on LE hosts).
+std::uint32_t LoadLe32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size) {
-  const auto& table = CrcTable();
+  const CrcTables& t = Tables();
   std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xffu];
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ LoadLe32(data);
+    const std::uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xffu];
   }
   return crc ^ 0xffffffffu;
 }

@@ -282,8 +282,10 @@ Status WalWriter::Rotate() {
     Status flushed = Flush();
     if (!flushed.ok()) return flushed;  // Flush degraded us; fall through
   }
+  // No fsync before the close: every segment, this one included, is
+  // unlinked just below, and syncing a file that is about to be deleted
+  // only buys an expensive unlink.
   if (fd_ >= 0) {
-    ::fsync(fd_);
     ::close(fd_);
     fd_ = -1;
   }

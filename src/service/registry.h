@@ -149,6 +149,7 @@ struct RegistryStats {
   std::uint64_t segment_pending_records = 0;
   std::uint64_t segment_seals = 0;
   std::uint64_t page_ins = 0;
+  /// Segment-tier gets served from a store's unsealed pending buffer.
   std::uint64_t page_in_cache_hits = 0;
   std::uint64_t page_in_failures = 0;
   /// Sealed bytes whose records have been superseded (a user re-paged

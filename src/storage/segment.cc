@@ -257,17 +257,6 @@ StatusOr<std::vector<std::uint8_t>> SegmentReader::ReadBlock(
   return ZrleDecode(comp, meta.comp_len, meta.raw_len);
 }
 
-StatusOr<std::vector<std::uint8_t>> SegmentReader::Slice(
-    const SegmentRecord& record, const std::vector<std::uint8_t>& raw_block) {
-  if (static_cast<std::size_t>(record.offset) + record.len >
-      raw_block.size()) {
-    return Status::InvalidArgument("segment record overruns its block");
-  }
-  return std::vector<std::uint8_t>(
-      raw_block.begin() + record.offset,
-      raw_block.begin() + record.offset + record.len);
-}
-
 StatusOr<std::vector<std::uint8_t>> SegmentReader::ReadRecord(
     std::uint64_t id) const {
   const SegmentRecord* record = Find(id);
@@ -276,7 +265,12 @@ StatusOr<std::vector<std::uint8_t>> SegmentReader::ReadRecord(
   }
   StatusOr<std::vector<std::uint8_t>> block = ReadBlock(record->block);
   if (!block.ok()) return block.status();
-  return Slice(*record, block.value());
+  const std::vector<std::uint8_t>& raw = block.value();
+  if (static_cast<std::size_t>(record->offset) + record->len > raw.size()) {
+    return Status::InvalidArgument("segment record overruns its block");
+  }
+  return std::vector<std::uint8_t>(raw.begin() + record->offset,
+                                   raw.begin() + record->offset + record->len);
 }
 
 }  // namespace himpact

@@ -16,10 +16,10 @@
 /// A segment is an immutable container of keyed records — evicted users'
 /// envelope-framed state in the registry's cold tier, per-stripe
 /// checkpoint envelopes in incremental-delta files. Records are packed
-/// into ZRLE-compressed blocks so a `get` decompresses one block, not
-/// the file; the record and block tables live at the tail and are small
-/// enough to keep in RAM, which is what makes the in-memory
-/// id -> (block, offset) index cheap.
+/// into ZRLE-compressed blocks so a `get` CRC-checks and decompresses
+/// one small block, not the file; the record and block tables live at
+/// the tail and are small enough to keep in RAM, which is what makes the
+/// in-memory id -> (block, offset) index cheap.
 ///
 /// On-disk layout (all integers little-endian):
 ///
@@ -36,13 +36,18 @@
 /// CRC, block corruption lazily by the per-block CRC on first page-in —
 /// so opening a large segment validates only its tables. Identical raw
 /// blocks within one file are written once and referenced twice
-/// (content-hash dedup; the block table may alias data ranges).
-/// See docs/CHECKPOINTS.md for the compatibility rules.
+/// (content-hash dedup; the block table may alias data ranges). The
+/// block size is the writer's choice and not part of the format: readers
+/// take each block's `raw_len` from the table, so files cut at any size
+/// (older 64 KiB blocks included) read back alike. See
+/// docs/CHECKPOINTS.md for the compatibility rules.
 
 namespace himpact {
 
-/// Default block cut size (raw bytes) for segment writers.
-inline constexpr std::size_t kSegmentBlockBytes = 64u << 10;
+/// Default block cut size (raw bytes) for segment writers. Small, because
+/// a cold `get` pays the CRC and decode of the whole block around its
+/// ~1.3 KB record; 4 KiB keeps that to a few records.
+inline constexpr std::size_t kSegmentBlockBytes = 4u << 10;
 
 /// One record-table entry.
 struct SegmentRecord {
@@ -118,11 +123,6 @@ class SegmentReader {
   /// `Find` + `ReadBlock` + slice: the record's bytes, or
   /// `kUnavailable` when the id is not present.
   StatusOr<std::vector<std::uint8_t>> ReadRecord(std::uint64_t id) const;
-
-  /// Slices `record` out of its decompressed block (callers that cache
-  /// blocks use this to skip the re-read).
-  static StatusOr<std::vector<std::uint8_t>> Slice(
-      const SegmentRecord& record, const std::vector<std::uint8_t>& raw_block);
 
  private:
   Status Parse();

@@ -106,7 +106,7 @@ void SegmentStore::AdoptSegment(SegmentReader reader) {
     // Newest generation wins; a superseded copy stays on disk as dead
     // space until a restore rebuilds the store (compaction fodder).
     if (!inserted) dead_record_bytes_ += it->second.len;
-    it->second = Loc{segment, record.block, record.offset, record.len};
+    it->second = Loc{segment, record.len};
   }
   segments_.push_back(std::move(reader));
 }
@@ -156,44 +156,20 @@ StatusOr<std::vector<std::uint8_t>> SegmentStore::Get(std::uint64_t id) {
   }
   const auto it = index_.find(id);
   if (it == index_.end()) {
+    // The caller paged this id out, so a miss is a lost record (its
+    // segment was skipped as corrupt, or never restored with the
+    // checkpoint that references it): a failed page-in like any other.
+    ++counters_.page_in_failures;
     return Status::Unavailable("no segment record for this id");
   }
-  const Loc& loc = it->second;
-  StatusOr<const std::vector<std::uint8_t>*> block =
-      CachedBlock(loc.segment, loc.block);
-  if (!block.ok()) {
-    ++counters_.page_in_failures;
-    return block.status();
-  }
-  SegmentRecord record;
-  record.id = id;
-  record.block = loc.block;
-  record.offset = loc.offset;
-  record.len = loc.len;
   StatusOr<std::vector<std::uint8_t>> bytes =
-      SegmentReader::Slice(record, *block.value());
-  if (!bytes.ok()) ++counters_.page_in_failures;
-  return bytes;
-}
-
-StatusOr<const std::vector<std::uint8_t>*> SegmentStore::CachedBlock(
-    std::uint32_t segment, std::uint32_t block) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(segment) << 32) | block;
-  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if (it->first == key) {
-      cache_.splice(cache_.begin(), cache_, it);  // move to front (MRU)
-      ++counters_.cache_hits;
-      return &cache_.front().second;
-    }
+      segments_[it->second.segment].ReadRecord(id);
+  if (bytes.ok()) {
+    ++counters_.page_ins;
+  } else {
+    ++counters_.page_in_failures;
   }
-  StatusOr<std::vector<std::uint8_t>> raw =
-      segments_[segment].ReadBlock(block);
-  if (!raw.ok()) return raw.status();
-  ++counters_.page_ins;
-  cache_.emplace_front(key, std::move(raw).value());
-  while (cache_.size() > options_.block_cache_blocks) cache_.pop_back();
-  return &cache_.front().second;
+  return bytes;
 }
 
 bool SegmentStore::Contains(std::uint64_t id) const {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -19,10 +18,12 @@
 /// user's serialized state, cold gets `Get` it back. Records accumulate
 /// in a RAM pending buffer until `seal_threshold_bytes`, then seal into
 /// `stripe-<i>-gen-<g>.seg` (atomic write, then mmap'd read-only). The
-/// in-RAM index maps id -> (segment, block, offset); a `Get` for a
-/// sealed record decompresses one block, served through a small LRU
-/// block cache. Reopening a directory rescans the generations, newest
-/// record wins — so the cold tier survives restarts with no replay.
+/// in-RAM index maps id -> the segment holding its newest copy; a `Get`
+/// for a sealed record CRC-checks and decompresses its one small block
+/// and slices the record out (no block cache: at `kSegmentBlockBytes` a
+/// block holds a few records, so re-reading is cheaper than caching).
+/// Reopening a directory rescans the generations, newest record wins —
+/// so the cold tier survives restarts with no replay.
 ///
 /// NOT thread-safe: the owning registry stripe calls every method under
 /// its own stripe mutex, which is the store's required external lock.
@@ -41,8 +42,6 @@ struct SegmentStoreOptions {
   std::size_t seal_threshold_bytes = 256u << 10;
   /// Raw block cut size inside sealed segments.
   std::size_t block_bytes = kSegmentBlockBytes;
-  /// Decompressed blocks kept hot per store (LRU).
-  std::size_t block_cache_blocks = 4;
 };
 
 /// Monotone per-store counters (runtime-only, surfaced via `health`).
@@ -50,13 +49,13 @@ struct SegmentStoreCounters {
   std::uint64_t appends = 0;
   std::uint64_t seals = 0;
   std::uint64_t page_ins = 0;    // block reads that went to a segment
-  std::uint64_t cache_hits = 0;  // gets served from the block cache
-  std::uint64_t page_in_failures = 0;
+  std::uint64_t cache_hits = 0;  // gets served from the pending buffer
+  std::uint64_t page_in_failures = 0;  // gets that returned no record
   std::uint64_t flush_failures = 0;
   std::uint64_t corrupt_segments = 0;  // skipped while reopening a dir
 };
 
-/// The store. Move via unique_ptr only (owns mmaps and an LRU).
+/// The store. Move via unique_ptr only (owns mmaps).
 class SegmentStore {
  public:
   /// Creates `options.dir` if needed and adopts every existing sealed
@@ -73,9 +72,10 @@ class SegmentStore {
 
   /// The newest record for `id`: from the pending buffer, else paged in
   /// from its segment block. `kUnavailable` when the id was never put
-  /// (or its segment was skipped as corrupt), `kInternal` on page-in
-  /// failure (including an armed `segment-map-fail`) — failures are
-  /// counted and the caller degrades, never crashes.
+  /// (or its segment was skipped as corrupt or is missing), `kInternal`
+  /// on page-in failure (including an armed `segment-map-fail`),
+  /// `kInvalidArgument` on a damaged block. Every failed `Get` counts
+  /// once in `page_in_failures`; the caller degrades, never crashes.
   StatusOr<std::vector<std::uint8_t>> Get(std::uint64_t id);
 
   /// True iff `Get` would find a record.
@@ -112,17 +112,13 @@ class SegmentStore {
  private:
   struct Loc {
     std::uint32_t segment = 0;  // index into segments_
-    std::uint32_t block = 0;
-    std::uint32_t offset = 0;
-    std::uint32_t len = 0;
+    std::uint32_t len = 0;      // record bytes (dead-space accounting)
   };
 
   SegmentStore() = default;
 
   std::string SegmentPath(std::uint64_t generation) const;
   void AdoptSegment(SegmentReader reader);
-  StatusOr<const std::vector<std::uint8_t>*> CachedBlock(
-      std::uint32_t segment, std::uint32_t block);
 
   SegmentStoreOptions options_;
   std::uint64_t next_generation_ = 1;
@@ -132,8 +128,6 @@ class SegmentStore {
   std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> pending_;
   std::size_t pending_bytes_ = 0;
   std::uint64_t dead_record_bytes_ = 0;
-  /// LRU of decompressed blocks, keyed by (segment << 32 | block).
-  std::list<std::pair<std::uint64_t, std::vector<std::uint8_t>>> cache_;
   SegmentStoreCounters counters_;
 };
 

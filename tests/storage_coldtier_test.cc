@@ -238,6 +238,61 @@ TEST_F(ColdTierTest, CheckpointRestoresPagedUsersIntoAnyService) {
   RemoveTree(dir);
 }
 
+TEST_F(ColdTierTest, RestoreWithoutSegmentFilesServesFloorsAndCountsFailures) {
+  const std::string dir = TempPath("lost_dir");
+  const std::string empty_dir = TempPath("lost_empty_dir");
+  const std::string save = TempPath("lost_ck");
+  RemoveTree(dir);
+  RemoveTree(empty_dir);
+  ServiceOptions options = PagedOptions(dir);
+  options.num_stripes = 2;
+  options.promote_threshold = 8;
+  options.memory_budget_bytes = 24 * 1024;
+  auto service = HImpactService::Create(options).value();
+  Rng rng(31);
+  ZipfSampler users(200, 1.2);
+  DiscreteParetoSampler citations(1, 1.6, 1u << 10);
+  for (int i = 0; i < 15000; ++i) {
+    service.RecordResponseCount(users.Sample(rng), citations.Sample(rng));
+  }
+  ASSERT_GT(service.Stats().registry.segment_users, 0u);
+  ASSERT_TRUE(service.CheckpointTo(save).ok());
+
+  // The checkpoint restored next to an empty segment directory: every
+  // paged user's record is gone. A service with no segment directory
+  // at all serves the frozen floors, which is the expected answer.
+  ServiceOptions lost = options;
+  lost.segment_dir = empty_dir;
+  auto restored = HImpactService::Create(lost).value();
+  ASSERT_TRUE(restored.RestoreFrom(save).ok());
+  ServiceOptions storeless = options;
+  storeless.segment_dir.clear();
+  auto floors = HImpactService::Create(storeless).value();
+  ASSERT_TRUE(floors.RestoreFrom(save).ok());
+
+  const std::uint64_t failures_before =
+      restored.Stats().registry.page_in_failures;
+  std::uint64_t paged_reads = 0;
+  for (AuthorId user = 1; user <= 200; ++user) {
+    UserSnapshot snapshot;
+    if (!restored.Lookup(user, &snapshot)) continue;
+    if (snapshot.tier != UserTier::kSegment) continue;
+    ++paged_reads;
+    UserSnapshot floor;
+    ASSERT_TRUE(floors.Lookup(user, &floor));
+    EXPECT_EQ(snapshot.estimate, floor.estimate) << "user " << user;
+    EXPECT_LE(snapshot.estimate, service.PointHIndex(user)) << "user " << user;
+  }
+  ASSERT_GT(paged_reads, 0u);
+  EXPECT_GE(restored.Stats().registry.page_in_failures - failures_before,
+            paged_reads)
+      << "every read of a lost record is a failed page-in";
+
+  RemoveCheckpoint(save, options.num_stripes);
+  RemoveTree(dir);
+  RemoveTree(empty_dir);
+}
+
 // --- incremental checkpoints -------------------------------------------------
 
 ServiceOptions CheckpointOptions() {

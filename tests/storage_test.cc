@@ -8,10 +8,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -289,7 +291,6 @@ SegmentStoreOptions SmallStoreOptions(const std::string& dir,
   options.stripe = stripe;
   options.seal_threshold_bytes = 512;  // seal early so tests hit segments
   options.block_bytes = 256;
-  options.block_cache_blocks = 2;
   return options;
 }
 
@@ -375,8 +376,8 @@ TEST_F(StorageTest, StoresShareADirectoryWithoutCrossTalk) {
   RemoveTree(dir);
 }
 
-TEST_F(StorageTest, StoreBlockCacheCountsHitsAndPageIns) {
-  const std::string dir = TempPath("store_cache");
+TEST_F(StorageTest, StoreCountsPageInsAndPendingHits) {
+  const std::string dir = TempPath("store_counters");
   RemoveTree(dir);
   auto store_or = SegmentStore::Open(SmallStoreOptions(dir));
   ASSERT_TRUE(store_or.ok());
@@ -387,16 +388,96 @@ TEST_F(StorageTest, StoreBlockCacheCountsHitsAndPageIns) {
   ASSERT_TRUE(store->Flush().ok());
   ASSERT_EQ(store->pending_records(), 0u);
 
-  // First touch pages the block in; an immediate re-read of a neighbor
-  // in the same block must hit the cache.
+  // Every get of a sealed record reads its block, even a neighbor of
+  // the record just read (there is no block cache).
   const std::uint64_t before_pages = store->counters().page_ins;
   ASSERT_TRUE(store->Get(1).ok());
-  EXPECT_GT(store->counters().page_ins, before_pages);
-  const std::uint64_t pages_after_first = store->counters().page_ins;
-  const std::uint64_t hits_before = store->counters().cache_hits;
   ASSERT_TRUE(store->Get(2).ok());
-  EXPECT_EQ(store->counters().page_ins, pages_after_first);
-  EXPECT_GT(store->counters().cache_hits, hits_before);
+  EXPECT_EQ(store->counters().page_ins, before_pages + 2);
+
+  // A pending record is served from RAM and counted as a cache hit.
+  ASSERT_TRUE(store->Put(9, RecordPayload(9, 10)).ok());
+  const std::uint64_t hits_before = store->counters().cache_hits;
+  ASSERT_TRUE(store->Get(9).ok());
+  EXPECT_EQ(store->counters().cache_hits, hits_before + 1);
+  EXPECT_EQ(store->counters().page_ins, before_pages + 2);
+
+  // A get that finds no record counts exactly one failed page-in.
+  const std::uint64_t failures_before = store->counters().page_in_failures;
+  EXPECT_EQ(store->Get(99).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(store->counters().page_in_failures, failures_before + 1);
+  RemoveTree(dir);
+}
+
+TEST_F(StorageTest, StoreReadsGenerationsSealedAtDifferentBlockSizes) {
+  // Block size is a writer choice, not part of the format: a directory
+  // holding one generation cut at 64 KiB (the older default) and newer
+  // ones cut at the current default reads back byte-identical, and the
+  // newest copy of a record wins across the two sizes.
+  const std::string dir = TempPath("store_mixed_blocks");
+  RemoveTree(dir);
+  std::map<std::uint64_t, std::vector<std::uint8_t>> expected;
+  {
+    SegmentStoreOptions old_options = SmallStoreOptions(dir);
+    old_options.seal_threshold_bytes = 1u << 30;  // seal only on Flush
+    old_options.block_bytes = 64u << 10;
+    auto store_or = SegmentStore::Open(old_options);
+    ASSERT_TRUE(store_or.ok());
+    std::unique_ptr<SegmentStore> store = std::move(store_or).value();
+    for (std::uint64_t id = 1; id <= 120; ++id) {
+      expected[id] = RecordPayload(id, 1300);
+      ASSERT_TRUE(store->Put(id, expected[id]).ok());
+    }
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  {
+    SegmentStoreOptions new_options = SmallStoreOptions(dir);
+    new_options.seal_threshold_bytes = 1u << 30;
+    new_options.block_bytes = kSegmentBlockBytes;
+    auto store_or = SegmentStore::Open(new_options);
+    ASSERT_TRUE(store_or.ok());
+    std::unique_ptr<SegmentStore> store = std::move(store_or).value();
+    // Two newer generations: overwrite every third record, then every
+    // fifth, and add records the old generation never held.
+    for (std::uint64_t round = 1; round <= 2; ++round) {
+      const std::uint64_t stride = round == 1 ? 3 : 5;
+      for (std::uint64_t id = stride; id <= 160; id += stride) {
+        expected[id] = RecordPayload(id * 1000 + round, 1300);
+        ASSERT_TRUE(store->Put(id, expected[id]).ok());
+      }
+      ASSERT_TRUE(store->Flush().ok());
+    }
+    EXPECT_EQ(store->segment_files(), 3u);
+  }
+
+  auto reopened_or = SegmentStore::Open(SmallStoreOptions(dir));
+  ASSERT_TRUE(reopened_or.ok());
+  std::unique_ptr<SegmentStore> reopened = std::move(reopened_or).value();
+  ASSERT_EQ(reopened->segment_files(), 3u);
+  EXPECT_EQ(reopened->num_records(), expected.size());
+  for (const auto& [id, bytes] : expected) {
+    StatusOr<std::vector<std::uint8_t>> readback = reopened->Get(id);
+    ASSERT_TRUE(readback.ok()) << "id " << id;
+    EXPECT_EQ(readback.value(), bytes) << "id " << id;
+  }
+  EXPECT_EQ(reopened->counters().page_in_failures, 0u);
+
+  // The old generation really holds multi-record 64 KiB blocks and the
+  // newer ones 4 KiB blocks.
+  auto old_gen = SegmentReader::Open(dir + "/stripe-0-gen-1.seg");
+  auto new_gen = SegmentReader::Open(dir + "/stripe-0-gen-2.seg");
+  ASSERT_TRUE(old_gen.ok());
+  ASSERT_TRUE(new_gen.ok());
+  std::uint32_t old_max = 0;
+  for (const SegmentBlockMeta& meta : old_gen.value().blocks()) {
+    old_max = std::max(old_max, meta.raw_len);
+  }
+  std::uint32_t new_max = 0;
+  for (const SegmentBlockMeta& meta : new_gen.value().blocks()) {
+    new_max = std::max(new_max, meta.raw_len);
+  }
+  EXPECT_GT(old_max, kSegmentBlockBytes);
+  EXPECT_LE(new_max, kSegmentBlockBytes);
   RemoveTree(dir);
 }
 
