@@ -1,9 +1,10 @@
 // F2 — Throughput of every estimator (google-benchmark): items/second of
 // the streaming Add/Update paths as a function of eps, plus two sharded
-// ingestion-engine sweeps that report BENCH{...} json lines before the
-// google-benchmark table: shards 1 -> N at fixed batch size, and dequeue
-// batch size B in {1, 64, 256, 1024} at fixed shards (ns/event from the
-// per-shard apply_nanos counter). Run in Release for meaningful numbers.
+// ingestion sweeps on the fork-join shard set (engine/shard_set.h) that
+// report BENCH{...} json lines before the google-benchmark table: shards
+// 1 -> N at fixed batch size, and per-shard batch size B in
+// {1, 64, 256, 1024} at fixed shards (wall-clock ns/event). Run in
+// Release for meaningful numbers.
 //
 //   ./bench_f2_throughput --shards 8      # sweep 1,2,4,8 shards
 //
@@ -22,7 +23,8 @@
 #include <vector>
 
 #include "core/cash_register.h"
-#include "engine/sharded_engine.h"
+#include "engine/shard_set.h"
+#include "engine/task_runtime.h"
 #include "engine/traits.h"
 #include "core/exact.h"
 #include "core/exponential_histogram.h"
@@ -198,29 +200,51 @@ void BM_SlidingWindowAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_SlidingWindowAdd);
 
-// --- sharded ingestion-engine sweep ------------------------------------------
+// --- sharded ingestion sweep -------------------------------------------------
 
-// One BENCH json line per shard count: ingest wall-clock throughput of
-// the parallel engine on a cash-register stream driving a deliberately
-// expensive estimator (16 samplers), so per-event work dominates queue
-// overhead and the sweep measures scaling rather than ring traffic.
-void RunShardSweep(std::size_t max_shards) {
-  using Engine = ShardedEngine<CashRegisterEngineTraits<CashRegisterEstimator>>;
-  const std::uint64_t universe = 1 << 12;
-  const std::size_t num_events = 1 << 17;
-  Rng rng(11);
+using CashShards = ShardSet<CashRegisterEngineTraits<CashRegisterEstimator>>;
+
+// A cash-register stream and a deliberately expensive estimator factory
+// (16 samplers), so per-event work dominates the fork-join overhead and
+// the sweeps measure scaling rather than scheduling.
+std::vector<CitationEvent> SweepEvents(std::uint64_t seed) {
+  constexpr std::uint64_t kUniverse = 1 << 12;
+  constexpr std::size_t kEvents = 1 << 17;
+  Rng rng(seed);
   std::vector<CitationEvent> events;
-  events.reserve(num_events);
-  for (std::size_t i = 0; i < num_events; ++i) {
-    events.push_back(CitationEvent{rng.UniformU64(universe), 1});
+  events.reserve(kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    events.push_back(CitationEvent{rng.UniformU64(kUniverse), 1});
   }
+  return events;
+}
+
+CashShards MakeSweepShards(std::size_t shards, std::size_t batch) {
   CashRegisterOptions options;
   options.num_samplers_override = 16;
-  const auto make = [&](std::size_t) {
-    return CashRegisterEstimator::Create(0.2, 0.1, universe, 13, options)
-        .value();
-  };
+  return CashShards::Create(shards, batch,
+                            [&](std::size_t) {
+                              return CashRegisterEstimator::Create(
+                                         0.2, 0.1, 1 << 12, 13, options)
+                                  .value();
+                            })
+      .value();
+}
 
+// Wall-clock seconds to add every event and flush the last batches.
+double IngestSeconds(CashShards& shards,
+                     const std::vector<CitationEvent>& events) {
+  const auto start = std::chrono::steady_clock::now();
+  for (const CitationEvent& event : events) shards.Add(event);
+  shards.Flush();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+// One BENCH json line per shard count: ingest wall-clock throughput.
+void RunShardSweep(std::size_t max_shards) {
+  const std::vector<CitationEvent> events = SweepEvents(11);
   std::vector<std::size_t> shard_counts;
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
     shard_counts.push_back(shards);
@@ -229,110 +253,57 @@ void RunShardSweep(std::size_t max_shards) {
     shard_counts.push_back(max_shards);
   }
 
+  constexpr std::size_t kBatch = 256;
   double single_shard_rate = 0.0;
   double single_shard_estimate = 0.0;
   for (const std::size_t shards : shard_counts) {
-    EngineOptions engine_options;
-    engine_options.num_shards = shards;
-    engine_options.batch_size = 256;
-    engine_options.queue_capacity = 4096;
-    auto engine = Engine::Create(engine_options, make).value();
-    engine.Start();
-    const auto start = std::chrono::steady_clock::now();
-    for (const CitationEvent& event : events) engine.Ingest(event);
-    engine.Finish();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double rate = static_cast<double>(num_events) / seconds;
-    const double estimate = engine.MergedEstimator().Estimate();
-    std::uint64_t stalls = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      stalls += engine.shard_counters(s).queue_full_stalls;
-    }
+    CashShards set = MakeSweepShards(shards, kBatch);
+    const double seconds = IngestSeconds(set, events);
+    const double rate = static_cast<double>(events.size()) / seconds;
+    const auto merge_start = std::chrono::steady_clock::now();
+    const double estimate = set.Merged().Estimate();
+    const double merge_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - merge_start)
+                                .count();
     if (shards == 1) {
       single_shard_rate = rate;
       single_shard_estimate = estimate;
     }
-    // `worker_threads` is what the engine spawned (one consumer per
-    // shard); `effective_workers` caps the pipeline (producer included)
-    // at the host's cores, so a flat curve on a small host reads as
-    // oversubscription rather than a scaling failure.
+    // `worker_threads` is the shared task runtime's pool size;
+    // `effective_workers` is how many shard jobs can run at once (one per
+    // shard, capped by the pool), so a flat curve past the pool size reads
+    // as oversubscription rather than a scaling failure.
     const unsigned hw = std::thread::hardware_concurrency();
+    const std::size_t pool = TaskRuntime::Shared().num_workers();
     std::printf(
         "BENCH{\"bench\":\"f2_sharded_engine\",\"shards\":%zu,\"batch\":%zu,"
         "\"events\":%zu,\"events_per_sec\":%.0f,\"speedup_vs_1\":%.2f,"
-        "\"queue_full_stalls\":%llu,\"merge_ms\":%.3f,\"estimate\":%.2f,"
+        "\"merge_ms\":%.3f,\"estimate\":%.2f,"
         "\"single_shard_estimate\":%.2f,\"worker_threads\":%zu,"
-        "\"effective_workers\":%u,\"hardware_concurrency\":%u}\n",
-        shards, engine_options.batch_size, num_events, rate,
-        single_shard_rate > 0.0 ? rate / single_shard_rate : 1.0,
-        static_cast<unsigned long long>(stalls),
-        engine.last_merge_seconds() * 1e3, estimate, single_shard_estimate,
-        shards,
-        std::min<unsigned>(static_cast<unsigned>(shards) + 1,
-                           std::max(1u, hw)),
-        hw);
+        "\"effective_workers\":%zu,\"hardware_concurrency\":%u}\n",
+        shards, kBatch, events.size(), rate,
+        single_shard_rate > 0.0 ? rate / single_shard_rate : 1.0, merge_ms,
+        estimate, single_shard_estimate, pool, std::min(shards, pool), hw);
   }
 }
 
-// One BENCH json line per dequeue batch size B: the same engine and
-// stream at fixed shard count, sweeping `batch_size` so the cost of the
-// batched hot path (engine/traits.h ApplyBatch) is visible as ns/event.
-// ns/event comes from the per-shard `apply_nanos` counter (time inside
-// ApplyBatch only), so it isolates estimator work from ring traffic;
-// `events_per_sec` is end-to-end wall clock for the same run.
+// One BENCH json line per batch size B: the same stream at fixed shard
+// count, so the cost of the batched hot path (engine/traits.h
+// ApplyBatch) and of each job dispatch is visible as wall-clock
+// ns/event.
 void RunBatchSweep(std::size_t max_shards) {
-  using Engine = ShardedEngine<CashRegisterEngineTraits<CashRegisterEstimator>>;
-  const std::uint64_t universe = 1 << 12;
-  const std::size_t num_events = 1 << 17;
-  Rng rng(12);
-  std::vector<CitationEvent> events;
-  events.reserve(num_events);
-  for (std::size_t i = 0; i < num_events; ++i) {
-    events.push_back(CitationEvent{rng.UniformU64(universe), 1});
-  }
-  CashRegisterOptions options;
-  options.num_samplers_override = 16;
-  const auto make = [&](std::size_t) {
-    return CashRegisterEstimator::Create(0.2, 0.1, universe, 13, options)
-        .value();
-  };
-
+  const std::vector<CitationEvent> events = SweepEvents(12);
   const std::size_t shards = std::min<std::size_t>(2, max_shards);
   for (const std::size_t batch : {std::size_t{1}, std::size_t{64},
                                   std::size_t{256}, std::size_t{1024}}) {
-    EngineOptions engine_options;
-    engine_options.num_shards = shards;
-    engine_options.batch_size = batch;
-    engine_options.queue_capacity = 4096;
-    auto engine = Engine::Create(engine_options, make).value();
-    engine.Start();
-    const auto start = std::chrono::steady_clock::now();
-    for (const CitationEvent& event : events) engine.Ingest(event);
-    engine.Finish();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    std::uint64_t apply_nanos = 0;
-    std::uint64_t consumed = 0;
-    std::uint64_t max_batch = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const ShardCounters counters = engine.shard_counters(s);
-      apply_nanos += counters.apply_nanos;
-      consumed += counters.events_consumed;
-      max_batch = std::max(max_batch, counters.max_batch);
-    }
+    CashShards set = MakeSweepShards(shards, batch);
+    const double seconds = IngestSeconds(set, events);
     std::printf(
         "BENCH{\"bench\":\"f2_batch_sweep\",\"shards\":%zu,\"batch\":%zu,"
-        "\"events\":%zu,\"events_per_sec\":%.0f,\"apply_ns_per_event\":%.2f,"
-        "\"max_batch\":%llu}\n",
-        shards, batch, num_events,
-        static_cast<double>(num_events) / seconds,
-        consumed == 0 ? 0.0
-                      : static_cast<double>(apply_nanos) /
-                            static_cast<double>(consumed),
-        static_cast<unsigned long long>(max_batch));
+        "\"events\":%zu,\"events_per_sec\":%.0f,\"ns_per_event\":%.2f}\n",
+        shards, batch, events.size(),
+        static_cast<double>(events.size()) / seconds,
+        seconds * 1e9 / static_cast<double>(events.size()));
   }
 }
 

@@ -23,12 +23,10 @@
 //    range, so small-key end-to-end rows understate what the branch-free
 //    vector arithmetic buys. Rows are emitted only on hosts whose
 //    detected level is avx2; outputs are cross-checked byte-identical.
-//  * `f6_merge_cache` — cold vs warm latency of the engine's
-//    `MergedEstimatorCached()` and the registry's epoch-cached `TopK`:
-//    cold re-merges because an epoch advanced (or the cache was
-//    invalidated), warm serves the cached snapshot after a version
-//    check. Reports the hit/miss counters so the cache is visibly
-//    exercised.
+//  * `f6_merge_cache` — cold vs warm latency of the registry's
+//    epoch-cached `TopK`: cold re-merges because a stripe epoch
+//    advanced, warm serves the cached snapshot after a version check.
+//    Reports the hit/miss counters so the cache is visibly exercised.
 //
 //   ./bench_f6_hotpath [--quick] [--events N] [--repeats R]
 //
@@ -54,8 +52,6 @@
 #include "core/estimator.h"
 #include "core/exponential_histogram.h"
 #include "core/shifting_window.h"
-#include "engine/sharded_engine.h"
-#include "engine/traits.h"
 #include "random/rng.h"
 #include "service/registry.h"
 #include "sketch/bjkst.h"
@@ -477,45 +473,7 @@ void RunSimdKernels(const F6Options& options) {
 }
 
 void RunMergeCache(const F6Options& options) {
-  // Engine: 8 shards of fine-grained EH estimators (eps 0.01 so the
-  // merged state is big enough that re-merging visibly costs), ingested
-  // then quiesced; the cached merge is re-measured cold (after an
-  // explicit invalidation — the same state a bumped shard epoch
-  // produces) and warm. The timed region is the merged-estimator
-  // acquisition alone: queries on top of it cost the same either way.
-  using Engine =
-      ShardedEngine<AggregateEngineTraits<ExponentialHistogramEstimator>>;
-  EngineOptions engine_options;
-  engine_options.num_shards = 8;
-  auto engine = Engine::Create(engine_options, [&](std::size_t) {
-                  return ExponentialHistogramEstimator::Create(0.01, 1u << 20)
-                      .value();
-                }).value();
-  engine.Start();
   Rng rng(43);
-  for (std::size_t i = 0; i < options.events; ++i) {
-    engine.Ingest(1 + rng.UniformU64(1u << 20));
-  }
-  engine.Finish();
-
-  const ExponentialHistogramEstimator* sink = nullptr;
-  const double cold_s = MinSeconds(options.repeats, [&] {
-    engine.InvalidateMergeCache();
-    sink = &engine.MergedEstimatorCached();
-  });
-  const double warm_s = MinSeconds(options.repeats, [&] {
-    sink = &engine.MergedEstimatorCached();
-  });
-  if (sink == nullptr || sink->Estimate() < 0.0) std::exit(1);
-  std::printf(
-      "BENCH{\"bench\":\"f6_merge_cache\",\"layer\":\"engine\","
-      "\"shards\":%zu,\"events\":%zu,\"cold_ns\":%.0f,\"warm_ns\":%.0f,"
-      "\"cold_over_warm\":%.1f,\"hits\":%llu,\"misses\":%llu}\n",
-      engine_options.num_shards, options.events, cold_s * 1e9, warm_s * 1e9,
-      warm_s > 0.0 ? cold_s / warm_s : 0.0,
-      static_cast<unsigned long long>(engine.merge_cache_hits()),
-      static_cast<unsigned long long>(engine.merge_cache_misses()));
-
   // Registry: the epoch-cached TopK. One Add between cold probes bumps
   // a stripe's board epoch, forcing the re-merge the way live ingest
   // does; the warm probe repeats the query with no epoch change.

@@ -41,7 +41,7 @@
 #include "core/exact.h"
 #include "core/exponential_histogram.h"
 #include "core/shifting_window.h"
-#include "engine/sharded_engine.h"
+#include "engine/shard_set.h"
 #include "engine/traits.h"
 #include "eval/table.h"
 #include "heavy/baseline.h"
@@ -67,8 +67,8 @@ struct CliOptions {
   std::string checkpoint;             // empty -> checkpointing disabled
   std::uint64_t checkpoint_every = 0;  // 0 -> only at end of stream
   std::uint64_t stop_after = 0;        // 0 -> run to end of stream
-  std::uint64_t shards = 1;            // >= 2 -> parallel sharded engine
-  std::uint64_t batch = 256;           // engine dequeue batch size
+  std::uint64_t shards = 1;            // >= 2 -> parallel shard set
+  std::uint64_t batch = 256;           // per-shard events per job
 };
 
 // --- flag parsing -----------------------------------------------------------
@@ -472,7 +472,7 @@ int RunPapers(const CliOptions& options) {
       if (!restored_sketch.ok()) return restored_sketch.status();
       std::uint64_t num_papers = 0;
       if (!reader.U64(&num_papers) ||
-          num_papers * 17 > reader.remaining()) {  // 17 = minimal record size
+          num_papers > reader.remaining() / 17) {  // 17 = minimal record size
         return Status::InvalidArgument("corrupt paper list in checkpoint");
       }
       PaperStream restored_papers;
@@ -553,76 +553,52 @@ int RunPapers(const CliOptions& options) {
 
 // --- sharded mode -----------------------------------------------------------
 //
-// With `--shards N` (N >= 2) ingestion runs on the parallel engine: events
-// are hash-partitioned across N private estimator instances behind SPSC
-// rings and the final answer is the merge of the shard states. Only
+// With `--shards N` (N >= 2) ingestion runs on a fork-join shard set:
+// events are hash-partitioned across N private estimator instances, each
+// shard's batches of `--batch` events are applied by jobs running in
+// parallel, and the final answer is the merge of the shard states. Only
 // mergeable estimators can be sharded (docs/ALGORITHMS.md,
 // "Mergeability"): Algorithm 1 / Algorithm 5-6 / Algorithm 8 shard
-// cleanly; the exact references and Algorithm 2 are kept on the producer
+// cleanly; the exact references and Algorithm 2 are kept on the main
 // thread (exact) or skipped with a note (Alg 2, not mergeable).
 //
-// Sharded checkpoints keep the PR 1 envelope conventions but split the
-// state: `FILE` holds the session header (+ producer-side exact state) in
-// a kCliSession envelope, `FILE.engine` the engine manifest, and
-// `FILE.engine.shard-<i>` one framed envelope per shard.
-
-himpact::EngineOptions MakeEngineOptions(const CliOptions& options) {
-  himpact::EngineOptions engine_options;
-  engine_options.num_shards = static_cast<std::size_t>(options.shards);
-  engine_options.batch_size = static_cast<std::size_t>(options.batch);
-  engine_options.queue_capacity =
-      std::max<std::size_t>(4096, engine_options.batch_size * 4);
-  return engine_options;
-}
+// Sharded checkpoints keep the docs/CHECKPOINTS.md envelope conventions but
+// split the state: `FILE` holds the session header (+ main-thread exact
+// state) in a kCliSession envelope, `FILE.engine` the shard-set manifest,
+// and `FILE.engine.shard-<i>` one framed envelope per shard.
 
 std::string EnginePath(const CliOptions& options) {
   return options.checkpoint + ".engine";
 }
 
-template <typename Engine>
-void PrintShardReport(const Engine& engine) {
-  std::printf(
-      "\nshard  pushed        batches      max-batch  ns/event  "
-      "queue-full stalls\n");
-  for (std::size_t s = 0; s < engine.num_shards(); ++s) {
-    const himpact::ShardCounters counters = engine.shard_counters(s);
-    const double ns_per_event =
-        counters.events_consumed == 0
-            ? 0.0
-            : static_cast<double>(counters.apply_nanos) /
-                  static_cast<double>(counters.events_consumed);
-    std::printf("%-6zu %-13llu %-12llu %-10llu %-9.1f %llu\n", s,
-                static_cast<unsigned long long>(counters.events_pushed),
-                static_cast<unsigned long long>(counters.batches),
-                static_cast<unsigned long long>(counters.max_batch),
-                ns_per_event,
-                static_cast<unsigned long long>(counters.queue_full_stalls));
+template <typename Shards>
+void PrintShardReport(const Shards& shard_set) {
+  std::printf("\nshard  pushed\n");
+  for (std::size_t s = 0; s < shard_set.num_shards(); ++s) {
+    std::printf("%-6zu %llu\n", s,
+                static_cast<unsigned long long>(shard_set.pushed(s)));
   }
-  std::printf("merge latency       : %.3f ms\n",
-              engine.last_merge_seconds() * 1e3);
-  std::printf("merge cache         : %llu hits, %llu misses\n",
-              static_cast<unsigned long long>(engine.merge_cache_hits()),
-              static_cast<unsigned long long>(engine.merge_cache_misses()));
 }
 
 int RunAggregateSharded(const CliOptions& options) {
   using namespace himpact;
-  using Engine =
-      ShardedEngine<AggregateEngineTraits<ExponentialHistogramEstimator>>;
+  using Shards = ShardSet<AggregateEngineTraits<ExponentialHistogramEstimator>>;
   if (!ExponentialHistogramEstimator::Create(options.eps, options.universe)
            .ok()) {
     std::fprintf(stderr, "invalid parameters\n");
     return 1;
   }
-  auto engine_or = Engine::Create(MakeEngineOptions(options), [&](std::size_t) {
-    return ExponentialHistogramEstimator::Create(options.eps, options.universe)
-        .value();
-  });
-  if (!engine_or.ok()) {
-    std::fprintf(stderr, "%s\n", engine_or.status().ToString().c_str());
+  auto shards_or =
+      Shards::Create(options.shards, options.batch, [&](std::size_t) {
+        return ExponentialHistogramEstimator::Create(options.eps,
+                                                     options.universe)
+            .value();
+      });
+  if (!shards_or.ok()) {
+    std::fprintf(stderr, "%s\n", shards_or.status().ToString().c_str());
     return 1;
   }
-  Engine engine = std::move(engine_or).value();
+  Shards shard_set = std::move(shards_or).value();
   IncrementalExactHIndex exact;
   std::uint64_t consumed = 0;
 
@@ -639,8 +615,8 @@ int RunAggregateSharded(const CliOptions& options) {
       if (!reader.AtEnd()) {
         return Status::InvalidArgument("trailing bytes in session checkpoint");
       }
-      Status engine_status = engine.RestoreFrom(EnginePath(options));
-      if (!engine_status.ok()) return engine_status;
+      Status shard_status = shard_set.RestoreFrom(EnginePath(options));
+      if (!shard_status.ok()) return shard_status;
       exact = std::move(restored_exact).value();
       return Status::OK();
     };
@@ -652,16 +628,14 @@ int RunAggregateSharded(const CliOptions& options) {
   }
 
   const auto save = [&]() -> Status {
-    engine.Drain();
     ByteWriter writer;
     WriteSessionHeader(writer, options, consumed);
     exact.SerializeTo(writer);
     const Status session = SaveSession(options, std::move(writer));
     if (!session.ok()) return session;
-    return engine.CheckpointTo(EnginePath(options));
+    return shard_set.CheckpointTo(EnginePath(options));
   };
 
-  engine.Start();
   const std::uint64_t already = consumed;
   std::uint64_t position = 0;
   int exit_code = 0;
@@ -669,15 +643,14 @@ int RunAggregateSharded(const CliOptions& options) {
   while (std::scanf("%llu", &value) == 1) {
     ++position;
     if (position <= already) continue;  // replayed: already in the state
-    engine.Ingest(value);
+    shard_set.Add(value);
     exact.Add(value);
     ++consumed;
     if (!AfterEvent(options, consumed, save, &exit_code)) return exit_code;
   }
   if (!options.checkpoint.empty() && !SaveFinal(save())) return 1;
-  engine.Finish();
 
-  const ExponentialHistogramEstimator merged = engine.MergedEstimator();
+  const ExponentialHistogramEstimator merged = shard_set.Merged();
   std::printf("elements            : %llu  (%llu shards)\n",
               static_cast<unsigned long long>(consumed),
               static_cast<unsigned long long>(options.shards));
@@ -688,29 +661,30 @@ int RunAggregateSharded(const CliOptions& options) {
               static_cast<unsigned long long>(merged.EstimateSpace().words));
   std::printf("Alg 2 estimate      : skipped (shifting window is not "
               "mergeable; rerun with --shards 1)\n");
-  PrintShardReport(engine);
+  PrintShardReport(shard_set);
   return 0;
 }
 
 int RunCashRegisterSharded(const CliOptions& options) {
   using namespace himpact;
-  using Engine = ShardedEngine<CashRegisterEngineTraits<CashRegisterEstimator>>;
+  using Shards = ShardSet<CashRegisterEngineTraits<CashRegisterEstimator>>;
   auto probe = CashRegisterEstimator::Create(options.eps, options.delta,
                                              options.universe, options.seed);
   if (!probe.ok()) {
     std::fprintf(stderr, "%s\n", probe.status().ToString().c_str());
     return 1;
   }
-  auto engine_or = Engine::Create(MakeEngineOptions(options), [&](std::size_t) {
-    return CashRegisterEstimator::Create(options.eps, options.delta,
-                                         options.universe, options.seed)
-        .value();
-  });
-  if (!engine_or.ok()) {
-    std::fprintf(stderr, "%s\n", engine_or.status().ToString().c_str());
+  auto shards_or =
+      Shards::Create(options.shards, options.batch, [&](std::size_t) {
+        return CashRegisterEstimator::Create(options.eps, options.delta,
+                                             options.universe, options.seed)
+            .value();
+      });
+  if (!shards_or.ok()) {
+    std::fprintf(stderr, "%s\n", shards_or.status().ToString().c_str());
     return 1;
   }
-  Engine engine = std::move(engine_or).value();
+  Shards shard_set = std::move(shards_or).value();
   ExactCashRegisterHIndex exact;
   std::uint64_t consumed = 0;
 
@@ -727,8 +701,8 @@ int RunCashRegisterSharded(const CliOptions& options) {
       if (!reader.AtEnd()) {
         return Status::InvalidArgument("trailing bytes in session checkpoint");
       }
-      Status engine_status = engine.RestoreFrom(EnginePath(options));
-      if (!engine_status.ok()) return engine_status;
+      Status shard_status = shard_set.RestoreFrom(EnginePath(options));
+      if (!shard_status.ok()) return shard_status;
       exact = std::move(restored_exact).value();
       return Status::OK();
     };
@@ -740,16 +714,14 @@ int RunCashRegisterSharded(const CliOptions& options) {
   }
 
   const auto save = [&]() -> Status {
-    engine.Drain();
     ByteWriter writer;
     WriteSessionHeader(writer, options, consumed);
     exact.SerializeTo(writer);
     const Status session = SaveSession(options, std::move(writer));
     if (!session.ok()) return session;
-    return engine.CheckpointTo(EnginePath(options));
+    return shard_set.CheckpointTo(EnginePath(options));
   };
 
-  engine.Start();
   const std::uint64_t already = consumed;
   std::uint64_t position = 0;
   int exit_code = 0;
@@ -762,15 +734,14 @@ int RunCashRegisterSharded(const CliOptions& options) {
     }
     ++position;
     if (position <= already) continue;  // replayed: already in the state
-    engine.Ingest(CitationEvent{paper, delta});
+    shard_set.Add(CitationEvent{paper, delta});
     exact.Update(paper, delta);
     ++consumed;
     if (!AfterEvent(options, consumed, save, &exit_code)) return exit_code;
   }
   if (!options.checkpoint.empty() && !SaveFinal(save())) return 1;
-  engine.Finish();
 
-  const CashRegisterEstimator merged = engine.MergedEstimator();
+  const CashRegisterEstimator merged = shard_set.Merged();
   std::printf("events              : %llu  (%llu shards)\n",
               static_cast<unsigned long long>(consumed),
               static_cast<unsigned long long>(options.shards));
@@ -781,13 +752,13 @@ int RunCashRegisterSharded(const CliOptions& options) {
               merged.Estimate(),
               static_cast<unsigned long long>(merged.EstimateSpace().words),
               merged.num_samplers());
-  PrintShardReport(engine);
+  PrintShardReport(shard_set);
   return 0;
 }
 
 int RunPapersSharded(const CliOptions& options) {
   using namespace himpact;
-  using Engine = ShardedEngine<PaperEngineTraits<HeavyHitters>>;
+  using Shards = ShardSet<PaperEngineTraits<HeavyHitters>>;
   HeavyHitters::Options hh_options;
   hh_options.eps = options.eps < 0.15 ? 0.25 : options.eps;
   hh_options.delta = options.delta;
@@ -796,14 +767,15 @@ int RunPapersSharded(const CliOptions& options) {
     std::fprintf(stderr, "invalid parameters\n");
     return 1;
   }
-  auto engine_or = Engine::Create(MakeEngineOptions(options), [&](std::size_t) {
-    return HeavyHitters::Create(hh_options, options.seed).value();
-  });
-  if (!engine_or.ok()) {
-    std::fprintf(stderr, "%s\n", engine_or.status().ToString().c_str());
+  auto shards_or =
+      Shards::Create(options.shards, options.batch, [&](std::size_t) {
+        return HeavyHitters::Create(hh_options, options.seed).value();
+      });
+  if (!shards_or.ok()) {
+    std::fprintf(stderr, "%s\n", shards_or.status().ToString().c_str());
     return 1;
   }
-  Engine engine = std::move(engine_or).value();
+  Shards shard_set = std::move(shards_or).value();
   PaperStream papers;
   std::uint64_t consumed = 0;
 
@@ -817,7 +789,7 @@ int RunPapersSharded(const CliOptions& options) {
       if (!header.ok()) return header;
       std::uint64_t num_papers = 0;
       if (!reader.U64(&num_papers) ||
-          num_papers * 17 > reader.remaining()) {  // 17 = minimal record size
+          num_papers > reader.remaining() / 17) {  // 17 = minimal record size
         return Status::InvalidArgument("corrupt paper list in checkpoint");
       }
       PaperStream restored_papers;
@@ -832,8 +804,8 @@ int RunPapersSharded(const CliOptions& options) {
       if (!reader.AtEnd()) {
         return Status::InvalidArgument("trailing bytes in session checkpoint");
       }
-      Status engine_status = engine.RestoreFrom(EnginePath(options));
-      if (!engine_status.ok()) return engine_status;
+      Status shard_status = shard_set.RestoreFrom(EnginePath(options));
+      if (!shard_status.ok()) return shard_status;
       papers = std::move(restored_papers);
       return Status::OK();
     };
@@ -846,17 +818,15 @@ int RunPapersSharded(const CliOptions& options) {
   }
 
   const auto save = [&]() -> Status {
-    engine.Drain();
     ByteWriter writer;
     WriteSessionHeader(writer, options, consumed);
     writer.U64(papers.size());
     for (const PaperTuple& paper : papers) WritePaperTupleRecord(writer, paper);
     const Status session = SaveSession(options, std::move(writer));
     if (!session.ok()) return session;
-    return engine.CheckpointTo(EnginePath(options));
+    return shard_set.CheckpointTo(EnginePath(options));
   };
 
-  engine.Start();
   const std::uint64_t already = consumed;
   std::uint64_t position = 0;
   int exit_code = 0;
@@ -873,15 +843,14 @@ int RunPapersSharded(const CliOptions& options) {
     }
     ++position;
     if (position <= already) continue;  // replayed: already in the state
-    engine.Ingest(paper.value());
+    shard_set.Add(paper.value());
     papers.push_back(std::move(paper).value());
     ++consumed;
     if (!AfterEvent(options, consumed, save, &exit_code)) return exit_code;
   }
   if (!options.checkpoint.empty() && !SaveFinal(save())) return 1;
-  engine.Finish();
 
-  const HeavyHitters merged = engine.MergedEstimator();
+  const HeavyHitters merged = shard_set.Merged();
   std::printf("papers              : %zu  (%llu shards)\n\n", papers.size(),
               static_cast<unsigned long long>(options.shards));
   Table hh_table({"heavy hitters (Alg 8)", "h estimate", "detections"});
@@ -900,7 +869,7 @@ int RunPapersSharded(const CliOptions& options) {
     exact_table.NewRow().Cell(exact[i].author).Cell(exact[i].h_index);
   }
   exact_table.Print();
-  PrintShardReport(engine);
+  PrintShardReport(shard_set);
   return 0;
 }
 

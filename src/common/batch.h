@@ -23,8 +23,8 @@
 ///     as KLL compactors still grow). Methods that need scratch arrays
 ///     take a caller-owned `BatchArena` and borrow from it.
 ///  3. **Single writer**: like the scalar hot path, batch methods are not
-///     thread-safe; one writer per estimator (the sharded engine gives
-///     each worker its own estimator and its own arena).
+///     thread-safe; one writer per estimator (the shard set gives each
+///     shard its own estimator and its own arena).
 
 namespace himpact {
 
@@ -43,7 +43,7 @@ class BatchArena {
  public:
   BatchArena() = default;
 
-  // Movable (workers are moved into threads), not copyable.
+  // Movable (shards holding one are moved), not copyable.
   BatchArena(const BatchArena&) = delete;
   BatchArena& operator=(const BatchArena&) = delete;
   BatchArena(BatchArena&&) = default;

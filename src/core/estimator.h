@@ -9,8 +9,8 @@
 /// Common interfaces for H-index estimators, so tests and the bench
 /// harness can sweep algorithms generically.
 ///
-/// Contracts every implementation honors (and the sharded engine in
-/// `engine/sharded_engine.h` relies on):
+/// Contracts every implementation honors (and the shard set in
+/// `engine/shard_set.h` relies on):
 ///
 /// * **Single-writer**: `Add`/`Update` are not thread-safe; an instance
 ///   is owned by exactly one thread at a time. Concurrency comes from
@@ -54,7 +54,7 @@ class CashRegisterHIndexEstimator {
 
   /// Observes `delta` new responses for `paper`. Infallible; not
   /// thread-safe. All updates for one paper must reach the same
-  /// instance — this is why the sharded engine partitions cash-register
+  /// instance — this is why the shard set partitions cash-register
   /// streams by paper id.
   virtual void Update(std::uint64_t paper, std::int64_t delta) = 0;
 

@@ -78,7 +78,7 @@ StatusOr<IncrementalExactHIndex> IncrementalExactHIndex::DeserializeFrom(
   if (!reader.U64(&size)) {
     return Status::InvalidArgument("truncated IncrementalExactHIndex");
   }
-  if (size * 8 > reader.remaining()) {
+  if (size > reader.remaining() / 8) {
     return Status::InvalidArgument("corrupt IncrementalExactHIndex size");
   }
   IncrementalExactHIndex tracker;
@@ -158,7 +158,7 @@ StatusOr<ExactCashRegisterHIndex> ExactCashRegisterHIndex::DeserializeFrom(
   if (!reader.U64(&num_papers)) {
     return Status::InvalidArgument("truncated ExactCashRegisterHIndex");
   }
-  if (num_papers * 16 > reader.remaining()) {
+  if (num_papers > reader.remaining() / 16) {
     return Status::InvalidArgument("corrupt ExactCashRegisterHIndex size");
   }
   ExactCashRegisterHIndex tracker;

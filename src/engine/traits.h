@@ -12,17 +12,17 @@
 #include "stream/types.h"
 
 /// \file
-/// Ready-made `ShardedEngine` traits for the repo's three stream shapes.
+/// Ready-made `ShardSet` traits for the repo's three stream shapes.
 ///
 /// Each traits type fixes the event type, the partition key, and how an
 /// event is applied; the estimator stays a template parameter so any
 /// mergeable estimator of the right interface can be sharded. Partition
-/// keys are finalized with `SplitMix64` inside the engine, so correlated
-/// raw keys still spread across shards.
+/// keys are finalized with `SplitMix64` inside the shard set, so
+/// correlated raw keys still spread across shards.
 ///
 /// `ApplyBatch` is the devirtualized hot path (docs/PERFORMANCE.md): the
-/// engine worker hands a whole dequeued batch to the *concrete* estimator
-/// in one statically dispatched call. When the estimator exposes a batch
+/// shard job hands a whole pending batch to the *concrete* estimator in
+/// one statically dispatched call. When the estimator exposes a batch
 /// method (`AddBatch` / `UpdateBatch` / `AddPaperBatch` — detected at
 /// compile time with a `requires` expression), the batch goes straight to
 /// it; otherwise the traits fall back to a tight scalar loop, which is
@@ -48,9 +48,6 @@ struct AggregateEngineTraits {
   using Event = std::uint64_t;
   using Estimator = E;
   static std::uint64_t Key(const Event& value) { return value; }
-  static void Apply(Estimator& estimator, const Event& value) {
-    estimator.Add(value);
-  }
   static void ApplyBatch(Estimator& estimator, const Event* events,
                          std::size_t n, BatchArena& arena) {
     (void)arena;
@@ -82,9 +79,6 @@ struct CashRegisterEngineTraits {
   using Event = CitationEvent;
   using Estimator = E;
   static std::uint64_t Key(const Event& event) { return event.paper; }
-  static void Apply(Estimator& estimator, const Event& event) {
-    estimator.Update(event.paper, event.delta);
-  }
   static void ApplyBatch(Estimator& estimator, const Event* events,
                          std::size_t n, BatchArena& arena) {
     if constexpr (requires {
@@ -118,9 +112,6 @@ struct PaperEngineTraits {
   using Event = PaperTuple;
   using Estimator = E;
   static std::uint64_t Key(const Event& event) { return event.paper; }
-  static void Apply(Estimator& estimator, const Event& event) {
-    estimator.AddPaper(event);
-  }
   static void ApplyBatch(Estimator& estimator, const Event* events,
                          std::size_t n, BatchArena& arena) {
     (void)arena;

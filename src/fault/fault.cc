@@ -9,8 +9,8 @@ namespace himpact {
 namespace {
 
 const char* const kPointNames[kNumFaultPoints] = {
-    "alloc-fail", "torn-checkpoint", "worker-stall", "ring-full",
-    "clock-skew", "net-accept-fail", "net-partial-write",
+    "alloc-fail", "torn-checkpoint", "worker-stall", "clock-skew",
+    "net-accept-fail", "net-partial-write",
     "segment-map-fail", "segment-torn-delta", "wal-append-fail",
     "wal-torn-tail",
 };

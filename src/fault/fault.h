@@ -16,10 +16,10 @@
 /// and operators arm them — programmatically or through the
 /// `HIMPACT_FAULTS` environment variable — to force the failure modes
 /// the fault-tolerance layer must survive: allocation failure, torn
-/// checkpoint writes, stalled shard workers, full ingest rings, and
-/// clock skew. Every probe is hit-counted whether or not it fires, so a
-/// test can assert both "the fault was reached" and "the fault fired
-/// exactly N times". See docs/ROBUSTNESS.md for the catalogue and the
+/// checkpoint writes, stalled stripe owners, clock skew, and the network,
+/// segment and WAL failures listed below. Every probe is hit-counted
+/// whether or not it fires, so a test can assert both "the fault was
+/// reached" and "the fault fired exactly N times". See docs/ROBUSTNESS.md for the catalogue and the
 /// guarantees each point is paired with.
 ///
 /// Cost when nothing is armed: one relaxed atomic load of a bitmask per
@@ -45,43 +45,40 @@ enum class FaultPoint : int {
   /// A checkpoint file write tears mid-stream: half the bytes land in
   /// the temporary file and the write reports `kInternal`. Param: unused.
   kTornCheckpoint = 1,
-  /// A shard worker (engine) or stripe owner (service) stalls. Param:
+  /// A stripe owner (service) stalls under its stripe lock. Param:
   /// stall duration in microseconds.
   kWorkerStall = 2,
-  /// An SPSC ring reports full regardless of its true occupancy,
-  /// forcing the producer's backoff/shed path. Param: unused.
-  kRingFull = 3,
   /// `FaultClock::NowNanos` jumps forward. Param: skew in nanoseconds.
-  kClockSkew = 4,
+  kClockSkew = 3,
   /// The TCP front end's `accept()` reports a transient failure
   /// (EMFILE-style): the accept batch is abandoned for this wakeup and
   /// the listener must stay registered. Param: unused.
-  kNetAcceptFail = 5,
+  kNetAcceptFail = 4,
   /// A connection `write()` is clamped to one byte, forcing the
   /// partial-write continuation path (buffered remainder + EPOLLOUT
   /// re-arm). Param: unused.
-  kNetPartialWrite = 6,
+  kNetPartialWrite = 5,
   /// A segment-store mmap or block page-in fails; a cold `get` must
   /// degrade to the frozen-floor answer, never crash. Param: unused.
-  kSegmentMapFail = 7,
+  kSegmentMapFail = 6,
   /// An incremental-checkpoint delta segment write tears mid-stream
   /// (half the bytes land, the write reports `kInternal`); restore must
   /// fall back to the previous good chain. Param: unused.
-  kSegmentTornDelta = 8,
+  kSegmentTornDelta = 7,
   /// A write-ahead-log append fails at the disk layer. The WAL must
   /// degrade to checkpoint-only durability — keep serving, flag the
   /// loss of the log in `health` — never drop writes silently or
   /// crash. Param: unused.
-  kWalAppendFail = 9,
+  kWalAppendFail = 8,
   /// A write-ahead-log append lands only the first half of the framed
   /// record on disk (the classic power-cut torn tail) and then degrades
   /// like `kWalAppendFail`; the reopening scanner must repair the tail
   /// and replay every record before it. Param: unused.
-  kWalTornTail = 10,
+  kWalTornTail = 9,
 };
 
 /// Number of fault points (array sizing).
-inline constexpr int kNumFaultPoints = 11;
+inline constexpr int kNumFaultPoints = 10;
 
 /// When an armed point fires: probes `skip..skip+max_fires-1` (0-based
 /// hit indices counted from arming) fire, the rest pass through.
@@ -145,7 +142,7 @@ class FaultRegistry {
   Status ArmFromEnv();
 
   /// The canonical name of `point` ("alloc-fail", "torn-checkpoint",
-  /// "worker-stall", "ring-full", "clock-skew", "net-accept-fail",
+  /// "worker-stall", "clock-skew", "net-accept-fail",
   /// "net-partial-write", "segment-map-fail", "segment-torn-delta",
   /// "wal-append-fail", "wal-torn-tail").
   static const char* Name(FaultPoint point);

@@ -28,8 +28,8 @@
 /// `RecordResponseCount` / `IngestPaper` while query threads call
 /// `PointHIndex` / `TopK` / `HeavyReport` / `Stats` concurrently.
 ///
-/// Checkpoint layout (mirrors the engine's manifest convention from
-/// engine/sharded_engine.h): one `kServiceStripe` envelope per stripe at
+/// Checkpoint layout (mirrors the shard set's manifest convention from
+/// engine/shard_set.h): one `kServiceStripe` envelope per stripe at
 /// `path.stripe-<i>` holding that stripe's registry state plus its
 /// heavy-hitters shard, written *before* a final `kServiceManifest`
 /// envelope at `path` that records the configuration — so a manifest

@@ -14,8 +14,8 @@
 /// `kMaxAuthorsPerPaper` to keep `PaperTuple` allocation-free.
 ///
 /// Both element types are small and trivially copyable on purpose: the
-/// sharded engine (`engine/sharded_engine.h`) moves them through
-/// fixed-size SPSC ring buffers by value, and the text formats in
+/// shard set (`engine/shard_set.h`) copies them into per-shard batch
+/// vectors by value, and the text formats in
 /// `io/stream_io.h` round-trip them field by field. The partition key
 /// for sharding is `paper` in both cases (see `engine/traits.h`), so
 /// every update to one paper lands on the same shard.

@@ -1,7 +1,8 @@
 // Kill-and-resume equivalence for hstream_cli: a run interrupted by
 // --stop-after and restarted from its --checkpoint must print exactly the
-// same report as an uninterrupted run, in every mode. Also exercises the
-// corrupt-checkpoint fallback and the hardened flag parser end to end.
+// same report as an uninterrupted run, in every mode, unsharded and
+// sharded. Also exercises the corrupt-checkpoint and changed-shard-count
+// fallbacks and the hardened flag parser end to end.
 //
 // The harness invokes the real binary (path injected via the
 // HSTREAM_CLI_PATH compile definition) through popen, feeding stdin from
@@ -125,6 +126,10 @@ void ExpectKillAndResumeEquivalent(const char* name, const std::string& flags,
 
   std::remove(input_path.c_str());
   std::remove(checkpoint.c_str());
+  std::remove((checkpoint + ".engine").c_str());
+  for (int i = 0; i < 3; ++i) {
+    std::remove((checkpoint + ".engine.shard-" + std::to_string(i)).c_str());
+  }
 }
 
 TEST(CheckpointCliTest, AggregateKillAndResume) {
@@ -141,6 +146,92 @@ TEST(CheckpointCliTest, CashRegisterKillAndResume) {
 TEST(CheckpointCliTest, PapersKillAndResume) {
   ExpectKillAndResumeEquivalent(
       "papers", "--mode papers --universe 4096 --seed 11", PapersInput(), 123);
+}
+
+// The sharded paths print only deterministic columns (estimates and
+// per-shard pushed counts), so the same byte-equality check applies.
+TEST(CheckpointCliTest, ShardedAggregateKillAndResume) {
+  ExpectKillAndResumeEquivalent("sharded_aggregate", "--eps 0.1 --shards 3",
+                                AggregateInput(), 200);
+}
+
+TEST(CheckpointCliTest, ShardedCashRegisterKillAndResume) {
+  ExpectKillAndResumeEquivalent(
+      "sharded_cash",
+      "--mode cash --universe 500 --eps 0.25 --seed 7 --shards 3 --batch 16",
+      CashInput(), 251);
+}
+
+TEST(CheckpointCliTest, ShardedPapersKillAndResume) {
+  ExpectKillAndResumeEquivalent(
+      "sharded_papers", "--mode papers --universe 4096 --seed 11 --shards 3",
+      PapersInput(), 123);
+}
+
+// The value printed on the line starting with `label`, up to the first
+// double space ("Alg 1 estimate      : 12.0  (...)" -> "12.0").
+std::string EstimateOn(const std::string& report, const std::string& label) {
+  const std::size_t at = report.find(label);
+  if (at == std::string::npos) return "";
+  const std::size_t colon = report.find(": ", at);
+  const std::size_t end = report.find("  ", colon + 2);
+  return report.substr(colon + 2, end - colon - 2);
+}
+
+// Alg 1 and Alg 5/6 merge exactly, so the sharded estimate must equal
+// the single-instance one.
+TEST(CheckpointCliTest, ShardedEstimatesEqualUnsharded) {
+  struct Case {
+    const char* name;
+    std::string flags;
+    std::string input;
+    const char* label;
+  };
+  const Case cases[] = {
+      {"equal_aggregate", "--eps 0.1", AggregateInput(), "Alg 1 estimate"},
+      {"equal_cash", "--mode cash --universe 500 --eps 0.25 --seed 7",
+       CashInput(), "Alg 5/6 estimate"},
+  };
+  for (const Case& c : cases) {
+    const std::string input_path = TempPath(c.name);
+    WriteTextFile(input_path, c.input);
+    const RunResult one = RunCli(c.flags + " --shards 1", input_path);
+    const RunResult four =
+        RunCli(c.flags + " --shards 4 --batch 8", input_path);
+    ASSERT_EQ(one.exit_code, 0) << c.name;
+    ASSERT_EQ(four.exit_code, 0) << c.name;
+    const std::string expected = EstimateOn(one.stdout_text, c.label);
+    EXPECT_FALSE(expected.empty()) << c.name;
+    EXPECT_EQ(EstimateOn(four.stdout_text, c.label), expected) << c.name;
+    std::remove(input_path.c_str());
+  }
+}
+
+TEST(CheckpointCliTest, ShardCountChangeFallsBackToFreshRun) {
+  const std::string input_path = TempPath("reshard_in");
+  const std::string checkpoint = TempPath("reshard_ck");
+  WriteTextFile(input_path, AggregateInput());
+
+  // Checkpoint at 3 shards, resume at 2: the shard set cannot adopt
+  // three shard envelopes, so the run must start over and match an
+  // uninterrupted 2-shard run.
+  const RunResult partial = RunCli(
+      "--eps 0.1 --shards 3 --checkpoint " + checkpoint + " --stop-after 100",
+      input_path);
+  ASSERT_EQ(partial.exit_code, 0);
+  const RunResult baseline = RunCli("--eps 0.1 --shards 2", input_path);
+  ASSERT_EQ(baseline.exit_code, 0);
+  const RunResult resumed =
+      RunCli("--eps 0.1 --shards 2 --checkpoint " + checkpoint, input_path);
+  ASSERT_EQ(resumed.exit_code, 0);
+  EXPECT_EQ(resumed.stdout_text, baseline.stdout_text);
+
+  std::remove(input_path.c_str());
+  std::remove(checkpoint.c_str());
+  std::remove((checkpoint + ".engine").c_str());
+  for (int i = 0; i < 3; ++i) {
+    std::remove((checkpoint + ".engine.shard-" + std::to_string(i)).c_str());
+  }
 }
 
 TEST(CheckpointCliTest, CorruptCheckpointFallsBackToFreshRun) {

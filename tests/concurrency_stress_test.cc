@@ -1,9 +1,8 @@
 // Concurrency stress tests, written to run under ThreadSanitizer (the
 // `tsan` CMake preset builds exactly these plus the engine/service
-// tests). Correctness is asserted functionally — checksums over the
-// SPSC ring, lower-bound invariants over the registry — but the real
-// payoff is TSan observing the interleavings: a missing release store
-// in the ring or a forgotten stripe lock in the registry shows up as a
+// tests). Correctness is asserted functionally — lower-bound invariants
+// over the registry — but the real payoff is TSan observing the
+// interleavings: a forgotten stripe lock in the registry shows up as a
 // data-race report here long before it corrupts an estimate.
 //
 // Every busy-wait yields: on a single-core box a raw spin burns a full
@@ -17,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/spsc_ring.h"
 #include "random/rng.h"
 #include "random/zipf.h"
 #include "service/registry.h"
@@ -26,69 +24,6 @@
 namespace {
 
 using namespace himpact;
-
-TEST(SpscRingStress, TransfersEveryItemExactlyOnce) {
-  constexpr std::uint64_t kItems = 50000;
-  SpscRing<std::uint64_t> ring(1024);
-  std::atomic<bool> done{false};
-
-  std::uint64_t popped_sum = 0;
-  std::uint64_t popped_count = 0;
-  std::thread consumer([&] {
-    std::uint64_t batch[64];
-    for (;;) {
-      const std::size_t n = ring.PopBatch(batch, 64);
-      if (n == 0) {
-        if (done.load(std::memory_order_acquire)) {
-          // One final sweep: the producer may have pushed between the
-          // empty pop and the flag read.
-          const std::size_t tail = ring.PopBatch(batch, 64);
-          if (tail == 0) return;
-          for (std::size_t i = 0; i < tail; ++i) popped_sum += batch[i];
-          popped_count += tail;
-        }
-        std::this_thread::yield();
-        continue;
-      }
-      for (std::size_t i = 0; i < n; ++i) popped_sum += batch[i];
-      popped_count += n;
-    }
-  });
-
-  std::uint64_t pushed_sum = 0;
-  for (std::uint64_t i = 1; i <= kItems; ++i) {
-    while (!ring.TryPush(i)) std::this_thread::yield();
-    pushed_sum += i;
-  }
-  done.store(true, std::memory_order_release);
-  consumer.join();
-
-  EXPECT_EQ(popped_count, kItems);
-  EXPECT_EQ(popped_sum, pushed_sum);
-}
-
-TEST(SpscRingStress, FullRingBackpressureLosesNothing) {
-  // A tiny ring forces constant full/empty transitions, the paths where
-  // the cached head/tail indices are refreshed from the other thread.
-  constexpr std::uint64_t kItems = 10000;
-  SpscRing<std::uint64_t> ring(2);
-  std::uint64_t received = 0;
-  std::thread consumer([&] {
-    std::uint64_t item = 0;
-    while (received < kItems) {
-      if (ring.PopBatch(&item, 1) == 1 && item == received + 1) {
-        ++received;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::uint64_t i = 1; i <= kItems; ++i) {
-    while (!ring.TryPush(i)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_EQ(received, kItems);
-}
 
 // Hammer one registry from several threads: ingest threads promote and
 // demote users under a tight budget while query threads read point

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "core/exact.h"
 #include "random/rng.h"
 #include "random/zipf.h"
@@ -101,6 +102,21 @@ TEST(IncrementalExactTest, SpaceIsOrderH) {
   EXPECT_EQ(incremental.HIndex(), 50u);
   // The heap retains exactly h values.
   EXPECT_EQ(incremental.EstimateSpace().words, 50u);
+}
+
+// A checkpoint whose declared count times the record size wraps past
+// 2^64 must be rejected before anything is sized from the count.
+TEST(IncrementalExactTest, DeserializeRejectsWrappingCount) {
+  ByteWriter empty;
+  IncrementalExactHIndex().SerializeTo(empty);
+  ByteWriter crafted;
+  for (std::size_t i = 0; i < 8; ++i) crafted.U8(empty.buffer()[i]);  // magic
+  crafted.U64((std::uint64_t{1} << 61) + 1);  // * 8 wraps to 8
+  crafted.U64(0);
+  ByteReader reader(crafted.buffer());
+  const auto restored = IncrementalExactHIndex::DeserializeFrom(reader);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ExactCashRegisterTest, MatchesOfflineStepByStep) {

@@ -1,26 +1,17 @@
-// Epoch-cached merge-on-query correctness, across all three cached
-// layers (docs/PERFORMANCE.md):
-//   - engine:   MergedEstimatorCached() vs a forced cold re-merge, with
-//               ingest / query / checkpoint / restore interleaved;
-//   - registry: TopK() epoch cache vs a stripe-serialization round trip;
+// Epoch-cached merge-on-query correctness, across the two cached layers
+// (docs/PERFORMANCE.md):
+//   - registry: TopK() epoch cache vs a stripe-serialization round trip,
+//               plus the degraded TopK path bypassing the cache both ways;
 //   - service:  HeavyReport() epoch cache across mutation and restore.
-// Plus the degraded-path contract under a worker-stall fault: a degraded
-// query must bypass the cache in both directions — it never reads a
-// cached snapshot and never installs one — so a stale cache can never be
-// served as a fresh answer.
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
-#include "core/exponential_histogram.h"
-#include "engine/sharded_engine.h"
-#include "engine/traits.h"
 #include "fault/fault.h"
 #include "random/rng.h"
 #include "service/registry.h"
@@ -30,38 +21,9 @@
 namespace himpact {
 namespace {
 
-using AggregateEngine =
-    ShardedEngine<AggregateEngineTraits<ExponentialHistogramEstimator>>;
-
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "merge_cache_" + name + "_" +
          std::to_string(static_cast<long>(::getpid()));
-}
-
-void RemoveEngineFiles(const std::string& path, std::size_t shards) {
-  std::remove(path.c_str());
-  for (std::size_t i = 0; i < shards; ++i) {
-    std::remove((path + ".shard-" + std::to_string(i)).c_str());
-  }
-}
-
-std::vector<std::uint8_t> Serialized(
-    const ExponentialHistogramEstimator& estimator) {
-  ByteWriter writer;
-  estimator.SerializeTo(writer);
-  return writer.buffer();
-}
-
-AggregateEngine MakeEngine(std::size_t shards) {
-  EngineOptions options;
-  options.num_shards = shards;
-  options.queue_capacity = 1024;
-  options.batch_size = 128;
-  auto engine = AggregateEngine::Create(options, [](std::size_t) {
-    return ExponentialHistogramEstimator::Create(0.1, 1u << 20).value();
-  });
-  EXPECT_TRUE(engine.ok());
-  return std::move(engine).value();
 }
 
 class MergeCacheTest : public testing::Test {
@@ -69,128 +31,6 @@ class MergeCacheTest : public testing::Test {
   void SetUp() override { FaultRegistry::Global().Reset(); }
   void TearDown() override { FaultRegistry::Global().Reset(); }
 };
-
-TEST_F(MergeCacheTest, EngineCachedMergeEqualsColdRemergeAcrossIngest) {
-  AggregateEngine engine = MakeEngine(4);
-  engine.Start();
-
-  Rng rng(31);
-  for (int i = 0; i < 5000; ++i) engine.Ingest(1 + rng.UniformU64(1u << 16));
-  engine.Drain();
-
-  // First query merges (miss); the repeat must be a hit with the same
-  // bytes as a forced cold re-merge.
-  const std::vector<std::uint8_t> first =
-      Serialized(engine.MergedEstimatorCached());
-  EXPECT_FALSE(engine.last_merge_cache_hit());
-  const std::vector<std::uint8_t> warm =
-      Serialized(engine.MergedEstimatorCached());
-  EXPECT_TRUE(engine.last_merge_cache_hit());
-  engine.InvalidateMergeCache();
-  const std::vector<std::uint8_t> cold =
-      Serialized(engine.MergedEstimatorCached());
-  EXPECT_FALSE(engine.last_merge_cache_hit());
-  EXPECT_EQ(first, warm);
-  EXPECT_EQ(warm, cold);
-
-  // More ingest advances the shard epochs: the next query must re-merge
-  // (no stale hit) and see the new events.
-  for (int i = 0; i < 5000; ++i) engine.Ingest(1 + rng.UniformU64(1u << 16));
-  engine.Drain();
-  const std::vector<std::uint8_t> after =
-      Serialized(engine.MergedEstimatorCached());
-  EXPECT_FALSE(engine.last_merge_cache_hit());
-  EXPECT_NE(after, cold);
-
-  EXPECT_GE(engine.merge_cache_hits(), 1u);
-  EXPECT_GE(engine.merge_cache_misses(), 3u);
-  engine.Finish();
-}
-
-TEST_F(MergeCacheTest, EngineRestoreInvalidatesTheCachedMerge) {
-  const std::string path = TempPath("engine");
-  AggregateEngine source = MakeEngine(2);
-  source.Start();
-  Rng rng(33);
-  for (int i = 0; i < 3000; ++i) source.Ingest(1 + rng.UniformU64(1u << 12));
-  source.Finish();
-  const std::vector<std::uint8_t> source_bytes =
-      Serialized(source.MergedEstimatorCached());
-  ASSERT_TRUE(source.CheckpointTo(path).ok());
-
-  // Warm the target's cache with different state, then restore: the next
-  // query must reflect the checkpoint, not the pre-restore cache.
-  AggregateEngine target = MakeEngine(2);
-  target.Start();
-  for (int i = 0; i < 100; ++i) target.Ingest(1);
-  target.Finish();
-  const std::vector<std::uint8_t> pre_restore =
-      Serialized(target.MergedEstimatorCached());
-  ASSERT_NE(pre_restore, source_bytes);
-  ASSERT_TRUE(target.RestoreFrom(path).ok());
-  EXPECT_EQ(Serialized(target.MergedEstimatorCached()), source_bytes);
-
-  RemoveEngineFiles(path, 2);
-}
-
-TEST_F(MergeCacheTest, DegradedQueryNeverTouchesTheCacheUnderWorkerStall) {
-  EngineOptions options;
-  options.num_shards = 2;
-  options.queue_capacity = 1024;
-  options.batch_size = 128;
-  options.health.lag_watermark = 4;
-  options.health.stall_timeout_nanos = 20'000'000;  // 20ms
-  auto engine_or = AggregateEngine::Create(options, [](std::size_t) {
-    return ExponentialHistogramEstimator::Create(0.1, 1u << 20).value();
-  });
-  ASSERT_TRUE(engine_or.ok());
-  AggregateEngine engine = std::move(engine_or).value();
-
-  // One worker freezes for 500ms on startup.
-  FaultSpec stall;
-  stall.max_fires = 1;
-  stall.param = 500'000;  // microseconds
-  FaultRegistry::Global().Arm(FaultPoint::kWorkerStall, stall);
-  engine.Start();
-  while (FaultRegistry::Global().fires(FaultPoint::kWorkerStall) == 0) {
-    std::this_thread::yield();
-  }
-
-  std::vector<std::uint64_t> values;
-  Rng rng(35);
-  for (int i = 0; i < 2000; ++i) values.push_back(1 + rng.UniformU64(100));
-  for (const std::uint64_t value : values) engine.Ingest(value);
-
-  // Degraded queries while one shard is wedged: the cache must be
-  // bypassed in both directions — counters frozen, and the snapshot is
-  // tagged partial instead of being installed as the merged answer.
-  const std::uint64_t hits_before = engine.merge_cache_hits();
-  const std::uint64_t misses_before = engine.merge_cache_misses();
-  const DegradedSnapshot<ExponentialHistogramEstimator> degraded =
-      engine.MergedEstimatorDegraded(50'000'000);  // 50ms << 500ms stall
-  ASSERT_TRUE(degraded.estimator.has_value());
-  EXPECT_EQ(engine.merge_cache_hits(), hits_before);
-  EXPECT_EQ(engine.merge_cache_misses(), misses_before);
-
-  // After the stall clears and the backlog drains, the cached path must
-  // re-merge — the degraded partial snapshot must not satisfy it.
-  engine.Drain();
-  engine.Finish();
-  const ExponentialHistogramEstimator& full = engine.MergedEstimatorCached();
-  EXPECT_FALSE(engine.last_merge_cache_hit())
-      << "cached query served a snapshot taken while a shard was stalled";
-  if (degraded.shards_skipped > 0) {
-    EXPECT_LE(degraded.estimator->Estimate(), full.Estimate());
-  }
-
-  // A fault-free reference over the same stream must agree exactly.
-  FaultRegistry::Global().Reset();
-  AggregateEngine reference = MakeEngine(2);
-  reference.Start();
-  for (const std::uint64_t value : values) reference.Ingest(value);
-  reference.Finish();
-  EXPECT_EQ(Serialized(reference.MergedEstimatorCached()), Serialized(full));
-}
 
 // --- registry TopK epoch cache ----------------------------------------------
 

@@ -1,7 +1,7 @@
 // Runtime fault-tolerance layer (src/fault/): the injection registry's
-// fire-window arithmetic and env syntax, the health state machine, the
-// admission gate, jittered-backoff retries, and — threaded through the
-// real engine/io/service code — the guarantees docs/ROBUSTNESS.md pairs
+// fire-window arithmetic and env syntax, the admission gate,
+// jittered-backoff retries, and — threaded through the real
+// engine/io/service code — the guarantees docs/ROBUSTNESS.md pairs
 // with each fault point: no crash or deadlock, tagged monotone
 // lower-bound answers during the fault, and post-recovery answers equal
 // to a fault-free run.
@@ -21,13 +21,11 @@
 #include <gtest/gtest.h>
 
 #include "core/exponential_histogram.h"
-#include "engine/sharded_engine.h"
-#include "engine/spsc_ring.h"
+#include "engine/shard_set.h"
 #include "engine/traits.h"
 #include "fault/admission.h"
 #include "fault/backoff.h"
 #include "fault/fault.h"
-#include "fault/health.h"
 #include "io/checkpoint.h"
 #include "random/rng.h"
 #include "service/service.h"
@@ -36,8 +34,8 @@
 namespace himpact {
 namespace {
 
-using AggregateEngine =
-    ShardedEngine<AggregateEngineTraits<ExponentialHistogramEstimator>>;
+using AggregateShards =
+    ShardSet<AggregateEngineTraits<ExponentialHistogramEstimator>>;
 
 // A scratch path unique to this process (tests may run in parallel).
 std::string TempPath(const std::string& name) {
@@ -67,17 +65,17 @@ TEST_F(FaultRuntimeTest, FireWindowSkipsThenFiresThenExpires) {
   FaultSpec spec;
   spec.skip = 2;
   spec.max_fires = 3;
-  registry.Arm(FaultPoint::kRingFull, spec);
+  registry.Arm(FaultPoint::kAllocFail, spec);
 
   std::vector<bool> fired;
   for (int i = 0; i < 8; ++i) {
-    fired.push_back(registry.ShouldFire(FaultPoint::kRingFull));
+    fired.push_back(registry.ShouldFire(FaultPoint::kAllocFail));
   }
   const std::vector<bool> expected = {false, false, true, true,
                                       true,  false, false, false};
   EXPECT_EQ(fired, expected);
-  EXPECT_EQ(registry.hits(FaultPoint::kRingFull), 8u);
-  EXPECT_EQ(registry.fires(FaultPoint::kRingFull), 3u);
+  EXPECT_EQ(registry.hits(FaultPoint::kAllocFail), 8u);
+  EXPECT_EQ(registry.fires(FaultPoint::kAllocFail), 3u);
 }
 
 TEST_F(FaultRuntimeTest, ArmFromTextParsesClausesAndRejectsGarbage) {
@@ -108,6 +106,7 @@ TEST_F(FaultRuntimeTest, NamesRoundTrip) {
     EXPECT_EQ(*parsed, point);
   }
   EXPECT_FALSE(FaultRegistry::FromName("bogus").has_value());
+  EXPECT_FALSE(FaultRegistry::FromName("ring-full").has_value());
 }
 
 TEST_F(FaultRuntimeTest, ClockSkewShiftsFaultClockForward) {
@@ -119,32 +118,6 @@ TEST_F(FaultRuntimeTest, ClockSkewShiftsFaultClockForward) {
   EXPECT_GE(skewed, before + spec.param);
   FaultRegistry::Global().Reset();
   EXPECT_LT(FaultClock::NowNanos(), before + spec.param);
-}
-
-// --- HealthTracker ----------------------------------------------------------
-
-TEST_F(FaultRuntimeTest, HealthTrackerFollowsTheStateMachine) {
-  HealthOptions options;
-  options.lag_watermark = 10;
-  options.stall_timeout_nanos = 1'000'000;  // 1ms, driven synthetically
-  HealthTracker tracker(options);
-
-  // Idle and caught up: healthy.
-  EXPECT_EQ(tracker.Poll(0, 0, 0), ShardHealth::kHealthy);
-  // Small backlog with progress: healthy.
-  EXPECT_EQ(tracker.Poll(5, 2, 100), ShardHealth::kHealthy);
-  // Backlog over the watermark while still progressing: lagging.
-  EXPECT_EQ(tracker.Poll(100, 3, 200), ShardHealth::kLagging);
-  // No progress, backlog pending, timeout elapsed: stalled.
-  EXPECT_EQ(tracker.Poll(100, 3, 200 + 2'000'000), ShardHealth::kStalled);
-  EXPECT_EQ(tracker.backlog(), 97u);
-  // Progress resumes: back to lagging (still over watermark)...
-  EXPECT_EQ(tracker.Poll(100, 50, 200 + 3'000'000), ShardHealth::kLagging);
-  // ...and to healthy once the backlog clears.
-  EXPECT_EQ(tracker.Poll(100, 100, 200 + 4'000'000), ShardHealth::kHealthy);
-  // An idle (empty) shard never stalls, no matter how long it sits.
-  EXPECT_EQ(tracker.Poll(100, 100, 200 + 60'000'000'000ull),
-            ShardHealth::kHealthy);
 }
 
 // --- AdmissionController / backoff ------------------------------------------
@@ -218,157 +191,6 @@ TEST_F(FaultRuntimeTest, RetryWithBackoffRecoversFromTransientFailures) {
   EXPECT_EQ(calls, 1) << "non-retryable codes must not be retried";
 }
 
-// --- ring-full fault / bounded producer waits -------------------------------
-
-TEST_F(FaultRuntimeTest, RingFullFaultForcesTheShedPathOnAnEmptyRing) {
-  SpscRing<int> ring(8);
-  FaultSpec spec;
-  spec.max_fires = 1;
-  FaultRegistry::Global().Arm(FaultPoint::kRingFull, spec);
-  EXPECT_FALSE(ring.TryPush(1)) << "armed ring-full must reject the push";
-  EXPECT_TRUE(ring.TryPush(2)) << "window expired, pushes flow again";
-  EXPECT_EQ(FaultRegistry::Global().fires(FaultPoint::kRingFull), 1u);
-}
-
-TEST_F(FaultRuntimeTest, PushBoundedGivesUpAndCountsAProducerStall) {
-  SpscRing<int> ring(2);
-  ASSERT_TRUE(ring.TryPush(0));
-  ASSERT_TRUE(ring.TryPush(1));
-  // Genuinely full with no consumer: the bounded wait must return (no
-  // unbounded spin) and count exactly one stall per failed push.
-  EXPECT_FALSE(ring.PushBounded(2, 16, 4));
-  EXPECT_EQ(ring.producer_stalls(), 1u);
-  int out[2];
-  ASSERT_EQ(ring.PopBatch(out, 2), 2u);
-  EXPECT_TRUE(ring.PushBounded(2, 16, 4));
-  EXPECT_EQ(ring.producer_stalls(), 1u);
-}
-
-TEST_F(FaultRuntimeTest, EngineTryIngestShedsLoudlyUnderRingFullFault) {
-  EngineOptions options;
-  options.num_shards = 1;
-  auto engine_or = AggregateEngine::Create(options, [](std::size_t) {
-    return std::move(ExponentialHistogramEstimator::Create(0.1, 1 << 20))
-        .value();
-  });
-  ASSERT_TRUE(engine_or.ok());
-  AggregateEngine engine = std::move(engine_or).value();
-  engine.Start();
-
-  // Fire on every probe: TryIngest's bounded offer must reject (spins
-  // included), count the rejection, and leave the event un-enqueued.
-  FaultRegistry::Global().Arm(FaultPoint::kRingFull, FaultSpec{});
-  EXPECT_FALSE(engine.TryIngest(7));
-  FaultRegistry::Global().Reset();
-  EXPECT_TRUE(engine.TryIngest(7));
-
-  const ShardCounters counters = engine.shard_counters(0);
-  EXPECT_EQ(counters.offers_rejected, 1u);
-  EXPECT_EQ(counters.events_pushed, 1u);
-  engine.Finish();
-  EXPECT_EQ(engine.shard_counters(0).events_consumed, 1u);
-}
-
-TEST_F(FaultRuntimeTest, BlockingIngestSurvivesABoundedRingFullWindow) {
-  EngineOptions options;
-  options.num_shards = 1;
-  options.producer_spin_limit = 2;
-  options.producer_yield_limit = 2;
-  options.producer_sleep_micros = 10;
-  auto engine_or = AggregateEngine::Create(options, [](std::size_t) {
-    return std::move(ExponentialHistogramEstimator::Create(0.1, 1 << 20))
-        .value();
-  });
-  ASSERT_TRUE(engine_or.ok());
-  AggregateEngine engine = std::move(engine_or).value();
-  engine.Start();
-
-  // ~50 forced-full probes, then the fault expires: Ingest must ride
-  // through the window (escalating spin -> yield -> sleep) and deliver.
-  FaultSpec spec;
-  spec.max_fires = 50;
-  FaultRegistry::Global().Arm(FaultPoint::kRingFull, spec);
-  for (std::uint64_t value = 1; value <= 8; ++value) engine.Ingest(value);
-  engine.Drain();
-  EXPECT_EQ(engine.shard_counters(0).events_consumed, 8u);
-  EXPECT_GT(engine.shard_counters(0).queue_full_stalls +
-                engine.shard_counters(0).producer_stalls,
-            0u)
-      << "the forced-full window must be visible in a counter";
-  engine.Finish();
-}
-
-// --- worker-stall fault / health watchdog / degraded merge ------------------
-
-TEST_F(FaultRuntimeTest, StalledShardIsDetectedSkippedAndRecovers) {
-  EngineOptions options;
-  options.num_shards = 2;
-  options.health.lag_watermark = 4;
-  options.health.stall_timeout_nanos = 20'000'000;  // 20ms
-  auto make = [](std::size_t) {
-    return std::move(ExponentialHistogramEstimator::Create(0.1, 1 << 20))
-        .value();
-  };
-  auto engine_or = AggregateEngine::Create(options, make);
-  ASSERT_TRUE(engine_or.ok());
-  AggregateEngine engine = std::move(engine_or).value();
-
-  // One worker (whichever probes first) freezes for 800ms on startup.
-  FaultSpec stall;
-  stall.max_fires = 1;
-  stall.param = 800'000;  // microseconds
-  FaultRegistry::Global().Arm(FaultPoint::kWorkerStall, stall);
-  engine.Start();
-  while (FaultRegistry::Global().fires(FaultPoint::kWorkerStall) == 0) {
-    std::this_thread::yield();
-  }
-
-  std::vector<std::uint64_t> values;
-  Rng rng(2026);
-  for (int i = 0; i < 2000; ++i) {
-    values.push_back(1 + rng.UniformU64(50));
-  }
-  for (const std::uint64_t value : values) engine.Ingest(value);
-
-  // The watchdog must see the wedged shard: with the stalled worker
-  // holding its backlog, repeated polls cross the stall timeout.
-  bool saw_stalled = false;
-  for (int poll = 0; poll < 200 && !saw_stalled; ++poll) {
-    engine.PollHealth();
-    for (std::size_t i = 0; i < engine.num_shards(); ++i) {
-      if (engine.shard_health(i) == ShardHealth::kStalled) saw_stalled = true;
-    }
-    SleepForMicros(1000);
-  }
-  EXPECT_TRUE(saw_stalled) << "watchdog never flagged the wedged shard";
-
-  // Degraded merge-on-query: the healthy shard answers, the stalled one
-  // is skipped entirely, and the tag bounds the staleness.
-  const DegradedSnapshot<ExponentialHistogramEstimator> degraded =
-      engine.MergedEstimatorDegraded(100'000'000);  // 100ms << 800ms stall
-  ASSERT_TRUE(degraded.estimator.has_value());
-  EXPECT_EQ(degraded.shards_merged, 1u);
-  EXPECT_EQ(degraded.shards_skipped, 1u);
-  EXPECT_GT(degraded.skipped_events, 0u);
-
-  // Recovery: once the stall ends and the backlog drains, the merged
-  // answer must equal a fault-free run over the same stream — and the
-  // degraded answer must have been a monotone lower bound on it.
-  engine.Drain();
-  engine.Finish();
-  const double full = engine.MergedEstimator().Estimate();
-  EXPECT_LE(degraded.estimator->Estimate(), full);
-
-  FaultRegistry::Global().Reset();
-  auto reference_or = AggregateEngine::Create(options, make);
-  ASSERT_TRUE(reference_or.ok());
-  AggregateEngine reference = std::move(reference_or).value();
-  reference.Start();
-  for (const std::uint64_t value : values) reference.Ingest(value);
-  reference.Finish();
-  EXPECT_EQ(full, reference.MergedEstimator().Estimate());
-}
-
 // --- torn-checkpoint fault / retry / crash-safety ---------------------------
 
 TEST_F(FaultRuntimeTest, TornCheckpointKeepsThePreviousFileAndRetries) {
@@ -409,22 +231,17 @@ TEST_F(FaultRuntimeTest, TornCheckpointKeepsThePreviousFileAndRetries) {
 }
 
 TEST_F(FaultRuntimeTest, EngineCheckpointRecoversFromTornWritesViaRetry) {
-  EngineOptions options;
-  options.num_shards = 2;
-  options.checkpoint_retry.max_attempts = 4;
-  options.checkpoint_retry.base_backoff_nanos = 1000;
+  constexpr std::size_t kShards = 2;
   auto make = [](std::size_t) {
     return std::move(ExponentialHistogramEstimator::Create(0.1, 1 << 20))
         .value();
   };
-  auto engine_or = AggregateEngine::Create(options, make);
-  ASSERT_TRUE(engine_or.ok());
-  AggregateEngine engine = std::move(engine_or).value();
-  engine.Start();
+  auto shards_or = AggregateShards::Create(kShards, 256, make);
+  ASSERT_TRUE(shards_or.ok());
+  AggregateShards shards = std::move(shards_or).value();
   for (std::uint64_t value = 1; value <= 200; ++value) {
-    engine.Ingest(value % 40 + 1);
+    shards.Add(value % 40 + 1);
   }
-  engine.Finish();
 
   // Tear the first two write attempts; the retry wrapper must land a
   // complete, restorable checkpoint anyway.
@@ -432,17 +249,17 @@ TEST_F(FaultRuntimeTest, EngineCheckpointRecoversFromTornWritesViaRetry) {
   FaultSpec torn_twice;
   torn_twice.max_fires = 2;
   FaultRegistry::Global().Arm(FaultPoint::kTornCheckpoint, torn_twice);
-  ASSERT_TRUE(engine.CheckpointTo(path).ok());
+  ASSERT_TRUE(shards.CheckpointTo(path).ok());
+  EXPECT_EQ(FaultRegistry::Global().fires(FaultPoint::kTornCheckpoint), 2u);
   FaultRegistry::Global().Reset();
 
-  auto restored_or = AggregateEngine::Create(options, make);
+  auto restored_or = AggregateShards::Create(kShards, 256, make);
   ASSERT_TRUE(restored_or.ok());
-  AggregateEngine restored = std::move(restored_or).value();
+  AggregateShards restored = std::move(restored_or).value();
   ASSERT_TRUE(restored.RestoreFrom(path).ok());
-  EXPECT_EQ(restored.MergedEstimator().Estimate(),
-            engine.MergedEstimator().Estimate());
-  for (std::size_t i = 0; i < options.num_shards; ++i) {
-    std::remove(AggregateEngine::ShardPath(path, i).c_str());
+  EXPECT_EQ(restored.Merged().Estimate(), shards.Merged().Estimate());
+  for (std::size_t i = 0; i < kShards; ++i) {
+    std::remove(AggregateShards::ShardPath(path, i).c_str());
   }
   std::remove(path.c_str());
 }

@@ -19,12 +19,6 @@
 #                       (non-gating even under --strict: replay speed is
 #                       a recovery-time tripwire, not a serving-path SLO,
 #                       and the bench is skipped when not built)
-#   f11_shard_scaling   per-shard-count apply ns/event higher = regression
-#                       (non-gating even under --strict: the counter is
-#                       wall time inside ApplyBatch, so on a host with
-#                       fewer cores than shards it absorbs preemption
-#                       and only large, repeated moves mean anything;
-#                       the bench is skipped when not built)
 #
 # Quick runs are noisy and CI machines differ, so the default mode only
 # warns: a regression prints a WARN line per metric and the script still
@@ -49,7 +43,7 @@ while [[ $# -gt 0 ]]; do
     --baseline) baseline="$2"; shift 2 ;;
     --tolerance) tolerance="$2"; shift 2 ;;
     -h|--help)
-      sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) echo "unknown flag: $1" >&2; exit 2 ;;
@@ -84,13 +78,10 @@ trap 'rm -f "${current}"' EXIT
 "${build_dir}/bench/bench_f6_hotpath" --quick | grep '^BENCH{' > "${current}"
 "${build_dir}/bench/bench_f7_net_load" --quick | grep '^BENCH{' >> "${current}"
 "${build_dir}/bench/bench_f8_wire" --quick | grep '^BENCH{' >> "${current}"
-# The durability and scaling benches are optional (older checkouts):
-# their rows are informational and never block.
+# The durability bench is optional (older checkouts): its rows are
+# informational and never block.
 if [[ -x "${build_dir}/bench/bench_f10_durability" ]]; then
   "${build_dir}/bench/bench_f10_durability" --quick | grep '^BENCH{' >> "${current}"
-fi
-if [[ -x "${build_dir}/bench/bench_f11_scaling" ]]; then
-  "${build_dir}/bench/bench_f11_scaling" --quick | grep '^BENCH{' >> "${current}"
 fi
 
 # Extract "key":value pairs from a json-ish line without a json tool.
@@ -148,19 +139,6 @@ check_info() {  # check_info <label> <baseline-value> <current-value>
   fi
 }
 
-check_info_upper() {  # check_info_upper <label> <baseline-value> <current-value>
-  # Informational with higher-is-worse polarity (ns/event). Never
-  # counts toward the strict gate.
-  local label="$1" base="$2" cur="$3"
-  [[ -n "${base}" && -n "${cur}" ]] || return 0
-  if awk -v b="${base}" -v c="${cur}" -v t="${tolerance}" \
-         'BEGIN { exit !(c > b * (1 + t)) }'; then
-    echo "note: ${label} slower than baseline: ${cur} vs ${base} (non-gating)"
-  else
-    echo "ok: ${label} ${cur} (baseline ${base})"
-  fi
-}
-
 check_floor() {  # check_floor <label> <floor> <current-value>
   local label="$1" floor="$2" cur="$3"
   [[ -n "${cur}" ]] || return 0
@@ -205,12 +183,6 @@ while IFS= read -r line; do
       base="$(baseline_metric f10_replay bench f10_replay replay_events_per_s || true)"
       check_info "WAL replay throughput (events/s)" "${base}" \
           "$(field "${line}" replay_events_per_s)"
-      ;;
-    f11_shard_scaling)
-      shards="$(field "${line}" shards)"
-      base="$(baseline_metric f11_shard_scaling shards "${shards}" apply_ns_per_event || true)"
-      check_info_upper "engine apply ns/event [${shards} shards]" "${base}" \
-          "$(field "${line}" apply_ns_per_event)"
       ;;
   esac
 done < "${current}"

@@ -11,7 +11,7 @@
 #   1. Markdown inline links `[text](target)` whose target is relative
 #      (external http(s)/mailto links and pure #anchors are skipped).
 #   2. Backticked repo paths like `docs/CHECKPOINTS.md` or
-#      `src/engine/sharded_engine.h` — the dominant cross-reference
+#      `src/engine/shard_set.h` — the dominant cross-reference
 #      style in this repo's prose (paths containing a `/` and ending in
 #      a known source/doc extension).
 

@@ -8,16 +8,15 @@
 #   tools/collect_bench.sh --build-dir build-x --output /tmp/bench.json
 #
 # BENCH emitters (each prints lines of the form `BENCH{...json...}`):
-#   bench_f2_throughput   sharded ingestion-engine sweep + batch-size sweep
+#   bench_f2_throughput   shard-set scaling sweep + batch-size sweep
 #   bench_a5_checkpoint_sizes   checkpoint envelope sizes
 #   bench_f4_service_qps  multi-tenant service closed-loop load harness
 #   bench_f5_overload     overload ramp (shed rate, p99) + stall recovery
-#   bench_f6_hotpath      batch-vs-scalar speedups + merge-cache latency
+#   bench_f6_hotpath      batch-vs-scalar speedups + registry merge-cache latency
 #   bench_f7_net_load     TCP front-end connection sweep (qps, p99, shed)
 #   bench_f8_wire         text-vs-binary wire framing (docs/PROTOCOL.md)
 #   bench_f9_coldtier     paged cold tier page-in latency + delta sizing
 #   bench_f10_durability  WAL fsync-policy qps/p99 + replay throughput
-#   bench_f11_scaling     shard scaling curves
 #
 # The aggregate is a single json object: {"git_sha", "quick", "host",
 # "results"} where results is the array of BENCH payloads in emission
@@ -56,7 +55,7 @@ missing=()
 for binary in bench_f2_throughput bench_a5_checkpoint_sizes \
               bench_f4_service_qps bench_f5_overload bench_f6_hotpath \
               bench_f7_net_load bench_f8_wire bench_f9_coldtier \
-              bench_f10_durability bench_f11_scaling; do
+              bench_f10_durability; do
   if [[ ! -x "${bench_dir}/${binary}" ]]; then
     missing+=("${bench_dir}/${binary}")
   fi
@@ -77,7 +76,6 @@ if [[ "${quick}" -eq 1 ]]; then
   f8_flags=(--quick)
   f9_flags=(--quick)
   f10_flags=(--quick)
-  f11_flags=(--quick)
 else
   f2_flags=()
   f4_flags=()
@@ -87,7 +85,6 @@ else
   f8_flags=()
   f9_flags=()
   f10_flags=()
-  f11_flags=()
 fi
 
 lines_file="$(mktemp)"
@@ -120,8 +117,6 @@ run_bench "${bench_dir}/bench_f9_coldtier" \
     "${f9_flags[@]+"${f9_flags[@]}"}"
 run_bench "${bench_dir}/bench_f10_durability" \
     "${f10_flags[@]+"${f10_flags[@]}"}"
-run_bench "${bench_dir}/bench_f11_scaling" \
-    "${f11_flags[@]+"${f11_flags[@]}"}"
 
 # HEAD sha, with a -dirty suffix when the numbers were measured from an
 # uncommitted tree (the honest stamp for a pre-commit run).
