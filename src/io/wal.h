@@ -20,13 +20,16 @@
 /// `WalWriter::Append` was given, ending at the last record whose frame
 /// survived the crash intact.
 ///
-/// Durability is tiered by fsync policy:
+/// Durability is tiered by fsync policy. Under `group` and `never`,
+/// `Append` only copies the record into an in-process group buffer, so
+/// a process crash (SIGKILL) loses the unflushed group too:
 ///
-///   always  write + fsync per append      loses nothing acked
-///   group   buffer, flush + fsync by      loses at most the open
-///           byte / age watermark          group on power cut
-///   never   buffer, flush by watermark,   loses the page cache on
-///           fsync only on rotate/close    power cut, nothing on crash
+///   policy  disk behavior                 process crash   power cut
+///   always  write + fsync per append      nothing acked   nothing acked
+///   group   buffer, flush + fsync by      the open group  the open group
+///           byte / age watermark
+///   never   buffer, flush by watermark,   the open group  the page cache
+///           fsync only on rotate/close
 ///
 /// A crash can tear the final record mid-write; the reader repairs
 /// rather than rejects: it scans each segment to the last valid record,

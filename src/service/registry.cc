@@ -14,7 +14,10 @@
 namespace himpact {
 namespace {
 
-constexpr std::uint64_t kStripeMagic = 0x48494d5053524731ULL;  // HIMPSRG1
+// HIMPSRG2 adds the segment-generation bound after the header;
+// HIMPSRG1 payloads (no bound) still decode and adopt every generation.
+constexpr std::uint64_t kStripeMagicV1 = 0x48494d5053524731ULL;  // HIMPSRG1
+constexpr std::uint64_t kStripeMagic = 0x48494d5053524732ULL;    // HIMPSRG2
 
 /// Fixed per-user overhead charged against the memory budget: the state
 /// record itself plus an allowance for the hash-map node and bucket.
@@ -141,18 +144,25 @@ StatusOr<TieredUserRegistry> TieredUserRegistry::Create(
 Status TieredUserRegistry::AttachSegmentStores() {
   if (options_.segment_dir.empty()) return Status::OK();
   for (std::size_t i = 0; i < stripes_.size(); ++i) {
-    SegmentStoreOptions store_options;
-    store_options.dir = options_.segment_dir;
-    store_options.stripe = i;
-    StatusOr<std::unique_ptr<SegmentStore>> store =
-        SegmentStore::Open(store_options);
-    if (!store.ok()) {
-      return Status(store.status().code(),
-                    "segment store for stripe " + std::to_string(i) + ": " +
-                        store.status().message());
-    }
-    stripes_[i]->store = std::move(store).value();
+    Status opened = OpenSegmentStore(i, kAllSegmentGenerations);
+    if (!opened.ok()) return opened;
   }
+  return Status::OK();
+}
+
+Status TieredUserRegistry::OpenSegmentStore(
+    std::size_t i, std::uint64_t generation_bound) {
+  SegmentStoreOptions store_options;
+  store_options.dir = options_.segment_dir;
+  store_options.stripe = i;
+  StatusOr<std::unique_ptr<SegmentStore>> store =
+      SegmentStore::Open(store_options, generation_bound);
+  if (!store.ok()) {
+    return Status(store.status().code(),
+                  "segment store for stripe " + std::to_string(i) + ": " +
+                      store.status().message());
+  }
+  stripes_[i]->store = std::move(store).value();
   return Status::OK();
 }
 
@@ -705,6 +715,10 @@ void TieredUserRegistry::SerializeStripe(std::size_t i,
   writer.U64(kStripeMagic);
   writer.U64(static_cast<std::uint64_t>(i));
   writer.U64(static_cast<std::uint64_t>(stripes_.size()));
+  // Every generation this checkpoint can reference lies below the
+  // store's next one; a restore ignores the ones sealed after the save.
+  writer.U64(stripe.store != nullptr ? stripe.store->next_generation()
+                                     : kAllSegmentGenerations);
   writer.U64(stripe.events);
   writer.U64(stripe.promotions);
   writer.U64(stripe.demotions);
@@ -759,10 +773,13 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   std::uint64_t magic = 0;
   std::uint64_t index = 0;
   std::uint64_t num_stripes = 0;
-  if (!reader.U64(&magic) || magic != kStripeMagic) {
+  std::uint64_t generation_bound = kAllSegmentGenerations;
+  if (!reader.U64(&magic) ||
+      (magic != kStripeMagic && magic != kStripeMagicV1)) {
     return Status::InvalidArgument("not a registry stripe checkpoint");
   }
-  if (!reader.U64(&index) || !reader.U64(&num_stripes)) {
+  if (!reader.U64(&index) || !reader.U64(&num_stripes) ||
+      (magic == kStripeMagic && !reader.U64(&generation_bound))) {
     return Status::InvalidArgument("truncated stripe header");
   }
   if (index != i || num_stripes != stripes_.size()) {
@@ -854,6 +871,16 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
 
   Stripe& stripe = *stripes_[i];
   std::lock_guard<std::mutex> lock(stripe.mu);
+  // The store adopted every generation on disk, including any that the
+  // tier-flush job or eviction sealed after this payload was saved.
+  // Answering from those would serve newer state than the checkpoint
+  // (and a WAL replay on top would apply the same events twice), so
+  // reopen on the generations the save could see.
+  if (stripe.store != nullptr &&
+      stripe.store->next_generation() > generation_bound) {
+    Status reopened = OpenSegmentStore(i, generation_bound);
+    if (!reopened.ok()) return reopened;
+  }
   stripe.events = events;
   stripe.promotions = promotions;
   stripe.demotions = demotions;

@@ -345,6 +345,10 @@ class TieredUserRegistry {
   void EnforceBudgetLocked(Stripe& stripe);
   ExponentialHistogramEstimator MakeSketch() const;
   Status AttachSegmentStores();
+  /// (Re)opens stripe `i`'s segment store on the generations below
+  /// `generation_bound`. Caller holds the stripe lock or owns the
+  /// registry exclusively.
+  Status OpenSegmentStore(std::size_t i, std::uint64_t generation_bound);
   /// Pages a segment-resident user's state back into RAM (tier returns
   /// to cold/hot, the record is forgotten); on page-in failure degrades
   /// to a frozen-style fresh sketch over the suffix (floor kept).

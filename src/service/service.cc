@@ -294,36 +294,54 @@ HImpactService::StripeSnapshot HImpactService::SnapshotStripe(
 
 Status HImpactService::CheckpointFull(const std::string& path) const {
   const std::size_t n = registry_.num_stripes();
-  // Head first: pinning generation 0 cuts any existing delta chain over
-  // before the full files are rewritten, so a crash mid-save restores
-  // legacy-style from whatever mix of old/new stripe files survives
-  // (per-stripe consistent, same as a crash always was) instead of
-  // chasing deltas whose hashes no longer match.
-  Status head = RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
-    return WriteHead(HeadPath(path), 0);
-  });
-  if (!head.ok()) return head;
-
-  // Stripes next, manifest last: an openable manifest implies every
-  // stripe it references was durably written (same discipline as the
-  // sharded engine's checkpoint).
-  std::vector<std::uint64_t> reg_epochs(n), hh_epochs(n), hashes(n);
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    StripeSnapshot snap = SnapshotStripe(i);
-    Status written =
-        RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
-          return WriteCheckpointFile(StripePath(path, i),
-                                     CheckpointTag::kServiceStripe,
-                                     snap.payload);
-        });
-    if (!written.ok()) return written;
-    reg_epochs[i] = snap.reg_epoch;
-    hh_epochs[i] = snap.hh_epoch;
-    hashes[i] = snap.hash;
-    bytes += snap.payload.size();
+  // A crash mid-save must restore no older state than the last completed
+  // save. The head cuts any delta chain over to the full files, and a
+  // restore then reads every stripe from its full file, so each full
+  // file must hold its new payload or the chain tip's by then. The chain
+  // this service extends at `path` keeps some stripes in deltas; their
+  // full files hold the chain's root, which the tip has moved past, so
+  // they are rewritten first, while the head still pins the tip (which
+  // does not read them). A chain this service does not know is cut
+  // first, as if every stripe were at generation 0.
+  std::vector<bool> in_delta(n, false);
+  {
+    std::lock_guard<std::mutex> lock(chain_->mu);
+    if (chain_->valid && chain_->path == path) {
+      for (std::size_t i = 0; i < n; ++i) in_delta[i] = chain_->loc_gens[i] > 0;
+    }
   }
 
+  std::vector<std::uint64_t> reg_epochs(n), hh_epochs(n), hashes(n);
+  std::uint64_t bytes = 0;
+  const auto write_stripes = [&](bool delta_resident) -> Status {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (in_delta[i] != delta_resident) continue;
+      StripeSnapshot snap = SnapshotStripe(i);
+      Status written =
+          RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
+            return WriteCheckpointFile(StripePath(path, i),
+                                       CheckpointTag::kServiceStripe,
+                                       snap.payload);
+          });
+      if (!written.ok()) return written;
+      reg_epochs[i] = snap.reg_epoch;
+      hh_epochs[i] = snap.hh_epoch;
+      hashes[i] = snap.hash;
+      bytes += snap.payload.size();
+    }
+    return Status::OK();
+  };
+  Status written = write_stripes(true);
+  if (!written.ok()) return written;
+  written = RetryWithBackoff(admission_->options().checkpoint_retry,
+                             [&] { return WriteHead(HeadPath(path), 0); });
+  if (!written.ok()) return written;
+  written = write_stripes(false);
+  if (!written.ok()) return written;
+
+  // Manifest last: an openable manifest implies every stripe it
+  // references was durably written (same discipline as the sharded
+  // engine's checkpoint).
   ByteWriter manifest;
   manifest.U64(kServiceManifestMagic);
   const ServiceOptions& opts = options();
@@ -339,11 +357,10 @@ Status HImpactService::CheckpointFull(const std::string& path) const {
   manifest.U64(opts.hh_max_papers);
   manifest.U64(opts.seed);
   manifest.U64(registry_.Stats().total_events);
-  Status written =
-      RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
-        return WriteCheckpointFile(path, CheckpointTag::kServiceManifest,
-                                   manifest.buffer());
-      });
+  written = RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
+    return WriteCheckpointFile(path, CheckpointTag::kServiceManifest,
+                               manifest.buffer());
+  });
   if (!written.ok()) return written;
 
   std::lock_guard<std::mutex> lock(chain_->mu);

@@ -227,8 +227,6 @@ std::string ServiceSession::HealthJson() const {
     const TaskRuntimeStats rt = TaskRuntime::Shared().Stats();
     json += ",\"task_runtime\":{\"workers\":" +
             U64(TaskRuntime::Shared().num_workers());
-    json += ",\"stolen\":" + U64(rt.stolen);
-    json += ",\"injected\":" + U64(rt.injected);
     json += ",\"completed\":{";
     for (std::size_t i = 0; i < kNumJobClasses; ++i) {
       if (i > 0) json += ",";

@@ -39,8 +39,8 @@
 /// checkpoint plus the surviving WAL segments cover the full applied
 /// history (the invariant `ReplayWal` recovery rests on). The session
 /// is also the submitter of the background maintenance jobs, which run
-/// on the shared work-stealing task runtime (engine/task_runtime.h)
-/// rather than ad-hoc threads:
+/// on the shared FIFO task runtime (engine/task_runtime.h) rather than
+/// ad-hoc threads:
 ///
 ///   - `kDeltaCollapse`: once the incremental chain reaches half of
 ///     `ServiceOptions::max_chain_len`, a job folds it into a fresh

@@ -59,7 +59,7 @@ std::string SegmentStore::SegmentPath(std::uint64_t generation) const {
 }
 
 StatusOr<std::unique_ptr<SegmentStore>> SegmentStore::Open(
-    const SegmentStoreOptions& options) {
+    const SegmentStoreOptions& options, std::uint64_t generation_bound) {
   Status made = MakeDirs(options.dir);
   if (!made.ok()) return made;
   auto store = std::unique_ptr<SegmentStore>(new SegmentStore());
@@ -77,7 +77,8 @@ StatusOr<std::unique_ptr<SegmentStore>> SegmentStore::Open(
   }
   while (const struct dirent* entry = ::readdir(dir)) {
     std::uint64_t generation = 0;
-    if (ParseGeneration(entry->d_name, prefix, &generation)) {
+    if (ParseGeneration(entry->d_name, prefix, &generation) &&
+        generation < generation_bound) {
       generations.push_back(generation);
     }
   }
@@ -94,6 +95,9 @@ StatusOr<std::unique_ptr<SegmentStore>> SegmentStore::Open(
     }
     store->AdoptSegment(std::move(reader).value());
     store->next_generation_ = generation + 1;
+  }
+  if (generation_bound != kAllSegmentGenerations) {
+    store->next_generation_ = generation_bound;
   }
   return store;
 }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -55,14 +56,22 @@ struct SegmentStoreCounters {
   std::uint64_t corrupt_segments = 0;  // skipped while reopening a dir
 };
 
+/// `SegmentStore::Open` bound that adopts every generation on disk.
+inline constexpr std::uint64_t kAllSegmentGenerations =
+    std::numeric_limits<std::uint64_t>::max();
+
 /// The store. Move via unique_ptr only (owns mmaps).
 class SegmentStore {
  public:
   /// Creates `options.dir` if needed and adopts every existing sealed
-  /// generation for this stripe (a damaged segment is skipped and
-  /// counted, not fatal — its records degrade to floors).
+  /// generation for this stripe below `generation_bound` (a damaged
+  /// segment is skipped and counted, not fatal — its records degrade to
+  /// floors). A restore passes the bound its checkpoint recorded, so
+  /// generations sealed after that save are ignored and later seals
+  /// overwrite them, starting at the bound.
   static StatusOr<std::unique_ptr<SegmentStore>> Open(
-      const SegmentStoreOptions& options);
+      const SegmentStoreOptions& options,
+      std::uint64_t generation_bound = kAllSegmentGenerations);
 
   /// Buffers `record` for `id` (newest wins), sealing a segment when
   /// the pending buffer crosses the threshold. A failed seal keeps the
@@ -97,6 +106,8 @@ class SegmentStore {
   }
   std::size_t pending_records() const { return pending_.size(); }
   std::uint64_t segment_files() const { return segments_.size(); }
+  /// The generation the next seal writes: one past every adopted one.
+  std::uint64_t next_generation() const { return next_generation_; }
   std::uint64_t segment_bytes() const { return segment_bytes_; }
 
   /// Sealed record bytes no longer reachable through the index: a newer

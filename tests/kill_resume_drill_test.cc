@@ -29,8 +29,8 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -54,13 +54,20 @@ std::string TempPath(const char* name) {
   return path;
 }
 
-// Spawns hstream_serve reading a pipe we hold the write end of, with
-// stdout/stderr discarded (replies are not consumed under kill load).
-// `extra` appends flags (e.g. --checkpoint-mode incr) to the base argv.
-pid_t SpawnServe(const std::string& checkpoint, int* stdin_fd,
+// Spawns hstream_serve auto-checkpointing to `checkpoint`, with both
+// stdin and stdout piped so a drill can feed it load and read its
+// replies; stderr is discarded. `extra` appends flags (e.g.
+// --checkpoint-mode incr) to the base argv.
+pid_t SpawnServe(const std::string& checkpoint, int* stdin_fd, int* stdout_fd,
                  const std::vector<std::string>& extra = {}) {
-  int fds[2] = {-1, -1};
-  if (::pipe(fds) != 0) return -1;
+  int in[2] = {-1, -1};
+  int out[2] = {-1, -1};
+  if (::pipe(in) != 0) return -1;
+  if (::pipe(out) != 0) {
+    ::close(in[0]);
+    ::close(in[1]);
+    return -1;
+  }
   std::vector<const char*> argv = {HSTREAM_SERVE_PATH,
                                    "--stripes",
                                    "2",
@@ -75,41 +82,67 @@ pid_t SpawnServe(const std::string& checkpoint, int* stdin_fd,
   argv.push_back(nullptr);
   const pid_t pid = ::fork();
   if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
+    ::close(in[0]);
+    ::close(in[1]);
+    ::close(out[0]);
+    ::close(out[1]);
     return -1;
   }
   if (pid == 0) {
-    ::dup2(fds[0], STDIN_FILENO);
-    ::close(fds[0]);
-    ::close(fds[1]);
+    ::dup2(in[0], STDIN_FILENO);
+    ::dup2(out[1], STDOUT_FILENO);
+    ::close(in[0]);
+    ::close(in[1]);
+    ::close(out[0]);
+    ::close(out[1]);
     const int devnull = ::open("/dev/null", O_WRONLY);
     if (devnull >= 0) {
-      ::dup2(devnull, STDOUT_FILENO);
       ::dup2(devnull, STDERR_FILENO);
       ::close(devnull);
     }
     ::execv(HSTREAM_SERVE_PATH, const_cast<char* const*>(argv.data()));
     ::_exit(127);
   }
-  ::close(fds[0]);
-  *stdin_fd = fds[1];
+  ::close(in[0]);
+  ::close(out[1]);
+  *stdin_fd = in[1];
+  *stdout_fd = out[0];
   return pid;
 }
 
-// Waits (bounded) for a file to appear. The drill writes its load into
-// the child's stdin pipe and then must not SIGKILL before the child —
-// which may still be in sanitizer-slowed startup — has completed at
-// least one auto-checkpoint; otherwise every round verifies an empty
-// store and the final non-triviality check sees all zeros. The child
-// keeps draining the buffered adds while we poll, so the kill still
-// lands mid-load.
-bool WaitForFile(const std::string& path) {
-  for (int waited_ms = 0; waited_ms < 15000; waited_ms += 5) {
-    if (std::filesystem::exists(path)) return true;
-    ::usleep(5000);
+// Reads replies off `fd` (a socket, or a child's stdout pipe) until at
+// least `count` have arrived (text lines, or binary reply frames when
+// `binary`). The server writes the reply to the `--checkpoint-every`-th
+// mutation only after that mutation's inline checkpoint returned, so
+// once this succeeds a kill leaves a checkpoint of this very round
+// behind. A 30 s wait per read bounds it: false means the server
+// stalled, closed, or died.
+bool AwaitReplies(int fd, int count, bool binary) {
+  std::string pending;
+  int seen = 0;
+  char chunk[4096];
+  while (seen < count) {
+    pollfd ready{fd, POLLIN, 0};
+    const int polled = ::poll(&ready, 1, 30000);
+    if (polled < 0 && errno == EINTR) continue;
+    if (polled <= 0) return false;
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    if (!binary) {
+      seen += static_cast<int>(std::count(chunk, chunk + n, '\n'));
+      continue;
+    }
+    pending.append(chunk, static_cast<std::size_t>(n));
+    while (pending.size() >= himpact::kWirePreludeBytes) {
+      const std::size_t frame = himpact::kWirePreludeBytes +
+                                himpact::WirePayloadLength(pending.data());
+      if (pending.size() < frame) break;
+      pending.erase(0, frame);
+      ++seen;
+    }
   }
-  return std::filesystem::exists(path);
+  return true;
 }
 
 // Writes one full line to the child, tolerating nothing: a short write
@@ -186,7 +219,8 @@ TEST(KillResumeDrill, StateSurvivesRepeatedSigkillMonotonically) {
 
   for (int round = 0; round < kRounds; ++round) {
     int stdin_fd = -1;
-    const pid_t pid = SpawnServe(checkpoint, &stdin_fd);
+    int stdout_fd = -1;
+    const pid_t pid = SpawnServe(checkpoint, &stdin_fd, &stdout_fd);
     ASSERT_GT(pid, 0) << "spawn failed in round " << round;
 
     // Live load: battery users accumulate response counts, with the
@@ -202,13 +236,16 @@ TEST(KillResumeDrill, StateSurvivesRepeatedSigkillMonotonically) {
     }
     EXPECT_TRUE(wrote_all) << "child died before the kill in round "
                            << round;
-    ASSERT_TRUE(WaitForFile(checkpoint))
+    // Kill only once this round has a landed checkpoint: the file of an
+    // earlier round exists already, so only the replies can tell.
+    ASSERT_TRUE(AwaitReplies(stdout_fd, std::atoi(kCheckpointEvery), false))
         << "no auto-checkpoint completed in round " << round;
 
     // SIGKILL mid-load: no shutdown path, no final save. Whatever the
     // last completed auto-checkpoint was is what must survive.
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     ::close(stdin_fd);
+    ::close(stdout_fd);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status))
@@ -266,7 +303,9 @@ TEST(KillResumeDrill, IncrementalChainSurvivesRepeatedSigkillMonotonically) {
 
   for (int round = 0; round < kRounds; ++round) {
     int stdin_fd = -1;
-    const pid_t pid = SpawnServe(checkpoint, &stdin_fd, incr_flags);
+    int stdout_fd = -1;
+    const pid_t pid =
+        SpawnServe(checkpoint, &stdin_fd, &stdout_fd, incr_flags);
     ASSERT_GT(pid, 0) << "spawn failed in round " << round;
 
     bool wrote_all = true;
@@ -279,15 +318,18 @@ TEST(KillResumeDrill, IncrementalChainSurvivesRepeatedSigkillMonotonically) {
     }
     EXPECT_TRUE(wrote_all) << "child died before the kill in round "
                            << round;
-    // In incremental mode the first auto-save roots the chain (full
-    // files + head) and the second writes delta generation 1; waiting
-    // for the delta guarantees the chain the assertions below inspect
-    // actually formed before the kill.
-    ASSERT_TRUE(WaitForFile(checkpoint + ".delta-1"))
+    // In incremental mode the first auto-save of round 0 roots the
+    // chain (full files + head) and the second writes delta generation
+    // 1; waiting for two saves' replies guarantees the chain the
+    // assertions below inspect formed before the kill, and that every
+    // later round extended it.
+    ASSERT_TRUE(
+        AwaitReplies(stdout_fd, 2 * std::atoi(kCheckpointEvery), false))
         << "no incremental delta completed in round " << round;
 
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     ::close(stdin_fd);
+    ::close(stdout_fd);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status))
@@ -382,42 +424,6 @@ pid_t SpawnServeTcp(const std::string& checkpoint, std::uint16_t* port) {
   *port = static_cast<std::uint16_t>(
       std::strtoul(line.c_str() + sizeof("LISTENING ") - 1, nullptr, 10));
   return pid;
-}
-
-// Reads replies off `sock` until at least `count` have arrived (text
-// lines, or binary reply frames when `binary`). The server writes the
-// reply to the `--checkpoint-every`-th mutation only after that
-// mutation's inline checkpoint returned, so once this succeeds a kill
-// leaves a completed checkpoint behind. A receive timeout bounds the
-// wait: false means the server stalled, closed, or died.
-bool AwaitReplies(int sock, int count, bool binary) {
-  timeval timeout{};
-  timeout.tv_sec = 30;
-  if (::setsockopt(sock, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                   sizeof(timeout)) != 0) {
-    return false;
-  }
-  std::string pending;
-  int seen = 0;
-  char chunk[4096];
-  while (seen < count) {
-    const ssize_t n = ::recv(sock, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    if (!binary) {
-      seen += static_cast<int>(std::count(chunk, chunk + n, '\n'));
-      continue;
-    }
-    pending.append(chunk, static_cast<std::size_t>(n));
-    while (pending.size() >= himpact::kWirePreludeBytes) {
-      const std::size_t frame = himpact::kWirePreludeBytes +
-                                himpact::WirePayloadLength(pending.data());
-      if (pending.size() < frame) break;
-      pending.erase(0, frame);
-      ++seen;
-    }
-  }
-  return true;
 }
 
 int ConnectBlocking(std::uint16_t port) {
@@ -708,7 +714,8 @@ TEST(KillResumeDrill, WalRecoveryIsByteIdenticalToUncrashedTwin) {
 
   for (int round = 0; round < kRounds; ++round) {
     int stdin_fd = -1;
-    const pid_t pid = SpawnServe(checkpoint, &stdin_fd, wal_flags);
+    int stdout_fd = -1;
+    const pid_t pid = SpawnServe(checkpoint, &stdin_fd, &stdout_fd, wal_flags);
     ASSERT_GT(pid, 0) << "spawn failed in round " << round;
 
     std::vector<std::vector<int>> written(kBatteryUsers);
@@ -723,11 +730,12 @@ TEST(KillResumeDrill, WalRecoveryIsByteIdenticalToUncrashedTwin) {
     }
     EXPECT_TRUE(wrote_all) << "child died before the kill in round "
                            << round;
-    ASSERT_TRUE(WaitForFile(checkpoint))
+    ASSERT_TRUE(AwaitReplies(stdout_fd, std::atoi(kCheckpointEvery), false))
         << "no auto-checkpoint completed in round " << round;
 
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     ::close(stdin_fd);
+    ::close(stdout_fd);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status))
@@ -779,61 +787,6 @@ TEST(KillResumeDrill, WalRecoveryIsByteIdenticalToUncrashedTwin) {
   std::filesystem::remove_all(root);
 }
 
-// Spawns hstream_serve with both stdin and stdout piped so a drill can
-// talk to the live server (the kill drills discard stdout instead).
-pid_t SpawnServeCapture(const std::string& checkpoint, int* stdin_fd,
-                        int* stdout_fd,
-                        const std::vector<std::string>& extra) {
-  int in[2] = {-1, -1};
-  int out[2] = {-1, -1};
-  if (::pipe(in) != 0) return -1;
-  if (::pipe(out) != 0) {
-    ::close(in[0]);
-    ::close(in[1]);
-    return -1;
-  }
-  std::vector<const char*> argv = {HSTREAM_SERVE_PATH,
-                                   "--stripes",
-                                   "2",
-                                   "--no-heavy",
-                                   "--restore",
-                                   checkpoint.c_str(),
-                                   "--checkpoint",
-                                   checkpoint.c_str(),
-                                   "--checkpoint-every",
-                                   kCheckpointEvery};
-  for (const std::string& arg : extra) argv.push_back(arg.c_str());
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(in[0]);
-    ::close(in[1]);
-    ::close(out[0]);
-    ::close(out[1]);
-    return -1;
-  }
-  if (pid == 0) {
-    ::dup2(in[0], STDIN_FILENO);
-    ::dup2(out[1], STDOUT_FILENO);
-    ::close(in[0]);
-    ::close(in[1]);
-    ::close(out[0]);
-    ::close(out[1]);
-    const int devnull = ::open("/dev/null", O_WRONLY);
-    if (devnull >= 0) {
-      ::dup2(devnull, STDERR_FILENO);
-      ::close(devnull);
-    }
-    ::execv(HSTREAM_SERVE_PATH, const_cast<char* const*>(argv.data()));
-    ::_exit(127);
-  }
-  ::close(in[0]);
-  ::close(out[1]);
-  *stdin_fd = in[1];
-  *stdout_fd = out[0];
-  return pid;
-}
-
 // Reads reply lines from the captured stdout until one contains
 // `needle` (returned) or the stream ends / `max_lines` pass.
 bool ReadLineContaining(int fd, const std::string& needle,
@@ -880,7 +833,7 @@ TEST(KillResumeDrill, WalAppendFailDegradesLoudlyAndStillRecovers) {
   int stdout_fd = -1;
   // Skip the first 40 appends so the failure lands mid-stream, with
   // durable WAL records and completed checkpoints already behind it.
-  const pid_t pid = SpawnServeCapture(
+  const pid_t pid = SpawnServe(
       checkpoint, &stdin_fd, &stdout_fd,
       {"--wal-dir", wal_dir, "--wal-fsync", "always", "--faults",
        "wal-append-fail:40"});
@@ -894,7 +847,8 @@ TEST(KillResumeDrill, WalAppendFailDegradesLoudlyAndStillRecovers) {
                                         std::to_string(value) + "\n");
   }
   ASSERT_TRUE(wrote_all) << "server died while the WAL was failing";
-  ASSERT_TRUE(WaitForFile(checkpoint)) << "no auto-checkpoint completed";
+  ASSERT_TRUE(AwaitReplies(stdout_fd, std::atoi(kCheckpointEvery), false))
+      << "no auto-checkpoint completed";
 
   // The server is still answering after the fault fired — and says so.
   ASSERT_TRUE(WriteLine(stdin_fd, "health\n"));

@@ -106,12 +106,15 @@ void WriteTextFile(const std::string& path, const std::string& text) {
 
 struct RunResult {
   int exit_code = -1;
-  std::string stdout_text;
+  std::string stdout_text;  // what `redirect` sends into the pipe
 };
 
-RunResult RunServe(const std::string& args, const std::string& input_path) {
+// Runs hstream_serve on `input_path`. `redirect` picks what the result
+// captures: stdout by default, stderr with "2>&1 >/dev/null".
+RunResult RunServe(const std::string& args, const std::string& input_path,
+                   const std::string& redirect = "2>/dev/null") {
   const std::string command = std::string(HSTREAM_SERVE_PATH) + " " + args +
-                              " < " + input_path + " 2>/dev/null";
+                              " < " + input_path + " " + redirect;
   RunResult result;
   std::FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -159,13 +162,43 @@ TEST(ServeBinary, AnswersTheBasicSession) {
   std::remove(input.c_str());
 }
 
+// One row per rejected flag combination: hstream_serve must exit 2
+// before serving anything, naming the problem on its first stderr line.
+struct BadFlagCase {
+  const char* args;
+  const char* first_stderr_line;
+};
+
+constexpr BadFlagCase kBadFlagCases[] = {
+    {"--stripes 0", "bad value for --stripes: '0' (want 1..4096)"},
+    {"--stripes banana",
+     "bad value for --stripes: 'banana' (expected an unsigned integer)"},
+    {"--budget-mb -4",
+     "bad value for --budget-mb: '-4' (expected an unsigned integer)"},
+    {"--frobnicate", "unknown flag: --frobnicate"},
+    {"--stripes", "missing value for --stripes"},
+    {"--checkpoint-every 5",
+     "--checkpoint-every requires --checkpoint FILE (there is no path to "
+     "checkpoint to)"},
+    {"--checkpoint unused.ckpt --checkpoint-every 0",
+     "--checkpoint-every must be >= 1 when --checkpoint is set (0 would "
+     "never checkpoint)"},
+    {"--wal-fsync sometimes", "--wal-fsync must be always, group, or never"},
+    {"--listen 99999", "bad value for --listen: '99999' (want 0..65535)"},
+    {"--wal-group-bytes 0",
+     "bad value for --wal-group-bytes: '0' (want 1..1073741824)"},
+};
+
 TEST(ServeBinary, RejectsBadFlags) {
   const std::string input = TempPath("flags_in");
   WriteTextFile(input, "quit\n");
-  EXPECT_EQ(RunServe("--stripes 0", input).exit_code, 2);
-  EXPECT_EQ(RunServe("--stripes banana", input).exit_code, 2);
-  EXPECT_EQ(RunServe("--budget-mb -4", input).exit_code, 2);
-  EXPECT_EQ(RunServe("--frobnicate", input).exit_code, 2);
+  for (const BadFlagCase& bad : kBadFlagCases) {
+    const RunResult result = RunServe(bad.args, input, "2>&1 >/dev/null");
+    const std::string& err = result.stdout_text;
+    EXPECT_EQ(result.exit_code, 2) << bad.args;
+    EXPECT_EQ(err.substr(0, err.find('\n')), bad.first_stderr_line)
+        << bad.args;
+  }
   std::remove(input.c_str());
 }
 

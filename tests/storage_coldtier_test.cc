@@ -62,6 +62,18 @@ ServiceOptions PagedOptions(const std::string& segment_dir) {
   return options;
 }
 
+// The budget one stripe needs to hold cold user {5,5,5} and a hot user
+// with 50 events, less one byte, measured with an unconstrained probe:
+// touching either user then pages the other out.
+std::uint64_t PairBudgetBytes(const std::string& segment_dir) {
+  ServiceOptions options = PagedOptions(segment_dir);
+  options.memory_budget_bytes = 1u << 30;
+  auto probe = TieredUserRegistry::Create(options).value();
+  for (int i = 0; i < 3; ++i) probe.Add(1, 5);
+  for (int i = 0; i < 50; ++i) probe.Add(2, 100);
+  return probe.Stats().resident_bytes - 1;
+}
+
 class ColdTierTest : public testing::Test {
  protected:
   void SetUp() override { FaultRegistry::Global().Reset(); }
@@ -114,18 +126,11 @@ TEST_F(ColdTierTest, ReactivationContinuesTheExactStream) {
   // Cold user 1 sees {5,5,5}; a hot hog then evicts it; two more 5s
   // arrive. Paged continuation answers ExactH({5,5,5,5,5}) = 5. A
   // frozen fallback would answer max(floor 3, fresh-suffix H 2) = 3 —
-  // the forgetting this tier exists to avoid. The budget is measured
-  // with an unconstrained probe over the same stream and set one byte
-  // short, so evicting the least-recent user (1) is both necessary and
-  // sufficient.
+  // the forgetting this tier exists to avoid. The budget is one byte
+  // short of both users, so evicting the least-recent user (1) is both
+  // necessary and sufficient.
   ServiceOptions options = PagedOptions(dir);
-  options.memory_budget_bytes = 1u << 30;
-  auto probe = TieredUserRegistry::Create(options).value();
-  for (int i = 0; i < 3; ++i) probe.Add(1, 5);
-  for (int i = 0; i < 50; ++i) probe.Add(2, 100);
-  const std::uint64_t both_bytes = probe.Stats().resident_bytes;
-
-  options.memory_budget_bytes = both_bytes - 1;
+  options.memory_budget_bytes = PairBudgetBytes(dir);
   auto registry = TieredUserRegistry::Create(options).value();
   for (int i = 0; i < 3; ++i) registry.Add(1, 5);
   EXPECT_EQ(registry.PointHIndex(1), 3.0);
@@ -193,13 +198,7 @@ TEST_F(ColdTierTest, CheckpointRestoresPagedUsersIntoAnyService) {
   const std::string save = TempPath("restore_ck");
   RemoveTree(dir);
   ServiceOptions options = PagedOptions(dir);
-  options.memory_budget_bytes = 1u << 30;
-  auto probe = TieredUserRegistry::Create(options).value();
-  for (int i = 0; i < 3; ++i) probe.Add(1, 5);
-  for (int i = 0; i < 50; ++i) probe.Add(2, 100);
-  const std::uint64_t both_bytes = probe.Stats().resident_bytes;
-
-  options.memory_budget_bytes = both_bytes - 1;
+  options.memory_budget_bytes = PairBudgetBytes(dir);
   auto service = HImpactService::Create(options).value();
   for (int i = 0; i < 3; ++i) service.RecordResponseCount(1, 5);
   for (int i = 0; i < 50; ++i) service.RecordResponseCount(2, 100);
@@ -235,6 +234,172 @@ TEST_F(ColdTierTest, CheckpointRestoresPagedUsersIntoAnyService) {
   EXPECT_GE(snapshot.estimate, 3.0);
 
   RemoveCheckpoint(save, options.num_stripes);
+  RemoveTree(dir);
+}
+
+// After a save, cold user `cold` (3 x 5) gets 4 more 5s, which pages it
+// back in and its hot neighbour out; one add to `hot` pages it out
+// again. The record of its 7 events is newer than any save before.
+void RepageAfterTheSave(HImpactService& service, AuthorId cold, AuthorId hot) {
+  for (int i = 0; i < 4; ++i) service.RecordResponseCount(cold, 5);
+  service.RecordResponseCount(hot, 100);
+}
+
+void ExpectSameUser(const HImpactService& got, const HImpactService& want,
+                    AuthorId user) {
+  UserSnapshot a;
+  UserSnapshot b;
+  ASSERT_TRUE(got.Lookup(user, &a)) << "user " << user;
+  ASSERT_TRUE(want.Lookup(user, &b)) << "user " << user;
+  EXPECT_EQ(a.estimate, b.estimate) << "user " << user;
+  EXPECT_EQ(a.events, b.events) << "user " << user;
+}
+
+TEST_F(ColdTierTest, RestoreIgnoresSegmentGenerationsSealedAfterTheSave) {
+  const std::string dir = TempPath("later_gen_dir");
+  const std::string save_a = TempPath("later_gen_a");
+  const std::string save_b = TempPath("later_gen_b");
+  RemoveTree(dir);
+  ServiceOptions options = PagedOptions(dir);
+  options.memory_budget_bytes = PairBudgetBytes(dir);
+
+  auto service = HImpactService::Create(options).value();
+  for (int i = 0; i < 3; ++i) service.RecordResponseCount(1, 5);
+  for (int i = 0; i < 50; ++i) service.RecordResponseCount(2, 100);
+  UserSnapshot snapshot;
+  ASSERT_TRUE(service.Lookup(1, &snapshot));
+  ASSERT_EQ(snapshot.tier, UserTier::kSegment);
+  ASSERT_EQ(snapshot.estimate, 3.0);
+  ASSERT_TRUE(service.CheckpointTo(save_a).ok());
+
+  // Past checkpoint A: user 1 reaches 7 events and is paged out again,
+  // and a second save seals that record into a newer generation.
+  RepageAfterTheSave(service, 1, 2);
+  ASSERT_TRUE(service.Lookup(1, &snapshot));
+  ASSERT_EQ(snapshot.tier, UserTier::kSegment);
+  ASSERT_EQ(snapshot.events, 7u);
+  ASSERT_EQ(snapshot.estimate, 5.0);
+  ASSERT_TRUE(service.CheckpointTo(save_b).ok());
+
+  // Restoring A answers what A saw, not the newer record...
+  auto restored = HImpactService::Create(options).value();
+  ASSERT_TRUE(restored.RestoreFrom(save_a).ok());
+  ASSERT_TRUE(restored.Lookup(1, &snapshot));
+  EXPECT_EQ(snapshot.tier, UserTier::kSegment);
+  EXPECT_EQ(snapshot.events, 3u);
+  EXPECT_EQ(snapshot.estimate, 3.0) << "answered from a post-save record";
+
+  // ...so replaying the post-save events (what a WAL replay does) lands
+  // exactly on the uncrashed service, with no event applied twice.
+  RepageAfterTheSave(restored, 1, 2);
+  ExpectSameUser(restored, service, 1);
+  ExpectSameUser(restored, service, 2);
+
+  // Seals continue from the bound: the restored service's next save
+  // overwrites the stale generation, and restoring it stays exact.
+  ASSERT_TRUE(restored.CheckpointTo(save_a).ok());
+  auto again = HImpactService::Create(options).value();
+  ASSERT_TRUE(again.RestoreFrom(save_a).ok());
+  ExpectSameUser(again, service, 1);
+  ExpectSameUser(again, service, 2);
+
+  RemoveCheckpoint(save_a, options.num_stripes);
+  RemoveCheckpoint(save_b, options.num_stripes);
+  RemoveTree(dir);
+}
+
+TEST_F(ColdTierTest, ChainReusingACleanStripePayloadIgnoresLaterGenerations) {
+  const std::string dir = TempPath("chain_gen_dir");
+  const std::string save = TempPath("chain_gen_ck");
+  RemoveTree(dir);
+  ServiceOptions options = PagedOptions(dir);
+  options.num_stripes = 2;
+  options.memory_budget_bytes = 2 * PairBudgetBytes(dir);
+
+  // One (cold, hot) pair per stripe, each cold user paged out.
+  const auto router = TieredUserRegistry::Create(options).value();
+  std::vector<AuthorId> cold(2, 0);
+  std::vector<AuthorId> hot(2, 0);
+  for (AuthorId user = 1; hot[0] == 0 || hot[1] == 0; ++user) {
+    const std::size_t stripe = router.StripeOf(user);
+    (cold[stripe] == 0 ? cold[stripe] : hot[stripe]) = user;
+  }
+  auto service = HImpactService::Create(options).value();
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (int i = 0; i < 3; ++i) service.RecordResponseCount(cold[s], 5);
+    for (int i = 0; i < 50; ++i) service.RecordResponseCount(hot[s], 100);
+    UserSnapshot snapshot;
+    ASSERT_TRUE(service.Lookup(cold[s], &snapshot));
+    ASSERT_EQ(snapshot.tier, UserTier::kSegment) << "stripe " << s;
+  }
+  ASSERT_TRUE(service.CheckpointTo(save, SaveMode::kFull).ok());
+
+  // Dirty stripe 1 only: the delta reuses stripe 0's full-file payload.
+  service.RecordResponseCount(hot[1], 100);
+  ASSERT_TRUE(service.CheckpointTo(save, SaveMode::kIncremental).ok());
+  ASSERT_EQ(service.Stats().checkpoint.stripes_skipped_clean, 1u);
+  std::map<AuthorId, UserSnapshot> at_save;
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (const AuthorId user : {cold[s], hot[s]}) {
+      ASSERT_TRUE(service.Lookup(user, &at_save[user]));
+    }
+  }
+
+  // Both stripes seal post-save records of their cold users.
+  for (std::size_t s = 0; s < 2; ++s) {
+    RepageAfterTheSave(service, cold[s], hot[s]);
+  }
+  ASSERT_EQ(service.FlushColdTier(), 2u);
+
+  auto restored = HImpactService::Create(options).value();
+  ASSERT_TRUE(restored.RestoreFrom(save).ok());
+  ASSERT_EQ(restored.Stats().checkpoint.chain_generation, 1u);
+  for (const auto& [user, want] : at_save) {
+    UserSnapshot got;
+    ASSERT_TRUE(restored.Lookup(user, &got));
+    EXPECT_EQ(got.estimate, want.estimate) << "user " << user;
+    EXPECT_EQ(got.events, want.events) << "user " << user;
+  }
+  for (std::size_t s = 0; s < 2; ++s) {
+    RepageAfterTheSave(restored, cold[s], hot[s]);
+    ExpectSameUser(restored, service, cold[s]);
+    ExpectSameUser(restored, service, hot[s]);
+  }
+
+  RemoveCheckpoint(save, options.num_stripes);
+  RemoveTree(dir);
+}
+
+TEST_F(ColdTierTest, V1StripePayloadStillRestoresByteIdentically) {
+  const std::string dir = TempPath("v1_dir");
+  RemoveTree(dir);
+  ServiceOptions options = PagedOptions(dir);
+  options.memory_budget_bytes = PairBudgetBytes(dir);
+  auto registry = TieredUserRegistry::Create(options).value();
+  for (int i = 0; i < 3; ++i) registry.Add(1, 5);
+  for (int i = 0; i < 50; ++i) registry.Add(2, 100);
+  ByteWriter writer;
+  registry.SerializeStripe(0, writer);
+  const std::vector<std::uint8_t> v2 = writer.Take();
+
+  // HIMPSRG1 is HIMPSRG2 without the generation bound after the
+  // three-word header.
+  std::vector<std::uint8_t> v1 = v2;
+  ASSERT_EQ(v1[0], '2');
+  v1[0] = '1';
+  v1.erase(v1.begin() + 24, v1.begin() + 32);
+
+  auto restored = TieredUserRegistry::Create(options).value();
+  ByteReader reader(v1);
+  ASSERT_TRUE(restored.DeserializeStripe(0, reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  UserSnapshot snapshot;
+  ASSERT_TRUE(restored.Lookup(1, &snapshot));
+  EXPECT_EQ(snapshot.tier, UserTier::kSegment);
+  EXPECT_EQ(snapshot.estimate, 3.0);
+  ByteWriter reencoded;
+  restored.SerializeStripe(0, reencoded);
+  EXPECT_EQ(reencoded.Take(), v2);
   RemoveTree(dir);
 }
 
@@ -362,6 +527,50 @@ TEST_F(ColdTierTest, IncrementalSaveRestoresEquivalentlyToFull) {
   EXPECT_EQ(AllEstimates(again, 64), AllEstimates(restored, 64));
 
   RemoveCheckpoint(save, options.num_stripes);
+}
+
+TEST_F(ColdTierTest, FullSaveCutShortOverAChainNeverRestoresOlderState) {
+  // A full save over a live chain (the background collapse, or the
+  // chain-cap escalation) rewrites every full stripe file. Cut it short
+  // at each of its file writes in turn: the restore must never land
+  // behind the chain tip, whose stripes partly live in deltas.
+  const ServiceOptions options = CheckpointOptions();
+  const std::size_t writes = options.num_stripes + 2;  // + head, manifest
+  for (std::size_t completed = 0; completed < writes; ++completed) {
+    const std::string save = TempPath("cut_full_ck");
+    auto service = HImpactService::Create(options).value();
+    Rng rng(47);
+    for (int i = 0; i < 2000; ++i) {
+      service.RecordResponseCount(1 + rng.UniformU64(64),
+                                  1 + rng.UniformU64(40));
+    }
+    ASSERT_TRUE(service.CheckpointTo(save, SaveMode::kFull).ok());
+    // User 7's stripe moves into delta 1, well past the chain's root.
+    for (int i = 0; i < 40; ++i) service.RecordResponseCount(7, 1000);
+    ASSERT_TRUE(service.CheckpointTo(save, SaveMode::kIncremental).ok());
+    const std::map<AuthorId, double> tip = AllEstimates(service, 64);
+    for (int i = 0; i < 500; ++i) {
+      service.RecordResponseCount(1 + rng.UniformU64(64),
+                                  1 + rng.UniformU64(40));
+    }
+
+    FaultSpec cut;
+    cut.skip = completed;
+    FaultRegistry::Global().Arm(FaultPoint::kTornCheckpoint, cut);
+    EXPECT_FALSE(service.CheckpointTo(save, SaveMode::kFull).ok());
+    FaultRegistry::Global().Reset();
+
+    auto restored = HImpactService::Create(options).value();
+    ASSERT_TRUE(restored.RestoreFrom(save).ok());
+    const std::map<AuthorId, double> got = AllEstimates(restored, 64);
+    for (const auto& [user, estimate] : tip) {
+      const auto it = got.find(user);
+      ASSERT_NE(it, got.end()) << "user " << user;
+      EXPECT_GE(it->second, estimate)
+          << "user " << user << " after " << completed << " completed writes";
+    }
+    RemoveCheckpoint(save, options.num_stripes);
+  }
 }
 
 TEST_F(ColdTierTest, IncrementalWithoutAChainFallsBackToAFullSave) {
