@@ -51,8 +51,9 @@
 // truncated, never fatal) and replayed after `--restore` — so recovery
 // is exact to the last durable record, not checkpoint-cadence bounded.
 // `--max-chain-len N` bounds the incremental delta chain: at N/2 the
-// session folds the chain into a fresh full save in the background; at
-// N the next incremental save escalates to a full one inline.
+// session's durability owner (service/durability.h) folds the chain
+// into a fresh full save in the background; at N the next incremental
+// save escalates to a full one inline.
 //
 // Robustness surface (docs/ROBUSTNESS.md): `--max-inflight` and
 // `--deadline-us` arm the admission gate (overload replies

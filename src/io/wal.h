@@ -39,9 +39,10 @@
 /// The log is therefore always a clean prefix of the applied stream,
 /// never a sample of it.
 ///
-/// Rotation is keyed to checkpoints: after a successful save the
-/// session calls `Rotate()`, which deletes every segment and starts a
-/// fresh one, so WAL size is bounded by checkpoint cadence. Replay
+/// Rotation is keyed to checkpoints: after a successful save to the
+/// auto-checkpoint path `Durability::Save` (service/durability.h) calls
+/// `Rotate()`, which deletes every segment and starts a fresh one, so
+/// WAL size is bounded by checkpoint cadence. Replay
 /// tolerates stale records (a crash between save and rotate) because
 /// the apply layer gates each record on per-stripe sequence numbers.
 ///

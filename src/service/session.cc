@@ -1,9 +1,7 @@
 #include "service/session.h"
 
-#include <cstdio>
-
+#include "engine/task_runtime.h"
 #include "net/wire.h"
-#include "service/wal_apply.h"
 
 namespace himpact {
 namespace {
@@ -21,134 +19,6 @@ void SetError(const Status& status, CommandResult* result) {
 }
 
 }  // namespace
-
-ServiceSession::~ServiceSession() { WaitForMaintenance(); }
-
-void ServiceSession::MaybeCheckpoint() {
-  if (options_.checkpoint.empty() || options_.checkpoint_every == 0) return;
-  ++mutations_since_checkpoint_;
-  MaybeFlushColdTier();
-  if (mutations_since_checkpoint_ < options_.checkpoint_every) return;
-  if (collapse_running_.load(std::memory_order_acquire)) {
-    // A background collapse holds the checkpoint operation lock;
-    // blocking the serving thread on it would stall replies. Leave the
-    // cadence counter ripe so the save retries on the next mutation —
-    // the WAL (when attached) keeps covering the gap meanwhile.
-    --mutations_since_checkpoint_;
-    ++counters_.checkpoints_deferred;
-    return;
-  }
-  mutations_since_checkpoint_ = 0;
-  const Status saved =
-      service_->CheckpointTo(options_.checkpoint, options_.checkpoint_mode);
-  if (saved.ok()) {
-    ++counters_.checkpoints;
-    // Every record appended so far preceded this save (appends happen
-    // before the cadence runs), so the whole log is covered: rotate.
-    RotateWal();
-    MaybeCollapseChain();
-  } else {
-    // Failures go to stderr (and a counter), never the reply stream:
-    // replies must stay deterministic for the kill-and-resume drill.
-    ++counters_.checkpoint_failures;
-    std::fprintf(stderr, "auto-checkpoint failed: %s\n",
-                 saved.message().c_str());
-  }
-}
-
-Status ServiceSession::FinalCheckpoint() {
-  WaitForMaintenance();
-  if (options_.checkpoint.empty() || options_.checkpoint_every == 0) {
-    return Status::OK();
-  }
-  const Status saved =
-      service_->CheckpointTo(options_.checkpoint, options_.checkpoint_mode);
-  if (saved.ok()) {
-    ++counters_.checkpoints;
-    RotateWal();
-  } else {
-    ++counters_.checkpoint_failures;
-  }
-  return saved;
-}
-
-void ServiceSession::AppendWal(const Command& command) {
-  if (wal_ == nullptr || wal_->degraded()) return;
-  const Status appended =
-      command.kind == CommandKind::kAdd
-          ? AppendWalAdd(wal_, *service_, command.user, command.value)
-          : AppendWalPaper(wal_, *service_, command.paper);
-  if (!appended.ok() && !wal_failure_logged_) {
-    // Loud once, then the degraded flag in `health` carries the state:
-    // the server keeps serving on checkpoint-only durability.
-    wal_failure_logged_ = true;
-    std::fprintf(stderr,
-                 "WAL append failed; durability degraded to "
-                 "checkpoint-only: %s\n",
-                 appended.message().c_str());
-  }
-}
-
-void ServiceSession::RotateWal() {
-  if (wal_ == nullptr) return;
-  const Status rotated = wal_->Rotate();
-  if (!rotated.ok() && !wal_failure_logged_) {
-    wal_failure_logged_ = true;
-    std::fprintf(stderr,
-                 "WAL rotation failed; durability degraded to "
-                 "checkpoint-only: %s\n",
-                 rotated.message().c_str());
-  }
-}
-
-void ServiceSession::MaybeCollapseChain() {
-  const std::uint64_t max_chain = service_->options().max_chain_len;
-  if (max_chain == 0 || options_.checkpoint.empty() ||
-      options_.checkpoint_mode != SaveMode::kIncremental) {
-    return;
-  }
-  // Fire at half the cap so the background fold normally lands well
-  // before the inline escalation in CheckpointIncremental (the
-  // unconditional backstop) would ever trigger.
-  if (service_->chain_generation() < (max_chain + 1) / 2) return;
-  if (collapse_running_.load(std::memory_order_acquire)) return;
-  collapse_running_.store(true, std::memory_order_release);
-  collapse_handle_ = TaskRuntime::Shared().Submit(
-      JobClass::kDeltaCollapse, [this, path = options_.checkpoint] {
-        const Status folded = service_->CheckpointTo(path, SaveMode::kFull);
-        if (folded.ok()) {
-          chain_collapses_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          chain_collapse_failures_.fetch_add(1, std::memory_order_relaxed);
-          std::fprintf(stderr, "background chain collapse failed: %s\n",
-                       folded.message().c_str());
-        }
-        collapse_running_.store(false, std::memory_order_release);
-      });
-}
-
-void ServiceSession::MaybeFlushColdTier() {
-  if (options_.checkpoint_every < 2) return;
-  if (service_->options().segment_dir.empty()) return;
-  // Fire once per cadence, at the halfway point: far enough from the
-  // last save for demotions to have accumulated, early enough that the
-  // seal normally lands before the next checkpoint's inline flush.
-  if (mutations_since_checkpoint_ != options_.checkpoint_every / 2) return;
-  if (flush_running_.load(std::memory_order_acquire)) return;
-  flush_running_.store(true, std::memory_order_release);
-  flush_handle_ =
-      TaskRuntime::Shared().Submit(JobClass::kTierDemotion, [this] {
-        if (service_->FlushColdTier() > 0) {
-          coldtier_flushes_.fetch_add(1, std::memory_order_relaxed);
-        }
-        flush_running_.store(false, std::memory_order_release);
-      });
-}
-
-void ServiceSession::WaitForMaintenance() {
-  collapse_handle_.Wait();
-  flush_handle_.Wait();
-}
 
 std::string ServiceSession::StatsJson() const {
   const ServiceStats stats = service_->Stats();
@@ -171,11 +41,11 @@ std::string ServiceSession::StatsJson() const {
   // WAL writer counters ride along for operators sampling STATS; they
   // are runtime-dependent (unlike the state fields above), so twin
   // comparisons must key on "events", not the whole line.
-  if (wal_ != nullptr) {
-    json += ",\"wal_records\":" + U64(wal_->counters().records);
-    json += ",\"wal_bytes\":" + U64(wal_->counters().bytes);
+  if (const WalWriter* wal = durability_.wal()) {
+    json += ",\"wal_records\":" + U64(wal->counters().records);
+    json += ",\"wal_bytes\":" + U64(wal->counters().bytes);
     json += ",\"wal_degraded\":";
-    json += wal_->degraded() ? "1" : "0";
+    json += wal->degraded() ? "1" : "0";
   }
   json += "}";
   return json;
@@ -186,6 +56,7 @@ std::string ServiceSession::HealthJson() const {
   const ServiceStats stats = service_->Stats();
   const RegistryStats& r = stats.registry;
   const CheckpointCounters& c = stats.checkpoint;
+  const Durability& d = durability_;
   std::string json = "{\"inflight\":" + U64(admission.inflight);
   json += ",\"admitted\":" + U64(admission.admitted);
   json += ",\"shed\":" + U64(admission.shed);
@@ -193,8 +64,8 @@ std::string ServiceSession::HealthJson() const {
   json += ",\"rejected_lines\":" + U64(counters_.rejected_lines);
   json += ",\"rejected_frames\":" + U64(counters_.rejected_frames);
   json += ",\"alloc_failures\":" + U64(r.alloc_failures);
-  json += ",\"checkpoints\":" + U64(counters_.checkpoints);
-  json += ",\"checkpoint_failures\":" + U64(counters_.checkpoint_failures);
+  json += ",\"checkpoints\":" + U64(d.checkpoints());
+  json += ",\"checkpoint_failures\":" + U64(d.checkpoint_failures());
   // The cold-tier runtime counters live here, not in `stats`: `stats`
   // stays a pure function of restored state (the byte-identity property
   // the drill leans on) while page-in traffic is runtime-dependent.
@@ -214,13 +85,10 @@ std::string ServiceSession::HealthJson() const {
   json += ",\"restore_chain_fallbacks\":" + U64(c.restore_chain_fallbacks);
   json += ",\"chain_generation\":" + U64(c.chain_generation);
   json += ",\"chain_escalations\":" + U64(c.chain_escalations);
-  json += ",\"chain_collapses\":" +
-          U64(chain_collapses_.load(std::memory_order_relaxed));
-  json += ",\"chain_collapse_failures\":" +
-          U64(chain_collapse_failures_.load(std::memory_order_relaxed));
-  json += ",\"checkpoints_deferred\":" + U64(counters_.checkpoints_deferred);
-  json += ",\"coldtier_flushes\":" +
-          U64(coldtier_flushes_.load(std::memory_order_relaxed));
+  json += ",\"chain_collapses\":" + U64(d.chain_collapses());
+  json += ",\"chain_collapse_failures\":" + U64(d.chain_collapse_failures());
+  json += ",\"checkpoints_deferred\":" + U64(d.checkpoints_deferred());
+  json += ",\"coldtier_flushes\":" + U64(d.coldtier_flushes());
   // Background maintenance pool counters (process-wide: the shared
   // runtime serves every session in this process).
   {
@@ -241,13 +109,13 @@ std::string ServiceSession::HealthJson() const {
   json += ",\"storage\":{\"live_bytes\":" + U64(r.segment_bytes);
   json += ",\"dead_bytes\":" + U64(r.segment_dead_bytes);
   json += "}";
-  if (wal_ != nullptr) {
-    const WalCounters& w = wal_->counters();
+  if (const WalWriter* wal = d.wal()) {
+    const WalCounters& w = wal->counters();
     json += ",\"wal\":{\"enabled\":true";
     json += ",\"degraded\":";
-    json += wal_->degraded() ? "true" : "false";
+    json += wal->degraded() ? "true" : "false";
     json += ",\"fsync\":\"";
-    json += WalFsyncName(wal_->options().fsync);
+    json += WalFsyncName(wal->options().fsync);
     json += "\"";
     json += ",\"records\":" + U64(w.records);
     json += ",\"bytes\":" + U64(w.bytes);
@@ -255,7 +123,7 @@ std::string ServiceSession::HealthJson() const {
     json += ",\"fsyncs\":" + U64(w.fsyncs);
     json += ",\"rotations\":" + U64(w.rotations);
     json += ",\"append_failures\":" + U64(w.append_failures);
-    json += ",\"segment_seq\":" + U64(wal_->segment_seq());
+    json += ",\"segment_seq\":" + U64(wal->segment_seq());
     json += "}";
   } else {
     json += ",\"wal\":{\"enabled\":false}";
@@ -272,21 +140,20 @@ bool ServiceSession::HandleCommand(const Command& command,
                                    CommandResult* result) {
   *result = CommandResult{};
   result->kind = command.kind;
+  // An applied write (OK, or DEADLINE_EXCEEDED: applied, but late) is
+  // logged and counted toward the checkpoint cadence before the reply.
+  const auto finish_write = [&](const Status& status) {
+    if (status.ok() || status.code() == StatusCode::kDeadlineExceeded) {
+      durability_.Record(command);
+    }
+    if (!status.ok()) SetError(status, result);
+  };
   switch (command.kind) {
     case CommandKind::kAdd: {
       StatusOr<double> estimate =
           service_->TryRecordResponseCount(command.user, command.value);
-      if (estimate.ok()) {
-        result->estimate = estimate.value();
-        AppendWal(command);  // applied events log before the cadence runs
-        MaybeCheckpoint();
-      } else {
-        SetError(estimate.status(), result);
-        if (estimate.status().code() == StatusCode::kDeadlineExceeded) {
-          AppendWal(command);  // the write was applied, late
-          MaybeCheckpoint();
-        }
-      }
+      if (estimate.ok()) result->estimate = estimate.value();
+      finish_write(estimate.status());
       return true;
     }
     case CommandKind::kPaper: {
@@ -294,15 +161,8 @@ bool ServiceSession::HandleCommand(const Command& command,
       if (ingested.ok()) {
         result->num_authors =
             static_cast<std::uint32_t>(command.paper.authors.size());
-        AppendWal(command);
-        MaybeCheckpoint();
-      } else {
-        SetError(ingested, result);
-        if (ingested.code() == StatusCode::kDeadlineExceeded) {
-          AppendWal(command);
-          MaybeCheckpoint();
-        }
       }
+      finish_write(ingested);
       return true;
     }
     case CommandKind::kGet: {
@@ -354,17 +214,9 @@ bool ServiceSession::HandleCommand(const Command& command,
       result->text = HealthJson();
       return true;
     case CommandKind::kSave: {
-      const Status saved =
-          service_->CheckpointTo(command.path, command.save_mode);
+      const Status saved = durability_.Save(command.path, command.save_mode);
       if (saved.ok()) {
         result->text = command.path;
-        // Rotation is only safe when the save landed where a restart
-        // would restore from; a side save to another path does not
-        // cover the log.
-        if (!options_.checkpoint.empty() &&
-            command.path == options_.checkpoint) {
-          RotateWal();
-        }
       } else {
         SetError(Status::InvalidArgument(saved.message()), result);
       }

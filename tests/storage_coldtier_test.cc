@@ -533,7 +533,8 @@ TEST_F(ColdTierTest, FullSaveCutShortOverAChainNeverRestoresOlderState) {
   // A full save over a live chain (the background collapse, or the
   // chain-cap escalation) rewrites every full stripe file. Cut it short
   // at each of its file writes in turn: the restore must never land
-  // behind the chain tip, whose stripes partly live in deltas.
+  // behind the chain tip, whose stripes partly live in deltas, and the
+  // next incremental save must restore exactly.
   const ServiceOptions options = CheckpointOptions();
   const std::size_t writes = options.num_stripes + 2;  // + head, manifest
   for (std::size_t completed = 0; completed < writes; ++completed) {
@@ -569,6 +570,18 @@ TEST_F(ColdTierTest, FullSaveCutShortOverAChainNeverRestoresOlderState) {
       EXPECT_GE(it->second, estimate)
           << "user " << user << " after " << completed << " completed writes";
     }
+
+    // The next incremental save after the cut one restores the live
+    // service exactly, whatever the cut left of the chain.
+    for (int i = 0; i < 20; ++i) service.RecordResponseCount(7, 2000);
+    ASSERT_TRUE(service.CheckpointTo(save, SaveMode::kIncremental).ok());
+    auto resumed = HImpactService::Create(options).value();
+    ASSERT_TRUE(resumed.RestoreFrom(save).ok());
+    EXPECT_EQ(resumed.Stats().registry.total_events,
+              service.Stats().registry.total_events)
+        << "after " << completed << " completed writes";
+    EXPECT_EQ(AllEstimates(resumed, 64), AllEstimates(service, 64))
+        << "after " << completed << " completed writes";
     RemoveCheckpoint(save, options.num_stripes);
   }
 }
