@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 /// \file
@@ -68,7 +69,7 @@ class ByteWriter {
 class ByteReader {
  public:
   /// Wraps (does not copy) the byte buffer; it must outlive the reader.
-  explicit ByteReader(const std::vector<std::uint8_t>& buffer)
+  explicit ByteReader(std::span<const std::uint8_t> buffer)
       : buffer_(buffer) {}
 
   /// Reads a single byte. Returns false at end of buffer.
@@ -139,7 +140,7 @@ class ByteReader {
   bool AtEnd() const { return position_ == buffer_.size(); }
 
  private:
-  const std::vector<std::uint8_t>& buffer_;
+  std::span<const std::uint8_t> buffer_;
   std::size_t position_ = 0;
 };
 

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/bytes.h"
@@ -78,18 +79,16 @@ StatusOr<std::vector<std::pair<std::uint64_t, std::string>>> ListSegments(
   return segments;
 }
 
-/// Parses one envelope frame at `data + pos`. Returns true and fills
-/// `payload_len` when the frame (header and CRC-verified payload) is
-/// intact; false on any damage — truncation, bad magic/version/tag,
-/// absurd length, CRC mismatch — which recovery treats as the torn
-/// point, not an error.
+/// Parses one envelope frame at `data + pos`, reading the header in
+/// place. Returns true and fills `payload_len` when the frame (header
+/// and CRC-verified payload) is intact; false on any damage —
+/// truncation, bad magic/version/tag, absurd length, CRC mismatch —
+/// which recovery treats as the torn point, not an error.
 bool FrameAt(const std::vector<std::uint8_t>& data, std::size_t pos,
              std::size_t* payload_len) {
   if (data.size() - pos < kEnvelopeHeaderBytes) return false;
-  const std::vector<std::uint8_t> header(
-      data.begin() + static_cast<std::ptrdiff_t>(pos),
-      data.begin() + static_cast<std::ptrdiff_t>(pos + kEnvelopeHeaderBytes));
-  ByteReader reader(header);
+  ByteReader reader(
+      std::span<const std::uint8_t>(data).subspan(pos, kEnvelopeHeaderBytes));
   std::uint32_t magic = 0, version = 0, tag = 0, crc = 0;
   std::uint64_t length = 0;
   if (!reader.U32(&magic) || !reader.U32(&version) || !reader.U32(&tag) ||
@@ -306,12 +305,12 @@ Status WalWriter::Rotate() {
   return opened;
 }
 
-StatusOr<std::vector<std::vector<std::uint8_t>>> ReadWalRecords(
-    const std::string& dir, WalReplayStats* stats) {
+Status ScanWal(
+    const std::string& dir, WalReplayStats* stats,
+    const std::function<void(const std::vector<WalPayload>&)>& on_segment) {
   WalReplayStats local;
   WalReplayStats* out = stats != nullptr ? stats : &local;
   *out = WalReplayStats{};
-  std::vector<std::vector<std::uint8_t>> records;
 
   auto segments_or = ListSegments(dir);
   if (!segments_or.ok()) return segments_or.status();
@@ -343,18 +342,16 @@ StatusOr<std::vector<std::vector<std::uint8_t>>> ReadWalRecords(
     }
     const std::vector<std::uint8_t>& data = bytes_or.value();
     ++out->segments;
+    std::vector<WalPayload> payloads;
     std::size_t pos = 0;
     while (pos < data.size()) {
       std::size_t payload_len = 0;
       if (!FrameAt(data, pos, &payload_len)) break;
-      records.emplace_back(
-          data.begin() + static_cast<std::ptrdiff_t>(pos) +
-              static_cast<std::ptrdiff_t>(kEnvelopeHeaderBytes),
-          data.begin() + static_cast<std::ptrdiff_t>(pos) +
-              static_cast<std::ptrdiff_t>(kEnvelopeHeaderBytes + payload_len));
-      ++out->records;
+      payloads.emplace_back(data.data() + pos + kEnvelopeHeaderBytes,
+                            payload_len);
       pos += kEnvelopeHeaderBytes + payload_len;
     }
+    out->records += payloads.size();
     if (pos < data.size()) {
       // Torn tail: cut the file back to its last intact record so the
       // next scan (and the next next one) agrees with this one.
@@ -365,7 +362,21 @@ StatusOr<std::vector<std::vector<std::uint8_t>>> ReadWalRecords(
         return Status::Internal("truncate(" + path + "): " + StrError(errno));
       }
     }
+    if (!payloads.empty()) on_segment(payloads);
   }
+  return Status::OK();
+}
+
+StatusOr<std::vector<std::vector<std::uint8_t>>> ReadWalRecords(
+    const std::string& dir, WalReplayStats* stats) {
+  std::vector<std::vector<std::uint8_t>> records;
+  Status scanned =
+      ScanWal(dir, stats, [&records](const std::vector<WalPayload>& payloads) {
+        for (const WalPayload payload : payloads) {
+          records.emplace_back(payload.begin(), payload.end());
+        }
+      });
+  if (!scanned.ok()) return scanned;
   return records;
 }
 

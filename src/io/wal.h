@@ -2,7 +2,9 @@
 #define HIMPACT_IO_WAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,7 @@
 /// back-to-back run of `kWalRecord` envelopes (`common/envelope.h`:
 /// magic, version, tag, length, CRC32, payload). The payload encoding
 /// is owned by the layer above (`service/wal_apply.h`); this layer only
-/// guarantees that what `ReadWalRecords` returns is a prefix of what
+/// guarantees that what `ScanWal` visits is a prefix of what
 /// `WalWriter::Append` was given, ending at the last record whose frame
 /// survived the crash intact.
 ///
@@ -149,11 +151,25 @@ struct WalReplayStats {
   std::uint64_t discarded_bytes = 0;    ///< bytes cut or dropped
 };
 
-/// Scans `dir`'s segments in sequence order and returns every record
-/// payload up to the first invalid frame. The torn segment is
-/// truncated to its last valid record (repair, not rejection) and any
-/// later segments are deleted so a second recovery sees the same
-/// prefix. A missing or empty directory is OK and yields no records.
+/// One intact record payload, viewed in place inside the segment
+/// buffer `ScanWal` holds.
+using WalPayload = std::span<const std::uint8_t>;
+
+/// Repairs `dir` and visits its records one segment at a time, in
+/// sequence order, so recovery holds one segment's bytes, not the
+/// whole log. Each segment's intact payloads go to `on_segment` in log
+/// order, as views valid only during the call; a segment with none is
+/// not visited. The first damaged frame ends the log: its segment is
+/// truncated to its last valid record (repair, not rejection) before
+/// that segment is visited, and every later segment is deleted
+/// unvisited, so a second recovery sees the same prefix. A missing or
+/// empty directory is OK and visits nothing. Every segment before a
+/// failing truncate has already been visited.
+Status ScanWal(
+    const std::string& dir, WalReplayStats* stats,
+    const std::function<void(const std::vector<WalPayload>&)>& on_segment);
+
+/// `ScanWal` collecting every payload into owned buffers.
 StatusOr<std::vector<std::vector<std::uint8_t>>> ReadWalRecords(
     const std::string& dir, WalReplayStats* stats);
 

@@ -74,19 +74,21 @@ double HImpactService::RecordResponseCount(AuthorId user,
                                            std::uint64_t value) {
   ScopedLatency timer(*ingest_latency_);
   const double estimate = registry_.Add(user, value);
-  if (options().enable_heavy_hitters) {
-    HhStripe& stripe = *hh_stripes_[registry_.StripeOf(user)];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    PaperTuple tuple;
-    tuple.paper = stripe.next_paper * registry_.num_stripes() +
-                  registry_.StripeOf(user);
-    ++stripe.next_paper;
-    tuple.authors.PushBack(user);
-    tuple.citations = value;
-    stripe.hh->AddPaper(tuple);
-    stripe.version.fetch_add(1, std::memory_order_release);
-  }
+  if (options().enable_heavy_hitters) FeedResponseCount(user, value);
   return estimate;
+}
+
+void HImpactService::FeedResponseCount(AuthorId user, std::uint64_t value) {
+  const std::size_t index = registry_.StripeOf(user);
+  HhStripe& stripe = *hh_stripes_[index];
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  PaperTuple tuple;
+  tuple.paper = stripe.next_paper * registry_.num_stripes() + index;
+  ++stripe.next_paper;
+  tuple.authors.PushBack(user);
+  tuple.citations = value;
+  stripe.hh->AddPaper(tuple);
+  stripe.version.fetch_add(1, std::memory_order_release);
 }
 
 void HImpactService::IngestPaper(const PaperTuple& paper) {
@@ -121,6 +123,11 @@ void HImpactService::ReplayPaper(const PaperTuple& paper,
     stripe.hh->AddPaper(paper);
     stripe.version.fetch_add(1, std::memory_order_release);
   }
+}
+
+void HImpactService::ReplayResponseCountGrid(AuthorId user,
+                                             std::uint64_t value) {
+  if (options().enable_heavy_hitters) FeedResponseCount(user, value);
 }
 
 double HImpactService::PointHIndex(AuthorId user) const {

@@ -133,11 +133,21 @@ class HImpactService {
   /// paper where only the authors with `apply_mask[i]` set still miss
   /// it (the restored checkpoint may have captured some authors'
   /// stripes after the paper and others before). The tuple is fed to
-  /// the heavy-hitters grid iff `feed_hh` — the replayer passes the
-  /// first author's gate verdict, matching `IngestPaper`'s
-  /// partition-by-first-author attribution. Thread-safe.
+  /// the heavy-hitters grid iff `feed_hh`, which should be the first
+  /// author's gate verdict, matching `IngestPaper`'s
+  /// partition-by-first-author attribution. Replay applies the two
+  /// halves as separate calls: a stripe's gated authors with
+  /// `feed_hh` false, and the grid feed with an empty mask. Thread-safe.
   void ReplayPaper(const PaperTuple& paper,
                    const std::vector<bool>& apply_mask, bool feed_hh);
+
+  /// WAL-replay surface: the grid half of one logged
+  /// `RecordResponseCount` — feeds the heavy-hitters grid the synthetic
+  /// tuple that call fed (the next id of the user's stripe) and leaves
+  /// the registry alone. The registry half is a one-author
+  /// `ReplayPaper`, so replay can apply the two halves as separate
+  /// jobs. No-op when the grid is disabled. Thread-safe.
+  void ReplayResponseCountGrid(AuthorId user, std::uint64_t value);
 
   /// The user's current H-index estimate (0 if never seen).
   double PointHIndex(AuthorId user) const;
@@ -310,6 +320,9 @@ class HImpactService {
   HImpactService(TieredUserRegistry registry, const OverloadOptions& overload);
 
   std::vector<std::unique_ptr<HhStripe>> MakeHhStripes() const;
+  /// Feeds the grid the one-author tuple of a response count, under a
+  /// paper id minted from the user's stripe. Requires the grid enabled.
+  void FeedResponseCount(AuthorId user, std::uint64_t value);
   StripeSnapshot SnapshotStripe(std::size_t i) const;
   Status CheckpointFull(const std::string& path) const;
   Status CheckpointIncremental(const std::string& path) const;

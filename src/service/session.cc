@@ -61,8 +61,8 @@ std::string ServiceSession::HealthJson() const {
   json += ",\"admitted\":" + U64(admission.admitted);
   json += ",\"shed\":" + U64(admission.shed);
   json += ",\"deadline_exceeded\":" + U64(admission.deadline_exceeded);
-  json += ",\"rejected_lines\":" + U64(counters_.rejected_lines);
-  json += ",\"rejected_frames\":" + U64(counters_.rejected_frames);
+  json += ",\"rejected_lines\":" + U64(rejected_lines_);
+  json += ",\"rejected_frames\":" + U64(rejected_frames_);
   json += ",\"alloc_failures\":" + U64(r.alloc_failures);
   json += ",\"checkpoints\":" + U64(d.checkpoints());
   json += ",\"checkpoint_failures\":" + U64(d.checkpoint_failures());
@@ -236,7 +236,7 @@ bool ServiceSession::HandleLine(const std::string& line, std::string* reply) {
   if (!parsed.ok()) {
     // Quarantine, never abort: the bad line is counted and dropped, and
     // the loop keeps its one-reply-per-line invariant.
-    ++counters_.rejected_lines;
+    ++rejected_lines_;
     *reply = "ERR " + parsed.status().message() + "\n";
     return true;
   }
@@ -252,7 +252,7 @@ bool ServiceSession::HandleFrame(const std::string& frame,
   if (!decoded.ok()) {
     // Same quarantine contract as the text path, rendered as a
     // structured error frame (status kErr, opcode 0x00).
-    ++counters_.rejected_frames;
+    ++rejected_frames_;
     *reply = EncodeErrorFrame(decoded.status().message());
     return true;
   }

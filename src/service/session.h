@@ -33,12 +33,6 @@
 
 namespace himpact {
 
-/// Quarantine counters surfaced by the `health` verb.
-struct SessionCounters {
-  std::uint64_t rejected_lines = 0;
-  std::uint64_t rejected_frames = 0;
-};
-
 /// The command dispatcher. Not thread-safe: one session runs on one
 /// transport thread (the stdin loop or the event loop).
 class ServiceSession {
@@ -81,7 +75,10 @@ class ServiceSession {
   /// The graceful-drain hook (see `Durability::FinalSave`).
   Status FinalCheckpoint() { return durability_.FinalSave(); }
 
-  const SessionCounters& counters() const { return counters_; }
+  /// Quarantine counters surfaced by the `health` verb: text lines and
+  /// binary frames that failed to parse.
+  std::uint64_t rejected_lines() const { return rejected_lines_; }
+  std::uint64_t rejected_frames() const { return rejected_frames_; }
 
  private:
   std::string StatsJson() const;
@@ -89,7 +86,8 @@ class ServiceSession {
 
   HImpactService* service_;
   Durability durability_;
-  SessionCounters counters_;
+  std::uint64_t rejected_lines_ = 0;
+  std::uint64_t rejected_frames_ = 0;
   std::function<std::string()> extra_health_fields_;
 };
 

@@ -1,32 +1,35 @@
 #include "service/wal_apply.h"
 
+#include <array>
 #include <unordered_map>
 #include <utility>
 
 #include "common/bytes.h"
+#include "engine/task_runtime.h"
 
 namespace himpact {
 namespace {
 
-/// Decoded form of one WAL payload (either flavor).
+/// Decoded form of one WAL payload. An add is its user's one-author
+/// tuple carrying `value` as `citations`, so one gate and one registry
+/// apply cover both flavors.
 struct WalEvent {
   std::uint8_t type = 0;
-  // add
-  AuthorId user = 0;
-  std::uint64_t value = 0;
-  std::uint64_t stripe_seq = 0;
-  // paper
   PaperTuple paper;
-  std::vector<std::uint64_t> stripe_seqs;
+  std::array<std::uint64_t, kMaxAuthorsPerPaper> stripe_seqs{};
 };
 
-bool DecodeWalEvent(const std::vector<std::uint8_t>& payload,
-                    WalEvent* event) {
+bool DecodeWalEvent(WalPayload payload, WalEvent* event) {
   ByteReader reader(payload);
   if (!reader.U8(&event->type)) return false;
   if (event->type == kWalEventAdd) {
-    return reader.U64(&event->user) && reader.U64(&event->value) &&
-           reader.U64(&event->stripe_seq) && reader.AtEnd();
+    AuthorId user = 0;
+    if (!reader.U64(&user) || !reader.U64(&event->paper.citations) ||
+        !reader.U64(&event->stripe_seqs[0]) || !reader.AtEnd()) {
+      return false;
+    }
+    event->paper.authors.PushBack(user);
+    return true;
   }
   if (event->type == kWalEventPaper) {
     std::uint8_t nauthors = 0;
@@ -37,14 +40,116 @@ bool DecodeWalEvent(const std::vector<std::uint8_t>& payload,
     if (nauthors == 0 || nauthors > kMaxAuthorsPerPaper) return false;
     for (std::uint8_t a = 0; a < nauthors; ++a) {
       AuthorId author = 0;
-      std::uint64_t seq = 0;
-      if (!reader.U64(&author) || !reader.U64(&seq)) return false;
+      if (!reader.U64(&author) || !reader.U64(&event->stripe_seqs[a])) {
+        return false;
+      }
       event->paper.authors.PushBack(author);
-      event->stripe_seqs.push_back(seq);
     }
     return reader.AtEnd();
   }
   return false;
+}
+
+/// One segment's gated work for one stripe, in log order. A registry op
+/// names a record and the bits (author indices) of its authors on this
+/// stripe that the gate let through; a grid op names a record whose
+/// Alg. 8 tuple this stripe's grid still misses.
+struct StripeRuns {
+  std::vector<std::pair<std::size_t, std::uint32_t>> registry;
+  std::vector<std::size_t> grid;
+};
+
+/// The serial phase: decodes every payload of a segment, gates each
+/// author against its stripe's running count in `counts` (advancing it
+/// per applied author, so same-stripe co-authors and later records gate
+/// against the right value), counts the verdicts into `out`, and sorts
+/// the applies into per-stripe runs.
+std::vector<StripeRuns> GateSegment(const std::vector<WalPayload>& payloads,
+                                    const TieredUserRegistry& registry,
+                                    std::vector<std::uint64_t>* counts,
+                                    WalApplyStats* out) {
+  std::vector<StripeRuns> runs(registry.num_stripes());
+  for (std::size_t record = 0; record < payloads.size(); ++record) {
+    WalEvent event;
+    if (!DecodeWalEvent(payloads[record], &event)) {
+      ++out->malformed_records;
+      continue;
+    }
+    const PaperTuple& paper = event.paper;
+    int applied = 0;
+    for (int a = 0; a < paper.authors.size(); ++a) {
+      const std::size_t stripe = registry.StripeOf(paper.authors[a]);
+      std::uint64_t& count = (*counts)[stripe];
+      if (event.stripe_seqs[static_cast<std::size_t>(a)] <= count) continue;
+      ++count;
+      ++applied;
+      auto& ops = runs[stripe].registry;
+      if (ops.empty() || ops.back().first != record) {
+        ops.emplace_back(record, 0);
+      }
+      ops.back().second |= 1u << a;
+      // The grid tuple was fed once, attributed to the first author's
+      // stripe (IngestPaper's partition rule; an add's synthetic tuple
+      // likewise), so that author's verdict decides whether the grid
+      // still misses it.
+      if (a == 0) runs[stripe].grid.push_back(record);
+    }
+    if (applied == 0) {
+      ++out->skipped_records;
+      continue;
+    }
+    if (event.type == kWalEventAdd) {
+      ++out->applied_adds;
+    } else if (applied == paper.authors.size()) {
+      ++out->applied_papers;
+    } else {
+      ++out->partial_papers;
+    }
+  }
+  return runs;
+}
+
+/// The parallel phase: one job per non-empty registry run and grid run,
+/// all on the shared runtime, then waits for every one. A stripe's
+/// registry and its grid are separate structures under separate locks,
+/// and each run is that structure's subsequence of the log, so the
+/// jobs' interleaving cannot change any stripe's end state.
+void ApplyRuns(const std::vector<WalPayload>& payloads,
+               const std::vector<StripeRuns>& runs, HImpactService* service) {
+  std::vector<TaskHandle> handles;
+  TaskRuntime& runtime = TaskRuntime::Shared();
+  for (const StripeRuns& run : runs) {
+    if (!run.registry.empty()) {
+      handles.push_back(runtime.Submit(JobClass::kGeneric, [&payloads, &run,
+                                                             service] {
+        std::vector<bool> mask(kMaxAuthorsPerPaper);
+        for (const auto& [record, bits] : run.registry) {
+          WalEvent event;
+          (void)DecodeWalEvent(payloads[record], &event);  // gated: valid
+          for (std::size_t a = 0; a < mask.size(); ++a) {
+            mask[a] = ((bits >> a) & 1u) != 0;
+          }
+          service->ReplayPaper(event.paper, mask, /*feed_hh=*/false);
+        }
+      }));
+    }
+    if (!run.grid.empty()) {
+      handles.push_back(
+          runtime.Submit(JobClass::kGeneric, [&payloads, &run, service] {
+            for (const std::size_t record : run.grid) {
+              WalEvent event;
+              (void)DecodeWalEvent(payloads[record], &event);
+              if (event.type == kWalEventAdd) {
+                service->ReplayResponseCountGrid(event.paper.authors[0],
+                                                 event.paper.citations);
+              } else {
+                service->ReplayPaper(event.paper, {}, /*feed_hh=*/true);
+              }
+            }
+          }));
+    }
+  }
+  for (TaskHandle& handle : handles) handle.Wait();
 }
 
 }  // namespace
@@ -111,58 +216,20 @@ Status ReplayWal(const std::string& dir, HImpactService* service,
   WalApplyStats* out = apply_stats != nullptr ? apply_stats : &local;
   *out = WalApplyStats{};
 
-  auto records_or = ReadWalRecords(dir, read_stats);
-  if (!records_or.ok()) return records_or.status();
-
+  // The gate's running per-stripe counts start from one snapshot taken
+  // before any job runs: a running job advances its stripe's live
+  // count, so gating against the live count would skip records.
   const TieredUserRegistry& registry = service->registry();
-  for (const std::vector<std::uint8_t>& payload : records_or.value()) {
-    WalEvent event;
-    if (!DecodeWalEvent(payload, &event)) {
-      ++out->malformed_records;
-      continue;
-    }
-    if (event.type == kWalEventAdd) {
-      const std::size_t stripe = registry.StripeOf(event.user);
-      if (event.stripe_seq > registry.StripeEvents(stripe)) {
-        service->RecordResponseCount(event.user, event.value);
-        ++out->applied_adds;
-      } else {
-        ++out->skipped_records;
-      }
-      continue;
-    }
-    // Paper: gate each author against its stripe, tracking the applies
-    // this record itself will make so same-stripe co-authors gate
-    // against the right running count.
-    std::unordered_map<std::size_t, std::uint64_t> simulated;
-    std::vector<bool> mask(static_cast<std::size_t>(event.paper.authors.size()),
-                           false);
-    std::size_t applied = 0;
-    for (int a = 0; a < event.paper.authors.size(); ++a) {
-      const std::size_t stripe = registry.StripeOf(event.paper.authors[a]);
-      auto [it, inserted] = simulated.try_emplace(stripe, 0);
-      if (inserted) it->second = registry.StripeEvents(stripe);
-      if (event.stripe_seqs[static_cast<std::size_t>(a)] > it->second) {
-        mask[static_cast<std::size_t>(a)] = true;
-        ++it->second;
-        ++applied;
-      }
-    }
-    if (applied == 0) {
-      ++out->skipped_records;
-      continue;
-    }
-    // The grid tuple was fed once, attributed to the first author's
-    // stripe (IngestPaper's partition rule), so its gate verdict
-    // decides whether the grid still misses the paper.
-    service->ReplayPaper(event.paper, mask, mask[0]);
-    if (applied == mask.size()) {
-      ++out->applied_papers;
-    } else {
-      ++out->partial_papers;
-    }
+  std::vector<std::uint64_t> counts(registry.num_stripes());
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    counts[s] = registry.StripeEvents(s);
   }
-  return Status::OK();
+  return ScanWal(dir, read_stats,
+                 [&](const std::vector<WalPayload>& payloads) {
+                   ApplyRuns(payloads,
+                             GateSegment(payloads, registry, &counts, out),
+                             service);
+                 });
 }
 
 }  // namespace himpact

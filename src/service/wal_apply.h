@@ -29,18 +29,29 @@
 /// time under concurrent applies (per-stripe consistent, not a global
 /// cut), so the same record can be already-covered on one author's
 /// stripe and missing from another's. The per-stripe gate applies
-/// exactly the missing halves (`HImpactService::ReplayPaper`); in
-/// single-threaded operation every gate of a record agrees and replay
-/// reduces to "apply everything after the checkpoint", byte-identical
-/// to the uncrashed run.
+/// exactly the missing halves; when no save raced the ingest, every
+/// gate of a record agrees and replay reduces to "apply everything
+/// after the checkpoint", byte-identical to the uncrashed run.
 ///
-/// Replay goes through the service's public apply surface
-/// (`RecordResponseCount` / `ReplayPaper`), not the admission-gated
-/// `Try*` boundary: a logged record was admitted when it was applied
-/// the first time, and shedding it on replay would un-apply durable
-/// history. Malformed payloads (version skew, bit flips that survived
-/// the envelope CRC by luck) are counted and skipped, never fatal.
-/// See docs/CHECKPOINTS.md for the recovery matrix.
+/// Replay runs one WAL segment at a time, in two phases. A serial gate
+/// decodes every record and decides each author's verdict against
+/// running per-stripe counts, which start from one snapshot of
+/// `StripeEvents` taken before any job runs. Then each stripe's two
+/// halves apply in parallel as `kGeneric` jobs on
+/// `TaskRuntime::Shared()`: its registry half (the gated authors on the
+/// stripe, in log order, through `HImpactService::ReplayPaper`) and its
+/// grid half (the Alg. 8 tuples attributed to the stripe, through
+/// `ReplayPaper` and `ReplayResponseCountGrid`). A stripe's state
+/// depends only on its own subsequence of the log, so the result is
+/// byte-identical to applying the log serially.
+///
+/// Replay goes through those replay entry points, not the
+/// admission-gated `Try*` boundary: a logged record was admitted when
+/// it was applied the first time, and shedding it on replay would
+/// un-apply durable history. Malformed payloads (version skew, bit
+/// flips that survived the envelope CRC by luck) are counted and
+/// skipped, never fatal. See docs/CHECKPOINTS.md for the recovery
+/// matrix.
 
 namespace himpact {
 
@@ -79,10 +90,13 @@ struct WalApplyStats {
   std::uint64_t malformed_records = 0; ///< undecodable payloads, skipped
 };
 
-/// Repairs and reads the WAL at `dir` (`ReadWalRecords`), then replays
-/// every record through `service` under the per-stripe gate. Call after
-/// `RestoreFrom` (or on a fresh service when no checkpoint opened) and
-/// before serving. `read_stats` / `apply_stats` may be null.
+/// Repairs the WAL at `dir` and replays it segment by segment
+/// (`ScanWal`) through `service` under the per-stripe gate, as the
+/// file comment describes. Call after `RestoreFrom` (or on a fresh
+/// service when no checkpoint opened) and before serving: nothing else
+/// may apply to `service` meanwhile. It waits on pool jobs, so it must
+/// not itself run as one. A log with no gated record submits no job.
+/// `read_stats` / `apply_stats` may be null.
 Status ReplayWal(const std::string& dir, HImpactService* service,
                  WalReplayStats* read_stats, WalApplyStats* apply_stats);
 

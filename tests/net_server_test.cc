@@ -518,8 +518,7 @@ TEST(NetServer, BadVersionFrameGetsAPerFrameErrorAndTheConnectionSurvives) {
 
   // The session counted the rejected frame; the connection was not
   // killed for it.
-  const SessionCounters& session_counters = session.counters();
-  EXPECT_EQ(session_counters.rejected_frames, 1u);
+  EXPECT_EQ(session.rejected_frames(), 1u);
   EXPECT_EQ(harness.server->Counters().killed_bad_magic, 0u);
 }
 

@@ -6,7 +6,8 @@
 // never replays a corrupt or out-of-order record; the injected WAL
 // faults degrade the writer to checkpoint-only durability without
 // losing what was already durable; and checkpoint + WAL replay
-// recovers a service byte-identical to an uncrashed twin.
+// recovers a service byte-identical to an uncrashed twin, and the
+// parallel per-stripe replay is byte-identical to a serial one.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -16,13 +17,16 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/envelope.h"
 #include "fault/fault.h"
 #include "io/wal.h"
+#include "random/rng.h"
 #include "service/service.h"
 #include "service/wal_apply.h"
 #include "stream/types.h"
@@ -705,6 +709,274 @@ TEST_F(WalTest, HeavyHitterPathSurvivesRecoveryIdentically) {
     EXPECT_EQ(recovered.PointHIndex(user), twin.PointHIndex(user));
   }
   RemoveTree(root);
+}
+
+// --- parallel replay against the serial reference ----------------------------
+
+// The serial replay loop `ReplayWal` ran before it split into a serial
+// gate and parallel per-stripe jobs, kept verbatim (decoder included) as
+// the oracle for the parallel one.
+struct ReferenceWalEvent {
+  std::uint8_t type = 0;
+  // add
+  AuthorId user = 0;
+  std::uint64_t value = 0;
+  std::uint64_t stripe_seq = 0;
+  // paper
+  PaperTuple paper;
+  std::vector<std::uint64_t> stripe_seqs;
+};
+
+bool ReferenceDecodeWalEvent(const std::vector<std::uint8_t>& payload,
+                             ReferenceWalEvent* event) {
+  ByteReader reader(payload);
+  if (!reader.U8(&event->type)) return false;
+  if (event->type == kWalEventAdd) {
+    return reader.U64(&event->user) && reader.U64(&event->value) &&
+           reader.U64(&event->stripe_seq) && reader.AtEnd();
+  }
+  if (event->type == kWalEventPaper) {
+    std::uint8_t nauthors = 0;
+    if (!reader.U64(&event->paper.paper) ||
+        !reader.U64(&event->paper.citations) || !reader.U8(&nauthors)) {
+      return false;
+    }
+    if (nauthors == 0 || nauthors > kMaxAuthorsPerPaper) return false;
+    for (std::uint8_t a = 0; a < nauthors; ++a) {
+      AuthorId author = 0;
+      std::uint64_t seq = 0;
+      if (!reader.U64(&author) || !reader.U64(&seq)) return false;
+      event->paper.authors.PushBack(author);
+      event->stripe_seqs.push_back(seq);
+    }
+    return reader.AtEnd();
+  }
+  return false;
+}
+
+Status ReferenceReplayWal(const std::string& dir, HImpactService* service,
+                          WalReplayStats* read_stats,
+                          WalApplyStats* apply_stats) {
+  WalApplyStats local;
+  WalApplyStats* out = apply_stats != nullptr ? apply_stats : &local;
+  *out = WalApplyStats{};
+
+  auto records_or = ReadWalRecords(dir, read_stats);
+  if (!records_or.ok()) return records_or.status();
+
+  const TieredUserRegistry& registry = service->registry();
+  for (const std::vector<std::uint8_t>& payload : records_or.value()) {
+    ReferenceWalEvent event;
+    if (!ReferenceDecodeWalEvent(payload, &event)) {
+      ++out->malformed_records;
+      continue;
+    }
+    if (event.type == kWalEventAdd) {
+      const std::size_t stripe = registry.StripeOf(event.user);
+      if (event.stripe_seq > registry.StripeEvents(stripe)) {
+        service->RecordResponseCount(event.user, event.value);
+        ++out->applied_adds;
+      } else {
+        ++out->skipped_records;
+      }
+      continue;
+    }
+    // Paper: gate each author against its stripe, tracking the applies
+    // this record itself will make so same-stripe co-authors gate
+    // against the right running count.
+    std::unordered_map<std::size_t, std::uint64_t> simulated;
+    std::vector<bool> mask(static_cast<std::size_t>(event.paper.authors.size()),
+                           false);
+    std::size_t applied = 0;
+    for (int a = 0; a < event.paper.authors.size(); ++a) {
+      const std::size_t stripe = registry.StripeOf(event.paper.authors[a]);
+      auto [it, inserted] = simulated.try_emplace(stripe, 0);
+      if (inserted) it->second = registry.StripeEvents(stripe);
+      if (event.stripe_seqs[static_cast<std::size_t>(a)] > it->second) {
+        mask[static_cast<std::size_t>(a)] = true;
+        ++it->second;
+        ++applied;
+      }
+    }
+    if (applied == 0) {
+      ++out->skipped_records;
+      continue;
+    }
+    // The grid tuple was fed once, attributed to the first author's
+    // stripe (IngestPaper's partition rule), so its gate verdict
+    // decides whether the grid still misses the paper.
+    service->ReplayPaper(event.paper, mask, mask[0]);
+    if (applied == mask.size()) {
+      ++out->applied_papers;
+    } else {
+      ++out->partial_papers;
+    }
+  }
+  return Status::OK();
+}
+
+ServiceOptions RandomLogOptions(std::size_t stripes) {
+  ServiceOptions options;
+  options.num_stripes = stripes;
+  options.promote_threshold = 6;  // hot-tier sketches, not only cold lists
+  options.memory_budget_bytes = 48 * 1024 * stripes;  // forces demotions
+  options.leaderboard_capacity = 8;
+  options.enable_heavy_hitters = true;
+  options.hh_eps = 0.5;  // a small grid keeps 8-stripe saves cheap
+  options.hh_delta = 0.3;
+  return options;
+}
+
+// Writes a seeded random log over `stripes` stripes into `root/wal` and
+// a checkpoint taken mid-log into `root/ckpt`. The log holds three
+// segments of adds and papers with 1..kMaxAuthorsPerPaper authors from
+// a small author pool (so co-authors often share a stripe); the records
+// before the checkpoint are stale. Mixed in are papers covered on only
+// some stripes — the covered authors log a sequence their stripe
+// already passed, the shape a save racing ingest leaves — and one
+// malformed payload, and the log ends in a torn tail.
+void WriteRandomLog(const std::string& root, std::size_t stripes,
+                    std::uint64_t seed) {
+  Rng rng(seed);
+  auto live = HImpactService::Create(RandomLogOptions(stripes)).value();
+  const TieredUserRegistry& registry = live.registry();
+  WalOptions wal_options;
+  wal_options.dir = root + "/wal";
+  wal_options.fsync = WalFsync::kNever;
+  constexpr int kSegments = 3;
+  constexpr int kPerSegment = 160;
+  PaperId next_paper = 1;
+  for (int segment = 0; segment < kSegments; ++segment) {
+    auto wal = WalWriter::Open(wal_options).value();
+    for (int i = 0; i < kPerSegment; ++i) {
+      const int n = segment * kPerSegment + i;
+      if (n == kPerSegment / 2) {
+        ASSERT_TRUE(live.CheckpointTo(root + "/ckpt").ok());
+      }
+      if (n == kPerSegment + 7) {
+        ASSERT_TRUE(wal->Append({kWalEventPaper, 0x01, 0x02}).ok());
+      }
+      const std::uint64_t value = 1 + rng.UniformU64(60);
+      if (rng.Bernoulli(0.3)) {
+        const AuthorId user = 1 + rng.UniformU64(40);
+        live.RecordResponseCount(user, value);
+        ASSERT_TRUE(AppendWalAdd(wal.get(), live, user, value).ok());
+        continue;
+      }
+      PaperTuple paper;
+      paper.paper = next_paper++;
+      paper.citations = value;
+      const int nauthors =
+          1 + static_cast<int>(rng.UniformU64(kMaxAuthorsPerPaper));
+      for (int a = 0; a < nauthors; ++a) {
+        paper.authors.PushBack(1 + rng.UniformU64(40));
+      }
+      if (nauthors == 1 || !rng.Bernoulli(0.15)) {
+        live.IngestPaper(paper);
+        ASSERT_TRUE(AppendWalPaper(wal.get(), live, paper).ok());
+        continue;
+      }
+      // Partially covered: apply a random strict, non-empty subset of
+      // the authors; each covered author logs its stripe's current
+      // count, each applied one its post-apply count.
+      std::vector<bool> mask(static_cast<std::size_t>(nauthors));
+      while (true) {
+        int applied = 0;
+        for (int a = 0; a < nauthors; ++a) {
+          mask[static_cast<std::size_t>(a)] = rng.Bernoulli(0.5);
+          applied += mask[static_cast<std::size_t>(a)] ? 1 : 0;
+        }
+        if (applied > 0 && applied < nauthors) break;
+      }
+      std::unordered_map<std::size_t, std::uint64_t> counts;
+      std::vector<std::uint64_t> seqs;
+      for (int a = 0; a < nauthors; ++a) {
+        const std::size_t stripe = registry.StripeOf(paper.authors[a]);
+        auto [it, inserted] = counts.try_emplace(stripe, 0);
+        if (inserted) it->second = registry.StripeEvents(stripe);
+        if (mask[static_cast<std::size_t>(a)]) ++it->second;
+        seqs.push_back(it->second);
+      }
+      live.ReplayPaper(paper, mask, mask[0]);
+      ASSERT_TRUE(wal->Append(EncodeWalPaper(paper, seqs)).ok());
+    }
+    if (segment + 1 == kSegments) {
+      // The crash: the next append lands half a frame.
+      FaultRegistry::Global().Arm(FaultPoint::kWalTornTail, FaultSpec{});
+      (void)AppendWalAdd(wal.get(), live, 1, 1);
+      FaultRegistry::Global().Reset();
+    }
+  }
+}
+
+// Every checkpoint file a full save to `path` writes, by name suffix.
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> SavedFiles(
+    const HImpactService& service, const std::string& path) {
+  EXPECT_TRUE(service.CheckpointTo(path).ok());
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> files;
+  files.emplace_back("", ReadAll(path));
+  for (std::size_t i = 0; i < service.options().num_stripes; ++i) {
+    files.emplace_back(".stripe-" + std::to_string(i),
+                       ReadAll(HImpactService::StripePath(path, i)));
+  }
+  return files;
+}
+
+TEST_F(WalTest, ParallelReplayEqualsSerialReferenceOnRandomLogs) {
+  for (const std::size_t stripes : {1u, 2u, 3u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("stripes " + std::to_string(stripes) + " seed " +
+                   std::to_string(seed));
+      const std::string root = TempPath("parallel");
+      RemoveTree(root);
+      std::filesystem::create_directories(root);
+      WriteRandomLog(root, stripes, seed * 7919 + stripes);
+      if (HasFatalFailure()) return;
+      // Replay repairs the log in place, so each side gets its own copy.
+      std::filesystem::copy(root + "/wal", root + "/wal-ref");
+
+      auto parallel = HImpactService::Create(RandomLogOptions(stripes)).value();
+      auto reference = HImpactService::Create(RandomLogOptions(stripes)).value();
+      ASSERT_TRUE(parallel.RestoreFrom(root + "/ckpt").ok());
+      ASSERT_TRUE(reference.RestoreFrom(root + "/ckpt").ok());
+      WalReplayStats read, ref_read;
+      WalApplyStats apply, ref_apply;
+      ASSERT_TRUE(ReplayWal(root + "/wal", &parallel, &read, &apply).ok());
+      ASSERT_TRUE(ReferenceReplayWal(root + "/wal-ref", &reference, &ref_read,
+                                     &ref_apply)
+                      .ok());
+
+      // The log exercised every gate verdict and the repair path.
+      EXPECT_EQ(ref_read.segments, 3u);
+      EXPECT_EQ(ref_read.torn_tails, 1u);
+      EXPECT_GT(ref_apply.applied_adds, 0u);
+      EXPECT_GT(ref_apply.applied_papers, 0u);
+      EXPECT_GT(ref_apply.partial_papers, 0u);
+      EXPECT_GT(ref_apply.skipped_records, 0u);
+      EXPECT_EQ(ref_apply.malformed_records, 1u);
+
+      EXPECT_EQ(read.segments, ref_read.segments);
+      EXPECT_EQ(read.records, ref_read.records);
+      EXPECT_EQ(read.torn_tails, ref_read.torn_tails);
+      EXPECT_EQ(read.dropped_segments, ref_read.dropped_segments);
+      EXPECT_EQ(read.discarded_bytes, ref_read.discarded_bytes);
+      EXPECT_EQ(apply.applied_adds, ref_apply.applied_adds);
+      EXPECT_EQ(apply.applied_papers, ref_apply.applied_papers);
+      EXPECT_EQ(apply.partial_papers, ref_apply.partial_papers);
+      EXPECT_EQ(apply.skipped_records, ref_apply.skipped_records);
+      EXPECT_EQ(apply.malformed_records, ref_apply.malformed_records);
+
+      const auto got = SavedFiles(parallel, root + "/out-parallel");
+      const auto want = SavedFiles(reference, root + "/out-reference");
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t f = 0; f < got.size(); ++f) {
+        EXPECT_FALSE(want[f].second.empty());
+        EXPECT_TRUE(got[f].second == want[f].second)
+            << "checkpoint file '" << want[f].first << "' differs";
+      }
+      RemoveTree(root);
+    }
+  }
 }
 
 }  // namespace
