@@ -1,30 +1,18 @@
-// F5 — Overload and recovery harness for the fault-tolerance layer
-// (src/fault/, docs/ROBUSTNESS.md). Two phases, both emitting BENCH
-// json lines:
+// F5 — Stall recovery harness for the fault-tolerance layer
+// (src/fault/, docs/ROBUSTNESS.md), emitting one BENCH json line: a
+// fresh single-stripe service takes a 500ms injected worker stall
+// (FaultPoint::kWorkerStall wedges the stripe mutex) under steady load;
+// completions are bucketed to measure how long throughput takes to
+// return to steady state after the stall clears.
 //
-//  * Ramp: closed-loop worker counts climb past the admission gate's
-//    --max-inflight watermark. Per stage we report sustained qps, the
-//    shed rate (RESOURCE_EXHAUSTED per offered op), deadline misses,
-//    and client-observed p50/p99 latency. The design claim under test:
-//    past saturation, admitted-op p99 stays flat and the excess load is
-//    shed explicitly instead of queueing into latency collapse.
+//   ./bench_f5_overload                                # full sizing
+//   ./bench_f5_overload --stall-ms 100 --recovery-ms 500  # quick/CI sizing
 //
-//  * Recovery: a fresh single-stripe service takes a 500ms injected
-//    worker stall (FaultPoint::kWorkerStall wedges the stripe mutex)
-//    under steady load; completions are bucketed to measure how long
-//    throughput takes to return to steady state after the stall clears.
-//
-//   ./bench_f5_overload                            # full sizing
-//   ./bench_f5_overload --stage-ms 200 --stall-ms 150   # quick/CI sizing
-//
-// Run in Release for meaningful numbers; the shed-rate and recovery
-// numbers are meaningful in any build.
+// The recovery numbers are meaningful in any build.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,12 +30,8 @@ using Clock = std::chrono::steady_clock;
 
 struct HarnessOptions {
   std::uint64_t users = 1u << 16;
-  std::uint64_t stage_ms = 1000;       // wall time per ramp stage
-  std::uint64_t max_inflight = 4;      // admission watermark under ramp
-  std::uint64_t deadline_us = 2000;    // per-op deadline under ramp
-  std::uint64_t stall_ms = 500;        // injected stall in the recovery phase
-  std::uint64_t recovery_ms = 2000;    // wall time of the recovery phase
-  std::uint64_t stripes = 8;
+  std::uint64_t stall_ms = 500;      // injected stall
+  std::uint64_t recovery_ms = 2000;  // wall time of the load window
   std::uint64_t seed = 2017;
 };
 
@@ -68,20 +52,6 @@ bool ParseArgs(int argc, char** argv, HarnessOptions* options) {
           !ParseUint64FlagInRange("--users", text, 1, 1ull << 40,
                                   &options->users))
         return false;
-    } else if (arg == "--stage-ms") {
-      if (!next_text(&text) ||
-          !ParseUint64FlagInRange("--stage-ms", text, 50, 600000,
-                                  &options->stage_ms))
-        return false;
-    } else if (arg == "--max-inflight") {
-      if (!next_text(&text) ||
-          !ParseUint64FlagInRange("--max-inflight", text, 1, 4096,
-                                  &options->max_inflight))
-        return false;
-    } else if (arg == "--deadline-us") {
-      if (!next_text(&text) ||
-          !ParseUint64Flag("--deadline-us", text, &options->deadline_us))
-        return false;
     } else if (arg == "--stall-ms") {
       if (!next_text(&text) ||
           !ParseUint64FlagInRange("--stall-ms", text, 10, 60000,
@@ -91,11 +61,6 @@ bool ParseArgs(int argc, char** argv, HarnessOptions* options) {
       if (!next_text(&text) ||
           !ParseUint64FlagInRange("--recovery-ms", text, 100, 600000,
                                   &options->recovery_ms))
-        return false;
-    } else if (arg == "--stripes") {
-      if (!next_text(&text) ||
-          !ParseUint64FlagInRange("--stripes", text, 1, 4096,
-                                  &options->stripes))
         return false;
     } else if (arg == "--seed") {
       if (!next_text(&text) ||
@@ -109,123 +74,7 @@ bool ParseArgs(int argc, char** argv, HarnessOptions* options) {
   return true;
 }
 
-double QuantileMicros(std::vector<double>& sorted_micros, double q) {
-  if (sorted_micros.empty()) return 0.0;
-  const std::size_t index = static_cast<std::size_t>(
-      q * static_cast<double>(sorted_micros.size() - 1));
-  return sorted_micros[index];
-}
-
-// One ramp stage: `threads` closed-loop workers hammer Try* ops until
-// the deadline. Shed ops are retried after a short client-side pause
-// (a real client's backoff), and every op's client-observed latency is
-// recorded — including the shed ones, which is the point: shedding must
-// be cheap.
-struct StageResult {
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t deadline_missed = 0;
-  std::vector<double> latencies_us;
-};
-
-StageResult RunStage(HImpactService& service, const HarnessOptions& options,
-                     std::uint64_t threads) {
-  std::vector<StageResult> per_thread(threads);
-  std::vector<std::thread> workers;
-  const Clock::time_point stop =
-      Clock::now() + std::chrono::milliseconds(options.stage_ms);
-  for (std::uint64_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      StageResult& mine = per_thread[t];
-      Rng rng(options.seed * 2654435761u + t);
-      const ZipfSampler user_sampler(options.users, 1.1);
-      while (Clock::now() < stop) {
-        const AuthorId user = user_sampler.Sample(rng);
-        const Clock::time_point begin = Clock::now();
-        StatusOr<double> result =
-            service.TryRecordResponseCount(user, 1 + rng.UniformU64(50));
-        const double micros =
-            std::chrono::duration<double, std::micro>(Clock::now() - begin)
-                .count();
-        ++mine.offered;
-        mine.latencies_us.push_back(micros);
-        if (result.ok()) {
-          ++mine.admitted;
-        } else if (result.status().code() ==
-                   StatusCode::kResourceExhausted) {
-          ++mine.shed;
-          std::this_thread::sleep_for(std::chrono::microseconds(20));
-        } else if (result.status().code() ==
-                   StatusCode::kDeadlineExceeded) {
-          ++mine.deadline_missed;
-        }
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-
-  StageResult total;
-  for (StageResult& part : per_thread) {
-    total.offered += part.offered;
-    total.admitted += part.admitted;
-    total.shed += part.shed;
-    total.deadline_missed += part.deadline_missed;
-    total.latencies_us.insert(total.latencies_us.end(),
-                              part.latencies_us.begin(),
-                              part.latencies_us.end());
-  }
-  std::sort(total.latencies_us.begin(), total.latencies_us.end());
-  return total;
-}
-
-int RunRamp(const HarnessOptions& options) {
-  ServiceOptions service_options;
-  service_options.num_stripes = static_cast<std::size_t>(options.stripes);
-  service_options.enable_heavy_hitters = false;
-  service_options.seed = options.seed;
-  OverloadOptions overload;
-  overload.max_inflight = options.max_inflight;
-  overload.op_deadline_nanos = options.deadline_us * 1000;
-  auto service_or = HImpactService::Create(service_options, overload);
-  if (!service_or.ok()) {
-    std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());
-    return 1;
-  }
-  HImpactService service = std::move(service_or).value();
-
-  const std::uint64_t ramp[] = {1, 2, 4, 8, 16};
-  for (const std::uint64_t threads : ramp) {
-    StageResult stage = RunStage(service, options, threads);
-    const double seconds = static_cast<double>(options.stage_ms) / 1000.0;
-    const double shed_rate =
-        stage.offered == 0
-            ? 0.0
-            : static_cast<double>(stage.shed) /
-                  static_cast<double>(stage.offered);
-    std::printf(
-        "BENCH{\"bench\":\"f5_overload_ramp\",\"threads\":%llu,"
-        "\"max_inflight\":%llu,\"deadline_us\":%llu,\"stage_ms\":%llu,"
-        "\"offered\":%llu,\"admitted\":%llu,\"shed\":%llu,"
-        "\"deadline_missed\":%llu,\"shed_rate\":%.4f,"
-        "\"admitted_qps\":%.0f,\"client_p50_us\":%.2f,"
-        "\"client_p99_us\":%.2f}\n",
-        static_cast<unsigned long long>(threads),
-        static_cast<unsigned long long>(options.max_inflight),
-        static_cast<unsigned long long>(options.deadline_us),
-        static_cast<unsigned long long>(options.stage_ms),
-        static_cast<unsigned long long>(stage.offered),
-        static_cast<unsigned long long>(stage.admitted),
-        static_cast<unsigned long long>(stage.shed),
-        static_cast<unsigned long long>(stage.deadline_missed), shed_rate,
-        static_cast<double>(stage.admitted) / seconds,
-        QuantileMicros(stage.latencies_us, 0.5),
-        QuantileMicros(stage.latencies_us, 0.99));
-  }
-  return 0;
-}
-
-// Recovery phase: a single-stripe service (so the stall blocks every
+// A single-stripe service (so the stall blocks every
 // writer, worst case) takes one kWorkerStall of --stall-ms at the start
 // of the load window. Completion timestamps are bucketed; recovery time
 // is the end of the last bucket whose throughput is under half the
@@ -334,14 +183,9 @@ int main(int argc, char** argv) {
   HarnessOptions options;
   if (!ParseArgs(argc, argv, &options)) {
     std::fprintf(stderr,
-                 "usage: bench_f5_overload [--users N] [--stage-ms MS] "
-                 "[--max-inflight N]\n"
-                 "                         [--deadline-us U] [--stall-ms MS] "
-                 "[--recovery-ms MS]\n"
-                 "                         [--stripes P] [--seed S]\n");
+                 "usage: bench_f5_overload [--users N] [--stall-ms MS] "
+                 "[--recovery-ms MS] [--seed S]\n");
     return 2;
   }
-  const int ramp_status = RunRamp(options);
-  if (ramp_status != 0) return ramp_status;
   return RunRecovery(options);
 }

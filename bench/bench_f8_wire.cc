@@ -234,19 +234,18 @@ void RunEndToEnd(const F8Options& options,
                  const std::vector<Command>& workload, std::size_t depth) {
   ServiceOptions service_options;
   service_options.num_stripes = 2;
-  OverloadOptions overload;
   const std::vector<std::string> text = RenderBatches(workload, depth, false);
   const std::vector<std::string> binary = RenderBatches(workload, depth, true);
 
   const double text_s = MinSeconds(options.repeats, [&] {
-    auto service_or = HImpactService::Create(service_options, overload);
+    auto service_or = HImpactService::Create(service_options);
     ServiceSession session(&service_or.value(), SessionOptions{});
     Pump(text, false, [&](const std::string& line, std::string* reply) {
       session.HandleLine(line, reply);
     });
   });
   const double binary_s = MinSeconds(options.repeats, [&] {
-    auto service_or = HImpactService::Create(service_options, overload);
+    auto service_or = HImpactService::Create(service_options);
     ServiceSession session(&service_or.value(), SessionOptions{});
     Pump(binary, true, [&](const std::string& frame, std::string* reply) {
       session.HandleFrame(frame, reply);

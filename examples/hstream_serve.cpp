@@ -55,9 +55,10 @@
 // into a fresh full save in the background; at N the next incremental
 // save escalates to a full one inline.
 //
-// Robustness surface (docs/ROBUSTNESS.md): `--max-inflight` and
-// `--deadline-us` arm the admission gate (overload replies
-// RESOURCE_EXHAUSTED / DEADLINE_EXCEEDED, all counted), `--faults` (or
+// Robustness surface (docs/ROBUSTNESS.md): `--deadline-us` bounds the
+// stripe scan of `top` (a stripe still locked when it runs out is
+// skipped and the reply is tagged TOP-LB, counted as
+// `deadline_exceeded`), `--max-conns` caps TCP connections, `--faults` (or
 // the HIMPACT_FAULTS env var) arms fault-injection points, malformed
 // lines are quarantined behind a `rejected_lines` counter, and the
 // `health` verb reports all of it as one JSON line (plus a `net` block
@@ -70,6 +71,7 @@
 // covers TCP sessions too.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -90,7 +92,6 @@ namespace {
 
 struct ServeOptions {
   himpact::ServiceOptions service;
-  himpact::OverloadOptions overload;
   himpact::SessionOptions session;
   std::string restore;  // empty -> start fresh
   std::string faults;   // fault-arming spec (merged with env)
@@ -98,6 +99,10 @@ struct ServeOptions {
   himpact::NetServerOptions net;
   himpact::WalOptions wal;  // wal.dir empty -> no write-ahead log
 };
+
+// The largest duration flags whose value still fits in u64 nanoseconds.
+constexpr std::uint64_t kMaxMicros = UINT64_MAX / 1000;
+constexpr std::uint64_t kMaxMillis = UINT64_MAX / (1000 * 1000);
 
 bool ParseArgs(int argc, char** argv, ServeOptions* options) {
   using himpact::ParseDoubleFlag;
@@ -199,15 +204,11 @@ bool ParseArgs(int argc, char** argv, ServeOptions* options) {
       if (!next_text(&text) ||
           !ParseUint64Flag("--wal-group-ms", text, &options->wal.group_ms))
         return false;
-    } else if (arg == "--max-inflight") {
-      if (!next_text(&text) ||
-          !ParseUint64Flag("--max-inflight", text,
-                           &options->overload.max_inflight))
-        return false;
     } else if (arg == "--deadline-us") {
-      if (!next_text(&text) || !ParseUint64Flag("--deadline-us", text, &u64))
+      if (!next_text(&text) ||
+          !ParseUint64FlagInRange("--deadline-us", text, 0, kMaxMicros, &u64))
         return false;
-      options->overload.op_deadline_nanos = u64 * 1000;
+      options->service.top_deadline_nanos = u64 * 1000;
     } else if (arg == "--faults") {
       if (!next_text(&text)) return false;
       options->faults = text;
@@ -230,17 +231,20 @@ bool ParseArgs(int argc, char** argv, ServeOptions* options) {
       options->net.limits.max_line_bytes = static_cast<std::size_t>(u64);
     } else if (arg == "--idle-timeout-ms") {
       if (!next_text(&text) ||
-          !ParseUint64Flag("--idle-timeout-ms", text, &u64))
+          !ParseUint64FlagInRange("--idle-timeout-ms", text, 0, kMaxMillis,
+                                  &u64))
         return false;
       options->net.idle_timeout_nanos = u64 * 1000 * 1000;
     } else if (arg == "--request-timeout-ms") {
       if (!next_text(&text) ||
-          !ParseUint64Flag("--request-timeout-ms", text, &u64))
+          !ParseUint64FlagInRange("--request-timeout-ms", text, 0, kMaxMillis,
+                                  &u64))
         return false;
       options->net.request_timeout_nanos = u64 * 1000 * 1000;
     } else if (arg == "--evict-min-idle-ms") {
       if (!next_text(&text) ||
-          !ParseUint64Flag("--evict-min-idle-ms", text, &u64))
+          !ParseUint64FlagInRange("--evict-min-idle-ms", text, 0, kMaxMillis,
+                                  &u64))
         return false;
       options->net.evict_min_idle_nanos = u64 * 1000 * 1000;
     } else if (arg == "--help") {
@@ -362,8 +366,7 @@ int main(int argc, char** argv) {
                  "                     [--wal-fsync always|group|never] "
                  "[--wal-group-bytes B]\n"
                  "                     [--wal-group-ms MS]\n"
-                 "                     [--max-inflight N] [--deadline-us U] "
-                 "[--faults SPEC]\n"
+                 "                     [--deadline-us U] [--faults SPEC]\n"
                  "                     [--listen PORT] [--max-conns N] "
                  "[--max-line-bytes B]\n"
                  "                     [--idle-timeout-ms MS] "
@@ -397,8 +400,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  auto service_or =
-      himpact::HImpactService::Create(options.service, options.overload);
+  auto service_or = himpact::HImpactService::Create(options.service);
   if (!service_or.ok()) {
     std::fprintf(stderr, "%s\n", service_or.status().ToString().c_str());
     return 1;

@@ -71,20 +71,6 @@ class Status {
     return Status(StatusCode::kUnavailable, std::move(message));
   }
 
-  /// Returns a `kResourceExhausted` status with the given message. Used
-  /// by the admission layer when load is shed at a watermark (the wire
-  /// reply is `RESOURCE_EXHAUSTED`; see docs/ROBUSTNESS.md).
-  static Status ResourceExhausted(std::string message) {
-    return Status(StatusCode::kResourceExhausted, std::move(message));
-  }
-
-  /// Returns a `kDeadlineExceeded` status with the given message. Used
-  /// when a per-operation deadline expires before the operation could
-  /// complete (partial answers remain valid lower bounds).
-  static Status DeadlineExceeded(std::string message) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(message));
-  }
-
   /// True iff the status is OK.
   bool ok() const { return code_ == StatusCode::kOk; }
 

@@ -12,8 +12,8 @@
 /// Process-wide runtime fault injection registry.
 ///
 /// Production code compiles permanent, named injection points into its
-/// hot paths (`FaultRegistry::ShouldFire`); tests, the overload bench,
-/// and operators arm them — programmatically or through the
+/// hot paths (`FaultRegistry::ShouldFire`); tests, the stall-recovery
+/// bench, and operators arm them — programmatically or through the
 /// `HIMPACT_FAULTS` environment variable — to force the failure modes
 /// the fault-tolerance layer must survive: allocation failure, torn
 /// checkpoint writes, stalled stripe owners, clock skew, and the network,

@@ -21,9 +21,8 @@ namespace {
 constexpr char kWakeDrain = 'd';
 constexpr char kWakeStop = 's';
 
-// The one-line notice a shed connection gets before close. Matches the
-// wire spelling of the admission gate's per-op shed so clients need one
-// error vocabulary for both overload layers.
+// The one-line notice a shed connection gets before close, in the
+// protocol's RESOURCE_EXHAUSTED wire spelling.
 constexpr char kShedReply[] = "RESOURCE_EXHAUSTED shed\n";
 
 constexpr int kMaxEpollEvents = 256;
@@ -47,11 +46,7 @@ NetServer::NetServer(const NetServerOptions& options, LineHandler handler,
                      FrameHandler frame_handler)
     : options_(options),
       handler_(std::move(handler)),
-      frame_handler_(std::move(frame_handler)) {
-  OverloadOptions overload;
-  overload.max_inflight = options_.max_connections;
-  admission_ = std::make_unique<AdmissionController>(overload);
-}
+      frame_handler_(std::move(frame_handler)) {}
 
 NetServer::~NetServer() = default;
 
@@ -127,7 +122,7 @@ NetServerCounters NetServer::Counters() const {
   counters.requests = requests_.load(std::memory_order_relaxed);
   counters.partial_writes = partial_writes_.load(std::memory_order_relaxed);
   counters.accept_failures = accept_failures_.load(std::memory_order_relaxed);
-  counters.connections = admission_->Counters().inflight;
+  counters.connections = open_connections_.load(std::memory_order_relaxed);
   return counters;
 }
 
@@ -234,14 +229,13 @@ void NetServer::AcceptBatch(std::uint64_t now) {
       return;
     }
     UniqueFd fd = std::move(accepted).value();
-    if (!admission_->TryAdmit()) {
-      // At the cap: replace the oldest sufficiently-idle connection
-      // (slow-loris eviction) or shed the newcomer at the socket —
-      // either way the overload never reaches the parser.
-      if (!EvictOldestIdle(now) || !admission_->TryAdmit()) {
-        ShedAtAccept(std::move(fd));
-        continue;
-      }
+    // At the cap: replace the oldest sufficiently-idle connection
+    // (slow-loris eviction) or shed the newcomer at the socket — either
+    // way the overload never reaches the parser.
+    if (connections_.size() >= options_.max_connections &&
+        !EvictOldestIdle(now)) {
+      ShedAtAccept(std::move(fd));
+      continue;
     }
     const int one = 1;
     (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -250,13 +244,13 @@ void NetServer::AcceptBatch(std::uint64_t now) {
     event.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
     event.data.fd = fd.get();
     if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd.get(), &event) != 0) {
-      admission_->Release();
       accept_failures_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
     const int raw = fd.get();
     connections_.emplace(raw, std::make_unique<Connection>(std::move(fd), now));
+    open_connections_.store(connections_.size(), std::memory_order_relaxed);
   }
 }
 
@@ -490,7 +484,7 @@ void NetServer::CloseConnection(int fd) {
   (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr);
   if (draining_) drained_.fetch_add(1, std::memory_order_relaxed);
   connections_.erase(it);  // closes the fd (UniqueFd)
-  admission_->Release();
+  open_connections_.store(connections_.size(), std::memory_order_relaxed);
 }
 
 void NetServer::SweepDeadlines(std::uint64_t now) {

@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "common/status.h"
-#include "fault/admission.h"
 #include "net/connection.h"
 #include "net/socket.h"
 
@@ -24,12 +23,11 @@
 /// core and the network layer adds only transport concerns:
 ///
 ///  * **Accept-storm batching + socket-level shedding.** Each listener
-///    wakeup drains the whole accept queue. Past the connection cap
-///    (a PR 4 `AdmissionController` with `max_inflight` = cap, one
-///    admission slot held per connection for its lifetime) a newcomer
-///    either replaces the oldest sufficiently-idle connection
-///    (slow-loris eviction) or is shed at `accept()` with a one-line
-///    `RESOURCE_EXHAUSTED` notice — overload never reaches the parser.
+///    wakeup drains the whole accept queue. At the connection cap
+///    (`max_connections` open) a newcomer either replaces the oldest
+///    sufficiently-idle connection (slow-loris eviction) or is shed at
+///    `accept()` with a one-line `RESOURCE_EXHAUSTED` notice — overload
+///    never reaches the parser.
 ///  * **Bounded buffers + pipelining + partial writes.** Requests may
 ///    be pipelined; replies queue into a bounded write buffer with
 ///    partial-write continuation via EPOLLOUT. A connection whose
@@ -61,9 +59,9 @@ struct NetServerOptions {
   /// Loopback port to bind (0 = ephemeral; read back via `port()`).
   std::uint16_t port = 0;
   int backlog = 511;
-  /// Hard connection cap (admission watermark). At the cap a new
-  /// arrival evicts the oldest connection idle for at least
-  /// `evict_min_idle_nanos`, or is shed at accept.
+  /// Hard connection cap. At the cap a new arrival evicts the oldest
+  /// connection idle for at least `evict_min_idle_nanos`, or is shed at
+  /// accept.
   std::size_t max_connections = 1024;
   ConnectionLimits limits;
   /// Eviction deadline for a connection with no read/write progress
@@ -148,9 +146,6 @@ class NetServer {
   /// The counters as one JSON object (the `health` verb's "net" field).
   std::string CountersJson() const;
 
-  /// The connection-cap admission gate (counters feed health too).
-  const AdmissionController& admission() const { return *admission_; }
-
  private:
   enum class ReadResult { kProgress, kDry, kClosed };
 
@@ -185,7 +180,6 @@ class NetServer {
   std::uint16_t port_ = 0;
 
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
-  std::unique_ptr<AdmissionController> admission_;
   bool draining_ = false;
   bool stopped_ = false;
   std::uint64_t drain_deadline_nanos_ = 0;
@@ -201,6 +195,8 @@ class NetServer {
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> partial_writes_{0};
   std::atomic<std::uint64_t> accept_failures_{0};
+  /// `connections_.size()`, mirrored for readers off the loop thread.
+  std::atomic<std::uint64_t> open_connections_{0};
 };
 
 }  // namespace himpact

@@ -63,8 +63,8 @@ class Durability {
   void AttachWal(WalWriter* wal) { wal_ = wal; }
   const WalWriter* wal() const { return wal_; }
 
-  /// Logs one applied write (an `add` or `paper` that answered OK or
-  /// DEADLINE_EXCEEDED), then runs the auto-checkpoint cadence.
+  /// Logs one applied write (an `add` or `paper`), then runs the
+  /// auto-checkpoint cadence.
   void Record(const Command& command);
 
   /// Saves the service to `path`; on success rotates the WAL when

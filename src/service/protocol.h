@@ -29,9 +29,10 @@
 /// back to a full save when there is no chain to extend — see
 /// docs/CHECKPOINTS.md).
 ///
-/// Overloaded servers reply `RESOURCE_EXHAUSTED shed` (watermark hit,
-/// command not applied) or `DEADLINE_EXCEEDED ...` (see
-/// docs/ROBUSTNESS.md) instead of the success form; both are counted,
+/// A parsed command always succeeds. Under overload (docs/ROBUSTNESS.md)
+/// a TCP server past its connection cap sheds a newcomer with one
+/// `RESOURCE_EXHAUSTED shed` line at accept, and a `top` that ran out
+/// of its deadline answers `TOP-LB` instead of `TOP`; both are counted,
 /// never silent.
 ///
 /// Malformed input yields `ERR <reason>` and the server keeps reading

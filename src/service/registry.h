@@ -95,6 +95,11 @@ struct ServiceOptions {
   /// this). 0 disables the inline escalation. Runtime-only, like
   /// `segment_dir` — not part of the checkpoint manifest.
   std::uint64_t max_chain_len = 64;
+  /// Time budget of one `HImpactService::TryTopK` stripe scan in
+  /// nanoseconds (0 = none): a stripe still locked when it runs out is
+  /// skipped and the answer is tagged as a lower bound. Runtime-only,
+  /// like `segment_dir` — not part of the checkpoint manifest.
+  std::uint64_t top_deadline_nanos = 0;
 };
 
 /// Which tier a user's state currently occupies. Values are the

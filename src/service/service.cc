@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <unordered_map>
 #include <utility>
@@ -17,6 +18,10 @@ namespace {
 constexpr std::uint64_t kServiceManifestMagic =
     0x48494d5053564d31ULL;  // HIMPSVM1
 
+// Transient checkpoint write failures back off with jitter instead of
+// failing the save.
+constexpr RetryOptions kCheckpointRetry{};
+
 HeavyHitters::Options HhOptions(const ServiceOptions& options) {
   HeavyHitters::Options hh;
   hh.eps = options.hh_eps;
@@ -28,7 +33,7 @@ HeavyHitters::Options HhOptions(const ServiceOptions& options) {
 }  // namespace
 
 StatusOr<HImpactService> HImpactService::Create(
-    const ServiceOptions& options, const OverloadOptions& overload) {
+    const ServiceOptions& options) {
   StatusOr<TieredUserRegistry> registry = TieredUserRegistry::Create(options);
   if (!registry.ok()) return registry.status();
   if (options.enable_heavy_hitters) {
@@ -38,15 +43,14 @@ StatusOr<HImpactService> HImpactService::Create(
         HeavyHitters::Create(HhOptions(options), options.seed);
     if (!probe.ok()) return probe.status();
   }
-  return HImpactService(std::move(registry).value(), overload);
+  return HImpactService(std::move(registry).value());
 }
 
-HImpactService::HImpactService(TieredUserRegistry registry,
-                               const OverloadOptions& overload)
+HImpactService::HImpactService(TieredUserRegistry registry)
     : registry_(std::move(registry)),
       hh_stripes_(MakeHhStripes()),
       hh_report_cache_(std::make_unique<HhReportCache>()),
-      admission_(std::make_unique<AdmissionController>(overload)),
+      deadline_exceeded_(std::make_unique<std::atomic<std::uint64_t>>(0)),
       ingest_latency_(std::make_unique<LatencyRecorder>()),
       point_latency_(std::make_unique<LatencyRecorder>()),
       topk_latency_(std::make_unique<LatencyRecorder>()),
@@ -199,61 +203,35 @@ ServiceStats HImpactService::Stats() const {
     std::lock_guard<std::mutex> lock(chain_->mu);
     stats.checkpoint = chain_->counters;
   }
-  stats.admission = admission_->Counters();
+  stats.deadline_exceeded =
+      deadline_exceeded_->load(std::memory_order_relaxed);
   return stats;
 }
 
 StatusOr<double> HImpactService::TryRecordResponseCount(AuthorId user,
                                                         std::uint64_t value) {
-  AdmissionTicket ticket(admission_.get());
-  if (!ticket.ok()) {
-    return Status::ResourceExhausted("ingest shed: in-flight watermark hit");
-  }
-  const double estimate = RecordResponseCount(user, value);
-  if (AdmissionController::DeadlinePassed(ticket.deadline_nanos())) {
-    admission_->CountDeadlineExceeded();
-    return Status::DeadlineExceeded("ingest applied but missed its deadline");
-  }
-  return estimate;
+  return RecordResponseCount(user, value);
 }
 
 Status HImpactService::TryIngestPaper(const PaperTuple& paper) {
-  AdmissionTicket ticket(admission_.get());
-  if (!ticket.ok()) {
-    return Status::ResourceExhausted("ingest shed: in-flight watermark hit");
-  }
   IngestPaper(paper);
-  if (AdmissionController::DeadlinePassed(ticket.deadline_nanos())) {
-    admission_->CountDeadlineExceeded();
-    return Status::DeadlineExceeded("ingest applied but missed its deadline");
-  }
   return Status::OK();
 }
 
-StatusOr<double> HImpactService::TryPointHIndex(AuthorId user) {
-  AdmissionTicket ticket(admission_.get());
-  if (!ticket.ok()) {
-    return Status::ResourceExhausted("query shed: in-flight watermark hit");
-  }
-  const double estimate = PointHIndex(user);
-  if (AdmissionController::DeadlinePassed(ticket.deadline_nanos())) {
-    admission_->CountDeadlineExceeded();
-    return Status::DeadlineExceeded("point query missed its deadline");
-  }
-  return estimate;
-}
-
 StatusOr<TopKResult> HImpactService::TryTopK(std::size_t k) {
-  AdmissionTicket ticket(admission_.get());
-  if (!ticket.ok()) {
-    return Status::ResourceExhausted("query shed: in-flight watermark hit");
-  }
   ScopedLatency timer(*topk_latency_);
+  const std::uint64_t budget = options().top_deadline_nanos;
+  std::uint64_t deadline = 0;
+  if (budget != 0) {
+    const std::uint64_t now = FaultClock::NowNanos();
+    deadline = budget > UINT64_MAX - now ? UINT64_MAX : now + budget;
+  }
   TopKResult result;
   result.entries =
-      registry_.TopKDegraded(k, ticket.deadline_nanos(),
-                             &result.stripes_skipped);
-  if (result.stripes_skipped > 0) admission_->CountDeadlineExceeded();
+      registry_.TopKDegraded(k, deadline, &result.stripes_skipped);
+  if (result.stripes_skipped > 0) {
+    deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
+  }
   return result;
 }
 
@@ -324,12 +302,11 @@ Status HImpactService::CheckpointFull(const std::string& path) const {
     for (std::size_t i = 0; i < n; ++i) {
       if (in_delta[i] != delta_resident) continue;
       StripeSnapshot snap = SnapshotStripe(i);
-      Status written =
-          RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
-            return WriteCheckpointFile(StripePath(path, i),
-                                       CheckpointTag::kServiceStripe,
-                                       snap.payload);
-          });
+      Status written = RetryWithBackoff(kCheckpointRetry, [&] {
+        return WriteCheckpointFile(StripePath(path, i),
+                                   CheckpointTag::kServiceStripe,
+                                   snap.payload);
+      });
       if (!written.ok()) return written;
       reg_epochs[i] = snap.reg_epoch;
       hh_epochs[i] = snap.hh_epoch;
@@ -340,7 +317,7 @@ Status HImpactService::CheckpointFull(const std::string& path) const {
   };
   Status written = write_stripes(true);
   if (!written.ok()) return written;
-  written = RetryWithBackoff(admission_->options().checkpoint_retry,
+  written = RetryWithBackoff(kCheckpointRetry,
                              [&] { return WriteHead(HeadPath(path), 0); });
   if (!written.ok()) return written;
   written = write_stripes(false);
@@ -364,7 +341,7 @@ Status HImpactService::CheckpointFull(const std::string& path) const {
   manifest.U64(opts.hh_max_papers);
   manifest.U64(opts.seed);
   manifest.U64(registry_.Stats().total_events);
-  written = RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
+  written = RetryWithBackoff(kCheckpointRetry, [&] {
     return WriteCheckpointFile(path, CheckpointTag::kServiceManifest,
                                manifest.buffer());
   });
@@ -455,11 +432,11 @@ Status HImpactService::CheckpointIncremental(const std::string& path) const {
     ++written;
   }
 
-  Status delta = RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
+  Status delta = RetryWithBackoff(kCheckpointRetry, [&] {
     return WriteDeltaSegment(DeltaPath(path, generation), manifest, records);
   });
   if (!delta.ok()) return delta;
-  Status head = RetryWithBackoff(admission_->options().checkpoint_retry, [&] {
+  Status head = RetryWithBackoff(kCheckpointRetry, [&] {
     return WriteHead(HeadPath(path), generation);
   });
   if (!head.ok()) return head;

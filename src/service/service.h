@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "fault/admission.h"
 #include "heavy/heavy_hitters.h"
 #include "service/latency.h"
 #include "service/protocol.h"
@@ -90,9 +89,9 @@ struct ServiceStats {
   /// (see docs/PERFORMANCE.md, "Epoch-cached merge-on-query").
   std::uint64_t hh_report_cache_hits = 0;
   std::uint64_t hh_report_cache_misses = 0;
-  /// Admission-gate counters (admitted / shed / deadline_exceeded /
-  /// inflight) for the `Try*` boundary.
-  AdmissionCounters admission;
+  /// `TryTopK` answers degraded to a lower bound because the scan ran
+  /// out of `ServiceOptions::top_deadline_nanos`.
+  std::uint64_t deadline_exceeded = 0;
 };
 
 /// A top-k answer that may be degraded: when `stripes_skipped > 0` the
@@ -107,13 +106,8 @@ struct TopKResult {
 /// heavy-hitter queries.
 class HImpactService {
  public:
-  /// Validates options and builds an empty service. `overload`
-  /// configures the admission gate for the `Try*` boundary (default:
-  /// unlimited, no deadlines). Overload config is runtime-only — it is
-  /// NOT part of the checkpoint manifest, so a checkpoint restores into
-  /// a service with any watermarks.
-  static StatusOr<HImpactService> Create(const ServiceOptions& options,
-                                         const OverloadOptions& overload = {});
+  /// Validates options and builds an empty service.
+  static StatusOr<HImpactService> Create(const ServiceOptions& options);
 
   HImpactService(HImpactService&&) noexcept = default;
   HImpactService& operator=(HImpactService&&) noexcept = default;
@@ -170,27 +164,17 @@ class HImpactService {
   /// Aggregate counters (per-stripe consistent snapshot).
   ServiceStats Stats() const;
 
-  /// Admission-gated ingest: `kResourceExhausted` when the in-flight
-  /// watermark sheds the call (state untouched), `kDeadlineExceeded`
-  /// when the write was applied but missed its deadline (the mutation
-  /// is NOT rolled back — the error marks the response late, and the
-  /// miss is counted). Otherwise the updated estimate.
+  /// `RecordResponseCount` and `IngestPaper` under the status-returning
+  /// signatures that `perfbench/tool.cc` calls; they always succeed, so
+  /// an applied write is never reported as failed. They go with the next
+  /// perfbench change.
   StatusOr<double> TryRecordResponseCount(AuthorId user, std::uint64_t value);
-
-  /// Admission-gated paper ingest; same shed/deadline semantics as
-  /// `TryRecordResponseCount`.
   Status TryIngestPaper(const PaperTuple& paper);
 
-  /// Admission-gated point query; `kResourceExhausted` on shed,
-  /// `kDeadlineExceeded` when the lookup outlived its budget (the value
-  /// is withheld — the caller asked for a bounded-latency answer).
-  StatusOr<double> TryPointHIndex(AuthorId user);
-
-  /// Admission-gated top-k. Under its deadline this degrades instead of
-  /// blocking: stripes it cannot lock in time are skipped (and counted
-  /// in the result tag and the deadline_exceeded counter), so a wedged
-  /// stripe costs coverage, not availability. `kResourceExhausted` only
-  /// on shed.
+  /// Top-k under `ServiceOptions::top_deadline_nanos`. Degrades instead
+  /// of blocking: stripes it cannot lock in time are skipped (and
+  /// counted in the result tag and `Stats().deadline_exceeded`), so a
+  /// wedged stripe costs coverage, not availability. Always OK.
   StatusOr<TopKResult> TryTopK(std::size_t k);
 
   /// Latency histograms, populated by the calls above.
@@ -246,9 +230,6 @@ class HImpactService {
     std::lock_guard<std::mutex> lock(chain_->mu);
     return chain_->valid ? chain_->generation : 0;
   }
-
-  /// The admission gate guarding the `Try*` boundary.
-  const AdmissionController& admission() const { return *admission_; }
 
  private:
   /// One heavy-hitters shard; all shards share options and seed so the
@@ -317,7 +298,7 @@ class HImpactService {
     std::uint64_t hash = 0;
   };
 
-  HImpactService(TieredUserRegistry registry, const OverloadOptions& overload);
+  explicit HImpactService(TieredUserRegistry registry);
 
   std::vector<std::unique_ptr<HhStripe>> MakeHhStripes() const;
   /// Feeds the grid the one-author tuple of a response count, under a
@@ -343,7 +324,9 @@ class HImpactService {
   TieredUserRegistry registry_;
   std::vector<std::unique_ptr<HhStripe>> hh_stripes_;
   std::unique_ptr<HhReportCache> hh_report_cache_;
-  std::unique_ptr<AdmissionController> admission_;
+  /// `TryTopK` answers degraded by the deadline (behind a unique_ptr
+  /// because std::atomic is immovable; the service moves).
+  std::unique_ptr<std::atomic<std::uint64_t>> deadline_exceeded_;
   std::unique_ptr<LatencyRecorder> ingest_latency_;
   std::unique_ptr<LatencyRecorder> point_latency_;
   std::unique_ptr<LatencyRecorder> topk_latency_;

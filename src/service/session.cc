@@ -10,9 +10,7 @@ std::string U64(std::uint64_t value) {
   return std::to_string(static_cast<unsigned long long>(value));
 }
 
-/// Copies a non-OK status into a result, preserving the code so the
-/// renderers can keep the RESOURCE_EXHAUSTED / DEADLINE_EXCEEDED wire
-/// spellings distinct from plain ERR.
+/// Copies a non-OK status into a result.
 void SetError(const Status& status, CommandResult* result) {
   result->code = status.code();
   result->message = status.message();
@@ -52,15 +50,11 @@ std::string ServiceSession::StatsJson() const {
 }
 
 std::string ServiceSession::HealthJson() const {
-  const AdmissionCounters admission = service_->admission().Counters();
   const ServiceStats stats = service_->Stats();
   const RegistryStats& r = stats.registry;
   const CheckpointCounters& c = stats.checkpoint;
   const Durability& d = durability_;
-  std::string json = "{\"inflight\":" + U64(admission.inflight);
-  json += ",\"admitted\":" + U64(admission.admitted);
-  json += ",\"shed\":" + U64(admission.shed);
-  json += ",\"deadline_exceeded\":" + U64(admission.deadline_exceeded);
+  std::string json = "{\"deadline_exceeded\":" + U64(stats.deadline_exceeded);
   json += ",\"rejected_lines\":" + U64(rejected_lines_);
   json += ",\"rejected_frames\":" + U64(rejected_frames_);
   json += ",\"alloc_failures\":" + U64(r.alloc_failures);
@@ -140,31 +134,20 @@ bool ServiceSession::HandleCommand(const Command& command,
                                    CommandResult* result) {
   *result = CommandResult{};
   result->kind = command.kind;
-  // An applied write (OK, or DEADLINE_EXCEEDED: applied, but late) is
-  // logged and counted toward the checkpoint cadence before the reply.
-  const auto finish_write = [&](const Status& status) {
-    if (status.ok() || status.code() == StatusCode::kDeadlineExceeded) {
-      durability_.Record(command);
-    }
-    if (!status.ok()) SetError(status, result);
-  };
+  // A write cannot fail once parsed: it is applied, then logged and
+  // counted toward the checkpoint cadence before the reply.
   switch (command.kind) {
-    case CommandKind::kAdd: {
-      StatusOr<double> estimate =
-          service_->TryRecordResponseCount(command.user, command.value);
-      if (estimate.ok()) result->estimate = estimate.value();
-      finish_write(estimate.status());
+    case CommandKind::kAdd:
+      result->estimate =
+          service_->RecordResponseCount(command.user, command.value);
+      durability_.Record(command);
       return true;
-    }
-    case CommandKind::kPaper: {
-      const Status ingested = service_->TryIngestPaper(command.paper);
-      if (ingested.ok()) {
-        result->num_authors =
-            static_cast<std::uint32_t>(command.paper.authors.size());
-      }
-      finish_write(ingested);
+    case CommandKind::kPaper:
+      service_->IngestPaper(command.paper);
+      result->num_authors =
+          static_cast<std::uint32_t>(command.paper.authors.size());
+      durability_.Record(command);
       return true;
-    }
     case CommandKind::kGet: {
       result->user = command.user;
       UserSnapshot snapshot;
@@ -186,11 +169,7 @@ bool ServiceSession::HandleCommand(const Command& command,
                  result);
         return true;
       }
-      StatusOr<TopKResult> top = service_->TryTopK(k);
-      if (!top.ok()) {
-        SetError(top.status(), result);
-        return true;
-      }
+      const StatusOr<TopKResult> top = service_->TryTopK(k);
       // A deadline-degraded scan carries stripes_skipped > 0 (rendered
       // TOP-LB on the text wire): the entries are a valid lower-bound
       // board over the stripes that answered in time.

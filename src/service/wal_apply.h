@@ -45,13 +45,9 @@
 /// depends only on its own subsequence of the log, so the result is
 /// byte-identical to applying the log serially.
 ///
-/// Replay goes through those replay entry points, not the
-/// admission-gated `Try*` boundary: a logged record was admitted when
-/// it was applied the first time, and shedding it on replay would
-/// un-apply durable history. Malformed payloads (version skew, bit
-/// flips that survived the envelope CRC by luck) are counted and
-/// skipped, never fatal. See docs/CHECKPOINTS.md for the recovery
-/// matrix.
+/// Malformed payloads (version skew, bit flips that survived the
+/// envelope CRC by luck) are counted and skipped, never fatal. See
+/// docs/CHECKPOINTS.md for the recovery matrix.
 
 namespace himpact {
 

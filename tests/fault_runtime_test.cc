@@ -1,10 +1,9 @@
 // Runtime fault-tolerance layer (src/fault/): the injection registry's
-// fire-window arithmetic and env syntax, the admission gate,
-// jittered-backoff retries, and — threaded through the real
-// engine/io/service code — the guarantees docs/ROBUSTNESS.md pairs
-// with each fault point: no crash or deadlock, tagged monotone
-// lower-bound answers during the fault, and post-recovery answers equal
-// to a fault-free run.
+// fire-window arithmetic and env syntax, jittered-backoff retries, and
+// — threaded through the real engine/io/service code — the guarantees
+// docs/ROBUSTNESS.md pairs with each fault point: no crash or deadlock,
+// tagged monotone lower-bound answers during the fault, and
+// post-recovery answers equal to a fault-free run.
 //
 // Every test arms the process-global FaultRegistry and must Reset() it
 // on exit (the fixture enforces this), so tests stay order-independent.
@@ -23,7 +22,6 @@
 #include "core/exponential_histogram.h"
 #include "engine/shard_set.h"
 #include "engine/traits.h"
-#include "fault/admission.h"
 #include "fault/backoff.h"
 #include "fault/fault.h"
 #include "io/checkpoint.h"
@@ -120,41 +118,7 @@ TEST_F(FaultRuntimeTest, ClockSkewShiftsFaultClockForward) {
   EXPECT_LT(FaultClock::NowNanos(), before + spec.param);
 }
 
-// --- AdmissionController / backoff ------------------------------------------
-
-TEST_F(FaultRuntimeTest, AdmissionShedsAboveTheWatermarkAndCounts) {
-  OverloadOptions options;
-  options.max_inflight = 2;
-  AdmissionController controller(options);
-
-  EXPECT_TRUE(controller.TryAdmit());
-  EXPECT_TRUE(controller.TryAdmit());
-  EXPECT_FALSE(controller.TryAdmit()) << "third concurrent op must shed";
-  controller.Release();
-  EXPECT_TRUE(controller.TryAdmit());
-  controller.Release();
-  controller.Release();
-
-  const AdmissionCounters counters = controller.Counters();
-  EXPECT_EQ(counters.admitted, 3u);
-  EXPECT_EQ(counters.shed, 1u);
-  EXPECT_EQ(counters.inflight, 0u);
-}
-
-TEST_F(FaultRuntimeTest, AdmissionTicketReleasesOnScopeExit) {
-  OverloadOptions options;
-  options.max_inflight = 1;
-  AdmissionController controller(options);
-  {
-    AdmissionTicket ticket(&controller);
-    EXPECT_TRUE(ticket.ok());
-    AdmissionTicket shed(&controller);
-    EXPECT_FALSE(shed.ok());
-  }
-  EXPECT_EQ(controller.Counters().inflight, 0u);
-  AdmissionTicket unguarded(nullptr);
-  EXPECT_TRUE(unguarded.ok()) << "null controller means always admitted";
-}
+// --- backoff ----------------------------------------------------------------
 
 TEST_F(FaultRuntimeTest, JitteredBackoffStaysWithinBounds) {
   RetryOptions options;
@@ -408,69 +372,14 @@ TEST_F(FaultRuntimeTest, TornDeltaLeavesThePreviousChainRestorable) {
   std::remove(path.c_str());
 }
 
-// --- service admission boundary ---------------------------------------------
-
-TEST_F(FaultRuntimeTest, ServiceDeadlineExceededIsReportedNotSilent) {
-  ServiceOptions options;
-  options.num_stripes = 1;
-  options.enable_heavy_hitters = false;
-  OverloadOptions overload;
-  overload.op_deadline_nanos = 1;  // everything is late by construction
-  auto service_or = HImpactService::Create(options, overload);
-  ASSERT_TRUE(service_or.ok());
-  HImpactService service = std::move(service_or).value();
-
-  const StatusOr<double> late = service.TryRecordResponseCount(1, 5);
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
-  // The mutation was applied (deadline marks the response late, it does
-  // not roll back state) and the miss was counted.
-  EXPECT_EQ(service.PointHIndex(1), 1.0);
-  EXPECT_EQ(service.Stats().admission.deadline_exceeded, 1u);
-
-  const StatusOr<double> query = service.TryPointHIndex(1);
-  ASSERT_FALSE(query.ok());
-  EXPECT_EQ(query.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST_F(FaultRuntimeTest, ServiceShedsAtTheInflightWatermark) {
-  ServiceOptions options;
-  options.num_stripes = 2;
-  options.enable_heavy_hitters = false;
-  OverloadOptions overload;
-  overload.max_inflight = 1;
-  auto service_or = HImpactService::Create(options, overload);
-  ASSERT_TRUE(service_or.ok());
-  HImpactService service = std::move(service_or).value();
-
-  // Wedge stripe workers behind a stalled Add, then drive ingest from a
-  // second thread: with max_inflight=1 the overlapping op must shed
-  // with kResourceExhausted rather than queue without bound.
-  FaultSpec stall;
-  stall.max_fires = 1;
-  stall.param = 400'000;  // 400ms
-  FaultRegistry::Global().Arm(FaultPoint::kWorkerStall, stall);
-  std::thread stalled([&] { service.TryRecordResponseCount(1, 3); });
-  while (FaultRegistry::Global().fires(FaultPoint::kWorkerStall) == 0) {
-    std::this_thread::yield();
-  }
-  StatusOr<double> shed = service.TryRecordResponseCount(2, 3);
-  stalled.join();
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(service.Stats().admission.shed, 1u);
-  EXPECT_EQ(service.PointHIndex(2), 0.0) << "shed ops must not mutate state";
-  // After the stall the boundary admits again.
-  EXPECT_TRUE(service.TryRecordResponseCount(2, 3).ok());
-}
+// --- top deadline (TOP-LB) --------------------------------------------------
 
 TEST_F(FaultRuntimeTest, DegradedTopKSkipsAWedgedStripeAndTagsTheAnswer) {
   ServiceOptions options;
   options.num_stripes = 4;
   options.enable_heavy_hitters = false;
-  OverloadOptions overload;
-  overload.op_deadline_nanos = 50'000'000;  // 50ms
-  auto service_or = HImpactService::Create(options, overload);
+  options.top_deadline_nanos = 50'000'000;  // 50ms
+  auto service_or = HImpactService::Create(options);
   ASSERT_TRUE(service_or.ok());
   HImpactService service = std::move(service_or).value();
   // Distinct estimates: user u gets u responses of count 100, so the
@@ -503,7 +412,7 @@ TEST_F(FaultRuntimeTest, DegradedTopKSkipsAWedgedStripeAndTagsTheAnswer) {
   stalled.join();
   ASSERT_TRUE(degraded.ok());
   EXPECT_EQ(degraded.value().stripes_skipped, 1u);
-  EXPECT_GE(service.Stats().admission.deadline_exceeded, 1u);
+  EXPECT_EQ(service.Stats().deadline_exceeded, 1u);
   // Lower-bound guarantee: every degraded entry reports at most the
   // user's true estimate (stripes that answered are exact; the wedged
   // stripe's users are simply absent, never misreported).
@@ -526,29 +435,71 @@ TEST_F(FaultRuntimeTest, DegradedTopKSkipsAWedgedStripeAndTagsTheAnswer) {
   }
 }
 
-TEST_F(FaultRuntimeTest, ClockSkewTripsDeadlinesInsteadOfHangingThem) {
+TEST_F(FaultRuntimeTest, LargestTopDeadlineWaitsInsteadOfWrapping) {
   ServiceOptions options;
-  options.num_stripes = 1;
+  options.num_stripes = 2;
   options.enable_heavy_hitters = false;
-  OverloadOptions overload;
-  overload.op_deadline_nanos = 60'000'000'000ull;  // a minute: never hit
-  auto service_or = HImpactService::Create(options, overload);
+  // `--deadline-us 18446744073709551`: now + budget would wrap u64 into
+  // a deadline already past, skipping a locked stripe at once.
+  options.top_deadline_nanos = UINT64_MAX / 1000 * 1000;
+  auto service_or = HImpactService::Create(options);
   ASSERT_TRUE(service_or.ok());
   HImpactService service = std::move(service_or).value();
-  ASSERT_TRUE(service.TryRecordResponseCount(1, 5).ok());
+  for (AuthorId user = 1; user <= 8; ++user) {
+    service.RecordResponseCount(user, 5);
+  }
 
+  FaultSpec stall;
+  stall.max_fires = 1;
+  stall.param = 100'000;  // 100ms
+  FaultRegistry::Global().Arm(FaultPoint::kWorkerStall, stall);
+  std::thread stalled([&] { service.RecordResponseCount(1, 1); });
+  while (FaultRegistry::Global().fires(FaultPoint::kWorkerStall) == 0) {
+    std::this_thread::yield();
+  }
+  const StatusOr<TopKResult> top = service.TryTopK(8);
+  stalled.join();
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(top.value().stripes_skipped, 0u);
+  EXPECT_EQ(top.value().entries.size(), 8u);
+  EXPECT_EQ(service.Stats().deadline_exceeded, 0u);
+}
+
+TEST_F(FaultRuntimeTest, ClockSkewTripsDeadlinesInsteadOfHangingThem) {
+  ServiceOptions options;
+  options.num_stripes = 2;
+  options.enable_heavy_hitters = false;
+  options.top_deadline_nanos = 60'000'000'000ull;  // a minute: never hit
+  auto service_or = HImpactService::Create(options);
+  ASSERT_TRUE(service_or.ok());
+  HImpactService service = std::move(service_or).value();
+  for (AuthorId user = 1; user <= 8; ++user) {
+    service.RecordResponseCount(user, 5);
+  }
+
+  // Wedge one stripe for 600ms, far under the minute budget: only the
+  // skewed clock can make the scan give that stripe up.
+  FaultSpec stall;
+  stall.max_fires = 1;
+  stall.param = 600'000;
+  FaultRegistry::Global().Arm(FaultPoint::kWorkerStall, stall);
+  std::thread stalled([&] { service.RecordResponseCount(1, 1); });
+  while (FaultRegistry::Global().fires(FaultPoint::kWorkerStall) == 0) {
+    std::this_thread::yield();
+  }
   // skip=1: the deadline is computed from an unskewed read, then every
-  // later FaultClock read jumps two minutes forward — the op must come
-  // back as a counted deadline miss, not a wedge.
+  // later FaultClock read jumps two minutes forward — the scan must
+  // skip the wedged stripe as a counted miss, not wait out the stall.
   FaultSpec skew;
   skew.skip = 1;
   skew.param = 120'000'000'000ull;
   FaultRegistry::Global().Arm(FaultPoint::kClockSkew, skew);
-  const StatusOr<double> late = service.TryPointHIndex(1);
+  const StatusOr<TopKResult> top = service.TryTopK(8);
+  stalled.join();
   FaultRegistry::Global().Reset();
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(service.Stats().admission.deadline_exceeded, 1u);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(top.value().stripes_skipped, 1u);
+  EXPECT_EQ(service.Stats().deadline_exceeded, 1u);
 }
 
 }  // namespace

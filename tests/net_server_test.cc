@@ -229,7 +229,7 @@ TEST(NetServer, PipelinedRequestsAnswerInOrderThroughTheRealService) {
   // directly on an identical service.
   ServiceOptions service_options;
   service_options.num_stripes = 2;
-  auto served = HImpactService::Create(service_options, OverloadOptions{});
+  auto served = HImpactService::Create(service_options);
   ASSERT_TRUE(served.ok());
   HImpactService tcp_service = std::move(served).value();
   ServiceSession tcp_session(&tcp_service, SessionOptions{});
@@ -245,7 +245,7 @@ TEST(NetServer, PipelinedRequestsAnswerInOrderThroughTheRealService) {
                                 "health",   "quit"};
 
   // Reference replies from a twin service driven directly.
-  auto reference = HImpactService::Create(service_options, OverloadOptions{});
+  auto reference = HImpactService::Create(service_options);
   ASSERT_TRUE(reference.ok());
   HImpactService ref_service = std::move(reference).value();
   ServiceSession ref_session(&ref_service, SessionOptions{});
@@ -282,7 +282,7 @@ TEST(NetServer, BinaryRepliesAreByteEquivalentToTextForEveryVerb) {
   // script through HandleLine directly.
   ServiceOptions service_options;
   service_options.num_stripes = 2;
-  auto served = HImpactService::Create(service_options, OverloadOptions{});
+  auto served = HImpactService::Create(service_options);
   ASSERT_TRUE(served.ok());
   HImpactService tcp_service = std::move(served).value();
   ServiceSession tcp_session(&tcp_service, SessionOptions{});
@@ -305,7 +305,7 @@ TEST(NetServer, BinaryRepliesAreByteEquivalentToTextForEveryVerb) {
       "quit"};
 
   // Reference replies from a twin service driven directly as text.
-  auto reference = HImpactService::Create(service_options, OverloadOptions{});
+  auto reference = HImpactService::Create(service_options);
   ASSERT_TRUE(reference.ok());
   HImpactService ref_service = std::move(reference).value();
   ServiceSession ref_session(&ref_service, SessionOptions{});
@@ -363,7 +363,7 @@ TEST(NetServer, FirstByteSelectsTheProtocolPerConnection) {
   // against the same session back to back.
   ServiceOptions service_options;
   service_options.num_stripes = 2;
-  auto served = HImpactService::Create(service_options, OverloadOptions{});
+  auto served = HImpactService::Create(service_options);
   ASSERT_TRUE(served.ok());
   HImpactService service = std::move(served).value();
   ServiceSession session(&service, SessionOptions{});
@@ -476,7 +476,7 @@ TEST(NetServer, BadVersionFrameGetsAPerFrameErrorAndTheConnectionSurvives) {
   // and the connection keeps serving (docs/PROTOCOL.md "Versioning").
   ServiceOptions service_options;
   service_options.num_stripes = 2;
-  auto served = HImpactService::Create(service_options, OverloadOptions{});
+  auto served = HImpactService::Create(service_options);
   ASSERT_TRUE(served.ok());
   HImpactService service = std::move(served).value();
   ServiceSession session(&service, SessionOptions{});

@@ -327,7 +327,7 @@ struct BinaryServeFixture {
   static HImpactService MakeService() {
     ServiceOptions options;
     options.num_stripes = 2;
-    auto created = HImpactService::Create(options, OverloadOptions{});
+    auto created = HImpactService::Create(options);
     EXPECT_TRUE(created.ok());
     return std::move(created).value();
   }

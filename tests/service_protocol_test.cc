@@ -187,6 +187,20 @@ constexpr BadFlagCase kBadFlagCases[] = {
     {"--listen 99999", "bad value for --listen: '99999' (want 0..65535)"},
     {"--wal-group-bytes 0",
      "bad value for --wal-group-bytes: '0' (want 1..1073741824)"},
+    // Duration flags stop where the conversion to nanoseconds would wrap.
+    {"--deadline-us 18446744073709552",
+     "bad value for --deadline-us: '18446744073709552' (want "
+     "0..18446744073709551)"},
+    {"--idle-timeout-ms 18446744073710",
+     "bad value for --idle-timeout-ms: '18446744073710' (want "
+     "0..18446744073709)"},
+    {"--request-timeout-ms 18446744073710",
+     "bad value for --request-timeout-ms: '18446744073710' (want "
+     "0..18446744073709)"},
+    {"--evict-min-idle-ms 18446744073710",
+     "bad value for --evict-min-idle-ms: '18446744073710' (want "
+     "0..18446744073709)"},
+    {"--max-inflight 4", "unknown flag: --max-inflight"},
 };
 
 TEST(ServeBinary, RejectsBadFlags) {
@@ -199,6 +213,24 @@ TEST(ServeBinary, RejectsBadFlags) {
     EXPECT_EQ(err.substr(0, err.find('\n')), bad.first_stderr_line)
         << bad.args;
   }
+  std::remove(input.c_str());
+}
+
+// `--deadline-us` bounds only `top`'s stripe scan: a write is never
+// answered as failed after it was applied (a retry would count the
+// citation twice), so even a 1us deadline leaves every reply unchanged.
+TEST(ServeBinary, DeadlineNeverFailsAnAppliedWrite) {
+  const std::string input = TempPath("deadline_in");
+  WriteTextFile(input, IngestScript(0, 300) +
+                           "paper 1 9 2,3\npaper 2 40 4\npaper 3 7 5,6,7\n"
+                           "top 5\n" +
+                           QueryScript());
+  const RunResult plain = RunServe("--stripes 2", input);
+  const RunResult bounded = RunServe("--stripes 2 --deadline-us 1", input);
+  EXPECT_EQ(plain.exit_code, 0);
+  EXPECT_EQ(bounded.exit_code, 0);
+  EXPECT_EQ(bounded.stdout_text, plain.stdout_text);
+  EXPECT_EQ(plain.stdout_text.find("DEADLINE_EXCEEDED"), std::string::npos);
   std::remove(input.c_str());
 }
 

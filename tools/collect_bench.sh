@@ -11,7 +11,7 @@
 #   bench_f2_throughput   shard-set scaling sweep + batch-size sweep
 #   bench_a5_checkpoint_sizes   checkpoint envelope sizes
 #   bench_f4_service_qps  multi-tenant service closed-loop load harness
-#   bench_f5_overload     overload ramp (shed rate, p99) + stall recovery
+#   bench_f5_overload     stall recovery time
 #   bench_f6_hotpath      batch-vs-scalar speedups + registry merge-cache latency
 #   bench_f7_net_load     TCP front-end connection sweep (qps, p99, shed)
 #   bench_f8_wire         text-vs-binary wire framing (docs/PROTOCOL.md)
@@ -70,7 +70,7 @@ fi
 if [[ "${quick}" -eq 1 ]]; then
   f2_flags=(--shards 2)
   f4_flags=(--users 10000 --ops 50000 --threads 2)
-  f5_flags=(--stage-ms 100 --stall-ms 100 --recovery-ms 500)
+  f5_flags=(--stall-ms 100 --recovery-ms 500)
   f6_flags=(--quick)
   f7_flags=(--quick)
   f8_flags=(--quick)
