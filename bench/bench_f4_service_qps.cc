@@ -29,6 +29,7 @@
 #include "common/flags.h"
 #include "random/rng.h"
 #include "random/zipf.h"
+#include "service/latency.h"
 #include "service/service.h"
 
 namespace {
@@ -113,9 +114,17 @@ bool ParseArgs(int argc, char** argv, HarnessOptions* options) {
   return true;
 }
 
+/// Per-operation latency histograms, shared by every worker.
+struct Latencies {
+  LatencyRecorder ingest;
+  LatencyRecorder point;
+  LatencyRecorder topk;
+};
+
 void Worker(HImpactService& service, const HarnessOptions& options,
             std::uint64_t worker_index, std::atomic<std::uint64_t>& budget,
-            std::uint64_t* ingests, std::uint64_t* queries) {
+            Latencies& latencies, std::uint64_t* ingests,
+            std::uint64_t* queries) {
   Rng rng(options.seed * 1315423911u + worker_index);
   const ZipfSampler user_sampler(options.users, options.zipf_s);
   const DiscreteParetoSampler value_sampler(1, 1.8, 1u << 20);
@@ -131,19 +140,24 @@ void Worker(HImpactService& service, const HarnessOptions& options,
           rng.UniformU64(1000) < options.query_permille;
       const AuthorId user = user_sampler.Sample(rng);
       if (!is_query) {
-        service.RecordResponseCount(user, value_sampler.Sample(rng));
+        const std::uint64_t value = value_sampler.Sample(rng);
+        ScopedLatency timer(latencies.ingest);
+        service.RecordResponseCount(user, value);
         ++*ingests;
         continue;
       }
       ++*queries;
       const std::uint64_t kind = rng.UniformU64(100);
       if (kind < 80) {
+        ScopedLatency timer(latencies.point);
         volatile double estimate = service.PointHIndex(user);
         (void)estimate;
       } else if (kind < 95) {
+        ScopedLatency timer(latencies.point);
         UserSnapshot snapshot;
         (void)service.Lookup(user, &snapshot);
       } else {
+        ScopedLatency timer(latencies.topk);
         volatile std::size_t n = service.TopK(10).size();
         (void)n;
       }
@@ -166,13 +180,15 @@ int Run(const HarnessOptions& options) {
   HImpactService service = std::move(service_or).value();
 
   std::atomic<std::uint64_t> budget{options.ops};
+  Latencies latencies;
   std::vector<std::uint64_t> ingests(options.threads, 0);
   std::vector<std::uint64_t> queries(options.threads, 0);
   std::vector<std::thread> workers;
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t t = 0; t < options.threads; ++t) {
     workers.emplace_back([&, t] {
-      Worker(service, options, t, budget, &ingests[t], &queries[t]);
+      Worker(service, options, t, budget, latencies, &ingests[t],
+             &queries[t]);
     });
   }
   for (std::thread& worker : workers) worker.join();
@@ -188,9 +204,6 @@ int Run(const HarnessOptions& options) {
   }
   const ServiceStats stats = service.Stats();
   const RegistryStats& r = stats.registry;
-  const LatencyRecorder& point = service.point_latency();
-  const LatencyRecorder& topk = service.topk_latency();
-  const LatencyRecorder& ingest = service.ingest_latency();
   std::printf(
       "BENCH{\"bench\":\"f4_service_qps\",\"users\":%llu,\"ops\":%llu,"
       "\"threads\":%llu,\"stripes\":%llu,\"query_permille\":%llu,"
@@ -212,9 +225,12 @@ int Run(const HarnessOptions& options) {
       static_cast<double>(total_ingests + total_queries) / seconds,
       static_cast<unsigned long long>(total_ingests),
       static_cast<unsigned long long>(total_queries),
-      ingest.QuantileMicros(0.5), ingest.QuantileMicros(0.99),
-      point.QuantileMicros(0.5), point.QuantileMicros(0.99),
-      topk.QuantileMicros(0.5), topk.QuantileMicros(0.99),
+      latencies.ingest.QuantileMicros(0.5),
+      latencies.ingest.QuantileMicros(0.99),
+      latencies.point.QuantileMicros(0.5),
+      latencies.point.QuantileMicros(0.99),
+      latencies.topk.QuantileMicros(0.5),
+      latencies.topk.QuantileMicros(0.99),
       static_cast<unsigned long long>(r.num_users),
       static_cast<unsigned long long>(r.cold_users),
       static_cast<unsigned long long>(r.hot_users),

@@ -1,6 +1,6 @@
-// F6 — Hot-path microbenchmarks for the batched ingest APIs and the
-// epoch-cached merge-on-query path (docs/PERFORMANCE.md). Two families
-// of BENCH{...} json lines:
+// F6 — Hot-path microbenchmarks for the batched ingest APIs and their
+// SIMD kernels (docs/PERFORMANCE.md). Three families of BENCH{...} json
+// lines:
 //
 //  * `f6_batch_vs_scalar` — per sketch, ns/event of the pre-PR hot path
 //    (one call per event; through the virtual estimator interface where
@@ -23,10 +23,6 @@
 //    range, so small-key end-to-end rows understate what the branch-free
 //    vector arithmetic buys. Rows are emitted only on hosts whose
 //    detected level is avx2; outputs are cross-checked byte-identical.
-//  * `f6_merge_cache` — cold vs warm latency of the registry's
-//    epoch-cached `TopK`: cold re-merges because a stripe epoch
-//    advanced, warm serves the cached snapshot after a version check.
-//    Reports the hit/miss counters so the cache is visibly exercised.
 //
 //   ./bench_f6_hotpath [--quick] [--events N] [--repeats R]
 //
@@ -53,7 +49,6 @@
 #include "core/exponential_histogram.h"
 #include "core/shifting_window.h"
 #include "random/rng.h"
-#include "service/registry.h"
 #include "sketch/bjkst.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
@@ -472,39 +467,6 @@ void RunSimdKernels(const F6Options& options) {
 #endif
 }
 
-void RunMergeCache(const F6Options& options) {
-  Rng rng(43);
-  // Registry: the epoch-cached TopK. One Add between cold probes bumps
-  // a stripe's board epoch, forcing the re-merge the way live ingest
-  // does; the warm probe repeats the query with no epoch change.
-  ServiceOptions service_options;
-  service_options.num_stripes = 8;
-  auto registry = TieredUserRegistry::Create(service_options).value();
-  const std::size_t num_users = std::min<std::size_t>(options.events, 4096);
-  for (std::size_t i = 0; i < num_users; ++i) {
-    for (int e = 0; e < 4; ++e) {
-      registry.Add(static_cast<AuthorId>(i), 1 + rng.UniformU64(100));
-    }
-  }
-  const double topk_cold_s = MinSeconds(options.repeats, [&] {
-    registry.Add(1, 1 + rng.UniformU64(100));  // bump one stripe's epoch
-    if (registry.TopK(10).size() > 1u << 20) std::exit(1);
-  });
-  const double topk_warm_s = MinSeconds(options.repeats, [&] {
-    if (registry.TopK(10).size() > 1u << 20) std::exit(1);
-  });
-  const RegistryStats stats = registry.Stats();
-  std::printf(
-      "BENCH{\"bench\":\"f6_merge_cache\",\"layer\":\"registry_topk\","
-      "\"stripes\":%zu,\"users\":%zu,\"cold_ns\":%.0f,\"warm_ns\":%.0f,"
-      "\"cold_over_warm\":%.1f,\"hits\":%llu,\"misses\":%llu}\n",
-      service_options.num_stripes, num_users, topk_cold_s * 1e9,
-      topk_warm_s * 1e9,
-      topk_warm_s > 0.0 ? topk_cold_s / topk_warm_s : 0.0,
-      static_cast<unsigned long long>(stats.topk_cache_hits),
-      static_cast<unsigned long long>(stats.topk_cache_misses));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -529,6 +491,5 @@ int main(int argc, char** argv) {
   if (options.repeats < 1) options.repeats = 1;
   RunBatchVsScalar(options);
   RunSimdKernels(options);
-  RunMergeCache(options);
   return 0;
 }

@@ -185,7 +185,6 @@ TieredUserRegistry::TieredUserRegistry(const ServiceOptions& options)
   for (std::size_t i = 0; i < options_.num_stripes; ++i) {
     stripes_.push_back(std::make_unique<Stripe>(MakeSketch()));
   }
-  topk_cache_ = std::make_unique<TopKCache>();
 }
 
 ExponentialHistogramEstimator TieredUserRegistry::MakeSketch() const {
@@ -380,16 +379,12 @@ void TieredUserRegistry::UpdateBoardLocked(Stripe& stripe, AuthorId user,
                                            double estimate) {
   for (LeaderboardEntry& entry : stripe.board) {
     if (entry.user == user) {
-      if (estimate > entry.estimate) {
-        entry.estimate = estimate;
-        stripe.version.fetch_add(1, std::memory_order_release);
-      }
+      if (estimate > entry.estimate) entry.estimate = estimate;
       return;
     }
   }
   if (stripe.board.size() < options_.leaderboard_capacity) {
     stripe.board.push_back({user, estimate});
-    stripe.version.fetch_add(1, std::memory_order_release);
     return;
   }
   // Replace the smallest entry if this estimate beats it. Because
@@ -404,7 +399,6 @@ void TieredUserRegistry::UpdateBoardLocked(Stripe& stripe, AuthorId user,
   }
   if (estimate > stripe.board[min_index].estimate) {
     stripe.board[min_index] = {user, estimate};
-    stripe.version.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -536,16 +530,8 @@ double TieredUserRegistry::Add(AuthorId user, std::uint64_t value) {
 }
 
 double TieredUserRegistry::PointHIndex(AuthorId user) const {
-  Stripe& stripe = *stripes_[StripeOf(user)];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.users.find(user);
-  if (it == stripe.users.end()) return 0.0;
-  // The cold-get path: a segment-resident user's answer comes from its
-  // paged-in record, byte-identical to the pre-eviction answer.
-  if (it->second.tier == UserTier::kSegment && stripe.store != nullptr) {
-    return SegmentEstimateLocked(stripe, user, it->second);
-  }
-  return EstimateLocked(it->second);
+  UserSnapshot snapshot;
+  return Lookup(user, &snapshot) ? snapshot.estimate : 0.0;
 }
 
 bool TieredUserRegistry::Lookup(AuthorId user, UserSnapshot* out) const {
@@ -564,65 +550,22 @@ bool TieredUserRegistry::Lookup(AuthorId user, UserSnapshot* out) const {
   return true;
 }
 
-std::vector<LeaderboardEntry> TieredUserRegistry::TopK(std::size_t k) const {
-  HIMPACT_CHECK_MSG(k <= options_.leaderboard_capacity,
-                    "TopK k exceeds leaderboard_capacity");
-  TopKCache& cache = *topk_cache_;
-  std::lock_guard<std::mutex> cache_lock(cache.mu);
-
-  // Capture every stripe's board epoch BEFORE touching any board. A
-  // write that lands mid-merge bumps its epoch past the captured tag,
-  // so the next query re-merges; the cache can be stale-tagged-fresh
-  // never, only fresh-tagged-stale (one redundant re-merge).
-  std::vector<std::uint64_t> versions;
-  versions.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) {
-    versions.push_back(stripe->version.load(std::memory_order_acquire));
-  }
-
-  const bool hit = cache.valid && cache.versions == versions;
-  if (hit) {
-    ++cache.hits;
-  } else {
-    std::vector<LeaderboardEntry> merged;
-    for (const auto& stripe : stripes_) {
-      std::lock_guard<std::mutex> lock(stripe->mu);
-      merged.insert(merged.end(), stripe->board.begin(), stripe->board.end());
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const LeaderboardEntry& a, const LeaderboardEntry& b) {
-                if (a.estimate != b.estimate) return a.estimate > b.estimate;
-                return a.user < b.user;
-              });
-    cache.entries = std::move(merged);
-    cache.versions = std::move(versions);
-    cache.valid = true;
-    ++cache.misses;
-  }
-
-  // The cache holds the FULL merged sorted board, so any k up to the
-  // leaderboard capacity is a prefix of it.
-  const std::size_t n = std::min(k, cache.entries.size());
-  return std::vector<LeaderboardEntry>(cache.entries.begin(),
-                                       cache.entries.begin() +
-                                           static_cast<std::ptrdiff_t>(n));
-}
-
-std::vector<LeaderboardEntry> TieredUserRegistry::TopKDegraded(
+std::vector<LeaderboardEntry> TieredUserRegistry::TopK(
     std::size_t k, std::uint64_t deadline_nanos,
     std::size_t* stripes_skipped) const {
   HIMPACT_CHECK_MSG(k <= options_.leaderboard_capacity,
                     "TopK k exceeds leaderboard_capacity");
-  *stripes_skipped = 0;
+  HIMPACT_CHECK(deadline_nanos == 0 || stripes_skipped != nullptr);
+  if (stripes_skipped != nullptr) *stripes_skipped = 0;
   std::vector<LeaderboardEntry> merged;
   for (const auto& stripe : stripes_) {
-    std::unique_lock<std::mutex> lock(stripe->mu, std::try_to_lock);
-    while (!lock.owns_lock()) {
-      if (deadline_nanos != 0 && FaultClock::NowNanos() >= deadline_nanos) {
-        break;
+    std::unique_lock<std::mutex> lock(stripe->mu, std::defer_lock);
+    if (deadline_nanos == 0) {
+      lock.lock();
+    } else {
+      while (!lock.try_lock() && FaultClock::NowNanos() < deadline_nanos) {
+        std::this_thread::yield();
       }
-      std::this_thread::yield();
-      lock.try_lock();
     }
     if (!lock.owns_lock()) {
       ++*stripes_skipped;
@@ -677,11 +620,6 @@ RegistryStats TieredUserRegistry::Stats() const {
       stats.page_in_failures += counters.page_in_failures;
       stats.segment_dead_bytes += stripe->store->dead_record_bytes();
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(topk_cache_->mu);
-    stats.topk_cache_hits = topk_cache_->hits;
-    stats.topk_cache_misses = topk_cache_->misses;
   }
   return stats;
 }
@@ -892,11 +830,6 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   // Residency was rebuilt from scratch; any unmeetable-budget floor the
   // previous population established no longer describes this one.
   stripe.unmeetable_floor_bytes = 0;
-  // The board was wholesale-replaced: advance the epoch so a TopK cache
-  // tagged with the pre-restore epoch cannot serve the old board. (The
-  // epoch itself is runtime-only — deliberately not checkpointed — so a
-  // restored stripe's counter keeps climbing from wherever it was.)
-  stripe.version.fetch_add(1, std::memory_order_release);
   // A restore rewrites the stripe wholesale, so the next incremental
   // checkpoint must re-serialize it.
   stripe.dirty.fetch_add(1, std::memory_order_release);

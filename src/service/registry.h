@@ -141,11 +141,6 @@ struct RegistryStats {
   /// kept the user on its previous (exact or frozen-floor) state, so
   /// estimates stay valid lower bounds; see docs/ROBUSTNESS.md.
   std::uint64_t alloc_failures = 0;
-  /// `TopK` answers served from the epoch-tagged merged-board cache vs
-  /// recomputed because some stripe's board epoch advanced (see
-  /// docs/PERFORMANCE.md, "Epoch-cached merge-on-query").
-  std::uint64_t topk_cache_hits = 0;
-  std::uint64_t topk_cache_misses = 0;
   /// Segment-store aggregates (zero when no segment_dir is configured).
   /// Sealed segment files / bytes are state-like; the page-in and
   /// failure counts are runtime counters surfaced via `health`.
@@ -189,25 +184,18 @@ class TieredUserRegistry {
   bool Lookup(AuthorId user, UserSnapshot* out) const;
 
   /// The `k` users with the largest maintained estimates, descending
-  /// (ties broken by smaller user id). Served from the per-stripe
-  /// leaderboards; requires `k <= leaderboard_capacity`. Epoch-cached:
-  /// the merged, sorted board is kept alongside the stripe epochs that
-  /// produced it and only re-merged when some stripe's board changed
-  /// since (docs/PERFORMANCE.md); hit/miss counts surface in `Stats()`.
-  std::vector<LeaderboardEntry> TopK(std::size_t k) const;
-
-  /// `TopK` under an absolute `FaultClock` deadline (0 behaves like
-  /// `TopK`): a stripe whose lock cannot be acquired before the deadline
-  /// — e.g. one wedged behind a stalled writer — is skipped and counted
-  /// in `*stripes_skipped`. Because maintained estimates only grow, the
+  /// (ties broken by smaller user id), merged from the per-stripe
+  /// leaderboards; requires `k <= leaderboard_capacity`. With
+  /// `deadline_nanos == 0` each stripe lock is taken blocking. Otherwise
+  /// `deadline_nanos` is an absolute `FaultClock` deadline: a stripe
+  /// whose lock cannot be acquired before it — e.g. one wedged behind a
+  /// stalled writer — is skipped and counted in `*stripes_skipped`
+  /// (required then). Because maintained estimates only grow, the
   /// partial board is a valid lower-bound leaderboard over the merged
-  /// stripes (see docs/ROBUSTNESS.md, "Degraded answers"). Deliberately
-  /// bypasses the `TopK` cache in both directions: a partial answer is
-  /// never cached, and a degraded call never serves a (possibly
-  /// wedged-stripe-covering) cached board as a fresh degraded answer.
-  std::vector<LeaderboardEntry> TopKDegraded(
-      std::size_t k, std::uint64_t deadline_nanos,
-      std::size_t* stripes_skipped) const;
+  /// stripes (see docs/ROBUSTNESS.md, "Degraded answers").
+  std::vector<LeaderboardEntry> TopK(
+      std::size_t k, std::uint64_t deadline_nanos = 0,
+      std::size_t* stripes_skipped = nullptr) const;
 
   /// Aggregate counters across stripes. Thread-safe; the snapshot is
   /// per-stripe consistent, not a global atomic cut.
@@ -307,30 +295,6 @@ class TieredUserRegistry {
     /// Mutation epoch for incremental checkpoints: bumped (release,
     /// under `mu`) by every Add and by stripe restore. Runtime-only.
     std::atomic<std::uint64_t> dirty{0};
-    /// Board epoch: bumped (release, under `mu`) whenever `board`
-    /// changes — entry added, replaced, or its estimate raised — and on
-    /// stripe restore. `TopK` reads it (acquire, lock-free) to decide
-    /// whether its cached merged board is still current. Reading the
-    /// epoch *before* copying the board makes a concurrent mutation tag
-    /// the cache as already stale — never stale-served-as-fresh.
-    std::atomic<std::uint64_t> version{0};
-  };
-
-  /// `TopK`'s epoch-tagged cache of the full merged, sorted board. Held
-  /// behind a unique_ptr (std::mutex is immovable; the registry moves).
-  /// Lock order: `cache.mu` then stripe `mu`s — nothing takes the
-  /// reverse, so the pair cannot deadlock.
-  struct TopKCache {
-    std::mutex mu;
-    bool valid = false;
-    /// Stripe board epochs captured *before* the merge that produced
-    /// `entries` (conservative tags).
-    std::vector<std::uint64_t> versions;
-    /// The full merged board, sorted; any `k <= leaderboard_capacity`
-    /// is served as its prefix.
-    std::vector<LeaderboardEntry> entries;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
   };
 
   explicit TieredUserRegistry(const ServiceOptions& options);
@@ -366,7 +330,6 @@ class TieredUserRegistry {
   ServiceOptions options_;
   std::uint64_t stripe_budget_bytes_ = 0;
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::unique_ptr<TopKCache> topk_cache_;
 };
 
 }  // namespace himpact

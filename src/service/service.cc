@@ -51,9 +51,6 @@ HImpactService::HImpactService(TieredUserRegistry registry)
       hh_stripes_(MakeHhStripes()),
       hh_report_cache_(std::make_unique<HhReportCache>()),
       deadline_exceeded_(std::make_unique<std::atomic<std::uint64_t>>(0)),
-      ingest_latency_(std::make_unique<LatencyRecorder>()),
-      point_latency_(std::make_unique<LatencyRecorder>()),
-      topk_latency_(std::make_unique<LatencyRecorder>()),
       chain_(std::make_unique<ChainState>()) {}
 
 std::vector<std::unique_ptr<HImpactService::HhStripe>>
@@ -76,7 +73,6 @@ HImpactService::MakeHhStripes() const {
 
 double HImpactService::RecordResponseCount(AuthorId user,
                                            std::uint64_t value) {
-  ScopedLatency timer(*ingest_latency_);
   const double estimate = registry_.Add(user, value);
   if (options().enable_heavy_hitters) FeedResponseCount(user, value);
   return estimate;
@@ -96,7 +92,6 @@ void HImpactService::FeedResponseCount(AuthorId user, std::uint64_t value) {
 }
 
 void HImpactService::IngestPaper(const PaperTuple& paper) {
-  ScopedLatency timer(*ingest_latency_);
   if (paper.authors.empty()) return;
   for (const AuthorId author : paper.authors) {
     registry_.Add(author, paper.citations);
@@ -135,17 +130,14 @@ void HImpactService::ReplayResponseCountGrid(AuthorId user,
 }
 
 double HImpactService::PointHIndex(AuthorId user) const {
-  ScopedLatency timer(*point_latency_);
   return registry_.PointHIndex(user);
 }
 
 bool HImpactService::Lookup(AuthorId user, UserSnapshot* out) const {
-  ScopedLatency timer(*point_latency_);
   return registry_.Lookup(user, out);
 }
 
 std::vector<LeaderboardEntry> HImpactService::TopK(std::size_t k) const {
-  ScopedLatency timer(*topk_latency_);
   return registry_.TopK(k);
 }
 
@@ -219,7 +211,6 @@ Status HImpactService::TryIngestPaper(const PaperTuple& paper) {
 }
 
 StatusOr<TopKResult> HImpactService::TryTopK(std::size_t k) {
-  ScopedLatency timer(*topk_latency_);
   const std::uint64_t budget = options().top_deadline_nanos;
   std::uint64_t deadline = 0;
   if (budget != 0) {
@@ -227,8 +218,7 @@ StatusOr<TopKResult> HImpactService::TryTopK(std::size_t k) {
     deadline = budget > UINT64_MAX - now ? UINT64_MAX : now + budget;
   }
   TopKResult result;
-  result.entries =
-      registry_.TopKDegraded(k, deadline, &result.stripes_skipped);
+  result.entries = registry_.TopK(k, deadline, &result.stripes_skipped);
   if (result.stripes_skipped > 0) {
     deadline_exceeded_->fetch_add(1, std::memory_order_relaxed);
   }

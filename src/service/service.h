@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "heavy/heavy_hitters.h"
-#include "service/latency.h"
 #include "service/protocol.h"
 #include "service/registry.h"
 #include "stream/types.h"
@@ -21,11 +20,11 @@
 ///
 /// `HImpactService` composes the tiered per-user registry
 /// (service/registry.h) with a striped Algorithm 8 heavy-hitters grid
-/// and per-operation latency capture, and adds service-level
-/// checkpoint/restore. It is the layer `hstream_serve`, the examples,
-/// and the F4 load harness sit on: ingest threads call
-/// `RecordResponseCount` / `IngestPaper` while query threads call
-/// `PointHIndex` / `TopK` / `HeavyReport` / `Stats` concurrently.
+/// and adds service-level checkpoint/restore. It is the layer
+/// `hstream_serve`, the examples, and the F4 load harness sit on: ingest
+/// threads call `RecordResponseCount` / `IngestPaper` while query
+/// threads call `PointHIndex` / `TopK` / `HeavyReport` / `Stats`
+/// concurrently.
 ///
 /// Checkpoint layout (mirrors the shard set's manifest convention from
 /// engine/shard_set.h): one `kServiceStripe` envelope per stripe at
@@ -149,7 +148,8 @@ class HImpactService {
   /// Detailed per-user lookup; false if the user was never seen.
   bool Lookup(AuthorId user, UserSnapshot* out) const;
 
-  /// The `k` users with the largest maintained estimates.
+  /// The `k` users with the largest maintained estimates; waits for
+  /// every stripe lock.
   std::vector<LeaderboardEntry> TopK(std::size_t k) const;
 
   /// Heavy-hitter candidates from the merged grid (empty when the grid
@@ -171,16 +171,12 @@ class HImpactService {
   StatusOr<double> TryRecordResponseCount(AuthorId user, std::uint64_t value);
   Status TryIngestPaper(const PaperTuple& paper);
 
-  /// Top-k under `ServiceOptions::top_deadline_nanos`. Degrades instead
-  /// of blocking: stripes it cannot lock in time are skipped (and
-  /// counted in the result tag and `Stats().deadline_exceeded`), so a
-  /// wedged stripe costs coverage, not availability. Always OK.
+  /// Top-k under `ServiceOptions::top_deadline_nanos`. With a budget it
+  /// degrades instead of waiting: stripes it cannot lock in time are
+  /// skipped (and counted in the result tag and
+  /// `Stats().deadline_exceeded`), so a wedged stripe costs coverage,
+  /// not availability. With none (0) it waits like `TopK`. Always OK.
   StatusOr<TopKResult> TryTopK(std::size_t k);
-
-  /// Latency histograms, populated by the calls above.
-  const LatencyRecorder& ingest_latency() const { return *ingest_latency_; }
-  const LatencyRecorder& point_latency() const { return *point_latency_; }
-  const LatencyRecorder& topk_latency() const { return *topk_latency_; }
 
   /// Writes per-stripe envelopes to `path.stripe-<i>`, then the
   /// manifest to `path`. Concurrent ingest is allowed (each stripe is
@@ -327,9 +323,6 @@ class HImpactService {
   /// `TryTopK` answers degraded by the deadline (behind a unique_ptr
   /// because std::atomic is immovable; the service moves).
   std::unique_ptr<std::atomic<std::uint64_t>> deadline_exceeded_;
-  std::unique_ptr<LatencyRecorder> ingest_latency_;
-  std::unique_ptr<LatencyRecorder> point_latency_;
-  std::unique_ptr<LatencyRecorder> topk_latency_;
   std::unique_ptr<ChainState> chain_;
 };
 

@@ -32,8 +32,6 @@ std::string ServiceSession::StatsJson() const {
   json += ",\"resident_bytes\":" + U64(r.resident_bytes);
   json += ",\"budget_bytes\":" + U64(r.budget_bytes);
   json += ",\"hh_papers\":" + U64(stats.hh_papers);
-  json += ",\"topk_cache_hits\":" + U64(r.topk_cache_hits);
-  json += ",\"topk_cache_misses\":" + U64(r.topk_cache_misses);
   json += ",\"hh_report_cache_hits\":" + U64(stats.hh_report_cache_hits);
   json += ",\"hh_report_cache_misses\":" + U64(stats.hh_report_cache_misses);
   // WAL writer counters ride along for operators sampling STATS; they

@@ -87,15 +87,17 @@ TEST(RegistryStress, ConcurrentPromoteDemoteQuery) {
 }
 
 // The full service under mixed load: ingest (with the heavy-hitters
-// grid enabled, so its stripe mutexes are in play), point and top-k
+// grid enabled, so its stripe mutexes are in play), point, top-k (both
+// the waiting scan and the deadline-bounded one `top` serves) and heavy
 // queries, Stats, and a mid-flight checkpoint. TSan-visible surface:
-// registry stripes, HH stripes, latency recorder atomics.
+// registry stripes, HH stripes, the HeavyReport cache.
 TEST(ServiceStress, MixedIngestQueryCheckpoint) {
   ServiceOptions options;
   options.num_stripes = 4;
   options.promote_threshold = 8;
   options.memory_budget_bytes = 256 * 1024;
   options.enable_heavy_hitters = true;
+  options.top_deadline_nanos = 1'000'000;  // 1ms
   auto service = HImpactService::Create(options).value();
 
   constexpr int kIngestThreads = 2;
@@ -117,6 +119,10 @@ TEST(ServiceStress, MixedIngestQueryCheckpoint) {
     while (!stop.load(std::memory_order_acquire)) {
       (void)service.PointHIndex(1 + rng.UniformU64(200));
       (void)service.TopK(5);
+      const StatusOr<TopKResult> top = service.TryTopK(5);
+      EXPECT_TRUE(top.ok());
+      EXPECT_LE(top.value().entries.size(), 5u);
+      (void)service.HeavyReport();
       (void)service.Stats();
       std::this_thread::yield();
     }
@@ -137,7 +143,16 @@ TEST(ServiceStress, MixedIngestQueryCheckpoint) {
   }
   EXPECT_EQ(service.Stats().registry.total_events,
             static_cast<std::uint64_t>(kIngestThreads) * kEventsPerThread);
-  EXPECT_GT(service.ingest_latency().count(), 0u);
+  // Quiesced, the deadline-bounded scan skips nothing and agrees with
+  // the waiting one.
+  const StatusOr<TopKResult> top = service.TryTopK(5);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(top.value().stripes_skipped, 0u);
+  const std::vector<LeaderboardEntry> waited = service.TopK(5);
+  ASSERT_EQ(top.value().entries.size(), waited.size());
+  for (std::size_t i = 0; i < waited.size(); ++i) {
+    EXPECT_EQ(top.value().entries[i].user, waited[i].user);
+  }
   std::remove(path.c_str());
   for (std::size_t i = 0; i < options.num_stripes; ++i) {
     std::remove(HImpactService::StripePath(path, i).c_str());

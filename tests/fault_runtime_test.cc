@@ -436,33 +436,40 @@ TEST_F(FaultRuntimeTest, DegradedTopKSkipsAWedgedStripeAndTagsTheAnswer) {
 }
 
 TEST_F(FaultRuntimeTest, LargestTopDeadlineWaitsInsteadOfWrapping) {
-  ServiceOptions options;
-  options.num_stripes = 2;
-  options.enable_heavy_hitters = false;
   // `--deadline-us 18446744073709551`: now + budget would wrap u64 into
-  // a deadline already past, skipping a locked stripe at once.
-  options.top_deadline_nanos = UINT64_MAX / 1000 * 1000;
-  auto service_or = HImpactService::Create(options);
-  ASSERT_TRUE(service_or.ok());
-  HImpactService service = std::move(service_or).value();
-  for (AuthorId user = 1; user <= 8; ++user) {
-    service.RecordResponseCount(user, 5);
-  }
+  // a deadline already past, skipping a locked stripe at once. Budget 0
+  // (no `--deadline-us`) takes each stripe lock blocking. Both must wait
+  // out the wedged stripe.
+  constexpr std::uint64_t kBudgets[] = {UINT64_MAX / 1000 * 1000, 0};
+  for (const std::uint64_t budget : kBudgets) {
+    SCOPED_TRACE(budget);
+    FaultRegistry::Global().Reset();
+    ServiceOptions options;
+    options.num_stripes = 2;
+    options.enable_heavy_hitters = false;
+    options.top_deadline_nanos = budget;
+    auto service_or = HImpactService::Create(options);
+    ASSERT_TRUE(service_or.ok());
+    HImpactService service = std::move(service_or).value();
+    for (AuthorId user = 1; user <= 8; ++user) {
+      service.RecordResponseCount(user, 5);
+    }
 
-  FaultSpec stall;
-  stall.max_fires = 1;
-  stall.param = 100'000;  // 100ms
-  FaultRegistry::Global().Arm(FaultPoint::kWorkerStall, stall);
-  std::thread stalled([&] { service.RecordResponseCount(1, 1); });
-  while (FaultRegistry::Global().fires(FaultPoint::kWorkerStall) == 0) {
-    std::this_thread::yield();
+    FaultSpec stall;
+    stall.max_fires = 1;
+    stall.param = 100'000;  // 100ms
+    FaultRegistry::Global().Arm(FaultPoint::kWorkerStall, stall);
+    std::thread stalled([&] { service.RecordResponseCount(1, 1); });
+    while (FaultRegistry::Global().fires(FaultPoint::kWorkerStall) == 0) {
+      std::this_thread::yield();
+    }
+    const StatusOr<TopKResult> top = service.TryTopK(8);
+    stalled.join();
+    ASSERT_TRUE(top.ok());
+    EXPECT_EQ(top.value().stripes_skipped, 0u);
+    EXPECT_EQ(top.value().entries.size(), 8u);
+    EXPECT_EQ(service.Stats().deadline_exceeded, 0u);
   }
-  const StatusOr<TopKResult> top = service.TryTopK(8);
-  stalled.join();
-  ASSERT_TRUE(top.ok());
-  EXPECT_EQ(top.value().stripes_skipped, 0u);
-  EXPECT_EQ(top.value().entries.size(), 8u);
-  EXPECT_EQ(service.Stats().deadline_exceeded, 0u);
 }
 
 TEST_F(FaultRuntimeTest, ClockSkewTripsDeadlinesInsteadOfHangingThem) {

@@ -10,7 +10,6 @@
 #
 # Gate table (one row per checked metric family):
 #   f6_batch_vs_scalar  per-sketch batch speedup       lower  = regression
-#   f6_merge_cache      per-layer cold/warm ratio      lower  = regression
 #   f7_net_load         per-point client shed rate     higher = regression
 #   f8_wire_speedup     framing binary-vs-text ratio   lower  = regression,
 #                       plus an absolute floor: framing mode must stay
@@ -43,7 +42,7 @@ while [[ $# -gt 0 ]]; do
     --baseline) baseline="$2"; shift 2 ;;
     --tolerance) tolerance="$2"; shift 2 ;;
     -h|--help)
-      sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) echo "unknown flag: $1" >&2; exit 2 ;;
@@ -157,11 +156,6 @@ while IFS= read -r line; do
       sketch="$(field "${line}" sketch)"
       base="$(baseline_metric f6_batch_vs_scalar sketch "${sketch}" speedup || true)"
       check "batch speedup [${sketch}]" "${base}" "$(field "${line}" speedup)"
-      ;;
-    f6_merge_cache)
-      layer="$(field "${line}" layer)"
-      base="$(baseline_metric f6_merge_cache layer "${layer}" cold_over_warm || true)"
-      check "merge-cache ratio [${layer}]" "${base}" "$(field "${line}" cold_over_warm)"
       ;;
     f7_net_load)
       connections="$(field "${line}" connections)"

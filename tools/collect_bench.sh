@@ -12,7 +12,7 @@
 #   bench_a5_checkpoint_sizes   checkpoint envelope sizes
 #   bench_f4_service_qps  multi-tenant service closed-loop load harness
 #   bench_f5_overload     stall recovery time
-#   bench_f6_hotpath      batch-vs-scalar speedups + registry merge-cache latency
+#   bench_f6_hotpath      batch-vs-scalar and SIMD-vs-scalar speedups
 #   bench_f7_net_load     TCP front-end connection sweep (qps, p99, shed)
 #   bench_f8_wire         text-vs-binary wire framing (docs/PROTOCOL.md)
 #   bench_f9_coldtier     paged cold tier page-in latency + delta sizing
