@@ -50,10 +50,9 @@
 // rotates the log, and on startup the log is repaired (torn tails
 // truncated, never fatal) and replayed after `--restore` — so recovery
 // is exact to the last durable record, not checkpoint-cadence bounded.
-// `--max-chain-len N` bounds the incremental delta chain: at N/2 the
-// session's durability owner (service/durability.h) folds the chain
-// into a fresh full save in the background; at N the next incremental
-// save escalates to a full one inline.
+// `--max-chain-len N` bounds the incremental delta chain: once it holds
+// N deltas the next incremental save escalates to a full one inline
+// (0 disables the bound).
 //
 // Robustness surface (docs/ROBUSTNESS.md): `--deadline-us` bounds the
 // stripe scan of `top` (a stripe still locked when it runs out is

@@ -261,7 +261,7 @@ class ShardSet {
   static void Dispatch(Shard& shard) {
     shard.job.Wait();
     std::swap(shard.pending, shard.applying);
-    shard.job = TaskRuntime::Shared().Submit(JobClass::kGeneric, [&shard] {
+    shard.job = TaskRuntime::Shared().Submit([&shard] {
       Traits::ApplyBatch(shard.estimator, shard.applying.data(),
                          shard.applying.size(), shard.arena);
       shard.applying.clear();

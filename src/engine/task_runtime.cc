@@ -13,18 +13,6 @@ thread_local const TaskRuntime* tl_runtime = nullptr;
 
 }  // namespace
 
-const char* JobClassName(JobClass job_class) {
-  switch (job_class) {
-    case JobClass::kGeneric:
-      return "generic";
-    case JobClass::kDeltaCollapse:
-      return "delta_collapse";
-    case JobClass::kTierDemotion:
-      return "tier_demotion";
-  }
-  return "generic";
-}
-
 bool TaskHandle::done() const {
   if (state_ == nullptr) return true;
   std::lock_guard<std::mutex> lock(state_->mutex);
@@ -50,15 +38,15 @@ TaskRuntime::TaskRuntime(const TaskRuntimeOptions& options) {
 
 TaskRuntime::~TaskRuntime() { Shutdown(); }
 
-TaskHandle TaskRuntime::Submit(JobClass job_class, std::function<void()> fn) {
+TaskHandle TaskRuntime::Submit(std::function<void()> fn) {
   TaskHandle handle;
   handle.state_ = std::make_shared<TaskHandle::State>();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     HIMPACT_CHECK_MSG(!shut_down_, "Submit on a shut-down TaskRuntime");
-    queue_.push_back(Job{std::move(fn), job_class, handle.state_});
+    queue_.push_back(Job{std::move(fn), handle.state_});
     ++pending_;
-    ++stats_.submitted[static_cast<std::size_t>(job_class)];
+    ++stats_.submitted;
   }
   work_cv_.notify_one();
   return handle;
@@ -90,8 +78,8 @@ TaskRuntimeStats TaskRuntime::Stats() const {
 }
 
 TaskRuntime& TaskRuntime::Shared() {
-  // Leaked on purpose (see header): sessions may wait on background
-  // handles during static teardown, after locals would have died.
+  // Leaked on purpose (see header): a submitter may wait on handles
+  // during static teardown, after locals would have died.
   static TaskRuntime* shared = new TaskRuntime(TaskRuntimeOptions{});
   return *shared;
 }
@@ -112,7 +100,7 @@ void TaskRuntime::WorkerLoop() {
     lock.lock();
     // Count before marking the handle done, so a caller that waited on
     // the handle reads its job in `completed`.
-    ++stats_.completed[static_cast<std::size_t>(job.job_class)];
+    ++stats_.completed;
     {
       std::lock_guard<std::mutex> state_lock(job.state->mutex);
       job.state->done = true;

@@ -1,7 +1,6 @@
 #ifndef HIMPACT_ENGINE_TASK_RUNTIME_H_
 #define HIMPACT_ENGINE_TASK_RUNTIME_H_
 
-#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -13,19 +12,15 @@
 #include <vector>
 
 /// \file
-/// Background task runtime: a fixed pool of workers over one FIFO.
+/// Task runtime: a fixed pool of workers over one FIFO.
 ///
-/// `TaskRuntime` runs the serving layers' background work — the shard
-/// set's per-shard batches, the session's delta-chain collapse and
-/// cold-tier seal flush — on K threads that share one mutex-guarded
-/// FIFO queue. Every submitter sits outside the pool and every job is
-/// coarse, so one lock per submit and per take costs little next to
-/// the job. An idle worker blocks on the queue's condition variable
-/// with no timeout: a pool with nothing to do uses no CPU, and a submit
-/// wakes one worker.
-///
-/// Jobs carry a `JobClass` so operators can see *what* the pool spends
-/// its time on (per-class counters in `health`).
+/// `TaskRuntime` runs the fork-join work of two submitters — the shard
+/// set's per-shard batches and WAL replay's per-stripe jobs — on K
+/// threads that share one mutex-guarded FIFO queue. Every submitter
+/// sits outside the pool and every job is coarse, so one lock per
+/// submit and per take costs little next to the job. An idle worker
+/// blocks on the queue's condition variable with no timeout: a pool
+/// with nothing to do uses no CPU, and a submit wakes one worker.
 ///
 /// Blocking contract: a job may wait for other jobs it submitted ONLY
 /// when the runtime has more than one worker (on a single-worker
@@ -34,30 +29,16 @@
 
 namespace himpact {
 
-/// What a background job does, for accounting. Classes map to the
-/// maintenance work the serving layers offload (see
-/// docs/PERFORMANCE.md for who submits what):
-enum class JobClass : int {
-  kGeneric = 0,        // shard batches, tests, benches, uncategorized work
-  kDeltaCollapse = 1,  // session background delta-chain fold to full
-  kTierDemotion = 2,   // cold-tier seal flush of pending demotion records
-};
-
-inline constexpr std::size_t kNumJobClasses = 3;
-
-/// Stable lowercase name for reports ("generic", "delta_collapse", ...).
-const char* JobClassName(JobClass job_class);
-
 /// Pool geometry. `num_workers == 0` resolves to
 /// `std::thread::hardware_concurrency()` (at least 1).
 struct TaskRuntimeOptions {
   std::size_t num_workers = 0;
 };
 
-/// Monotone per-class counters, snapshot via `TaskRuntime::Stats()`.
+/// Monotone job counters, snapshot via `TaskRuntime::Stats()`.
 struct TaskRuntimeStats {
-  std::array<std::uint64_t, kNumJobClasses> submitted{};
-  std::array<std::uint64_t, kNumJobClasses> completed{};
+  std::uint64_t submitted = 0;
+  std::uint64_t completed = 0;
 };
 
 /// Completion handle for one submitted job. Copyable (shared state);
@@ -98,7 +79,7 @@ class TaskRuntime {
 
   /// Appends `fn` to the queue; the oldest queued job runs first.
   /// Thread-safe from any thread, including from inside a job.
-  TaskHandle Submit(JobClass job_class, std::function<void()> fn);
+  TaskHandle Submit(std::function<void()> fn);
 
   /// Blocks until every submitted job (including jobs submitted by
   /// running jobs) has completed. Call from outside the pool only.
@@ -110,19 +91,18 @@ class TaskRuntime {
 
   std::size_t num_workers() const { return threads_.size(); }
 
-  /// Snapshot of the per-class counters. Thread-safe.
+  /// Snapshot of the job counters. Thread-safe.
   TaskRuntimeStats Stats() const;
 
-  /// Process-wide shared runtime for background maintenance (sized to
-  /// the host, minimum 1 worker). Constructed on first use and
-  /// intentionally never destroyed, so late-exiting sessions can still
-  /// wait on handles during static teardown.
+  /// Process-wide shared runtime (sized to the host, minimum 1 worker).
+  /// Constructed on first use and intentionally never destroyed, so a
+  /// late-exiting submitter can still wait on handles during static
+  /// teardown.
   static TaskRuntime& Shared();
 
  private:
   struct Job {
     std::function<void()> fn;
-    JobClass job_class = JobClass::kGeneric;
     std::shared_ptr<TaskHandle::State> state;
   };
 

@@ -1,11 +1,9 @@
 #ifndef HIMPACT_SERVICE_DURABILITY_H_
 #define HIMPACT_SERVICE_DURABILITY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
-#include "engine/task_runtime.h"
 #include "io/wal.h"
 #include "service/protocol.h"
 #include "service/service.h"
@@ -19,16 +17,11 @@
 /// followed by a rotation: only a save that landed on the
 /// auto-checkpoint path rotates the log.
 ///
-/// It also submits the background maintenance jobs, which run on the
-/// shared FIFO task runtime (engine/task_runtime.h), not ad-hoc threads:
-///
-///   - `kDeltaCollapse`: once the incremental chain reaches half of
-///     `ServiceOptions::max_chain_len`, a job folds it into a fresh
-///     full save while the session keeps serving (cadence saves are
-///     deferred, not blocked, while it runs);
-///   - `kTierDemotion`: halfway through each checkpoint cadence, a job
-///     seals pending cold-tier demotion records so the checkpoint's
-///     inline flush finds less I/O to do.
+/// It runs no background work: every save happens inline on the
+/// session thread. The save bounds an incremental chain itself
+/// (`ServiceOptions::max_chain_len` escalates it to a full save), and
+/// pending cold-tier records seal when a stripe's buffer crosses its
+/// threshold or when a save serializes the stripe.
 
 namespace himpact {
 
@@ -45,16 +38,11 @@ struct SessionOptions {
   SaveMode checkpoint_mode = SaveMode::kFull;
 };
 
-/// Owned by one session and driven from its thread. The jobs it submits
-/// touch only the thread-safe `HImpactService` checkpoint/flush surface
-/// and the atomic job counters.
+/// Owned by one session and driven only from its thread.
 class Durability {
  public:
   Durability(HImpactService* service, const SessionOptions& options)
       : service_(service), options_(options) {}
-
-  /// Waits for any in-flight background job.
-  ~Durability() { WaitForJobs(); }
 
   Durability(const Durability&) = delete;
   Durability& operator=(const Durability&) = delete;
@@ -71,23 +59,12 @@ class Durability {
   /// `path` is the auto-checkpoint path.
   Status Save(const std::string& path, SaveMode mode);
 
-  /// Joins the background jobs, then takes the final auto-checkpoint so
-  /// it is the newest state on disk. OK and a no-op when unarmed.
-  Status FinalSave() {
-    WaitForJobs();
-    return armed() ? AutoSave() : Status::OK();
-  }
+  /// Takes the final auto-checkpoint so it is the newest state on
+  /// disk. OK and a no-op when unarmed.
+  Status FinalSave() { return armed() ? AutoSave() : Status::OK(); }
 
   std::uint64_t checkpoints() const { return checkpoints_; }
   std::uint64_t checkpoint_failures() const { return checkpoint_failures_; }
-  /// Cadence saves deferred because a background chain collapse held
-  /// the checkpoint operation lock (retried on the next write).
-  std::uint64_t checkpoints_deferred() const { return checkpoints_deferred_; }
-  std::uint64_t chain_collapses() const { return chain_collapses_.load(); }
-  std::uint64_t chain_collapse_failures() const {
-    return chain_collapse_failures_.load();
-  }
-  std::uint64_t coldtier_flushes() const { return coldtier_flushes_.load(); }
 
  private:
   bool armed() const {
@@ -96,9 +73,6 @@ class Durability {
   /// A save to the auto-checkpoint path, counted.
   Status AutoSave();
   void NoteWalFailure(const char* what, const Status& status);
-  void MaybeCollapseChain();
-  void MaybeFlushColdTier();
-  void WaitForJobs() { collapse_job_.Wait(); flush_job_.Wait(); }
 
   HImpactService* service_;
   SessionOptions options_;
@@ -107,13 +81,6 @@ class Durability {
   std::uint64_t writes_since_save_ = 0;
   std::uint64_t checkpoints_ = 0;
   std::uint64_t checkpoint_failures_ = 0;
-  std::uint64_t checkpoints_deferred_ = 0;
-  /// One job of each class in flight at most; an empty handle is done.
-  TaskHandle collapse_job_;
-  TaskHandle flush_job_;
-  std::atomic<std::uint64_t> chain_collapses_{0};
-  std::atomic<std::uint64_t> chain_collapse_failures_{0};
-  std::atomic<std::uint64_t> coldtier_flushes_{0};
 };
 
 }  // namespace himpact

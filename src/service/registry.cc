@@ -624,19 +624,6 @@ RegistryStats TieredUserRegistry::Stats() const {
   return stats;
 }
 
-std::size_t TieredUserRegistry::FlushSegmentStores() {
-  std::size_t sealed = 0;
-  for (auto& stripe_ptr : stripes_) {
-    Stripe& stripe = *stripe_ptr;
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    if (stripe.store == nullptr || stripe.store->pending_records() == 0) {
-      continue;
-    }
-    if (stripe.store->Flush().ok()) ++sealed;
-  }
-  return sealed;
-}
-
 void TieredUserRegistry::SerializeStripe(std::size_t i,
                                          ByteWriter& writer) const {
   HIMPACT_CHECK(i < stripes_.size());

@@ -90,9 +90,8 @@ struct ServiceOptions {
   /// into a service with any (or no) segment directory.
   std::string segment_dir;
   /// Longest incremental delta chain a checkpoint path may grow before
-  /// `CheckpointTo(kIncremental)` escalates to a full save (and the
-  /// session's background collapse job starts folding earlier, at half
-  /// this). 0 disables the inline escalation. Runtime-only, like
+  /// `CheckpointTo(kIncremental)` escalates to a full save — the one
+  /// bound on a chain's length. 0 disables it. Runtime-only, like
   /// `segment_dir` — not part of the checkpoint manifest.
   std::uint64_t max_chain_len = 64;
   /// Time budget of one `HImpactService::TryTopK` stripe scan in
@@ -200,17 +199,6 @@ class TieredUserRegistry {
   /// Aggregate counters across stripes. Thread-safe; the snapshot is
   /// per-stripe consistent, not a global atomic cut.
   RegistryStats Stats() const;
-
-  /// Seals every stripe's pending cold-tier demotion records into
-  /// segment files (stripes without a store or without pending records
-  /// are skipped). Thread-safe — takes each stripe lock in turn, so it
-  /// can run on a background worker (the session's `kTierDemotion`
-  /// maintenance job) to move seal I/O off the serving thread; the next
-  /// checkpoint's inline flush then finds less to write. Failed seals
-  /// keep their records pending (counted, retried later), exactly like
-  /// the checkpoint-time flush. Returns the number of stripes whose
-  /// pending buffer was sealed.
-  std::size_t FlushSegmentStores();
 
   /// Number of lock stripes.
   std::size_t num_stripes() const { return stripes_.size(); }

@@ -236,9 +236,9 @@ Status HImpactService::CheckpointTo(const std::string& path) const {
 
 Status HImpactService::CheckpointTo(const std::string& path,
                                     SaveMode mode) const {
-  // One checkpoint or restore at a time: the background chain-collapse
-  // job and the session thread must never interleave their head /
-  // stripe / delta writes (see ChainState::op_mu).
+  // One checkpoint or restore at a time: two callers must never
+  // interleave their head / stripe / delta writes (see
+  // ChainState::op_mu).
   std::lock_guard<std::mutex> op_lock(chain_->op_mu);
   if (mode == SaveMode::kIncremental) return CheckpointIncremental(path);
   return CheckpointFull(path);
@@ -365,8 +365,7 @@ Status HImpactService::CheckpointIncremental(const std::string& path) const {
       chain_->generation + 1 > options().max_chain_len) {
     // The chain is at its cap: one more delta would push a restore
     // walk past --max-chain-len generations. Escalate to a full save
-    // so restore cost stays bounded even when the background collapse
-    // job is disabled or behind.
+    // so restore cost stays bounded.
     ++chain_->counters.chain_escalations;
     lock.unlock();
     return CheckpointFull(path);
@@ -672,8 +671,7 @@ Status HImpactService::RestoreFrom(const std::string& path) {
   }
   // Operators watch this line: a creeping generation means checkpoints
   // are incremental-only and restores are walking an ever-longer chain
-  // (the collapse job or --max-chain-len escalation should be cutting
-  // it back).
+  // (--max-chain-len escalation should be cutting it back).
   std::fprintf(stderr,
                "hstream: restored %s at chain generation %llu"
                " (%llu damaged generation(s) skipped)\n",

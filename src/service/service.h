@@ -72,8 +72,7 @@ struct CheckpointCounters {
   /// Generation of the live chain (0 = full save only).
   std::uint64_t chain_generation = 0;
   /// Incremental saves escalated to a full save because the chain hit
-  /// `ServiceOptions::max_chain_len` (the inline backstop that bounds
-  /// restore walks even when the background collapse job is off).
+  /// `ServiceOptions::max_chain_len` (the bound on restore walks).
   std::uint64_t chain_escalations = 0;
 };
 
@@ -213,20 +212,6 @@ class HImpactService {
   /// Read access to the underlying registry (tests, examples).
   const TieredUserRegistry& registry() const { return registry_; }
 
-  /// Seals pending cold-tier demotion records across all stripes
-  /// (`TieredUserRegistry::FlushSegmentStores`). Thread-safe; the
-  /// session's background `kTierDemotion` maintenance job calls this
-  /// off the serving thread. Returns the number of stripes sealed.
-  std::size_t FlushColdTier() { return registry_.FlushSegmentStores(); }
-
-  /// Generation of the live incremental chain (0 = full save only, or
-  /// no chain yet). The session's background collapse job polls this
-  /// to decide when folding the chain into a fresh full save is due.
-  std::uint64_t chain_generation() const {
-    std::lock_guard<std::mutex> lock(chain_->mu);
-    return chain_->valid ? chain_->generation : 0;
-  }
-
  private:
   /// One heavy-hitters shard; all shards share options and seed so the
   /// on-query merge is legal (see HeavyHitters::Merge).
@@ -268,11 +253,10 @@ class HImpactService {
   /// inside it, never the reverse.
   struct ChainState {
     /// Operation-level lock: held for the full duration of a
-    /// checkpoint or restore so a background chain collapse and a
-    /// session-thread save never interleave their file writes. `mu`
-    /// below stays brief so `Stats()` / `chain_generation()` remain
-    /// responsive during a long full save. Lock order: `op_mu`, then
-    /// `mu`, then stripe locks — never the reverse.
+    /// checkpoint or restore so two callers of the public checkpoint
+    /// API never interleave their file writes. `mu` below stays brief
+    /// so `Stats()` remains responsive during a long full save. Lock
+    /// order: `op_mu`, then `mu`, then stripe locks — never the reverse.
     mutable std::mutex op_mu;
     mutable std::mutex mu;
     bool valid = false;

@@ -77,25 +77,13 @@ std::string ServiceSession::HealthJson() const {
   json += ",\"restore_chain_fallbacks\":" + U64(c.restore_chain_fallbacks);
   json += ",\"chain_generation\":" + U64(c.chain_generation);
   json += ",\"chain_escalations\":" + U64(c.chain_escalations);
-  json += ",\"chain_collapses\":" + U64(d.chain_collapses());
-  json += ",\"chain_collapse_failures\":" + U64(d.chain_collapse_failures());
-  json += ",\"checkpoints_deferred\":" + U64(d.checkpoints_deferred());
-  json += ",\"coldtier_flushes\":" + U64(d.coldtier_flushes());
-  // Background maintenance pool counters (process-wide: the shared
-  // runtime serves every session in this process).
-  {
-    const TaskRuntimeStats rt = TaskRuntime::Shared().Stats();
-    json += ",\"task_runtime\":{\"workers\":" +
-            U64(TaskRuntime::Shared().num_workers());
-    json += ",\"completed\":{";
-    for (std::size_t i = 0; i < kNumJobClasses; ++i) {
-      if (i > 0) json += ",";
-      json += "\"";
-      json += JobClassName(static_cast<JobClass>(i));
-      json += "\":" + U64(rt.completed[i]);
-    }
-    json += "}}";
-  }
+  // Shared task runtime counters (process-wide: the shard set and WAL
+  // replay submit to it). `completed` keeps its one-key object shape,
+  // which existing readers index by name.
+  json += ",\"task_runtime\":{\"workers\":" +
+          U64(TaskRuntime::Shared().num_workers());
+  json += ",\"completed\":{\"generic\":" +
+          U64(TaskRuntime::Shared().Stats().completed) + "}}";
   // Cold-tier space accounting (the compaction signal): live sealed
   // bytes vs bytes superseded by newer generations or forgotten.
   json += ",\"storage\":{\"live_bytes\":" + U64(r.segment_bytes);

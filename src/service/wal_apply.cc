@@ -120,8 +120,7 @@ void ApplyRuns(const std::vector<WalPayload>& payloads,
   TaskRuntime& runtime = TaskRuntime::Shared();
   for (const StripeRuns& run : runs) {
     if (!run.registry.empty()) {
-      handles.push_back(runtime.Submit(JobClass::kGeneric, [&payloads, &run,
-                                                             service] {
+      handles.push_back(runtime.Submit([&payloads, &run, service] {
         std::vector<bool> mask(kMaxAuthorsPerPaper);
         for (const auto& [record, bits] : run.registry) {
           WalEvent event;
@@ -134,19 +133,18 @@ void ApplyRuns(const std::vector<WalPayload>& payloads,
       }));
     }
     if (!run.grid.empty()) {
-      handles.push_back(
-          runtime.Submit(JobClass::kGeneric, [&payloads, &run, service] {
-            for (const std::size_t record : run.grid) {
-              WalEvent event;
-              (void)DecodeWalEvent(payloads[record], &event);
-              if (event.type == kWalEventAdd) {
-                service->ReplayResponseCountGrid(event.paper.authors[0],
-                                                 event.paper.citations);
-              } else {
-                service->ReplayPaper(event.paper, {}, /*feed_hh=*/true);
-              }
-            }
-          }));
+      handles.push_back(runtime.Submit([&payloads, &run, service] {
+        for (const std::size_t record : run.grid) {
+          WalEvent event;
+          (void)DecodeWalEvent(payloads[record], &event);
+          if (event.type == kWalEventAdd) {
+            service->ReplayResponseCountGrid(event.paper.authors[0],
+                                             event.paper.citations);
+          } else {
+            service->ReplayPaper(event.paper, {}, /*feed_hh=*/true);
+          }
+        }
+      }));
     }
   }
   for (TaskHandle& handle : handles) handle.Wait();

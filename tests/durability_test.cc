@@ -1,14 +1,13 @@
-// The session's durability jobs, in-process: the auto-checkpoint
+// The session's durability owner, in-process: the auto-checkpoint
 // cadence saves and rotates the WAL every N applied writes (quarantined
 // and read-only lines do not count); a `save` rotates only when it
 // lands on the cadence path; a torn cadence save is counted, leaves the
-// log unrotated and still replayable to the live state; incremental
-// mode folds a long chain in the background (`kDeltaCollapse`); and
-// with a segment directory the halfway tier flush runs
-// (`kTierDemotion`). Everything is observed through `HandleLine`, the
-// `stats`/`health` JSON and the WAL directory listing, and background
-// jobs are waited on through `FinalCheckpoint` and session teardown,
-// never through sleeps. docs/CHECKPOINTS.md states the contracts.
+// log unrotated and still replayable to the live state; and
+// incremental mode escalates to a full save whenever the chain would
+// pass `max_chain_len`. Everything is observed through `HandleLine`,
+// the `stats`/`health` JSON and the WAL directory listing; every save
+// runs inline on the session thread, so the counts are exact.
+// docs/CHECKPOINTS.md states the contracts.
 
 #include <unistd.h>
 
@@ -136,7 +135,6 @@ TEST_F(DurabilityTest, CadenceSavesAndRotatesEveryNAppliedWrites) {
   ServiceOptions service_options = SmallOptions();
   service_options.top_deadline_nanos = 1'000'000'000;
   Harness h(service_options, session_options, wal_dir);
-  const std::uint64_t flushes_before = h.Health("tier_demotion");
   const std::uint64_t seq0 = h.Health("segment_seq");
   ASSERT_EQ(Listing(wal_dir).size(), 1u);
 
@@ -174,8 +172,6 @@ TEST_F(DurabilityTest, CadenceSavesAndRotatesEveryNAppliedWrites) {
   }
   EXPECT_EQ(h.Health("checkpoint_failures"), 0u);
   EXPECT_EQ(h.Health("deadline_exceeded"), 0u);
-  // No segment dir: the halfway tier flush never runs.
-  EXPECT_EQ(h.Health("tier_demotion"), flushes_before);
 
   // The last cadence save covered every write.
   auto restored = HImpactService::Create(SmallOptions()).value();
@@ -273,8 +269,13 @@ TEST_F(DurabilityTest, TornCadenceSaveKeepsTheLogAndTheNextSaveRotates) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(DurabilityTest, IncrementalChainCollapsesAndFinalSaveRestoresLive) {
-  const std::string dir = TempDir("collapse");
+// Cadence 3 and `max_chain_len` 4 over 60 writes: save 1 roots the
+// chain (a fallback), saves 2-5 extend it to generation 4, save 6
+// escalates to a full save, and so on every fifth save. The final save
+// finds the chain at its cap again and escalates once more.
+TEST_F(DurabilityTest,
+       IncrementalChainEscalatesAtMaxChainLenAndFinalSaveRestoresLive) {
+  const std::string dir = TempDir("escalate");
   ServiceOptions options = SmallOptions();
   options.max_chain_len = 4;
   SessionOptions session_options;
@@ -282,16 +283,22 @@ TEST_F(DurabilityTest, IncrementalChainCollapsesAndFinalSaveRestoresLive) {
   session_options.checkpoint_every = 3;
   session_options.checkpoint_mode = SaveMode::kIncremental;
   Harness h(options, session_options);
-  const std::uint64_t collapses_before = h.Health("delta_collapse");
-  for (int i = 0; i < 60; ++i) h.Line(Write(i));
+  for (int i = 0; i < 60; ++i) {
+    h.Line(Write(i));
+    EXPECT_LE(h.Health("chain_generation"), 4u) << "after write " << i;
+  }
+  std::string health = h.Line("health");
+  EXPECT_EQ(JsonU64(health, "incremental_fallbacks"), 1u);
+  EXPECT_EQ(JsonU64(health, "incremental_saves"), 16u);
+  EXPECT_EQ(JsonU64(health, "chain_escalations"), 3u);
+  EXPECT_EQ(JsonU64(health, "chain_generation"), 4u);
 
-  // FinalCheckpoint joins any in-flight collapse before its own save.
   ASSERT_TRUE(h.session->FinalCheckpoint().ok());
-  const std::string health = h.Line("health");
-  EXPECT_GE(JsonU64(health, "chain_collapses"), 1u);
-  EXPECT_EQ(JsonU64(health, "chain_collapse_failures"), 0u);
-  EXPECT_GE(JsonU64(health, "delta_collapse"), collapses_before + 1);
-  EXPECT_GE(JsonU64(health, "incremental_saves"), 1u);
+  health = h.Line("health");
+  EXPECT_EQ(JsonU64(health, "chain_escalations"), 4u);
+  EXPECT_EQ(JsonU64(health, "chain_generation"), 0u);
+  EXPECT_EQ(JsonU64(health, "incremental_saves"), 16u);
+  EXPECT_EQ(JsonU64(health, "checkpoints"), 21u);
   EXPECT_EQ(JsonU64(health, "checkpoint_failures"), 0u);
 
   auto restored = HImpactService::Create(options).value();
@@ -299,27 +306,6 @@ TEST_F(DurabilityTest, IncrementalChainCollapsesAndFinalSaveRestoresLive) {
   EXPECT_EQ(restored.Stats().registry.total_events,
             JsonU64(h.Line("stats"), "events"));
   EXPECT_EQ(AllEstimates(restored, 16), AllEstimates(h.service, 16));
-  h.session.reset();
-  std::filesystem::remove_all(dir);
-}
-
-TEST_F(DurabilityTest, SegmentDirRunsTheHalfwayTierFlush) {
-  const std::string dir = TempDir("tier_flush");
-  ServiceOptions options = SmallOptions();
-  options.segment_dir = dir + "/seg";
-  options.memory_budget_bytes = 16 * 1024;
-  std::filesystem::create_directories(options.segment_dir);
-  SessionOptions session_options;
-  session_options.checkpoint = dir + "/ck";
-  session_options.checkpoint_every = 8;
-  Harness h(options, session_options);
-  const std::uint64_t flushes_before = h.Health("tier_demotion");
-  for (int user = 1; user <= 24; ++user) {
-    h.Line("add " + std::to_string(user) + " 9");
-  }
-  ASSERT_TRUE(h.session->FinalCheckpoint().ok());
-  EXPECT_GE(h.Health("tier_demotion"), flushes_before + 1);
-  EXPECT_EQ(h.Health("checkpoint_failures"), 0u);
   h.session.reset();
   std::filesystem::remove_all(dir);
 }

@@ -345,11 +345,15 @@ TEST_F(ColdTierTest, ChainReusingACleanStripePayloadIgnoresLaterGenerations) {
     }
   }
 
-  // Both stripes seal post-save records of their cold users.
+  // Both stripes seal post-save records of their cold users: a full
+  // save to a side path serializes, and so seals, every stripe.
   for (std::size_t s = 0; s < 2; ++s) {
     RepageAfterTheSave(service, cold[s], hot[s]);
   }
-  ASSERT_EQ(service.FlushColdTier(), 2u);
+  const std::string side = TempPath("chain_gen_side");
+  const std::uint64_t seals = service.Stats().registry.segment_seals;
+  ASSERT_TRUE(service.CheckpointTo(side, SaveMode::kFull).ok());
+  ASSERT_EQ(service.Stats().registry.segment_seals, seals + 2);
 
   auto restored = HImpactService::Create(options).value();
   ASSERT_TRUE(restored.RestoreFrom(save).ok());
@@ -367,6 +371,7 @@ TEST_F(ColdTierTest, ChainReusingACleanStripePayloadIgnoresLaterGenerations) {
   }
 
   RemoveCheckpoint(save, options.num_stripes);
+  RemoveCheckpoint(side, options.num_stripes);
   RemoveTree(dir);
 }
 
@@ -530,7 +535,7 @@ TEST_F(ColdTierTest, IncrementalSaveRestoresEquivalentlyToFull) {
 }
 
 TEST_F(ColdTierTest, FullSaveCutShortOverAChainNeverRestoresOlderState) {
-  // A full save over a live chain (the background collapse, or the
+  // A full save over a live chain (an explicit full save, or the
   // chain-cap escalation) rewrites every full stripe file. Cut it short
   // at each of its file writes in turn: the restore must never land
   // behind the chain tip, whose stripes partly live in deltas, and the

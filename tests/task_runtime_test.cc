@@ -1,6 +1,6 @@
 // Task runtime (engine/task_runtime.h): exactly-once execution under
 // concurrent submitters, FIFO order, no lost wakeup across many
-// submit-then-wait round trips, per-class accounting, WaitIdle/Shutdown
+// submit-then-wait round trips, job accounting, WaitIdle/Shutdown
 // drain semantics, and TaskHandle completion. The whole file is
 // exercised by the tsan preset (docs/ROBUSTNESS.md).
 
@@ -21,8 +21,7 @@ TEST(TaskRuntimeTest, RunsSubmittedJobs) {
   std::atomic<int> ran{0};
   std::vector<TaskHandle> handles;
   for (int i = 0; i < 100; ++i) {
-    handles.push_back(runtime.Submit(
-        JobClass::kGeneric, [&ran] { ran.fetch_add(1); }));
+    handles.push_back(runtime.Submit([&ran] { ran.fetch_add(1); }));
   }
   for (TaskHandle& handle : handles) handle.Wait();
   EXPECT_EQ(ran.load(), 100);
@@ -47,8 +46,7 @@ TEST(TaskRuntimeTest, ExactlyOnceUnderConcurrentSubmitters) {
     submitters.emplace_back([&runtime, &cells, s] {
       for (int j = 0; j < kJobsEach; ++j) {
         const int index = s * kJobsEach + j;
-        runtime.Submit(JobClass::kGeneric,
-                       [&cells, index] { cells[index].fetch_add(1); });
+        runtime.Submit([&cells, index] { cells[index].fetch_add(1); });
       }
     });
   }
@@ -56,17 +54,16 @@ TEST(TaskRuntimeTest, ExactlyOnceUnderConcurrentSubmitters) {
   runtime.WaitIdle();
   for (const auto& cell : cells) EXPECT_EQ(cell.load(), 1);
   const TaskRuntimeStats stats = runtime.Stats();
-  const std::size_t generic = static_cast<std::size_t>(JobClass::kGeneric);
-  EXPECT_EQ(stats.submitted[generic],
+  EXPECT_EQ(stats.submitted,
             static_cast<std::uint64_t>(kSubmitters * kJobsEach));
-  EXPECT_EQ(stats.completed[generic], stats.submitted[generic]);
+  EXPECT_EQ(stats.completed, stats.submitted);
 }
 
 TEST(TaskRuntimeTest, OneWorkerRunsJobsInSubmissionOrder) {
   TaskRuntime runtime(TaskRuntimeOptions{.num_workers = 1});
   std::vector<int> order;  // only the single worker writes it
   for (int i = 0; i < 200; ++i) {
-    runtime.Submit(JobClass::kGeneric, [&order, i] { order.push_back(i); });
+    runtime.Submit([&order, i] { order.push_back(i); });
   }
   runtime.WaitIdle();
   ASSERT_EQ(order.size(), 200u);
@@ -81,44 +78,33 @@ TEST(TaskRuntimeTest, SequentialSubmitThenWaitNeverHangs) {
     TaskRuntime runtime(TaskRuntimeOptions{.num_workers = workers});
     int ran = 0;  // each job happens-before the next via Wait
     for (int i = 0; i < 10000; ++i) {
-      runtime.Submit(JobClass::kGeneric, [&ran] { ++ran; }).Wait();
+      runtime.Submit([&ran] { ++ran; }).Wait();
     }
     EXPECT_EQ(ran, 10000) << workers << " worker(s)";
   }
 }
 
-TEST(TaskRuntimeTest, PerClassCounters) {
+// A waited-on job is already counted as completed.
+TEST(TaskRuntimeTest, CountsSubmittedAndCompletedJobs) {
   TaskRuntime runtime(TaskRuntimeOptions{.num_workers = 2});
-  runtime.Submit(JobClass::kGeneric, [] {}).Wait();
-  runtime.Submit(JobClass::kDeltaCollapse, [] {}).Wait();
-  runtime.Submit(JobClass::kDeltaCollapse, [] {}).Wait();
-  runtime.Submit(JobClass::kTierDemotion, [] {}).Wait();
-  const TaskRuntimeStats stats = runtime.Stats();
-  EXPECT_EQ(stats.submitted[static_cast<std::size_t>(JobClass::kGeneric)],
-            1u);
-  EXPECT_EQ(
-      stats.submitted[static_cast<std::size_t>(JobClass::kDeltaCollapse)],
-      2u);
-  EXPECT_EQ(
-      stats.submitted[static_cast<std::size_t>(JobClass::kTierDemotion)], 1u);
-  EXPECT_EQ(stats.completed, stats.submitted);
-}
-
-TEST(TaskRuntimeTest, JobClassNamesAreStable) {
-  EXPECT_EQ(kNumJobClasses, 3u);
-  EXPECT_STREQ(JobClassName(JobClass::kGeneric), "generic");
-  EXPECT_STREQ(JobClassName(JobClass::kDeltaCollapse), "delta_collapse");
-  EXPECT_STREQ(JobClassName(JobClass::kTierDemotion), "tier_demotion");
+  EXPECT_EQ(runtime.Stats().submitted, 0u);
+  EXPECT_EQ(runtime.Stats().completed, 0u);
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    runtime.Submit([] {}).Wait();
+    const TaskRuntimeStats stats = runtime.Stats();
+    EXPECT_EQ(stats.submitted, i);
+    EXPECT_EQ(stats.completed, i);
+  }
 }
 
 TEST(TaskRuntimeTest, WaitIdleCoversTransitiveSubmissions) {
   TaskRuntime runtime(TaskRuntimeOptions{.num_workers = 3});
   std::atomic<int> ran{0};
-  runtime.Submit(JobClass::kGeneric, [&] {
+  runtime.Submit([&] {
     for (int i = 0; i < 10; ++i) {
-      runtime.Submit(JobClass::kGeneric, [&] {
+      runtime.Submit([&] {
         ran.fetch_add(1);
-        runtime.Submit(JobClass::kGeneric, [&ran] { ran.fetch_add(1); });
+        runtime.Submit([&ran] { ran.fetch_add(1); });
       });
     }
   });
@@ -130,7 +116,7 @@ TEST(TaskRuntimeTest, ShutdownDrainsAndIsIdempotent) {
   TaskRuntime runtime(TaskRuntimeOptions{.num_workers = 2});
   std::atomic<int> ran{0};
   for (int i = 0; i < 50; ++i) {
-    runtime.Submit(JobClass::kGeneric, [&ran] { ran.fetch_add(1); });
+    runtime.Submit([&ran] { ran.fetch_add(1); });
   }
   runtime.Shutdown();
   EXPECT_EQ(ran.load(), 50);
@@ -139,9 +125,7 @@ TEST(TaskRuntimeTest, ShutdownDrainsAndIsIdempotent) {
 
 TEST(TaskRuntimeTest, SharedRuntimeIsUsable) {
   std::atomic<int> ran{0};
-  TaskRuntime::Shared()
-      .Submit(JobClass::kGeneric, [&ran] { ran.fetch_add(1); })
-      .Wait();
+  TaskRuntime::Shared().Submit([&ran] { ran.fetch_add(1); }).Wait();
   EXPECT_EQ(ran.load(), 1);
   EXPECT_GE(TaskRuntime::Shared().num_workers(), 1u);
 }
