@@ -5,7 +5,8 @@
 //    paged-out user. A fixed RAM budget forces most of the population
 //    into the mmap-backed segment tier; the measurement is the per-get
 //    latency of `PointHIndex` on sampled segment-tier users (each get
-//    pages one block in), reported as p50/p99 against the pre-PR
+//    answers the user's floor from RAM and reads no block, so
+//    `page_ins` reads 0), reported as p50/p99 against the old
 //    alternative: restoring the whole checkpoint before answering
 //    (timed as one `RestoreFrom` into a fresh budget-matched service
 //    with no segment store — demotions freeze, the way the repo worked
@@ -101,16 +102,14 @@ void RunColdTier(const F9Options& options, std::uint64_t users) {
   const double ingest_s = NowSeconds() - ingest_start;
 
   // One full checkpoint: the baseline artifact, and the flush that
-  // seals every pending segment record so cold gets page in from disk.
+  // seals every pending segment record.
   const std::string checkpoint = root + "/ckpt";
   if (!service.CheckpointTo(checkpoint).ok()) std::exit(1);
 
   // Sample segment-tier users from the older (LRU-evicted) half of the
-  // population; measure one PointHIndex each. The verifying Lookup
-  // itself pages blocks in, so the measured section separately reports
-  // real page-ins vs block-cache hits — at full sizes the caches (a few
-  // MB across stripes) cover a sliver of the segment data and the p99
-  // is a true page-in.
+  // population; measure one PointHIndex each. A get reads no record,
+  // so the page-in counters of the measured section stay 0; a nonzero
+  // count would mean gets reach the store again.
   constexpr std::size_t kSampleTarget = 512;
   std::vector<AuthorId> sample;
   sample.reserve(kSampleTarget);

@@ -234,8 +234,8 @@ double TieredUserRegistry::EstimateLocked(const UserState& state) const {
       break;
     case UserTier::kFrozen:
     case UserTier::kSegment:
-      // The floor alone; a segment-resident user's *real* estimate comes
-      // from SegmentEstimateLocked (page-in), which falls back here.
+      // The floor alone: demotion raised it to the live estimate, and
+      // nothing changes a demoted user until an Add reactivates it.
       break;
   }
   return estimate;
@@ -266,51 +266,27 @@ void TieredUserRegistry::PromoteLocked(Stripe& stripe, UserState& state) {
 
 void TieredUserRegistry::DemoteLocked(Stripe& stripe, AuthorId user,
                                       UserState& state) {
-  if (state.tier == UserTier::kFrozen || state.tier == UserTier::kSegment) {
-    return;  // already demoted
-  }
+  // `state` is cold or hot (the budget scan passes no other tier).
   state.floor = std::max(state.floor, EstimateLocked(state));
-
   if (stripe.store != nullptr) {
-    // Paged demotion: serialize the full cold/hot state into the
-    // stripe's segment store and keep only the bare record in RAM. The
-    // record retains all of the user's mass, so — unlike freezing — the
+    // Paged demotion: the full cold/hot state goes to the stripe's
+    // segment store, which buffers it even when a seal fails, so the
     // archive is NOT touched (the state is paged, not forgotten).
-    std::vector<std::uint8_t> record =
-        EncodeSegmentRecord(state.tier, state.events, state.floor,
-                            state.cold_h, state.values, state.sketch.get());
-    Status put = stripe.store->Put(user, std::move(record));
-    if (put.ok()) {
-      state.values.clear();
-      state.values.shrink_to_fit();
-      state.sketch.reset();
-      state.tier = UserTier::kSegment;
-      ++stripe.demotions;
-      return;
-    }
-    // Put cannot currently fail (seals retry via the pending buffer),
-    // but if it ever does, fall through to the frozen path below.
+    stripe.store->Put(user, EncodeSegmentRecord(state.tier, state.events,
+                                                state.floor, state.cold_h,
+                                                state.values,
+                                                state.sketch.get()));
+  } else if (state.tier == UserTier::kHot) {
+    // Keep the demoted user's mass queryable in aggregate: merge the
+    // per-user sketch into the stripe archive before dropping it.
+    stripe.archive.Merge(*state.sketch);
+  } else {
+    for (const std::uint64_t value : state.values) stripe.archive.Add(value);
   }
-
-  switch (state.tier) {
-    case UserTier::kHot:
-      // Keep the demoted user's mass queryable in aggregate: merge the
-      // per-user sketch into the stripe archive before dropping it.
-      stripe.archive.Merge(*state.sketch);
-      state.sketch.reset();
-      break;
-    case UserTier::kCold:
-      for (const std::uint64_t value : state.values) {
-        stripe.archive.Add(value);
-      }
-      state.values.clear();
-      state.values.shrink_to_fit();
-      break;
-    case UserTier::kFrozen:
-    case UserTier::kSegment:
-      return;  // unreachable (filtered above)
-  }
-  state.tier = UserTier::kFrozen;
+  state.values.clear();
+  state.values.shrink_to_fit();
+  state.sketch.reset();
+  state.tier = stripe.store != nullptr ? UserTier::kSegment : UserTier::kFrozen;
   ++stripe.demotions;
 }
 
@@ -352,27 +328,6 @@ void TieredUserRegistry::ReactivateLocked(Stripe& stripe, AuthorId user,
   state.sketch = std::make_unique<ExponentialHistogramEstimator>(MakeSketch());
   state.tier = UserTier::kHot;
   ++stripe.promotions;
-}
-
-double TieredUserRegistry::SegmentEstimateLocked(
-    Stripe& stripe, AuthorId user, const UserState& state) const {
-  StatusOr<std::vector<std::uint8_t>> record = stripe.store->Get(user);
-  if (record.ok()) {
-    StatusOr<SegmentRecordState> decoded = DecodeSegmentRecord(record.value());
-    if (decoded.ok()) {
-      const SegmentRecordState& paged = decoded.value();
-      double estimate = std::max(state.floor, paged.floor);
-      if (paged.tier == UserTier::kCold) {
-        estimate = std::max(estimate, static_cast<double>(paged.cold_h));
-      } else {
-        estimate = std::max(estimate, paged.sketch->Estimate());
-      }
-      return estimate;
-    }
-  }
-  // Degraded answer: the RAM floor (captured at page-out) is a valid
-  // lower bound; never crash a query on a bad page-in.
-  return state.floor;
 }
 
 void TieredUserRegistry::UpdateBoardLocked(Stripe& stripe, AuthorId user,
@@ -417,16 +372,23 @@ void TieredUserRegistry::EnforceBudgetLocked(Stripe& stripe) {
           stripe.unmeetable_floor_bytes + stripe_budget_bytes_ / 10) {
     return;
   }
-  // Oldest-first victim list (hot and cold users both shed their
-  // variable storage when demoted; frozen and segment-resident users
-  // are already minimal).
+  // Oldest-first victim list over the resident list (hot and cold
+  // users both shed their variable storage when demoted; frozen and
+  // segment-resident users are already minimal, so the scan drops
+  // them from the list).
   std::vector<std::pair<std::uint64_t, AuthorId>> victims;
-  victims.reserve(stripe.users.size());
-  for (const auto& [user, state] : stripe.users) {
+  victims.reserve(stripe.resident.size());
+  std::size_t kept = 0;
+  for (const AuthorId user : stripe.resident) {
+    UserState& state = stripe.users.find(user)->second;
     if (state.tier == UserTier::kCold || state.tier == UserTier::kHot) {
+      stripe.resident[kept++] = user;
       victims.emplace_back(state.last_touch, user);
+    } else {
+      state.listed = false;
     }
   }
+  stripe.resident.resize(kept);
   std::sort(victims.begin(), victims.end());
   for (const auto& [touch, user] : victims) {
     if (stripe.resident_bytes <= target) break;
@@ -522,6 +484,11 @@ double TieredUserRegistry::Add(AuthorId user, std::uint64_t value) {
       break;
   }
 
+  if (!state.listed &&
+      (state.tier == UserTier::kCold || state.tier == UserTier::kHot)) {
+    state.listed = true;
+    stripe.resident.push_back(user);
+  }
   stripe.resident_bytes += EntryBytes(state) - before;
   const double estimate = EstimateLocked(state);
   UpdateBoardLocked(stripe, user, estimate);
@@ -542,11 +509,7 @@ bool TieredUserRegistry::Lookup(AuthorId user, UserSnapshot* out) const {
   out->user = user;
   out->tier = it->second.tier;
   out->events = it->second.events;
-  if (it->second.tier == UserTier::kSegment && stripe.store != nullptr) {
-    out->estimate = SegmentEstimateLocked(stripe, user, it->second);
-  } else {
-    out->estimate = EstimateLocked(it->second);
-  }
+  out->estimate = EstimateLocked(it->second);
   return true;
 }
 
@@ -731,6 +694,7 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   }
   std::unordered_map<AuthorId, UserState> users;
   users.reserve(static_cast<std::size_t>(num_users));
+  std::vector<AuthorId> resident;
   std::uint64_t resident_bytes = 0;
   for (std::uint64_t u = 0; u < num_users; ++u) {
     std::uint64_t user = 0;
@@ -774,6 +738,9 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
         break;
     }
     resident_bytes += EntryBytes(state);
+    state.listed =
+        state.tier == UserTier::kCold || state.tier == UserTier::kHot;
+    if (state.listed) resident.push_back(user);
     if (!users.emplace(user, std::move(state)).second) {
       return Status::InvalidArgument("duplicate user in stripe checkpoint");
     }
@@ -796,9 +763,9 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
 
   Stripe& stripe = *stripes_[i];
   std::lock_guard<std::mutex> lock(stripe.mu);
-  // The store adopted every generation on disk, including any that the
-  // tier-flush job or eviction sealed after this payload was saved.
-  // Answering from those would serve newer state than the checkpoint
+  // The store adopted every generation on disk, including any that
+  // eviction or a later save sealed after this payload was saved.
+  // Paging in from those would restore newer state than the checkpoint
   // (and a WAL replay on top would apply the same events twice), so
   // reopen on the generations the save could see.
   if (stripe.store != nullptr &&
@@ -812,6 +779,7 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   stripe.touch_clock = touch_clock;
   stripe.archive = std::move(archive).value();
   stripe.users = std::move(users);
+  stripe.resident = std::move(resident);
   stripe.board = std::move(board);
   stripe.resident_bytes = resident_bytes;
   // Residency was rebuilt from scratch; any unmeetable-budget floor the

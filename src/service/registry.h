@@ -34,14 +34,14 @@
 ///    its least-recently-updated users by *paging them out*: the full
 ///    cold/hot state is serialized into the stripe's mmap-backed
 ///    segment store (storage/segment_store.h) and the per-user RAM
-///    footprint drops to a bare record. A `get` pages the record back
-///    in and answers from the real state — byte-identical to the
-///    pre-eviction answer — and a new event restores the state to RAM
-///    and continues it live, so nothing is forgotten; RAM is bounded by
-///    paging, not by loss. A failed page-in degrades to the frozen
-///    floor (below), never crashes.
-///  * **frozen** — without a segment directory (or when a paged
-///    reactivation fails), demotion falls back to forgetting: the
+///    footprint drops to a bare record whose floor is the live estimate
+///    at page-out. Nothing changes a paged user until its next event, so
+///    a `get` answers that floor from RAM — byte-identical to the
+///    pre-eviction answer — and only a reactivating `add` pages the
+///    record in, restoring the state and continuing it live, so nothing
+///    is forgotten; RAM is bounded by paging, not by loss. A failed
+///    page-in degrades to the frozen reactivation (below), never crashes.
+///  * **frozen** — without a segment directory, demotion forgets: the
 ///    sketch's estimate is frozen as a floor, the sketch itself is
 ///    merged into the stripe's *archive* sketch (so its mass is not
 ///    lost to aggregate queries), and the per-user footprint drops to a
@@ -148,7 +148,7 @@ struct RegistryStats {
   std::uint64_t segment_pending_records = 0;
   std::uint64_t segment_seals = 0;
   std::uint64_t page_ins = 0;
-  /// Segment-tier gets served from a store's unsealed pending buffer.
+  /// Page-ins served from a store's unsealed pending buffer.
   std::uint64_t page_in_cache_hits = 0;
   std::uint64_t page_in_failures = 0;
   /// Sealed bytes whose records have been superseded (a user re-paged
@@ -236,6 +236,8 @@ class TieredUserRegistry {
  private:
   struct UserState {
     UserTier tier = UserTier::kCold;
+    /// In the stripe's `resident` list (fills padding after `tier`).
+    bool listed = false;
     std::uint64_t events = 0;
     std::uint64_t last_touch = 0;
     /// Carried lower bound (frozen estimate survives demotion cycles).
@@ -254,6 +256,9 @@ class TieredUserRegistry {
 
     mutable std::mutex mu;
     std::unordered_map<AuthorId, UserState> users;
+    /// Budget-scan candidates: every cold/hot user, plus users demoted
+    /// since the last scan, which drops them (see `UserState::listed`).
+    std::vector<AuthorId> resident;
     /// Merged sketches of every demoted user (their mass is retained
     /// here even after the per-user state is frozen).
     ExponentialHistogramEstimator archive;
@@ -310,10 +315,6 @@ class TieredUserRegistry {
   /// to cold/hot, the record is forgotten); on page-in failure degrades
   /// to a frozen-style fresh sketch over the suffix (floor kept).
   void ReactivateLocked(Stripe& stripe, AuthorId user, UserState& state);
-  /// A segment-resident user's estimate from its paged-in record — the
-  /// cold-get path; the RAM floor on page-in failure.
-  double SegmentEstimateLocked(Stripe& stripe, AuthorId user,
-                               const UserState& state) const;
 
   ServiceOptions options_;
   std::uint64_t stripe_budget_bytes_ = 0;

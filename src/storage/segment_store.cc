@@ -115,14 +115,14 @@ void SegmentStore::AdoptSegment(SegmentReader reader) {
   segments_.push_back(std::move(reader));
 }
 
-Status SegmentStore::Put(std::uint64_t id, std::vector<std::uint8_t> record) {
+void SegmentStore::Put(std::uint64_t id, std::vector<std::uint8_t> record) {
   ++counters_.appends;
   auto [it, inserted] = pending_.try_emplace(id);
   if (!inserted) pending_bytes_ -= it->second.size();
   pending_bytes_ += record.size();
   it->second = std::move(record);
-  if (pending_bytes_ >= options_.seal_threshold_bytes) return Flush();
-  return Status::OK();
+  // A failed seal is counted and keeps the record pending for a retry.
+  if (pending_bytes_ >= options_.seal_threshold_bytes) (void)Flush();
 }
 
 Status SegmentStore::Flush() {

@@ -16,8 +16,10 @@
 /// Per-stripe out-of-core record store over sealed segment files.
 ///
 /// One `SegmentStore` backs one registry stripe: demotions `Put` the
-/// user's serialized state, cold gets `Get` it back. Records accumulate
-/// in a RAM pending buffer until `seal_threshold_bytes`, then seal into
+/// user's serialized state, reactivating adds `Get` it back (a paged
+/// user's `get` answers its RAM floor and never reads the store).
+/// Records accumulate in a RAM pending buffer until
+/// `seal_threshold_bytes`, then seal into
 /// `stripe-<i>-gen-<g>.seg` (atomic write, then mmap'd read-only). The
 /// in-RAM index maps id -> the segment holding its newest copy; a `Get`
 /// for a sealed record CRC-checks and decompresses its one small block
@@ -50,8 +52,8 @@ struct SegmentStoreCounters {
   std::uint64_t appends = 0;
   std::uint64_t seals = 0;
   std::uint64_t page_ins = 0;    // block reads that went to a segment
-  std::uint64_t cache_hits = 0;  // gets served from the pending buffer
-  std::uint64_t page_in_failures = 0;  // gets that returned no record
+  std::uint64_t cache_hits = 0;  // `Get`s served from the pending buffer
+  std::uint64_t page_in_failures = 0;  // `Get`s that returned no record
   std::uint64_t flush_failures = 0;
   std::uint64_t corrupt_segments = 0;  // skipped while reopening a dir
 };
@@ -74,10 +76,10 @@ class SegmentStore {
       std::uint64_t generation_bound = kAllSegmentGenerations);
 
   /// Buffers `record` for `id` (newest wins), sealing a segment when
-  /// the pending buffer crosses the threshold. A failed seal keeps the
-  /// records pending (retried by the next Put/Flush), so a Put never
-  /// loses the record even when the disk misbehaves.
-  Status Put(std::uint64_t id, std::vector<std::uint8_t> record);
+  /// the pending buffer crosses the threshold. A failed seal counts in
+  /// `flush_failures` and keeps the records pending (retried by the next
+  /// Put/Flush), so a Put always succeeds once the record is buffered.
+  void Put(std::uint64_t id, std::vector<std::uint8_t> record);
 
   /// The newest record for `id`: from the pending buffer, else paged in
   /// from its segment block. `kUnavailable` when the id was never put

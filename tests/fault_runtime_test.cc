@@ -283,28 +283,38 @@ TEST_F(FaultRuntimeTest, SegmentMapFailDegradesColdGetsToFloorsNotCrashes) {
   UserSnapshot snapshot;
   ASSERT_TRUE(service.Lookup(1, &snapshot));
   ASSERT_EQ(snapshot.tier, UserTier::kSegment);
-  EXPECT_EQ(snapshot.estimate, before) << "page-in answers the real state";
+  EXPECT_EQ(snapshot.estimate, before) << "the floor is the live estimate";
 
   // A checkpoint flushes the store, sealing the pending record into a
-  // real segment file — the next get must page its block in from disk
-  // (the path the fault probes; pending-buffer hits never reach it).
+  // real segment file — a reactivation must page its block in from
+  // disk (the path the fault probes; pending-buffer hits never reach
+  // it).
   const std::string ck = TempPath("segdir_ck");
   ASSERT_TRUE(service.CheckpointTo(ck).ok());
 
-  // Every page-in fails while armed: the cold get degrades to the
-  // frozen-floor answer — still a valid lower bound, never a crash —
-  // and the failure is counted.
+  // Every page-in fails while armed. A cold get reads no record: it
+  // answers the floor, a valid lower bound, and never crashes.
   FaultRegistry::Global().Arm(FaultPoint::kSegmentMapFail, FaultSpec{});
   ASSERT_TRUE(service.Lookup(1, &snapshot));
   EXPECT_EQ(snapshot.tier, UserTier::kSegment);
   EXPECT_LE(snapshot.estimate, before);
   EXPECT_GT(snapshot.estimate, 0.0) << "the floor survives the fault";
-  EXPECT_GE(service.Stats().registry.page_in_failures, 1u);
 
-  // Disarm: nothing was corrupted, the paged answer is back.
+  // Disarm: the get still answers the pre-eviction estimate.
   FaultRegistry::Global().Reset();
   ASSERT_TRUE(service.Lookup(1, &snapshot));
   EXPECT_EQ(snapshot.estimate, before);
+
+  // Only a reactivating add reads the record. Armed, its page-in fails
+  // and is counted, and the user continues on a fresh sketch over its
+  // floor instead of crashing or losing the event.
+  FaultRegistry::Global().Arm(FaultPoint::kSegmentMapFail, FaultSpec{});
+  service.RecordResponseCount(1, 100);
+  EXPECT_GE(service.Stats().registry.page_in_failures, 1u);
+  FaultRegistry::Global().Reset();
+  ASSERT_TRUE(service.Lookup(1, &snapshot));
+  EXPECT_NE(snapshot.tier, UserTier::kSegment);
+  EXPECT_GE(snapshot.estimate, before);
   for (std::size_t i = 0; i < options.num_stripes; ++i) {
     std::remove(HImpactService::StripePath(ck, i).c_str());
   }

@@ -1,6 +1,7 @@
 // The paged cold tier end to end: registry demotions page full user
-// state into the mmap-backed segment store and a `get` pages it back in
-// byte-identical to the pre-eviction answer; reactivation continues the
+// state into the mmap-backed segment store, a `get` answers the floor
+// byte-identical to the pre-eviction answer without reading the store,
+// and a reactivating add pages the state back in and continues the
 // exact stream (no frozen-floor forgetting); incremental checkpoints
 // restore equivalently to full saves; a corrupted delta falls the
 // restore back to the last good chain generation; and the whole paging
@@ -80,9 +81,9 @@ class ColdTierTest : public testing::Test {
   void TearDown() override { FaultRegistry::Global().Reset(); }
 };
 
-// --- evict -> page-in byte-identity ------------------------------------------
+// --- evict -> floor answer byte-identity -------------------------------------
 
-TEST_F(ColdTierTest, EvictedHotUserAnswersByteIdenticalViaPageIn) {
+TEST_F(ColdTierTest, EvictedHotUserAnswersByteIdenticalFromItsFloor) {
   const std::string dir = TempPath("evict_hot");
   RemoveTree(dir);
   // Measure one hot user's footprint unconstrained, then budget for one
@@ -105,8 +106,8 @@ TEST_F(ColdTierTest, EvictedHotUserAnswersByteIdenticalViaPageIn) {
   UserSnapshot snapshot;
   ASSERT_TRUE(registry.Lookup(1, &snapshot));
   ASSERT_EQ(snapshot.tier, UserTier::kSegment);
-  // ...and the cold get pages the sealed sketch back in and answers
-  // exactly what the pre-eviction state answered.
+  // ...and the cold get answers exactly what the pre-eviction state
+  // answered.
   EXPECT_EQ(snapshot.estimate, before);
   EXPECT_EQ(registry.PointHIndex(1), before);
 
@@ -116,7 +117,7 @@ TEST_F(ColdTierTest, EvictedHotUserAnswersByteIdenticalViaPageIn) {
   EXPECT_GE(stats.page_ins + stats.page_in_cache_hits +
                 stats.segment_pending_records,
             1u)
-      << "the answer must have come through the store";
+      << "the state must have gone to the store";
   RemoveTree(dir);
 }
 
@@ -150,46 +151,143 @@ TEST_F(ColdTierTest, ReactivationContinuesTheExactStream) {
   RemoveTree(dir);
 }
 
-TEST_F(ColdTierTest, PagedAnswersMatchAnUnevictedReferenceUnderChurn) {
-  const std::string dir = TempPath("churn");
+// Lossless paging as a property: over seeded streams, a tiny-budget
+// paged service answers every `add` and every user's `get` (estimate
+// and events) exactly like an unbudgeted twin — paging round-trips
+// state, it does not approximate it, and reactivated users continue
+// their real sketches — and a run of gets reads no record: it moves
+// none of the page-in counters.
+TEST_F(ColdTierTest, PagedGetsMatchAnUnbudgetedTwinAndReadNoRecord) {
+  // Seeds 3 and 17 run a budget that the bare records alone exceed, so
+  // nearly every user is paged; 29 and 41 keep a resident working set.
+  for (const std::uint64_t seed : {3u, 17u, 29u, 41u}) {
+    const std::string dir = TempPath("lossless_" + std::to_string(seed));
+    const std::string save = TempPath("lossless_ck");
+    RemoveTree(dir);
+    ServiceOptions options = PagedOptions(dir);
+    options.num_stripes = 2;
+    options.promote_threshold = 8;
+    options.memory_budget_bytes = (seed < 20 ? 8 : 64) * 1024;
+    auto paged = HImpactService::Create(options).value();
+    ServiceOptions twin_options = options;
+    twin_options.segment_dir.clear();
+    twin_options.memory_budget_bytes = 1u << 30;
+    auto twin = HImpactService::Create(twin_options).value();
+
+    Rng rng(seed);
+    ZipfSampler users(300, 1.1);
+    DiscreteParetoSampler citations(1, 1.6, 1u << 10);
+    for (int i = 1; i <= 12000; ++i) {
+      const AuthorId user = users.Sample(rng);
+      const std::uint64_t value = citations.Sample(rng);
+      ASSERT_EQ(paged.RecordResponseCount(user, value),
+                twin.RecordResponseCount(user, value))
+          << "seed " << seed << " add " << i;
+      // Seal the pending records so later reactivations read blocks.
+      if (i == 4000) {
+        ASSERT_TRUE(paged.CheckpointTo(save).ok());
+      }
+      if (i % 2000 != 0) continue;
+      const RegistryStats before = paged.Stats().registry;
+      for (AuthorId u = 1; u <= 300; ++u) {
+        UserSnapshot got;
+        UserSnapshot want;
+        const bool seen = twin.Lookup(u, &want);
+        ASSERT_EQ(paged.Lookup(u, &got), seen) << "user " << u;
+        if (!seen) continue;
+        EXPECT_EQ(got.estimate, want.estimate)
+            << "seed " << seed << " user " << u << " after " << i;
+        EXPECT_EQ(got.events, want.events)
+            << "seed " << seed << " user " << u << " after " << i;
+      }
+      const RegistryStats after = paged.Stats().registry;
+      EXPECT_EQ(after.page_ins, before.page_ins);
+      EXPECT_EQ(after.page_in_cache_hits, before.page_in_cache_hits);
+      EXPECT_EQ(after.page_in_failures, before.page_in_failures);
+    }
+    const RegistryStats stats = paged.Stats().registry;
+    EXPECT_GT(stats.segment_users, 0u) << "seed " << seed;
+    EXPECT_EQ(stats.frozen_users, 0u) << "seed " << seed;
+    EXPECT_GT(stats.page_ins, 0u)
+        << "reactivating adds must have read sealed records";
+    EXPECT_EQ(stats.page_in_failures, 0u);
+    RemoveCheckpoint(save, options.num_stripes);
+    RemoveTree(dir);
+  }
+}
+
+// A seal that fails (here every segment write is torn) must not turn a
+// page-out into a loss: the record stays buffered, the victim stays
+// paged and answers like an unbudgeted twin, and once the disk behaves
+// again a save seals everything and a restore equals the live state.
+TEST_F(ColdTierTest, FailedSealsKeepEveryVictimPagedAndLossless) {
+  const std::string dir = TempPath("seal_fail");
+  const std::string save = TempPath("seal_fail_ck");
   RemoveTree(dir);
   ServiceOptions options = PagedOptions(dir);
-  options.num_stripes = 2;
-  options.promote_threshold = 8;
-  options.memory_budget_bytes = 24 * 1024;
-  auto paged = TieredUserRegistry::Create(options).value();
-  ServiceOptions reference_options = options;
-  reference_options.segment_dir.clear();
-  reference_options.memory_budget_bytes = 1u << 30;
-  auto reference = TieredUserRegistry::Create(reference_options).value();
+  options.memory_budget_bytes = 64 * 1024;
+  auto service = HImpactService::Create(options).value();
+  ServiceOptions twin_options = options;
+  twin_options.segment_dir.clear();
+  twin_options.memory_budget_bytes = 1u << 30;
+  auto twin = HImpactService::Create(twin_options).value();
 
-  Rng rng(29);
-  ZipfSampler users(200, 1.2);
-  DiscreteParetoSampler citations(1, 1.6, 1u << 10);
-  for (int i = 0; i < 15000; ++i) {
-    const AuthorId user = users.Sample(rng);
-    const std::uint64_t value = citations.Sample(rng);
-    paged.Add(user, value);
-    reference.Add(user, value);
+  constexpr AuthorId kUsers = 300;
+  FaultRegistry::Global().Arm(FaultPoint::kTornCheckpoint, FaultSpec{});
+  // Each user turns hot in turn, paging out the least recent ones; then
+  // a second pass reactivates every tenth user from the pending buffer.
+  for (AuthorId user = 1; user <= kUsers; ++user) {
+    for (int i = 0; i < 70; ++i) {
+      const std::uint64_t value = 1 + (user * 7 + i * 13) % 97;
+      service.RecordResponseCount(user, value);
+      twin.RecordResponseCount(user, value);
+    }
   }
-  const RegistryStats stats = paged.Stats();
-  ASSERT_GT(stats.demotions, 0u) << "budget pressure never triggered";
-  ASSERT_GT(stats.segment_users, 0u);
+  for (AuthorId user = 10; user <= kUsers; user += 10) {
+    service.RecordResponseCount(user, 50);
+    twin.RecordResponseCount(user, 50);
+  }
+  EXPECT_GE(FaultRegistry::Global().fires(FaultPoint::kTornCheckpoint), 1u)
+      << "no seal was attempted";
+  const RegistryStats armed = service.Stats().registry;
+  EXPECT_EQ(armed.frozen_users, 0u) << "a failed seal froze a victim";
+  EXPECT_GT(armed.segment_users, 0u);
+  EXPECT_EQ(armed.segment_files, 0u);
+  EXPECT_EQ(armed.segment_pending_records, armed.segment_users);
+  for (AuthorId user = 1; user <= kUsers; ++user) {
+    UserSnapshot got;
+    UserSnapshot want;
+    ASSERT_TRUE(service.Lookup(user, &got));
+    ASSERT_TRUE(twin.Lookup(user, &want));
+    EXPECT_NE(got.tier, UserTier::kFrozen) << "user " << user;
+    EXPECT_EQ(got.estimate, want.estimate) << "user " << user;
+    EXPECT_EQ(got.events, want.events) << "user " << user;
+  }
 
-  // Every paged answer equals the unevicted reference exactly: paging
-  // round-trips state, it does not approximate it. (Reactivated users
-  // continued their real sketches, so they match too — the property a
-  // frozen-floor tier cannot offer.)
-  std::uint64_t compared = 0;
-  for (AuthorId user = 1; user <= 200; ++user) {
-    UserSnapshot paged_snapshot;
-    if (!paged.Lookup(user, &paged_snapshot)) continue;
-    EXPECT_EQ(paged_snapshot.estimate, reference.PointHIndex(user))
-        << "user " << user << " tier "
-        << static_cast<int>(paged_snapshot.tier);
-    ++compared;
+  FaultRegistry::Global().Reset();
+  ASSERT_TRUE(service.CheckpointTo(save).ok());
+  const RegistryStats sealed = service.Stats().registry;
+  EXPECT_EQ(sealed.segment_pending_records, 0u);
+  EXPECT_GE(sealed.segment_files, 1u);
+  auto restored = HImpactService::Create(options).value();
+  ASSERT_TRUE(restored.RestoreFrom(save).ok());
+  for (AuthorId user = 1; user <= kUsers; ++user) {
+    UserSnapshot got;
+    UserSnapshot want;
+    ASSERT_TRUE(restored.Lookup(user, &got));
+    ASSERT_TRUE(service.Lookup(user, &want));
+    EXPECT_EQ(got.tier, want.tier) << "user " << user;
+    EXPECT_EQ(got.estimate, want.estimate) << "user " << user;
+    EXPECT_EQ(got.events, want.events) << "user " << user;
   }
-  EXPECT_GT(compared, 100u);
+  // The restored records page in: every reactivation continues exactly.
+  for (AuthorId user = 1; user <= kUsers; user += 7) {
+    EXPECT_EQ(restored.RecordResponseCount(user, 60),
+              twin.RecordResponseCount(user, 60))
+        << "user " << user;
+  }
+  EXPECT_EQ(restored.Stats().registry.page_in_failures, 0u);
+  RemoveCheckpoint(save, options.num_stripes);
   RemoveTree(dir);
 }
 
@@ -235,6 +333,73 @@ TEST_F(ColdTierTest, CheckpointRestoresPagedUsersIntoAnyService) {
 
   RemoveCheckpoint(save, options.num_stripes);
   RemoveTree(dir);
+}
+
+// A restore rebuilds each stripe's resident list from its payload, so
+// the restored service demotes the same victims as the live one it was
+// saved from: fed the same suffix, both end in the same tiers.
+TEST_F(ColdTierTest, RestoredServiceEvictsTheSameVictimsAsTheLiveOne) {
+  const std::string dir = TempPath("victims_live");
+  const std::string copy = TempPath("victims_restored");
+  const std::string save = TempPath("victims_ck");
+  RemoveTree(dir);
+  RemoveTree(copy);
+  ServiceOptions options = PagedOptions(dir);
+  options.num_stripes = 2;
+  options.promote_threshold = 8;
+  options.memory_budget_bytes = 128 * 1024;
+  auto live = HImpactService::Create(options).value();
+  Rng rng(53);
+  ZipfSampler users(200, 1.2);
+  DiscreteParetoSampler citations(1, 1.6, 1u << 10);
+  for (int i = 0; i < 8000; ++i) {
+    live.RecordResponseCount(users.Sample(rng), citations.Sample(rng));
+  }
+  ASSERT_TRUE(live.CheckpointTo(save).ok());
+  // The restored service pages into its own copy of the segment files.
+  std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  ServiceOptions restored_options = options;
+  restored_options.segment_dir = copy;
+  auto restored = HImpactService::Create(restored_options).value();
+  ASSERT_TRUE(restored.RestoreFrom(save).ok());
+  std::vector<AuthorId> residents;
+  for (AuthorId user = 1; user <= 200; ++user) {
+    UserSnapshot snapshot;
+    if (restored.Lookup(user, &snapshot) &&
+        (snapshot.tier == UserTier::kCold || snapshot.tier == UserTier::kHot)) {
+      residents.push_back(user);
+    }
+  }
+  ASSERT_FALSE(residents.empty());
+
+  // The suffix touches only new users, so the restored residents stay
+  // untouched and only the budget scan can demote them.
+  for (int i = 0; i < 4000; ++i) {
+    const AuthorId user = 1000 + users.Sample(rng);
+    const std::uint64_t value = citations.Sample(rng);
+    ASSERT_EQ(restored.RecordResponseCount(user, value),
+              live.RecordResponseCount(user, value))
+        << "add " << i;
+  }
+  for (AuthorId user = 1; user <= 1200; ++user) {
+    UserSnapshot got;
+    UserSnapshot want;
+    const bool seen = live.Lookup(user, &want);
+    ASSERT_EQ(restored.Lookup(user, &got), seen) << "user " << user;
+    if (!seen) continue;
+    EXPECT_EQ(got.tier, want.tier) << "user " << user;
+    EXPECT_EQ(got.events, want.events) << "user " << user;
+  }
+  std::size_t paged_residents = 0;
+  for (const AuthorId user : residents) {
+    UserSnapshot snapshot;
+    ASSERT_TRUE(live.Lookup(user, &snapshot));
+    if (snapshot.tier == UserTier::kSegment) ++paged_residents;
+  }
+  EXPECT_GT(paged_residents, 0u) << "the suffix demoted no restored resident";
+  RemoveCheckpoint(save, options.num_stripes);
+  RemoveTree(dir);
+  RemoveTree(copy);
 }
 
 // After a save, cold user `cold` (3 x 5) gets 4 more 5s, which pages it
@@ -454,6 +619,16 @@ TEST_F(ColdTierTest, RestoreWithoutSegmentFilesServesFloorsAndCountsFailures) {
     EXPECT_LE(snapshot.estimate, service.PointHIndex(user)) << "user " << user;
   }
   ASSERT_GT(paged_reads, 0u);
+  EXPECT_EQ(restored.Stats().registry.page_in_failures, failures_before)
+      << "a get reads no record";
+  // Only a reactivating add reads the record, so each one fails here.
+  for (AuthorId user = 1; user <= 200; ++user) {
+    UserSnapshot snapshot;
+    if (restored.Lookup(user, &snapshot) &&
+        snapshot.tier == UserTier::kSegment) {
+      restored.RecordResponseCount(user, 1);
+    }
+  }
   EXPECT_GE(restored.Stats().registry.page_in_failures - failures_before,
             paged_reads)
       << "every read of a lost record is a failed page-in";

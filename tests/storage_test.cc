@@ -303,7 +303,7 @@ TEST_F(StorageTest, StoreServesPendingSealedAndReopenedRecords) {
     std::unique_ptr<SegmentStore> store = std::move(store_or).value();
 
     // Below the threshold: served from the pending buffer, no files.
-    ASSERT_TRUE(store->Put(1, RecordPayload(1, 100)).ok());
+    store->Put(1, RecordPayload(1, 100));
     EXPECT_EQ(store->segment_files(), 0u);
     EXPECT_TRUE(store->Contains(1));
     StatusOr<std::vector<std::uint8_t>> pending = store->Get(1);
@@ -312,14 +312,14 @@ TEST_F(StorageTest, StoreServesPendingSealedAndReopenedRecords) {
 
     // Crossing the threshold seals a segment.
     for (std::uint64_t id = 2; id <= 12; ++id) {
-      ASSERT_TRUE(store->Put(id, RecordPayload(id, 100)).ok());
+      store->Put(id, RecordPayload(id, 100));
     }
     EXPECT_GE(store->segment_files(), 1u);
     EXPECT_GE(store->counters().seals, 1u);
     EXPECT_GT(store->segment_bytes(), 0u);
 
     // Newest wins across the pending/sealed boundary.
-    ASSERT_TRUE(store->Put(3, Bytes({9, 9, 9})).ok());
+    store->Put(3, Bytes({9, 9, 9}));
     StatusOr<std::vector<std::uint8_t>> newest = store->Get(3);
     ASSERT_TRUE(newest.ok());
     EXPECT_EQ(newest.value(), Bytes({9, 9, 9}));
@@ -361,8 +361,8 @@ TEST_F(StorageTest, StoresShareADirectoryWithoutCrossTalk) {
   std::unique_ptr<SegmentStore> a = std::move(a_or).value();
   std::unique_ptr<SegmentStore> b = std::move(b_or).value();
   for (std::uint64_t id = 1; id <= 10; ++id) {
-    ASSERT_TRUE(a->Put(id, Bytes({1})).ok());
-    ASSERT_TRUE(b->Put(id, Bytes({2})).ok());
+    a->Put(id, Bytes({1}));
+    b->Put(id, Bytes({2}));
   }
   ASSERT_TRUE(a->Flush().ok());
   ASSERT_TRUE(b->Flush().ok());
@@ -383,7 +383,7 @@ TEST_F(StorageTest, StoreCountsPageInsAndPendingHits) {
   ASSERT_TRUE(store_or.ok());
   std::unique_ptr<SegmentStore> store = std::move(store_or).value();
   for (std::uint64_t id = 1; id <= 8; ++id) {
-    ASSERT_TRUE(store->Put(id, RecordPayload(id, 100)).ok());
+    store->Put(id, RecordPayload(id, 100));
   }
   ASSERT_TRUE(store->Flush().ok());
   ASSERT_EQ(store->pending_records(), 0u);
@@ -396,7 +396,7 @@ TEST_F(StorageTest, StoreCountsPageInsAndPendingHits) {
   EXPECT_EQ(store->counters().page_ins, before_pages + 2);
 
   // A pending record is served from RAM and counted as a cache hit.
-  ASSERT_TRUE(store->Put(9, RecordPayload(9, 10)).ok());
+  store->Put(9, RecordPayload(9, 10));
   const std::uint64_t hits_before = store->counters().cache_hits;
   ASSERT_TRUE(store->Get(9).ok());
   EXPECT_EQ(store->counters().cache_hits, hits_before + 1);
@@ -426,7 +426,7 @@ TEST_F(StorageTest, StoreReadsGenerationsSealedAtDifferentBlockSizes) {
     std::unique_ptr<SegmentStore> store = std::move(store_or).value();
     for (std::uint64_t id = 1; id <= 120; ++id) {
       expected[id] = RecordPayload(id, 1300);
-      ASSERT_TRUE(store->Put(id, expected[id]).ok());
+      store->Put(id, expected[id]);
     }
     ASSERT_TRUE(store->Flush().ok());
   }
@@ -443,7 +443,7 @@ TEST_F(StorageTest, StoreReadsGenerationsSealedAtDifferentBlockSizes) {
       const std::uint64_t stride = round == 1 ? 3 : 5;
       for (std::uint64_t id = stride; id <= 160; id += stride) {
         expected[id] = RecordPayload(id * 1000 + round, 1300);
-        ASSERT_TRUE(store->Put(id, expected[id]).ok());
+        store->Put(id, expected[id]);
       }
       ASSERT_TRUE(store->Flush().ok());
     }
@@ -488,7 +488,7 @@ TEST_F(StorageTest, StoreDegradesUnderSegmentMapFailFault) {
   ASSERT_TRUE(store_or.ok());
   std::unique_ptr<SegmentStore> store = std::move(store_or).value();
   for (std::uint64_t id = 1; id <= 8; ++id) {
-    ASSERT_TRUE(store->Put(id, RecordPayload(id, 100)).ok());
+    store->Put(id, RecordPayload(id, 100));
   }
   ASSERT_TRUE(store->Flush().ok());
 
@@ -515,7 +515,7 @@ TEST_F(StorageTest, StoreReopenSkipsACorruptSegmentAndCounts) {
     ASSERT_TRUE(store_or.ok());
     std::unique_ptr<SegmentStore> store = std::move(store_or).value();
     for (std::uint64_t id = 1; id <= 8; ++id) {
-      ASSERT_TRUE(store->Put(id, RecordPayload(id, 100)).ok());
+      store->Put(id, RecordPayload(id, 100));
     }
     ASSERT_TRUE(store->Flush().ok());
     ASSERT_GE(store->segment_files(), 1u);
