@@ -3,8 +3,7 @@
 // drives an in-process ServiceSession through three configurations:
 //
 //   A  4 stripes, cadence saves, WAL `never` with a long group window;
-//   B  A with a small budget and a segment directory, so users page
-//      (cadence saves extend a delta chain);
+//   B  A with a small budget and a segment directory, so users page;
 //   C  B's budget with no segment directory, so users freeze.
 //
 // Each run is reduced to digests of its replies (one per window of
@@ -69,7 +68,6 @@ struct Config {
   const char* name;
   std::uint64_t budget_bytes;
   bool paged;
-  SaveMode mode;
   Golden golden;
 };
 
@@ -79,18 +77,18 @@ void PrintTo(const Config& config, std::ostream* out) { *out << config.name; }
 constexpr std::uint64_t kSmallBudget = 96u << 10;
 
 const Config kConfigs[] = {
-    {"A", 64ull << 20, false, SaveMode::kFull,
-     {{0x3f7215eec33fb6a3ULL, 0x292fe45affcc6144ULL, 0x1019187b8ff6acc6ULL,
-       0x4fbe1441827630adULL, 0xa9386c39c046ad8eULL},
-      0x6902ab8a5b9c02c6ULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
-    {"B", kSmallBudget, true, SaveMode::kIncremental,
-     {{0xb29ec9d017b985a6ULL, 0x14639d3a332c9e13ULL, 0xf8f4f1f747efec96ULL,
-       0xf4d5f3cbaa6cde00ULL, 0x63670e226d37aba0ULL},
-      0x5da12193b4c5e98cULL, 0x2be38fc8370a19d7ULL, 0x362d307b54f87c93ULL}},
-    {"C", kSmallBudget, false, SaveMode::kFull,
-     {{0x93dc36c1de2358f5ULL, 0xf9595e0474f6ff88ULL, 0xd74bacb07f81f5a4ULL,
-       0xa231429fa452566cULL, 0xdba02015ad349a0bULL},
-      0xd5c97b2395a170c6ULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
+    {"A", 64ull << 20, false,
+     {{0x0d3b1eb5bf458899ULL, 0x8d782fcb9e40919dULL, 0xaf47f31c15d09f47ULL,
+       0xbde0d8021967e1f5ULL, 0xd8b585f0bb2cbf5cULL},
+      0x815ee8f888e414acULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
+    {"B", kSmallBudget, true,
+     {{0x82fb697ba16a49e1ULL, 0x9f066478c4096c82ULL, 0x13ec991fa08f2718ULL,
+       0xde2423c1ee67e9e8ULL, 0xedd8efa030eb4841ULL},
+      0x5c4c042bd24fe3ecULL, 0x2be38fc8370a19d7ULL, 0x362d307b54f87c93ULL}},
+    {"C", kSmallBudget, false,
+     {{0x82fb697ba16a49e1ULL, 0x0d89d5051ee062bdULL, 0x22f6215a290e25f5ULL,
+       0x7cc87ae3442f791aULL, 0xbd9c4f00fd4f8837ULL},
+      0x33b06b16e3a44b7aULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
 };
 
 std::uint64_t Fnv1a(std::string_view bytes,
@@ -168,8 +166,7 @@ std::vector<std::string> Requests() {
     } else if (roll < 990) {
       lines.push_back("health");
     } else if (roll < 996) {
-      lines.push_back(roll % 2 == 0 ? "save $DIR/manual"
-                                    : "save $DIR/manual incr");
+      lines.push_back("save $DIR/manual");
     } else {
       lines.push_back("zzjunk " + std::to_string(i));
     }
@@ -198,7 +195,6 @@ Outcome RunConfig(const Config& config, const std::string& dir) {
   SessionOptions session_options;
   session_options.checkpoint = dir + "/ck";
   session_options.checkpoint_every = 500;
-  session_options.checkpoint_mode = config.mode;
   WalOptions wal_options;
   wal_options.dir = dir + "/wal";
   wal_options.fsync = WalFsync::kNever;
