@@ -1,5 +1,5 @@
-// F9 — Out-of-core cold tier (src/storage/, docs/CHECKPOINTS.md). Two
-// families of BENCH{...} json lines:
+// F9 — Out-of-core cold tier (src/storage/, docs/CHECKPOINTS.md). One
+// family of BENCH{...} json lines:
 //
 //  * `f9_coldtier` — per population size, the cost of answering a
 //    paged-out user. A fixed RAM budget forces most of the population
@@ -11,10 +11,6 @@
 //    (timed as one `RestoreFrom` into a fresh budget-matched service
 //    with no segment store — demotions freeze, the way the repo worked
 //    before the cold tier existed).
-//  * `f9_incremental` — delta-checkpoint sizing. A 128-stripe service
-//    saves in full, one stripe is dirtied (<1% of the population), and
-//    the incremental save is compared byte-for-byte against the full
-//    one. The interesting number is `incr_over_full` (target <= 0.10).
 //
 //   ./bench_f9_coldtier [--quick] [--users N[,N...]] [--budget-mb B]
 //
@@ -42,7 +38,6 @@ using namespace himpact;
 struct F9Options {
   std::vector<std::uint64_t> populations = {1'000'000, 10'000'000};
   std::uint64_t budget_bytes = 64ull << 20;
-  std::uint64_t incr_users = 100'000;
 };
 
 double NowSeconds() {
@@ -174,60 +169,6 @@ void RunColdTier(const F9Options& options, std::uint64_t users) {
   std::filesystem::remove_all(root);
 }
 
-void RunIncremental(const F9Options& options) {
-  const std::string root = TempDir("incr");
-  const std::string checkpoint = root + "/ckpt";
-
-  ServiceOptions service_options;
-  service_options.num_stripes = 128;
-  service_options.enable_heavy_hitters = false;
-  auto service_or = HImpactService::Create(service_options);
-  if (!service_or.ok()) std::exit(1);
-  HImpactService& service = service_or.value();
-
-  Rng rng(7);
-  for (std::uint64_t user = 1; user <= options.incr_users; ++user) {
-    service.RecordResponseCount(user, 1 + rng.UniformU64(50));
-    service.RecordResponseCount(user, 1 + rng.UniformU64(50));
-  }
-
-  const double full_start = NowSeconds();
-  if (!service.CheckpointTo(checkpoint, SaveMode::kFull).ok()) std::exit(1);
-  const double full_ms = (NowSeconds() - full_start) * 1e3;
-
-  // Dirty exactly one stripe — one user's stream moves, 127 stripes
-  // stay clean — then extend the chain with an incremental save.
-  service.RecordResponseCount(1, 42);
-  const double incr_start = NowSeconds();
-  if (!service.CheckpointTo(checkpoint, SaveMode::kIncremental).ok()) {
-    std::exit(1);
-  }
-  const double incr_ms = (NowSeconds() - incr_start) * 1e3;
-
-  const CheckpointCounters counters = service.Stats().checkpoint;
-  const double ratio =
-      counters.bytes_full > 0
-          ? static_cast<double>(counters.bytes_incremental) /
-                static_cast<double>(counters.bytes_full)
-          : 0.0;
-  std::printf(
-      "BENCH{\"bench\":\"f9_incremental\",\"stripes\":%zu,\"users\":%llu,"
-      "\"dirty_stripes\":%llu,\"stripes_skipped_clean\":%llu,"
-      "\"bytes_full\":%llu,\"bytes_incremental\":%llu,"
-      "\"incr_over_full\":%.4f,\"full_save_ms\":%.1f,\"incr_save_ms\":%.1f}"
-      "\n",
-      service_options.num_stripes,
-      static_cast<unsigned long long>(options.incr_users),
-      static_cast<unsigned long long>(counters.stripes_written -
-                                      service_options.num_stripes),
-      static_cast<unsigned long long>(counters.stripes_skipped_clean),
-      static_cast<unsigned long long>(counters.bytes_full),
-      static_cast<unsigned long long>(counters.bytes_incremental), ratio,
-      full_ms, incr_ms);
-
-  std::filesystem::remove_all(root);
-}
-
 std::vector<std::uint64_t> ParsePopulations(const char* text) {
   std::vector<std::uint64_t> out;
   const char* cursor = text;
@@ -250,7 +191,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       options.populations = {20'000};
       options.budget_bytes = 1 << 20;
-      options.incr_users = 10'000;
     } else if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
       options.populations = ParsePopulations(argv[++i]);
       if (options.populations.empty()) {
@@ -270,6 +210,5 @@ int main(int argc, char** argv) {
   for (const std::uint64_t users : options.populations) {
     RunColdTier(options, users);
   }
-  RunIncremental(options);
   return 0;
 }

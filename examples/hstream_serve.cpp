@@ -37,11 +37,7 @@
 // `--segment-dir <dir>` arms the out-of-core cold tier: over-budget
 // stripes page their least-recently-updated users into mmap-backed
 // segment files there instead of freezing them, so a `get` still
-// answers from the real state (docs/SERVICE.md). `--checkpoint-mode
-// incr` makes auto-checkpoints incremental — each cadence tick writes
-// a delta of only the dirty stripes, chained back to the last full
-// save (docs/CHECKPOINTS.md); `save <path> incr` does the same on
-// demand.
+// answers from the real state (docs/SERVICE.md).
 //
 // `--wal-dir <dir>` arms the write-ahead log (docs/CHECKPOINTS.md):
 // every applied mutation is appended as a CRC-framed record (group
@@ -50,9 +46,6 @@
 // rotates the log, and on startup the log is repaired (torn tails
 // truncated, never fatal) and replayed after `--restore` — so recovery
 // is exact to the last durable record, not checkpoint-cadence bounded.
-// `--max-chain-len N` bounds the incremental delta chain: once it holds
-// N deltas the next incremental save escalates to a full one inline
-// (0 disables the bound).
 //
 // Robustness surface (docs/ROBUSTNESS.md): `--deadline-us` bounds the
 // stripe scan of `top` (a stripe still locked when it runs out is
@@ -166,25 +159,9 @@ bool ParseArgs(int argc, char** argv, ServeOptions* options) {
                            &options->session.checkpoint_every))
         return false;
       checkpoint_every_given = true;
-    } else if (arg == "--checkpoint-mode") {
-      if (!next_text(&text)) return false;
-      const std::string mode = text;
-      if (mode == "full") {
-        options->session.checkpoint_mode = himpact::SaveMode::kFull;
-      } else if (mode == "incr") {
-        options->session.checkpoint_mode = himpact::SaveMode::kIncremental;
-      } else {
-        std::fprintf(stderr, "--checkpoint-mode must be full or incr\n");
-        return false;
-      }
     } else if (arg == "--segment-dir") {
       if (!next_text(&text)) return false;
       options->service.segment_dir = text;
-    } else if (arg == "--max-chain-len") {
-      if (!next_text(&text) ||
-          !ParseUint64Flag("--max-chain-len", text,
-                           &options->service.max_chain_len))
-        return false;
     } else if (arg == "--wal-dir") {
       if (!next_text(&text)) return false;
       options->wal.dir = text;
@@ -359,9 +336,7 @@ int main(int argc, char** argv) {
                  "[--restore FILE]\n"
                  "                     [--checkpoint FILE "
                  "--checkpoint-every N]\n"
-                 "                     [--checkpoint-mode full|incr] "
-                 "[--segment-dir DIR]\n"
-                 "                     [--max-chain-len N] [--wal-dir DIR]\n"
+                 "                     [--segment-dir DIR] [--wal-dir DIR]\n"
                  "                     [--wal-fsync always|group|never] "
                  "[--wal-group-bytes B]\n"
                  "                     [--wal-group-ms MS]\n"

@@ -64,6 +64,9 @@ enum class CheckpointTag : std::uint32_t {
   kServiceManifest = 27,
   kServiceStripe = 28,
   kSegmentRecord = 29,
+  /// Reserved: an earlier build's incremental delta chain. A service
+  /// restore still decodes a `kDeltaHead` to refuse a chain past
+  /// generation 0 (docs/CHECKPOINTS.md).
   kDeltaManifest = 30,
   kDeltaHead = 31,
   kWalRecord = 32,

@@ -11,8 +11,7 @@ namespace {
 const char* const kPointNames[kNumFaultPoints] = {
     "alloc-fail", "torn-checkpoint", "worker-stall", "clock-skew",
     "net-accept-fail", "net-partial-write",
-    "segment-map-fail", "segment-torn-delta", "wal-append-fail",
-    "wal-torn-tail",
+    "segment-map-fail", "wal-append-fail", "wal-torn-tail",
 };
 
 /// Parses one `name[:skip[:max_fires[:param]]]` clause into its parts.

@@ -61,24 +61,20 @@ enum class FaultPoint : int {
   /// A segment-store mmap or block page-in fails; a cold `get` must
   /// degrade to the frozen-floor answer, never crash. Param: unused.
   kSegmentMapFail = 6,
-  /// An incremental-checkpoint delta segment write tears mid-stream
-  /// (half the bytes land, the write reports `kInternal`); restore must
-  /// fall back to the previous good chain. Param: unused.
-  kSegmentTornDelta = 7,
   /// A write-ahead-log append fails at the disk layer. The WAL must
   /// degrade to checkpoint-only durability — keep serving, flag the
   /// loss of the log in `health` — never drop writes silently or
   /// crash. Param: unused.
-  kWalAppendFail = 8,
+  kWalAppendFail = 7,
   /// A write-ahead-log append lands only the first half of the framed
   /// record on disk (the classic power-cut torn tail) and then degrades
   /// like `kWalAppendFail`; the reopening scanner must repair the tail
   /// and replay every record before it. Param: unused.
-  kWalTornTail = 9,
+  kWalTornTail = 8,
 };
 
 /// Number of fault points (array sizing).
-inline constexpr int kNumFaultPoints = 10;
+inline constexpr int kNumFaultPoints = 9;
 
 /// When an armed point fires: probes `skip..skip+max_fires-1` (0-based
 /// hit indices counted from arming) fire, the rest pass through.
@@ -143,8 +139,8 @@ class FaultRegistry {
 
   /// The canonical name of `point` ("alloc-fail", "torn-checkpoint",
   /// "worker-stall", "clock-skew", "net-accept-fail",
-  /// "net-partial-write", "segment-map-fail", "segment-torn-delta",
-  /// "wal-append-fail", "wal-torn-tail").
+  /// "net-partial-write", "segment-map-fail", "wal-append-fail",
+  /// "wal-torn-tail").
   static const char* Name(FaultPoint point);
 
   /// Parses a canonical point name.

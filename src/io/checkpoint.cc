@@ -25,6 +25,16 @@ Status IoError(const std::string& action, const std::string& path) {
   return Status::Internal(action + " " + path + ": " + std::strerror(errno));
 }
 
+/// Flushes the directory entry of `path`, making a rename or unlink of it
+/// durable.
+void SyncDirectoryOf(const std::string& path) {
+  const int dir_fd = ::open(DirectoryOf(path).c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd >= 0) {
+    ::fsync(dir_fd);
+    ::close(dir_fd);
+  }
+}
+
 }  // namespace
 
 StatusOr<std::vector<std::uint8_t>> ReadFileBytes(const std::string& path) {
@@ -111,12 +121,15 @@ Status WriteFileAtomic(const std::string& path,
     return status;
   }
   // The rename is only durable once the directory entry is flushed too.
-  const std::string dir = DirectoryOf(path);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
+  SyncDirectoryOf(path);
+  return Status::OK();
+}
+
+Status RemoveFileDurably(const std::string& path) {
+  if (::unlink(path.c_str()) != 0) {
+    return errno == ENOENT ? Status::OK() : IoError("unlink", path);
   }
+  SyncDirectoryOf(path);
   return Status::OK();
 }
 

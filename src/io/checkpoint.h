@@ -35,6 +35,11 @@ StatusOr<std::vector<std::uint8_t>> ReadFileBytes(const std::string& path);
 Status WriteFileAtomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes);
 
+/// Unlinks `path` and, when it existed, fsyncs its directory so the
+/// removal is durable. OK when `path` does not exist; `kInternal` when the
+/// unlink fails.
+Status RemoveFileDurably(const std::string& path);
+
 /// Seals `payload` in a `tag`-typed envelope and writes it atomically.
 Status WriteCheckpointFile(const std::string& path, CheckpointTag tag,
                            const std::vector<std::uint8_t>& payload);

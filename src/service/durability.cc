@@ -26,8 +26,8 @@ void Durability::Record(const Command& command) {
   }
 }
 
-Status Durability::Save(const std::string& path, SaveMode mode) {
-  const Status saved = service_->CheckpointTo(path, mode);
+Status Durability::Save(const std::string& path) {
+  const Status saved = service_->CheckpointTo(path);
   // Every record appended so far preceded this save, so a save that
   // landed where a restart restores from covers the whole log. A side
   // save to another path does not.
@@ -38,7 +38,7 @@ Status Durability::Save(const std::string& path, SaveMode mode) {
 }
 
 Status Durability::AutoSave() {
-  const Status saved = Save(options_.checkpoint, options_.checkpoint_mode);
+  const Status saved = Save(options_.checkpoint);
   ++(saved.ok() ? checkpoints_ : checkpoint_failures_);
   return saved;
 }

@@ -17,11 +17,10 @@
 /// followed by a rotation: only a save that landed on the
 /// auto-checkpoint path rotates the log.
 ///
-/// It runs no background work: every save happens inline on the
-/// session thread. The save bounds an incremental chain itself
-/// (`ServiceOptions::max_chain_len` escalates it to a full save), and
-/// pending cold-tier records seal when a stripe's buffer crosses its
-/// threshold or when a save serializes the stripe.
+/// It runs no background work: every save is a full save, inline on
+/// the session thread, and pending cold-tier records seal when a
+/// stripe's buffer crosses its threshold or when a save serializes the
+/// stripe.
 
 namespace himpact {
 
@@ -31,10 +30,8 @@ namespace himpact {
 struct SessionOptions {
   std::string checkpoint;              // empty -> no automatic checkpoints
   std::uint64_t checkpoint_every = 0;  // mutations per auto-checkpoint
-  /// How auto-checkpoints write: `kIncremental` extends the delta chain
-  /// at `checkpoint` (each cadence tick rewrites only dirty stripes;
-  /// the first save roots the chain with a full write). The final
-  /// drain checkpoint honors the same mode.
+  /// Read by nothing in `src/`; goes with the next perfbench change
+  /// (ROADMAP item 6).
   SaveMode checkpoint_mode = SaveMode::kFull;
 };
 
@@ -57,7 +54,7 @@ class Durability {
 
   /// Saves the service to `path`; on success rotates the WAL when
   /// `path` is the auto-checkpoint path.
-  Status Save(const std::string& path, SaveMode mode);
+  Status Save(const std::string& path);
 
   /// Takes the final auto-checkpoint so it is the newest state on
   /// disk. OK and a no-op when unarmed.

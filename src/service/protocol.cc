@@ -134,20 +134,11 @@ StatusOr<Command> ParseCommandLine(const std::string& line) {
     return command;
   }
   if (verb == "save") {
-    if (tokens.size() < 2 || tokens.size() > 3 || tokens[1].empty()) {
-      return BadLine("usage: save <path> [full|incr]");
+    if (tokens.size() != 2 || tokens[1].empty()) {
+      return BadLine("usage: save <path>");
     }
     command.kind = CommandKind::kSave;
     command.path = tokens[1];
-    if (tokens.size() == 3) {
-      if (tokens[2] == "full") {
-        command.save_mode = SaveMode::kFull;
-      } else if (tokens[2] == "incr") {
-        command.save_mode = SaveMode::kIncremental;
-      } else {
-        return BadLine("bad save mode '" + tokens[2] + "' (full|incr)");
-      }
-    }
     return command;
   }
   if (verb == "quit") {

@@ -21,13 +21,10 @@
 ///   heavy                   -> HEAVY <user>:<estimate> ...
 ///   stats                   -> STATS {<json>}
 ///   health                  -> HEALTH {<json>}
-///   save <path> [full|incr] -> OK saved <path>
+///   save <path>             -> OK saved <path>
 ///   quit                    -> BYE
 ///
-/// `save` defaults to a full checkpoint; `save <path> incr` asks for an
-/// incremental delta against the last save to the same path (falling
-/// back to a full save when there is no chain to extend — see
-/// docs/CHECKPOINTS.md).
+/// `save` writes a full checkpoint (docs/CHECKPOINTS.md).
 ///
 /// A parsed command always succeeds. Under overload (docs/ROBUSTNESS.md)
 /// a TCP server past its connection cap sheds a newcomer with one
@@ -67,17 +64,6 @@ enum class CommandKind : unsigned char {
   kQuit = 0x09,
 };
 
-/// How a `save` writes its checkpoint. `kFull` rewrites every stripe;
-/// `kIncremental` extends the delta chain rooted at the last full save
-/// to the same path, rewriting only stripes whose dirty epoch moved
-/// (service/service.h, docs/CHECKPOINTS.md). The value is the text
-/// token's wire meaning, not an opcode: the binary `save` frame is
-/// always full.
-enum class SaveMode : unsigned char {
-  kFull = 0,
-  kIncremental = 1,
-};
-
 /// One parsed protocol line.
 struct Command {
   CommandKind kind = CommandKind::kQuit;
@@ -85,7 +71,6 @@ struct Command {
   std::uint64_t value = 0;   // add (response count), top (k)
   PaperTuple paper;          // paper
   std::string path;          // save
-  SaveMode save_mode = SaveMode::kFull;  // save
 };
 
 /// Parses one protocol line. `kInvalidArgument` (with a reason suitable

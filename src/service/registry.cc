@@ -166,11 +166,6 @@ Status TieredUserRegistry::OpenSegmentStore(
   return Status::OK();
 }
 
-std::uint64_t TieredUserRegistry::DirtyEpoch(std::size_t i) const {
-  HIMPACT_CHECK(i < stripes_.size());
-  return stripes_[i]->dirty.load(std::memory_order_acquire);
-}
-
 std::uint64_t TieredUserRegistry::StripeEvents(std::size_t i) const {
   HIMPACT_CHECK(i < stripes_.size());
   std::lock_guard<std::mutex> lock(stripes_[i]->mu);
@@ -417,10 +412,6 @@ double TieredUserRegistry::Add(AuthorId user, std::uint64_t value) {
     SleepForMicros(FaultRegistry::Global().param(FaultPoint::kWorkerStall));
   }
   ++stripe.events;
-  // Incremental checkpoints diff this epoch; every event dirties the
-  // stripe (the board epoch alone misses adds that leave the board
-  // unchanged).
-  stripe.dirty.fetch_add(1, std::memory_order_release);
 
   auto [it, inserted] = stripe.users.try_emplace(user);
   UserState& state = it->second;
@@ -785,9 +776,6 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   // Residency was rebuilt from scratch; any unmeetable-budget floor the
   // previous population established no longer describes this one.
   stripe.unmeetable_floor_bytes = 0;
-  // A restore rewrites the stripe wholesale, so the next incremental
-  // checkpoint must re-serialize it.
-  stripe.dirty.fetch_add(1, std::memory_order_release);
   return Status::OK();
 }
 

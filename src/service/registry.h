@@ -1,7 +1,6 @@
 #ifndef HIMPACT_SERVICE_REGISTRY_H_
 #define HIMPACT_SERVICE_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -89,10 +88,8 @@ struct ServiceOptions {
   /// — NOT part of the checkpoint manifest, so a checkpoint restores
   /// into a service with any (or no) segment directory.
   std::string segment_dir;
-  /// Longest incremental delta chain a checkpoint path may grow before
-  /// `CheckpointTo(kIncremental)` escalates to a full save — the one
-  /// bound on a chain's length. 0 disables it. Runtime-only, like
-  /// `segment_dir` — not part of the checkpoint manifest.
+  /// Read by nothing in `src/`; goes with the next perfbench change
+  /// (ROADMAP item 6).
   std::uint64_t max_chain_len = 64;
   /// Time budget of one `HImpactService::TryTopK` stripe scan in
   /// nanoseconds (0 = none): a stripe still locked when it runs out is
@@ -206,12 +203,6 @@ class TieredUserRegistry {
   /// The stripe index `user` hashes to (stable across restarts).
   std::size_t StripeOf(AuthorId user) const;
 
-  /// Monotone per-stripe mutation epoch: bumped by every `Add` landing
-  /// on stripe `i` and by `DeserializeStripe`. Incremental checkpoints
-  /// compare it against the epoch captured at the last save to skip
-  /// clean stripes. Lock-free (acquire).
-  std::uint64_t DirtyEpoch(std::size_t i) const;
-
   /// Events ever applied to stripe `i` (each `Add` counts one; restored
   /// state carries the count forward). This is the WAL replay gate: a
   /// logged record is re-applied iff its recorded post-apply stripe
@@ -285,9 +276,6 @@ class TieredUserRegistry {
     /// The paged cold tier (null when segment_dir is empty). Guarded by
     /// `mu` — the store itself is not thread-safe.
     std::unique_ptr<SegmentStore> store;
-    /// Mutation epoch for incremental checkpoints: bumped (release,
-    /// under `mu`) by every Add and by stripe restore. Runtime-only.
-    std::atomic<std::uint64_t> dirty{0};
   };
 
   explicit TieredUserRegistry(const ServiceOptions& options);

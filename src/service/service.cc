@@ -1,22 +1,21 @@
 #include "service/service.h"
 
 #include <cstdint>
-#include <cstdio>
-#include <unordered_map>
+#include <string>
 #include <utility>
 
 #include "common/bytes.h"
 #include "common/check.h"
 #include "fault/backoff.h"
 #include "io/checkpoint.h"
-#include "storage/codec.h"
-#include "storage/delta_chain.h"
 
 namespace himpact {
 namespace {
 
 constexpr std::uint64_t kServiceManifestMagic =
     0x48494d5053564d31ULL;  // HIMPSVM1
+// The `path.head` of an earlier build's delta chain (HIMPDHD1).
+constexpr std::uint64_t kDeltaHeadMagic = 0x31444844504D4948ULL;
 
 // Transient checkpoint write failures back off with jitter instead of
 // failing the save.
@@ -28,6 +27,24 @@ HeavyHitters::Options HhOptions(const ServiceOptions& options) {
   hh.delta = options.hh_delta;
   hh.max_papers = options.hh_max_papers;
   return hh;
+}
+
+std::string HeadPath(const std::string& path) { return path + ".head"; }
+
+// The generation a delta-chain head names. `kUnavailable` when there is
+// no head; `kInvalidArgument` when it does not decode.
+StatusOr<std::uint64_t> ReadHeadGeneration(const std::string& path) {
+  StatusOr<std::vector<std::uint8_t>> payload =
+      ReadCheckpointFile(path, CheckpointTag::kDeltaHead);
+  if (!payload.ok()) return payload.status();
+  ByteReader reader(payload.value());
+  std::uint64_t magic = 0;
+  std::uint64_t generation = 0;
+  if (!reader.U64(&magic) || magic != kDeltaHeadMagic ||
+      !reader.U64(&generation) || !reader.AtEnd()) {
+    return Status::InvalidArgument("bad checkpoint head file " + path);
+  }
+  return generation;
 }
 
 }  // namespace
@@ -51,7 +68,7 @@ HImpactService::HImpactService(TieredUserRegistry registry)
       hh_stripes_(MakeHhStripes()),
       hh_report_cache_(std::make_unique<HhReportCache>()),
       deadline_exceeded_(std::make_unique<std::atomic<std::uint64_t>>(0)),
-      chain_(std::make_unique<ChainState>()) {}
+      checkpoint_(std::make_unique<CheckpointState>()) {}
 
 std::vector<std::unique_ptr<HImpactService::HhStripe>>
 HImpactService::MakeHhStripes() const {
@@ -192,8 +209,8 @@ ServiceStats HImpactService::Stats() const {
     stats.hh_report_cache_misses = hh_report_cache_->misses;
   }
   {
-    std::lock_guard<std::mutex> lock(chain_->mu);
-    stats.checkpoint = chain_->counters;
+    std::lock_guard<std::mutex> lock(checkpoint_->mu);
+    stats.checkpoint = checkpoint_->counters;
   }
   stats.deadline_exceeded =
       deadline_exceeded_->load(std::memory_order_relaxed);
@@ -230,29 +247,8 @@ std::string HImpactService::StripePath(const std::string& path,
   return path + ".stripe-" + std::to_string(i);
 }
 
-Status HImpactService::CheckpointTo(const std::string& path) const {
-  return CheckpointTo(path, SaveMode::kFull);
-}
-
-Status HImpactService::CheckpointTo(const std::string& path,
-                                    SaveMode mode) const {
-  // One checkpoint or restore at a time: two callers must never
-  // interleave their head / stripe / delta writes (see
-  // ChainState::op_mu).
-  std::lock_guard<std::mutex> op_lock(chain_->op_mu);
-  if (mode == SaveMode::kIncremental) return CheckpointIncremental(path);
-  return CheckpointFull(path);
-}
-
-HImpactService::StripeSnapshot HImpactService::SnapshotStripe(
+std::vector<std::uint8_t> HImpactService::SnapshotStripe(
     std::size_t i) const {
-  StripeSnapshot snap;
-  // Epochs are captured BEFORE the stripe is serialized: a mutation that
-  // races the serialization moves the live epoch past the captured one,
-  // so the next incremental save re-serializes the stripe — the capture
-  // can only be conservative, never miss a change.
-  snap.reg_epoch = registry_.DirtyEpoch(i);
-  snap.hh_epoch = hh_stripes_[i]->version.load(std::memory_order_acquire);
   ByteWriter writer;
   registry_.SerializeStripe(i, writer);
   writer.U8(options().enable_heavy_hitters ? 1 : 0);
@@ -262,56 +258,29 @@ HImpactService::StripeSnapshot HImpactService::SnapshotStripe(
     stripe.hh->SerializeTo(writer);
     writer.U64(stripe.next_paper);
   }
-  snap.payload = writer.Take();
-  snap.hash = Fnv1a64(snap.payload);
-  return snap;
+  return writer.Take();
 }
 
-Status HImpactService::CheckpointFull(const std::string& path) const {
+Status HImpactService::CheckpointTo(const std::string& path) const {
+  // One checkpoint or restore at a time: two callers must never
+  // interleave their stripe writes (see CheckpointState::op_mu).
+  std::lock_guard<std::mutex> op_lock(checkpoint_->op_mu);
   const std::size_t n = registry_.num_stripes();
-  // A crash mid-save must restore no older state than the last completed
-  // save. The head cuts any delta chain over to the full files, and a
-  // restore then reads every stripe from its full file, so each full
-  // file must hold its new payload or the chain tip's by then. The chain
-  // this service extends at `path` keeps some stripes in deltas; their
-  // full files hold the chain's root, which the tip has moved past, so
-  // they are rewritten first, while the head still pins the tip (which
-  // does not read them). A chain this service does not know is cut
-  // first, as if every stripe were at generation 0.
-  std::vector<bool> in_delta(n, false);
-  {
-    std::lock_guard<std::mutex> lock(chain_->mu);
-    if (chain_->valid && chain_->path == path) {
-      for (std::size_t i = 0; i < n; ++i) in_delta[i] = chain_->loc_gens[i] > 0;
-    }
-  }
-
-  std::vector<std::uint64_t> reg_epochs(n), hh_epochs(n), hashes(n);
   std::uint64_t bytes = 0;
-  const auto write_stripes = [&](bool delta_resident) -> Status {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (in_delta[i] != delta_resident) continue;
-      StripeSnapshot snap = SnapshotStripe(i);
-      Status written = RetryWithBackoff(kCheckpointRetry, [&] {
-        return WriteCheckpointFile(StripePath(path, i),
-                                   CheckpointTag::kServiceStripe,
-                                   snap.payload);
-      });
-      if (!written.ok()) return written;
-      reg_epochs[i] = snap.reg_epoch;
-      hh_epochs[i] = snap.hh_epoch;
-      hashes[i] = snap.hash;
-      bytes += snap.payload.size();
-    }
-    return Status::OK();
-  };
-  Status written = write_stripes(true);
-  if (!written.ok()) return written;
-  written = RetryWithBackoff(kCheckpointRetry,
-                             [&] { return WriteHead(HeadPath(path), 0); });
-  if (!written.ok()) return written;
-  written = write_stripes(false);
-  if (!written.ok()) return written;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<std::uint8_t> payload = SnapshotStripe(i);
+    const Status written = RetryWithBackoff(kCheckpointRetry, [&] {
+      return WriteCheckpointFile(StripePath(path, i),
+                                 CheckpointTag::kServiceStripe, payload);
+    });
+    if (!written.ok()) return written;
+    bytes += payload.size();
+  }
+  // An earlier build's delta chain at `path` is superseded only now that
+  // every stripe file holds this save: until here a head naming a delta
+  // makes a restore refuse, never read a mix of old and new stripes.
+  Status removed = RemoveFileDurably(HeadPath(path));
+  if (!removed.ok()) return removed;
 
   // Manifest last: an openable manifest implies every stripe it
   // references was durably written (same discipline as the sharded
@@ -331,116 +300,15 @@ Status HImpactService::CheckpointFull(const std::string& path) const {
   manifest.U64(opts.hh_max_papers);
   manifest.U64(opts.seed);
   manifest.U64(registry_.Stats().total_events);
-  written = RetryWithBackoff(kCheckpointRetry, [&] {
+  const Status written = RetryWithBackoff(kCheckpointRetry, [&] {
     return WriteCheckpointFile(path, CheckpointTag::kServiceManifest,
                                manifest.buffer());
   });
   if (!written.ok()) return written;
 
-  std::lock_guard<std::mutex> lock(chain_->mu);
-  chain_->valid = true;
-  chain_->path = path;
-  chain_->generation = 0;
-  chain_->reg_epochs = std::move(reg_epochs);
-  chain_->hh_epochs = std::move(hh_epochs);
-  chain_->hashes = std::move(hashes);
-  chain_->loc_gens.assign(n, 0);
-  ++chain_->counters.full_saves;
-  chain_->counters.stripes_written += n;
-  chain_->counters.bytes_full += bytes;
-  chain_->counters.chain_generation = 0;
-  return Status::OK();
-}
-
-Status HImpactService::CheckpointIncremental(const std::string& path) const {
-  std::unique_lock<std::mutex> lock(chain_->mu);
-  if (!chain_->valid || chain_->path != path) {
-    // No chain to extend (first save to this path, or a different
-    // path): a full save roots one. Counted, never an error.
-    ++chain_->counters.incremental_fallbacks;
-    lock.unlock();
-    return CheckpointFull(path);
-  }
-  if (options().max_chain_len > 0 &&
-      chain_->generation + 1 > options().max_chain_len) {
-    // The chain is at its cap: one more delta would push a restore
-    // walk past --max-chain-len generations. Escalate to a full save
-    // so restore cost stays bounded.
-    ++chain_->counters.chain_escalations;
-    lock.unlock();
-    return CheckpointFull(path);
-  }
-
-  const std::size_t n = registry_.num_stripes();
-  const std::uint64_t generation = chain_->generation + 1;
-  DeltaManifest manifest;
-  manifest.generation = generation;
-  manifest.parent = chain_->generation;
-  manifest.total_events = registry_.Stats().total_events;
-  manifest.stripes.resize(n);
-
-  // Stage the post-save chain state; commit only after both writes land
-  // (a failed or torn delta leaves the previous chain authoritative).
-  std::vector<std::uint64_t> reg_epochs = chain_->reg_epochs;
-  std::vector<std::uint64_t> hh_epochs = chain_->hh_epochs;
-  std::vector<std::uint64_t> hashes = chain_->hashes;
-  std::vector<std::uint64_t> loc_gens = chain_->loc_gens;
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> records;
-  std::uint64_t written = 0;
-  std::uint64_t skipped_clean = 0;
-  std::uint64_t skipped_dedup = 0;
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (registry_.DirtyEpoch(i) == chain_->reg_epochs[i] &&
-        hh_stripes_[i]->version.load(std::memory_order_acquire) ==
-            chain_->hh_epochs[i]) {
-      // Clean since the last save: the manifest re-points at wherever
-      // the stripe already lives.
-      manifest.stripes[i] = {chain_->loc_gens[i], chain_->hashes[i]};
-      ++skipped_clean;
-      continue;
-    }
-    StripeSnapshot snap = SnapshotStripe(i);
-    reg_epochs[i] = snap.reg_epoch;
-    hh_epochs[i] = snap.hh_epoch;
-    if (snap.hash == chain_->hashes[i]) {
-      // The epoch moved but the payload converged back to what the
-      // chain already holds (hash dedup across generations): keep the
-      // old location, advance the stored epoch so the stripe reads
-      // clean next time.
-      manifest.stripes[i] = {chain_->loc_gens[i], chain_->hashes[i]};
-      ++skipped_dedup;
-      continue;
-    }
-    manifest.stripes[i] = {generation, snap.hash};
-    hashes[i] = snap.hash;
-    loc_gens[i] = generation;
-    bytes += snap.payload.size();
-    records.emplace_back(
-        i, SealEnvelope(CheckpointTag::kServiceStripe, snap.payload));
-    ++written;
-  }
-
-  Status delta = RetryWithBackoff(kCheckpointRetry, [&] {
-    return WriteDeltaSegment(DeltaPath(path, generation), manifest, records);
-  });
-  if (!delta.ok()) return delta;
-  Status head = RetryWithBackoff(kCheckpointRetry, [&] {
-    return WriteHead(HeadPath(path), generation);
-  });
-  if (!head.ok()) return head;
-
-  chain_->generation = generation;
-  chain_->reg_epochs = std::move(reg_epochs);
-  chain_->hh_epochs = std::move(hh_epochs);
-  chain_->hashes = std::move(hashes);
-  chain_->loc_gens = std::move(loc_gens);
-  ++chain_->counters.incremental_saves;
-  chain_->counters.stripes_written += written;
-  chain_->counters.stripes_skipped_clean += skipped_clean;
-  chain_->counters.stripes_skipped_dedup += skipped_dedup;
-  chain_->counters.bytes_incremental += bytes;
-  chain_->counters.chain_generation = generation;
+  std::lock_guard<std::mutex> lock(checkpoint_->mu);
+  ++checkpoint_->counters.full_saves;
+  checkpoint_->counters.bytes_full += bytes;
   return Status::OK();
 }
 
@@ -510,64 +378,8 @@ Status HImpactService::DecodeStripePayload(
   return Status::OK();
 }
 
-Status HImpactService::LoadChainPayloads(
-    const std::string& path, std::uint64_t g,
-    std::vector<std::vector<std::uint8_t>>* payloads,
-    std::vector<std::uint64_t>* loc_gens,
-    std::vector<std::uint64_t>* hashes) const {
-  const std::size_t n = registry_.num_stripes();
-  StatusOr<SegmentReader> newest = OpenDeltaSegment(DeltaPath(path, g));
-  if (!newest.ok()) return newest.status();
-  StatusOr<DeltaManifest> manifest = ReadDeltaManifest(newest.value());
-  if (!manifest.ok()) return manifest.status();
-  if (manifest.value().generation != g ||
-      manifest.value().stripes.size() != n) {
-    return Status::InvalidArgument(
-        "delta manifest does not cover this generation / stripe layout");
-  }
-  std::unordered_map<std::uint64_t, SegmentReader> readers;
-  readers.emplace(g, std::move(newest).value());
-  for (std::size_t i = 0; i < n; ++i) {
-    const DeltaStripeLoc& loc = manifest.value().stripes[i];
-    std::vector<std::uint8_t> payload;
-    if (loc.generation == 0) {
-      StatusOr<std::vector<std::uint8_t>> full = ReadCheckpointFile(
-          StripePath(path, i), CheckpointTag::kServiceStripe);
-      if (!full.ok()) return full.status();
-      payload = std::move(full).value();
-    } else {
-      if (loc.generation > g) {
-        return Status::InvalidArgument(
-            "delta manifest points past its own generation");
-      }
-      auto it = readers.find(loc.generation);
-      if (it == readers.end()) {
-        StatusOr<SegmentReader> reader =
-            OpenDeltaSegment(DeltaPath(path, loc.generation));
-        if (!reader.ok()) return reader.status();
-        it = readers.emplace(loc.generation, std::move(reader).value()).first;
-      }
-      StatusOr<std::vector<std::uint8_t>> sealed =
-          ReadDeltaStripeEnvelope(it->second, i);
-      if (!sealed.ok()) return sealed.status();
-      StatusOr<std::vector<std::uint8_t>> opened =
-          OpenEnvelope(sealed.value(), CheckpointTag::kServiceStripe);
-      if (!opened.ok()) return opened.status();
-      payload = std::move(opened).value();
-    }
-    if (Fnv1a64(payload) != loc.payload_hash) {
-      return Status::InvalidArgument(
-          "stripe payload hash disagrees with the delta manifest");
-    }
-    (*loc_gens)[i] = loc.generation;
-    (*hashes)[i] = loc.payload_hash;
-    payloads->push_back(std::move(payload));
-  }
-  return Status::OK();
-}
-
 Status HImpactService::RestoreFrom(const std::string& path) {
-  std::lock_guard<std::mutex> op_lock(chain_->op_mu);
+  std::lock_guard<std::mutex> op_lock(checkpoint_->op_mu);
   StatusOr<ServiceManifest> manifest = ReadManifest(path);
   if (!manifest.ok()) return manifest.status();
   const ServiceOptions& recorded = manifest.value().options;
@@ -585,52 +397,39 @@ Status HImpactService::RestoreFrom(const std::string& path) {
         "service checkpoint was recorded with different options");
   }
 
+  // A head naming generation g > 0 means the newest state of an earlier
+  // build's delta chain lives in `path.delta-<g>`, and the stripe files
+  // may hold only its root: restoring them would silently go back in
+  // time. A head at generation 0 pins the stripe files themselves.
+  StatusOr<std::uint64_t> head = ReadHeadGeneration(HeadPath(path));
+  if (!head.ok() && head.status().code() != StatusCode::kUnavailable) {
+    return Status::FailedPrecondition(head.status().message());
+  }
+  if (head.ok() && head.value() > 0) {
+    return Status::FailedPrecondition(
+        path + " is an incremental checkpoint at delta generation " +
+        std::to_string(head.value()) +
+        ", which this build does not read; restore it with the previous "
+        "build and take a full save");
+  }
+
   // Decode every stripe into fresh state; commit only if all succeed.
   StatusOr<TieredUserRegistry> fresh_registry =
       TieredUserRegistry::Create(mine);
   if (!fresh_registry.ok()) return fresh_registry.status();
   std::vector<std::unique_ptr<HhStripe>> fresh_hh = MakeHhStripes();
 
-  // Pick the payload set: the newest restorable delta generation if a
-  // head pins a chain, else (or after exhausting damaged deltas) the
-  // plain full files — the `RestoreOrFallback` discipline, per
-  // generation.
-  const std::size_t n = mine.num_stripes;
+  // Every payload is read before any is decoded. Decoding each stripe
+  // right after its read lowers peak memory, but the restored state then
+  // served measurably slower (perfbench `ingest` and `coldtier`).
   std::vector<std::vector<std::uint8_t>> payloads;
-  std::vector<std::uint64_t> loc_gens(n, 0);
-  std::vector<std::uint64_t> hashes(n, 0);
-  std::uint64_t generation = 0;
-  std::uint64_t chain_fallbacks = 0;
-  StatusOr<std::uint64_t> head = ReadHead(HeadPath(path));
-  if (head.ok()) {
-    for (std::uint64_t g = head.value(); g > 0; --g) {
-      payloads.clear();
-      loc_gens.assign(n, 0);
-      hashes.assign(n, 0);
-      Status loaded = LoadChainPayloads(path, g, &payloads, &loc_gens,
-                                        &hashes);
-      if (loaded.ok()) {
-        generation = g;
-        break;
-      }
-      ++chain_fallbacks;
-    }
+  for (std::size_t i = 0; i < mine.num_stripes; ++i) {
+    StatusOr<std::vector<std::uint8_t>> payload = ReadCheckpointFile(
+        StripePath(path, i), CheckpointTag::kServiceStripe);
+    if (!payload.ok()) return payload.status();
+    payloads.push_back(std::move(payload).value());
   }
-  if (generation == 0) {
-    // Legacy (headless) checkpoint, head at 0, or every delta damaged:
-    // the full files are the payload set.
-    payloads.clear();
-    loc_gens.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      StatusOr<std::vector<std::uint8_t>> payload = ReadCheckpointFile(
-          StripePath(path, i), CheckpointTag::kServiceStripe);
-      if (!payload.ok()) return payload.status();
-      hashes[i] = Fnv1a64(payload.value());
-      payloads.push_back(std::move(payload).value());
-    }
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < mine.num_stripes; ++i) {
     Status decoded =
         DecodeStripePayload(i, payloads[i], fresh_registry.value(), fresh_hh);
     if (!decoded.ok()) return decoded;
@@ -641,42 +440,13 @@ Status HImpactService::RestoreFrom(const std::string& path) {
   // The fresh stripes restart their ingest epochs at 0. A cache tagged
   // with the pre-restore epochs could coincidentally match (e.g. an
   // all-zeros tag captured before any ingest), so invalidate
-  // explicitly — the hh-stripe epochs themselves give no restore
-  // signal, unlike the registry's (bumped by DeserializeStripe).
+  // explicitly: the hh-stripe epochs themselves give no restore signal.
   {
     std::lock_guard<std::mutex> lock(hh_report_cache_->mu);
     hh_report_cache_->valid = false;
     hh_report_cache_->versions.clear();
     hh_report_cache_->reports.clear();
   }
-  // The in-RAM state now equals the restored generation's on-disk
-  // payloads, so root the chain here: a subsequent incremental save to
-  // the same path extends it instead of rewriting everything.
-  {
-    std::lock_guard<std::mutex> lock(chain_->mu);
-    chain_->valid = true;
-    chain_->path = path;
-    chain_->generation = generation;
-    chain_->reg_epochs.resize(n);
-    chain_->hh_epochs.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      chain_->reg_epochs[i] = registry_.DirtyEpoch(i);
-      chain_->hh_epochs[i] =
-          hh_stripes_[i]->version.load(std::memory_order_acquire);
-    }
-    chain_->hashes = std::move(hashes);
-    chain_->loc_gens = std::move(loc_gens);
-    chain_->counters.restore_chain_fallbacks += chain_fallbacks;
-    chain_->counters.chain_generation = generation;
-  }
-  // Operators watch this line: a creeping generation means checkpoints
-  // are incremental-only and restores are walking an ever-longer chain
-  // (--max-chain-len escalation should be cutting it back).
-  std::fprintf(stderr,
-               "hstream: restored %s at chain generation %llu"
-               " (%llu damaged generation(s) skipped)\n",
-               path.c_str(), static_cast<unsigned long long>(generation),
-               static_cast<unsigned long long>(chain_fallbacks));
   return Status::OK();
 }
 

@@ -35,17 +35,11 @@
 /// `RestoreFrom` decodes everything into fresh state and only then
 /// swaps it in; a damaged checkpoint leaves the service unchanged.
 ///
-/// Incremental checkpoints (`CheckpointTo(path, SaveMode::kIncremental)`)
-/// extend a full save instead of rewriting it: only stripes whose dirty
-/// epoch (registry) or ingest epoch (heavy hitters) moved since the last
-/// save to `path` are re-serialized, into one delta segment
-/// `path.delta-<g>` (storage/delta_chain.h) with a coverage manifest
-/// chaining back to the full files; a content-hash match additionally
-/// dedups a stripe whose epoch moved but whose payload did not. The head
-/// pointer `path.head` is rewritten atomically last, so a torn delta
-/// write leaves the previous chain restorable. `RestoreFrom` walks the
-/// chain from the head and falls back generation by generation (to the
-/// bare full save in the worst case) on damage. See docs/CHECKPOINTS.md.
+/// A checkpoint is always a full save: every stripe file is rewritten.
+/// The incremental delta chain of earlier builds (`path.head` plus
+/// `path.delta-<g>`) is not read: `RestoreFrom` rejects a checkpoint
+/// whose head names a generation above 0, and a save removes a stale
+/// head once its stripe files have landed. See docs/CHECKPOINTS.md.
 
 namespace himpact {
 
@@ -58,22 +52,19 @@ struct ServiceManifest {
 /// Checkpoint-path counters (runtime-only, surfaced via `health`).
 struct CheckpointCounters {
   std::uint64_t full_saves = 0;
-  std::uint64_t incremental_saves = 0;
-  /// Incremental saves that had no chain to extend (first save to the
-  /// path, or a save to a different path) and wrote a full checkpoint.
-  std::uint64_t incremental_fallbacks = 0;
-  std::uint64_t stripes_written = 0;
-  std::uint64_t stripes_skipped_clean = 0;  // dirty epoch unchanged
-  std::uint64_t stripes_skipped_dedup = 0;  // epoch moved, payload hash same
+  /// Stripe payload bytes written by all saves.
   std::uint64_t bytes_full = 0;
+  /// Always 0. Read by nothing in `src/`; goes with the next perfbench
+  /// change (ROADMAP item 6).
   std::uint64_t bytes_incremental = 0;
-  /// Damaged deltas skipped while walking the chain during a restore.
-  std::uint64_t restore_chain_fallbacks = 0;
-  /// Generation of the live chain (0 = full save only).
-  std::uint64_t chain_generation = 0;
-  /// Incremental saves escalated to a full save because the chain hit
-  /// `ServiceOptions::max_chain_len` (the bound on restore walks).
-  std::uint64_t chain_escalations = 0;
+};
+
+/// Compatibility name for `perfbench/tool.cc`: read by nothing in
+/// `src/`; goes with the next perfbench change (ROADMAP item 6). Every
+/// save is a full save whatever the mode.
+enum class SaveMode : unsigned char {
+  kFull = 0,
+  kIncremental = 1,
 };
 
 /// Aggregate service counters for `Stats()` reporting.
@@ -177,19 +168,19 @@ class HImpactService {
   /// not availability. With none (0) it waits like `TopK`. Always OK.
   StatusOr<TopKResult> TryTopK(std::size_t k);
 
-  /// Writes per-stripe envelopes to `path.stripe-<i>`, then the
+  /// Writes per-stripe envelopes to `path.stripe-<i>`, removes a stale
+  /// `path.head` left by an earlier build's delta chain, then writes the
   /// manifest to `path`. Concurrent ingest is allowed (each stripe is
   /// snapshotted under its own lock), so the checkpoint is per-stripe
-  /// consistent rather than a global cut. Equivalent to
-  /// `CheckpointTo(path, SaveMode::kFull)`.
+  /// consistent rather than a global cut. Concurrent checkpoints and
+  /// restores serialize.
   Status CheckpointTo(const std::string& path) const;
 
-  /// `SaveMode::kFull` rewrites everything and roots a new chain;
-  /// `SaveMode::kIncremental` writes a delta of the stripes dirtied
-  /// since the last save to `path` (falling back to a full save when no
-  /// chain to `path` exists — counted, never an error). Thread-safe
-  /// against ingest; concurrent checkpoints serialize on the chain lock.
-  Status CheckpointTo(const std::string& path, SaveMode mode) const;
+  /// `CheckpointTo(path)`; the mode is ignored. Read by nothing in
+  /// `src/`; goes with the next perfbench change (ROADMAP item 6).
+  Status CheckpointTo(const std::string& path, SaveMode /*mode*/) const {
+    return CheckpointTo(path);
+  }
 
   /// Reads and decodes the manifest at `path`.
   static StatusOr<ServiceManifest> ReadManifest(const std::string& path);
@@ -197,10 +188,9 @@ class HImpactService {
   /// Restores service state from a `CheckpointTo` checkpoint whose
   /// configuration matches this service's options
   /// (`kFailedPrecondition` otherwise). All-or-nothing: decodes into
-  /// fresh state before swapping it in. Chain-aware: with a readable
-  /// `path.head` the newest restorable delta generation wins, falling
-  /// back generation by generation (counted) to the plain full save on
-  /// damage; without a head this is exactly the legacy full restore.
+  /// fresh state before swapping it in. A `path.head` naming a delta
+  /// generation above 0 is also `kFailedPrecondition`: its newest state
+  /// lives in deltas this build does not read.
   Status RestoreFrom(const std::string& path);
 
   /// The per-stripe envelope path (`path.stripe-<i>`).
@@ -244,38 +234,15 @@ class HImpactService {
     std::uint64_t misses = 0;
   };
 
-  /// What the last successful save to `path` looked like: the per-stripe
-  /// epochs captured *before* each stripe was serialized (conservative —
-  /// a mutation racing the serialization re-dirties the stripe), the
-  /// payload hashes, and which generation holds each stripe. Behind a
-  /// unique_ptr (std::mutex is immovable; the service moves). Checkpoint
-  /// and restore operations serialize on `mu`; they take stripe locks
-  /// inside it, never the reverse.
-  struct ChainState {
-    /// Operation-level lock: held for the full duration of a
-    /// checkpoint or restore so two callers of the public checkpoint
-    /// API never interleave their file writes. `mu` below stays brief
-    /// so `Stats()` remains responsive during a long full save. Lock
-    /// order: `op_mu`, then `mu`, then stripe locks — never the reverse.
+  /// Behind a unique_ptr (std::mutex is immovable; the service moves).
+  struct CheckpointState {
+    /// Held for the full duration of a checkpoint or restore, so two
+    /// callers never interleave their file writes. Lock order: `op_mu`,
+    /// then `mu`, then stripe locks, never the reverse.
     mutable std::mutex op_mu;
+    /// Guards `counters` only, so `Stats()` never waits on a save.
     mutable std::mutex mu;
-    bool valid = false;
-    std::string path;
-    std::uint64_t generation = 0;
-    std::vector<std::uint64_t> reg_epochs;
-    std::vector<std::uint64_t> hh_epochs;
-    std::vector<std::uint64_t> hashes;
-    std::vector<std::uint64_t> loc_gens;
     CheckpointCounters counters;
-  };
-
-  /// One stripe's checkpoint payload plus the epochs captured before it
-  /// was serialized and its content hash.
-  struct StripeSnapshot {
-    std::vector<std::uint8_t> payload;
-    std::uint64_t reg_epoch = 0;
-    std::uint64_t hh_epoch = 0;
-    std::uint64_t hash = 0;
   };
 
   explicit HImpactService(TieredUserRegistry registry);
@@ -284,22 +251,15 @@ class HImpactService {
   /// Feeds the grid the one-author tuple of a response count, under a
   /// paper id minted from the user's stripe. Requires the grid enabled.
   void FeedResponseCount(AuthorId user, std::uint64_t value);
-  StripeSnapshot SnapshotStripe(std::size_t i) const;
-  Status CheckpointFull(const std::string& path) const;
-  Status CheckpointIncremental(const std::string& path) const;
+  /// Stripe `i`'s checkpoint payload: its registry state plus its
+  /// heavy-hitters shard.
+  std::vector<std::uint8_t> SnapshotStripe(std::size_t i) const;
   /// Decodes one stripe payload (registry stripe + heavy-hitters shard)
   /// into the fresh state being assembled by a restore.
   Status DecodeStripePayload(std::size_t i,
                              const std::vector<std::uint8_t>& payload,
                              TieredUserRegistry& registry,
                              std::vector<std::unique_ptr<HhStripe>>& hh) const;
-  /// Loads every stripe's payload as covered by delta generation `g`'s
-  /// manifest, verifying content hashes; any damage fails the whole
-  /// generation (the caller falls back to `g - 1`).
-  Status LoadChainPayloads(const std::string& path, std::uint64_t g,
-                           std::vector<std::vector<std::uint8_t>>* payloads,
-                           std::vector<std::uint64_t>* loc_gens,
-                           std::vector<std::uint64_t>* hashes) const;
 
   TieredUserRegistry registry_;
   std::vector<std::unique_ptr<HhStripe>> hh_stripes_;
@@ -307,7 +267,7 @@ class HImpactService {
   /// `TryTopK` answers degraded by the deadline (behind a unique_ptr
   /// because std::atomic is immovable; the service moves).
   std::unique_ptr<std::atomic<std::uint64_t>> deadline_exceeded_;
-  std::unique_ptr<ChainState> chain_;
+  std::unique_ptr<CheckpointState> checkpoint_;
 };
 
 }  // namespace himpact

@@ -69,14 +69,6 @@ std::string ServiceSession::HealthJson() const {
   json += ",\"page_in_cache_hits\":" + U64(r.page_in_cache_hits);
   json += ",\"page_in_failures\":" + U64(r.page_in_failures);
   json += ",\"full_saves\":" + U64(c.full_saves);
-  json += ",\"incremental_saves\":" + U64(c.incremental_saves);
-  json += ",\"incremental_fallbacks\":" + U64(c.incremental_fallbacks);
-  json += ",\"stripes_written\":" + U64(c.stripes_written);
-  json += ",\"stripes_skipped_clean\":" + U64(c.stripes_skipped_clean);
-  json += ",\"stripes_skipped_dedup\":" + U64(c.stripes_skipped_dedup);
-  json += ",\"restore_chain_fallbacks\":" + U64(c.restore_chain_fallbacks);
-  json += ",\"chain_generation\":" + U64(c.chain_generation);
-  json += ",\"chain_escalations\":" + U64(c.chain_escalations);
   // Shared task runtime counters (process-wide: the shard set and WAL
   // replay submit to it). `completed` keeps its one-key object shape,
   // which existing readers index by name.
@@ -179,7 +171,7 @@ bool ServiceSession::HandleCommand(const Command& command,
       result->text = HealthJson();
       return true;
     case CommandKind::kSave: {
-      const Status saved = durability_.Save(command.path, command.save_mode);
+      const Status saved = durability_.Save(command.path);
       if (saved.ok()) {
         result->text = command.path;
       } else {

@@ -13,9 +13,8 @@
 /// \file
 /// Sealed, compressed, mmap-backed segment files.
 ///
-/// A segment is an immutable container of keyed records — evicted users'
-/// envelope-framed state in the registry's cold tier, per-stripe
-/// checkpoint envelopes in incremental-delta files. Records are packed
+/// A segment is an immutable container of keyed records: evicted users'
+/// envelope-framed state in the registry's cold tier. Records are packed
 /// into ZRLE-compressed blocks so a `get` CRC-checks and decompresses
 /// one small block, not the file; the record and block tables live at
 /// the tail and are small enough to keep in RAM, which is what makes the

@@ -2,11 +2,10 @@
 // cadence saves and rotates the WAL every N applied writes (quarantined
 // and read-only lines do not count); a `save` rotates only when it
 // lands on the cadence path; a torn cadence save is counted, leaves the
-// log unrotated and still replayable to the live state; and
-// incremental mode escalates to a full save whenever the chain would
-// pass `max_chain_len`. Everything is observed through `HandleLine`,
-// the `stats`/`health` JSON and the WAL directory listing; every save
-// runs inline on the session thread, so the counts are exact.
+// log unrotated and still replayable to the live state. Everything is
+// observed through `HandleLine`, the `stats`/`health` JSON and the WAL
+// directory listing; every save runs inline on the session thread, so
+// the counts are exact.
 // docs/CHECKPOINTS.md states the contracts.
 
 #include <unistd.h>
@@ -207,8 +206,8 @@ TEST_F(DurabilityTest, SaveVerbRotatesOnlyAtTheCadencePath) {
   EXPECT_EQ(Listing(wal_dir), before);
   EXPECT_EQ(segment_size(), logged);
 
-  // A save to the cadence path does, even in incremental mode.
-  EXPECT_EQ(h.Line("save " + session_options.checkpoint + " incr"),
+  // A save to the cadence path does.
+  EXPECT_EQ(h.Line("save " + session_options.checkpoint),
             "OK saved " + session_options.checkpoint + "\n");
   EXPECT_EQ(h.Health("rotations"), 1u);
   const std::vector<std::string> after = Listing(wal_dir);
@@ -266,47 +265,6 @@ TEST_F(DurabilityTest, TornCadenceSaveKeepsTheLogAndTheNextSaveRotates) {
   EXPECT_EQ(h.Health("checkpoint_failures"), 1u);
   h.session.reset();
   h.wal.reset();
-  std::filesystem::remove_all(dir);
-}
-
-// Cadence 3 and `max_chain_len` 4 over 60 writes: save 1 roots the
-// chain (a fallback), saves 2-5 extend it to generation 4, save 6
-// escalates to a full save, and so on every fifth save. The final save
-// finds the chain at its cap again and escalates once more.
-TEST_F(DurabilityTest,
-       IncrementalChainEscalatesAtMaxChainLenAndFinalSaveRestoresLive) {
-  const std::string dir = TempDir("escalate");
-  ServiceOptions options = SmallOptions();
-  options.max_chain_len = 4;
-  SessionOptions session_options;
-  session_options.checkpoint = dir + "/ck";
-  session_options.checkpoint_every = 3;
-  session_options.checkpoint_mode = SaveMode::kIncremental;
-  Harness h(options, session_options);
-  for (int i = 0; i < 60; ++i) {
-    h.Line(Write(i));
-    EXPECT_LE(h.Health("chain_generation"), 4u) << "after write " << i;
-  }
-  std::string health = h.Line("health");
-  EXPECT_EQ(JsonU64(health, "incremental_fallbacks"), 1u);
-  EXPECT_EQ(JsonU64(health, "incremental_saves"), 16u);
-  EXPECT_EQ(JsonU64(health, "chain_escalations"), 3u);
-  EXPECT_EQ(JsonU64(health, "chain_generation"), 4u);
-
-  ASSERT_TRUE(h.session->FinalCheckpoint().ok());
-  health = h.Line("health");
-  EXPECT_EQ(JsonU64(health, "chain_escalations"), 4u);
-  EXPECT_EQ(JsonU64(health, "chain_generation"), 0u);
-  EXPECT_EQ(JsonU64(health, "incremental_saves"), 16u);
-  EXPECT_EQ(JsonU64(health, "checkpoints"), 21u);
-  EXPECT_EQ(JsonU64(health, "checkpoint_failures"), 0u);
-
-  auto restored = HImpactService::Create(options).value();
-  ASSERT_TRUE(restored.RestoreFrom(session_options.checkpoint).ok());
-  EXPECT_EQ(restored.Stats().registry.total_events,
-            JsonU64(h.Line("stats"), "events"));
-  EXPECT_EQ(AllEstimates(restored, 16), AllEstimates(h.service, 16));
-  h.session.reset();
   std::filesystem::remove_all(dir);
 }
 

@@ -14,9 +14,10 @@
 //
 // A change that alters bytes on purpose replaces the constants (a
 // failure prints the new ones) and says why in CHANGES.md. To see what
-// moved, run this test with HIMPACT_GOLDEN_DUMP=<dir> on both revisions
-// and diff the two dump directories: each holds `<config>.txt` (every
-// request and its reply) and `<config>/` (the files the run left).
+// moved, run tools/transcript_diff.sh <rev>: it runs this test with
+// HIMPACT_GOLDEN_DUMP=<dir> on both revisions and diffs the two dump
+// directories, each holding `<config>.txt` (every request and its reply)
+// and `<config>/` (the files the run left).
 
 #include <unistd.h>
 
@@ -78,17 +79,17 @@ constexpr std::uint64_t kSmallBudget = 96u << 10;
 
 const Config kConfigs[] = {
     {"A", 64ull << 20, false,
-     {{0x0d3b1eb5bf458899ULL, 0x8d782fcb9e40919dULL, 0xaf47f31c15d09f47ULL,
-       0xbde0d8021967e1f5ULL, 0xd8b585f0bb2cbf5cULL},
-      0x815ee8f888e414acULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
+     {{0x15f44b17f4bd6477ULL, 0x9ebbcca82802c3dfULL, 0x6aeeb207ef526a36ULL,
+       0xbf1c46a6b428261cULL, 0x6cd6de60f1483802ULL},
+      0x435c466270c1539eULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
     {"B", kSmallBudget, true,
-     {{0x82fb697ba16a49e1ULL, 0x9f066478c4096c82ULL, 0x13ec991fa08f2718ULL,
-       0xde2423c1ee67e9e8ULL, 0xedd8efa030eb4841ULL},
-      0x5c4c042bd24fe3ecULL, 0x2be38fc8370a19d7ULL, 0x362d307b54f87c93ULL}},
+     {{0x5530f1372da4c285ULL, 0x38cc9dcbb717025cULL, 0xed50bab7dc797a23ULL,
+       0x82893c25a2d5336dULL, 0x2068b6d7c8870bcbULL},
+      0x9abf4714f6efdfdaULL, 0x2be38fc8370a19d7ULL, 0x362d307b54f87c93ULL}},
     {"C", kSmallBudget, false,
-     {{0x82fb697ba16a49e1ULL, 0x0d89d5051ee062bdULL, 0x22f6215a290e25f5ULL,
-       0x7cc87ae3442f791aULL, 0xbd9c4f00fd4f8837ULL},
-      0x33b06b16e3a44b7aULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
+     {{0x5530f1372da4c285ULL, 0xd0ccedaaba092157ULL, 0x634496c5fa36d724ULL,
+       0x219834a33f8a77c7ULL, 0xd4aa3cd123ba96bfULL},
+      0x7a83528ad7187160ULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
 };
 
 std::uint64_t Fnv1a(std::string_view bytes,

@@ -57,7 +57,7 @@ std::string TempPath(const char* name) {
 // Spawns hstream_serve auto-checkpointing to `checkpoint`, with both
 // stdin and stdout piped so a drill can feed it load and read its
 // replies; stderr is discarded. `extra` appends flags (e.g.
-// --checkpoint-mode incr) to the base argv.
+// --segment-dir DIR) to the base argv.
 pid_t SpawnServe(const std::string& checkpoint, int* stdin_fd, int* stdout_fd,
                  const std::vector<std::string>& extra = {}) {
   int in[2] = {-1, -1};
@@ -279,25 +279,22 @@ TEST(KillResumeDrill, StateSurvivesRepeatedSigkillMonotonically) {
   std::remove((checkpoint + ".stripe-1").c_str());
 }
 
-TEST(KillResumeDrill, IncrementalChainSurvivesRepeatedSigkillMonotonically) {
-  // The stdin drill with the production cold-tier config: incremental
-  // checkpoints (--checkpoint-mode incr) and an attached segment store
-  // (--segment-dir). Auto-saves now extend a delta chain instead of
-  // rewriting every stripe, so the SIGKILL can land mid-delta-write or
-  // between the delta and its head-pointer update. The invariants gain
-  // a clause: restore must replay the full save plus every completed
-  // delta (a torn or missing tail delta rolls back to the last good
-  // generation, never fails), and the chain a restored server extends
-  // must keep restoring in later rounds.
+TEST(KillResumeDrill, PagedFullSavesSurviveRepeatedSigkillMonotonically) {
+  // The stdin drill with the production cold-tier config: an attached
+  // segment store (--segment-dir), so every auto-save also seals the
+  // stripes' pending cold-tier records. The SIGKILL can land mid-save,
+  // between stripe files or before the manifest; restore with the
+  // segment store attached must never fall back past verified state,
+  // and a restored server's saves must keep restoring in later rounds.
   ::signal(SIGPIPE, SIG_IGN);
 
-  const std::string root = TempPath("incr");
+  const std::string root = TempPath("paged");
   const std::string segment_dir = root + "/segments";
   const std::string checkpoint = root + "/ckpt";
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(segment_dir);
-  const std::vector<std::string> incr_flags = {
-      "--checkpoint-mode", "incr", "--segment-dir", segment_dir};
+  const std::vector<std::string> paged_flags = {"--segment-dir",
+                                                segment_dir};
   const std::string query_flags = " --segment-dir " + segment_dir;
   std::vector<double> previous(kBatteryUsers, 0.0);
 
@@ -305,7 +302,7 @@ TEST(KillResumeDrill, IncrementalChainSurvivesRepeatedSigkillMonotonically) {
     int stdin_fd = -1;
     int stdout_fd = -1;
     const pid_t pid =
-        SpawnServe(checkpoint, &stdin_fd, &stdout_fd, incr_flags);
+        SpawnServe(checkpoint, &stdin_fd, &stdout_fd, paged_flags);
     ASSERT_GT(pid, 0) << "spawn failed in round " << round;
 
     bool wrote_all = true;
@@ -318,14 +315,11 @@ TEST(KillResumeDrill, IncrementalChainSurvivesRepeatedSigkillMonotonically) {
     }
     EXPECT_TRUE(wrote_all) << "child died before the kill in round "
                            << round;
-    // In incremental mode the first auto-save of round 0 roots the
-    // chain (full files + head) and the second writes delta generation
-    // 1; waiting for two saves' replies guarantees the chain the
-    // assertions below inspect formed before the kill, and that every
-    // later round extended it.
+    // Waiting for two saves' replies guarantees that every round saved
+    // over the checkpoint the previous round left before the kill.
     ASSERT_TRUE(
         AwaitReplies(stdout_fd, 2 * std::atoi(kCheckpointEvery), false))
-        << "no incremental delta completed in round " << round;
+        << "no second auto-save completed in round " << round;
 
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     ::close(stdin_fd);
@@ -337,16 +331,16 @@ TEST(KillResumeDrill, IncrementalChainSurvivesRepeatedSigkillMonotonically) {
     ASSERT_EQ(WTERMSIG(status), SIGKILL)
         << "child died of an unexpected signal (a crash under load?)";
 
-    // The verification session restores the chain with the segment
-    // store attached, exactly as a production replacement would.
+    // The verification session restores with the segment store
+    // attached, exactly as a production replacement would.
     std::vector<double> current;
     ASSERT_TRUE(QueryBattery(checkpoint, &current, query_flags))
-        << "post-kill chain restore/query failed in round " << round;
+        << "post-kill restore/query failed in round " << round;
     ASSERT_EQ(current.size(), previous.size());
     for (int user = 0; user < kBatteryUsers; ++user) {
       EXPECT_GE(current[user], previous[user])
           << "round " << round << " regressed user " << (user + 1)
-          << " — chain restore fell back past verified state";
+          << " — restore fell back past verified state";
     }
     previous = std::move(current);
   }
@@ -355,10 +349,10 @@ TEST(KillResumeDrill, IncrementalChainSurvivesRepeatedSigkillMonotonically) {
   for (const double estimate : previous) total += estimate;
   EXPECT_GT(total, 0.0);
 
-  // Several rounds of incremental auto-saves must have left an actual
-  // chain behind: a head pointer plus at least one delta segment.
-  EXPECT_TRUE(std::filesystem::exists(checkpoint + ".head"));
-  EXPECT_TRUE(std::filesystem::exists(checkpoint + ".delta-1"));
+  // Every save is a full save: no delta chain is ever written.
+  EXPECT_TRUE(std::filesystem::exists(checkpoint + ".stripe-0"));
+  EXPECT_FALSE(std::filesystem::exists(checkpoint + ".head"));
+  EXPECT_FALSE(std::filesystem::exists(checkpoint + ".delta-1"));
 
   std::filesystem::remove_all(root);
 }

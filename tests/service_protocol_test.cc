@@ -66,6 +66,13 @@ TEST(ParseCommandLine, RejectsMalformedInput) {
   EXPECT_FALSE(ParseCommandLine("top x").ok());
   EXPECT_FALSE(ParseCommandLine("heavy now").ok());
   EXPECT_FALSE(ParseCommandLine("save").ok());
+  // Every save is a full save: a mode token is a usage error.
+  for (const char* mode : {"incr", "full"}) {
+    const StatusOr<Command> moded =
+        ParseCommandLine(std::string("save /tmp/x.ckpt ") + mode);
+    ASSERT_FALSE(moded.ok()) << mode;
+    EXPECT_EQ(moded.status().message(), "usage: save <path>") << mode;
+  }
   EXPECT_FALSE(ParseCommandLine("quit please").ok());
   EXPECT_FALSE(ParseCommandLine("paper 1 2").ok());       // no authors
   EXPECT_FALSE(ParseCommandLine("paper 1 2 3,3").ok());   // duplicate author
@@ -152,13 +159,15 @@ TEST(ServeBinary, AnswersTheBasicSession) {
   const std::string input = TempPath("basic_in");
   WriteTextFile(input,
                 "add 7 12\nadd 7 5\nget 7\nget 404\npaper 1 9 2,3\n"
-                "top 3\nbogus\nadd 7\nquit\n");
+                "top 3\nbogus\nadd 7\nsave x.ckpt incr\nsave x.ckpt full\n"
+                "quit\n");
   const RunResult result = RunServe("--stripes 2 --no-heavy", input);
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_EQ(result.stdout_text,
             "OK 1\nOK 2\nH 7 2 cold 2\nH 404 0 none 0\nOK 2\n"
             "TOP 7:2 2:1 3:1\nERR unknown command 'bogus'\n"
-            "ERR usage: add <user> <value>\nBYE\n");
+            "ERR usage: add <user> <value>\nERR usage: save <path>\n"
+            "ERR usage: save <path>\nBYE\n");
   std::remove(input.c_str());
 }
 
@@ -201,6 +210,8 @@ constexpr BadFlagCase kBadFlagCases[] = {
      "bad value for --evict-min-idle-ms: '18446744073710' (want "
      "0..18446744073709)"},
     {"--max-inflight 4", "unknown flag: --max-inflight"},
+    {"--checkpoint-mode full", "unknown flag: --checkpoint-mode"},
+    {"--max-chain-len 4", "unknown flag: --max-chain-len"},
 };
 
 TEST(ServeBinary, RejectsBadFlags) {

@@ -2,9 +2,7 @@
 // block codec and FNV-1a content hash, sealed segment files (layout,
 // CRC armor, lazy block validation, intra-file dedup), the per-stripe
 // SegmentStore (pending buffer, seal, reopen, LRU cache, fault
-// degradation), and the incremental-checkpoint delta chain
-// (manifest, delta segments, head pointer, torn-write atomicity).
-// docs/CHECKPOINTS.md documents the formats these tests pin down.
+// degradation). docs/CHECKPOINTS.md documents the formats these tests pin down.
 
 #include <unistd.h>
 
@@ -20,11 +18,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/envelope.h"
 #include "fault/fault.h"
 #include "random/rng.h"
 #include "storage/codec.h"
-#include "storage/delta_chain.h"
 #include "storage/segment.h"
 #include "storage/segment_store.h"
 
@@ -534,117 +530,6 @@ TEST_F(StorageTest, StoreReopenSkipsACorruptSegmentAndCounts) {
   EXPECT_EQ(reopened_or.value()->Get(1).status().code(),
             StatusCode::kUnavailable);
   RemoveTree(dir);
-}
-
-// --- delta chain ------------------------------------------------------------
-
-TEST_F(StorageTest, DeltaManifestRoundTrips) {
-  DeltaManifest manifest;
-  manifest.generation = 4;
-  manifest.parent = 3;
-  manifest.total_events = 123456789;
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    manifest.stripes.push_back(DeltaStripeLoc{i % 3, 0x1000 + i});
-  }
-  StatusOr<DeltaManifest> parsed =
-      ParseDeltaManifest(SerializeDeltaManifest(manifest));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_EQ(parsed.value().generation, 4u);
-  EXPECT_EQ(parsed.value().parent, 3u);
-  EXPECT_EQ(parsed.value().total_events, 123456789u);
-  ASSERT_EQ(parsed.value().stripes.size(), 6u);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(parsed.value().stripes[i].generation, i % 3);
-    EXPECT_EQ(parsed.value().stripes[i].payload_hash, 0x1000 + i);
-  }
-
-  std::vector<std::uint8_t> damaged = SerializeDeltaManifest(manifest);
-  damaged.pop_back();
-  EXPECT_FALSE(ParseDeltaManifest(damaged).ok());
-}
-
-TEST_F(StorageTest, DeltaSegmentCarriesManifestAndStripeEnvelopes) {
-  const std::string base = TempPath("delta_rw");
-  DeltaManifest manifest;
-  manifest.generation = 1;
-  manifest.parent = 0;
-  manifest.total_events = 42;
-  manifest.stripes = {DeltaStripeLoc{0, 11}, DeltaStripeLoc{1, 22},
-                      DeltaStripeLoc{0, 33}};
-
-  const std::vector<std::uint8_t> payload1 = RecordPayload(1, 80);
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> records;
-  records.emplace_back(1, SealEnvelope(CheckpointTag::kServiceStripe,
-                                       payload1));
-  const std::string path = DeltaPath(base, 1);
-  EXPECT_NE(path.find("delta-1"), std::string::npos);
-  ASSERT_TRUE(WriteDeltaSegment(path, manifest, records).ok());
-
-  StatusOr<SegmentReader> reader = OpenDeltaSegment(path);
-  ASSERT_TRUE(reader.ok()) << reader.status().message();
-  EXPECT_EQ(reader.value().stripe(), kDeltaSegmentStripeId);
-  EXPECT_EQ(reader.value().generation(), 1u);
-
-  StatusOr<DeltaManifest> readback = ReadDeltaManifest(reader.value());
-  ASSERT_TRUE(readback.ok());
-  EXPECT_EQ(readback.value().generation, 1u);
-  ASSERT_EQ(readback.value().stripes.size(), 3u);
-  EXPECT_EQ(readback.value().stripes[2].payload_hash, 33u);
-
-  StatusOr<std::vector<std::uint8_t>> envelope =
-      ReadDeltaStripeEnvelope(reader.value(), 1);
-  ASSERT_TRUE(envelope.ok());
-  StatusOr<std::vector<std::uint8_t>> opened =
-      OpenEnvelope(envelope.value(), CheckpointTag::kServiceStripe);
-  ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(opened.value(), payload1);
-  EXPECT_FALSE(ReadDeltaStripeEnvelope(reader.value(), 2).ok())
-      << "a stripe the delta does not carry must not resolve";
-  std::remove(path.c_str());
-}
-
-TEST_F(StorageTest, HeadPointerRoundTripsAndRewritesAtomically) {
-  const std::string base = TempPath("head");
-  const std::string head = HeadPath(base);
-  EXPECT_EQ(ReadHead(head).status().code(), StatusCode::kUnavailable);
-  ASSERT_TRUE(WriteHead(head, 0).ok());
-  StatusOr<std::uint64_t> g = ReadHead(head);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g.value(), 0u);
-  ASSERT_TRUE(WriteHead(head, 7).ok());
-  g = ReadHead(head);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g.value(), 7u);
-  std::remove(head.c_str());
-}
-
-TEST_F(StorageTest, TornDeltaFaultLandsATrulyTruncatedFile) {
-  const std::string base = TempPath("delta_torn");
-  DeltaManifest manifest;
-  manifest.generation = 1;
-  manifest.stripes = {DeltaStripeLoc{1, 99}};
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> records;
-  records.emplace_back(0, SealEnvelope(CheckpointTag::kServiceStripe,
-                                       RecordPayload(0, 200)));
-  const std::string path = DeltaPath(base, 1);
-
-  // The torn write must land half an image at the FINAL path (this is
-  // the one write in the system that is deliberately not atomic under
-  // fault — the head pointer is what provides atomicity upstream).
-  FaultRegistry::Global().Arm(FaultPoint::kSegmentTornDelta, FaultSpec{});
-  const Status torn = WriteDeltaSegment(path, manifest, records);
-  ASSERT_FALSE(torn.ok());
-  EXPECT_EQ(torn.code(), StatusCode::kInternal);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  EXPECT_GT(std::filesystem::file_size(path), 0u);
-  EXPECT_FALSE(OpenDeltaSegment(path).ok())
-      << "the torn delta must be structurally rejected";
-
-  // Disarm: the retried write replaces the torn file with a good one.
-  FaultRegistry::Global().Reset();
-  ASSERT_TRUE(WriteDeltaSegment(path, manifest, records).ok());
-  ASSERT_TRUE(OpenDeltaSegment(path).ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #   bench_f6_hotpath      batch-vs-scalar and SIMD-vs-scalar speedups
 #   bench_f7_net_load     TCP front-end connection sweep (qps, p99, shed)
 #   bench_f8_wire         text-vs-binary wire framing (docs/PROTOCOL.md)
-#   bench_f9_coldtier     paged cold tier page-in latency + delta sizing
+#   bench_f9_coldtier     paged cold tier get latency vs a full restore
 #   bench_f10_durability  WAL fsync-policy qps/p99 + replay throughput
 #
 # The aggregate is a single json object: {"git_sha", "quick", "host",
