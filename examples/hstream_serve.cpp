@@ -28,7 +28,8 @@
 // frozen when the memory budget is hit. `save <path>` checkpoints the
 // whole service (PR 1 envelopes, engine-style manifest); `--restore
 // <path>` resumes from one at startup, falling back to a fresh service
-// with a note on stderr when the checkpoint is missing or damaged, and
+// with a note on stderr when the checkpoint is missing or damaged (an
+// earlier build's delta chain there is refused with exit 1 instead), and
 // `--checkpoint <path> --checkpoint-every N` re-saves automatically
 // after every N applied mutations (the kill-and-resume drill's hook).
 // The pair must be armed together: one without the other would silently
@@ -381,6 +382,14 @@ int main(int argc, char** argv) {
   }
   himpact::HImpactService service = std::move(service_or).value();
   if (!options.restore.empty()) {
+    const himpact::Status not_a_chain =
+        himpact::HImpactService::CheckNotADeltaChain(options.restore);
+    if (!not_a_chain.ok()) {
+      // Starting fresh would let the first save replace the chain, and
+      // the state only its deltas hold would be lost for good.
+      std::fprintf(stderr, "--restore: %s\n", not_a_chain.message().c_str());
+      return 1;
+    }
     const himpact::Status restored = service.RestoreFrom(options.restore);
     if (!restored.ok()) {
       std::fprintf(stderr,

@@ -378,6 +378,25 @@ Status HImpactService::DecodeStripePayload(
   return Status::OK();
 }
 
+Status HImpactService::CheckNotADeltaChain(const std::string& path) {
+  // A head naming generation g > 0 means the newest state of an earlier
+  // build's delta chain lives in `path.delta-<g>`, and the stripe files
+  // may hold only its root: restoring them would silently go back in
+  // time. A head at generation 0 pins the stripe files themselves.
+  StatusOr<std::uint64_t> head = ReadHeadGeneration(HeadPath(path));
+  if (!head.ok() && head.status().code() != StatusCode::kUnavailable) {
+    return Status::FailedPrecondition(head.status().message());
+  }
+  if (head.ok() && head.value() > 0) {
+    return Status::FailedPrecondition(
+        path + " is an incremental checkpoint at delta generation " +
+        std::to_string(head.value()) +
+        ", which this build does not read; restore it with the previous "
+        "build and take a full save");
+  }
+  return Status::OK();
+}
+
 Status HImpactService::RestoreFrom(const std::string& path) {
   std::lock_guard<std::mutex> op_lock(checkpoint_->op_mu);
   StatusOr<ServiceManifest> manifest = ReadManifest(path);
@@ -397,21 +416,8 @@ Status HImpactService::RestoreFrom(const std::string& path) {
         "service checkpoint was recorded with different options");
   }
 
-  // A head naming generation g > 0 means the newest state of an earlier
-  // build's delta chain lives in `path.delta-<g>`, and the stripe files
-  // may hold only its root: restoring them would silently go back in
-  // time. A head at generation 0 pins the stripe files themselves.
-  StatusOr<std::uint64_t> head = ReadHeadGeneration(HeadPath(path));
-  if (!head.ok() && head.status().code() != StatusCode::kUnavailable) {
-    return Status::FailedPrecondition(head.status().message());
-  }
-  if (head.ok() && head.value() > 0) {
-    return Status::FailedPrecondition(
-        path + " is an incremental checkpoint at delta generation " +
-        std::to_string(head.value()) +
-        ", which this build does not read; restore it with the previous "
-        "build and take a full save");
-  }
+  Status not_a_chain = CheckNotADeltaChain(path);
+  if (!not_a_chain.ok()) return not_a_chain;
 
   // Decode every stripe into fresh state; commit only if all succeed.
   StatusOr<TieredUserRegistry> fresh_registry =

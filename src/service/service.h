@@ -188,10 +188,16 @@ class HImpactService {
   /// Restores service state from a `CheckpointTo` checkpoint whose
   /// configuration matches this service's options
   /// (`kFailedPrecondition` otherwise). All-or-nothing: decodes into
-  /// fresh state before swapping it in. A `path.head` naming a delta
-  /// generation above 0 is also `kFailedPrecondition`: its newest state
-  /// lives in deltas this build does not read.
+  /// fresh state before swapping it in. A delta chain at `path` is also
+  /// `kFailedPrecondition` (see `CheckNotADeltaChain`).
   Status RestoreFrom(const std::string& path);
+
+  /// `kFailedPrecondition` when `path` holds an earlier build's delta
+  /// chain: a `path.head` naming a generation above 0, or one that does
+  /// not decode. Its newest state lives in deltas this build does not
+  /// read, and a save to `path` would replace it for good. OK when there
+  /// is no head or it names generation 0 (a plain full save).
+  static Status CheckNotADeltaChain(const std::string& path);
 
   /// The per-stripe envelope path (`path.stripe-<i>`).
   static std::string StripePath(const std::string& path, std::size_t i);

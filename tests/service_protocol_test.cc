@@ -4,6 +4,7 @@
 // kill-and-resume property at the protocol level — a server restarted
 // from `save` answers the same queries with byte-identical replies.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -13,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "common/envelope.h"
+#include "io/checkpoint.h"
 #include "service/protocol.h"
 
 namespace {
@@ -280,6 +284,72 @@ TEST(ServeBinary, SaveThenRestoreAnswersByteIdentically) {
 
   std::remove(save_input.c_str());
   std::remove(query_input.c_str());
+  std::remove(checkpoint.c_str());
+  for (int i = 0; i < 4; ++i) {
+    std::remove((checkpoint + ".stripe-" + std::to_string(i)).c_str());
+  }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return bytes;
+  char chunk[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+    bytes.append(chunk, n);
+  }
+  std::fclose(file);
+  return bytes;
+}
+
+// Writes the `path.head` an earlier build's delta chain kept next to its
+// full save: a `kDeltaHead` envelope naming `generation`.
+void WriteChainHead(const std::string& path, std::uint64_t generation) {
+  ByteWriter head;
+  head.U64(0x31444844504D4948ULL);  // HIMPDHD1
+  head.U64(generation);
+  ASSERT_TRUE(WriteCheckpointFile(path + ".head", CheckpointTag::kDeltaHead,
+                                  head.buffer())
+                  .ok());
+}
+
+TEST(ServeBinary, RestoreOfADeltaChainExitsWithoutTouchingIt) {
+  const std::string checkpoint = TempPath("chain_ckpt");
+  const std::string save_input = TempPath("chain_save_in");
+  const std::string run_input = TempPath("chain_run_in");
+  const std::string flags = "--stripes 4 --promote-threshold 8";
+  WriteTextFile(save_input,
+                IngestScript(0, 500) + "save " + checkpoint + "\nquit\n");
+  ASSERT_EQ(RunServe(flags, save_input).exit_code, 0);
+  WriteTextFile(run_input, "add 7 1\nquit\n");
+
+  // Starting fresh over a chain would let the first save replace it, so
+  // the server refuses to start: exit 1, nothing served, nothing written.
+  WriteChainHead(checkpoint, 3);
+  const std::string stripe = ReadFileBytes(checkpoint + ".stripe-0");
+  const std::string manifest = ReadFileBytes(checkpoint);
+  const std::string run_flags = flags + " --restore " + checkpoint +
+                                " --checkpoint " + checkpoint +
+                                " --checkpoint-every 1";
+  const RunResult refused = RunServe(run_flags, run_input, "2>&1");
+  EXPECT_EQ(refused.exit_code, 1);
+  EXPECT_EQ(refused.stdout_text.find("OK"), std::string::npos)
+      << refused.stdout_text;
+  EXPECT_NE(refused.stdout_text.find("delta generation 3"), std::string::npos)
+      << refused.stdout_text;
+  EXPECT_EQ(::access((checkpoint + ".head").c_str(), F_OK), 0);
+  EXPECT_EQ(ReadFileBytes(checkpoint + ".stripe-0"), stripe);
+  EXPECT_EQ(ReadFileBytes(checkpoint), manifest);
+
+  // A head at generation 0 is a plain full save: the server restores it
+  // and its first save removes the head.
+  WriteChainHead(checkpoint, 0);
+  EXPECT_EQ(RunServe(run_flags, run_input).exit_code, 0);
+  EXPECT_NE(::access((checkpoint + ".head").c_str(), F_OK), 0);
+
+  std::remove(save_input.c_str());
+  std::remove(run_input.c_str());
   std::remove(checkpoint.c_str());
   for (int i = 0; i < 4; ++i) {
     std::remove((checkpoint + ".stripe-" + std::to_string(i)).c_str());

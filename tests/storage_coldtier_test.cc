@@ -589,57 +589,6 @@ std::map<AuthorId, double> AllEstimates(const HImpactService& service,
   return estimates;
 }
 
-TEST_F(ColdTierTest, FullSaveCutShortNeverRestoresOlderState) {
-  // A full save rewrites every stripe file, then the manifest. Cut it
-  // short at each of those writes in turn: the restore must never land
-  // behind the previous save, and the next save must restore exactly.
-  const ServiceOptions options = CheckpointOptions();
-  const std::size_t writes = options.num_stripes + 1;  // + manifest
-  for (std::size_t completed = 0; completed < writes; ++completed) {
-    const std::string save = TempPath("cut_full_ck");
-    auto service = HImpactService::Create(options).value();
-    Rng rng(47);
-    for (int i = 0; i < 2000; ++i) {
-      service.RecordResponseCount(1 + rng.UniformU64(64),
-                                  1 + rng.UniformU64(40));
-    }
-    ASSERT_TRUE(service.CheckpointTo(save).ok());
-    const std::map<AuthorId, double> previous = AllEstimates(service, 64);
-    for (int i = 0; i < 500; ++i) {
-      service.RecordResponseCount(1 + rng.UniformU64(64),
-                                  1 + rng.UniformU64(40));
-    }
-
-    FaultSpec cut;
-    cut.skip = completed;
-    FaultRegistry::Global().Arm(FaultPoint::kTornCheckpoint, cut);
-    EXPECT_FALSE(service.CheckpointTo(save).ok());
-    FaultRegistry::Global().Reset();
-
-    auto restored = HImpactService::Create(options).value();
-    ASSERT_TRUE(restored.RestoreFrom(save).ok());
-    const std::map<AuthorId, double> got = AllEstimates(restored, 64);
-    for (const auto& [user, estimate] : previous) {
-      const auto it = got.find(user);
-      ASSERT_NE(it, got.end()) << "user " << user;
-      EXPECT_GE(it->second, estimate)
-          << "user " << user << " after " << completed << " completed writes";
-    }
-
-    // The next save after the cut one restores the live service exactly.
-    for (int i = 0; i < 20; ++i) service.RecordResponseCount(7, 2000);
-    ASSERT_TRUE(service.CheckpointTo(save).ok());
-    auto resumed = HImpactService::Create(options).value();
-    ASSERT_TRUE(resumed.RestoreFrom(save).ok());
-    EXPECT_EQ(resumed.Stats().registry.total_events,
-              service.Stats().registry.total_events)
-        << "after " << completed << " completed writes";
-    EXPECT_EQ(AllEstimates(resumed, 64), AllEstimates(service, 64))
-        << "after " << completed << " completed writes";
-    RemoveCheckpoint(save, options.num_stripes);
-  }
-}
-
 // Writes the `path.head` an earlier build's delta chain kept next to its
 // full save: a `kDeltaHead` envelope naming `generation`.
 void WriteChainHead(const std::string& path, std::uint64_t generation) {
@@ -649,6 +598,83 @@ void WriteChainHead(const std::string& path, std::uint64_t generation) {
   ASSERT_TRUE(WriteCheckpointFile(path + ".head", CheckpointTag::kDeltaHead,
                                   head.buffer())
                   .ok());
+}
+
+// What sits at `path.head` when a full save over it is cut short.
+enum class StaleHead { kNone, kGeneration3, kUndecodable };
+
+TEST_F(ColdTierTest, FullSaveCutShortNeverRestoresOlderState) {
+  // A full save rewrites every stripe file, then the manifest. Cut it
+  // short at each of those writes in turn: the restore must never land
+  // behind the previous save, and the next save must restore exactly.
+  // Over an earlier build's delta chain, the head must outlive every
+  // cut before the last stripe lands, so such a restore is refused
+  // rather than reading the chain's root mixed with new stripes.
+  const ServiceOptions options = CheckpointOptions();
+  const std::size_t writes = options.num_stripes + 1;  // + manifest
+  for (StaleHead stale :
+       {StaleHead::kNone, StaleHead::kGeneration3, StaleHead::kUndecodable}) {
+    for (std::size_t completed = 0; completed < writes; ++completed) {
+      const std::string at = "head " + std::to_string(static_cast<int>(stale)) +
+                             " after " + std::to_string(completed) +
+                             " completed writes";
+      const std::string save = TempPath("cut_full_ck");
+      auto service = HImpactService::Create(options).value();
+      Rng rng(47);
+      for (int i = 0; i < 2000; ++i) {
+        service.RecordResponseCount(1 + rng.UniformU64(64),
+                                    1 + rng.UniformU64(40));
+      }
+      ASSERT_TRUE(service.CheckpointTo(save).ok());
+      const std::map<AuthorId, double> previous = AllEstimates(service, 64);
+      for (int i = 0; i < 500; ++i) {
+        service.RecordResponseCount(1 + rng.UniformU64(64),
+                                    1 + rng.UniformU64(40));
+      }
+      if (stale == StaleHead::kGeneration3) WriteChainHead(save, 3);
+      if (stale == StaleHead::kUndecodable) {
+        std::FILE* head = std::fopen((save + ".head").c_str(), "wb");
+        ASSERT_NE(head, nullptr);
+        std::fputs("not a checkpoint envelope", head);
+        std::fclose(head);
+      }
+
+      FaultSpec cut;
+      cut.skip = completed;
+      FaultRegistry::Global().Arm(FaultPoint::kTornCheckpoint, cut);
+      EXPECT_FALSE(service.CheckpointTo(save).ok());
+      FaultRegistry::Global().Reset();
+
+      auto restored = HImpactService::Create(options).value();
+      const Status status = restored.RestoreFrom(save);
+      if (stale != StaleHead::kNone && completed < options.num_stripes) {
+        EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << at;
+        EXPECT_TRUE(std::filesystem::exists(save + ".head")) << at;
+        EXPECT_TRUE(AllEstimates(restored, 64).empty()) << at;
+      } else {
+        ASSERT_TRUE(status.ok()) << at << ": " << status.message();
+        EXPECT_FALSE(std::filesystem::exists(save + ".head")) << at;
+        const std::map<AuthorId, double> got = AllEstimates(restored, 64);
+        for (const auto& [user, estimate] : previous) {
+          const auto it = got.find(user);
+          ASSERT_NE(it, got.end()) << "user " << user << ", " << at;
+          EXPECT_GE(it->second, estimate) << "user " << user << ", " << at;
+        }
+      }
+
+      // The next save after the cut one restores the live service exactly.
+      for (int i = 0; i < 20; ++i) service.RecordResponseCount(7, 2000);
+      ASSERT_TRUE(service.CheckpointTo(save).ok());
+      EXPECT_FALSE(std::filesystem::exists(save + ".head")) << at;
+      auto resumed = HImpactService::Create(options).value();
+      ASSERT_TRUE(resumed.RestoreFrom(save).ok());
+      EXPECT_EQ(resumed.Stats().registry.total_events,
+                service.Stats().registry.total_events)
+          << at;
+      EXPECT_EQ(AllEstimates(resumed, 64), AllEstimates(service, 64)) << at;
+      RemoveCheckpoint(save, options.num_stripes);
+    }
+  }
 }
 
 TEST_F(ColdTierTest, ChainHeadPastGenerationZeroIsRefusedUntilAFullSave) {

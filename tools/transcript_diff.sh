@@ -15,7 +15,9 @@
 #
 # For each configuration it prints how many replies differ, split into
 # `health` replies and the rest, the health keys that were dropped,
-# added or changed, and the files only on one side or differing. The
+# added or changed, and the files only on one side or differing. When
+# the two transcripts differ in line count, replies no longer pair up
+# line by line, so it prints the raw diff instead of the counts. The
 # full diffs stay in the scratch dir. The default scratch dir is
 # ${TMPDIR:-/tmp}/himpact_transcript_diff.
 #
@@ -55,8 +57,15 @@ for want in "$scratch/rev/dump"/*.txt; do
   got="$scratch/work/dump/$config.txt"
   [ -f "$got" ] || { echo "config $config: missing in the working tree"; continue; }
   diff "$want" "$got" >"$scratch/$config.transcript.diff" || true
-  # The transcript alternates "> request" lines and reply lines.
-  paste -d '\n' "$want" "$got" | awk -v config="$config" '
+  want_lines=$(wc -l <"$want")
+  got_lines=$(wc -l <"$got")
+  if [ "$want_lines" -ne "$got_lines" ]; then
+    # Line i no longer pairs with line i: report only the raw diff.
+    echo "config $config: line counts differ ($want_lines -> $got_lines)"
+    sed -e 's/^/  /' "$scratch/$config.transcript.diff"
+  else
+    # The transcript alternates "> request" lines and reply lines.
+    paste -d '\n' "$want" "$got" | awk -v config="$config" '
     function keys(line, out,    n, i, parts, kv) {
       gsub(/[{}]/, ",", line)
       gsub(/"/, "", line)
@@ -97,6 +106,7 @@ for want in "$scratch/rev/dump"/*.txt; do
       printf "  health keys added:   %s\n", list(added)
       printf "  health keys changed: %s\n", list(changed)
     }'
+  fi
   diff -rq "$scratch/rev/dump/$config" "$scratch/work/dump/$config" \
       >"$scratch/$config.files.diff" 2>&1 || true
   if [ -s "$scratch/$config.files.diff" ]; then
