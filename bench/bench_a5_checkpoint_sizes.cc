@@ -20,6 +20,7 @@
 #include "core/shifting_window.h"
 #include "core/sliding_window_hindex.h"
 #include "eval/table.h"
+#include "hash/tabulation.h"
 #include "heavy/heavy_hitters.h"
 #include "heavy/one_heavy_hitter.h"
 #include "random/rng.h"
@@ -45,11 +46,11 @@ std::size_t CheckpointBytes(const Estimator& estimator) {
 }
 
 // Measures sealed size plus write (serialize + seal) and restore (open +
-// deserialize) latency for one stocked sketch, averaged over `reps`.
-template <typename Sketch>
+// `decode`) latency for one stocked sketch, averaged over `reps`.
+template <typename Sketch, typename Decode>
 void ReportCheckpointLatency(Table& table, const char* name,
                              CheckpointTag tag, const Sketch& sketch,
-                             int reps = 20) {
+                             Decode decode, int reps = 20) {
   using Clock = std::chrono::steady_clock;
 
   std::vector<std::uint8_t> sealed;
@@ -70,7 +71,7 @@ void ReportCheckpointLatency(Table& table, const char* name,
       return;
     }
     ByteReader reader(payload.value());
-    auto restored = Sketch::DeserializeFrom(reader);
+    auto restored = decode(reader);
     if (!restored.ok()) {
       std::fprintf(stderr, "%s: restore failed: %s\n", name,
                    restored.status().ToString().c_str());
@@ -93,6 +94,16 @@ void ReportCheckpointLatency(Table& table, const char* name,
       "BENCH{\"bench\":\"a5_checkpoint\",\"type\":\"%s\",\"sealed_bytes\":%zu,"
       "\"write_us\":%.2f,\"restore_us\":%.2f}\n",
       name, sealed.size(), write_us, restore_us);
+}
+
+template <typename Sketch>
+void ReportCheckpointLatency(Table& table, const char* name,
+                             CheckpointTag tag, const Sketch& sketch,
+                             int reps = 20) {
+  ReportCheckpointLatency(
+      table, name, tag, sketch,
+      [](ByteReader& reader) { return Sketch::DeserializeFrom(reader); },
+      reps);
 }
 
 void RunLatencySection() {
@@ -172,16 +183,20 @@ void RunLatencySection() {
     options.eps = 0.2;
     options.delta = 0.1;
     options.max_papers = 1 << 16;
-    auto sketch = OneHeavyHitter::Create(options, 9).value();
+    auto sketch = OneHeavyHitter::Create(options).value();
+    const TabulationHash priority(9);
     for (std::uint64_t p = 0; p < 5000; ++p) {
       PaperTuple paper;
       paper.paper = p;
       paper.citations = 1 + p % 100;
       paper.authors.PushBack(p % 50);
-      sketch.AddPaper(paper);
+      sketch.AddPaper(paper, priority(p));
     }
-    ReportCheckpointLatency(table, "one_heavy_hitter",
-                            CheckpointTag::kOneHeavyHitter, sketch);
+    ReportCheckpointLatency(
+        table, "one_heavy_hitter", CheckpointTag::kOneHeavyHitter, sketch,
+        [&priority](ByteReader& reader) {
+          return OneHeavyHitter::DeserializeFrom(reader, priority);
+        });
   }
   {
     HeavyHitters::Options options;

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "eval/table.h"
+#include "hash/tabulation.h"
 #include "heavy/one_heavy_hitter.h"
 #include "random/rng.h"
 #include "workload/academic.h"
@@ -59,12 +60,11 @@ int main() {
       options.eps = eps;
       options.delta = delta;
       options.max_papers = 1u << 16;
-      auto detector =
-          OneHeavyHitter::Create(options, static_cast<std::uint64_t>(t) + 1)
-              .value();
+      auto detector = OneHeavyHitter::Create(options).value();
+      const TabulationHash priority(static_cast<std::uint64_t>(t) + 1);
       for (const PaperTuple& paper :
            StarPlusNoise(150, 150, 20, 2, rng)) {
-        detector.AddPaper(paper);
+        detector.AddPaper(paper, priority(paper.paper));
       }
       const auto result = detector.Detect();
       if (result.has_value()) {
@@ -88,9 +88,8 @@ int main() {
       options.eps = eps;
       options.delta = delta;
       options.max_papers = 1u << 16;
-      auto detector =
-          OneHeavyHitter::Create(options, static_cast<std::uint64_t>(t) + 500)
-              .value();
+      auto detector = OneHeavyHitter::Create(options).value();
+      const TabulationHash priority(static_cast<std::uint64_t>(t) + 500);
       PaperStream papers;
       PaperId next = 0;
       for (const AuthorId author : {AuthorId{1}, AuthorId{2}}) {
@@ -103,7 +102,9 @@ int main() {
         }
       }
       Shuffle(papers, rng);
-      for (const PaperTuple& paper : papers) detector.AddPaper(paper);
+      for (const PaperTuple& paper : papers) {
+        detector.AddPaper(paper, priority(paper.paper));
+      }
       if (detector.Detect().has_value()) ++detected;
     }
     table.NewRow()
@@ -122,15 +123,14 @@ int main() {
       options.eps = eps;
       options.delta = delta;
       options.max_papers = 1u << 16;
-      auto detector =
-          OneHeavyHitter::Create(options, static_cast<std::uint64_t>(t) + 900)
-              .value();
+      auto detector = OneHeavyHitter::Create(options).value();
+      const TabulationHash priority(static_cast<std::uint64_t>(t) + 900);
       for (AuthorId a = 0; a < 100; ++a) {
         PaperTuple paper;
         paper.paper = a;
         paper.authors.PushBack(a);
         paper.citations = 40;
-        detector.AddPaper(paper);
+        detector.AddPaper(paper, priority(paper.paper));
       }
       if (detector.Detect().has_value()) ++detected;
     }

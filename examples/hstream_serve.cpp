@@ -29,9 +29,11 @@
 // whole service (PR 1 envelopes, engine-style manifest); `--restore
 // <path>` resumes from one at startup, falling back to a fresh service
 // with a note on stderr when the checkpoint is missing or damaged (an
-// earlier build's delta chain there is refused with exit 1 instead), and
-// `--checkpoint <path> --checkpoint-every N` re-saves automatically
-// after every N applied mutations (the kill-and-resume drill's hook).
+// earlier build's format that this build does not read, a delta chain
+// or a reservoir-format heavy-hitters grid, is refused with exit 1
+// instead), and `--checkpoint <path> --checkpoint-every N` re-saves
+// automatically after every N applied mutations (the kill-and-resume
+// drill's hook).
 // The pair must be armed together: one without the other would silently
 // never checkpoint, so ParseArgs rejects it.
 //
@@ -382,15 +384,16 @@ int main(int argc, char** argv) {
   }
   himpact::HImpactService service = std::move(service_or).value();
   if (!options.restore.empty()) {
-    const himpact::Status not_a_chain =
-        himpact::HImpactService::CheckNotADeltaChain(options.restore);
-    if (!not_a_chain.ok()) {
-      // Starting fresh would let the first save replace the chain, and
-      // the state only its deltas hold would be lost for good.
-      std::fprintf(stderr, "--restore: %s\n", not_a_chain.message().c_str());
+    bool refused = false;
+    const himpact::Status restored =
+        service.RestoreFrom(options.restore, &refused);
+    if (refused) {
+      // Starting fresh would let the first save replace a checkpoint
+      // only an earlier build can read, and its state would be lost for
+      // good.
+      std::fprintf(stderr, "--restore: %s\n", restored.message().c_str());
       return 1;
     }
-    const himpact::Status restored = service.RestoreFrom(options.restore);
     if (!restored.ok()) {
       std::fprintf(stderr,
                    "checkpoint unavailable (%s): %s; starting fresh\n",

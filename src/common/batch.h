@@ -16,8 +16,7 @@
 ///     the scalar method, in order. Batch methods may restructure loops
 ///     (hash-once, component-outer iteration) only where the underlying
 ///     state is order-invariant; order-dependent estimators (KLL's
-///     compaction RNG, SpaceSaving's heap, the reservoir grids) keep
-///     strictly in-order loops.
+///     compaction RNG, SpaceSaving's heap) keep strictly in-order loops.
 ///  2. **Zero allocation**: batch methods do not allocate per batch beyond
 ///     what the equivalent scalar sequence would (growing containers such
 ///     as KLL compactors still grow). Methods that need scratch arrays

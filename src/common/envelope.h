@@ -51,6 +51,7 @@ enum class CheckpointTag : std::uint32_t {
   kCountSketch = 14,
   kSpaceSaving = 15,
   kMisraGries = 16,
+  /// Reserved: the standalone reservoir sampler of earlier builds.
   kReservoir = 17,
   kCashRegister = 18,
   kRandomOrder = 19,

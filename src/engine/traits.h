@@ -36,7 +36,9 @@
 ///    (CashRegisterEstimator's samplers, CountMin) tolerate because their
 ///    merges are linear.
 ///  - Paper streams partition by *paper id*; HeavyHitters' merge demands
-///    identical seeds across shards so author buckets line up.
+///    identical seeds across shards so author buckets and paper
+///    priorities line up. Its merge is exact, so the merged grid is
+///    byte-identical to an unsharded one under any partition.
 
 namespace himpact {
 

@@ -42,7 +42,8 @@ HeavyHitters::HeavyHitters(const Options& options, std::uint64_t seed)
     : options_(options),
       seed_(seed),
       num_rows_(NumRows(options)),
-      num_buckets_(NumBuckets(options)) {
+      num_buckets_(NumBuckets(options)),
+      priority_(SplitMix64(seed ^ 0x589965cc75374cc3ULL)) {
   std::uint64_t row_seed = SplitMix64(seed ^ 0xe7037ed1a0b428dbULL);
   row_hashes_.reserve(num_rows_);
   for (std::size_t j = 0; j < num_rows_; ++j) {
@@ -56,34 +57,26 @@ HeavyHitters::HeavyHitters(const Options& options, std::uint64_t seed)
   detector_options.delta =
       options.detector_delta > 0.0 ? options.detector_delta : options.delta;
   detector_options.max_papers = options.max_papers;
-
-  std::uint64_t cell_seed = SplitMix64(seed ^ 0x589965cc75374cc3ULL);
-  cells_.reserve(num_rows_ * num_buckets_);
-  for (std::size_t c = 0; c < num_rows_ * num_buckets_; ++c) {
-    cell_seed = SplitMix64(cell_seed);
-    StatusOr<OneHeavyHitter> cell =
-        OneHeavyHitter::Create(detector_options, cell_seed);
-    HIMPACT_CHECK_MSG(cell.ok(), "detector options were pre-validated");
-    cells_.push_back(std::move(cell).value());
-  }
+  StatusOr<OneHeavyHitter> cell = OneHeavyHitter::Create(detector_options);
+  HIMPACT_CHECK_MSG(cell.ok(), "detector options were pre-validated");
+  cells_.assign(num_rows_ * num_buckets_, cell.value());
 }
 
 void HeavyHitters::AddPaper(const PaperTuple& paper) {
   ++num_papers_;
+  const std::uint64_t priority = priority_(paper.paper);
   for (std::size_t j = 0; j < num_rows_; ++j) {
     // One insertion per (row, author): an author's sub-stream inside its
     // bucket contains all of that author's papers (Algorithm 8, step 5).
     for (const AuthorId author : paper.authors) {
       const std::size_t bucket =
           static_cast<std::size_t>(row_hashes_[j](author));
-      cells_[j * num_buckets_ + bucket].AddPaper(paper);
+      cells_[j * num_buckets_ + bucket].AddPaper(paper, priority);
     }
   }
 }
 
 void HeavyHitters::AddPaperBatch(std::span<const PaperTuple> papers) {
-  // Order-dependent per cell (each detector's reservoir rng): apply in
-  // order. AddPaper() lives in this TU, so the call inlines.
   for (const PaperTuple& paper : papers) AddPaper(paper);
 }
 
@@ -184,7 +177,9 @@ std::vector<HeavyHitterReport> HeavyHitters::ReportL2Heavy(
 }
 
 namespace {
-constexpr std::uint64_t kHeavyHittersMagic = 0x48494d5048485331ULL;
+constexpr std::uint64_t kHeavyHittersMagic = 0x48494d5048485332ULL;
+// The reservoir-sampling format of earlier builds (HIMPHHS1).
+constexpr std::uint64_t kReservoirHeavyHittersMagic = 0x48494d5048485331ULL;
 }  // namespace
 
 void HeavyHitters::SerializeTo(ByteWriter& writer) const {
@@ -206,7 +201,13 @@ void HeavyHitters::SerializeTo(ByteWriter& writer) const {
 
 StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
   std::uint64_t magic = 0;
-  if (!reader.U64(&magic) || magic != kHeavyHittersMagic) {
+  if (reader.U64(&magic) && magic == kReservoirHeavyHittersMagic) {
+    return Status::FailedPrecondition(
+        "heavy-hitters grid is in the reservoir format (HIMPHHS1), which "
+        "this build cannot convert: keep serving it with the previous "
+        "build, or move it aside to start fresh");
+  }
+  if (magic != kHeavyHittersMagic) {
     return Status::InvalidArgument("not a HeavyHitters checkpoint");
   }
   Options options;
@@ -224,7 +225,7 @@ StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
   }
   // eps drives l = 2/eps^2 buckets, each holding a full detector; bound
   // everything allocation-relevant before the constructor runs. Each
-  // cell's serialized state is at least 7 words, so the cell count must
+  // cell's serialized state is at least 3 words, so the cell count must
   // be consistent with the remaining bytes.
   if (!(options.eps > 1e-3) || !(options.eps < 1.0) ||
       !(options.delta > 1e-12) || !(options.delta < 1.0) ||
@@ -238,7 +239,7 @@ StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
         !(options.detector_delta < 1.0)))) {
     return Status::InvalidArgument("corrupt HeavyHitters options");
   }
-  if (num_cells * 7 * 8 > reader.remaining()) {
+  if (num_cells * 3 * 8 > reader.remaining()) {
     return Status::InvalidArgument(
         "HeavyHitters checkpoint smaller than its declared geometry");
   }
@@ -252,7 +253,7 @@ StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
     return Status::InvalidArgument("HeavyHitters cell-count mismatch");
   }
   for (OneHeavyHitter& cell : out.cells_) {
-    const Status status = cell.DeserializeStateFrom(reader);
+    const Status status = cell.DeserializeStateFrom(reader, out.priority_);
     if (!status.ok()) return status;
   }
   out.num_papers_ = num_papers;
@@ -262,6 +263,8 @@ StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
 SpaceUsage HeavyHitters::EstimateSpace() const {
   SpaceUsage usage;
   for (const auto& hash : row_hashes_) usage += hash.EstimateSpace();
+  // The priority table is inline, so sizeof(*this) counts its bytes.
+  usage.words += priority_.EstimateSpace().words;
   for (const auto& cell : cells_) usage += cell.EstimateSpace();
   usage.bytes += sizeof(*this);
   return usage;

@@ -8,6 +8,7 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "hash/k_independent.h"
+#include "hash/tabulation.h"
 #include "heavy/one_heavy_hitter.h"
 #include "stream/types.h"
 
@@ -23,6 +24,9 @@
 /// some bucket where the other authors contribute at most an eps-factor
 /// of noise, so its bucket detector fires; detections are deduplicated by
 /// author across the grid (median H-index estimate).
+/// Every cell samples by one priority per paper, a seeded `TabulationHash`
+/// of its id, so the grid is a pure function of its papers and seed: any
+/// split of a stream into shards, in any order, merges to the same bytes.
 
 namespace himpact {
 
@@ -64,17 +68,16 @@ class HeavyHitters {
   /// Observes one paper tuple: hashed per author, per row.
   void AddPaper(const PaperTuple& paper);
 
-  /// Batched `AddPaper`, strictly in-order (every cell detector draws
-  /// reservoir coins from its own rng, and the cells a paper touches
-  /// depend on its authors). Byte-identical to the scalar sequence; the
-  /// win is the inlined call and the row hashes staying hot.
+  /// Batched `AddPaper`: the scalar loop in this translation unit, so the
+  /// call inlines and the row hashes stay hot. The state does not depend
+  /// on the order of the papers.
   void AddPaperBatch(std::span<const PaperTuple> papers);
 
   /// Merges another sketch built with identical options *and seed* (the
-  /// row hashes must map every author to the same cells); each (row,
-  /// bucket) detector is merged pairwise. Afterwards the sketch reflects
-  /// both shards' paper streams: cell counters are exact sums, cell
-  /// samples are uniform over the union sub-streams, so `Report()` /
+  /// row hashes must map every author to the same cells, and the
+  /// priority hash must rank every paper alike); each (row, bucket)
+  /// detector is merged pairwise. The result is byte-identical to one
+  /// sketch fed both shards' paper streams, so `Report()` /
   /// `ReportHeavy()` keep the Theorem 18 guarantee on the merged stream.
   void Merge(const HeavyHitters& other);
 
@@ -131,10 +134,12 @@ class HeavyHitters {
   SpaceUsage EstimateSpace() const;
 
   /// Appends a checkpoint (options + every cell detector's state). The
-  /// hash rows and cell structures are re-derived from the seed chain.
+  /// hashes and cell structures are re-derived from the seed.
   void SerializeTo(ByteWriter& writer) const;
 
-  /// Restores a sketch from a `SerializeTo` checkpoint.
+  /// Restores a sketch from a `SerializeTo` checkpoint. The reservoir
+  /// format of earlier builds (`HIMPHHS1`) cannot be converted and is
+  /// `kFailedPrecondition`; any other malformed input `kInvalidArgument`.
   static StatusOr<HeavyHitters> DeserializeFrom(ByteReader& reader);
 
  private:
@@ -146,6 +151,7 @@ class HeavyHitters {
   std::size_t num_buckets_;
   std::uint64_t num_papers_ = 0;
   std::vector<PairwiseRangeHash> row_hashes_;
+  TabulationHash priority_;  // paper id -> sampling priority
   std::vector<OneHeavyHitter> cells_;  // num_rows_ x num_buckets_
 };
 

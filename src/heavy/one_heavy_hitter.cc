@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "hash/mix.h"
 
 namespace himpact {
 namespace {
@@ -23,8 +22,7 @@ std::size_t SampleSize(const OneHeavyHitter::Options& options) {
 
 }  // namespace
 
-StatusOr<OneHeavyHitter> OneHeavyHitter::Create(const Options& options,
-                                                std::uint64_t seed) {
+StatusOr<OneHeavyHitter> OneHeavyHitter::Create(const Options& options) {
   if (!(options.eps > 0.0 && options.eps < 1.0)) {
     return Status::InvalidArgument("eps must be in (0, 1)");
   }
@@ -34,23 +32,19 @@ StatusOr<OneHeavyHitter> OneHeavyHitter::Create(const Options& options,
   if (options.max_papers < 2) {
     return Status::InvalidArgument("max_papers must be >= 2");
   }
-  return OneHeavyHitter(options, seed);
+  return OneHeavyHitter(options);
 }
 
-OneHeavyHitter::OneHeavyHitter(const Options& options, std::uint64_t seed)
+OneHeavyHitter::OneHeavyHitter(const Options& options)
     : options_(options),
-      seed_(seed),
       sample_size_(SampleSize(options)),
-      grid_(options.max_papers, options.eps),
-      rng_(SplitMix64(seed ^ 0x8ad8a41b5b1f1a2dULL)) {
+      grid_(options.max_papers, options.eps) {
   bucket_.assign(static_cast<std::size_t>(grid_.num_levels()), 0);
-  samples_.reserve(bucket_.size());
-  for (std::size_t i = 0; i < bucket_.size(); ++i) {
-    samples_.emplace_back(sample_size_);
-  }
+  samples_.resize(bucket_.size());
 }
 
-void OneHeavyHitter::AddPaper(const PaperTuple& paper) {
+void OneHeavyHitter::AddPaper(const PaperTuple& paper,
+                              std::uint64_t priority) {
   ++num_papers_;
   if (paper.citations == 0) return;
   int level = grid_.LevelFloor(static_cast<double>(paper.citations));
@@ -58,18 +52,16 @@ void OneHeavyHitter::AddPaper(const PaperTuple& paper) {
   if (level >= grid_.num_levels()) level = grid_.num_levels() - 1;
   // The paper qualifies for every threshold up to `level`: bump the exact
   // bucket (counters are suffix sums, as in Algorithm 1) and offer the
-  // paper to each qualifying threshold's reservoir.
+  // paper to each qualifying threshold's sample, top down. Level i-1's
+  // papers are a superset of level i's, so its admission bar is never
+  // higher: once a level turns the paper away, every lower level would.
   ++bucket_[static_cast<std::size_t>(level)];
-  const SampledPaper sampled{paper.paper, paper.authors};
-  for (int i = 0; i <= level; ++i) {
-    samples_[static_cast<std::size_t>(i)].Add(sampled, rng_);
+  const SampledPaper sampled{priority, paper.paper, paper.authors};
+  for (int i = level; i >= 0; --i) {
+    if (!samples_[static_cast<std::size_t>(i)].Offer(sampled, sample_size_)) {
+      break;
+    }
   }
-}
-
-void OneHeavyHitter::AddPaperBatch(std::span<const PaperTuple> papers) {
-  // Order-dependent (reservoir coins): apply in order. AddPaper() lives
-  // in this TU, so the call inlines.
-  for (const PaperTuple& paper : papers) AddPaper(paper);
 }
 
 void OneHeavyHitter::Merge(const OneHeavyHitter& other) {
@@ -83,9 +75,7 @@ void OneHeavyHitter::Merge(const OneHeavyHitter& other) {
   num_papers_ += other.num_papers_;
   for (std::size_t i = 0; i < bucket_.size(); ++i) {
     bucket_[i] += other.bucket_[i];
-  }
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    samples_[i].Merge(other.samples_[i], rng_);
+    samples_[i].Merge(other.samples_[i], sample_size_);
   }
 }
 
@@ -106,7 +96,7 @@ double OneHeavyHitter::StreamHEstimate() const {
 std::optional<OneHeavyHitterResult> OneHeavyHitter::Detect() const {
   const int level = WinningLevel();
   if (level < 0) return std::nullopt;
-  const auto& sample = samples_[static_cast<std::size_t>(level)].sample();
+  const auto& sample = samples_[static_cast<std::size_t>(level)].entries();
   if (sample.empty()) return std::nullopt;
 
   // Majority-author test (Algorithm 7, step 10): some author must appear
@@ -135,7 +125,8 @@ std::optional<OneHeavyHitterResult> OneHeavyHitter::Detect() const {
 }
 
 namespace {
-constexpr std::uint64_t kOneHeavyHitterMagic = 0x48494d504f484831ULL;
+// HIMPOHH2; HIMPOHH1 was the reservoir-sampling format of earlier builds.
+constexpr std::uint64_t kOneHeavyHitterMagic = 0x48494d504f484832ULL;
 
 void WriteSampledPaper(ByteWriter& writer,
                        const OneHeavyHitter::SampledPaper& paper) {
@@ -144,7 +135,7 @@ void WriteSampledPaper(ByteWriter& writer,
   for (const AuthorId author : paper.authors) writer.U64(author);
 }
 
-Status ReadSampledPaper(ByteReader& reader,
+Status ReadSampledPaper(ByteReader& reader, const TabulationHash& priority,
                         OneHeavyHitter::SampledPaper* paper) {
   std::uint64_t paper_id = 0;
   std::uint64_t num_authors = 0;
@@ -154,6 +145,7 @@ Status ReadSampledPaper(ByteReader& reader,
   if (num_authors > static_cast<std::uint64_t>(kMaxAuthorsPerPaper)) {
     return Status::InvalidArgument("sampled paper has too many authors");
   }
+  paper->priority = priority(paper_id);
   paper->paper = paper_id;
   paper->authors = AuthorList();
   for (std::uint64_t i = 0; i < num_authors; ++i) {
@@ -173,25 +165,23 @@ void OneHeavyHitter::SerializeTo(ByteWriter& writer) const {
   writer.F64(options_.delta);
   writer.U64(options_.max_papers);
   writer.U64(options_.sample_size_override);
-  writer.U64(seed_);
   SerializeStateTo(writer);
 }
 
-StatusOr<OneHeavyHitter> OneHeavyHitter::DeserializeFrom(ByteReader& reader) {
+StatusOr<OneHeavyHitter> OneHeavyHitter::DeserializeFrom(
+    ByteReader& reader, const TabulationHash& priority) {
   std::uint64_t magic = 0;
   if (!reader.U64(&magic) || magic != kOneHeavyHitterMagic) {
     return Status::InvalidArgument("not a OneHeavyHitter checkpoint");
   }
   Options options;
   std::uint64_t sample_size_override = 0;
-  std::uint64_t seed = 0;
   if (!reader.F64(&options.eps) || !reader.F64(&options.delta) ||
-      !reader.U64(&options.max_papers) || !reader.U64(&sample_size_override) ||
-      !reader.U64(&seed)) {
+      !reader.U64(&options.max_papers) || !reader.U64(&sample_size_override)) {
     return Status::InvalidArgument("truncated OneHeavyHitter checkpoint");
   }
   // A corrupt eps drives the grid's level count, and a corrupt override
-  // drives every reservoir's capacity; both must stay allocation-sane.
+  // bounds every sample's size; both must stay allocation-sane.
   if (!(options.eps > 1e-4) || !(options.eps < 1.0) ||
       !(options.delta > 1e-12) || !(options.delta < 1.0) ||
       options.max_papers < 2 ||
@@ -200,17 +190,14 @@ StatusOr<OneHeavyHitter> OneHeavyHitter::DeserializeFrom(ByteReader& reader) {
   }
   options.sample_size_override =
       static_cast<std::size_t>(sample_size_override);
-  StatusOr<OneHeavyHitter> detector = Create(options, seed);
+  StatusOr<OneHeavyHitter> detector = Create(options);
   if (!detector.ok()) return detector.status();
-  const Status status = detector.value().DeserializeStateFrom(reader);
+  const Status status = detector.value().DeserializeStateFrom(reader, priority);
   if (!status.ok()) return status;
   return detector;
 }
 
 void OneHeavyHitter::SerializeStateTo(ByteWriter& writer) const {
-  std::uint64_t rng_state[4];
-  rng_.SaveState(rng_state);
-  for (const std::uint64_t word : rng_state) writer.U64(word);
   writer.U64(num_papers_);
   writer.U64(bucket_.size());
   for (const std::uint64_t count : bucket_) writer.U64(count);
@@ -220,13 +207,11 @@ void OneHeavyHitter::SerializeStateTo(ByteWriter& writer) const {
   }
 }
 
-Status OneHeavyHitter::DeserializeStateFrom(ByteReader& reader) {
-  std::uint64_t rng_state[4] = {0, 0, 0, 0};
+Status OneHeavyHitter::DeserializeStateFrom(ByteReader& reader,
+                                            const TabulationHash& priority) {
   std::uint64_t num_papers = 0;
   std::uint64_t num_buckets = 0;
-  if (!reader.U64(&rng_state[0]) || !reader.U64(&rng_state[1]) ||
-      !reader.U64(&rng_state[2]) || !reader.U64(&rng_state[3]) ||
-      !reader.U64(&num_papers) || !reader.U64(&num_buckets)) {
+  if (!reader.U64(&num_papers) || !reader.U64(&num_buckets)) {
     return Status::InvalidArgument("truncated OneHeavyHitter state");
   }
   if (num_buckets != bucket_.size()) {
@@ -243,23 +228,19 @@ Status OneHeavyHitter::DeserializeStateFrom(ByteReader& reader) {
   }
   std::uint64_t num_samples = 0;
   if (!reader.U64(&num_samples) || num_samples != samples_.size()) {
-    return Status::InvalidArgument("OneHeavyHitter reservoir-count mismatch");
+    return Status::InvalidArgument("OneHeavyHitter sample-count mismatch");
   }
-  std::vector<ReservoirSampler<SampledPaper>> samples;
+  const auto read_entry = [&priority](ByteReader& r, SampledPaper* paper) {
+    return ReadSampledPaper(r, priority, paper);
+  };
+  std::vector<BottomSample<SampledPaper>> samples;
   samples.reserve(num_samples);
   for (std::uint64_t i = 0; i < num_samples; ++i) {
-    StatusOr<ReservoirSampler<SampledPaper>> sample =
-        ReservoirSampler<SampledPaper>::DeserializeFrom(reader,
-                                                        ReadSampledPaper);
+    StatusOr<BottomSample<SampledPaper>> sample =
+        BottomSample<SampledPaper>::DeserializeFrom(reader, sample_size_,
+                                                    read_entry);
     if (!sample.ok()) return sample.status();
-    if (sample.value().capacity() != sample_size_) {
-      return Status::InvalidArgument(
-          "OneHeavyHitter reservoir capacity mismatch");
-    }
     samples.push_back(std::move(sample).value());
-  }
-  if (!rng_.RestoreState(rng_state)) {
-    return Status::InvalidArgument("corrupt OneHeavyHitter rng state");
   }
   num_papers_ = num_papers;
   bucket_ = std::move(bucket);

@@ -1,16 +1,16 @@
 #ifndef HIMPACT_HEAVY_ONE_HEAVY_HITTER_H_
 #define HIMPACT_HEAVY_ONE_HEAVY_HITTER_H_
 
+#include <compare>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/math_util.h"
 #include "common/status.h"
-#include "random/rng.h"
-#include "sketch/reservoir.h"
+#include "hash/tabulation.h"
+#include "sketch/bottom_sample.h"
 #include "stream/types.h"
 
 /// \file
@@ -21,13 +21,22 @@
 /// authors in the stream.
 ///
 /// The detector runs Algorithm 1's exponential histogram over the papers
-/// and, per threshold `(1+eps)^i`, keeps a uniform reservoir sample
-/// `T_i` of `s = 2 log(log(n)/delta)` qualifying papers. At the end the
-/// winning threshold's sample is examined: if a `(1-eps)` fraction of its
-/// papers share an author, that author (with the histogram's H-index
-/// estimate) is returned; otherwise the stream is declared noisy.
+/// and, per threshold `(1+eps)^i`, keeps a uniform sample `T_i` of
+/// `s = 2 log(log(n)/delta)` qualifying papers. At the end the winning
+/// threshold's sample is examined: if a `(1-eps)` fraction of its papers
+/// share an author, that author (with the histogram's H-index estimate)
+/// is returned; otherwise the stream is declared noisy.
 ///
-/// Algorithm 8 instantiates one detector per hash bucket.
+/// Each `T_i` is a bottom-s sample (`sketch/bottom_sample.h`) ordered by
+/// `(priority, paper id, author list)`; the priority is the caller's
+/// seeded hash of the paper id. Duplicates: the sample is a set of
+/// `(paper id, author list)` entries, so a retried paper never takes two
+/// slots, and two author lists under one id are two entries (they tie on
+/// priority, then order by id and author list). The detector draws no
+/// randomness: its state is a pure function of the papers it saw.
+///
+/// Algorithm 8 instantiates one detector per hash bucket and owns the
+/// priority hash they share.
 
 namespace himpact {
 
@@ -54,23 +63,17 @@ class OneHeavyHitter {
 
   /// Validates options and builds a detector. Requires `0 < eps < 1`,
   /// `0 < delta < 1`, `max_papers >= 2`.
-  static StatusOr<OneHeavyHitter> Create(const Options& options,
-                                         std::uint64_t seed);
+  static StatusOr<OneHeavyHitter> Create(const Options& options);
 
-  /// Observes one paper tuple.
-  void AddPaper(const PaperTuple& paper);
+  /// Observes one paper tuple whose sampling priority is `priority`
+  /// (the caller's seeded hash of `paper.paper`; every paper of one
+  /// stream must be hashed by the same function).
+  void AddPaper(const PaperTuple& paper, std::uint64_t priority);
 
-  /// Batched `AddPaper`. Reservoir admissions consume `rng_` draws, so
-  /// the loop is strictly in-order to keep the coin sequence — and hence
-  /// the serialized state — byte-identical to the scalar sequence.
-  void AddPaperBatch(std::span<const PaperTuple> papers);
-
-  /// Merges another detector built with identical options (the grids and
-  /// reservoir capacities must line up). The histogram counters add
-  /// exactly; each threshold's reservoir is merged into a uniform sample
-  /// of the union sub-stream (see `ReservoirSampler::Merge`), so the
-  /// Theorem 17 majority test keeps its guarantee over the concatenated
-  /// stream. Counter state is exact; sample contents are re-randomized.
+  /// Merges another detector built with identical options whose papers
+  /// were prioritized by the same hash. The histogram counters add and
+  /// each threshold's sample becomes the bottom-s of the union, so the
+  /// result is byte-identical to one detector fed both streams.
   void Merge(const OneHeavyHitter& other);
 
   /// Runs the end-of-stream test: the dominant author and the stream's
@@ -88,46 +91,54 @@ class OneHeavyHitter {
   /// The per-threshold sample size `s`.
   std::size_t sample_size() const { return sample_size_; }
 
-  /// One reservoir entry: a sampled paper id with its author list
-  /// (public so the checkpoint codec can name it).
+  /// One sample entry, ordered by `(priority, paper, authors)` (public so
+  /// the checkpoint codec can name it).
   struct SampledPaper {
-    PaperId paper;
+    std::uint64_t priority = 0;
+    PaperId paper = 0;
     AuthorList authors;
+
+    friend auto operator<=>(const SampledPaper&,
+                            const SampledPaper&) = default;
   };
 
-  /// Space: counters plus all reservoirs.
+  /// Space: counters plus the sampled entries held.
   SpaceUsage EstimateSpace() const;
 
-  /// Appends a checkpoint (options + counters + reservoirs + rng state).
+  /// Appends a checkpoint (options + counters + samples). Priorities are
+  /// not written: a decoder recomputes them from the paper ids.
   void SerializeTo(ByteWriter& writer) const;
 
-  /// Restores a detector from a `SerializeTo` checkpoint.
-  static StatusOr<OneHeavyHitter> DeserializeFrom(ByteReader& reader);
+  /// Restores a detector from a `SerializeTo` checkpoint whose papers
+  /// were prioritized by `priority`.
+  static StatusOr<OneHeavyHitter> DeserializeFrom(
+      ByteReader& reader, const TabulationHash& priority);
 
   /// Appends only the mutable state; `HeavyHitters` re-derives its cell
-  /// detectors from its own seed chain and checkpoints just this.
+  /// detectors from its own options and checkpoints just this.
   void SerializeStateTo(ByteWriter& writer) const;
 
   /// Restores the state written by `SerializeStateTo` into this detector,
-  /// which must have been constructed with the same options and seed.
-  Status DeserializeStateFrom(ByteReader& reader);
+  /// built with the same options. Each sample must hold at most `s`
+  /// entries of at most `kMaxAuthorsPerPaper` authors, strictly ascending
+  /// under the priorities `priority` recomputes from the ids.
+  Status DeserializeStateFrom(ByteReader& reader,
+                              const TabulationHash& priority);
 
  private:
-  OneHeavyHitter(const Options& options, std::uint64_t seed);
+  explicit OneHeavyHitter(const Options& options);
 
   /// Index of the winning level (-1 if no level qualifies).
   int WinningLevel() const;
 
   Options options_;
-  std::uint64_t seed_;  // construction seed (checkpoint reconstruction)
   std::size_t sample_size_;
   GeometricGrid grid_;
-  mutable Rng rng_;
   std::uint64_t num_papers_ = 0;
   std::vector<std::uint64_t> bucket_;  // exact-level counts (suffix = c_i)
-  // One reservoir per threshold: a uniform sample of papers whose count
+  // One sample per threshold: the bottom-s of the papers whose count
   // reached (1+eps)^i.
-  std::vector<ReservoirSampler<SampledPaper>> samples_;
+  std::vector<BottomSample<SampledPaper>> samples_;
 };
 
 }  // namespace himpact

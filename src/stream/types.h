@@ -1,6 +1,7 @@
 #ifndef HIMPACT_STREAM_TYPES_H_
 #define HIMPACT_STREAM_TYPES_H_
 
+#include <compare>
 #include <cstdint>
 #include <initializer_list>
 
@@ -63,6 +64,10 @@ class AuthorList {
   /// Iterators over the authors present.
   const AuthorId* begin() const { return authors_; }
   const AuthorId* end() const { return authors_ + size_; }
+
+  /// Lists compare by their authors, in order, then by size (unused
+  /// slots are always zero, so they never decide a comparison).
+  friend auto operator<=>(const AuthorList&, const AuthorList&) = default;
 
   /// True iff `author` appears in the list.
   bool Contains(AuthorId author) const {

@@ -3,6 +3,7 @@
 // truncation, every header bit flip), and the atomic file layer with its
 // RestoreOrFallback degradation.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include "core/exponential_histogram.h"
 #include "core/random_order.h"
 #include "core/shifting_window.h"
+#include "hash/tabulation.h"
 #include "heavy/heavy_hitters.h"
 #include "heavy/one_heavy_hitter.h"
 #include "io/checkpoint.h"
@@ -32,7 +34,6 @@
 #include "sketch/kll.h"
 #include "sketch/l0_sampler.h"
 #include "sketch/one_sparse.h"
-#include "sketch/reservoir.h"
 #include "sketch/s_sparse.h"
 #include "sketch/space_saving.h"
 #include "fault_injection.h"
@@ -48,19 +49,22 @@ struct CorruptionCase {
   std::function<Status(const std::vector<std::uint8_t>&)> decode;
 };
 
-template <typename Sketch>
+// `decode_sketch(reader)` restores a `Sketch` (its `DeserializeFrom`,
+// plus whatever the type needs from its caller).
+template <typename Sketch, typename Decode>
 CorruptionCase MakeCase(std::string name, CheckpointTag tag,
-                        const Sketch& sketch) {
+                        const Sketch& sketch, Decode decode_sketch) {
   ByteWriter writer;
   sketch.SerializeTo(writer);
   CorruptionCase c;
   c.name = std::move(name);
   c.sealed = SealEnvelope(tag, writer.buffer());
-  c.decode = [tag](const std::vector<std::uint8_t>& bytes) -> Status {
+  c.decode = [tag, decode_sketch](
+                 const std::vector<std::uint8_t>& bytes) -> Status {
     StatusOr<std::vector<std::uint8_t>> payload = OpenEnvelope(bytes, tag);
     if (!payload.ok()) return payload.status();
     ByteReader reader(payload.value());
-    StatusOr<Sketch> restored = Sketch::DeserializeFrom(reader);
+    StatusOr<Sketch> restored = decode_sketch(reader);
     if (!restored.ok()) return restored.status();
     if (!reader.AtEnd()) {
       return Status::InvalidArgument("trailing bytes");
@@ -68,6 +72,29 @@ CorruptionCase MakeCase(std::string name, CheckpointTag tag,
     return Status::OK();
   };
   return c;
+}
+
+template <typename Sketch>
+CorruptionCase MakeCase(std::string name, CheckpointTag tag,
+                        const Sketch& sketch) {
+  return MakeCase(std::move(name), tag, sketch, [](ByteReader& reader) {
+    return Sketch::DeserializeFrom(reader);
+  });
+}
+
+// The standalone Algorithm 7 detector's priority hash (in Algorithm 8
+// the grid owns it).
+const TabulationHash& OneHhPriority() {
+  static const TabulationHash priority(21);
+  return priority;
+}
+
+OneHeavyHitter::Options SmallOneHhOptions() {
+  OneHeavyHitter::Options options;
+  options.eps = 0.3;
+  options.delta = 0.2;
+  options.max_papers = 256;
+  return options;
 }
 
 // One stocked instance of every serializable type, kept deliberately
@@ -162,20 +189,19 @@ std::vector<CorruptionCase> AllCases() {
         MakeCase("random_order", CheckpointTag::kRandomOrder, sketch));
   }
   {
-    OneHeavyHitter::Options options;
-    options.eps = 0.3;
-    options.delta = 0.2;
-    options.max_papers = 256;
-    auto sketch = OneHeavyHitter::Create(options, 21).value();
+    auto sketch = OneHeavyHitter::Create(SmallOneHhOptions()).value();
     for (std::uint64_t p = 0; p < 40; ++p) {
       PaperTuple paper;
       paper.paper = p;
       paper.citations = 1 + p % 20;
       paper.authors.PushBack(p % 3);
-      sketch.AddPaper(paper);
+      sketch.AddPaper(paper, OneHhPriority()(p));
     }
-    cases.push_back(
-        MakeCase("one_heavy_hitter", CheckpointTag::kOneHeavyHitter, sketch));
+    cases.push_back(MakeCase(
+        "one_heavy_hitter", CheckpointTag::kOneHeavyHitter, sketch,
+        [](ByteReader& reader) {
+          return OneHeavyHitter::DeserializeFrom(reader, OneHhPriority());
+        }));
   }
   {
     HeavyHitters::Options options;
@@ -385,25 +411,36 @@ TEST(CheckpointRoundTripTest, HeavyHittersReportPreserved) {
   }
 }
 
-TEST(CheckpointRoundTripTest, ReservoirSamplePreserved) {
-  Rng rng(35);
-  ReservoirSampler<std::uint64_t> live(16);
-  for (std::uint64_t i = 0; i < 500; ++i) live.Add(i, rng);
+TEST(CheckpointRoundTripTest, OneHeavyHitterContinuesIdentically) {
+  // Priorities are recomputed from the ids on restore, so live and
+  // restored stay byte-identical as more papers arrive.
+  const TabulationHash priority(35);
+  auto live = OneHeavyHitter::Create(SmallOneHhOptions()).value();
+  const auto paper_of = [](std::uint64_t p) {
+    PaperTuple paper;
+    paper.paper = p;
+    paper.citations = 1 + p % 30;
+    paper.authors.PushBack(p % 5);
+    return paper;
+  };
+  for (std::uint64_t p = 0; p < 500; ++p) {
+    live.AddPaper(paper_of(p), priority(p));
+  }
   ByteWriter writer;
-  live.SerializeTo(writer, [](ByteWriter& w, std::uint64_t item) {
-    w.U64(item);
-  });
+  live.SerializeTo(writer);
   ByteReader reader(writer.buffer());
-  auto restored = ReservoirSampler<std::uint64_t>::DeserializeFrom(
-      reader, [](ByteReader& r, std::uint64_t* item) {
-        if (!r.U64(item)) {
-          return Status::InvalidArgument("truncated reservoir item");
-        }
-        return Status::OK();
-      });
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored.value().seen(), live.seen());
-  EXPECT_EQ(restored.value().sample(), live.sample());
+  auto restored_or = OneHeavyHitter::DeserializeFrom(reader, priority);
+  ASSERT_TRUE(restored_or.ok()) << restored_or.status().ToString();
+  auto restored = std::move(restored_or).value();
+  for (std::uint64_t p = 300; p < 900; ++p) {
+    live.AddPaper(paper_of(p), priority(p));
+    restored.AddPaper(paper_of(p), priority(p));
+  }
+  ByteWriter live_bytes;
+  live.SerializeTo(live_bytes);
+  ByteWriter restored_bytes;
+  restored.SerializeTo(restored_bytes);
+  EXPECT_EQ(restored_bytes.buffer(), live_bytes.buffer());
 }
 
 TEST(CheckpointRoundTripTest, ExactCashRegisterReplaysToSameState) {
@@ -473,6 +510,58 @@ TEST(FaultInjectionTest, TrailingGarbageRejected) {
           << c.name << " decoded a checkpoint with " << extra
           << " trailing garbage bytes";
     }
+  }
+}
+
+TEST(FaultInjectionTest, CraftedOneHeavyHitterSamplesRejected) {
+  // Decodable-looking payloads whose top-level sample breaks a decoder
+  // check: the last word of an empty detector's checkpoint is its top
+  // level's sample size, and the sampled papers follow it.
+  const TabulationHash& priority = OneHhPriority();
+  const auto empty = OneHeavyHitter::Create(SmallOneHhOptions()).value();
+  ByteWriter prefix_writer;
+  empty.SerializeTo(prefix_writer);
+  const std::vector<std::uint8_t> prefix(prefix_writer.buffer().begin(),
+                                         prefix_writer.buffer().end() - 8);
+  const std::size_t s = empty.sample_size();
+  // `s + 1` paper ids in ascending priority order.
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t id = 0; id <= s; ++id) ids.push_back(id);
+  std::sort(ids.begin(), ids.end(), [&](std::uint64_t a, std::uint64_t b) {
+    return priority(a) < priority(b);
+  });
+  const auto craft = [&](const std::vector<std::uint64_t>& papers,
+                         std::uint64_t num_authors) {
+    ByteWriter writer;
+    for (const std::uint8_t byte : prefix) writer.U8(byte);
+    writer.U64(papers.size());
+    for (const std::uint64_t id : papers) {
+      writer.U64(id);
+      writer.U64(num_authors);
+      for (std::uint64_t a = 0; a < num_authors; ++a) writer.U64(a);
+    }
+    return writer.Take();
+  };
+  {
+    // The crafting itself is sound: two papers in order decode.
+    const std::vector<std::uint8_t> bytes = craft({ids[0], ids[1]}, 1);
+    ByteReader reader(bytes);
+    const auto restored = OneHeavyHitter::DeserializeFrom(reader, priority);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  }
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> cases =
+      {
+          {"unsorted sample", craft({ids[1], ids[0]}, 1)},
+          {"repeated entry", craft({ids[0], ids[0]}, 1)},
+          {"size above s", craft(ids, 1)},
+          {"author count above 8",
+           craft({ids[0]}, static_cast<std::uint64_t>(kMaxAuthorsPerPaper) +
+                               1)},
+      };
+  for (const auto& [name, bytes] : cases) {
+    ByteReader reader(bytes);
+    const auto restored = OneHeavyHitter::DeserializeFrom(reader, priority);
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument) << name;
   }
 }
 

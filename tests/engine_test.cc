@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "core/cash_register.h"
 #include "core/exponential_histogram.h"
 #include "engine/shard_set.h"
@@ -134,9 +135,13 @@ TEST(ShardSetTest, PaperStreamKeepsHeavyHitterDetection) {
   }
 
   const HeavyHitters merged = shards.value().Merged();
-  EXPECT_EQ(merged.num_papers(), whole.num_papers());
-  // The dominant author must survive sharding (samples are re-randomized
-  // by the reservoir merge, so reports need not be identical).
+  // The grid is a pure function of the papers it saw, so sharding and
+  // merging reproduce the unsharded grid byte for byte.
+  ByteWriter merged_bytes;
+  merged.SerializeTo(merged_bytes);
+  ByteWriter whole_bytes;
+  whole.SerializeTo(whole_bytes);
+  EXPECT_EQ(merged_bytes.buffer(), whole_bytes.buffer());
   bool found = false;
   for (const HeavyHitterReport& report : merged.ReportHeavy()) {
     if (report.author == 1) found = true;

@@ -1,10 +1,13 @@
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "eval/metrics.h"
+#include "hash/mix.h"
 #include "heavy/baseline.h"
 #include "heavy/heavy_hitters.h"
 #include "random/rng.h"
@@ -265,6 +268,87 @@ TEST(HeavyHittersTest, L2ReportIsMorePermissiveThanL1) {
   // The dominant author is L2-heavy.
   ASSERT_FALSE(l2.empty());
   EXPECT_EQ(l2.front().author, 1u);
+}
+
+std::vector<std::uint8_t> Bytes(const HeavyHitters& sketch) {
+  ByteWriter writer;
+  sketch.SerializeTo(writer);
+  return writer.Take();
+}
+
+TEST(HeavyHittersTest, GridBytesDependOnlyOnThePapersSeen) {
+  // One seeded stream with exact duplicate tuples and one id under two
+  // author lists, fed whole and split 1/2/3/8 ways by first-author stripe
+  // (the service's rule), by paper id (ShardSet's rule) and round-robin
+  // (which separates duplicates), each part shuffled, then merged.
+  Rng rng(31);
+  PaperStream papers;
+  for (std::uint64_t p = 0; p < 3000; ++p) {
+    PaperTuple paper;
+    paper.paper = p;
+    const std::uint64_t num_authors = 1 + rng.UniformU64(4);
+    for (std::uint64_t a = 0; a < num_authors; ++a) {
+      paper.authors.PushBack(rng.UniformU64(400));
+    }
+    paper.citations = 1 + rng.UniformU64(300);
+    papers.push_back(paper);
+  }
+  for (int d = 0; d < 300; ++d) {
+    papers.push_back(papers[static_cast<std::size_t>(rng.UniformU64(3000))]);
+  }
+  PaperTuple other_authors = papers[17];
+  other_authors.authors = AuthorList{7, 8};
+  papers.push_back(other_authors);
+  Shuffle(papers, rng);
+
+  HeavyHitters::Options options;
+  options.eps = 0.25;
+  options.delta = 0.1;
+  options.max_papers = 1u << 16;
+  auto whole = MakeSketch(options, 32);
+  for (const PaperTuple& paper : papers) whole.AddPaper(paper);
+  const std::vector<std::uint8_t> want = Bytes(whole);
+
+  using Rule = std::size_t (*)(const PaperTuple&, std::size_t, std::size_t);
+  const std::pair<const char*, Rule> rules[] = {
+      {"first author",
+       [](const PaperTuple& p, std::size_t, std::size_t n) {
+         return static_cast<std::size_t>(SplitMix64(p.authors[0]) % n);
+       }},
+      {"paper id",
+       [](const PaperTuple& p, std::size_t, std::size_t n) {
+         return static_cast<std::size_t>(SplitMix64(p.paper) % n);
+       }},
+      {"round robin",
+       [](const PaperTuple&, std::size_t i, std::size_t n) { return i % n; }},
+  };
+  for (const auto& [name, rule] : rules) {
+    for (const std::size_t n : {1, 2, 3, 8}) {
+      std::vector<PaperStream> parts(n);
+      for (std::size_t i = 0; i < papers.size(); ++i) {
+        parts[rule(papers[i], i, n)].push_back(papers[i]);
+      }
+      std::vector<HeavyHitters> shards;
+      for (PaperStream& part : parts) {
+        Shuffle(part, rng);
+        shards.push_back(MakeSketch(options, 32));
+        shards.back().AddPaperBatch(part);
+      }
+      for (std::size_t i = 1; i < n; ++i) shards[0].Merge(shards[i]);
+      EXPECT_EQ(Bytes(shards[0]), want) << name << ", " << n << " ways";
+    }
+  }
+}
+
+TEST(HeavyHittersTest, EmptyGridAtServiceDefaultsFitsInAMebibyte) {
+  // The service's grid options. Samples grow only as papers arrive, so
+  // an empty grid holds its counters and hashes and no sample space.
+  HeavyHitters::Options options;
+  options.eps = 0.25;
+  options.delta = 0.1;
+  options.max_papers = 1u << 20;
+  const auto sketch = MakeSketch(options, 2017);
+  EXPECT_LT(sketch.EstimateSpace().bytes, std::uint64_t{1} << 20);
 }
 
 // --- Baselines ---------------------------------------------------------------

@@ -1,8 +1,11 @@
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "hash/tabulation.h"
 #include "heavy/one_heavy_hitter.h"
 #include "random/rng.h"
 #include "workload/academic.h"
@@ -10,15 +13,38 @@
 namespace himpact {
 namespace {
 
-OneHeavyHitter MakeDetector(double eps, double delta, std::uint64_t max_papers,
-                            std::uint64_t seed) {
+// A detector with the seeded hash that prioritizes its papers (in
+// Algorithm 8 the grid owns that hash; standalone, the caller does).
+struct Detector {
+  OneHeavyHitter sketch;
+  TabulationHash priority;
+
+  void AddPaper(const PaperTuple& paper) {
+    sketch.AddPaper(paper, priority(paper.paper));
+  }
+  std::optional<OneHeavyHitterResult> Detect() const {
+    return sketch.Detect();
+  }
+  double StreamHEstimate() const { return sketch.StreamHEstimate(); }
+  std::uint64_t num_papers() const { return sketch.num_papers(); }
+  std::size_t sample_size() const { return sketch.sample_size(); }
+};
+
+Detector MakeDetector(double eps, double delta, std::uint64_t max_papers,
+                      std::uint64_t seed) {
   OneHeavyHitter::Options options;
   options.eps = eps;
   options.delta = delta;
   options.max_papers = max_papers;
-  auto detector = OneHeavyHitter::Create(options, seed);
+  auto detector = OneHeavyHitter::Create(options);
   EXPECT_TRUE(detector.ok());
-  return std::move(detector).value();
+  return Detector{std::move(detector).value(), TabulationHash(seed)};
+}
+
+std::vector<std::uint8_t> Bytes(const OneHeavyHitter& detector) {
+  ByteWriter writer;
+  detector.SerializeTo(writer);
+  return writer.Take();
 }
 
 PaperStream SingleAuthorPapers(AuthorId author, std::uint64_t num_papers,
@@ -37,13 +63,13 @@ PaperStream SingleAuthorPapers(AuthorId author, std::uint64_t num_papers,
 TEST(OneHeavyHitterTest, RejectsBadParameters) {
   OneHeavyHitter::Options options;
   options.eps = 0.0;
-  EXPECT_FALSE(OneHeavyHitter::Create(options, 1).ok());
+  EXPECT_FALSE(OneHeavyHitter::Create(options).ok());
   options.eps = 0.1;
   options.delta = 1.0;
-  EXPECT_FALSE(OneHeavyHitter::Create(options, 1).ok());
+  EXPECT_FALSE(OneHeavyHitter::Create(options).ok());
   options.delta = 0.1;
   options.max_papers = 1;
-  EXPECT_FALSE(OneHeavyHitter::Create(options, 1).ok());
+  EXPECT_FALSE(OneHeavyHitter::Create(options).ok());
 }
 
 TEST(OneHeavyHitterTest, EmptyStreamDetectsNothing) {
@@ -208,6 +234,49 @@ TEST(OneHeavyHitterTest, ZeroCitationPapersIgnored) {
   }
   EXPECT_FALSE(detector.Detect().has_value());
   EXPECT_EQ(detector.num_papers(), 20u);
+}
+
+TEST(OneHeavyHitterTest, SampleIsASetOfPaperAuthorEntries) {
+  // A retried paper is turned away; the same id under another author
+  // list is a second entry, ordered after the shorter list.
+  using Entry = OneHeavyHitter::SampledPaper;
+  const TabulationHash priority(10);
+  const Entry paper{priority(77), 77, AuthorList{5}};
+  const Entry coauthored{priority(77), 77, AuthorList{5, 6}};
+  BottomSample<Entry> sample;
+  EXPECT_TRUE(sample.Offer(paper, 4));
+  EXPECT_FALSE(sample.Offer(paper, 4));
+  EXPECT_TRUE(sample.Offer(coauthored, 4));
+  ASSERT_EQ(sample.entries().size(), 2u);
+  EXPECT_EQ(sample.entries()[0], paper);
+  EXPECT_EQ(sample.entries()[1], coauthored);
+}
+
+TEST(OneHeavyHitterTest, MergeEqualsOneDetectorFedBothStreams) {
+  // Samples are bottom-s under one priority hash, so a merge is exact:
+  // byte-identical to the whole stream, in either merge order.
+  Rng rng(11);
+  PaperStream papers;
+  for (std::uint64_t p = 0; p < 600; ++p) {
+    PaperTuple paper;
+    paper.paper = p;
+    paper.authors.PushBack(rng.UniformU64(5));
+    paper.citations = 1 + rng.UniformU64(200);
+    papers.push_back(paper);
+  }
+  auto whole = MakeDetector(0.2, 0.05, 1u << 16, 11);
+  auto left = MakeDetector(0.2, 0.05, 1u << 16, 11);
+  auto right = MakeDetector(0.2, 0.05, 1u << 16, 11);
+  for (std::size_t i = 0; i < papers.size(); ++i) {
+    whole.AddPaper(papers[i]);
+    (i % 3 == 0 ? left : right).AddPaper(papers[i]);
+  }
+  OneHeavyHitter left_right = left.sketch;
+  left_right.Merge(right.sketch);
+  OneHeavyHitter right_left = right.sketch;
+  right_left.Merge(left.sketch);
+  EXPECT_EQ(Bytes(left_right), Bytes(whole.sketch));
+  EXPECT_EQ(Bytes(right_left), Bytes(whole.sketch));
 }
 
 }  // namespace

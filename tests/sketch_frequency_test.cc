@@ -1,12 +1,16 @@
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hash/tabulation.h"
 #include "random/rng.h"
 #include "random/zipf.h"
 #include "sketch/count_min.h"
-#include "sketch/reservoir.h"
+#include "sketch/bottom_sample.h"
 #include "sketch/space_saving.h"
 
 namespace himpact {
@@ -167,41 +171,78 @@ TEST(MisraGriesTest, MajorityElementSurvives) {
   EXPECT_EQ(entries[0].key, 42u);
 }
 
-// --- ReservoirSampler --------------------------------------------------------
+// --- BottomSample ------------------------------------------------------------
 
-TEST(ReservoirTest, KeepsAllWhenUnderCapacity) {
-  ReservoirSampler<int> reservoir(10);
-  Rng rng(5);
-  for (int i = 0; i < 5; ++i) reservoir.Add(i, rng);
-  EXPECT_EQ(reservoir.sample().size(), 5u);
-  EXPECT_EQ(reservoir.seen(), 5u);
+// (priority, id) entries: the priority is a seeded hash of the id.
+using Keyed = std::pair<std::uint64_t, std::uint64_t>;
+
+TEST(BottomSampleTest, KeepsAllWhenUnderCapacity) {
+  BottomSample<Keyed> sample;
+  const TabulationHash hash(5);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(sample.Offer({hash(i), i}, 10));
+  }
+  EXPECT_EQ(sample.entries().size(), 5u);
+  EXPECT_TRUE(std::is_sorted(sample.entries().begin(), sample.entries().end()));
 }
 
-TEST(ReservoirTest, CapsAtCapacity) {
-  ReservoirSampler<int> reservoir(8);
+TEST(BottomSampleTest, KeepsTheSmallestAtCapacity) {
+  BottomSample<Keyed> sample;
   Rng rng(6);
-  for (int i = 0; i < 1000; ++i) reservoir.Add(i, rng);
-  EXPECT_EQ(reservoir.sample().size(), 8u);
-  EXPECT_EQ(reservoir.seen(), 1000u);
+  std::vector<std::uint64_t> keys(1000);
+  for (std::uint64_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  Shuffle(keys, rng);
+  for (const std::uint64_t key : keys) sample.Offer({key, key}, 8);
+  ASSERT_EQ(sample.entries().size(), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(sample.entries()[i], Keyed(i, i));
+  }
 }
 
-TEST(ReservoirTest, UniformInclusionProbability) {
-  // Item 0 should be retained with probability capacity/n.
+TEST(BottomSampleTest, RepeatedEntryTakesOneSlot) {
+  BottomSample<Keyed> sample;
+  EXPECT_TRUE(sample.Offer({3, 1}, 4));
+  EXPECT_FALSE(sample.Offer({3, 1}, 4));
+  EXPECT_TRUE(sample.Offer({3, 2}, 4));  // equal priority, other id
+  EXPECT_EQ(sample.entries().size(), 2u);
+}
+
+TEST(BottomSampleTest, UniformInclusionProbability) {
+  // Item 0 of n sequential ids should be retained with probability
+  // capacity/n over the seeds of the priority hash.
   const std::size_t capacity = 5;
   const int n = 50;
   const int trials = 20000;
   int retained = 0;
-  Rng rng(7);
   for (int t = 0; t < trials; ++t) {
-    ReservoirSampler<int> reservoir(capacity);
-    for (int i = 0; i < n; ++i) reservoir.Add(i, rng);
-    for (const int v : reservoir.sample()) {
-      if (v == 0) ++retained;
+    const TabulationHash hash(7 + static_cast<std::uint64_t>(t));
+    BottomSample<Keyed> sample;
+    for (std::uint64_t i = 0; i < n; ++i) sample.Offer({hash(i), i}, capacity);
+    for (const Keyed& entry : sample.entries()) {
+      if (entry.second == 0) ++retained;
     }
   }
   const double expected = static_cast<double>(capacity) / n;
   EXPECT_NEAR(static_cast<double>(retained) / trials, expected,
               expected * 0.15);
+}
+
+TEST(BottomSampleTest, MergeEqualsOneSampleOfTheUnion) {
+  // Overlapping halves: ids 0..599 and 400..999 under one hash.
+  const TabulationHash hash(8);
+  BottomSample<Keyed> whole;
+  BottomSample<Keyed> low;
+  BottomSample<Keyed> high;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    whole.Offer({hash(i), i}, 16);
+    if (i < 600) low.Offer({hash(i), i}, 16);
+    if (i >= 400) high.Offer({hash(i), i}, 16);
+  }
+  BottomSample<Keyed> low_high = low;
+  low_high.Merge(high, 16);
+  high.Merge(low, 16);
+  EXPECT_EQ(low_high.entries(), whole.entries());
+  EXPECT_EQ(high.entries(), whole.entries());
 }
 
 }  // namespace
