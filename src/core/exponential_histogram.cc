@@ -36,6 +36,31 @@ void ExponentialHistogramEstimator::Add(std::uint64_t value) {
   // Values above the grid cap still count toward every guess.
   if (level >= grid_.num_levels()) level = grid_.num_levels() - 1;
   ++bucket_[static_cast<std::size_t>(level)];
+  // Only counters above the winning level can let it rise.
+  if (level > winning_level_) {
+    ++above_winning_;
+    Climb();
+  }
+}
+
+void ExponentialHistogramEstimator::Climb() {
+  // c_i >= (1+eps)^i holds on a prefix of the levels (c_i falls and the
+  // guess rises with i), so the winning level is the prefix's end. Each
+  // step moves one level's bucket from c_{w+1} down into the prefix.
+  const int top = grid_.num_levels() - 1;
+  while (winning_level_ < top &&
+         static_cast<double>(above_winning_) >=
+             grid_.Power(winning_level_ + 1)) {
+    ++winning_level_;
+    above_winning_ -= bucket_[static_cast<std::size_t>(winning_level_)];
+  }
+}
+
+void ExponentialHistogramEstimator::RecomputeWinningLevel() {
+  winning_level_ = -1;
+  above_winning_ = 0;
+  for (const std::uint64_t count : bucket_) above_winning_ += count;
+  Climb();
 }
 
 void ExponentialHistogramEstimator::AddBatch(
@@ -90,19 +115,11 @@ void ExponentialHistogramEstimator::AddBatch(
     }
     buckets[b] += values[i] != 0;
   }
+  RecomputeWinningLevel();
 }
 
 double ExponentialHistogramEstimator::Estimate() const {
-  // Walk the guesses from the largest down, accumulating the nested
-  // counters c_i as suffix sums; accept the first satisfied guess.
-  std::uint64_t suffix = 0;
-  for (int i = grid_.num_levels() - 1; i >= 0; --i) {
-    suffix += bucket_[static_cast<std::size_t>(i)];
-    if (static_cast<double>(suffix) >= grid_.Power(i)) {
-      return grid_.Power(i);
-    }
-  }
-  return 0.0;
+  return winning_level_ < 0 ? 0.0 : grid_.Power(winning_level_);
 }
 
 SpaceUsage ExponentialHistogramEstimator::EstimateSpace() const {
@@ -149,6 +166,7 @@ ExponentialHistogramEstimator::DeserializeFrom(ByteReader& reader) {
       return Status::InvalidArgument("truncated checkpoint counters");
     }
   }
+  estimator.value().RecomputeWinningLevel();
   return estimator;
 }
 
@@ -159,6 +177,7 @@ void ExponentialHistogramEstimator::Merge(
   for (std::size_t i = 0; i < bucket_.size(); ++i) {
     bucket_[i] += other.bucket_[i];
   }
+  RecomputeWinningLevel();
 }
 
 std::uint64_t ExponentialHistogramEstimator::Counter(int level) const {

@@ -35,9 +35,11 @@ class ExponentialHistogramEstimator final : public AggregateHIndexEstimator {
   ///
   /// Implementation note: Algorithm 1 increments every counter with
   /// threshold `<= value`; because the counters are nested
-  /// (`c_i >= c_{i+1}`), we store per-level bucket counts and recover the
-  /// counters as suffix sums at query time. The outputs are identical and
-  /// the per-update cost drops from O(levels) to O(log levels).
+  /// (`c_i >= c_{i+1}`), we store per-level bucket counts (`c_i` is the
+  /// suffix sum from level `i`) and maintain the winning level
+  /// incrementally. The counters only grow, so the winning level only
+  /// rises: an update costs one O(log levels) grid search plus an
+  /// amortized O(1) climb, and `Estimate()` is O(1).
   void Add(std::uint64_t value) override;
 
   /// Batched `Add`: identical final state to calling `Add` per element
@@ -79,12 +81,21 @@ class ExponentialHistogramEstimator final : public AggregateHIndexEstimator {
  private:
   ExponentialHistogramEstimator(double eps, std::uint64_t max_h);
 
+  /// Advances `winning_level_` while the next guess is satisfied.
+  void Climb();
+  /// Rebuilds `winning_level_` and `above_winning_` from `bucket_`.
+  void RecomputeWinningLevel();
+
   double eps_;
   std::uint64_t max_h_;
   GeometricGrid grid_;
   // bucket_[i] = #elements whose floor grid level is exactly i;
   // c_i = sum of bucket_[i..].
   std::vector<std::uint64_t> bucket_;
+  // Derived from bucket_ (never serialized): the winning level w, the
+  // greatest i with c_i >= (1+eps)^i (-1 if none), and c_{w+1}.
+  int winning_level_ = -1;
+  std::uint64_t above_winning_ = 0;
 };
 
 }  // namespace himpact

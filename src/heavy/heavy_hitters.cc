@@ -64,14 +64,18 @@ HeavyHitters::HeavyHitters(const Options& options, std::uint64_t seed)
 
 void HeavyHitters::AddPaper(const PaperTuple& paper) {
   ++num_papers_;
-  const std::uint64_t priority = priority_(paper.paper);
+  // Every cell has the same options, so the paper's level and sample
+  // entry are computed once and shared by all of them.
+  const int level = cells_.front().LevelOf(paper.citations);
+  const OneHeavyHitter::SampledPaper sampled{priority_(paper.paper),
+                                             paper.paper, paper.authors};
   for (std::size_t j = 0; j < num_rows_; ++j) {
     // One insertion per (row, author): an author's sub-stream inside its
     // bucket contains all of that author's papers (Algorithm 8, step 5).
     for (const AuthorId author : paper.authors) {
       const std::size_t bucket =
           static_cast<std::size_t>(row_hashes_[j](author));
-      cells_[j * num_buckets_ + bucket].AddPaper(paper, priority);
+      cells_[j * num_buckets_ + bucket].AddAtLevel(sampled, level);
     }
   }
 }

@@ -45,20 +45,25 @@ OneHeavyHitter::OneHeavyHitter(const Options& options)
 
 void OneHeavyHitter::AddPaper(const PaperTuple& paper,
                               std::uint64_t priority) {
+  AddAtLevel({priority, paper.paper, paper.authors}, LevelOf(paper.citations));
+}
+
+int OneHeavyHitter::LevelOf(std::uint64_t citations) const {
+  // LevelFloor is -1 only below 1 and never passes the top level.
+  return grid_.LevelFloor(static_cast<double>(citations));
+}
+
+void OneHeavyHitter::AddAtLevel(const SampledPaper& paper, int level) {
   ++num_papers_;
-  if (paper.citations == 0) return;
-  int level = grid_.LevelFloor(static_cast<double>(paper.citations));
   if (level < 0) return;
-  if (level >= grid_.num_levels()) level = grid_.num_levels() - 1;
   // The paper qualifies for every threshold up to `level`: bump the exact
   // bucket (counters are suffix sums, as in Algorithm 1) and offer the
   // paper to each qualifying threshold's sample, top down. Level i-1's
   // papers are a superset of level i's, so its admission bar is never
   // higher: once a level turns the paper away, every lower level would.
   ++bucket_[static_cast<std::size_t>(level)];
-  const SampledPaper sampled{priority, paper.paper, paper.authors};
   for (int i = level; i >= 0; --i) {
-    if (!samples_[static_cast<std::size_t>(i)].Offer(sampled, sample_size_)) {
+    if (!samples_[static_cast<std::size_t>(i)].Offer(paper, sample_size_)) {
       break;
     }
   }

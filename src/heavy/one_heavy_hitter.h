@@ -65,10 +65,34 @@ class OneHeavyHitter {
   /// `0 < delta < 1`, `max_papers >= 2`.
   static StatusOr<OneHeavyHitter> Create(const Options& options);
 
+  /// One sample entry, ordered by `(priority, paper, authors)` (public so
+  /// the checkpoint codec and Algorithm 8 can name it).
+  struct SampledPaper {
+    std::uint64_t priority = 0;
+    PaperId paper = 0;
+    AuthorList authors;
+
+    friend auto operator<=>(const SampledPaper&,
+                            const SampledPaper&) = default;
+  };
+
   /// Observes one paper tuple whose sampling priority is `priority`
   /// (the caller's seeded hash of `paper.paper`; every paper of one
-  /// stream must be hashed by the same function).
+  /// stream must be hashed by the same function). Shorthand for
+  /// `AddAtLevel({priority, paper.paper, paper.authors},
+  /// LevelOf(paper.citations))`.
   void AddPaper(const PaperTuple& paper, std::uint64_t priority);
+
+  /// The threshold level a paper with `citations` citations reaches: the
+  /// greatest `i` with `(1+eps)^i <= citations`, clamped to the top
+  /// level, or -1 for 0 citations. It depends only on the options, so
+  /// Algorithm 8 computes it once per paper for all of its cells.
+  int LevelOf(std::uint64_t citations) const;
+
+  /// The per-paper step: counts the paper, and unless `level` (from
+  /// `LevelOf`) is -1 bumps that level's counter and offers `paper` to
+  /// every threshold's sample up to it.
+  void AddAtLevel(const SampledPaper& paper, int level);
 
   /// Merges another detector built with identical options whose papers
   /// were prioritized by the same hash. The histogram counters add and
@@ -90,17 +114,6 @@ class OneHeavyHitter {
 
   /// The per-threshold sample size `s`.
   std::size_t sample_size() const { return sample_size_; }
-
-  /// One sample entry, ordered by `(priority, paper, authors)` (public so
-  /// the checkpoint codec can name it).
-  struct SampledPaper {
-    std::uint64_t priority = 0;
-    PaperId paper = 0;
-    AuthorList authors;
-
-    friend auto operator<=>(const SampledPaper&,
-                            const SampledPaper&) = default;
-  };
 
   /// Space: counters plus the sampled entries held.
   SpaceUsage EstimateSpace() const;

@@ -327,17 +327,26 @@ void TieredUserRegistry::ReactivateLocked(Stripe& stripe, AuthorId user,
 
 void TieredUserRegistry::UpdateBoardLocked(Stripe& stripe, AuthorId user,
                                            double estimate) {
+  const bool full = stripe.board.size() >= options_.leaderboard_capacity;
+  // Fast path: at or below a full board's minimum nothing changes. An
+  // on-board user's entry can only be raised past it, and an off-board
+  // user must beat it to replace the smallest entry.
+  if (full && estimate <= stripe.board_min) return;
   for (LeaderboardEntry& entry : stripe.board) {
     if (entry.user == user) {
-      if (estimate > entry.estimate) entry.estimate = estimate;
+      if (estimate > entry.estimate) {
+        entry.estimate = estimate;
+        RefreshBoardMinLocked(stripe);
+      }
       return;
     }
   }
-  if (stripe.board.size() < options_.leaderboard_capacity) {
+  if (!full) {
     stripe.board.push_back({user, estimate});
+    RefreshBoardMinLocked(stripe);
     return;
   }
-  // Replace the smallest entry if this estimate beats it. Because
+  // Replace the smallest entry (this estimate beats it). Because
   // maintained estimates are monotone non-decreasing and the board is
   // touched on every Add, the board min never decreases, so any user
   // that ever cleared the bar is (and stays) on the board.
@@ -347,9 +356,17 @@ void TieredUserRegistry::UpdateBoardLocked(Stripe& stripe, AuthorId user,
       min_index = i;
     }
   }
-  if (estimate > stripe.board[min_index].estimate) {
-    stripe.board[min_index] = {user, estimate};
+  stripe.board[min_index] = {user, estimate};
+  RefreshBoardMinLocked(stripe);
+}
+
+void TieredUserRegistry::RefreshBoardMinLocked(Stripe& stripe) const {
+  if (stripe.board.size() < options_.leaderboard_capacity) return;
+  double board_min = stripe.board.front().estimate;
+  for (const LeaderboardEntry& entry : stripe.board) {
+    board_min = std::min(board_min, entry.estimate);
   }
+  stripe.board_min = board_min;
 }
 
 void TieredUserRegistry::EnforceBudgetLocked(Stripe& stripe) {
@@ -772,6 +789,7 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   stripe.users = std::move(users);
   stripe.resident = std::move(resident);
   stripe.board = std::move(board);
+  RefreshBoardMinLocked(stripe);
   stripe.resident_bytes = resident_bytes;
   // Residency was rebuilt from scratch; any unmeetable-budget floor the
   // previous population established no longer describes this one.

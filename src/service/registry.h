@@ -256,6 +256,9 @@ class TieredUserRegistry {
     /// Maintained top-`leaderboard_capacity` users of this stripe, in
     /// insertion order (sorted on query).
     std::vector<LeaderboardEntry> board;
+    /// The smallest estimate on `board` once it is full (refreshed after
+    /// every board change and restore; unused while it has room).
+    double board_min = 0.0;
     std::uint64_t events = 0;
     std::uint64_t promotions = 0;
     std::uint64_t demotions = 0;
@@ -292,6 +295,7 @@ class TieredUserRegistry {
   void PromoteLocked(Stripe& stripe, UserState& state);
   void DemoteLocked(Stripe& stripe, AuthorId user, UserState& state);
   void UpdateBoardLocked(Stripe& stripe, AuthorId user, double estimate);
+  void RefreshBoardMinLocked(Stripe& stripe) const;
   void EnforceBudgetLocked(Stripe& stripe);
   ExponentialHistogramEstimator MakeSketch() const;
   Status AttachSegmentStores();

@@ -1,7 +1,6 @@
 #include "service/wal_apply.h"
 
 #include <array>
-#include <unordered_map>
 #include <utility>
 
 #include "common/bytes.h"
@@ -163,7 +162,7 @@ std::vector<std::uint8_t> EncodeWalAdd(AuthorId user, std::uint64_t value,
 }
 
 std::vector<std::uint8_t> EncodeWalPaper(
-    const PaperTuple& paper, const std::vector<std::uint64_t>& stripe_seqs) {
+    const PaperTuple& paper, std::span<const std::uint64_t> stripe_seqs) {
   ByteWriter writer;
   writer.U8(kWalEventPaper);
   writer.U64(paper.paper);
@@ -188,22 +187,18 @@ Status AppendWalPaper(WalWriter* wal, const HImpactService& service,
   const TieredUserRegistry& registry = service.registry();
   // Post-apply counts: a stripe carrying k of this paper's authors had
   // its count advanced k times, so in author order the authors took
-  // `events - k + 1 .. events`. Walking remaining-counts downward
-  // reproduces exactly the sequence each author's Add observed.
-  std::unordered_map<std::size_t, std::uint64_t> remaining;
-  for (const AuthorId author : paper.authors) {
-    ++remaining[registry.StripeOf(author)];
+  // `events - k + 1 .. events`; an author followed by j co-authors on
+  // its stripe took `events - j`.
+  const std::size_t n = static_cast<std::size_t>(paper.authors.size());
+  std::array<std::size_t, kMaxAuthorsPerPaper> stripes{};
+  for (std::size_t a = 0; a < n; ++a) {
+    stripes[a] = registry.StripeOf(paper.authors[static_cast<int>(a)]);
   }
-  std::unordered_map<std::size_t, std::uint64_t> events;
-  for (const auto& [stripe, count] : remaining) {
-    events[stripe] = registry.StripeEvents(stripe);
-  }
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(static_cast<std::size_t>(paper.authors.size()));
-  for (const AuthorId author : paper.authors) {
-    const std::size_t stripe = registry.StripeOf(author);
-    seqs.push_back(events[stripe] - remaining[stripe] + 1);
-    --remaining[stripe];
+  std::array<std::uint64_t, kMaxAuthorsPerPaper> seqs{};
+  for (std::size_t a = 0; a < n; ++a) {
+    std::uint64_t later = 0;
+    for (std::size_t b = a + 1; b < n; ++b) later += stripes[b] == stripes[a];
+    seqs[a] = registry.StripeEvents(stripes[a]) - later;
   }
   return wal->Append(EncodeWalPaper(paper, seqs));
 }

@@ -2,6 +2,7 @@
 #define HIMPACT_SERVICE_WAL_APPLY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,9 +64,9 @@ std::vector<std::uint8_t> EncodeWalAdd(AuthorId user, std::uint64_t value,
 /// Encodes one applied `IngestPaper`; `stripe_seqs[i]` is author i's
 /// stripe's post-apply event count (co-authors sharing a stripe get
 /// consecutive values, in author order). Requires `stripe_seqs.size()
-/// == paper.authors.size()`.
+/// >= paper.authors.size()`.
 std::vector<std::uint8_t> EncodeWalPaper(
-    const PaperTuple& paper, const std::vector<std::uint64_t>& stripe_seqs);
+    const PaperTuple& paper, std::span<const std::uint64_t> stripe_seqs);
 
 /// Computes the post-apply stripe sequences for `paper` and appends the
 /// encoded record to `wal`. Must run on the (single) ingest thread

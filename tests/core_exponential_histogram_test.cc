@@ -1,8 +1,11 @@
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "core/exact.h"
 #include "core/exponential_histogram.h"
 #include "random/rng.h"
@@ -127,6 +130,105 @@ INSTANTIATE_TEST_SUITE_P(
                           VectorKind::kPlanted),
         ::testing::Values(OrderPolicy::kAscending, OrderPolicy::kDescending,
                           OrderPolicy::kRandom)));
+
+// The estimate as Estimate() computed it before the winning level was
+// maintained incrementally: a suffix walk over the serialized buckets
+// from the top guess down, accepting the first satisfied one.
+double SuffixWalkEstimate(const ExponentialHistogramEstimator& estimator) {
+  ByteWriter writer;
+  estimator.SerializeTo(writer);
+  const std::vector<std::uint8_t> bytes = writer.Take();
+  ByteReader reader(bytes);
+  std::uint64_t magic = 0;
+  double eps = 0.0;
+  std::uint64_t max_h = 0;
+  std::uint64_t count = 0;
+  EXPECT_TRUE(reader.U64(&magic) && reader.F64(&eps) && reader.U64(&max_h) &&
+              reader.U64(&count));
+  std::vector<std::uint64_t> bucket(count);
+  for (std::uint64_t& b : bucket) EXPECT_TRUE(reader.U64(&b));
+  const GeometricGrid& grid = estimator.grid();
+  std::uint64_t suffix = 0;
+  for (int i = grid.num_levels() - 1; i >= 0; --i) {
+    suffix += bucket[static_cast<std::size_t>(i)];
+    if (static_cast<double>(suffix) >= grid.Power(i)) return grid.Power(i);
+  }
+  return 0.0;
+}
+
+// A value that is 0 one time in twenty, above max_h one time in twenty,
+// and otherwise uniform up to a spread that lets the H-index climb.
+std::uint64_t DrawValue(Rng& rng, std::uint64_t max_h) {
+  const std::uint64_t roll = rng.UniformU64(20);
+  if (roll == 0) return 0;
+  if (roll == 1) return max_h + 1 + rng.UniformU64(max_h + 1);
+  return 1 + rng.UniformU64(std::min<std::uint64_t>(max_h, 3000));
+}
+
+class ExpHistogramCachedEstimate
+    : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>> {};
+
+TEST_P(ExpHistogramCachedEstimate, EqualsTheSuffixWalkAfterEveryOperation) {
+  const auto [eps, max_h] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(eps * 1000) + max_h);
+  auto live = MakeEstimator(eps, max_h);
+  auto side = MakeEstimator(eps, max_h);
+  const auto cached = [](const ExponentialHistogramEstimator& e,
+                         const char* op, int step) {
+    const double want = SuffixWalkEstimate(e);
+    if (e.Estimate() == want) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "after " << op << " at step " << step << ": Estimate() "
+           << e.Estimate() << ", suffix walk " << want;
+  };
+  std::vector<std::uint64_t> batch;
+  for (int step = 0; step < 2500; ++step) {
+    const std::uint64_t roll = rng.UniformU64(100);
+    if (roll < 70) {
+      live.Add(DrawValue(rng, max_h));
+      ASSERT_TRUE(cached(live, "Add", step));
+    } else if (roll < 85) {
+      batch.clear();
+      const std::uint64_t n = rng.UniformU64(10);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        batch.push_back(DrawValue(rng, max_h));
+      }
+      live.AddBatch(batch);
+      ASSERT_TRUE(cached(live, "AddBatch", step));
+    } else if (roll < 93) {
+      // The side estimator grows on its own and is merged in now and
+      // then, so merges see both an empty and a populated operand.
+      side.Add(DrawValue(rng, max_h));
+      ASSERT_TRUE(cached(side, "Add (side)", step));
+      if (rng.UniformU64(4) == 0) {
+        live.Merge(side);
+        ASSERT_TRUE(cached(live, "Merge", step));
+      }
+    } else if (roll < 97) {
+      ByteWriter writer;
+      live.SerializeTo(writer);
+      const std::vector<std::uint8_t> bytes = writer.Take();
+      ByteReader reader(bytes);
+      auto restored = ExponentialHistogramEstimator::DeserializeFrom(reader);
+      ASSERT_TRUE(restored.ok());
+      live = std::move(restored).value();
+      ASSERT_TRUE(cached(live, "DeserializeFrom", step));
+    } else {
+      // A copy carries the cached fields and keeps climbing from them.
+      ExponentialHistogramEstimator copy = live;
+      ASSERT_TRUE(cached(copy, "copy", step));
+      copy.Add(DrawValue(rng, max_h));
+      ASSERT_TRUE(cached(copy, "Add (copy)", step));
+      live = copy;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EpsMaxH, ExpHistogramCachedEstimate,
+    ::testing::Combine(::testing::Values(0.05, 0.1, 0.25, 0.5),
+                       ::testing::Values(std::uint64_t{12},
+                                         std::uint64_t{1} << 20)));
 
 }  // namespace
 }  // namespace himpact

@@ -79,17 +79,17 @@ constexpr std::uint64_t kSmallBudget = 96u << 10;
 
 const Config kConfigs[] = {
     {"A", 64ull << 20, false,
-     {{0x15f44b17f4bd6477ULL, 0x9ebbcca82802c3dfULL, 0x6aeeb207ef526a36ULL,
-       0xbf1c46a6b428261cULL, 0x6cd6de60f1483802ULL},
+     {{0x6a5cb9c1d57d513fULL, 0x4915c82a4f738328ULL, 0x9465d01e2c243753ULL,
+       0xc62fd207c2e599e5ULL, 0xf49fd388b3ea2014ULL},
       0x7ec0fe6b59540d62ULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
     {"B", kSmallBudget, true,
-     {{0x5530f1372da4c285ULL, 0x38cc9dcbb717025cULL, 0xed50bab7dc797a23ULL,
-       0x82893c25a2d5336dULL, 0x2068b6d7c8870bcbULL},
-      0x9189b684a6be9d67ULL, 0x2be38fc8370a19d7ULL, 0x362d307b54f87c93ULL}},
+     {{0x1b3786bb8a7e856dULL, 0xb62e136f72fda989ULL, 0xdbcc7c76f90e8e65ULL,
+       0x0feb60e5295957caULL, 0xc8e94e5305203ec5ULL},
+      0x9516d2354f23028dULL, 0x2be38fc8370a19d7ULL, 0x0fb8ef08afeefd91ULL}},
     {"C", kSmallBudget, false,
-     {{0x5530f1372da4c285ULL, 0xd0ccedaaba092157ULL, 0x634496c5fa36d724ULL,
-       0x219834a33f8a77c7ULL, 0xd4aa3cd123ba96bfULL},
-      0x40c2ba154de8661cULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
+     {{0x1b3786bb8a7e856dULL, 0xe8e3399093d65677ULL, 0x077065c627db563bULL,
+       0x7d6dad16ff21e83fULL, 0x836f3b723c2a6a6bULL},
+      0x94f1eeb3dc05b538ULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
 };
 
 std::uint64_t Fnv1a(std::string_view bytes,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/math_util.h"
 #include "hash/tabulation.h"
 #include "heavy/one_heavy_hitter.h"
 #include "random/rng.h"
@@ -45,6 +46,42 @@ std::vector<std::uint8_t> Bytes(const OneHeavyHitter& detector) {
   ByteWriter writer;
   detector.SerializeTo(writer);
   return writer.Take();
+}
+
+// The counters and sample sizes of a detector, read back from its
+// serialized state (num_papers, buckets, then each level's sample).
+struct DetectorState {
+  std::uint64_t num_papers = 0;
+  std::vector<std::uint64_t> buckets;
+  std::vector<std::uint64_t> sample_sizes;
+};
+
+DetectorState ReadState(const OneHeavyHitter& detector) {
+  ByteWriter writer;
+  detector.SerializeStateTo(writer);
+  const std::vector<std::uint8_t> bytes = writer.Take();
+  ByteReader reader(bytes);
+  DetectorState state;
+  std::uint64_t count = 0;
+  EXPECT_TRUE(reader.U64(&state.num_papers) && reader.U64(&count));
+  state.buckets.resize(count);
+  for (std::uint64_t& bucket : state.buckets) EXPECT_TRUE(reader.U64(&bucket));
+  EXPECT_TRUE(reader.U64(&count));
+  for (std::uint64_t level = 0; level < count; ++level) {
+    std::uint64_t size = 0;
+    EXPECT_TRUE(reader.U64(&size));
+    state.sample_sizes.push_back(size);
+    for (std::uint64_t e = 0; e < size; ++e) {
+      std::uint64_t paper = 0;
+      std::uint64_t num_authors = 0;
+      EXPECT_TRUE(reader.U64(&paper) && reader.U64(&num_authors));
+      for (std::uint64_t a = 0; a < num_authors; ++a) {
+        EXPECT_TRUE(reader.U64(&paper));
+      }
+    }
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  return state;
 }
 
 PaperStream SingleAuthorPapers(AuthorId author, std::uint64_t num_papers,
@@ -234,6 +271,13 @@ TEST(OneHeavyHitterTest, ZeroCitationPapersIgnored) {
   }
   EXPECT_FALSE(detector.Detect().has_value());
   EXPECT_EQ(detector.num_papers(), 20u);
+  // Counted, but no level's counter or sample is touched.
+  EXPECT_EQ(detector.sketch.LevelOf(0), -1);
+  const DetectorState state = ReadState(detector.sketch);
+  for (std::size_t i = 0; i < state.buckets.size(); ++i) {
+    EXPECT_EQ(state.buckets[i], 0u) << "level " << i;
+    EXPECT_EQ(state.sample_sizes[i], 0u) << "level " << i;
+  }
 }
 
 TEST(OneHeavyHitterTest, SampleIsASetOfPaperAuthorEntries) {
@@ -277,6 +321,52 @@ TEST(OneHeavyHitterTest, MergeEqualsOneDetectorFedBothStreams) {
   right_left.Merge(left.sketch);
   EXPECT_EQ(Bytes(left_right), Bytes(whole.sketch));
   EXPECT_EQ(Bytes(right_left), Bytes(whole.sketch));
+}
+
+TEST(OneHeavyHitterTest, PaperAboveMaxPapersLandsOnTheTopLevel) {
+  constexpr std::uint64_t kMaxPapers = 100;
+  auto detector = MakeDetector(0.5, 0.05, kMaxPapers, 9);
+  const int top = GeometricGrid(kMaxPapers, 0.5).num_levels() - 1;
+  EXPECT_EQ(detector.sketch.LevelOf(kMaxPapers * 1000), top);
+  EXPECT_EQ(detector.sketch.LevelOf(~std::uint64_t{0}), top);
+  PaperTuple paper;
+  paper.paper = 4;
+  paper.authors.PushBack(3);
+  paper.citations = kMaxPapers * 1000;
+  detector.AddPaper(paper);
+  const DetectorState state = ReadState(detector.sketch);
+  ASSERT_EQ(state.buckets.size(), static_cast<std::size_t>(top) + 1);
+  EXPECT_EQ(state.num_papers, 1u);
+  for (int i = 0; i <= top; ++i) {
+    const std::size_t level = static_cast<std::size_t>(i);
+    EXPECT_EQ(state.buckets[level], i == top ? 1u : 0u) << "level " << i;
+    // Offered top down, it enters every threshold's (empty) sample.
+    EXPECT_EQ(state.sample_sizes[level], 1u) << "level " << i;
+  }
+}
+
+TEST(OneHeavyHitterTest, AddPaperEqualsThePerCellStep) {
+  // Algorithm 8 computes the level and the sample entry once per paper
+  // and hands them to AddAtLevel; the standalone AddPaper must give the
+  // same bytes, including for 0 citations and counts above max_papers.
+  Rng rng(13);
+  auto wrapper = MakeDetector(0.2, 0.05, 500, 13);
+  auto per_cell = MakeDetector(0.2, 0.05, 500, 13);
+  for (std::uint64_t p = 0; p < 800; ++p) {
+    PaperTuple paper;
+    paper.paper = rng.UniformU64(600);  // some ids repeat
+    paper.authors.PushBack(rng.UniformU64(6));
+    if (rng.Bernoulli(0.3)) paper.authors.PushBack(6 + rng.UniformU64(3));
+    const std::uint64_t roll = rng.UniformU64(10);
+    paper.citations = roll == 0   ? 0
+                      : roll == 1 ? 500 + rng.UniformU64(1u << 20)
+                                  : 1 + rng.UniformU64(400);
+    wrapper.AddPaper(paper);
+    per_cell.sketch.AddAtLevel(
+        {per_cell.priority(paper.paper), paper.paper, paper.authors},
+        per_cell.sketch.LevelOf(paper.citations));
+  }
+  EXPECT_EQ(Bytes(wrapper.sketch), Bytes(per_cell.sketch));
 }
 
 }  // namespace

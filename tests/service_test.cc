@@ -242,6 +242,122 @@ TEST(RegistryTopK, MatchesExactRankingWithAmpleCapacity) {
   }
 }
 
+// The leaderboard rule before the board minimum was cached: find the
+// user, else append while there is room, else scan for the first
+// smallest entry and replace it if this estimate beats it.
+void FullScanBoardUpdate(std::vector<LeaderboardEntry>& board,
+                         std::size_t capacity, AuthorId user,
+                         double estimate) {
+  for (LeaderboardEntry& entry : board) {
+    if (entry.user == user) {
+      if (estimate > entry.estimate) entry.estimate = estimate;
+      return;
+    }
+  }
+  if (board.size() < capacity) {
+    board.push_back({user, estimate});
+    return;
+  }
+  std::size_t min_index = 0;
+  for (std::size_t i = 1; i < board.size(); ++i) {
+    if (board[i].estimate < board[min_index].estimate) min_index = i;
+  }
+  if (estimate > board[min_index].estimate) board[min_index] = {user, estimate};
+}
+
+TEST(RegistryTopK, CachedBoardMinimumMatchesTheFullScanRule) {
+  ServiceOptions options = SmallOptions();
+  options.num_stripes = 2;
+  options.leaderboard_capacity = 4;
+  auto registry = TieredUserRegistry::Create(options).value();
+  using Boards = std::vector<std::vector<LeaderboardEntry>>;
+  Boards model(options.num_stripes);
+
+  // A skewed stream of small counts: cold users' exact H-indexes and hot
+  // users' grid guesses both tie often.
+  Rng rng(29);
+  ZipfSampler users(80, 1.1);
+  DiscreteParetoSampler citations(1, 1.2, 1u << 10);
+  std::vector<std::pair<AuthorId, std::uint64_t>> events;
+  for (int i = 0; i < 3000; ++i) {
+    events.emplace_back(users.Sample(rng), citations.Sample(rng));
+  }
+
+  const auto matches_model = [&](std::size_t step) {
+    std::vector<LeaderboardEntry> merged;
+    for (const auto& board : model) {
+      merged.insert(merged.end(), board.begin(), board.end());
+    }
+    std::sort(merged.begin(), merged.end(),
+              [](const LeaderboardEntry& a, const LeaderboardEntry& b) {
+                if (a.estimate != b.estimate) return a.estimate > b.estimate;
+                return a.user < b.user;
+              });
+    if (merged.size() > 4) merged.resize(4);
+    const std::vector<LeaderboardEntry> top = registry.TopK(4);
+    if (top.size() != merged.size()) {
+      return ::testing::AssertionFailure() << "TopK size at step " << step;
+    }
+    for (std::size_t r = 0; r < top.size(); ++r) {
+      if (top[r].user != merged[r].user ||
+          top[r].estimate != merged[r].estimate) {
+        return ::testing::AssertionFailure()
+               << "TopK rank " << r << " at step " << step;
+      }
+    }
+    // The board closes each stripe payload, in stored order.
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ByteWriter payload;
+      registry.SerializeStripe(i, payload);
+      ByteWriter board;
+      board.U64(model[i].size());
+      for (const LeaderboardEntry& entry : model[i]) {
+        board.U64(entry.user);
+        board.F64(entry.estimate);
+      }
+      const std::vector<std::uint8_t>& got = payload.buffer();
+      const std::vector<std::uint8_t>& want = board.buffer();
+      if (got.size() < want.size() ||
+          !std::equal(want.begin(), want.end(), got.end() - want.size())) {
+        return ::testing::AssertionFailure()
+               << "stripe " << i << " board bytes at step " << step;
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+  const auto feed = [&](std::size_t from, std::size_t to) {
+    for (std::size_t step = from; step < to; ++step) {
+      const auto [user, value] = events[step];
+      const double estimate = registry.Add(user, value);
+      FullScanBoardUpdate(model[registry.StripeOf(user)],
+                          options.leaderboard_capacity, user, estimate);
+      ASSERT_TRUE(matches_model(step));
+    }
+  };
+
+  feed(0, 1000);
+  ASSERT_FALSE(HasFatalFailure());
+  std::vector<std::vector<std::uint8_t>> saved;
+  for (std::size_t i = 0; i < options.num_stripes; ++i) {
+    ByteWriter payload;
+    registry.SerializeStripe(i, payload);
+    saved.push_back(payload.Take());
+  }
+  const Boards saved_model = model;
+  feed(1000, 2000);
+  ASSERT_FALSE(HasFatalFailure());
+  // Restore the mid-stream checkpoint over boards whose minimum has
+  // risen since, then replay the same suffix: the restored minimum, not
+  // the one the boards had before the restore, must gate the updates.
+  for (std::size_t i = 0; i < options.num_stripes; ++i) {
+    ByteReader reader(saved[i]);
+    ASSERT_TRUE(registry.DeserializeStripe(i, reader).ok());
+  }
+  model = saved_model;
+  ASSERT_TRUE(matches_model(1000));
+  feed(1000, 3000);
+}
+
 // --- registry: serialization -------------------------------------------------
 
 TEST(RegistrySerialize, StripeEncodingIsDeterministicAndRoundTrips) {

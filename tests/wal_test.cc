@@ -615,7 +615,8 @@ TEST_F(WalTest, PerStripeGateAppliesOnlyTheMissingCoauthorHalves) {
   wal_options.fsync = WalFsync::kAlways;
   {
     auto wal = WalWriter::Open(wal_options).value();
-    ASSERT_TRUE(wal->Append(EncodeWalPaper(paper, {4, 5})).ok());
+    ASSERT_TRUE(wal->Append(
+        EncodeWalPaper(paper, std::vector<std::uint64_t>{4, 5})).ok());
   }
 
   WalApplyStats apply_stats;
