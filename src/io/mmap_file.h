@@ -14,8 +14,8 @@
 /// cold `get` pages in only the blocks it touches; the OS page cache —
 /// not the registry's memory budget — owns the resident set. The
 /// `kSegmentMapFail` fault point fires inside `Open` so every caller's
-/// degraded path (frozen-floor answers, chain fallback) is testable
-/// without filling the disk or revoking permissions.
+/// degraded path (floor answers, pending records, fresh sketches) is
+/// testable without filling the disk or revoking permissions.
 
 namespace himpact {
 

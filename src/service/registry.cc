@@ -14,10 +14,13 @@
 namespace himpact {
 namespace {
 
-// HIMPSRG2 adds the segment-generation bound after the header;
-// HIMPSRG1 payloads (no bound) still decode and adopt every generation.
+// HIMPSRG2 added the segment-generation bound after the header, and
+// HIMPSRG3 dropped the archive sketch that followed the counters. Both
+// earlier layouts still decode: the archive is parsed and dropped, and a
+// HIMPSRG1 payload (no bound) adopts every generation.
 constexpr std::uint64_t kStripeMagicV1 = 0x48494d5053524731ULL;  // HIMPSRG1
-constexpr std::uint64_t kStripeMagic = 0x48494d5053524732ULL;    // HIMPSRG2
+constexpr std::uint64_t kStripeMagicV2 = 0x48494d5053524732ULL;  // HIMPSRG2
+constexpr std::uint64_t kStripeMagic = 0x48494d5053524733ULL;    // HIMPSRG3
 
 /// Fixed per-user overhead charged against the memory budget: the state
 /// record itself plus an allowance for the hash-map node and bucket.
@@ -178,7 +181,7 @@ TieredUserRegistry::TieredUserRegistry(const ServiceOptions& options)
           1, options.memory_budget_bytes / options.num_stripes)) {
   stripes_.reserve(options_.num_stripes);
   for (std::size_t i = 0; i < options_.num_stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>(MakeSketch()));
+    stripes_.push_back(std::make_unique<Stripe>());
   }
 }
 
@@ -265,18 +268,12 @@ void TieredUserRegistry::DemoteLocked(Stripe& stripe, AuthorId user,
   state.floor = std::max(state.floor, EstimateLocked(state));
   if (stripe.store != nullptr) {
     // Paged demotion: the full cold/hot state goes to the stripe's
-    // segment store, which buffers it even when a seal fails, so the
-    // archive is NOT touched (the state is paged, not forgotten).
+    // segment store, which buffers it even when a seal fails (the state
+    // is paged, not forgotten).
     stripe.store->Put(user, EncodeSegmentRecord(state.tier, state.events,
                                                 state.floor, state.cold_h,
                                                 state.values,
                                                 state.sketch.get()));
-  } else if (state.tier == UserTier::kHot) {
-    // Keep the demoted user's mass queryable in aggregate: merge the
-    // per-user sketch into the stripe archive before dropping it.
-    stripe.archive.Merge(*state.sketch);
-  } else {
-    for (const std::uint64_t value : state.values) stripe.archive.Add(value);
   }
   state.values.clear();
   state.values.shrink_to_fit();
@@ -417,7 +414,8 @@ void TieredUserRegistry::EnforceBudgetLocked(Stripe& stripe) {
       stripe.resident_bytes > target ? stripe.resident_bytes : 0;
 }
 
-double TieredUserRegistry::Add(AuthorId user, std::uint64_t value) {
+double TieredUserRegistry::Add(AuthorId user, std::uint64_t value,
+                               std::uint64_t* stripe_seq) {
   Stripe& stripe = *stripes_[StripeOf(user)];
   std::lock_guard<std::mutex> lock(stripe.mu);
   // Fault hook: a firing `worker-stall` wedges this stripe for the armed
@@ -429,6 +427,7 @@ double TieredUserRegistry::Add(AuthorId user, std::uint64_t value) {
     SleepForMicros(FaultRegistry::Global().param(FaultPoint::kWorkerStall));
   }
   ++stripe.events;
+  if (stripe_seq != nullptr) *stripe_seq = stripe.events;
 
   auto [it, inserted] = stripe.users.try_emplace(user);
   UserState& state = it->second;
@@ -619,7 +618,6 @@ void TieredUserRegistry::SerializeStripe(std::size_t i,
   writer.U64(stripe.promotions);
   writer.U64(stripe.demotions);
   writer.U64(stripe.touch_clock);
-  stripe.archive.SerializeTo(writer);
 
   // Users in sorted id order so the encoding is deterministic (the map
   // iteration order is not).
@@ -663,19 +661,21 @@ void TieredUserRegistry::SerializeStripe(std::size_t i,
 }
 
 Status TieredUserRegistry::DeserializeStripe(std::size_t i,
-                                             ByteReader& reader) {
+                                             ByteReader& reader,
+                                             bool* legacy) {
   HIMPACT_CHECK(i < stripes_.size());
 
   std::uint64_t magic = 0;
   std::uint64_t index = 0;
   std::uint64_t num_stripes = 0;
   std::uint64_t generation_bound = kAllSegmentGenerations;
-  if (!reader.U64(&magic) ||
-      (magic != kStripeMagic && magic != kStripeMagicV1)) {
+  if (!reader.U64(&magic) || (magic != kStripeMagic &&
+                              magic != kStripeMagicV2 &&
+                              magic != kStripeMagicV1)) {
     return Status::InvalidArgument("not a registry stripe checkpoint");
   }
   if (!reader.U64(&index) || !reader.U64(&num_stripes) ||
-      (magic == kStripeMagic && !reader.U64(&generation_bound))) {
+      (magic != kStripeMagicV1 && !reader.U64(&generation_bound))) {
     return Status::InvalidArgument("truncated stripe header");
   }
   if (index != i || num_stripes != stripes_.size()) {
@@ -692,9 +692,11 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
       !reader.U64(&demotions) || !reader.U64(&touch_clock)) {
     return Status::InvalidArgument("truncated stripe counters");
   }
-  StatusOr<ExponentialHistogramEstimator> archive =
-      ExponentialHistogramEstimator::DeserializeFrom(reader);
-  if (!archive.ok()) return archive.status();
+  if (magic != kStripeMagic) {
+    StatusOr<ExponentialHistogramEstimator> archive =
+        ExponentialHistogramEstimator::DeserializeFrom(reader);
+    if (!archive.ok()) return archive.status();
+  }
 
   std::uint64_t num_users = 0;
   if (!reader.U64(&num_users)) {
@@ -785,7 +787,6 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   stripe.promotions = promotions;
   stripe.demotions = demotions;
   stripe.touch_clock = touch_clock;
-  stripe.archive = std::move(archive).value();
   stripe.users = std::move(users);
   stripe.resident = std::move(resident);
   stripe.board = std::move(board);
@@ -794,6 +795,7 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   // Residency was rebuilt from scratch; any unmeetable-budget floor the
   // previous population established no longer describes this one.
   stripe.unmeetable_floor_bytes = 0;
+  if (legacy != nullptr) *legacy = magic != kStripeMagic;
   return Status::OK();
 }
 

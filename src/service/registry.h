@@ -41,15 +41,14 @@
 ///    is forgotten; RAM is bounded by paging, not by loss. A failed
 ///    page-in degrades to the frozen reactivation (below), never crashes.
 ///  * **frozen** — without a segment directory, demotion forgets: the
-///    sketch's estimate is frozen as a floor, the sketch itself is
-///    merged into the stripe's *archive* sketch (so its mass is not
-///    lost to aggregate queries), and the per-user footprint drops to a
-///    bare record. A frozen user that becomes active again is
-///    re-promoted to a fresh hot sketch; because an H-index is monotone
-///    non-decreasing, `max(floor, fresh estimate)` remains a valid
-///    lower bound with the usual one-sided Algorithm 1 guarantee on the
-///    post-reactivation stream. See docs/SERVICE.md for the accounting
-///    and staleness rules.
+///    sketch's estimate is frozen as a floor, the cold values or sketch
+///    are dropped, and the per-user footprint drops to a bare record. A
+///    frozen user that becomes active again is re-promoted to a fresh
+///    hot sketch; because an H-index is monotone non-decreasing,
+///    `max(floor, fresh estimate)` remains a valid lower bound with the
+///    usual one-sided Algorithm 1 guarantee on the post-reactivation
+///    stream. See docs/SERVICE.md for the accounting and staleness
+///    rules.
 ///
 /// Thread safety: every public method is safe to call from any thread;
 /// each stripe is guarded by its own mutex, so operations on users in
@@ -166,9 +165,12 @@ class TieredUserRegistry {
 
   /// Observes one response count for `user` (one paper / post with
   /// `value` responses, aggregate model) and returns the user's updated
-  /// H-index estimate. Thread-safe; may promote the user or demote
-  /// colder users to stay under budget.
-  double Add(AuthorId user, std::uint64_t value);
+  /// H-index estimate. When `stripe_seq` is given it receives the
+  /// user's stripe's event count after this event, read under the
+  /// stripe lock (see `StripeEvents`). Thread-safe; may promote the user
+  /// or demote colder users to stay under budget.
+  double Add(AuthorId user, std::uint64_t value,
+             std::uint64_t* stripe_seq = nullptr);
 
   /// The user's current H-index estimate (0 if never seen). For cold
   /// users this is exact; for hot users it carries Algorithm 1's
@@ -214,15 +216,18 @@ class TieredUserRegistry {
   /// The registry's configuration.
   const ServiceOptions& options() const { return options_; }
 
-  /// Serializes stripe `i` (users, archive sketch, leaderboard,
-  /// counters) into `writer`. Takes that stripe's lock.
+  /// Serializes stripe `i` (users, leaderboard, counters) into
+  /// `writer`. Takes that stripe's lock.
   void SerializeStripe(std::size_t i, ByteWriter& writer) const;
 
   /// Restores stripe `i` from a `SerializeStripe` payload, replacing
   /// its current contents. Rejects foreign or corrupt payloads (and
   /// payloads recorded for a different stripe index or stripe count)
-  /// with `kInvalidArgument`, leaving the stripe unchanged.
-  Status DeserializeStripe(std::size_t i, ByteReader& reader);
+  /// with `kInvalidArgument`, leaving the stripe unchanged. An earlier
+  /// build's payload (`HIMPSRG1`/`HIMPSRG2`, which carried an archive
+  /// sketch) also decodes, and sets `*legacy` when given.
+  Status DeserializeStripe(std::size_t i, ByteReader& reader,
+                           bool* legacy = nullptr);
 
  private:
   struct UserState {
@@ -242,17 +247,11 @@ class TieredUserRegistry {
   };
 
   struct Stripe {
-    explicit Stripe(ExponentialHistogramEstimator archive_sketch)
-        : archive(std::move(archive_sketch)) {}
-
     mutable std::mutex mu;
     std::unordered_map<AuthorId, UserState> users;
     /// Budget-scan candidates: every cold/hot user, plus users demoted
     /// since the last scan, which drops them (see `UserState::listed`).
     std::vector<AuthorId> resident;
-    /// Merged sketches of every demoted user (their mass is retained
-    /// here even after the per-user state is frozen).
-    ExponentialHistogramEstimator archive;
     /// Maintained top-`leaderboard_capacity` users of this stripe, in
     /// insertion order (sorted on query).
     std::vector<LeaderboardEntry> board;
@@ -266,9 +265,9 @@ class TieredUserRegistry {
     std::uint64_t resident_bytes = 0;
     /// Irreducible residency observed by the last budget scan that
     /// could not reach its target: everything evictable was demoted and
-    /// this much remained (per-user records, boards, the archive).
-    /// While `resident_bytes` stays within a slack band above this
-    /// floor, further scans are pointless and are skipped — without it,
+    /// this much remained (the bare per-user records). While
+    /// `resident_bytes` stays within a slack band above this floor,
+    /// further scans are pointless and are skipped — without it,
     /// a population whose bare metadata exceeds the budget degrades to
     /// a full victim scan per Add. Reset to 0 whenever a scan meets its
     /// target again (restores shrink residency below old floors).

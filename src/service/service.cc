@@ -108,60 +108,41 @@ HImpactService::MakeHhStripes() const {
 
 double HImpactService::RecordResponseCount(AuthorId user,
                                            std::uint64_t value) {
-  const double estimate = registry_.Add(user, value);
-  if (options().enable_heavy_hitters) FeedResponseCount(user, value);
+  std::uint64_t stripe_seq = 0;
+  const double estimate = registry_.Add(user, value, &stripe_seq);
+  FeedGrid(ResponseCountPaper(user, value, stripe_seq));
   return estimate;
 }
 
-void HImpactService::FeedResponseCount(AuthorId user, std::uint64_t value) {
-  const std::size_t index = registry_.StripeOf(user);
-  HhStripe& stripe = *hh_stripes_[index];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  PaperTuple tuple;
-  tuple.paper = stripe.next_paper * registry_.num_stripes() + index;
-  ++stripe.next_paper;
-  tuple.authors.PushBack(user);
-  tuple.citations = value;
-  stripe.hh->AddPaper(tuple);
-  stripe.version.fetch_add(1, std::memory_order_release);
+PaperTuple HImpactService::ResponseCountPaper(AuthorId user,
+                                              std::uint64_t value,
+                                              std::uint64_t stripe_seq) const {
+  PaperTuple paper;
+  paper.paper = stripe_seq * registry_.num_stripes() + registry_.StripeOf(user);
+  paper.citations = value;
+  paper.authors.PushBack(user);
+  return paper;
 }
 
-void HImpactService::IngestPaper(const PaperTuple& paper) {
-  if (paper.authors.empty()) return;
-  for (const AuthorId author : paper.authors) {
-    registry_.Add(author, paper.citations);
-  }
-  if (options().enable_heavy_hitters) {
-    // The tuple is fed once (not per author): AddPaper hashes every
-    // author internally. Partition by first author for determinism.
-    HhStripe& stripe = *hh_stripes_[registry_.StripeOf(paper.authors[0])];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.hh->AddPaper(paper);
-    stripe.version.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void HImpactService::ReplayPaper(const PaperTuple& paper,
-                                 const std::vector<bool>& apply_mask,
-                                 bool feed_hh) {
+void HImpactService::ApplyPaper(const PaperTuple& paper,
+                                std::uint32_t author_bits, bool feed_grid) {
   if (paper.authors.empty()) return;
   for (int a = 0; a < paper.authors.size(); ++a) {
-    const auto m = static_cast<std::size_t>(a);
-    if (m < apply_mask.size() && apply_mask[m]) {
+    if (((author_bits >> a) & 1u) != 0) {
       registry_.Add(paper.authors[a], paper.citations);
     }
   }
-  if (feed_hh && options().enable_heavy_hitters) {
-    HhStripe& stripe = *hh_stripes_[registry_.StripeOf(paper.authors[0])];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.hh->AddPaper(paper);
-    stripe.version.fetch_add(1, std::memory_order_release);
-  }
+  if (feed_grid) FeedGrid(paper);
 }
 
-void HImpactService::ReplayResponseCountGrid(AuthorId user,
-                                             std::uint64_t value) {
-  if (options().enable_heavy_hitters) FeedResponseCount(user, value);
+void HImpactService::FeedGrid(const PaperTuple& paper) {
+  if (!options().enable_heavy_hitters) return;
+  // The tuple is fed once (not per author): AddPaper hashes every
+  // author internally. Partition by first author for determinism.
+  HhStripe& stripe = *hh_stripes_[registry_.StripeOf(paper.authors[0])];
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  stripe.hh->AddPaper(paper);
+  stripe.version.fetch_add(1, std::memory_order_release);
 }
 
 double HImpactService::PointHIndex(AuthorId user) const {
@@ -277,7 +258,6 @@ std::vector<std::uint8_t> HImpactService::SnapshotStripe(
     const HhStripe& stripe = *hh_stripes_[i];
     std::lock_guard<std::mutex> lock(stripe.mu);
     stripe.hh->SerializeTo(writer);
-    writer.U64(stripe.next_paper);
   }
   return writer.Take();
 }
@@ -375,7 +355,8 @@ Status HImpactService::DecodeStripePayload(
     TieredUserRegistry& registry,
     std::vector<std::unique_ptr<HhStripe>>& hh, bool* refused_format) const {
   ByteReader reader(payload);
-  Status stripe_status = registry.DeserializeStripe(i, reader);
+  bool legacy = false;
+  Status stripe_status = registry.DeserializeStripe(i, reader, &legacy);
   if (!stripe_status.ok()) return stripe_status;
   std::uint8_t hh_flag = 0;
   if (!reader.U8(&hh_flag)) {
@@ -391,7 +372,10 @@ Status HImpactService::DecodeStripePayload(
       *refused_format = grid.status().code() == StatusCode::kFailedPrecondition;
       return grid.status();
     }
-    if (!reader.U64(&hh[i]->next_paper)) {
+    // An earlier build's payload ends in the counter it minted add ids
+    // from. Ids now derive from stripe sequences, which lie above it.
+    std::uint64_t paper_counter = 0;
+    if (legacy && !reader.U64(&paper_counter)) {
       return Status::InvalidArgument("truncated stripe paper counter");
     }
     hh[i]->hh = std::move(grid).value();

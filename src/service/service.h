@@ -42,9 +42,10 @@
 /// have landed. See docs/CHECKPOINTS.md.
 ///
 /// The grid is a pure function of its papers, so `HeavyReport` over an
-/// `IngestPaper`-only stream is the same at every stripe count. The
-/// synthetic paper ids `RecordResponseCount` feeds it depend on the
-/// stripe count, so add-fed grids are not stripe-independent.
+/// `IngestPaper`-only stream is the same at every stripe count. An add
+/// is a one-author paper whose id derives from its stripe's event
+/// sequence (`ResponseCountPaper`); that id depends on the stripe
+/// count, so add-fed grids are not stripe-independent.
 
 namespace himpact {
 
@@ -108,34 +109,35 @@ class HImpactService {
 
   /// Observes one response count for `user` (the aggregate model: one
   /// paper / post whose total responses are `value`) and returns the
-  /// user's updated H-index estimate. A synthetic paper id is minted
-  /// for the heavy-hitters grid. Thread-safe.
+  /// user's updated H-index estimate. The heavy-hitters grid sees the
+  /// add as the one-author paper `ResponseCountPaper` builds from the
+  /// stripe sequence the add took. Thread-safe.
   double RecordResponseCount(AuthorId user, std::uint64_t value);
 
   /// Observes one multi-author paper tuple: each author's registry
   /// state absorbs the paper's response count, and the tuple is fed
   /// once to the heavy-hitters grid. Thread-safe.
-  void IngestPaper(const PaperTuple& paper);
+  void IngestPaper(const PaperTuple& paper) {
+    ApplyPaper(paper, ~std::uint32_t{0}, /*feed_grid=*/true);
+  }
 
-  /// WAL-replay surface (service/wal_apply.cc): re-applies one logged
-  /// paper where only the authors with `apply_mask[i]` set still miss
-  /// it (the restored checkpoint may have captured some authors'
-  /// stripes after the paper and others before). The tuple is fed to
-  /// the heavy-hitters grid iff `feed_hh`, which should be the first
-  /// author's gate verdict, matching `IngestPaper`'s
-  /// partition-by-first-author attribution. Replay applies the two
-  /// halves as separate calls: a stripe's gated authors with
-  /// `feed_hh` false, and the grid feed with an empty mask. Thread-safe.
-  void ReplayPaper(const PaperTuple& paper,
-                   const std::vector<bool>& apply_mask, bool feed_hh);
+  /// The apply step of `IngestPaper` and WAL replay
+  /// (service/wal_apply.cc): author `a`'s registry state absorbs the
+  /// paper iff bit `a` of `author_bits` is set (replay passes the gate's
+  /// verdicts), and the tuple is fed to the heavy-hitters grid of the
+  /// first author's stripe iff `feed_grid`. Thread-safe.
+  void ApplyPaper(const PaperTuple& paper, std::uint32_t author_bits,
+                  bool feed_grid);
 
-  /// WAL-replay surface: the grid half of one logged
-  /// `RecordResponseCount` — feeds the heavy-hitters grid the synthetic
-  /// tuple that call fed (the next id of the user's stripe) and leaves
-  /// the registry alone. The registry half is a one-author
-  /// `ReplayPaper`, so replay can apply the two halves as separate
-  /// jobs. No-op when the grid is disabled. Thread-safe.
-  void ReplayResponseCountGrid(AuthorId user, std::uint64_t value);
+  /// The one-author paper an add of `value` for `user` is to the
+  /// heavy-hitters grid, with id `stripe_seq * num_stripes + stripe`:
+  /// `stripe` is the user's stripe and `stripe_seq` its event count
+  /// after the add (the value the WAL logs). Every event takes its own
+  /// stripe sequence, so ids never repeat, and they lie above the ids an
+  /// earlier build's counter minted (that counter never passed the
+  /// stripe's event count).
+  PaperTuple ResponseCountPaper(AuthorId user, std::uint64_t value,
+                                std::uint64_t stripe_seq) const;
 
   /// The user's current H-index estimate (0 if never seen).
   double PointHIndex(AuthorId user) const;
@@ -217,11 +219,6 @@ class HImpactService {
   struct HhStripe {
     mutable std::mutex mu;
     std::optional<HeavyHitters> hh;
-    /// Mints synthetic paper ids for `RecordResponseCount`:
-    /// `next_paper * num_stripes + stripe_index` is unique globally and
-    /// deterministic per stripe (checkpointed so resumed runs continue
-    /// the same id sequence).
-    std::uint64_t next_paper = 0;
     /// Ingest epoch: bumped (release, under `mu`) after every AddPaper.
     /// `HeavyReport` reads it (acquire, lock-free) to decide whether
     /// its cached merged report is still current; reading the epoch
@@ -257,9 +254,9 @@ class HImpactService {
   explicit HImpactService(TieredUserRegistry registry);
 
   std::vector<std::unique_ptr<HhStripe>> MakeHhStripes() const;
-  /// Feeds the grid the one-author tuple of a response count, under a
-  /// paper id minted from the user's stripe. Requires the grid enabled.
-  void FeedResponseCount(AuthorId user, std::uint64_t value);
+  /// Feeds `paper` to its first author's stripe grid (no-op when the
+  /// grid is disabled).
+  void FeedGrid(const PaperTuple& paper);
   /// Stripe `i`'s checkpoint payload: its registry state plus its
   /// heavy-hitters shard.
   std::vector<std::uint8_t> SnapshotStripe(std::size_t i) const;

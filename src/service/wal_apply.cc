@@ -9,25 +9,28 @@
 namespace himpact {
 namespace {
 
-/// Decoded form of one WAL payload. An add is its user's one-author
-/// tuple carrying `value` as `citations`, so one gate and one registry
-/// apply cover both flavors.
+/// Decoded form of one WAL payload. An add is the one-author tuple
+/// `RecordResponseCount` fed the grid, so one gate and one apply step
+/// cover both flavors.
 struct WalEvent {
   std::uint8_t type = 0;
   PaperTuple paper;
   std::array<std::uint64_t, kMaxAuthorsPerPaper> stripe_seqs{};
 };
 
-bool DecodeWalEvent(WalPayload payload, WalEvent* event) {
+bool DecodeWalEvent(WalPayload payload, const HImpactService& service,
+                    WalEvent* event) {
   ByteReader reader(payload);
   if (!reader.U8(&event->type)) return false;
   if (event->type == kWalEventAdd) {
     AuthorId user = 0;
-    if (!reader.U64(&user) || !reader.U64(&event->paper.citations) ||
+    std::uint64_t value = 0;
+    if (!reader.U64(&user) || !reader.U64(&value) ||
         !reader.U64(&event->stripe_seqs[0]) || !reader.AtEnd()) {
       return false;
     }
-    event->paper.authors.PushBack(user);
+    event->paper = service.ResponseCountPaper(user, value,
+                                              event->stripe_seqs[0]);
     return true;
   }
   if (event->type == kWalEventPaper) {
@@ -52,7 +55,8 @@ bool DecodeWalEvent(WalPayload payload, WalEvent* event) {
 /// One segment's gated work for one stripe, in log order. A registry op
 /// names a record and the bits (author indices) of its authors on this
 /// stripe that the gate let through; a grid op names a record whose
-/// Alg. 8 tuple this stripe's grid still misses.
+/// Alg. 8 tuple this stripe's grid still misses (in any order: the grid
+/// is a function of the set of its tuples).
 struct StripeRuns {
   std::vector<std::pair<std::size_t, std::uint32_t>> registry;
   std::vector<std::size_t> grid;
@@ -64,13 +68,14 @@ struct StripeRuns {
 /// against the right value), counts the verdicts into `out`, and sorts
 /// the applies into per-stripe runs.
 std::vector<StripeRuns> GateSegment(const std::vector<WalPayload>& payloads,
-                                    const TieredUserRegistry& registry,
+                                    const HImpactService& service,
                                     std::vector<std::uint64_t>* counts,
                                     WalApplyStats* out) {
+  const TieredUserRegistry& registry = service.registry();
   std::vector<StripeRuns> runs(registry.num_stripes());
   for (std::size_t record = 0; record < payloads.size(); ++record) {
     WalEvent event;
-    if (!DecodeWalEvent(payloads[record], &event)) {
+    if (!DecodeWalEvent(payloads[record], service, &event)) {
       ++out->malformed_records;
       continue;
     }
@@ -88,9 +93,8 @@ std::vector<StripeRuns> GateSegment(const std::vector<WalPayload>& payloads,
       }
       ops.back().second |= 1u << a;
       // The grid tuple was fed once, attributed to the first author's
-      // stripe (IngestPaper's partition rule; an add's synthetic tuple
-      // likewise), so that author's verdict decides whether the grid
-      // still misses it.
+      // stripe, so that author's verdict decides whether the grid still
+      // misses it.
       if (a == 0) runs[stripe].grid.push_back(record);
     }
     if (applied == 0) {
@@ -110,38 +114,34 @@ std::vector<StripeRuns> GateSegment(const std::vector<WalPayload>& payloads,
 
 /// The parallel phase: one job per non-empty registry run and grid run,
 /// all on the shared runtime, then waits for every one. A stripe's
-/// registry and its grid are separate structures under separate locks,
-/// and each run is that structure's subsequence of the log, so the
-/// jobs' interleaving cannot change any stripe's end state.
+/// registry and its grid are separate structures under separate locks.
+/// A registry run is its stripe's subsequence of the log and a grid run
+/// its stripe's set of tuples, so the jobs' interleaving cannot change
+/// any stripe's end state.
 void ApplyRuns(const std::vector<WalPayload>& payloads,
                const std::vector<StripeRuns>& runs, HImpactService* service) {
   std::vector<TaskHandle> handles;
   TaskRuntime& runtime = TaskRuntime::Shared();
+  // Each job decodes its records again; the gate found them valid.
+  const auto apply = [&payloads, service](std::size_t record,
+                                          std::uint32_t author_bits,
+                                          bool feed_grid) {
+    WalEvent event;
+    (void)DecodeWalEvent(payloads[record], *service, &event);
+    service->ApplyPaper(event.paper, author_bits, feed_grid);
+  };
   for (const StripeRuns& run : runs) {
     if (!run.registry.empty()) {
-      handles.push_back(runtime.Submit([&payloads, &run, service] {
-        std::vector<bool> mask(kMaxAuthorsPerPaper);
+      handles.push_back(runtime.Submit([&apply, &run] {
         for (const auto& [record, bits] : run.registry) {
-          WalEvent event;
-          (void)DecodeWalEvent(payloads[record], &event);  // gated: valid
-          for (std::size_t a = 0; a < mask.size(); ++a) {
-            mask[a] = ((bits >> a) & 1u) != 0;
-          }
-          service->ReplayPaper(event.paper, mask, /*feed_hh=*/false);
+          apply(record, bits, /*feed_grid=*/false);
         }
       }));
     }
     if (!run.grid.empty()) {
-      handles.push_back(runtime.Submit([&payloads, &run, service] {
+      handles.push_back(runtime.Submit([&apply, &run] {
         for (const std::size_t record : run.grid) {
-          WalEvent event;
-          (void)DecodeWalEvent(payloads[record], &event);
-          if (event.type == kWalEventAdd) {
-            service->ReplayResponseCountGrid(event.paper.authors[0],
-                                             event.paper.citations);
-          } else {
-            service->ReplayPaper(event.paper, {}, /*feed_hh=*/true);
-          }
+          apply(record, 0, /*feed_grid=*/true);
         }
       }));
     }
@@ -220,7 +220,7 @@ Status ReplayWal(const std::string& dir, HImpactService* service,
   return ScanWal(dir, read_stats,
                  [&](const std::vector<WalPayload>& payloads) {
                    ApplyRuns(payloads,
-                             GateSegment(payloads, registry, &counts, out),
+                             GateSegment(payloads, *service, &counts, out),
                              service);
                  });
 }

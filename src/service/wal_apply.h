@@ -39,12 +39,13 @@
 /// running per-stripe counts, which start from one snapshot of
 /// `StripeEvents` taken before any job runs. Then each stripe's two
 /// halves apply in parallel as `kGeneric` jobs on
-/// `TaskRuntime::Shared()`: its registry half (the gated authors on the
-/// stripe, in log order, through `HImpactService::ReplayPaper`) and its
-/// grid half (the Alg. 8 tuples attributed to the stripe, through
-/// `ReplayPaper` and `ReplayResponseCountGrid`). A stripe's state
-/// depends only on its own subsequence of the log, so the result is
-/// byte-identical to applying the log serially.
+/// `TaskRuntime::Shared()`, both through `HImpactService::ApplyPaper`:
+/// its registry half (the gated authors on the stripe, in log order) and
+/// its grid half (the Alg. 8 tuples attributed to the stripe; an add's
+/// is the one-author tuple `ResponseCountPaper` derives from its logged
+/// `stripe_seq`). A stripe's registry depends only on its own
+/// subsequence of the log and its grid only on the set of its tuples,
+/// so the result is byte-identical to applying the log serially.
 ///
 /// Malformed payloads (version skew, bit flips that survived the
 /// envelope CRC by luck) are counted and skipped, never fatal. See

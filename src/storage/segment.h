@@ -103,7 +103,7 @@ class SegmentReader {
   /// failure (including an armed `segment-map-fail`).
   static StatusOr<SegmentReader> Open(const std::string& path);
 
-  /// Validates an in-memory segment image (tests, small deltas).
+  /// Validates an in-memory segment image (used by tests).
   static StatusOr<SegmentReader> FromBytes(std::vector<std::uint8_t> bytes);
 
   std::uint64_t stripe() const { return stripe_; }

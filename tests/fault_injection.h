@@ -15,7 +15,7 @@
 /// and partially written files, then assert every decoder rejects the
 /// result with a clean `Status` instead of crashing or misbehaving. Also
 /// crafts checkpoints in the formats of earlier builds, which a restore
-/// must refuse.
+/// must either refuse or still read.
 
 namespace himpact {
 namespace test {
@@ -95,6 +95,58 @@ inline bool RewriteGridMagicVersion(const std::string& stripe_path,
 /// (bottom-s samples).
 inline bool ReencodeWithReservoirGridMagic(const std::string& stripe_path) {
   return RewriteGridMagicVersion(stripe_path, '1');
+}
+
+/// Re-encodes `payload`, which starts with a registry stripe in the
+/// current `HIMPSRG3` layout (`TieredUserRegistry::SerializeStripe`), in
+/// an earlier build's layout: `version` '2' (`HIMPSRG2`) or '1'
+/// (`HIMPSRG1`, which also lacks the segment-generation bound). Both
+/// carry the serialized archive sketch `archive` after the eight-word
+/// header and counters. Bytes after the registry stripe are kept, so a
+/// whole service stripe payload works too. Returns an empty vector when
+/// `payload` is not in the current layout.
+inline std::vector<std::uint8_t> ReencodeStripeLayout(
+    const std::vector<std::uint8_t>& payload, char version,
+    const std::vector<std::uint8_t>& archive) {
+  constexpr std::size_t kBoundAt = 24;     // after magic, index, stripes
+  constexpr std::size_t kCountersEnd = 64;
+  if (payload.size() < kCountersEnd || payload[0] != '3') return {};
+  std::vector<std::uint8_t> legacy(payload.begin(),
+                                   payload.begin() + kCountersEnd);
+  legacy[0] = static_cast<std::uint8_t>(version);
+  legacy.insert(legacy.end(), archive.begin(), archive.end());
+  legacy.insert(legacy.end(), payload.begin() + kCountersEnd, payload.end());
+  if (version == '1') {
+    legacy.erase(legacy.begin() + kBoundAt, legacy.begin() + kBoundAt + 8);
+  }
+  return legacy;
+}
+
+/// Rewrites the service stripe file at `stripe_path` as an earlier build
+/// wrote it (see `ReencodeStripeLayout`): its registry stripe carries
+/// `archive`, and a heavy-hitters grid, when the file holds one, is
+/// followed by `paper_counter`, the counter those builds minted add ids
+/// from. Returns false when the file does not open or is not in the
+/// current layout.
+inline bool ReencodeStripeFileAsLegacy(const std::string& stripe_path,
+                                       char version,
+                                       const std::vector<std::uint8_t>& archive,
+                                       std::uint64_t paper_counter) {
+  StatusOr<std::vector<std::uint8_t>> payload =
+      ReadCheckpointFile(stripe_path, CheckpointTag::kServiceStripe);
+  if (!payload.ok()) return false;
+  std::vector<std::uint8_t> legacy =
+      ReencodeStripeLayout(payload.value(), version, archive);
+  if (legacy.empty()) return false;
+  const std::uint8_t grid_magic[8] = {'2', 'S', 'H', 'H', 'P', 'M', 'I', 'H'};
+  if (std::search(legacy.begin(), legacy.end(), grid_magic,
+                  grid_magic + sizeof(grid_magic)) != legacy.end()) {
+    for (int byte = 0; byte < 8; ++byte) {
+      legacy.push_back(static_cast<std::uint8_t>(paper_counter >> (8 * byte)));
+    }
+  }
+  return WriteCheckpointFile(stripe_path, CheckpointTag::kServiceStripe, legacy)
+      .ok();
 }
 
 }  // namespace test

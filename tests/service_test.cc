@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "core/exponential_histogram.h"
 #include "fault_injection.h"
 #include "io/checkpoint.h"
 #include "random/rng.h"
@@ -35,6 +39,11 @@ std::string TempPath(const char* name) {
   path += ".";
   path += std::to_string(static_cast<long long>(::getpid()));
   return path;
+}
+
+std::vector<std::uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in), {});
 }
 
 void RemoveServiceCheckpoint(const std::string& path, std::size_t stripes) {
@@ -621,6 +630,188 @@ TEST(ServiceCheckpoint, ReservoirFormatGridIsRefusedAndKeepsState) {
   EXPECT_EQ(AnswerTranscript(target), before);
   ExpectSameHeavyReport(heavy_before, target.HeavyReport(), "after refusal");
   RemoveServiceCheckpoint(path, options.num_stripes);
+}
+
+TEST(ServiceTest, AddIsTheOneAuthorPaperOfItsStripeSequence) {
+  // An add reaches the grid through the paper path: a twin that ingests
+  // each add as the one-author paper `ResponseCountPaper` derives from
+  // the add's stripe sequence ends in the same stripe payloads.
+  ServiceOptions options = SmallOptions();
+  options.enable_heavy_hitters = true;
+  options.num_stripes = 3;
+  options.promote_threshold = 8;
+  options.memory_budget_bytes = 128 * 1024;  // demotions too
+  auto service = HImpactService::Create(options).value();
+  auto twin = HImpactService::Create(options).value();
+  const TieredUserRegistry& registry = twin.registry();
+  Rng rng(57);
+  ZipfSampler users(400, 1.1);
+  DiscreteParetoSampler citations(1, 1.6, 1u << 10);
+  for (int i = 0; i < 6000; ++i) {
+    const AuthorId user = users.Sample(rng);
+    const std::uint64_t value = citations.Sample(rng);
+    if (i % 5 == 0) {
+      PaperTuple paper;
+      paper.paper = (std::uint64_t{1} << 40) + static_cast<std::uint64_t>(i);
+      paper.citations = value;
+      paper.authors = {user, user + 1000};
+      service.IngestPaper(paper);
+      twin.IngestPaper(paper);
+      continue;
+    }
+    service.RecordResponseCount(user, value);
+    const std::size_t stripe = registry.StripeOf(user);
+    const std::uint64_t seq = registry.StripeEvents(stripe) + 1;
+    twin.IngestPaper(twin.ResponseCountPaper(user, value, seq));
+  }
+  EXPECT_EQ(service.Stats().hh_papers, 6000u);
+  EXPECT_GT(service.Stats().registry.demotions, 0u);
+
+  const std::string path = TempPath("add_paper");
+  const std::string twin_path = TempPath("add_paper_twin");
+  ASSERT_TRUE(service.CheckpointTo(path).ok());
+  ASSERT_TRUE(twin.CheckpointTo(twin_path).ok());
+  EXPECT_EQ(ReadBytes(path), ReadBytes(twin_path));
+  for (std::size_t i = 0; i < options.num_stripes; ++i) {
+    EXPECT_EQ(ReadBytes(HImpactService::StripePath(path, i)),
+              ReadBytes(HImpactService::StripePath(twin_path, i)))
+        << "stripe " << i;
+  }
+  RemoveServiceCheckpoint(path, options.num_stripes);
+  RemoveServiceCheckpoint(twin_path, options.num_stripes);
+}
+
+// The paper ids in every Alg. 7 sample of the grid in the stripe file at
+// `stripe_path`, one list per sample. Walks `HeavyHitters::SerializeTo`:
+// eleven words of options and counters, then each cell's paper count,
+// level counts and samples of (paper, author count, authors) entries.
+std::vector<std::vector<PaperId>> GridSamplePaperIds(
+    const std::string& stripe_path) {
+  const std::vector<std::uint8_t> payload =
+      ReadCheckpointFile(stripe_path, CheckpointTag::kServiceStripe).value();
+  const std::uint8_t grid_magic[8] = {'2', 'S', 'H', 'H', 'P', 'M', 'I', 'H'};
+  const auto at = std::search(payload.begin(), payload.end(), grid_magic,
+                              grid_magic + sizeof(grid_magic));
+  std::vector<std::vector<PaperId>> samples;
+  if (at == payload.end()) {
+    ADD_FAILURE() << stripe_path << " holds no grid";
+    return samples;
+  }
+  ByteReader reader(std::span<const std::uint8_t>(
+      payload.data() + (at - payload.begin()),
+      static_cast<std::size_t>(payload.end() - at)));
+  std::uint64_t word = 0;
+  for (int w = 0; w < 10; ++w) EXPECT_TRUE(reader.U64(&word));
+  std::uint64_t cells = 0;
+  EXPECT_TRUE(reader.U64(&cells));
+  for (std::uint64_t c = 0; c < cells; ++c) {
+    std::uint64_t levels = 0;
+    EXPECT_TRUE(reader.U64(&word));  // papers
+    EXPECT_TRUE(reader.U64(&levels));
+    for (std::uint64_t l = 0; l < levels; ++l) EXPECT_TRUE(reader.U64(&word));
+    std::uint64_t num_samples = 0;
+    EXPECT_TRUE(reader.U64(&num_samples));
+    for (std::uint64_t s = 0; s < num_samples; ++s) {
+      std::uint64_t size = 0;
+      EXPECT_TRUE(reader.U64(&size));
+      std::vector<PaperId>& ids = samples.emplace_back();
+      for (std::uint64_t e = 0; e < size; ++e) {
+        std::uint64_t authors = 0;
+        EXPECT_TRUE(reader.U64(&ids.emplace_back()));
+        EXPECT_TRUE(reader.U64(&authors));
+        for (std::uint64_t a = 0; a < authors; ++a) {
+          EXPECT_TRUE(reader.U64(&word));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  return samples;
+}
+
+TEST(ServiceCheckpoint, EarlierStripeLayoutsStillRestore) {
+  // HIMPSRG2 stripe files carry an archive sketch after the stripe
+  // counters and, after the grid, the counter earlier builds minted add
+  // ids from (`counter * num_stripes + stripe`); HIMPSRG1 files also
+  // lack the segment-generation bound. Both restore to the same answers,
+  // and adds after the restore take ids no restored sample holds.
+  ServiceOptions options = SmallOptions();
+  options.enable_heavy_hitters = true;
+  options.num_stripes = 3;
+  options.promote_threshold = 8;
+  options.memory_budget_bytes = 128 * 1024;  // frozen demotions
+  auto original = HImpactService::Create(options).value();
+  const TieredUserRegistry& registry = original.registry();
+  // An earlier build's add: the one-author paper under its stripe's next
+  // counter value.
+  std::vector<std::uint64_t> counter(options.num_stripes);
+  Rng rng(61);
+  ZipfSampler users(2000, 1.2);
+  DiscreteParetoSampler citations(1, 1.6, 1u << 12);
+  for (int i = 0; i < 8000; ++i) {
+    const AuthorId user = users.Sample(rng);
+    const std::size_t stripe = registry.StripeOf(user);
+    PaperTuple paper;
+    paper.paper = counter[stripe]++ * options.num_stripes + stripe;
+    paper.citations = citations.Sample(rng);
+    paper.authors.PushBack(user);
+    original.IngestPaper(paper);
+  }
+  ASSERT_GT(original.Stats().registry.frozen_users, 0u);
+  const std::string current = TempPath("layout_current");
+  ASSERT_TRUE(original.CheckpointTo(current).ok());
+
+  auto archive =
+      ExponentialHistogramEstimator::Create(options.eps, options.max_h).value();
+  for (std::uint64_t v = 1; v <= 300; ++v) archive.Add(v % 97);
+  ByteWriter archive_writer;
+  archive.SerializeTo(archive_writer);
+  const std::vector<std::uint8_t> archive_bytes = archive_writer.Take();
+
+  for (const char version : {'2', '1'}) {
+    SCOPED_TRACE(std::string("HIMPSRG") + version);
+    const std::string path = TempPath("layout_legacy");
+    ASSERT_TRUE(original.CheckpointTo(path).ok());
+    for (std::size_t i = 0; i < options.num_stripes; ++i) {
+      ASSERT_TRUE(test::ReencodeStripeFileAsLegacy(
+          HImpactService::StripePath(path, i), version, archive_bytes,
+          counter[i]));
+    }
+    auto restored = HImpactService::Create(options).value();
+    ASSERT_TRUE(restored.RestoreFrom(path).ok());
+    EXPECT_EQ(AnswerTranscript(restored), AnswerTranscript(original));
+    ExpectSameHeavyReport(original.HeavyReport(), restored.HeavyReport(),
+                          "restored");
+    // A save writes the current layout, byte for byte the original's.
+    const std::string resaved = TempPath("layout_resaved");
+    ASSERT_TRUE(restored.CheckpointTo(resaved).ok());
+    for (std::size_t i = 0; i < options.num_stripes; ++i) {
+      EXPECT_EQ(ReadBytes(HImpactService::StripePath(resaved, i)),
+                ReadBytes(HImpactService::StripePath(current, i)))
+          << "stripe " << i;
+    }
+
+    Feed(restored, 7, 8000);
+    ASSERT_TRUE(restored.CheckpointTo(resaved).ok());
+    std::size_t mixed = 0;
+    for (std::size_t i = 0; i < options.num_stripes; ++i) {
+      for (std::vector<PaperId> ids :
+           GridSamplePaperIds(HImpactService::StripePath(resaved, i))) {
+        std::sort(ids.begin(), ids.end());
+        EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+            << "stripe " << i << " samples a paper id twice";
+        // Restored ids lie below the counter, post-restore ids above it.
+        const std::uint64_t bound = counter[i] * options.num_stripes;
+        if (!ids.empty() && ids.front() < bound && ids.back() >= bound) {
+          ++mixed;
+        }
+      }
+    }
+    EXPECT_GT(mixed, 0u) << "no sample mixes restored and new ids";
+    RemoveServiceCheckpoint(path, options.num_stripes);
+    RemoveServiceCheckpoint(resaved, options.num_stripes);
+  }
+  RemoveServiceCheckpoint(current, options.num_stripes);
 }
 
 TEST(ServiceCheckpoint, MalformedGridIsRejectedButNotRefused) {

@@ -29,6 +29,8 @@
 #include "service/service.h"
 #include "common/bytes.h"
 #include "common/envelope.h"
+#include "core/exponential_histogram.h"
+#include "fault_injection.h"
 #include "io/checkpoint.h"
 
 namespace himpact {
@@ -481,14 +483,18 @@ TEST_F(ColdTierTest, V1StripePayloadStillRestoresByteIdentically) {
   for (int i = 0; i < 50; ++i) registry.Add(2, 100);
   ByteWriter writer;
   registry.SerializeStripe(0, writer);
-  const std::vector<std::uint8_t> v2 = writer.Take();
+  const std::vector<std::uint8_t> saved = writer.Take();
 
-  // HIMPSRG1 is HIMPSRG2 without the generation bound after the
-  // three-word header.
-  std::vector<std::uint8_t> v1 = v2;
-  ASSERT_EQ(v1[0], '2');
-  v1[0] = '1';
-  v1.erase(v1.begin() + 24, v1.begin() + 32);
+  // HIMPSRG1 has no generation bound after the three-word header, and
+  // an archive sketch after the counters, which a restore drops.
+  auto archive = ExponentialHistogramEstimator::Create(0.1, 1u << 10).value();
+  for (std::uint64_t v = 1; v <= 40; ++v) archive.Add(v);
+  ByteWriter archive_bytes;
+  archive.SerializeTo(archive_bytes);
+  const std::vector<std::uint8_t> v1 =
+      test::ReencodeStripeLayout(saved, '1', archive_bytes.Take());
+  ASSERT_FALSE(v1.empty());
+  ASSERT_EQ(v1[0], '1');
 
   auto restored = TieredUserRegistry::Create(options).value();
   ByteReader reader(v1);
@@ -500,7 +506,7 @@ TEST_F(ColdTierTest, V1StripePayloadStillRestoresByteIdentically) {
   EXPECT_EQ(snapshot.estimate, 3.0);
   ByteWriter reencoded;
   restored.SerializeStripe(0, reencoded);
-  EXPECT_EQ(reencoded.Take(), v2);
+  EXPECT_EQ(reencoded.Take(), saved);
   RemoveTree(dir);
 }
 

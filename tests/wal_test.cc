@@ -715,8 +715,10 @@ TEST_F(WalTest, HeavyHitterPathSurvivesRecoveryIdentically) {
 // --- parallel replay against the serial reference ----------------------------
 
 // The serial replay loop `ReplayWal` ran before it split into a serial
-// gate and parallel per-stripe jobs, kept verbatim (decoder included) as
-// the oracle for the parallel one.
+// gate and parallel per-stripe jobs, kept (decoder included) as the
+// oracle for the parallel one. It applies an add through
+// `RecordResponseCount` and a paper through `ApplyPaper`, with the gate's
+// verdicts as author bits.
 struct ReferenceWalEvent {
   std::uint8_t type = 0;
   // add
@@ -786,15 +788,14 @@ Status ReferenceReplayWal(const std::string& dir, HImpactService* service,
     // this record itself will make so same-stripe co-authors gate
     // against the right running count.
     std::unordered_map<std::size_t, std::uint64_t> simulated;
-    std::vector<bool> mask(static_cast<std::size_t>(event.paper.authors.size()),
-                           false);
-    std::size_t applied = 0;
+    std::uint32_t bits = 0;
+    int applied = 0;
     for (int a = 0; a < event.paper.authors.size(); ++a) {
       const std::size_t stripe = registry.StripeOf(event.paper.authors[a]);
       auto [it, inserted] = simulated.try_emplace(stripe, 0);
       if (inserted) it->second = registry.StripeEvents(stripe);
       if (event.stripe_seqs[static_cast<std::size_t>(a)] > it->second) {
-        mask[static_cast<std::size_t>(a)] = true;
+        bits |= 1u << a;
         ++it->second;
         ++applied;
       }
@@ -806,8 +807,8 @@ Status ReferenceReplayWal(const std::string& dir, HImpactService* service,
     // The grid tuple was fed once, attributed to the first author's
     // stripe (IngestPaper's partition rule), so its gate verdict
     // decides whether the grid still misses the paper.
-    service->ReplayPaper(event.paper, mask, mask[0]);
-    if (applied == mask.size()) {
+    service->ApplyPaper(event.paper, bits, (bits & 1u) != 0);
+    if (applied == event.paper.authors.size()) {
       ++out->applied_papers;
     } else {
       ++out->partial_papers;
@@ -880,12 +881,15 @@ void WriteRandomLog(const std::string& root, std::size_t stripes,
       // Partially covered: apply a random strict, non-empty subset of
       // the authors; each covered author logs its stripe's current
       // count, each applied one its post-apply count.
-      std::vector<bool> mask(static_cast<std::size_t>(nauthors));
+      std::uint32_t bits = 0;
       while (true) {
+        bits = 0;
         int applied = 0;
         for (int a = 0; a < nauthors; ++a) {
-          mask[static_cast<std::size_t>(a)] = rng.Bernoulli(0.5);
-          applied += mask[static_cast<std::size_t>(a)] ? 1 : 0;
+          if (rng.Bernoulli(0.5)) {
+            bits |= 1u << a;
+            ++applied;
+          }
         }
         if (applied > 0 && applied < nauthors) break;
       }
@@ -895,10 +899,10 @@ void WriteRandomLog(const std::string& root, std::size_t stripes,
         const std::size_t stripe = registry.StripeOf(paper.authors[a]);
         auto [it, inserted] = counts.try_emplace(stripe, 0);
         if (inserted) it->second = registry.StripeEvents(stripe);
-        if (mask[static_cast<std::size_t>(a)]) ++it->second;
+        if (((bits >> a) & 1u) != 0) ++it->second;
         seqs.push_back(it->second);
       }
-      live.ReplayPaper(paper, mask, mask[0]);
+      live.ApplyPaper(paper, bits, (bits & 1u) != 0);
       ASSERT_TRUE(wal->Append(EncodeWalPaper(paper, seqs)).ok());
     }
     if (segment + 1 == kSegments) {
@@ -972,6 +976,78 @@ TEST_F(WalTest, ParallelReplayEqualsSerialReferenceOnRandomLogs) {
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t f = 0; f < got.size(); ++f) {
         EXPECT_FALSE(want[f].second.empty());
+        EXPECT_TRUE(got[f].second == want[f].second)
+            << "checkpoint file '" << want[f].first << "' differs";
+      }
+      RemoveTree(root);
+    }
+  }
+}
+
+// A stripe's grid half depends only on the set of its tuples: replaying
+// every record's registry half in log order but feeding the grid tuples
+// last, in reverse log order, saves the same files as `ReplayWal`. An
+// add's tuple comes from its logged sequence, as `ReplayWal` derives it.
+TEST_F(WalTest, GridHalvesFedInReverseLogOrderSaveTheSameBytes) {
+  for (const std::size_t stripes : {1u, 3u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE("stripes " + std::to_string(stripes) + " seed " +
+                   std::to_string(seed));
+      const std::string root = TempPath("reversed");
+      RemoveTree(root);
+      std::filesystem::create_directories(root);
+      WriteRandomLog(root, stripes, seed * 104729 + stripes);
+      if (HasFatalFailure()) return;
+      std::filesystem::copy(root + "/wal", root + "/wal-rev");
+
+      const ServiceOptions options = RandomLogOptions(stripes);
+      auto log_order = HImpactService::Create(options).value();
+      auto reversed = HImpactService::Create(options).value();
+      ASSERT_TRUE(log_order.RestoreFrom(root + "/ckpt").ok());
+      ASSERT_TRUE(reversed.RestoreFrom(root + "/ckpt").ok());
+      ASSERT_TRUE(ReplayWal(root + "/wal", &log_order, nullptr, nullptr).ok());
+
+      const TieredUserRegistry& registry = reversed.registry();
+      std::vector<std::uint64_t> counts(stripes);
+      for (std::size_t s = 0; s < stripes; ++s) {
+        counts[s] = registry.StripeEvents(s);
+      }
+      std::vector<PaperTuple> grid;
+      std::size_t grid_adds = 0;
+      const auto records = ReadWalRecords(root + "/wal-rev", nullptr).value();
+      for (const std::vector<std::uint8_t>& payload : records) {
+        ReferenceWalEvent event;
+        if (!ReferenceDecodeWalEvent(payload, &event)) continue;
+        PaperTuple paper = event.paper;
+        std::vector<std::uint64_t> seqs = event.stripe_seqs;
+        if (event.type == kWalEventAdd) {
+          paper = reversed.ResponseCountPaper(event.user, event.value,
+                                              event.stripe_seq);
+          seqs = {event.stripe_seq};
+        }
+        std::uint32_t bits = 0;
+        for (int a = 0; a < paper.authors.size(); ++a) {
+          std::uint64_t& count = counts[registry.StripeOf(paper.authors[a])];
+          if (seqs[static_cast<std::size_t>(a)] <= count) continue;
+          ++count;
+          bits |= 1u << a;
+        }
+        reversed.ApplyPaper(paper, bits, /*feed_grid=*/false);
+        if ((bits & 1u) != 0) {
+          grid.push_back(paper);
+          grid_adds += event.type == kWalEventAdd ? 1 : 0;
+        }
+      }
+      EXPECT_GT(grid_adds, 0u);
+      EXPECT_GT(grid.size(), grid_adds);
+      for (auto it = grid.rbegin(); it != grid.rend(); ++it) {
+        reversed.ApplyPaper(*it, 0, /*feed_grid=*/true);
+      }
+
+      const auto got = SavedFiles(reversed, root + "/out-reversed");
+      const auto want = SavedFiles(log_order, root + "/out-log-order");
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t f = 0; f < got.size(); ++f) {
         EXPECT_TRUE(got[f].second == want[f].second)
             << "checkpoint file '" << want[f].first << "' differs";
       }
