@@ -22,8 +22,8 @@
 // semantically identical. examples/hstream_client.cpp is the binary
 // reference client.
 //
-// State is the tiered per-user registry plus the striped heavy-hitters
-// grid (src/service/): cold users are exact, active users are promoted
+// State is the tiered per-user registry plus one heavy-hitters grid
+// (src/service/): cold users are exact, active users are promoted
 // to Algorithm 1 sketches, and the least-recently-updated users are
 // frozen when the memory budget is hit. `save <path>` checkpoints the
 // whole service (PR 1 envelopes, engine-style manifest); `--restore

@@ -71,6 +71,8 @@ enum class CheckpointTag : std::uint32_t {
   kDeltaManifest = 30,
   kDeltaHead = 31,
   kWalRecord = 32,
+  /// A service's one Algorithm 8 grid (`path.grid`).
+  kServiceGrid = 33,
 };
 
 /// CRC32 (IEEE 802.3 polynomial, the zlib/PNG variant) of `data`.

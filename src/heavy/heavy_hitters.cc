@@ -84,14 +84,19 @@ void HeavyHitters::AddPaperBatch(std::span<const PaperTuple> papers) {
   for (const PaperTuple& paper : papers) AddPaper(paper);
 }
 
+bool HeavyHitters::BuiltWith(const Options& options,
+                             std::uint64_t seed) const {
+  return options_.eps == options.eps && options_.delta == options.delta &&
+         options_.max_papers == options.max_papers &&
+         options_.num_buckets_override == options.num_buckets_override &&
+         options_.num_rows_override == options.num_rows_override &&
+         options_.detector_eps == options.detector_eps &&
+         options_.detector_delta == options.detector_delta && seed_ == seed;
+}
+
 void HeavyHitters::Merge(const HeavyHitters& other) {
-  HIMPACT_CHECK_MSG(
-      options_.eps == other.options_.eps &&
-          options_.delta == other.options_.delta &&
-          options_.max_papers == other.options_.max_papers &&
-          num_rows_ == other.num_rows_ &&
-          num_buckets_ == other.num_buckets_ && seed_ == other.seed_,
-      "merging HeavyHitters with different parameters or seeds");
+  HIMPACT_CHECK_MSG(BuiltWith(other.options_, other.seed_),
+                    "merging HeavyHitters with different parameters or seeds");
   num_papers_ += other.num_papers_;
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     cells_[c].Merge(other.cells_[c]);

@@ -81,6 +81,10 @@ class HeavyHitters {
   /// `ReportHeavy()` keep the Theorem 18 guarantee on the merged stream.
   void Merge(const HeavyHitters& other);
 
+  /// Whether this sketch is what `Create(options, seed)` built, so that
+  /// it merges with every such sketch.
+  bool BuiltWith(const Options& options, std::uint64_t seed) const;
+
   /// Detected heavy-hitter *candidates*: every author some bucket's
   /// 1-HH detector fired on, deduplicated and sorted by descending
   /// H-index estimate, capped at `ceil(1/eps)` entries (there can be at

@@ -14,13 +14,14 @@
 namespace himpact {
 namespace {
 
-// HIMPSRG2 added the segment-generation bound after the header, and
-// HIMPSRG3 dropped the archive sketch that followed the counters. Both
-// earlier layouts still decode: the archive is parsed and dropped, and a
-// HIMPSRG1 payload (no bound) adopts every generation.
-constexpr std::uint64_t kStripeMagicV1 = 0x48494d5053524731ULL;  // HIMPSRG1
-constexpr std::uint64_t kStripeMagicV2 = 0x48494d5053524732ULL;  // HIMPSRG2
-constexpr std::uint64_t kStripeMagic = 0x48494d5053524733ULL;    // HIMPSRG3
+// The magic is "HIMPSRG" and a layout digit, its low byte. HIMPSRG2
+// added the segment-generation bound after the header, and HIMPSRG3
+// dropped the archive sketch that followed the counters. Both earlier
+// layouts still decode: the archive is parsed and dropped, and a
+// HIMPSRG1 payload (no bound) adopts every generation. HIMPSRG4 has
+// HIMPSRG3's fields; it marks service stripe payloads that no longer
+// end in a heavy-hitters grid (service/service.cc).
+constexpr std::uint64_t kStripeMagic = 0x48494d5053524734ULL;  // HIMPSRG4
 
 /// Fixed per-user overhead charged against the memory budget: the state
 /// record itself plus an allowance for the hash-map node and bucket.
@@ -662,20 +663,20 @@ void TieredUserRegistry::SerializeStripe(std::size_t i,
 
 Status TieredUserRegistry::DeserializeStripe(std::size_t i,
                                              ByteReader& reader,
-                                             bool* legacy) {
+                                             int* layout) {
   HIMPACT_CHECK(i < stripes_.size());
 
   std::uint64_t magic = 0;
   std::uint64_t index = 0;
   std::uint64_t num_stripes = 0;
   std::uint64_t generation_bound = kAllSegmentGenerations;
-  if (!reader.U64(&magic) || (magic != kStripeMagic &&
-                              magic != kStripeMagicV2 &&
-                              magic != kStripeMagicV1)) {
+  if (!reader.U64(&magic) || (magic >> 8) != (kStripeMagic >> 8) ||
+      (magic & 0xff) < '1' || (magic & 0xff) > '4') {
     return Status::InvalidArgument("not a registry stripe checkpoint");
   }
+  const int version = static_cast<int>(magic & 0xff) - '0';
   if (!reader.U64(&index) || !reader.U64(&num_stripes) ||
-      (magic != kStripeMagicV1 && !reader.U64(&generation_bound))) {
+      (version > 1 && !reader.U64(&generation_bound))) {
     return Status::InvalidArgument("truncated stripe header");
   }
   if (index != i || num_stripes != stripes_.size()) {
@@ -692,7 +693,7 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
       !reader.U64(&demotions) || !reader.U64(&touch_clock)) {
     return Status::InvalidArgument("truncated stripe counters");
   }
-  if (magic != kStripeMagic) {
+  if (version < 3) {
     StatusOr<ExponentialHistogramEstimator> archive =
         ExponentialHistogramEstimator::DeserializeFrom(reader);
     if (!archive.ok()) return archive.status();
@@ -795,7 +796,7 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   // Residency was rebuilt from scratch; any unmeetable-budget floor the
   // previous population established no longer describes this one.
   stripe.unmeetable_floor_bytes = 0;
-  if (legacy != nullptr) *legacy = magic != kStripeMagic;
+  if (layout != nullptr) *layout = version;
   return Status::OK();
 }
 

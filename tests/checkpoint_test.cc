@@ -26,6 +26,7 @@
 #include "heavy/one_heavy_hitter.h"
 #include "io/checkpoint.h"
 #include "random/rng.h"
+#include "service/service.h"
 #include "sketch/bjkst.h"
 #include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
@@ -95,6 +96,44 @@ OneHeavyHitter::Options SmallOneHhOptions() {
   options.delta = 0.2;
   options.max_papers = 256;
   return options;
+}
+
+std::string TempPath(const char* name) {
+  const char* dir = std::getenv("TMPDIR");
+  std::string path = dir != nullptr && *dir != '\0' ? dir : "/tmp";
+  if (path.back() != '/') path += '/';
+  path += "himpact_checkpoint_test_";
+  path += name;
+  path += ".";
+  path += std::to_string(static_cast<long long>(::testing::UnitTest::
+                                                    GetInstance()
+                                                        ->random_seed()));
+  return path;
+}
+
+// A small service whose grid file goes through the whole restore.
+ServiceOptions SmallGridServiceOptions() {
+  ServiceOptions options;
+  options.num_stripes = 2;
+  options.hh_eps = 0.9;  // 3 buckets
+  options.hh_delta = 0.3;  // 2 rows
+  options.hh_max_papers = 16;  // 7 levels
+  return options;
+}
+
+// A checkpoint of a small service at `path` whose manifest and stripe
+// files are sound, and the sealed bytes of its grid file.
+std::vector<std::uint8_t> SaveSmallGridService(const std::string& path) {
+  auto service = HImpactService::Create(SmallGridServiceOptions()).value();
+  for (std::uint64_t p = 0; p < 12; ++p) {
+    PaperTuple paper;
+    paper.paper = p;
+    paper.citations = 1 + p % 15;
+    paper.authors.PushBack(p % 4);
+    service.IngestPaper(paper);
+  }
+  EXPECT_TRUE(service.CheckpointTo(path).ok());
+  return ReadFileBytes(HImpactService::GridPath(path)).value();
 }
 
 // One stocked instance of every serializable type, kept deliberately
@@ -220,6 +259,21 @@ std::vector<CorruptionCase> AllCases() {
     }
     cases.push_back(
         MakeCase("heavy_hitters", CheckpointTag::kHeavyHitters, sketch));
+  }
+  {
+    // A service's `path.grid`, decoded by a whole restore.
+    const std::string path = TempPath("service_grid");
+    CorruptionCase c;
+    c.name = "service_grid";
+    c.sealed = SaveSmallGridService(path);
+    c.decode = [path](const std::vector<std::uint8_t>& bytes) -> Status {
+      if (!test::WriteFileRaw(HImpactService::GridPath(path), bytes)) {
+        return Status::Internal("cannot write the grid file");
+      }
+      auto service = HImpactService::Create(SmallGridServiceOptions()).value();
+      return service.RestoreFrom(path);
+    };
+    cases.push_back(std::move(c));
   }
   {
     IncrementalExactHIndex exact;
@@ -513,6 +567,57 @@ TEST(FaultInjectionTest, TrailingGarbageRejected) {
   }
 }
 
+TEST(FaultInjectionTest, DamagedServiceGridFailsTheWholeRestore) {
+  // A missing, torn or bit-flipped `path.grid` fails the restore, and
+  // the service keeps its own state: the registry as well as the grid.
+  const std::string path = TempPath("damaged_grid");
+  const std::vector<std::uint8_t> sealed = SaveSmallGridService(path);
+  auto target = HImpactService::Create(SmallGridServiceOptions()).value();
+  for (std::uint64_t p = 100; p < 160; ++p) {
+    PaperTuple paper;
+    paper.paper = p;
+    paper.citations = 1 + p % 9;
+    paper.authors = {p % 5, 7};
+    target.IngestPaper(paper);
+  }
+  const auto state = [&target] {
+    std::string text;
+    for (AuthorId user = 0; user < 10; ++user) {
+      text += std::to_string(target.PointHIndex(user)) + " ";
+    }
+    for (const HeavyHitterReport& report : target.HeavyReport()) {
+      text += std::to_string(report.author) + ":" +
+              std::to_string(report.h_estimate) + " ";
+    }
+    const ServiceStats stats = target.Stats();
+    return text + std::to_string(stats.registry.total_events) + " " +
+           std::to_string(stats.hh_papers);
+  };
+  const std::string before = state();
+
+  const std::string grid_path = HImpactService::GridPath(path);
+  ASSERT_EQ(std::remove(grid_path.c_str()), 0);
+  EXPECT_EQ(target.RestoreFrom(path).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(state(), before);
+  const std::vector<std::vector<std::uint8_t>> damaged = {
+      test::TruncateAt(sealed, sealed.size() / 2),
+      test::FlipBit(sealed, sealed.size() * 4),
+      test::AppendGarbage(sealed, 8)};
+  for (const std::vector<std::uint8_t>& bytes : damaged) {
+    ASSERT_TRUE(test::WriteFileRaw(grid_path, bytes));
+    EXPECT_FALSE(target.RestoreFrom(path).ok());
+    EXPECT_EQ(state(), before);
+  }
+  ASSERT_TRUE(test::WriteFileRaw(grid_path, sealed));
+  EXPECT_TRUE(target.RestoreFrom(path).ok());
+  EXPECT_NE(state(), before);
+  std::remove(path.c_str());
+  std::remove(grid_path.c_str());
+  for (std::size_t i = 0; i < SmallGridServiceOptions().num_stripes; ++i) {
+    std::remove(HImpactService::StripePath(path, i).c_str());
+  }
+}
+
 TEST(FaultInjectionTest, CraftedOneHeavyHitterSamplesRejected) {
   // Decodable-looking payloads whose top-level sample breaks a decoder
   // check: the last word of an empty detector's checkpoint is its top
@@ -566,19 +671,6 @@ TEST(FaultInjectionTest, CraftedOneHeavyHitterSamplesRejected) {
 }
 
 // --- file layer -------------------------------------------------------------
-
-std::string TempPath(const char* name) {
-  const char* dir = std::getenv("TMPDIR");
-  std::string path = dir != nullptr && *dir != '\0' ? dir : "/tmp";
-  if (path.back() != '/') path += '/';
-  path += "himpact_checkpoint_test_";
-  path += name;
-  path += ".";
-  path += std::to_string(static_cast<long long>(::testing::UnitTest::
-                                                    GetInstance()
-                                                        ->random_seed()));
-  return path;
-}
 
 TEST(CheckpointFileTest, WriteRestoreRoundTrip) {
   const std::string path = TempPath("roundtrip");

@@ -157,6 +157,7 @@ TEST(ServiceStress, MixedIngestQueryCheckpoint) {
   for (std::size_t i = 0; i < options.num_stripes; ++i) {
     std::remove(HImpactService::StripePath(path, i).c_str());
   }
+  std::remove(HImpactService::GridPath(path).c_str());
 }
 
 }  // namespace

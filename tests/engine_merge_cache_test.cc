@@ -1,7 +1,8 @@
-// Merge-on-query correctness (docs/PERFORMANCE.md):
+// Query cache correctness (docs/PERFORMANCE.md):
 //   - registry: the merged TopK() board across a stripe-serialization
 //               round trip and a write that changes the leader;
-//   - service:  HeavyReport() epoch cache across mutation and restore.
+//   - service:  the HeavyReport() epoch cache of the one grid across
+//               mutation and restore.
 
 #include <cstdint>
 #include <cstdio>
@@ -93,7 +94,7 @@ TEST_F(MergeCacheTest, ServiceHeavyReportCachedEqualsRecomputeAndRestores) {
     EXPECT_EQ(first[i].author, warm[i].author);
   }
 
-  // New responses bump the stripe epochs: recompute, not a stale hit.
+  // New responses bump the grid epoch: recompute, not a stale hit.
   const std::uint64_t misses_before = service.Stats().hh_report_cache_misses;
   for (int i = 0; i < 80; ++i) service.RecordResponseCount(888, 500);
   const auto after = service.HeavyReport();
@@ -113,7 +114,16 @@ TEST_F(MergeCacheTest, ServiceHeavyReportCachedEqualsRecomputeAndRestores) {
   for (std::size_t i = 0; i < source_report.size(); ++i) {
     EXPECT_EQ(source_report[i].author, resumed_report[i].author);
   }
+  const std::uint64_t misses = service.Stats().hh_report_cache_misses;
+  ASSERT_TRUE(service.RestoreFrom(path).ok());
+  (void)service.HeavyReport();
+  EXPECT_EQ(service.Stats().hh_report_cache_misses, misses + 1);
+
   std::remove(path.c_str());
+  std::remove(HImpactService::GridPath(path).c_str());
+  for (std::size_t i = 0; i < options.num_stripes; ++i) {
+    std::remove(HImpactService::StripePath(path, i).c_str());
+  }
 }
 
 }  // namespace

@@ -318,6 +318,7 @@ TEST_F(FaultRuntimeTest, SegmentMapFailDegradesColdGetsToFloorsNotCrashes) {
   for (std::size_t i = 0; i < options.num_stripes; ++i) {
     std::remove(HImpactService::StripePath(ck, i).c_str());
   }
+  std::remove(HImpactService::GridPath(ck).c_str());
   std::remove(ck.c_str());
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

@@ -277,6 +277,7 @@ TEST(KillResumeDrill, StateSurvivesRepeatedSigkillMonotonically) {
   std::remove(checkpoint.c_str());
   std::remove((checkpoint + ".stripe-0").c_str());
   std::remove((checkpoint + ".stripe-1").c_str());
+  std::remove((checkpoint + ".grid").c_str());
 }
 
 TEST(KillResumeDrill, PagedFullSavesSurviveRepeatedSigkillMonotonically) {
@@ -503,6 +504,7 @@ TEST(KillResumeDrill, TcpServerSurvivesSigkillMidLoadMonotonically) {
   std::remove(checkpoint.c_str());
   std::remove((checkpoint + ".stripe-0").c_str());
   std::remove((checkpoint + ".stripe-1").c_str());
+  std::remove((checkpoint + ".grid").c_str());
 }
 
 TEST(KillResumeDrill, TcpBinaryProtocolSurvivesSigkillMidLoadMonotonically) {
@@ -574,6 +576,7 @@ TEST(KillResumeDrill, TcpBinaryProtocolSurvivesSigkillMidLoadMonotonically) {
   std::remove(checkpoint.c_str());
   std::remove((checkpoint + ".stripe-0").c_str());
   std::remove((checkpoint + ".stripe-1").c_str());
+  std::remove((checkpoint + ".grid").c_str());
 }
 
 // Like QueryBattery, but returns the raw `H ...` reply lines — the

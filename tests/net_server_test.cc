@@ -355,6 +355,7 @@ TEST(NetServer, BinaryRepliesAreByteEquivalentToTextForEveryVerb) {
   std::remove(save_path.c_str());
   std::remove((save_path + ".stripe-0").c_str());
   std::remove((save_path + ".stripe-1").c_str());
+  std::remove((save_path + ".grid").c_str());
 }
 
 TEST(NetServer, FirstByteSelectsTheProtocolPerConnection) {

@@ -287,6 +287,7 @@ TEST(ServeBinary, SaveThenRestoreAnswersByteIdentically) {
   std::remove(save_input.c_str());
   std::remove(query_input.c_str());
   std::remove(checkpoint.c_str());
+  std::remove((checkpoint + ".grid").c_str());
   for (int i = 0; i < 4; ++i) {
     std::remove((checkpoint + ".stripe-" + std::to_string(i)).c_str());
   }
@@ -353,6 +354,7 @@ TEST(ServeBinary, RestoreOfADeltaChainExitsWithoutTouchingIt) {
   std::remove(save_input.c_str());
   std::remove(run_input.c_str());
   std::remove(checkpoint.c_str());
+  std::remove((checkpoint + ".grid").c_str());
   for (int i = 0; i < 4; ++i) {
     std::remove((checkpoint + ".stripe-" + std::to_string(i)).c_str());
   }
@@ -367,11 +369,12 @@ TEST(ServeBinary, RestoreOfAReservoirFormatGridExitsWithoutTouchingIt) {
                 IngestScript(0, 500) + "save " + checkpoint + "\nquit\n");
   ASSERT_EQ(RunServe(flags, save_input).exit_code, 0);
   WriteTextFile(run_input, "add 7 1\nquit\n");
-  ASSERT_TRUE(test::ReencodeWithReservoirGridMagic(checkpoint + ".stripe-2"));
+  ASSERT_TRUE(test::ReencodeWithReservoirGridMagic(
+      checkpoint + ".grid", CheckpointTag::kServiceGrid));
 
   // Same refusal as a delta chain: exit 1, nothing served, every file of
   // the checkpoint left as it was.
-  std::vector<std::string> files = {checkpoint};
+  std::vector<std::string> files = {checkpoint, checkpoint + ".grid"};
   for (int i = 0; i < 4; ++i) {
     files.push_back(checkpoint + ".stripe-" + std::to_string(i));
   }
@@ -404,7 +407,8 @@ TEST(ServeBinary, RestoreOfAMalformedGridStartsFresh) {
                 IngestScript(0, 500) + "save " + checkpoint + "\nquit\n");
   ASSERT_EQ(RunServe(flags, save_input).exit_code, 0);
   WriteTextFile(run_input, "add 7 1\nquit\n");
-  ASSERT_TRUE(test::RewriteGridMagicVersion(checkpoint + ".stripe-2", '7'));
+  ASSERT_TRUE(test::RewriteGridMagicVersion(
+      checkpoint + ".grid", CheckpointTag::kServiceGrid, '7'));
 
   // A grid that does not decode is corruption, not a refused format:
   // the server logs it, starts fresh and serves.
@@ -419,6 +423,7 @@ TEST(ServeBinary, RestoreOfAMalformedGridStartsFresh) {
   std::remove(save_input.c_str());
   std::remove(run_input.c_str());
   std::remove(checkpoint.c_str());
+  std::remove((checkpoint + ".grid").c_str());
   for (int i = 0; i < 4; ++i) {
     std::remove((checkpoint + ".stripe-" + std::to_string(i)).c_str());
   }

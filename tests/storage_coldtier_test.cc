@@ -51,6 +51,7 @@ void RemoveCheckpoint(const std::string& path, std::size_t num_stripes) {
   for (std::size_t i = 0; i < num_stripes; ++i) {
     std::remove(HImpactService::StripePath(path, i).c_str());
   }
+  std::remove(HImpactService::GridPath(path).c_str());
   std::remove(path.c_str());
 }
 
@@ -610,75 +611,81 @@ void WriteChainHead(const std::string& path, std::uint64_t generation) {
 enum class StaleHead { kNone, kGeneration3, kUndecodable };
 
 TEST_F(ColdTierTest, FullSaveCutShortNeverRestoresOlderState) {
-  // A full save rewrites every stripe file, then the manifest. Cut it
-  // short at each of those writes in turn: the restore must never land
-  // behind the previous save, and the next save must restore exactly.
-  // Over an earlier build's delta chain, the head must outlive every
-  // cut before the last stripe lands, so such a restore is refused
-  // rather than reading the chain's root mixed with new stripes.
-  const ServiceOptions options = CheckpointOptions();
-  const std::size_t writes = options.num_stripes + 1;  // + manifest
-  for (StaleHead stale :
-       {StaleHead::kNone, StaleHead::kGeneration3, StaleHead::kUndecodable}) {
-    for (std::size_t completed = 0; completed < writes; ++completed) {
-      const std::string at = "head " + std::to_string(static_cast<int>(stale)) +
-                             " after " + std::to_string(completed) +
-                             " completed writes";
-      const std::string save = TempPath("cut_full_ck");
-      auto service = HImpactService::Create(options).value();
-      Rng rng(47);
-      for (int i = 0; i < 2000; ++i) {
-        service.RecordResponseCount(1 + rng.UniformU64(64),
-                                    1 + rng.UniformU64(40));
-      }
-      ASSERT_TRUE(service.CheckpointTo(save).ok());
-      const std::map<AuthorId, double> previous = AllEstimates(service, 64);
-      for (int i = 0; i < 500; ++i) {
-        service.RecordResponseCount(1 + rng.UniformU64(64),
-                                    1 + rng.UniformU64(40));
-      }
-      if (stale == StaleHead::kGeneration3) WriteChainHead(save, 3);
-      if (stale == StaleHead::kUndecodable) {
-        std::FILE* head = std::fopen((save + ".head").c_str(), "wb");
-        ASSERT_NE(head, nullptr);
-        std::fputs("not a checkpoint envelope", head);
-        std::fclose(head);
-      }
-
-      FaultSpec cut;
-      cut.skip = completed;
-      FaultRegistry::Global().Arm(FaultPoint::kTornCheckpoint, cut);
-      EXPECT_FALSE(service.CheckpointTo(save).ok());
-      FaultRegistry::Global().Reset();
-
-      auto restored = HImpactService::Create(options).value();
-      const Status status = restored.RestoreFrom(save);
-      if (stale != StaleHead::kNone && completed < options.num_stripes) {
-        EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << at;
-        EXPECT_TRUE(std::filesystem::exists(save + ".head")) << at;
-        EXPECT_TRUE(AllEstimates(restored, 64).empty()) << at;
-      } else {
-        ASSERT_TRUE(status.ok()) << at << ": " << status.message();
-        EXPECT_FALSE(std::filesystem::exists(save + ".head")) << at;
-        const std::map<AuthorId, double> got = AllEstimates(restored, 64);
-        for (const auto& [user, estimate] : previous) {
-          const auto it = got.find(user);
-          ASSERT_NE(it, got.end()) << "user " << user << ", " << at;
-          EXPECT_GE(it->second, estimate) << "user " << user << ", " << at;
+  // A full save rewrites every stripe file and the grid, then the
+  // manifest. Cut it short at each of those writes in turn: the restore
+  // must never land behind the previous save, and the next save must
+  // restore exactly. Over an earlier build's delta chain, the head must
+  // outlive every cut before the last stripe and the grid land, so such
+  // a restore is refused rather than reading the chain's root mixed
+  // with new stripes.
+  for (const bool heavy : {false, true}) {
+    ServiceOptions options = CheckpointOptions();
+    options.enable_heavy_hitters = heavy;
+    // Every stripe file, the grid when enabled, then the manifest.
+    const std::size_t writes = options.num_stripes + (heavy ? 2 : 1);
+    for (StaleHead stale :
+         {StaleHead::kNone, StaleHead::kGeneration3, StaleHead::kUndecodable}) {
+      for (std::size_t completed = 0; completed < writes; ++completed) {
+        const std::string at = std::string(heavy ? "grid, " : "") + "head " +
+                               std::to_string(static_cast<int>(stale)) +
+                               " after " + std::to_string(completed) +
+                               " completed writes";
+        const std::string save = TempPath("cut_full_ck");
+        auto service = HImpactService::Create(options).value();
+        Rng rng(47);
+        for (int i = 0; i < 2000; ++i) {
+          service.RecordResponseCount(1 + rng.UniformU64(64),
+                                      1 + rng.UniformU64(40));
         }
-      }
+        ASSERT_TRUE(service.CheckpointTo(save).ok());
+        const std::map<AuthorId, double> previous = AllEstimates(service, 64);
+        for (int i = 0; i < 500; ++i) {
+          service.RecordResponseCount(1 + rng.UniformU64(64),
+                                      1 + rng.UniformU64(40));
+        }
+        if (stale == StaleHead::kGeneration3) WriteChainHead(save, 3);
+        if (stale == StaleHead::kUndecodable) {
+          std::FILE* head = std::fopen((save + ".head").c_str(), "wb");
+          ASSERT_NE(head, nullptr);
+          std::fputs("not a checkpoint envelope", head);
+          std::fclose(head);
+        }
 
-      // The next save after the cut one restores the live service exactly.
-      for (int i = 0; i < 20; ++i) service.RecordResponseCount(7, 2000);
-      ASSERT_TRUE(service.CheckpointTo(save).ok());
-      EXPECT_FALSE(std::filesystem::exists(save + ".head")) << at;
-      auto resumed = HImpactService::Create(options).value();
-      ASSERT_TRUE(resumed.RestoreFrom(save).ok());
-      EXPECT_EQ(resumed.Stats().registry.total_events,
-                service.Stats().registry.total_events)
-          << at;
-      EXPECT_EQ(AllEstimates(resumed, 64), AllEstimates(service, 64)) << at;
-      RemoveCheckpoint(save, options.num_stripes);
+        FaultSpec cut;
+        cut.skip = completed;
+        FaultRegistry::Global().Arm(FaultPoint::kTornCheckpoint, cut);
+        EXPECT_FALSE(service.CheckpointTo(save).ok());
+        FaultRegistry::Global().Reset();
+
+        auto restored = HImpactService::Create(options).value();
+        const Status status = restored.RestoreFrom(save);
+        if (stale != StaleHead::kNone && completed + 1 < writes) {
+          EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << at;
+          EXPECT_TRUE(std::filesystem::exists(save + ".head")) << at;
+          EXPECT_TRUE(AllEstimates(restored, 64).empty()) << at;
+        } else {
+          ASSERT_TRUE(status.ok()) << at << ": " << status.message();
+          EXPECT_FALSE(std::filesystem::exists(save + ".head")) << at;
+          const std::map<AuthorId, double> got = AllEstimates(restored, 64);
+          for (const auto& [user, estimate] : previous) {
+            const auto it = got.find(user);
+            ASSERT_NE(it, got.end()) << "user " << user << ", " << at;
+            EXPECT_GE(it->second, estimate) << "user " << user << ", " << at;
+          }
+        }
+
+        // The next save after the cut one restores the live service exactly.
+        for (int i = 0; i < 20; ++i) service.RecordResponseCount(7, 2000);
+        ASSERT_TRUE(service.CheckpointTo(save).ok());
+        EXPECT_FALSE(std::filesystem::exists(save + ".head")) << at;
+        auto resumed = HImpactService::Create(options).value();
+        ASSERT_TRUE(resumed.RestoreFrom(save).ok());
+        EXPECT_EQ(resumed.Stats().registry.total_events,
+                  service.Stats().registry.total_events)
+            << at;
+        EXPECT_EQ(AllEstimates(resumed, 64), AllEstimates(service, 64)) << at;
+        RemoveCheckpoint(save, options.num_stripes);
+      }
     }
   }
 }
