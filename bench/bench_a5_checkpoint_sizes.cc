@@ -5,9 +5,17 @@
 // (or ship shard state to a merger) pay exactly these bytes; they track
 // the theorems' space bounds. Each per-type row is also emitted as a
 // BENCH{...} json line for machine consumption.
+//
+//   ./bench_a5_checkpoint_sizes [--quick]
+//
+// `--quick` stocks the eps table with a tenth of the Zipf elements (that
+// table is nearly all of the run time) and times fewer repetitions per
+// type. It prints the same rows.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "common/bytes.h"
@@ -50,7 +58,7 @@ std::size_t CheckpointBytes(const Estimator& estimator) {
 template <typename Sketch, typename Decode>
 void ReportCheckpointLatency(Table& table, const char* name,
                              CheckpointTag tag, const Sketch& sketch,
-                             Decode decode, int reps = 20) {
+                             Decode decode, int reps) {
   using Clock = std::chrono::steady_clock;
 
   std::vector<std::uint8_t> sealed;
@@ -99,69 +107,71 @@ void ReportCheckpointLatency(Table& table, const char* name,
 template <typename Sketch>
 void ReportCheckpointLatency(Table& table, const char* name,
                              CheckpointTag tag, const Sketch& sketch,
-                             int reps = 20) {
+                             int reps) {
   ReportCheckpointLatency(
       table, name, tag, sketch,
       [](ByteReader& reader) { return Sketch::DeserializeFrom(reader); },
       reps);
 }
 
-void RunLatencySection() {
+void RunLatencySection(int reps) {
   std::printf("\nA5b: sealed checkpoint size and write/restore latency per "
-              "type (avg of 20 reps)\n\n");
+              "type (avg of %d reps)\n\n",
+              reps);
   Table table({"type", "sealed bytes", "write us", "restore us"});
 
   {
     DistinctCounter sketch(0.1, 0.05, 1);
     for (std::uint64_t i = 0; i < 100000; ++i) sketch.Add(i % 40000);
     ReportCheckpointLatency(table, "distinct_kmv", CheckpointTag::kDistinct,
-                            sketch);
+                            sketch, reps);
   }
   {
     BjkstDistinct sketch(0.1, 2);
     for (std::uint64_t i = 0; i < 100000; ++i) sketch.Add(i % 40000);
-    ReportCheckpointLatency(table, "bjkst", CheckpointTag::kBjkst, sketch);
+    ReportCheckpointLatency(table, "bjkst", CheckpointTag::kBjkst, sketch,
+                            reps);
   }
   {
     HyperLogLog sketch(12, 3);
     for (std::uint64_t i = 0; i < 100000; ++i) sketch.Add(i % 40000);
     ReportCheckpointLatency(table, "hyperloglog", CheckpointTag::kHyperLogLog,
-                            sketch);
+                            sketch, reps);
   }
   {
     KllSketch sketch(200, 4);
     for (std::uint64_t i = 0; i < 100000; ++i) sketch.Add(i * 2654435761u);
-    ReportCheckpointLatency(table, "kll", CheckpointTag::kKll, sketch);
+    ReportCheckpointLatency(table, "kll", CheckpointTag::kKll, sketch, reps);
   }
   {
     CountMinSketch sketch(0.01, 0.01, 5);
     for (std::uint64_t i = 0; i < 100000; ++i) sketch.Update(i % 5000);
     ReportCheckpointLatency(table, "count_min", CheckpointTag::kCountMin,
-                            sketch);
+                            sketch, reps);
   }
   {
     CountSketch sketch(512, 5, 6);
     for (std::uint64_t i = 0; i < 100000; ++i) sketch.Update(i % 5000);
     ReportCheckpointLatency(table, "count_sketch", CheckpointTag::kCountSketch,
-                            sketch);
+                            sketch, reps);
   }
   {
     SpaceSaving sketch(256);
     for (std::uint64_t i = 0; i < 100000; ++i) sketch.Update(i % 1000);
     ReportCheckpointLatency(table, "space_saving", CheckpointTag::kSpaceSaving,
-                            sketch);
+                            sketch, reps);
   }
   {
     MisraGries sketch(256);
     for (std::uint64_t i = 0; i < 100000; ++i) sketch.Update(i % 1000);
     ReportCheckpointLatency(table, "misra_gries", CheckpointTag::kMisraGries,
-                            sketch);
+                            sketch, reps);
   }
   {
     L0Sampler sketch(1 << 16, 0.05, 7);
     for (std::uint64_t i = 0; i < 20000; ++i) sketch.Update(i % (1 << 16), 1);
     ReportCheckpointLatency(table, "l0_sampler", CheckpointTag::kL0Sampler,
-                            sketch);
+                            sketch, reps);
   }
   {
     CashRegisterOptions options;
@@ -170,13 +180,13 @@ void RunLatencySection() {
         CashRegisterEstimator::Create(0.2, 0.1, 1 << 16, 8, options).value();
     for (std::uint64_t i = 0; i < 20000; ++i) sketch.Update(i % (1 << 16), 1);
     ReportCheckpointLatency(table, "cash_register",
-                            CheckpointTag::kCashRegister, sketch);
+                            CheckpointTag::kCashRegister, sketch, reps);
   }
   {
     auto sketch = RandomOrderEstimator::Create(0.2, 100000).value();
     for (std::uint64_t i = 0; i < 50000; ++i) sketch.Add(i % 3000);
     ReportCheckpointLatency(table, "random_order", CheckpointTag::kRandomOrder,
-                            sketch);
+                            sketch, reps);
   }
   {
     OneHeavyHitter::Options options;
@@ -196,7 +206,8 @@ void RunLatencySection() {
         table, "one_heavy_hitter", CheckpointTag::kOneHeavyHitter, sketch,
         [&priority](ByteReader& reader) {
           return OneHeavyHitter::DeserializeFrom(reader, priority);
-        });
+        },
+        reps);
   }
   {
     HeavyHitters::Options options;
@@ -212,19 +223,20 @@ void RunLatencySection() {
       sketch.AddPaper(paper);
     }
     ReportCheckpointLatency(table, "heavy_hitters",
-                            CheckpointTag::kHeavyHitters, sketch, 5);
+                            CheckpointTag::kHeavyHitters, sketch,
+                            std::max(1, reps / 4));
   }
   {
     IncrementalExactHIndex exact;
     for (std::uint64_t i = 0; i < 100000; ++i) exact.Add(i % 700);
     ReportCheckpointLatency(table, "incremental_exact",
-                            CheckpointTag::kIncrementalExact, exact);
+                            CheckpointTag::kIncrementalExact, exact, reps);
   }
   {
     ExactCashRegisterHIndex exact;
     for (std::uint64_t i = 0; i < 100000; ++i) exact.Update(i % 20000, 1);
     ReportCheckpointLatency(table, "exact_cash_register",
-                            CheckpointTag::kExactCashRegister, exact);
+                            CheckpointTag::kExactCashRegister, exact, reps);
   }
 
   table.Print();
@@ -237,10 +249,22 @@ void RunLatencySection() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t elements = 100000;
+  int reps = 20;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      elements = 10000;
+      reps = 5;
+    } else {
+      std::fprintf(stderr, "usage: bench_a5_checkpoint_sizes [--quick]\n");
+      return 2;
+    }
+  }
   const std::uint64_t n = 1 << 20;
-  std::printf("A5: checkpoint sizes (bytes) after 100k Zipf elements, "
+  std::printf("A5: checkpoint sizes (bytes) after %lluk Zipf elements, "
               "n-bound = %llu\n\n",
+              static_cast<unsigned long long>(elements / 1000),
               static_cast<unsigned long long>(n));
 
   Table table({"eps", "alg1 bytes", "alg1 words", "alg2 bytes", "alg2 words",
@@ -249,7 +273,7 @@ int main() {
     Rng rng(static_cast<std::uint64_t>(eps * 1000));
     VectorSpec spec;
     spec.kind = VectorKind::kZipf;
-    spec.n = 100000;
+    spec.n = elements;
     spec.max_value = n;
     const AggregateStream values = MakeVector(spec, rng);
 
@@ -278,6 +302,6 @@ int main() {
       "small header) for the counter-based estimators; the sliding-window\n"
       "checkpoint carries every DGIM bucket and is the largest; all grow\n"
       "as eps shrinks, mirroring the space theorems.\n");
-  RunLatencySection();
+  RunLatencySection(reps);
   return 0;
 }

@@ -18,8 +18,8 @@
 // idle closed-loop clients are healthy, not loris) or is shed at
 // accept() with the one-line RESOURCE_EXHAUSTED notice; shed
 // connections count toward shed_rate and leave the loop. The traffic
-// is add-heavy with a Zipf user draw, the same shape as F4, so served
-// requests exercise the real registry hot path, not an echo stub.
+// is add-heavy with a Zipf user draw, so served requests exercise the
+// real registry hot path, not an echo stub.
 
 #include <algorithm>
 #include <chrono>

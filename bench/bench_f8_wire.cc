@@ -69,7 +69,7 @@ struct F8Options {
 };
 
 /// The request mix: mostly `add`, with periodic `get` and `top` — the
-/// point-query shape the service is built for (f4/f7 use the same mix).
+/// point-query shape the service is built for (f7 uses the same mix).
 std::vector<Command> MakeWorkload(std::size_t requests) {
   std::vector<Command> commands;
   commands.reserve(requests);

@@ -340,7 +340,11 @@ Status HImpactService::CheckpointTo(const std::string& path) const {
   manifest.F64(opts.hh_delta);
   manifest.U64(opts.hh_max_papers);
   manifest.U64(opts.seed);
-  manifest.U64(registry_.Stats().total_events);
+  std::uint64_t total_events = 0;
+  for (std::size_t i = 0; i < registry_.num_stripes(); ++i) {
+    total_events += registry_.StripeEvents(i);
+  }
+  manifest.U64(total_events);
   const Status written = RetryWithBackoff(kCheckpointRetry, [&] {
     return WriteCheckpointFile(path, CheckpointTag::kServiceManifest,
                                manifest.buffer());

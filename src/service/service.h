@@ -21,10 +21,9 @@
 /// `HImpactService` composes the tiered per-user registry
 /// (service/registry.h) with one Algorithm 8 heavy-hitters grid over the
 /// whole paper stream, and adds service-level checkpoint/restore. It is
-/// the layer `hstream_serve`, the examples, and the F4 load harness sit
-/// on: ingest threads call `RecordResponseCount` / `IngestPaper` while
-/// query threads call `PointHIndex` / `TopK` / `HeavyReport` / `Stats`
-/// concurrently.
+/// the layer `hstream_serve` and the examples sit on: ingest threads
+/// call `RecordResponseCount` / `IngestPaper` while query threads call
+/// `PointHIndex` / `TopK` / `HeavyReport` / `Stats` concurrently.
 ///
 /// Checkpoint layout (mirrors the shard set's manifest convention from
 /// engine/shard_set.h): one `kServiceStripe` envelope per stripe at

@@ -10,12 +10,10 @@
 # BENCH emitters (each prints lines of the form `BENCH{...json...}`):
 #   bench_f2_throughput   shard-set scaling sweep + batch-size sweep
 #   bench_a5_checkpoint_sizes   checkpoint envelope sizes
-#   bench_f4_service_qps  multi-tenant service closed-loop load harness
 #   bench_f5_overload     stall recovery time
 #   bench_f6_hotpath      batch-vs-scalar and SIMD-vs-scalar speedups
 #   bench_f7_net_load     TCP front-end connection sweep (qps, p99, shed)
 #   bench_f8_wire         text-vs-binary wire framing (docs/PROTOCOL.md)
-#   bench_f9_coldtier     paged cold tier get latency vs a full restore
 #   bench_f10_durability  WAL fsync-policy qps/p99 + replay throughput
 #
 # The aggregate is a single json object: {"git_sha", "quick", "host",
@@ -40,7 +38,7 @@ while [[ $# -gt 0 ]]; do
     --build-dir) build_dir="$2"; shift 2 ;;
     --output) output="$2"; shift 2 ;;
     -h|--help)
-      sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) echo "unknown flag: $1" >&2; exit 2 ;;
@@ -53,9 +51,8 @@ done
 bench_dir="${build_dir}/bench"
 missing=()
 for binary in bench_f2_throughput bench_a5_checkpoint_sizes \
-              bench_f4_service_qps bench_f5_overload bench_f6_hotpath \
-              bench_f7_net_load bench_f8_wire bench_f9_coldtier \
-              bench_f10_durability; do
+              bench_f5_overload bench_f6_hotpath bench_f7_net_load \
+              bench_f8_wire bench_f10_durability; do
   if [[ ! -x "${bench_dir}/${binary}" ]]; then
     missing+=("${bench_dir}/${binary}")
   fi
@@ -69,21 +66,19 @@ fi
 # Flag sets: --quick shrinks the work, never the schema.
 if [[ "${quick}" -eq 1 ]]; then
   f2_flags=(--shards 2)
-  f4_flags=(--users 10000 --ops 50000 --threads 2)
+  a5_flags=(--quick)
   f5_flags=(--stall-ms 100 --recovery-ms 500)
   f6_flags=(--quick)
   f7_flags=(--quick)
   f8_flags=(--quick)
-  f9_flags=(--quick)
   f10_flags=(--quick)
 else
   f2_flags=()
-  f4_flags=()
+  a5_flags=()
   f5_flags=()
   f6_flags=()
   f7_flags=()
   f8_flags=()
-  f9_flags=()
   f10_flags=()
 fi
 
@@ -102,9 +97,8 @@ run_bench() {
 # --benchmark_filter that matches nothing: only the sweep's BENCH lines.
 run_bench "${bench_dir}/bench_f2_throughput" \
     --benchmark_filter='^$' "${f2_flags[@]+"${f2_flags[@]}"}"
-run_bench "${bench_dir}/bench_a5_checkpoint_sizes"
-run_bench "${bench_dir}/bench_f4_service_qps" \
-    "${f4_flags[@]+"${f4_flags[@]}"}"
+run_bench "${bench_dir}/bench_a5_checkpoint_sizes" \
+    "${a5_flags[@]+"${a5_flags[@]}"}"
 run_bench "${bench_dir}/bench_f5_overload" \
     "${f5_flags[@]+"${f5_flags[@]}"}"
 run_bench "${bench_dir}/bench_f6_hotpath" \
@@ -113,8 +107,6 @@ run_bench "${bench_dir}/bench_f7_net_load" \
     "${f7_flags[@]+"${f7_flags[@]}"}"
 run_bench "${bench_dir}/bench_f8_wire" \
     "${f8_flags[@]+"${f8_flags[@]}"}"
-run_bench "${bench_dir}/bench_f9_coldtier" \
-    "${f9_flags[@]+"${f9_flags[@]}"}"
 run_bench "${bench_dir}/bench_f10_durability" \
     "${f10_flags[@]+"${f10_flags[@]}"}"
 
