@@ -13,7 +13,8 @@
 /// shard sketches to a merger; `ByteWriter`/`ByteReader` are the codec
 /// the estimators' `SerializeTo` / `DeserializeFrom` methods share. The
 /// format is fixed-width little-endian with per-type magic tags — simple
-/// enough to parse from any language.
+/// enough to parse from any language. Compact layouts (the sparse sketch
+/// and segment records) add LEB128 varints.
 
 namespace himpact {
 
@@ -47,6 +48,16 @@ class ByteWriter {
     std::uint64_t bits;
     std::memcpy(&bits, &value, sizeof(bits));
     U64(bits);
+  }
+
+  /// Appends `value` as an LEB128 varint: 7 bits per byte, low group
+  /// first, the high bit set on every byte but the last (1–10 bytes).
+  void Varint(std::uint64_t value) {
+    while (value >= 0x80) {
+      buffer_.push_back(static_cast<std::uint8_t>(value) | 0x80);
+      value >>= 7;
+    }
+    buffer_.push_back(static_cast<std::uint8_t>(value));
   }
 
   /// Appends `n` raw bytes verbatim.
@@ -118,6 +129,26 @@ class ByteReader {
     if (!U64(&bits)) return false;
     std::memcpy(value, &bits, sizeof(*value));
     return true;
+  }
+
+  /// Reads a `ByteWriter::Varint`. Returns false — consuming nothing —
+  /// when the buffer ends inside it or the encoding is not the one
+  /// `Varint` writes: an overlong form (a zero last byte after a
+  /// continuation byte) or bits past 64, so every value has exactly one
+  /// accepted encoding.
+  bool Varint(std::uint64_t* value) {
+    std::uint64_t out = 0;
+    for (std::size_t at = position_, shift = 0;
+         at < buffer_.size() && shift < 64; ++at, shift += 7) {
+      const std::uint8_t byte = buffer_[at];
+      out |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) != 0) continue;
+      if ((byte == 0 && shift > 0) || (shift == 63 && byte > 1)) return false;
+      position_ = at + 1;
+      *value = out;
+      return true;
+    }
+    return false;
   }
 
   /// Reads exactly `n` raw bytes into `out` (replacing its contents).

@@ -170,6 +170,54 @@ ExponentialHistogramEstimator::DeserializeFrom(ByteReader& reader) {
   return estimator;
 }
 
+void ExponentialHistogramEstimator::SerializeSparseTo(
+    ByteWriter& writer) const {
+  writer.Varint(static_cast<std::uint64_t>(
+      bucket_.size() - std::count(bucket_.begin(), bucket_.end(), 0u)));
+  std::size_t previous = 0;  // the first gap counts from level 0
+  for (std::size_t level = 0; level < bucket_.size(); ++level) {
+    if (bucket_[level] == 0) continue;
+    writer.Varint(level - previous);
+    writer.Varint(bucket_[level]);
+    previous = level;
+  }
+}
+
+StatusOr<ExponentialHistogramEstimator>
+ExponentialHistogramEstimator::DeserializeSparseFrom(ByteReader& reader,
+                                                     double eps,
+                                                     std::uint64_t max_h) {
+  StatusOr<ExponentialHistogramEstimator> estimator = Create(eps, max_h);
+  if (!estimator.ok()) return estimator.status();
+  std::vector<std::uint64_t>& bucket = estimator.value().bucket_;
+  std::uint64_t nonzero = 0;
+  if (!reader.Varint(&nonzero)) {
+    return Status::InvalidArgument("truncated sparse bucket count");
+  }
+  if (nonzero > bucket.size()) {
+    return Status::InvalidArgument("more sparse buckets than levels");
+  }
+  std::uint64_t level = 0;
+  for (std::uint64_t i = 0; i < nonzero; ++i) {
+    std::uint64_t gap = 0;
+    std::uint64_t count = 0;
+    if (!reader.Varint(&gap) || !reader.Varint(&count)) {
+      return Status::InvalidArgument("truncated sparse bucket");
+    }
+    if (i > 0 && gap == 0) {
+      return Status::InvalidArgument("sparse buckets out of order");
+    }
+    if (gap >= bucket.size() - level) {
+      return Status::InvalidArgument("sparse bucket past the last level");
+    }
+    if (count == 0) return Status::InvalidArgument("zero sparse bucket");
+    level += gap;
+    bucket[static_cast<std::size_t>(level)] = count;
+  }
+  estimator.value().RecomputeWinningLevel();
+  return estimator;
+}
+
 void ExponentialHistogramEstimator::Merge(
     const ExponentialHistogramEstimator& other) {
   HIMPACT_CHECK_MSG(eps_ == other.eps_ && max_h_ == other.max_h_,

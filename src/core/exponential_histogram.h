@@ -75,6 +75,22 @@ class ExponentialHistogramEstimator final : public AggregateHIndexEstimator {
   static StatusOr<ExponentialHistogramEstimator> DeserializeFrom(
       ByteReader& reader);
 
+  /// Appends the counters in sparse form, all varints: the number of
+  /// nonzero buckets, then per bucket (level gap, count), lowest level
+  /// first. The first gap is that bucket's level, every later gap is
+  /// >= 1. A stream of m values fills at most m of the `2/eps log max_h`
+  /// buckets, so this is a few bytes per distinct level instead of 8 per
+  /// level. The parameters are not written: the reader supplies them.
+  void SerializeSparseTo(ByteWriter& writer) const;
+
+  /// Restores an estimator built with `(eps, max_h)` from a
+  /// `SerializeSparseTo` form. Rejects, with `kInvalidArgument`, a
+  /// truncated or non-canonical varint, more nonzero buckets than
+  /// levels, a zero gap after the first bucket, a level past the last
+  /// one, a zero count, and parameters `Create` rejects.
+  static StatusOr<ExponentialHistogramEstimator> DeserializeSparseFrom(
+      ByteReader& reader, double eps, std::uint64_t max_h);
+
   /// The guess grid in use.
   const GeometricGrid& grid() const { return grid_; }
 

@@ -290,16 +290,14 @@ NetServer::ReadResult NetServer::ReadSome(Connection* conn,
     }
     if (n == 0) {
       conn->set_read_eof();
-      return total > 0 ? ReadResult::kProgress : ReadResult::kDry;
+      return ReadResult::kDrained;
     }
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return total > 0 ? ReadResult::kProgress : ReadResult::kDry;
-    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadResult::kDrained;
     CloseConnection(conn->fd());
     return ReadResult::kClosed;
   }
-  return ReadResult::kProgress;  // pass budget spent; more may be waiting
+  return ReadResult::kBudgetSpent;  // more may be waiting
 }
 
 void NetServer::PumpConnection(Connection* conn, std::uint64_t now) {
@@ -322,9 +320,11 @@ void NetServer::PumpConnection(Connection* conn, std::uint64_t now) {
       continue;  // answer the pipelined lines that were waiting
     }
     if (conn->close_after_flush() || conn->read_eof() || socket_dry) break;
+    // A read that stopped at EAGAIN needs no second read to prove the
+    // socket empty: edge-triggered epoll reports the next bytes to come.
     const ReadResult read = ReadSome(conn, now);
     if (read == ReadResult::kClosed) return;
-    if (read == ReadResult::kDry) socket_dry = true;
+    if (read == ReadResult::kDrained) socket_dry = true;
   }
   if (conn->read_eof() && !conn->close_after_flush() &&
       conn->PendingWriteBytes() == 0) {

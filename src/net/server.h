@@ -147,7 +147,10 @@ class NetServer {
   std::string CountersJson() const;
 
  private:
-  enum class ReadResult { kProgress, kDry, kClosed };
+  /// How a `ReadSome` pass ended: at EAGAIN or EOF (whatever it read),
+  /// with its 64 KiB budget spent while bytes may remain, or by closing
+  /// the connection on a read error.
+  enum class ReadResult { kDrained, kBudgetSpent, kClosed };
 
   NetServer(const NetServerOptions& options, LineHandler handler,
             FrameHandler frame_handler);

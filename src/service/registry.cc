@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -38,9 +39,10 @@ struct SegmentRecordState {
   std::optional<ExponentialHistogramEstimator> sketch;
 };
 
-/// Serializes the evicted state into a `kSegmentRecord` envelope.
-/// Layout: tier u8 (0 cold / 1 hot), events u64, floor f64, cold_h u64,
-/// then cold values (count + u64s) or the hot sketch. `last_touch` is
+/// Serializes the evicted state into a `kSparseSegmentRecord` envelope.
+/// Layout: tier u8 (0 cold / 1 hot), then varints: events, the floor's
+/// IEEE-754 bits, cold_h, then the cold values (count, values) or the
+/// hot sketch's nonzero buckets (`SerializeSparseTo`). `last_touch` is
 /// deliberately excluded (stripe-local clock, refreshed on page-in).
 std::vector<std::uint8_t> EncodeSegmentRecord(const UserTier tier,
                                               const std::uint64_t events,
@@ -50,53 +52,80 @@ std::vector<std::uint8_t> EncodeSegmentRecord(const UserTier tier,
                                                   values,
                                               const ExponentialHistogramEstimator*
                                                   sketch) {
+  std::uint64_t floor_bits;
+  std::memcpy(&floor_bits, &floor, sizeof(floor_bits));
   ByteWriter writer;
   writer.U8(static_cast<std::uint8_t>(tier));
-  writer.U64(events);
-  writer.F64(floor);
-  writer.U64(cold_h);
+  writer.Varint(events);
+  writer.Varint(floor_bits);
+  writer.Varint(cold_h);
   if (tier == UserTier::kCold) {
-    writer.U64(values.size());
-    for (const std::uint64_t v : values) writer.U64(v);
+    writer.Varint(values.size());
+    for (const std::uint64_t v : values) writer.Varint(v);
   } else {
-    sketch->SerializeTo(writer);
+    sketch->SerializeSparseTo(writer);
   }
-  return SealEnvelope(CheckpointTag::kSegmentRecord, writer.buffer());
+  return SealEnvelope(CheckpointTag::kSparseSegmentRecord, writer.buffer());
 }
 
-/// Opens and decodes a `kSegmentRecord` envelope.
+/// The envelope's tag field (0 when too short to hold one; `OpenEnvelope`
+/// then rejects the record).
+std::uint32_t EnvelopeTagOf(const std::vector<std::uint8_t>& envelope) {
+  ByteReader reader(envelope);
+  std::uint64_t magic_and_version = 0;
+  std::uint32_t tag = 0;
+  return reader.U64(&magic_and_version) && reader.U32(&tag) ? tag : 0;
+}
+
+/// Opens and decodes a segment record: the `kSparseSegmentRecord` layout
+/// above, or the fixed-width `kSegmentRecord` layout earlier builds wrote
+/// (events u64, floor f64, cold_h u64, then count + u64 values or the
+/// dense `SerializeTo` sketch). `eps` and `max_h` build a sparse sketch.
 StatusOr<SegmentRecordState> DecodeSegmentRecord(
-    const std::vector<std::uint8_t>& envelope) {
-  StatusOr<std::vector<std::uint8_t>> payload =
-      OpenEnvelope(envelope, CheckpointTag::kSegmentRecord);
+    const std::vector<std::uint8_t>& envelope, double eps,
+    std::uint64_t max_h) {
+  const bool dense = EnvelopeTagOf(envelope) ==
+                     static_cast<std::uint32_t>(CheckpointTag::kSegmentRecord);
+  StatusOr<std::vector<std::uint8_t>> payload = OpenEnvelope(
+      envelope, dense ? CheckpointTag::kSegmentRecord
+                      : CheckpointTag::kSparseSegmentRecord);
   if (!payload.ok()) return payload.status();
   ByteReader reader(payload.value());
+  // One field of either layout: a fixed-width u64 or a varint.
+  const auto field = [&reader, dense](std::uint64_t* value) {
+    return dense ? reader.U64(value) : reader.Varint(value);
+  };
   SegmentRecordState state;
   std::uint8_t tier = 0;
-  if (!reader.U8(&tier) || !reader.U64(&state.events) ||
-      !reader.F64(&state.floor) || !reader.U64(&state.cold_h)) {
+  std::uint64_t floor_bits = 0;
+  if (!reader.U8(&tier) || !field(&state.events) || !field(&floor_bits) ||
+      !field(&state.cold_h)) {
     return Status::InvalidArgument("truncated segment record");
   }
+  std::memcpy(&state.floor, &floor_bits, sizeof(state.floor));
   if (tier > static_cast<std::uint8_t>(UserTier::kHot)) {
     return Status::InvalidArgument("bad segment record tier");
   }
   state.tier = static_cast<UserTier>(tier);
   if (state.tier == UserTier::kCold) {
+    // Each value takes at least one byte (eight in the dense layout).
     std::uint64_t n = 0;
-    if (!reader.U64(&n) || n > reader.remaining() / sizeof(std::uint64_t)) {
+    if (!field(&n) || n > reader.remaining() / (dense ? 8 : 1)) {
       return Status::InvalidArgument("bad segment record value count");
     }
     state.values.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t v = 0; v < n; ++v) {
       std::uint64_t value = 0;
-      if (!reader.U64(&value)) {
+      if (!field(&value)) {
         return Status::InvalidArgument("truncated segment record values");
       }
       state.values.push_back(value);
     }
   } else {
     StatusOr<ExponentialHistogramEstimator> sketch =
-        ExponentialHistogramEstimator::DeserializeFrom(reader);
+        dense ? ExponentialHistogramEstimator::DeserializeFrom(reader)
+              : ExponentialHistogramEstimator::DeserializeSparseFrom(
+                    reader, eps, max_h);
     if (!sketch.ok()) return sketch.status();
     state.sketch = std::move(sketch).value();
   }
@@ -287,8 +316,9 @@ void TieredUserRegistry::ReactivateLocked(Stripe& stripe, AuthorId user,
                                           UserState& state) {
   StatusOr<std::vector<std::uint8_t>> record = stripe.store->Get(user);
   StatusOr<SegmentRecordState> decoded =
-      record.ok() ? DecodeSegmentRecord(record.value())
-                  : StatusOr<SegmentRecordState>(record.status());
+      record.ok()
+          ? DecodeSegmentRecord(record.value(), options_.eps, options_.max_h)
+          : StatusOr<SegmentRecordState>(record.status());
   if (decoded.ok()) {
     SegmentRecordState& paged = decoded.value();
     // The RAM record kept counting events while paged out; keep the
@@ -307,6 +337,9 @@ void TieredUserRegistry::ReactivateLocked(Stripe& stripe, AuthorId user,
     ++stripe.promotions;
     return;
   }
+  // A record that reads but does not decode is a failed page-in too
+  // (the store counted the failed reads).
+  if (record.ok()) ++stripe.undecodable_records;
   // Page-in failed (I/O error, armed `segment-map-fail`, or a corrupt
   // record): degrade exactly like a frozen reactivation — fresh sketch
   // over the suffix with the floor carried — rather than crash or lose
@@ -588,7 +621,8 @@ RegistryStats TieredUserRegistry::Stats() const {
       stats.segment_seals += counters.seals;
       stats.page_ins += counters.page_ins;
       stats.page_in_cache_hits += counters.cache_hits;
-      stats.page_in_failures += counters.page_in_failures;
+      stats.page_in_failures +=
+          counters.page_in_failures + stripe->undecodable_records;
       stats.segment_dead_bytes += stripe->store->dead_record_bytes();
     }
   }

@@ -276,6 +276,9 @@ class TieredUserRegistry {
     /// Sketch allocations vetoed by the `alloc-fail` fault point
     /// (runtime counter; deliberately not checkpointed).
     std::uint64_t alloc_failures = 0;
+    /// Segment records that were read but did not decode (runtime
+    /// counter, part of `RegistryStats::page_in_failures`).
+    std::uint64_t undecodable_records = 0;
     /// The paged cold tier (null when segment_dir is empty). Guarded by
     /// `mu` — the store itself is not thread-safe.
     std::unique_ptr<SegmentStore> store;

@@ -44,9 +44,9 @@
 namespace himpact {
 
 /// Default block cut size (raw bytes) for segment writers. Small, because
-/// a cold `get` pays the CRC and decode of the whole block around its
-/// ~1.3 KB record; 4 KiB keeps that to a few records.
-inline constexpr std::size_t kSegmentBlockBytes = 4u << 10;
+/// a page-in pays the CRC and decode of the whole block around its
+/// ~70 B record; 1 KiB keeps that to about fourteen records.
+inline constexpr std::size_t kSegmentBlockBytes = 1u << 10;
 
 /// One record-table entry.
 struct SegmentRecord {

@@ -24,7 +24,7 @@
 /// in-RAM index maps id -> the segment holding its newest copy; a `Get`
 /// for a sealed record CRC-checks and decompresses its one small block
 /// and slices the record out (no block cache: at `kSegmentBlockBytes` a
-/// block holds a few records, so re-reading is cheaper than caching).
+/// block holds ~14 records, so re-reading is cheaper than caching).
 /// Reopening a directory rescans the generations, newest record wins —
 /// so the cold tier survives restarts with no replay.
 ///

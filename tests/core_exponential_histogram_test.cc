@@ -230,5 +230,172 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::uint64_t{12},
                                          std::uint64_t{1} << 20)));
 
+// --- sparse form ------------------------------------------------------------
+
+std::vector<std::uint8_t> DenseBytes(const ExponentialHistogramEstimator& e) {
+  ByteWriter writer;
+  e.SerializeTo(writer);
+  return writer.Take();
+}
+
+std::vector<std::uint8_t> SparseBytes(const ExponentialHistogramEstimator& e) {
+  ByteWriter writer;
+  e.SerializeSparseTo(writer);
+  return writer.Take();
+}
+
+// The sparse round trip rebuilds `e` exactly: the same dense bytes, the
+// same estimate and the same counter at every level.
+::testing::AssertionResult SparseRoundTrips(
+    const ExponentialHistogramEstimator& e, double eps, std::uint64_t max_h) {
+  const std::vector<std::uint8_t> sparse = SparseBytes(e);
+  ByteReader reader(sparse);
+  auto restored =
+      ExponentialHistogramEstimator::DeserializeSparseFrom(reader, eps, max_h);
+  if (!restored.ok()) {
+    return ::testing::AssertionFailure() << restored.status().message();
+  }
+  if (!reader.AtEnd()) {
+    return ::testing::AssertionFailure() << "unread sparse bytes";
+  }
+  if (DenseBytes(restored.value()) != DenseBytes(e)) {
+    return ::testing::AssertionFailure() << "dense bytes differ";
+  }
+  if (restored.value().Estimate() != e.Estimate()) {
+    return ::testing::AssertionFailure()
+           << "estimate " << restored.value().Estimate() << " vs "
+           << e.Estimate();
+  }
+  for (int i = 0; i < e.grid().num_levels(); ++i) {
+    if (restored.value().Counter(i) != e.Counter(i)) {
+      return ::testing::AssertionFailure() << "counter " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class ExpHistogramSparse
+    : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>> {};
+
+TEST_P(ExpHistogramSparse, RoundTripsSeededStreams) {
+  const auto [eps, max_h] = GetParam();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    auto estimator = MakeEstimator(eps, max_h);
+    const std::uint64_t n = rng.UniformU64(400);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      estimator.Add(DrawValue(rng, max_h));
+    }
+    EXPECT_TRUE(SparseRoundTrips(estimator, eps, max_h)) << "seed " << seed;
+  }
+}
+
+TEST_P(ExpHistogramSparse, RoundTripsValuesOnBucketEdges) {
+  const auto [eps, max_h] = GetParam();
+  auto estimator = MakeEstimator(eps, max_h);
+  // Each guess (1+eps)^i rounded down, at, and just past its edge.
+  for (int i = 0; i < estimator.grid().num_levels(); ++i) {
+    const auto edge = static_cast<std::uint64_t>(estimator.grid().Power(i));
+    for (const std::uint64_t v : {edge - 1, edge, edge + 1}) estimator.Add(v);
+  }
+  EXPECT_TRUE(SparseRoundTrips(estimator, eps, max_h));
+}
+
+TEST_P(ExpHistogramSparse, RoundTripsEmptyAndSingleBucketSketches) {
+  const auto [eps, max_h] = GetParam();
+  auto estimator = MakeEstimator(eps, max_h);
+  EXPECT_TRUE(SparseRoundTrips(estimator, eps, max_h));
+  EXPECT_EQ(SparseBytes(estimator), std::vector<std::uint8_t>{0});
+  estimator.Add(1);  // level 0: a first gap of 0
+  EXPECT_TRUE(SparseRoundTrips(estimator, eps, max_h));
+  auto top = MakeEstimator(eps, max_h);
+  for (int i = 0; i < 3; ++i) top.Add(max_h + 7);  // the top level only
+  EXPECT_TRUE(SparseRoundTrips(top, eps, max_h));
+}
+
+TEST_P(ExpHistogramSparse, RoundTripsCountsPastTwoToThe35) {
+  const auto [eps, max_h] = GetParam();
+  auto estimator = MakeEstimator(eps, max_h);
+  for (const std::uint64_t v : {1, 2, 3, 5, 8, 13, 400}) estimator.Add(v);
+  // Merging a sketch into itself doubles every bucket.
+  for (int i = 0; i < 36; ++i) estimator.Merge(estimator);
+  ASSERT_GE(estimator.Counter(0), std::uint64_t{1} << 35);
+  EXPECT_TRUE(SparseRoundTrips(estimator, eps, max_h));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EpsMaxH, ExpHistogramSparse,
+    ::testing::Combine(::testing::Values(0.05, 0.1, 0.5),
+                       ::testing::Values(std::uint64_t{12},
+                                         std::uint64_t{1} << 20)));
+
+TEST(ExpHistogramSparseTest, IsSmallerThanTheDenseForm) {
+  auto estimator = MakeEstimator(0.1, 1u << 20);
+  for (std::uint64_t v = 1; v <= 80; ++v) estimator.Add(v);
+  EXPECT_LT(SparseBytes(estimator).size() * 10, DenseBytes(estimator).size());
+}
+
+// Writes `fields` as varints.
+std::vector<std::uint8_t> Varints(std::initializer_list<std::uint64_t> fields) {
+  ByteWriter writer;
+  for (const std::uint64_t field : fields) writer.Varint(field);
+  return writer.Take();
+}
+
+StatusCode SparseDecodeCode(const std::vector<std::uint8_t>& bytes,
+                            double eps = 0.1, std::uint64_t max_h = 1000) {
+  ByteReader reader(bytes);
+  return ExponentialHistogramEstimator::DeserializeSparseFrom(reader, eps,
+                                                              max_h)
+      .status()
+      .code();
+}
+
+TEST(ExpHistogramSparseTest, RejectsEveryMalformedForm) {
+  auto estimator = MakeEstimator(0.1, 1000);
+  const int levels = estimator.grid().num_levels();
+  const auto top = static_cast<std::uint64_t>(levels - 1);
+  for (const std::uint64_t v : {1, 30, 30, 200, 999}) estimator.Add(v);
+  for (int i = 0; i < 20; ++i) estimator.Merge(estimator);  // long counts
+  const std::vector<std::uint8_t> valid = SparseBytes(estimator);
+  ASSERT_EQ(SparseDecodeCode(valid), StatusCode::kOk);
+
+  // Truncation at every offset.
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    EXPECT_EQ(SparseDecodeCode({valid.begin(), valid.begin() + cut}),
+              StatusCode::kInvalidArgument)
+        << "cut at " << cut;
+  }
+  const std::vector<std::vector<std::uint8_t>> malformed = {
+      {0x81, 0x00, 0x00, 0x01},  // overlong: 1 written in two bytes
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},  // > 64 bits
+      Varints({2, 3, 1, 0, 1}),                          // zero gap after the first
+      Varints({1, top + 1, 1}),                          // gap past the last level
+      Varints({2, top, 1, 1, 1}),                        // second bucket past it
+      Varints({1, 0, 0}),                                // zero count
+      Varints({static_cast<std::uint64_t>(levels) + 1}),  // more buckets than levels
+  };
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    EXPECT_EQ(SparseDecodeCode(malformed[i]), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
+  // Parameters Create rejects.
+  EXPECT_EQ(SparseDecodeCode(Varints({0}), 0.0), StatusCode::kInvalidArgument);
+  EXPECT_EQ(SparseDecodeCode(Varints({0}), 0.1, 0),
+            StatusCode::kInvalidArgument);
+
+  // The top level itself is in range, and the form is a chained
+  // sub-decoder: it stops after its own bytes and leaves trailing ones
+  // for its caller (a segment record rejects them).
+  std::vector<std::uint8_t> trailing = Varints({1, top, 1});
+  trailing.push_back(0x07);
+  ByteReader reader(trailing);
+  ASSERT_TRUE(
+      ExponentialHistogramEstimator::DeserializeSparseFrom(reader, 0.1, 1000)
+          .ok());
+  EXPECT_EQ(reader.remaining(), 1u);
+}
+
 }  // namespace
 }  // namespace himpact

@@ -7,6 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/envelope.h"
+#include "core/exponential_histogram.h"
 #include "io/checkpoint.h"
 
 /// \file
@@ -151,6 +154,41 @@ inline bool ReencodeStripeFileAsLegacy(const std::string& stripe_path,
   }
   return WriteCheckpointFile(stripe_path, CheckpointTag::kServiceStripe, legacy)
       .ok();
+}
+
+/// Re-encodes a segment record in the current `kSparseSegmentRecord`
+/// layout (service/registry.cc) as earlier builds wrote it: a
+/// `kSegmentRecord` envelope of tier u8, events u64, floor f64, cold_h
+/// u64, then the cold values (count + u64s) or the hot sketch's dense
+/// `SerializeTo` form. `eps` and `max_h` are the service's. Returns an
+/// empty vector when `record` is not a well-formed current record.
+inline std::vector<std::uint8_t> ReencodeSegmentRecordAsDense(
+    const std::vector<std::uint8_t>& record, double eps,
+    std::uint64_t max_h) {
+  StatusOr<std::vector<std::uint8_t>> payload =
+      OpenEnvelope(record, CheckpointTag::kSparseSegmentRecord);
+  if (!payload.ok()) return {};
+  ByteReader in(payload.value());
+  ByteWriter out;
+  std::uint8_t tier = 0;
+  std::uint64_t field = 0;
+  if (!in.U8(&tier)) return {};
+  out.U8(tier);
+  // events, the floor's bits, cold_h, and for a cold record the count.
+  for (int i = 0; i < (tier == 0 ? 4 : 3); ++i) {
+    if (!in.Varint(&field)) return {};
+    out.U64(field);
+  }
+  if (tier == 0) {
+    while (in.Varint(&field)) out.U64(field);
+  } else {
+    StatusOr<ExponentialHistogramEstimator> sketch =
+        ExponentialHistogramEstimator::DeserializeSparseFrom(in, eps, max_h);
+    if (!sketch.ok()) return {};
+    sketch.value().SerializeTo(out);
+  }
+  if (!in.AtEnd()) return {};
+  return SealEnvelope(CheckpointTag::kSegmentRecord, out.buffer());
 }
 
 }  // namespace test

@@ -83,9 +83,9 @@ const Config kConfigs[] = {
        0xc62fd207c2e599e5ULL, 0xf49fd388b3ea2014ULL},
       0x37389527e59f6328ULL, 0x2be38fc8370a19d7ULL, 0xcbf29ce484222325ULL}},
     {"B", kSmallBudget, true,
-     {{0x1b3786bb8a7e856dULL, 0xb62e136f72fda989ULL, 0xdbcc7c76f90e8e65ULL,
-       0x0feb60e5295957caULL, 0xc8e94e5305203ec5ULL},
-      0xbe4edfd499784545ULL, 0x2be38fc8370a19d7ULL, 0x0fb8ef08afeefd91ULL}},
+     {{0x1b3786bb8a7e856dULL, 0x694540be13b558bdULL, 0x4de949a23f6196b7ULL,
+       0x2e7f6d91459d035fULL, 0x34e13d4ec37480e7ULL},
+      0xbe4edfd499784545ULL, 0x2be38fc8370a19d7ULL, 0x781505993f145618ULL}},
     {"C", kSmallBudget, false,
      {{0x1b3786bb8a7e856dULL, 0xe8e3399093d65677ULL, 0x077065c627db563bULL,
        0x7d6dad16ff21e83fULL, 0x836f3b723c2a6a6bULL},

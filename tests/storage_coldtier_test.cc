@@ -15,7 +15,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -233,29 +235,31 @@ TEST_F(ColdTierTest, FailedSealsKeepEveryVictimPagedAndLossless) {
   twin_options.memory_budget_bytes = 1u << 30;
   auto twin = HImpactService::Create(twin_options).value();
 
-  constexpr AuthorId kUsers = 300;
   FaultRegistry::Global().Arm(FaultPoint::kTornCheckpoint, FaultSpec{});
-  // Each user turns hot in turn, paging out the least recent ones; then
-  // a second pass reactivates every tenth user from the pending buffer.
-  for (AuthorId user = 1; user <= kUsers; ++user) {
+  // Each user turns hot in turn, paging out the least recent ones, until
+  // the paged records fill the pending buffer and a seal is attempted
+  // (and torn); then a second pass reactivates every hundredth user from
+  // the pending buffer.
+  AuthorId users = 0;
+  while (FaultRegistry::Global().fires(FaultPoint::kTornCheckpoint) == 0) {
+    ASSERT_LT(users, 100000u) << "no seal was attempted";
+    const AuthorId user = ++users;
     for (int i = 0; i < 70; ++i) {
       const std::uint64_t value = 1 + (user * 7 + i * 13) % 97;
       service.RecordResponseCount(user, value);
       twin.RecordResponseCount(user, value);
     }
   }
-  for (AuthorId user = 10; user <= kUsers; user += 10) {
+  for (AuthorId user = 100; user <= users; user += 100) {
     service.RecordResponseCount(user, 50);
     twin.RecordResponseCount(user, 50);
   }
-  EXPECT_GE(FaultRegistry::Global().fires(FaultPoint::kTornCheckpoint), 1u)
-      << "no seal was attempted";
   const RegistryStats armed = service.Stats().registry;
   EXPECT_EQ(armed.frozen_users, 0u) << "a failed seal froze a victim";
   EXPECT_GT(armed.segment_users, 0u);
   EXPECT_EQ(armed.segment_files, 0u);
   EXPECT_EQ(armed.segment_pending_records, armed.segment_users);
-  for (AuthorId user = 1; user <= kUsers; ++user) {
+  for (AuthorId user = 1; user <= users; ++user) {
     UserSnapshot got;
     UserSnapshot want;
     ASSERT_TRUE(service.Lookup(user, &got));
@@ -272,7 +276,7 @@ TEST_F(ColdTierTest, FailedSealsKeepEveryVictimPagedAndLossless) {
   EXPECT_GE(sealed.segment_files, 1u);
   auto restored = HImpactService::Create(options).value();
   ASSERT_TRUE(restored.RestoreFrom(save).ok());
-  for (AuthorId user = 1; user <= kUsers; ++user) {
+  for (AuthorId user = 1; user <= users; ++user) {
     UserSnapshot got;
     UserSnapshot want;
     ASSERT_TRUE(restored.Lookup(user, &got));
@@ -282,7 +286,7 @@ TEST_F(ColdTierTest, FailedSealsKeepEveryVictimPagedAndLossless) {
     EXPECT_EQ(got.events, want.events) << "user " << user;
   }
   // The restored records page in: every reactivation continues exactly.
-  for (AuthorId user = 1; user <= kUsers; user += 7) {
+  for (AuthorId user = 1; user <= users; user += 7) {
     EXPECT_EQ(restored.RecordResponseCount(user, 60),
               twin.RecordResponseCount(user, 60))
         << "user " << user;
@@ -574,6 +578,235 @@ TEST_F(ColdTierTest, RestoreWithoutSegmentFilesServesFloorsAndCountsFailures) {
   RemoveCheckpoint(save, options.num_stripes);
   RemoveTree(dir);
   RemoveTree(empty_dir);
+}
+
+// --- segment record layouts --------------------------------------------------
+
+// Writes every segment generation in `from` to `to`, each record passed
+// through `rewrite(generation, id, record)` and the blocks cut at
+// `block_bytes`.
+using RecordRewrite = std::function<std::vector<std::uint8_t>(
+    std::uint64_t, AuthorId, std::vector<std::uint8_t>)>;
+
+void RewriteSegments(const std::string& from, const std::string& to,
+                     std::size_t block_bytes, const RecordRewrite& rewrite) {
+  RemoveTree(to);
+  std::filesystem::create_directories(to);
+  for (const auto& entry : std::filesystem::directory_iterator(from)) {
+    StatusOr<SegmentReader> reader = SegmentReader::Open(entry.path());
+    ASSERT_TRUE(reader.ok()) << entry.path();
+    const std::uint64_t generation = reader.value().generation();
+    SegmentWriter writer(reader.value().stripe(), generation, block_bytes);
+    for (const SegmentRecord& record : reader.value().records()) {
+      writer.Add(record.id,
+                 rewrite(generation, record.id,
+                         reader.value().ReadRecord(record.id).value()));
+    }
+    ASSERT_TRUE(test::WriteFileRaw(to + "/" + entry.path().filename().string(),
+                                   writer.Seal()));
+  }
+}
+
+// Earlier builds paged users out in the fixed-width `kSegmentRecord`
+// layout and cut 4 KiB blocks. A checkpoint whose segment directory
+// holds such generations, alone or mixed with current ones, restores
+// and pages every user back in exactly as from current records.
+TEST_F(ColdTierTest, DenseRecordsOfEarlierBuildsPageInAlike) {
+  const std::string dir = TempPath("dense_dir");
+  const std::string dense_dir = TempPath("dense_dense");
+  const std::string mixed_dir = TempPath("dense_mixed");
+  const std::string save = TempPath("dense_ck");
+  RemoveTree(dir);
+  ServiceOptions options = PagedOptions(dir);
+  options.num_stripes = 2;
+  options.promote_threshold = 8;
+  options.memory_budget_bytes = 24 * 1024;
+  auto service = HImpactService::Create(options).value();
+  Rng rng(43);
+  ZipfSampler users(200, 1.2);
+  DiscreteParetoSampler citations(1, 1.6, 1u << 10);
+  // Two saves, so each stripe seals at least two generations.
+  for (int save_round = 0; save_round < 2; ++save_round) {
+    for (int i = 0; i < 8000; ++i) {
+      service.RecordResponseCount(users.Sample(rng), citations.Sample(rng));
+    }
+    ASSERT_TRUE(service.CheckpointTo(save).ok());
+  }
+
+  std::uint64_t dense_records = 0;
+  const auto dense = [&](std::uint64_t, AuthorId,
+                         std::vector<std::uint8_t> record) {
+    ++dense_records;
+    return test::ReencodeSegmentRecordAsDense(record, options.eps,
+                                              options.max_h);
+  };
+  RewriteSegments(dir, dense_dir, 4u << 10, dense);
+  const std::uint64_t all_records = dense_records;
+  RewriteSegments(dir, mixed_dir, 4u << 10,
+                  [&](std::uint64_t generation, AuthorId id,
+                      std::vector<std::uint8_t> record) {
+                    return generation % 2 == 1 ? dense(generation, id, record)
+                                               : record;
+                  });
+  ASSERT_GT(all_records, 0u);
+  ASSERT_GT(dense_records - all_records, 0u) << "no dense record in the mix";
+  ASSERT_LT(dense_records - all_records, all_records) << "no sparse record";
+
+  std::vector<HImpactService> restored;
+  for (const std::string& segment_dir : {dir, dense_dir, mixed_dir}) {
+    ServiceOptions restore_options = options;
+    restore_options.segment_dir = segment_dir;
+    restored.push_back(HImpactService::Create(restore_options).value());
+    ASSERT_TRUE(restored.back().RestoreFrom(save).ok());
+  }
+  std::uint64_t paged = 0;
+  for (AuthorId user = 1; user <= 200; ++user) {
+    UserSnapshot live;
+    if (!service.Lookup(user, &live)) continue;
+    paged += live.tier == UserTier::kSegment ? 1 : 0;
+    const double want = service.RecordResponseCount(user, 9);
+    ASSERT_TRUE(service.Lookup(user, &live));
+    for (std::size_t r = 0; r < restored.size(); ++r) {
+      EXPECT_EQ(restored[r].RecordResponseCount(user, 9), want)
+          << "user " << user << " dir " << r;
+      UserSnapshot got;
+      ASSERT_TRUE(restored[r].Lookup(user, &got));
+      EXPECT_EQ(got.tier, live.tier) << "user " << user << " dir " << r;
+      EXPECT_EQ(got.events, live.events) << "user " << user << " dir " << r;
+    }
+  }
+  ASSERT_GT(paged, 0u);
+  for (const HImpactService& r : restored) {
+    EXPECT_EQ(r.Stats().registry.page_in_failures, 0u);
+    EXPECT_GT(r.Stats().registry.page_ins, 0u);
+  }
+  RemoveCheckpoint(save, options.num_stripes);
+  RemoveTree(dir);
+  RemoveTree(dense_dir);
+  RemoveTree(mixed_dir);
+}
+
+// A segment file is untrusted input: a sealed record whose envelope is
+// intact but whose layout is not (each case below) fails its page-in,
+// which counts in `page_in_failures`, and the user continues on a fresh
+// sketch over its floor.
+TEST_F(ColdTierTest, MalformedRecordsFailThePageInAndKeepTheFloor) {
+  const std::string dir = TempPath("malformed_dir");
+  const std::string case_dir = TempPath("malformed_case");
+  const std::string save = TempPath("malformed_ck");
+  RemoveTree(dir);
+  ServiceOptions options = PagedOptions(dir);
+  options.memory_budget_bytes = PairBudgetBytes(dir);
+  {
+    // User 1 pages in, which pages hot user 2 out.
+    auto service = HImpactService::Create(options).value();
+    for (int i = 0; i < 3; ++i) service.RecordResponseCount(1, 5);
+    for (int i = 0; i < 50; ++i) service.RecordResponseCount(2, 100);
+    service.RecordResponseCount(1, 5);
+    ASSERT_TRUE(service.CheckpointTo(save).ok());
+  }
+  UserSnapshot paged;
+  {
+    auto probe = HImpactService::Create(options).value();
+    ASSERT_TRUE(probe.RestoreFrom(save).ok());
+    ASSERT_TRUE(probe.Lookup(2, &paged));
+    ASSERT_EQ(paged.tier, UserTier::kSegment);
+  }
+  std::uint64_t floor_bits;
+  std::memcpy(&floor_bits, &paged.estimate, sizeof(floor_bits));
+
+  // Valid payloads: a hot state above user 2's floor and a cold one.
+  auto sketch =
+      ExponentialHistogramEstimator::Create(options.eps, options.max_h).value();
+  for (int i = 0; i < 60; ++i) sketch.Add(1000);
+  const auto top = static_cast<std::uint64_t>(sketch.grid().num_levels() - 1);
+  const auto fields = [](std::initializer_list<std::uint64_t> varints) {
+    ByteWriter writer;
+    for (const std::uint64_t v : varints) writer.Varint(v);
+    return writer.Take();
+  };
+  const auto record = [&](std::uint8_t tier,
+                          const std::vector<std::uint8_t>& rest) {
+    std::vector<std::uint8_t> payload = {tier};
+    const std::vector<std::uint8_t> head = fields({paged.events, floor_bits});
+    payload.insert(payload.end(), head.begin(), head.end());
+    payload.insert(payload.end(), rest.begin(), rest.end());
+    return payload;
+  };
+  ByteWriter hot_rest;
+  hot_rest.Varint(0);  // cold_h
+  sketch.SerializeSparseTo(hot_rest);
+  const std::vector<std::uint8_t> hot = record(1, hot_rest.buffer());
+  const std::vector<std::uint8_t> cold = record(0, fields({3, 3, 5, 5, 300}));
+
+  // Restores the save over a copy of the segments holding `payload` as
+  // user 2's record, then sends user 2 an event of value 1 and returns
+  // its estimate. (The event may page user 2 straight back out.)
+  const auto page_in = [&](const std::vector<std::uint8_t>& payload,
+                           std::uint64_t* failures, UserSnapshot* after) {
+    RewriteSegments(dir, case_dir, kSegmentBlockBytes,
+                    [&](std::uint64_t, AuthorId id,
+                        std::vector<std::uint8_t> bytes) {
+                      return id == 2 ? SealEnvelope(
+                                           CheckpointTag::kSparseSegmentRecord,
+                                           payload)
+                                     : bytes;
+                    });
+    ServiceOptions case_options = options;
+    case_options.segment_dir = case_dir;
+    auto restored = HImpactService::Create(case_options).value();
+    EXPECT_TRUE(restored.RestoreFrom(save).ok());
+    const std::uint64_t before = restored.Stats().registry.page_in_failures;
+    const double estimate = restored.RecordResponseCount(2, 1);
+    *failures = restored.Stats().registry.page_in_failures - before;
+    EXPECT_TRUE(restored.Lookup(2, after));
+    return estimate;
+  };
+
+  std::uint64_t failures = 0;
+  UserSnapshot after;
+  ExponentialHistogramEstimator continued = sketch;
+  continued.Add(1);
+  ASSERT_GT(continued.Estimate(), paged.estimate);
+  EXPECT_EQ(page_in(hot, &failures, &after), continued.Estimate());
+  EXPECT_EQ(failures, 0u) << "the valid hot record must page in";
+  page_in(cold, &failures, &after);
+  EXPECT_EQ(failures, 0u) << "the valid cold record must page in";
+
+  std::vector<std::vector<std::uint8_t>> malformed;
+  for (const std::vector<std::uint8_t>* valid : {&hot, &cold}) {
+    for (std::size_t cut = 0; cut < valid->size(); ++cut) {
+      malformed.emplace_back(valid->begin(), valid->begin() + cut);
+    }
+    std::vector<std::uint8_t> trailing = *valid;
+    trailing.push_back(0);
+    malformed.push_back(trailing);
+    for (const std::uint8_t tier : {2, 3, 0xff}) {
+      std::vector<std::uint8_t> bad_tier = *valid;
+      bad_tier[0] = tier;
+      malformed.push_back(bad_tier);
+    }
+  }
+  malformed.push_back({1, 0x81, 0x00, 0x00, 0x00, 0x00});  // overlong events
+  malformed.push_back(record(0, fields({3, 2, 5})));       // too few values
+  for (const std::vector<std::uint8_t>& sketch_part :
+       {fields({0, 2, 3, 1, 0, 1}),                   // zero gap after the first
+        fields({0, 1, top + 1, 1}),                   // gap past the last level
+        fields({0, 2, top, 1, 1, 1}),                 // second bucket past it
+        fields({0, 1, 0, 0}),                         // zero count
+        fields({0, top + 2, 0, 1})}) {                // more buckets than levels
+    malformed.push_back(record(1, sketch_part));
+  }
+  // A fresh sketch holding the one value 1 stays under the floor.
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    EXPECT_EQ(page_in(malformed[i], &failures, &after), paged.estimate)
+        << "case " << i;
+    EXPECT_EQ(failures, 1u) << "case " << i;
+    EXPECT_EQ(after.events, paged.events + 1) << "case " << i;
+  }
+  RemoveCheckpoint(save, options.num_stripes);
+  RemoveTree(dir);
+  RemoveTree(case_dir);
 }
 
 // --- full saves and the delta-chain upgrade rule ----------------------------

@@ -407,43 +407,40 @@ TEST_F(StorageTest, StoreCountsPageInsAndPendingHits) {
 
 TEST_F(StorageTest, StoreReadsGenerationsSealedAtDifferentBlockSizes) {
   // Block size is a writer choice, not part of the format: a directory
-  // holding one generation cut at 64 KiB (the older default) and newer
-  // ones cut at the current default reads back byte-identical, and the
-  // newest copy of a record wins across the two sizes.
+  // holding generations cut at 64 KiB and 4 KiB (older defaults, sized
+  // for ~1.3 KB fixed-width records) and at the current default (sized
+  // for ~100 B sparse records) reads back byte-identical, and the newest
+  // copy of a record wins across the sizes.
   const std::string dir = TempPath("store_mixed_blocks");
   RemoveTree(dir);
+  struct Generation {
+    std::size_t block_bytes;
+    std::size_t record_len;
+    std::uint64_t first_id;
+    std::uint64_t stride;
+  };
+  // The first generation writes ids 1..120; the later ones overwrite
+  // every third, then every fifth, and add ids the first never held.
+  const Generation generations[] = {{64u << 10, 1300, 1, 1},
+                                    {4u << 10, 1300, 3, 3},
+                                    {kSegmentBlockBytes, 100, 5, 5}};
   std::map<std::uint64_t, std::vector<std::uint8_t>> expected;
-  {
-    SegmentStoreOptions old_options = SmallStoreOptions(dir);
-    old_options.seal_threshold_bytes = 1u << 30;  // seal only on Flush
-    old_options.block_bytes = 64u << 10;
-    auto store_or = SegmentStore::Open(old_options);
+  std::uint64_t round = 0;
+  for (const Generation& generation : generations) {
+    SegmentStoreOptions options = SmallStoreOptions(dir);
+    options.seal_threshold_bytes = 1u << 30;  // seal only on Flush
+    options.block_bytes = generation.block_bytes;
+    auto store_or = SegmentStore::Open(options);
     ASSERT_TRUE(store_or.ok());
     std::unique_ptr<SegmentStore> store = std::move(store_or).value();
-    for (std::uint64_t id = 1; id <= 120; ++id) {
-      expected[id] = RecordPayload(id, 1300);
+    const std::uint64_t last_id = round == 0 ? 120 : 160;
+    for (std::uint64_t id = generation.first_id; id <= last_id;
+         id += generation.stride) {
+      expected[id] = RecordPayload(id * 1000 + round, generation.record_len);
       store->Put(id, expected[id]);
     }
     ASSERT_TRUE(store->Flush().ok());
-  }
-  {
-    SegmentStoreOptions new_options = SmallStoreOptions(dir);
-    new_options.seal_threshold_bytes = 1u << 30;
-    new_options.block_bytes = kSegmentBlockBytes;
-    auto store_or = SegmentStore::Open(new_options);
-    ASSERT_TRUE(store_or.ok());
-    std::unique_ptr<SegmentStore> store = std::move(store_or).value();
-    // Two newer generations: overwrite every third record, then every
-    // fifth, and add records the old generation never held.
-    for (std::uint64_t round = 1; round <= 2; ++round) {
-      const std::uint64_t stride = round == 1 ? 3 : 5;
-      for (std::uint64_t id = stride; id <= 160; id += stride) {
-        expected[id] = RecordPayload(id * 1000 + round, 1300);
-        store->Put(id, expected[id]);
-      }
-      ASSERT_TRUE(store->Flush().ok());
-    }
-    EXPECT_EQ(store->segment_files(), 3u);
+    EXPECT_EQ(store->segment_files(), ++round);
   }
 
   auto reopened_or = SegmentStore::Open(SmallStoreOptions(dir));
@@ -458,22 +455,22 @@ TEST_F(StorageTest, StoreReadsGenerationsSealedAtDifferentBlockSizes) {
   }
   EXPECT_EQ(reopened->counters().page_in_failures, 0u);
 
-  // The old generation really holds multi-record 64 KiB blocks and the
-  // newer ones 4 KiB blocks.
-  auto old_gen = SegmentReader::Open(dir + "/stripe-0-gen-1.seg");
-  auto new_gen = SegmentReader::Open(dir + "/stripe-0-gen-2.seg");
-  ASSERT_TRUE(old_gen.ok());
-  ASSERT_TRUE(new_gen.ok());
-  std::uint32_t old_max = 0;
-  for (const SegmentBlockMeta& meta : old_gen.value().blocks()) {
-    old_max = std::max(old_max, meta.raw_len);
+  // Each generation's blocks hold several records and stay within its
+  // own cut, above the next smaller one.
+  for (std::size_t g = 0; g < std::size(generations); ++g) {
+    auto reader = SegmentReader::Open(dir + "/stripe-0-gen-" +
+                                      std::to_string(g + 1) + ".seg");
+    ASSERT_TRUE(reader.ok());
+    std::uint32_t max_raw = 0;
+    for (const SegmentBlockMeta& meta : reader.value().blocks()) {
+      max_raw = std::max(max_raw, meta.raw_len);
+    }
+    const std::size_t smaller_cut =
+        g + 1 < std::size(generations) ? generations[g + 1].block_bytes : 0;
+    EXPECT_GT(max_raw, smaller_cut) << "generation " << g + 1;
+    EXPECT_LE(max_raw, generations[g].block_bytes) << "generation " << g + 1;
+    EXPECT_GE(max_raw, 2 * generations[g].record_len) << "generation " << g + 1;
   }
-  std::uint32_t new_max = 0;
-  for (const SegmentBlockMeta& meta : new_gen.value().blocks()) {
-    new_max = std::max(new_max, meta.raw_len);
-  }
-  EXPECT_GT(old_max, kSegmentBlockBytes);
-  EXPECT_LE(new_max, kSegmentBlockBytes);
   RemoveTree(dir);
 }
 
