@@ -18,6 +18,20 @@
 
 namespace himpact {
 
+/// Stores `value` little-endian at `out`, which needs 4 (8) bytes; the
+/// layout `ByteWriter::U32` (`U64`) appends, for callers that frame
+/// into a buffer they own.
+inline void StoreLe32(std::uint8_t* out, std::uint32_t value) {
+  for (int b = 0; b < 4; ++b) {
+    out[b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+}
+inline void StoreLe64(std::uint8_t* out, std::uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    out[b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+}
+
 /// Appends fixed-width values to a growable byte buffer.
 class ByteWriter {
  public:

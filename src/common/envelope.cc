@@ -1,5 +1,6 @@
 #include "common/envelope.h"
 
+#include <algorithm>
 #include <array>
 
 #include "common/bytes.h"
@@ -67,16 +68,22 @@ std::uint32_t Crc32(const std::vector<std::uint8_t>& data) {
   return Crc32(data.data(), data.size());
 }
 
+void WriteEnvelopeHeader(CheckpointTag tag, const std::uint8_t* payload,
+                         std::size_t size, std::uint8_t* out) {
+  StoreLe32(out, kEnvelopeMagic);
+  StoreLe32(out + 4, kEnvelopeVersion);
+  StoreLe32(out + 8, static_cast<std::uint32_t>(tag));
+  StoreLe64(out + 12, size);
+  StoreLe32(out + 20, Crc32(payload, size));
+}
+
 std::vector<std::uint8_t> SealEnvelope(
     CheckpointTag tag, const std::vector<std::uint8_t>& payload) {
-  ByteWriter writer;
-  writer.U32(kEnvelopeMagic);
-  writer.U32(kEnvelopeVersion);
-  writer.U32(static_cast<std::uint32_t>(tag));
-  writer.U64(payload.size());
-  writer.U32(Crc32(payload));
-  writer.Bytes(payload.data(), payload.size());
-  return writer.Take();
+  std::vector<std::uint8_t> framed(kEnvelopeHeaderBytes + payload.size());
+  WriteEnvelopeHeader(tag, payload.data(), payload.size(), framed.data());
+  std::copy(payload.begin(), payload.end(),
+            framed.begin() + kEnvelopeHeaderBytes);
+  return framed;
 }
 
 StatusOr<std::vector<std::uint8_t>> OpenEnvelope(

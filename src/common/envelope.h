@@ -84,6 +84,13 @@ enum class CheckpointTag : std::uint32_t {
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size);
 std::uint32_t Crc32(const std::vector<std::uint8_t>& data);
 
+/// Writes the `kEnvelopeHeaderBytes` header that frames the `size`
+/// payload bytes at `payload` under `tag` to `out`. An envelope is this
+/// header followed by the payload; a caller that owns its buffer (the
+/// WAL's group buffer) frames a record in place with it.
+void WriteEnvelopeHeader(CheckpointTag tag, const std::uint8_t* payload,
+                         std::size_t size, std::uint8_t* out);
+
 /// Wraps `payload` in a framed envelope carrying `tag`.
 std::vector<std::uint8_t> SealEnvelope(CheckpointTag tag,
                                        const std::vector<std::uint8_t>& payload);

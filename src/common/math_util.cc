@@ -25,9 +25,20 @@ double LogOnePlusEps(double x, double eps) {
   return std::log(x) / std::log1p(eps);
 }
 
+bool GeometricGridFits(std::uint64_t max_value, double eps) {
+  if (!(eps > 0.0)) return false;
+  if (max_value <= 1) return true;
+  // The level count is 1 + ceil(log(max) / log1p(eps)) up to rounding of
+  // the repeated product; the margin absorbs that. A tiny eps makes the
+  // ratio huge or infinite, never NaN.
+  const double levels =
+      std::log(static_cast<double>(max_value)) / std::log1p(eps);
+  return levels < static_cast<double>(kMaxGeometricLevels) - 4.0;
+}
+
 int NumGeometricLevels(std::uint64_t max_value, double eps) {
   HIMPACT_CHECK(max_value >= 1);
-  HIMPACT_CHECK(eps > 0.0);
+  HIMPACT_CHECK(GeometricGridFits(max_value, eps));
   int levels = 1;
   double power = 1.0;
   const double max = static_cast<double>(max_value);

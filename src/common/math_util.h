@@ -34,9 +34,21 @@ int CeilLog2(std::uint64_t x);
 /// Requires `x > 0` and `eps > 0`.
 double LogOnePlusEps(double x, double eps);
 
+/// The most levels a geometric grid may have: ample for any `max_value`
+/// at `eps >= 1e-4` (at most ~444k levels), and 8 MiB of powers.
+inline constexpr int kMaxGeometricLevels = 1 << 20;
+
+/// Whether the grid covering `[1, max_value]` at growth `eps` has at
+/// most `kMaxGeometricLevels` levels. False for `eps` so small that
+/// `1 + eps` rounds to 1 (the grid would never reach `max_value`) and
+/// for `eps` that is not positive or is NaN. Decoders and `Create`
+/// functions check it before building a grid from untrusted values.
+bool GeometricGridFits(std::uint64_t max_value, double eps);
+
 /// Returns the smallest number of grid levels `L` such that
 /// `(1+eps)^(L-1) >= max_value`, i.e. the grid `{(1+eps)^0 ..
-/// (1+eps)^(L-1)}` covers `[1, max_value]`. Requires `max_value >= 1`.
+/// (1+eps)^(L-1)}` covers `[1, max_value]`. Requires `max_value >= 1`
+/// and `GeometricGridFits(max_value, eps)`.
 int NumGeometricLevels(std::uint64_t max_value, double eps);
 
 /// The geometric guess grid `(1+eps)^i` for `i = 0 .. num_levels-1`.

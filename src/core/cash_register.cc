@@ -34,6 +34,9 @@ StatusOr<CashRegisterEstimator> CashRegisterEstimator::Create(
   if (universe < 1) {
     return Status::InvalidArgument("universe must be >= 1");
   }
+  if (!GeometricGridFits(universe, eps)) {
+    return Status::InvalidArgument("eps too small for universe");
+  }
   if (options.mode == CashRegisterMode::kMultiplicative &&
       !(options.beta > 0.0)) {
     return Status::InvalidArgument(

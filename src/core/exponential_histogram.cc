@@ -20,6 +20,11 @@ StatusOr<ExponentialHistogramEstimator> ExponentialHistogramEstimator::Create(
   if (max_h < 1) {
     return Status::InvalidArgument("max_h must be >= 1");
   }
+  // A stored eps and max_h reach here from checkpoints and segment
+  // records; bound the grid before building it.
+  if (!GeometricGridFits(max_h, eps)) {
+    return Status::InvalidArgument("eps too small for max_h");
+  }
   return ExponentialHistogramEstimator(eps, max_h);
 }
 

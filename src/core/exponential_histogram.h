@@ -27,7 +27,8 @@ class ExponentialHistogramEstimator final : public AggregateHIndexEstimator {
   ///
   /// `max_h` is the trivial upper bound for the H-index (the paper uses
   /// the vector dimension `n`); guesses cover `[1, max_h]`.
-  /// Requires `0 < eps < 1` and `max_h >= 1`.
+  /// Requires `0 < eps < 1`, `max_h >= 1` and
+  /// `GeometricGridFits(max_h, eps)`; `kInvalidArgument` otherwise.
   static StatusOr<ExponentialHistogramEstimator> Create(double eps,
                                                         std::uint64_t max_h);
 

@@ -32,6 +32,9 @@ StatusOr<GIndexEstimator> GIndexEstimator::Create(double eps,
   if (max_value < 1) {
     return Status::InvalidArgument("max_value must be >= 1");
   }
+  if (!GeometricGridFits(max_value, eps)) {
+    return Status::InvalidArgument("eps too small for max_value");
+  }
   return GIndexEstimator(eps, max_value);
 }
 

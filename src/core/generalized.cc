@@ -39,6 +39,9 @@ StatusOr<PhiIndexEstimator> PhiIndexEstimator::Create(double eps,
   if (max_k < 1) {
     return Status::InvalidArgument("max_k must be >= 1");
   }
+  if (!GeometricGridFits(max_k, eps)) {
+    return Status::InvalidArgument("eps too small for max_k");
+  }
   if (!(phi.power >= 0.0)) {
     return Status::InvalidArgument("phi.power must be >= 0");
   }

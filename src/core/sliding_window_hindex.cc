@@ -13,6 +13,9 @@ StatusOr<SlidingWindowHIndex> SlidingWindowHIndex::Create(
     return Status::InvalidArgument("window must be >= 1");
   }
   if (max_h == 0) max_h = window;  // the window bounds the H-index
+  if (!GeometricGridFits(max_h, eps / 3.0)) {
+    return Status::InvalidArgument("eps too small for max_h");
+  }
   return SlidingWindowHIndex(eps, window, max_h);
 }
 

@@ -75,6 +75,9 @@ StatusOr<CashRegisterHeavyHitters> CashRegisterHeavyHitters::Create(
   if (options.universe < 1) {
     return Status::InvalidArgument("universe must be >= 1");
   }
+  if (!GeometricGridFits(options.universe, options.eps)) {
+    return Status::InvalidArgument("eps too small for universe");
+  }
   if (options.samplers_per_cell < 1) {
     return Status::InvalidArgument("samplers_per_cell must be >= 1");
   }

@@ -206,18 +206,26 @@ void WalWriter::Degrade() {
   }
 }
 
-Status WalWriter::Append(const std::vector<std::uint8_t>& payload) {
+Status WalWriter::Append(std::span<const std::uint8_t> payload) {
   if (degraded_) {
     // Already loudly degraded; keep the hot path quiet but counted.
     ++counters_.append_failures;
     return Status::OK();
   }
-  const std::vector<std::uint8_t> framed =
-      SealEnvelope(CheckpointTag::kWalRecord, payload);
+  const bool group = options_.fsync != WalFsync::kAlways;
+  if (group && buffer_.empty()) buffer_oldest_nanos_ = FaultClock::NowNanos();
+  // Framed in place after the grouped records: header, then payload.
+  const std::size_t start = buffer_.size();
+  const std::size_t framed = kEnvelopeHeaderBytes + payload.size();
+  buffer_.resize(start + framed);
+  std::uint8_t* frame = buffer_.data() + start;
+  WriteEnvelopeHeader(CheckpointTag::kWalRecord, payload.data(),
+                      payload.size(), frame);
+  std::copy(payload.begin(), payload.end(), frame + kEnvelopeHeaderBytes);
 
   if (FaultRegistry::Global().ShouldFire(FaultPoint::kWalAppendFail)) {
     // Best-effort: land what was already grouped, then give up the log.
-    if (!buffer_.empty()) (void)WriteAll(buffer_.data(), buffer_.size());
+    if (start > 0) (void)WriteAll(buffer_.data(), start);
     ::fsync(fd_);
     ++counters_.append_failures;
     Degrade();
@@ -225,10 +233,9 @@ Status WalWriter::Append(const std::vector<std::uint8_t>& payload) {
   }
   if (FaultRegistry::Global().ShouldFire(FaultPoint::kWalTornTail)) {
     // The power-cut shape: everything before this record intact, this
-    // record cut mid-frame. Flush the group first so the tear is the
-    // newest thing on disk, exactly like a real crash.
-    if (!buffer_.empty()) (void)WriteAll(buffer_.data(), buffer_.size());
-    (void)WriteAll(framed.data(), framed.size() / 2);
+    // record cut mid-frame, so the tear is the newest thing on disk,
+    // exactly like a real crash.
+    (void)WriteAll(buffer_.data(), start + framed / 2);
     ::fsync(fd_);
     ++counters_.append_failures;
     Degrade();
@@ -236,17 +243,13 @@ Status WalWriter::Append(const std::vector<std::uint8_t>& payload) {
   }
 
   Status result = Status::OK();
-  if (options_.fsync == WalFsync::kAlways) {
-    result = WriteAll(framed.data(), framed.size());
-    if (result.ok()) result = SyncFd();
-    if (result.ok()) ++counters_.flushes;
+  if (!group) {
+    result = WriteGroup();
   } else {
-    if (buffer_.empty()) buffer_oldest_nanos_ = FaultClock::NowNanos();
-    buffer_.insert(buffer_.end(), framed.begin(), framed.end());
     const std::uint64_t age_ms =
         (FaultClock::NowNanos() - buffer_oldest_nanos_) / 1'000'000ull;
     if (buffer_.size() >= options_.group_bytes || age_ms >= options_.group_ms) {
-      result = Flush();
+      result = WriteGroup();
     }
   }
   if (!result.ok()) {
@@ -255,22 +258,27 @@ Status WalWriter::Append(const std::vector<std::uint8_t>& payload) {
     return result;
   }
   ++counters_.records;
-  counters_.bytes += framed.size();
+  counters_.bytes += framed;
+  return Status::OK();
+}
+
+Status WalWriter::WriteGroup() {
+  Status result = WriteAll(buffer_.data(), buffer_.size());
+  if (result.ok() && options_.fsync != WalFsync::kNever) result = SyncFd();
+  if (!result.ok()) return result;
+  buffer_.clear();
+  ++counters_.flushes;
   return Status::OK();
 }
 
 Status WalWriter::Flush() {
   if (degraded_ || buffer_.empty()) return Status::OK();
-  Status result = WriteAll(buffer_.data(), buffer_.size());
-  if (result.ok() && options_.fsync != WalFsync::kNever) result = SyncFd();
+  const Status result = WriteGroup();
   if (!result.ok()) {
     ++counters_.append_failures;
     Degrade();
-    return result;
   }
-  buffer_.clear();
-  ++counters_.flushes;
-  return Status::OK();
+  return result;
 }
 
 Status WalWriter::Rotate() {

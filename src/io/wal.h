@@ -99,11 +99,16 @@ class WalWriter {
   ~WalWriter();
 
   /// Frames `payload` as a `kWalRecord` envelope and appends it under
-  /// the configured fsync policy. On any disk failure (or armed WAL
-  /// fault) the writer degrades permanently and returns the error once;
-  /// later appends are counted, dropped no-ops returning OK so the
-  /// caller's hot path stays branch-free about durability.
-  Status Append(const std::vector<std::uint8_t>& payload);
+  /// the configured fsync policy. The frame is built in place at the end
+  /// of the group buffer: header, payload, then the payload's CRC into
+  /// the header, byte-identical to `SealEnvelope(kWalRecord, payload)`.
+  /// Every policy and both WAL fault points take that one path; under
+  /// `always` the buffer holds just this record and is written out at
+  /// once. On any disk failure (or armed WAL fault) the writer degrades
+  /// permanently and returns the error once; later appends are counted,
+  /// dropped no-ops returning OK so the caller's hot path stays
+  /// branch-free about durability.
+  Status Append(std::span<const std::uint8_t> payload);
 
   /// Writes out the buffered group (fsync unless policy is `never`).
   Status Flush();
@@ -129,6 +134,9 @@ class WalWriter {
   explicit WalWriter(WalOptions options) : options_(std::move(options)) {}
 
   Status OpenSegment();
+  /// Writes out the group buffer (fsync unless the policy is `never`)
+  /// and empties it; the caller degrades on failure.
+  Status WriteGroup();
   Status WriteAll(const std::uint8_t* data, std::size_t size);
   Status SyncFd();
   void Degrade();

@@ -6,13 +6,14 @@
 
 namespace himpact {
 
-void Durability::Record(const Command& command) {
+void Durability::Record(const Command& command,
+                        std::span<const std::uint64_t> stripe_seqs) {
   if (wal_ != nullptr && !wal_->degraded()) {
     NoteWalFailure("append",
                    command.kind == CommandKind::kAdd
-                       ? AppendWalAdd(wal_, *service_, command.user,
-                                      command.value)
-                       : AppendWalPaper(wal_, *service_, command.paper));
+                       ? AppendWalAdd(wal_, command.user, command.value,
+                                      stripe_seqs[0])
+                       : AppendWalPaper(wal_, command.paper, stripe_seqs));
   }
   if (!armed()) return;
   if (++writes_since_save_ < options_.checkpoint_every) return;

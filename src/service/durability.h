@@ -2,6 +2,7 @@
 #define HIMPACT_SERVICE_DURABILITY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "io/wal.h"
@@ -48,9 +49,11 @@ class Durability {
   void AttachWal(WalWriter* wal) { wal_ = wal; }
   const WalWriter* wal() const { return wal_; }
 
-  /// Logs one applied write (an `add` or `paper`), then runs the
-  /// auto-checkpoint cadence.
-  void Record(const Command& command);
+  /// Logs one applied write (an `add` or `paper`) with the post-apply
+  /// stripe sequences its apply reported (one per author; an add has
+  /// one), then runs the auto-checkpoint cadence.
+  void Record(const Command& command,
+              std::span<const std::uint64_t> stripe_seqs);
 
   /// Saves the service to `path`; on success rotates the WAL when
   /// `path` is the auto-checkpoint path.

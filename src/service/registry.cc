@@ -1,6 +1,7 @@
 #include "service/registry.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <optional>
@@ -9,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/envelope.h"
+#include "common/math_util.h"
 #include "fault/fault.h"
 #include "hash/mix.h"
 
@@ -24,9 +26,18 @@ namespace {
 // end in a heavy-hitters grid (service/service.cc).
 constexpr std::uint64_t kStripeMagic = 0x48494d5053524734ULL;  // HIMPSRG4
 
-/// Fixed per-user overhead charged against the memory budget: the state
-/// record itself plus an allowance for the hash-map node and bucket.
+/// Fixed per-user overhead charged against the memory budget on top of
+/// the state record: the user index's slots (user_index.h), 16-byte
+/// `{id, entry}` slots at a load of 7/8 down to 7/16 (the index doubles
+/// at 7/8), so 18–37 B per user with the id. The value is the allowance
+/// the `std::unordered_map` node and bucket had, which still covers the
+/// slots, so budget charges and evictions did not move with the index.
 constexpr std::uint64_t kMapNodeOverheadBytes = 48;
+
+/// Bytes of the smallest user record `SerializeStripe` writes (id,
+/// tier, events, last_touch, floor, cold_h), which bounds how many users
+/// a payload can hold.
+constexpr std::uint64_t kMinUserRecordBytes = 41;
 
 /// A segment record's decoded payload: the full cold/hot state the user
 /// held the moment it was paged out.
@@ -144,6 +155,11 @@ StatusOr<TieredUserRegistry> TieredUserRegistry::Create(
   }
   if (options.max_h < 1) {
     return Status::InvalidArgument("max_h must be >= 1");
+  }
+  if (!GeometricGridFits(options.max_h, options.eps)) {
+    return Status::InvalidArgument(
+        "eps too small for max_h: the sketch grid would exceed " +
+        std::to_string(kMaxGeometricLevels) + " levels");
   }
   if (options.num_stripes < 1 || options.num_stripes > 4096) {
     return Status::InvalidArgument("num_stripes must be in 1..4096");
@@ -423,7 +439,7 @@ void TieredUserRegistry::EnforceBudgetLocked(Stripe& stripe) {
   victims.reserve(stripe.resident.size());
   std::size_t kept = 0;
   for (const AuthorId user : stripe.resident) {
-    UserState& state = stripe.users.find(user)->second;
+    UserState& state = *stripe.users.Find(user);
     if (state.tier == UserTier::kCold || state.tier == UserTier::kHot) {
       stripe.resident[kept++] = user;
       victims.emplace_back(state.last_touch, user);
@@ -435,7 +451,7 @@ void TieredUserRegistry::EnforceBudgetLocked(Stripe& stripe) {
   std::sort(victims.begin(), victims.end());
   for (const auto& [touch, user] : victims) {
     if (stripe.resident_bytes <= target) break;
-    UserState& state = stripe.users.find(user)->second;
+    UserState& state = *stripe.users.Find(user);
     const std::uint64_t before = EntryBytes(state);
     DemoteLocked(stripe, user, state);
     stripe.resident_bytes -= before - EntryBytes(state);
@@ -450,8 +466,61 @@ void TieredUserRegistry::EnforceBudgetLocked(Stripe& stripe) {
 
 double TieredUserRegistry::Add(AuthorId user, std::uint64_t value,
                                std::uint64_t* stripe_seq) {
-  Stripe& stripe = *stripes_[StripeOf(user)];
+  const std::uint64_t hash = SplitMix64(user);
+  Stripe& stripe = StripeOfHash(hash);
   std::lock_guard<std::mutex> lock(stripe.mu);
+  return AddLocked(stripe, user, hash, value, stripe_seq);
+}
+
+void TieredUserRegistry::AddPaper(const PaperTuple& paper,
+                                  std::uint32_t author_bits,
+                                  std::uint64_t* stripe_seqs) {
+  const int n = paper.authors.size();
+  std::array<std::uint64_t, kMaxAuthorsPerPaper> hashes{};
+  std::array<Stripe*, kMaxAuthorsPerPaper> stripes{};
+  // The touched stripes in ascending index order, the lock order.
+  std::array<std::size_t, kMaxAuthorsPerPaper> touched{};
+  int num_touched = 0;
+  for (int a = 0; a < n; ++a) {
+    if (((author_bits >> a) & 1u) == 0) continue;
+    hashes[a] = SplitMix64(paper.authors[a]);
+    const std::size_t index =
+        static_cast<std::size_t>(hashes[a] % stripes_.size());
+    stripes[a] = stripes_[index].get();
+    // Insertion into the sorted, duplicate-free prefix.
+    int at = num_touched;
+    while (at > 0 && touched[at - 1] > index) --at;
+    if (at > 0 && touched[at - 1] == index) continue;
+    for (int t = num_touched; t > at; --t) touched[t] = touched[t - 1];
+    touched[at] = index;
+    ++num_touched;
+  }
+  std::array<std::unique_lock<std::mutex>, kMaxAuthorsPerPaper> locks;
+  for (int t = 0; t < num_touched; ++t) {
+    locks[t] = std::unique_lock<std::mutex>(stripes_[touched[t]]->mu);
+  }
+  // Start every author's loads before the first step needs one: the home
+  // slots, then the entries of the users already present.
+  for (int a = 0; a < n; ++a) {
+    if (stripes[a] != nullptr) stripes[a]->users.PrefetchHome(hashes[a]);
+  }
+  for (int a = 0; a < n; ++a) {
+    if (stripes[a] == nullptr) continue;
+    if (const UserState* state =
+            stripes[a]->users.Find(paper.authors[a], hashes[a])) {
+      __builtin_prefetch(state);
+    }
+  }
+  for (int a = 0; a < n; ++a) {
+    if (stripes[a] == nullptr) continue;
+    AddLocked(*stripes[a], paper.authors[a], hashes[a], paper.citations,
+              stripe_seqs != nullptr ? &stripe_seqs[a] : nullptr);
+  }
+}
+
+double TieredUserRegistry::AddLocked(Stripe& stripe, AuthorId user,
+                                     std::uint64_t hash, std::uint64_t value,
+                                     std::uint64_t* stripe_seq) {
   // Fault hook: a firing `worker-stall` wedges this stripe for the armed
   // parameter (microseconds) while holding its lock — queries against
   // the same stripe block behind it, which is what per-op deadlines and
@@ -463,8 +532,8 @@ double TieredUserRegistry::Add(AuthorId user, std::uint64_t value,
   ++stripe.events;
   if (stripe_seq != nullptr) *stripe_seq = stripe.events;
 
-  auto [it, inserted] = stripe.users.try_emplace(user);
-  UserState& state = it->second;
+  auto [found, inserted] = stripe.users.FindOrInsert(user, hash);
+  UserState& state = *found;
   const std::uint64_t before = inserted ? 0 : EntryBytes(state);
   ++state.events;
   state.last_touch = ++stripe.touch_clock;
@@ -543,14 +612,15 @@ double TieredUserRegistry::PointHIndex(AuthorId user) const {
 }
 
 bool TieredUserRegistry::Lookup(AuthorId user, UserSnapshot* out) const {
-  Stripe& stripe = *stripes_[StripeOf(user)];
+  const std::uint64_t hash = SplitMix64(user);
+  Stripe& stripe = StripeOfHash(hash);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.users.find(user);
-  if (it == stripe.users.end()) return false;
+  const UserState* state = stripe.users.Find(user, hash);
+  if (state == nullptr) return false;
   out->user = user;
-  out->tier = it->second.tier;
-  out->events = it->second.events;
-  out->estimate = EstimateLocked(it->second);
+  out->tier = state->tier;
+  out->events = state->events;
+  out->estimate = EstimateLocked(*state);
   return true;
 }
 
@@ -593,7 +663,7 @@ RegistryStats TieredUserRegistry::Stats() const {
     std::lock_guard<std::mutex> lock(stripe->mu);
     stats.total_events += stripe->events;
     stats.num_users += stripe->users.size();
-    for (const auto& [user, state] : stripe->users) {
+    stripe->users.ForEach([&stats](AuthorId, const UserState& state) {
       switch (state.tier) {
         case UserTier::kCold:
           ++stats.cold_users;
@@ -608,7 +678,7 @@ RegistryStats TieredUserRegistry::Stats() const {
           ++stats.segment_users;
           break;
       }
-    }
+    });
     stats.promotions += stripe->promotions;
     stats.demotions += stripe->demotions;
     stats.resident_bytes += stripe->resident_bytes;
@@ -654,15 +724,17 @@ void TieredUserRegistry::SerializeStripe(std::size_t i,
   writer.U64(stripe.demotions);
   writer.U64(stripe.touch_clock);
 
-  // Users in sorted id order so the encoding is deterministic (the map
-  // iteration order is not).
-  std::vector<AuthorId> ids;
-  ids.reserve(stripe.users.size());
-  for (const auto& [user, state] : stripe.users) ids.push_back(user);
-  std::sort(ids.begin(), ids.end());
-  writer.U64(ids.size());
-  for (const AuthorId user : ids) {
-    const UserState& state = stripe.users.find(user)->second;
+  // Users in sorted id order so the encoding is deterministic (the
+  // index's slot order depends on the insertion history).
+  std::vector<std::pair<AuthorId, const UserState*>> users;
+  users.reserve(stripe.users.size());
+  stripe.users.ForEach([&users](AuthorId user, const UserState& state) {
+    users.emplace_back(user, &state);
+  });
+  std::sort(users.begin(), users.end());
+  writer.U64(users.size());
+  for (const auto& [user, entry] : users) {
+    const UserState& state = *entry;
     writer.U64(user);
     writer.U8(static_cast<std::uint8_t>(state.tier));
     writer.U64(state.events);
@@ -737,8 +809,9 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   if (!reader.U64(&num_users)) {
     return Status::InvalidArgument("truncated user count");
   }
-  std::unordered_map<AuthorId, UserState> users;
-  users.reserve(static_cast<std::size_t>(num_users));
+  UserIndex<UserState> users;
+  users.Reserve(static_cast<std::size_t>(
+      std::min(num_users, reader.remaining() / kMinUserRecordBytes)));
   std::vector<AuthorId> resident;
   std::uint64_t resident_bytes = 0;
   for (std::uint64_t u = 0; u < num_users; ++u) {
@@ -786,9 +859,11 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
     state.listed =
         state.tier == UserTier::kCold || state.tier == UserTier::kHot;
     if (state.listed) resident.push_back(user);
-    if (!users.emplace(user, std::move(state)).second) {
+    auto [entry, inserted] = users.FindOrInsert(user, SplitMix64(user));
+    if (!inserted) {
       return Status::InvalidArgument("duplicate user in stripe checkpoint");
     }
+    *entry = std::move(state);
   }
 
   std::uint64_t board_size = 0;

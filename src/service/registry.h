@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
 #include "core/exponential_histogram.h"
+#include "service/user_index.h"
 #include "storage/segment_store.h"
 #include "stream/types.h"
 
@@ -52,9 +52,10 @@
 ///
 /// Thread safety: every public method is safe to call from any thread;
 /// each stripe is guarded by its own mutex, so operations on users in
-/// different stripes proceed in parallel. Single operations never take
-/// more than one stripe lock (cross-stripe queries lock stripes one at
-/// a time), so the registry cannot deadlock against itself.
+/// different stripes proceed in parallel. Only `AddPaper` holds more
+/// than one stripe lock, and it takes them in ascending stripe order;
+/// cross-stripe queries lock stripes one at a time. So the registry
+/// cannot deadlock against itself.
 
 namespace himpact {
 
@@ -172,6 +173,17 @@ class TieredUserRegistry {
   double Add(AuthorId user, std::uint64_t value,
              std::uint64_t* stripe_seq = nullptr);
 
+  /// Observes `paper.citations` for every author `a` whose bit `a` is
+  /// set in `author_bits`, in author order, with the same per-author
+  /// step as `Add`. Each touched stripe's lock is taken once, in
+  /// ascending stripe order, and held for the whole paper. Sets
+  /// `stripe_seqs[a]` to author `a`'s stripe's event count after that
+  /// author's step (co-authors on one stripe get consecutive values);
+  /// entries of unset bits are left alone. `stripe_seqs`, when not null,
+  /// needs room for `paper.authors.size()` values. Thread-safe.
+  void AddPaper(const PaperTuple& paper, std::uint32_t author_bits,
+                std::uint64_t* stripe_seqs = nullptr);
+
   /// The user's current H-index estimate (0 if never seen). For cold
   /// users this is exact; for hot users it carries Algorithm 1's
   /// one-sided `(1-eps)` guarantee; for frozen users it is the frozen
@@ -249,7 +261,7 @@ class TieredUserRegistry {
 
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<AuthorId, UserState> users;
+    UserIndex<UserState> users;
     /// Budget-scan candidates: every cold/hot user, plus users demoted
     /// since the last scan, which drops them (see `UserState::listed`).
     std::vector<AuthorId> resident;
@@ -294,6 +306,14 @@ class TieredUserRegistry {
   static std::uint64_t HotExtraBytes(const UserState& state);
   std::uint64_t EntryBytes(const UserState& state) const;
 
+  /// The stripe of a user whose id hashes to `hash` (`SplitMix64`).
+  Stripe& StripeOfHash(std::uint64_t hash) const {
+    return *stripes_[static_cast<std::size_t>(hash % stripes_.size())];
+  }
+  /// `Add`'s per-author step; the caller holds `stripe.mu`. `hash` is
+  /// `SplitMix64(user)`.
+  double AddLocked(Stripe& stripe, AuthorId user, std::uint64_t hash,
+                   std::uint64_t value, std::uint64_t* stripe_seq);
   double EstimateLocked(const UserState& state) const;
   void PromoteLocked(Stripe& stripe, UserState& state);
   void DemoteLocked(Stripe& stripe, AuthorId user, UserState& state);

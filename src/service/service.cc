@@ -154,10 +154,12 @@ HImpactService::HImpactService(TieredUserRegistry registry,
 }
 
 double HImpactService::RecordResponseCount(AuthorId user,
-                                           std::uint64_t value) {
-  std::uint64_t stripe_seq = 0;
-  const double estimate = registry_.Add(user, value, &stripe_seq);
-  FeedGrid(ResponseCountPaper(user, value, stripe_seq));
+                                           std::uint64_t value,
+                                           std::uint64_t* stripe_seq) {
+  std::uint64_t seq = 0;
+  const double estimate = registry_.Add(user, value, &seq);
+  FeedGrid(ResponseCountPaper(user, value, seq));
+  if (stripe_seq != nullptr) *stripe_seq = seq;
   return estimate;
 }
 
@@ -172,13 +174,10 @@ PaperTuple HImpactService::ResponseCountPaper(AuthorId user,
 }
 
 void HImpactService::ApplyPaper(const PaperTuple& paper,
-                                std::uint32_t author_bits, bool feed_grid) {
+                                std::uint32_t author_bits, bool feed_grid,
+                                std::uint64_t* stripe_seqs) {
   if (paper.authors.empty()) return;
-  for (int a = 0; a < paper.authors.size(); ++a) {
-    if (((author_bits >> a) & 1u) != 0) {
-      registry_.Add(paper.authors[a], paper.citations);
-    }
-  }
+  registry_.AddPaper(paper, author_bits, stripe_seqs);
   if (feed_grid) FeedGrid(paper);
 }
 

@@ -116,8 +116,10 @@ class HImpactService {
   /// paper / post whose total responses are `value`) and returns the
   /// user's updated H-index estimate. The heavy-hitters grid sees the
   /// add as the one-author paper `ResponseCountPaper` builds from the
-  /// stripe sequence the add took. Thread-safe.
-  double RecordResponseCount(AuthorId user, std::uint64_t value);
+  /// stripe sequence the add took, which `*stripe_seq` receives when
+  /// given (the value the WAL logs). Thread-safe.
+  double RecordResponseCount(AuthorId user, std::uint64_t value,
+                             std::uint64_t* stripe_seq = nullptr);
 
   /// Observes one multi-author paper tuple: each author's registry
   /// state absorbs the paper's response count, and the tuple is fed
@@ -129,10 +131,12 @@ class HImpactService {
   /// The apply step of `IngestPaper` and WAL replay
   /// (service/wal_apply.cc): author `a`'s registry state absorbs the
   /// paper iff bit `a` of `author_bits` is set (replay passes the gate's
-  /// verdicts), and the tuple is fed to the heavy-hitters grid iff
-  /// `feed_grid`. Thread-safe.
+  /// verdicts), through one `TieredUserRegistry::AddPaper`, and the
+  /// tuple is fed to the heavy-hitters grid iff `feed_grid`. When given,
+  /// `stripe_seqs[a]` receives applied author `a`'s post-apply stripe
+  /// sequence (the values the WAL logs). Thread-safe.
   void ApplyPaper(const PaperTuple& paper, std::uint32_t author_bits,
-                  bool feed_grid);
+                  bool feed_grid, std::uint64_t* stripe_seqs = nullptr);
 
   /// The one-author paper an add of `value` for `user` is to the
   /// heavy-hitters grid, with id `stripe_seq * num_stripes + stripe`:

@@ -1,5 +1,7 @@
 #include "service/session.h"
 
+#include <array>
+
 #include "engine/task_runtime.h"
 #include "net/wire.h"
 
@@ -115,17 +117,22 @@ bool ServiceSession::HandleCommand(const Command& command,
   // A write cannot fail once parsed: it is applied, then logged and
   // counted toward the checkpoint cadence before the reply.
   switch (command.kind) {
-    case CommandKind::kAdd:
-      result->estimate =
-          service_->RecordResponseCount(command.user, command.value);
-      durability_.Record(command);
+    case CommandKind::kAdd: {
+      std::uint64_t stripe_seq = 0;
+      result->estimate = service_->RecordResponseCount(
+          command.user, command.value, &stripe_seq);
+      durability_.Record(command, {&stripe_seq, 1});
       return true;
-    case CommandKind::kPaper:
-      service_->IngestPaper(command.paper);
+    }
+    case CommandKind::kPaper: {
+      std::array<std::uint64_t, kMaxAuthorsPerPaper> stripe_seqs{};
+      service_->ApplyPaper(command.paper, ~std::uint32_t{0},
+                           /*feed_grid=*/true, stripe_seqs.data());
       result->num_authors =
           static_cast<std::uint32_t>(command.paper.authors.size());
-      durability_.Record(command);
+      durability_.Record(command, stripe_seqs);
       return true;
+    }
     case CommandKind::kGet: {
       result->user = command.user;
       UserSnapshot snapshot;

@@ -9,6 +9,38 @@
 namespace himpact {
 namespace {
 
+/// The largest record: a paper with `kMaxAuthorsPerPaper` authors.
+constexpr std::size_t kMaxWalRecordBytes =
+    1 + 8 + 8 + 1 + kMaxAuthorsPerPaper * 16;
+using WalRecordBuffer = std::array<std::uint8_t, kMaxWalRecordBytes>;
+
+/// Encodes an add record into `out`; returns the record's bytes.
+WalPayload EncodeAddTo(AuthorId user, std::uint64_t value,
+                       std::uint64_t stripe_seq, WalRecordBuffer& out) {
+  out[0] = kWalEventAdd;
+  StoreLe64(&out[1], user);
+  StoreLe64(&out[9], value);
+  StoreLe64(&out[17], stripe_seq);
+  return {out.data(), 25};
+}
+
+/// Encodes a paper record into `out`; returns the record's bytes.
+WalPayload EncodePaperTo(const PaperTuple& paper,
+                         std::span<const std::uint64_t> stripe_seqs,
+                         WalRecordBuffer& out) {
+  out[0] = kWalEventPaper;
+  StoreLe64(&out[1], paper.paper);
+  StoreLe64(&out[9], paper.citations);
+  out[17] = static_cast<std::uint8_t>(paper.authors.size());
+  std::size_t size = 18;
+  for (int a = 0; a < paper.authors.size(); ++a) {
+    StoreLe64(&out[size], paper.authors[a]);
+    StoreLe64(&out[size + 8], stripe_seqs[static_cast<std::size_t>(a)]);
+    size += 16;
+  }
+  return {out.data(), size};
+}
+
 /// Decoded form of one WAL payload. An add is the one-author tuple
 /// `RecordResponseCount` fed the grid, so one gate and one apply step
 /// cover both flavors.
@@ -144,33 +176,35 @@ void ApplyRuns(const std::vector<WalPayload>& payloads, const Runs& runs,
 
 std::vector<std::uint8_t> EncodeWalAdd(AuthorId user, std::uint64_t value,
                                        std::uint64_t stripe_seq) {
-  ByteWriter writer;
-  writer.U8(kWalEventAdd);
-  writer.U64(user);
-  writer.U64(value);
-  writer.U64(stripe_seq);
-  return writer.Take();
+  WalRecordBuffer buffer;
+  const WalPayload record = EncodeAddTo(user, value, stripe_seq, buffer);
+  return {record.begin(), record.end()};
 }
 
 std::vector<std::uint8_t> EncodeWalPaper(
     const PaperTuple& paper, std::span<const std::uint64_t> stripe_seqs) {
-  ByteWriter writer;
-  writer.U8(kWalEventPaper);
-  writer.U64(paper.paper);
-  writer.U64(paper.citations);
-  writer.U8(static_cast<std::uint8_t>(paper.authors.size()));
-  for (int a = 0; a < paper.authors.size(); ++a) {
-    writer.U64(paper.authors[a]);
-    writer.U64(stripe_seqs[static_cast<std::size_t>(a)]);
-  }
-  return writer.Take();
+  WalRecordBuffer buffer;
+  const WalPayload record = EncodePaperTo(paper, stripe_seqs, buffer);
+  return {record.begin(), record.end()};
+}
+
+Status AppendWalAdd(WalWriter* wal, AuthorId user, std::uint64_t value,
+                    std::uint64_t stripe_seq) {
+  WalRecordBuffer buffer;
+  return wal->Append(EncodeAddTo(user, value, stripe_seq, buffer));
+}
+
+Status AppendWalPaper(WalWriter* wal, const PaperTuple& paper,
+                      std::span<const std::uint64_t> stripe_seqs) {
+  WalRecordBuffer buffer;
+  return wal->Append(EncodePaperTo(paper, stripe_seqs, buffer));
 }
 
 Status AppendWalAdd(WalWriter* wal, const HImpactService& service,
                     AuthorId user, std::uint64_t value) {
   const TieredUserRegistry& registry = service.registry();
-  const std::uint64_t seq = registry.StripeEvents(registry.StripeOf(user));
-  return wal->Append(EncodeWalAdd(user, value, seq));
+  return AppendWalAdd(wal, user, value,
+                      registry.StripeEvents(registry.StripeOf(user)));
 }
 
 Status AppendWalPaper(WalWriter* wal, const HImpactService& service,
@@ -191,7 +225,7 @@ Status AppendWalPaper(WalWriter* wal, const HImpactService& service,
     for (std::size_t b = a + 1; b < n; ++b) later += stripes[b] == stripes[a];
     seqs[a] = registry.StripeEvents(stripes[a]) - later;
   }
-  return wal->Append(EncodeWalPaper(paper, seqs));
+  return AppendWalPaper(wal, paper, seqs);
 }
 
 Status ReplayWal(const std::string& dir, HImpactService* service,

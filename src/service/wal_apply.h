@@ -66,11 +66,20 @@ std::vector<std::uint8_t> EncodeWalAdd(AuthorId user, std::uint64_t value,
 std::vector<std::uint8_t> EncodeWalPaper(
     const PaperTuple& paper, std::span<const std::uint64_t> stripe_seqs);
 
-/// Computes the post-apply stripe sequences for `paper` and appends the
-/// encoded record to `wal`. Must run on the (single) ingest thread
-/// after the event applied and before the next event applies, so the
-/// registry's stripe counts still equal the post-apply state of this
-/// event. The add flavor likewise.
+/// Appends the record of one applied add or paper to `wal`, with the
+/// post-apply stripe sequences the apply reported
+/// (`HImpactService::RecordResponseCount`, `ApplyPaper`). The record is
+/// encoded into a stack buffer and framed in place by
+/// `WalWriter::Append`, so it is copied once.
+Status AppendWalAdd(WalWriter* wal, AuthorId user, std::uint64_t value,
+                    std::uint64_t stripe_seq);
+Status AppendWalPaper(WalWriter* wal, const PaperTuple& paper,
+                      std::span<const std::uint64_t> stripe_seqs);
+
+/// The same records with the sequences read back from the registry's
+/// stripe counts. Must run on the (single) ingest thread after the event
+/// applied and before the next event applies, so the counts still equal
+/// the post-apply state of this event.
 Status AppendWalAdd(WalWriter* wal, const HImpactService& service,
                     AuthorId user, std::uint64_t value);
 Status AppendWalPaper(WalWriter* wal, const HImpactService& service,

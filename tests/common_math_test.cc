@@ -54,6 +54,21 @@ TEST(NumGeometricLevelsTest, CoversMaxValue) {
   }
 }
 
+TEST(NumGeometricLevelsTest, GridFitsBoundsTheLevelCount) {
+  EXPECT_TRUE(GeometricGridFits(1u << 20, 0.1));
+  EXPECT_TRUE(GeometricGridFits(UINT64_MAX, 1e-4));
+  EXPECT_TRUE(GeometricGridFits(1, 1e-300));  // one level covers [1, 1]
+  EXPECT_FALSE(GeometricGridFits(1u << 20, 1e-9));
+  EXPECT_FALSE(GeometricGridFits(2, 1e-300));  // 1 + eps == 1
+  EXPECT_FALSE(GeometricGridFits(2, 0.0));
+  EXPECT_FALSE(GeometricGridFits(2, -0.5));
+  EXPECT_FALSE(GeometricGridFits(2, std::nan("")));
+  // Where it fits, the grid is built and stays within the bound.
+  const int levels = NumGeometricLevels(UINT64_MAX, 1e-4);
+  EXPECT_GT(levels, 400000);
+  EXPECT_LE(levels, kMaxGeometricLevels);
+}
+
 TEST(GeometricGridTest, PowersAreGeometric) {
   const GeometricGrid grid(1000, 0.25);
   ASSERT_GE(grid.num_levels(), 2);

@@ -86,6 +86,69 @@ TEST(RegistryStress, ConcurrentPromoteDemoteQuery) {
   EXPECT_GT(stats.demotions, 0u);
 }
 
+// Overlapping multi-author papers from several threads: each paper holds
+// the locks of every stripe it touches at once (taken in ascending
+// order), while other threads take single stripe locks for `Lookup` and
+// one at a time for `TopK`. Under TSan this checks the grouped apply's
+// locking; functionally, no deadlock, no lost author event, and no
+// estimate above its user's event count.
+TEST(ServiceStress, OverlappingPapersAgainstTopKAndLookup) {
+  ServiceOptions options;
+  options.num_stripes = 4;
+  options.promote_threshold = 8;
+  options.memory_budget_bytes = 128 * 1024;  // demotions mid-paper too
+  options.leaderboard_capacity = 16;
+  options.enable_heavy_hitters = true;
+  auto service = HImpactService::Create(options).value();
+
+  constexpr int kIngestThreads = 3;
+  constexpr int kPapersPerThread = 3000;
+  constexpr std::uint64_t kUsers = 150;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> author_events{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kIngestThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(500 + t);
+      ZipfSampler users(kUsers, 1.1);
+      std::uint64_t events = 0;
+      for (int i = 0; i < kPapersPerThread; ++i) {
+        PaperTuple paper;
+        paper.paper = static_cast<PaperId>(t) * kPapersPerThread + i + 1;
+        paper.citations = 1 + rng.UniformU64(60);
+        const int n = 1 + static_cast<int>(rng.UniformU64(kMaxAuthorsPerPaper));
+        for (int a = 0; a < n; ++a) paper.authors.PushBack(users.Sample(rng));
+        service.IngestPaper(paper);
+        events += static_cast<std::uint64_t>(n);
+      }
+      author_events.fetch_add(events, std::memory_order_relaxed);
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(600 + t);
+      while (!stop.load(std::memory_order_acquire)) {
+        UserSnapshot snapshot;
+        if (service.Lookup(1 + rng.UniformU64(kUsers), &snapshot)) {
+          EXPECT_LE(snapshot.estimate, static_cast<double>(snapshot.events));
+        }
+        EXPECT_LE(service.TopK(10).size(), 10u);
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (int t = 0; t < kIngestThreads; ++t) threads[t].join();
+  stop.store(true, std::memory_order_release);
+  for (std::size_t t = kIngestThreads; t < threads.size(); ++t) {
+    threads[t].join();
+  }
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.registry.total_events, author_events.load());
+  EXPECT_EQ(stats.hh_papers,
+            static_cast<std::uint64_t>(kIngestThreads) * kPapersPerThread);
+  EXPECT_GT(stats.registry.demotions, 0u);
+}
+
 // The full service under mixed load: ingest (with the heavy-hitters
 // grid enabled, so its stripe mutexes are in play), point, top-k (both
 // the waiting scan and the deadline-bounded one `top` serves) and heavy

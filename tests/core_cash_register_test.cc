@@ -43,6 +43,7 @@ TEST(CashRegisterTest, RejectsBadParameters) {
   EXPECT_FALSE(CashRegisterEstimator::Create(0.0, 0.1, 100, 1).ok());
   EXPECT_FALSE(CashRegisterEstimator::Create(0.1, 0.0, 100, 1).ok());
   EXPECT_FALSE(CashRegisterEstimator::Create(0.1, 0.1, 0, 1).ok());
+  EXPECT_FALSE(CashRegisterEstimator::Create(1e-300, 0.1, 100, 1).ok());
   CashRegisterOptions bad;
   bad.mode = CashRegisterMode::kMultiplicative;
   bad.beta = 0.0;

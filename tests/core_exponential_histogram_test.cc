@@ -26,6 +26,44 @@ TEST(ExpHistogramTest, RejectsBadParameters) {
   EXPECT_FALSE(ExponentialHistogramEstimator::Create(-0.5, 100).ok());
   EXPECT_FALSE(ExponentialHistogramEstimator::Create(0.1, 0).ok());
   EXPECT_TRUE(ExponentialHistogramEstimator::Create(0.1, 1).ok());
+  // An eps whose grid cannot reach max_h in kMaxGeometricLevels levels;
+  // at 1e-300, 1 + eps rounds to 1 and the grid would never reach it.
+  for (const double eps : {1e-9, 1e-300, 5e-324}) {
+    EXPECT_EQ(ExponentialHistogramEstimator::Create(eps, 1u << 20)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "eps " << eps;
+  }
+  EXPECT_TRUE(ExponentialHistogramEstimator::Create(1e-9, 1).ok());
+}
+
+// A stored eps reaches Create from checkpoints and segment records, so a
+// crafted one must be rejected before any grid is built.
+TEST(ExpHistogramTest, DecodersRejectATinyStoredEps) {
+  for (const double eps : {1e-9, 1e-300}) {
+    ByteWriter dense;
+    dense.U64(0x48494d5045585031ULL);  // HIMPEXP1
+    dense.F64(eps);
+    dense.U64(1u << 20);
+    dense.U64(3);  // a counter count no grid of these options has
+    ByteReader dense_reader(dense.buffer());
+    EXPECT_EQ(ExponentialHistogramEstimator::DeserializeFrom(dense_reader)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "eps " << eps;
+
+    ByteWriter sparse;
+    sparse.Varint(0);
+    ByteReader sparse_reader(sparse.buffer());
+    EXPECT_EQ(ExponentialHistogramEstimator::DeserializeSparseFrom(
+                  sparse_reader, eps, 1u << 20)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "eps " << eps;
+  }
 }
 
 TEST(ExpHistogramTest, EmptyStreamIsZero) {

@@ -52,6 +52,7 @@ TEST(GIndexEstimatorTest, RejectsBadParameters) {
   EXPECT_FALSE(GIndexEstimator::Create(0.0, 100).ok());
   EXPECT_FALSE(GIndexEstimator::Create(1.0, 100).ok());
   EXPECT_FALSE(GIndexEstimator::Create(0.1, 0).ok());
+  EXPECT_FALSE(GIndexEstimator::Create(1e-300, 100).ok());  // 1 + eps == 1
 }
 
 TEST(GIndexEstimatorTest, EmptyStreamIsZero) {

@@ -67,6 +67,8 @@ TEST(ExactPhiIndexTest, ScaledMonotoneInScale) {
 TEST(PhiIndexEstimatorTest, RejectsBadParameters) {
   EXPECT_FALSE(PhiIndexEstimator::Create(0.0, 100, PhiSpec::HIndex()).ok());
   EXPECT_FALSE(PhiIndexEstimator::Create(0.1, 0, PhiSpec::HIndex()).ok());
+  EXPECT_FALSE(
+      PhiIndexEstimator::Create(1e-300, 100, PhiSpec::HIndex()).ok());
   PhiSpec bad_scale = PhiSpec::HIndex();
   bad_scale.scale = 0.0;
   EXPECT_FALSE(PhiIndexEstimator::Create(0.1, 100, bad_scale).ok());

@@ -34,6 +34,7 @@ TEST(SlidingWindowHTest, RejectsBadParameters) {
   EXPECT_FALSE(SlidingWindowHIndex::Create(0.0, 100).ok());
   EXPECT_FALSE(SlidingWindowHIndex::Create(1.0, 100).ok());
   EXPECT_FALSE(SlidingWindowHIndex::Create(0.1, 0).ok());
+  EXPECT_FALSE(SlidingWindowHIndex::Create(1e-300, 100).ok());  // 1 + eps == 1
 }
 
 TEST(SlidingWindowHTest, EmptyIsZero) {

@@ -45,6 +45,8 @@ TEST(CashRegisterHeavyTest, RejectsBadParameters) {
   CashRegisterHeavyHitters::Options options;
   options.eps = 0.0;
   EXPECT_FALSE(CashRegisterHeavyHitters::Create(options, 1).ok());
+  options.eps = 1e-300;  // 1 + eps == 1: no grid reaches the universe
+  EXPECT_FALSE(CashRegisterHeavyHitters::Create(options, 1).ok());
   options.eps = 0.25;
   options.samplers_per_cell = 0;
   EXPECT_FALSE(CashRegisterHeavyHitters::Create(options, 1).ok());

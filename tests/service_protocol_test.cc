@@ -233,6 +233,22 @@ TEST(ServeBinary, RejectsBadFlags) {
   std::remove(input.c_str());
 }
 
+// An eps too small for a sketch grid used to pass the flag check and
+// hang the server on its first promotion (the grid's level loop never
+// ends once 1 + eps == 1). The service now refuses it at startup.
+TEST(ServeBinary, RefusesAnEpsNoSketchGridCanHold) {
+  const std::string input = TempPath("tiny_eps_in");
+  WriteTextFile(input, IngestScript(0, 70) + "quit\n");
+  const RunResult result =
+      RunServe("--eps 1e-300 --stripes 1 --no-heavy", input, "2>&1");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.stdout_text.find("eps too small for max_h"),
+            std::string::npos)
+      << result.stdout_text;
+  EXPECT_EQ(result.stdout_text.find("OK"), std::string::npos);
+  std::remove(input.c_str());
+}
+
 // `--deadline-us` bounds only `top`'s stripe scan: a write is never
 // answered as failed after it was applied (a retry would count the
 // citation twice), so even a 1us deadline leaves every reply unchanged.

@@ -8,14 +8,17 @@
 // same suffix of events.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <unistd.h>
@@ -32,6 +35,7 @@
 #include "random/zipf.h"
 #include "service/registry.h"
 #include "service/service.h"
+#include "service/user_index.h"
 #include "service/wal_apply.h"
 
 namespace {
@@ -97,7 +101,180 @@ TEST(RegistryCreate, RejectsBadOptions) {
   options = ServiceOptions();
   options.hh_eps = 1.5;
   EXPECT_FALSE(TieredUserRegistry::Create(options).ok());
+  // An eps whose sketch grid would not fit (at 1e-300 the grid's level
+  // loop never ends): refused up front, before any promotion builds one.
+  for (const double eps : {1e-9, 1e-300}) {
+    options = ServiceOptions();
+    options.eps = eps;
+    EXPECT_EQ(TieredUserRegistry::Create(options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
   EXPECT_TRUE(TieredUserRegistry::Create(ServiceOptions()).ok());
+}
+
+// --- registry: the per-stripe user index -------------------------------------
+
+// The index against a std::unordered_map model over a seeded program of
+// inserts and lookups: ids 0 and UINT64_MAX, a clump of ids whose homes
+// coincide at every table size up to 256 slots (at the last slot, so
+// their probe chains wrap around), and enough distinct ids to grow the
+// table many times. Entries must not move when it grows, and ForEach
+// must visit each user exactly once.
+TEST(UserIndexTest, MatchesAnUnorderedMapModel) {
+  std::vector<AuthorId> clump;
+  for (AuthorId id = 1; clump.size() < 40; ++id) {
+    if ((SplitMix64(id) >> 56) == 0xFF) clump.push_back(id);
+  }
+  Rng rng(41);
+  const auto pick = [&]() -> AuthorId {
+    switch (rng.UniformU64(5)) {
+      case 0:
+        return rng.Bernoulli(0.5) ? 0 : UINT64_MAX;
+      case 1:
+        return clump[rng.UniformU64(clump.size())];
+      case 2:
+        return rng.UniformU64(64);  // mostly repeats
+      default:
+        return rng.NextU64();  // mostly fresh
+    }
+  };
+  for (const bool reserved : {false, true}) {
+    UserIndex<std::uint64_t> index;
+    if (reserved) index.Reserve(3000);
+    std::unordered_map<AuthorId, std::uint64_t> model;
+    std::unordered_map<AuthorId, const std::uint64_t*> address;
+    // The clump first, into the smallest table.
+    for (const AuthorId id : clump) {
+      auto [value, inserted] = index.FindOrInsert(id, SplitMix64(id));
+      ASSERT_TRUE(inserted);
+      *value = id;
+      model[id] = id;
+      address[id] = value;
+    }
+    for (int step = 0; step < 20000; ++step) {
+      const AuthorId id = pick();
+      if (rng.Bernoulli(0.3)) {
+        const std::uint64_t* found = index.Find(id);
+        const auto it = model.find(id);
+        ASSERT_EQ(found != nullptr, it != model.end()) << "id " << id;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
+          EXPECT_EQ(found, address[id]) << "entry moved";
+        }
+        continue;
+      }
+      auto [value, inserted] = index.FindOrInsert(id, SplitMix64(id));
+      ASSERT_EQ(inserted, model.count(id) == 0) << "id " << id;
+      if (inserted) {
+        EXPECT_EQ(*value, 0u);  // value-initialized
+        address[id] = value;
+      } else {
+        EXPECT_EQ(value, address[id]) << "entry moved";
+      }
+      *value += step + 1;
+      model[id] += step + 1;
+      ASSERT_EQ(index.size(), model.size());
+    }
+    ASSERT_GT(model.size(), 4000u);  // grew well past the first tables
+    std::set<AuthorId> visited;
+    index.ForEach([&](AuthorId id, const std::uint64_t& value) {
+      EXPECT_TRUE(visited.insert(id).second) << "visited twice: " << id;
+      ASSERT_EQ(model.count(id), 1u) << "not in the model: " << id;
+      EXPECT_EQ(value, model[id]);
+      EXPECT_EQ(&value, address[id]);
+    });
+    EXPECT_EQ(visited.size(), model.size());
+    EXPECT_EQ(index.Find(0) != nullptr, model.count(0) == 1);
+    EXPECT_EQ(index.Find(UINT64_MAX) != nullptr, model.count(UINT64_MAX) == 1);
+  }
+}
+
+// --- registry: one paper under one lock per stripe ---------------------------
+
+// `AddPaper` is the per-author `Add`s in author order: the same stripe
+// sequences per author and the same stripe payload bytes. Papers carry
+// up to 8 authors over 3 stripes (so co-authors share stripes), some
+// repeat an author, some apply a subset of their authors as replay
+// does, and the budget is small enough that a paper's own authors
+// demote each other mid-paper; once freezing, once paging.
+TEST(RegistryAddPaper, EqualsPerAuthorAddsInAuthorOrder) {
+  for (const bool paged : {false, true}) {
+    ServiceOptions options = SmallOptions();
+    options.num_stripes = 3;
+    options.promote_threshold = 6;
+    options.memory_budget_bytes = 24 * 1024;
+    const std::string root = TempPath(paged ? "addpaper_paged" : "addpaper");
+    std::filesystem::remove_all(root);
+    ServiceOptions paper_options = options;
+    ServiceOptions add_options = options;
+    if (paged) {
+      paper_options.segment_dir = root + "/paper";
+      add_options.segment_dir = root + "/add";
+    }
+    auto by_paper = TieredUserRegistry::Create(paper_options).value();
+    auto by_add = TieredUserRegistry::Create(add_options).value();
+    Rng rng(paged ? 53 : 52);
+    ZipfSampler users(600, 1.05);
+    for (int i = 0; i < 4000; ++i) {
+      PaperTuple paper;
+      paper.paper = static_cast<PaperId>(i + 1);
+      paper.citations = 1 + rng.UniformU64(80);
+      const int n = 1 + static_cast<int>(rng.UniformU64(kMaxAuthorsPerPaper));
+      const bool repeat = n > 1 && rng.Bernoulli(0.05);
+      for (int a = 0; a < n; ++a) {
+        paper.authors.PushBack(repeat && a == n - 1 ? paper.authors[0]
+                                                    : users.Sample(rng));
+      }
+      const std::uint32_t bits =
+          rng.Bernoulli(0.2)
+              ? static_cast<std::uint32_t>(rng.UniformU64(1u << n))
+              : ~std::uint32_t{0};
+      std::array<std::uint64_t, kMaxAuthorsPerPaper> got{};
+      std::array<std::uint64_t, kMaxAuthorsPerPaper> want{};
+      by_paper.AddPaper(paper, bits, got.data());
+      for (int a = 0; a < n; ++a) {
+        if (((bits >> a) & 1u) != 0) {
+          by_add.Add(paper.authors[a], paper.citations, &want[a]);
+        }
+      }
+      ASSERT_EQ(got, want) << "paper " << i;
+    }
+    const RegistryStats stats = by_paper.Stats();
+    EXPECT_GT(stats.demotions, 100u);
+    EXPECT_GT(paged ? stats.segment_users : stats.frozen_users, 0u);
+    for (std::size_t s = 0; s < options.num_stripes; ++s) {
+      ByteWriter paper_bytes;
+      by_paper.SerializeStripe(s, paper_bytes);
+      ByteWriter add_bytes;
+      by_add.SerializeStripe(s, add_bytes);
+      EXPECT_EQ(paper_bytes.buffer(), add_bytes.buffer()) << "stripe " << s;
+    }
+    std::filesystem::remove_all(root);
+  }
+}
+
+// A hot user whose stored sketch eps is crafted to 1e-300: the stripe
+// payload is rejected, not decoded into a grid that never ends.
+TEST(RegistrySerialize, RejectsAHotUserWithATinyStoredEps) {
+  ServiceOptions options = SmallOptions();
+  options.num_stripes = 1;
+  auto registry = TieredUserRegistry::Create(options).value();
+  for (int i = 0; i < 40; ++i) registry.Add(7, 30);
+  ByteWriter writer;
+  registry.SerializeStripe(0, writer);
+  std::vector<std::uint8_t> bytes = writer.buffer();
+  ByteWriter magic;
+  magic.U64(0x48494d5045585031ULL);  // HIMPEXP1, the sketch's magic
+  const auto at = std::search(bytes.begin(), bytes.end(),
+                              magic.buffer().begin(), magic.buffer().end());
+  ASSERT_NE(at, bytes.end());
+  ByteWriter eps;
+  eps.F64(1e-300);
+  std::copy(eps.buffer().begin(), eps.buffer().end(), at + 8);
+  auto restored = TieredUserRegistry::Create(options).value();
+  ByteReader reader(bytes);
+  EXPECT_EQ(restored.DeserializeStripe(0, reader).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- registry: tier semantics ------------------------------------------------

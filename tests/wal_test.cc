@@ -12,6 +12,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -381,6 +382,99 @@ TEST_F(WalTest, CorruptMidChainSegmentDropsEveryLaterSegment) {
   RemoveTree(dir);
 }
 
+// In-place framing writes exactly the `SealEnvelope` bytes, under every
+// fsync policy and for every payload size from 0 to 300 bytes.
+TEST_F(WalTest, InPlaceFramingEqualsSealEnvelope) {
+  for (const WalFsync policy :
+       {WalFsync::kAlways, WalFsync::kGroup, WalFsync::kNever}) {
+    const std::string dir =
+        TempPath((std::string("framing_") + WalFsyncName(policy)).c_str());
+    RemoveTree(dir);
+    WalOptions options;
+    options.dir = dir;
+    options.fsync = policy;
+    options.group_bytes = 4096;  // several group flushes, not one
+    std::vector<std::uint8_t> expected;
+    std::string segment;
+    {
+      auto writer = WalWriter::Open(options).value();
+      segment = dir + "/wal-" + std::to_string(writer->segment_seq()) + ".log";
+      for (std::size_t size = 0; size <= 300; ++size) {
+        std::vector<std::uint8_t> payload(size);
+        for (std::size_t b = 0; b < size; ++b) {
+          payload[b] = static_cast<std::uint8_t>(size * 31 + b * 7);
+        }
+        ASSERT_TRUE(writer->Append(payload).ok());
+        const std::vector<std::uint8_t> sealed =
+            SealEnvelope(CheckpointTag::kWalRecord, payload);
+        expected.insert(expected.end(), sealed.begin(), sealed.end());
+      }
+      EXPECT_EQ(writer->counters().bytes, expected.size());
+    }
+    EXPECT_EQ(ReadAll(segment), expected) << WalFsyncName(policy);
+    RemoveTree(dir);
+  }
+}
+
+// The session logs the stripe sequences the apply reported; the
+// read-back wrappers derive them from the stripe counts afterwards. On
+// a single ingest thread both write the same log, byte for byte, for
+// adds and for papers whose co-authors share stripes or repeat.
+TEST_F(WalTest, PerEventSequencesWriteTheReadBackLog) {
+  ServiceOptions options;
+  options.num_stripes = 3;
+  options.promote_threshold = 8;
+  options.memory_budget_bytes = 64 * 1024;
+  auto read_back = HImpactService::Create(options).value();
+  auto per_event = HImpactService::Create(options).value();
+  const std::string root = TempPath("per_event");
+  RemoveTree(root);
+  std::filesystem::create_directories(root);
+  WalOptions options_a;
+  options_a.dir = root + "/read_back";
+  options_a.fsync = WalFsync::kNever;
+  WalOptions options_b = options_a;
+  options_b.dir = root + "/per_event";
+  std::string path_a, path_b;
+  {
+    auto wal_a = WalWriter::Open(options_a).value();
+    auto wal_b = WalWriter::Open(options_b).value();
+    path_a = options_a.dir + "/wal-" + std::to_string(wal_a->segment_seq()) +
+             ".log";
+    path_b = options_b.dir + "/wal-" + std::to_string(wal_b->segment_seq()) +
+             ".log";
+    Rng rng(71);
+    for (int i = 0; i < 3000; ++i) {
+      const std::uint64_t value = 1 + rng.UniformU64(60);
+      if (rng.Bernoulli(0.3)) {
+        const AuthorId user = 1 + rng.UniformU64(50);
+        read_back.RecordResponseCount(user, value);
+        ASSERT_TRUE(AppendWalAdd(wal_a.get(), read_back, user, value).ok());
+        std::uint64_t seq = 0;
+        per_event.RecordResponseCount(user, value, &seq);
+        ASSERT_TRUE(AppendWalAdd(wal_b.get(), user, value, seq).ok());
+        continue;
+      }
+      PaperTuple paper;
+      paper.paper = static_cast<PaperId>(i + 1);
+      paper.citations = value;
+      const int n = 1 + static_cast<int>(rng.UniformU64(kMaxAuthorsPerPaper));
+      for (int a = 0; a < n; ++a) {
+        paper.authors.PushBack(1 + rng.UniformU64(50));
+      }
+      read_back.IngestPaper(paper);
+      ASSERT_TRUE(AppendWalPaper(wal_a.get(), read_back, paper).ok());
+      std::array<std::uint64_t, kMaxAuthorsPerPaper> seqs{};
+      per_event.ApplyPaper(paper, ~std::uint32_t{0}, true, seqs.data());
+      ASSERT_TRUE(AppendWalPaper(wal_b.get(), paper, seqs).ok());
+    }
+  }
+  const std::vector<std::uint8_t> log = ReadAll(path_a);
+  EXPECT_GT(log.size(), 100000u);
+  EXPECT_EQ(log, ReadAll(path_b));
+  RemoveTree(root);
+}
+
 // --- injected faults ---------------------------------------------------------
 
 TEST_F(WalTest, AppendFailFaultDegradesButKeepsDurableRecords) {
@@ -651,11 +745,12 @@ TEST_F(WalTest, FullyCoveredAndMalformedRecordsAreSkippedNotFatal) {
     ASSERT_TRUE(wal->Append(EncodeWalAdd(9, 5, 2)).ok());
     // Malformed payloads with valid frames: unknown type byte, a
     // truncated add, an empty payload, a paper claiming 0 authors.
-    ASSERT_TRUE(wal->Append({0x7F, 0x01, 0x02}).ok());
-    ASSERT_TRUE(wal->Append({kWalEventAdd, 0x01}).ok());
+    using Bytes = std::vector<std::uint8_t>;
+    ASSERT_TRUE(wal->Append(Bytes{0x7F, 0x01, 0x02}).ok());
+    ASSERT_TRUE(wal->Append(Bytes{kWalEventAdd, 0x01}).ok());
     ASSERT_TRUE(wal->Append({}).ok());
-    ASSERT_TRUE(wal->Append({kWalEventPaper, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0,
-                             0, 0, 0, 0, 0, 0}).ok());
+    ASSERT_TRUE(wal->Append(Bytes{kWalEventPaper, 1, 0, 0, 0, 0, 0, 0, 0, 1,
+                                  0, 0, 0, 0, 0, 0, 0, 0}).ok());
     // One genuinely new record.
     ASSERT_TRUE(wal->Append(EncodeWalAdd(9, 7, 4)).ok());
   }
@@ -865,7 +960,9 @@ void WriteRandomLog(const std::string& root, std::size_t stripes,
         ASSERT_TRUE(live.CheckpointTo(root + "/ckpt").ok());
       }
       if (n == kPerSegment + 7) {
-        ASSERT_TRUE(wal->Append({kWalEventPaper, 0x01, 0x02}).ok());
+        ASSERT_TRUE(wal->Append(std::vector<std::uint8_t>{kWalEventPaper,
+                                                          0x01, 0x02})
+                        .ok());
       }
       const std::uint64_t value = 1 + rng.UniformU64(60);
       if (rng.Bernoulli(0.3)) {
