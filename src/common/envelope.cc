@@ -1,6 +1,5 @@
 #include "common/envelope.h"
 
-#include <algorithm>
 #include <array>
 
 #include "common/bytes.h"
@@ -79,11 +78,14 @@ void WriteEnvelopeHeader(CheckpointTag tag, const std::uint8_t* payload,
 
 std::vector<std::uint8_t> SealEnvelope(
     CheckpointTag tag, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> framed(kEnvelopeHeaderBytes + payload.size());
-  WriteEnvelopeHeader(tag, payload.data(), payload.size(), framed.data());
-  std::copy(payload.begin(), payload.end(),
-            framed.begin() + kEnvelopeHeaderBytes);
-  return framed;
+  ByteWriter writer;
+  writer.U32(kEnvelopeMagic);
+  writer.U32(kEnvelopeVersion);
+  writer.U32(static_cast<std::uint32_t>(tag));
+  writer.U64(payload.size());
+  writer.U32(Crc32(payload));
+  writer.Bytes(payload.data(), payload.size());
+  return writer.Take();
 }
 
 StatusOr<std::vector<std::uint8_t>> OpenEnvelope(

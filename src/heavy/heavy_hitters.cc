@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "common/check.h"
+#include "common/math_util.h"
 #include "hash/mix.h"
 
 namespace himpact {
@@ -22,6 +24,15 @@ std::size_t NumRows(const HeavyHitters::Options& options) {
   return static_cast<std::size_t>(std::max(1.0, std::ceil(rows)));
 }
 
+double DetectorEps(const HeavyHitters::Options& options) {
+  return options.detector_eps > 0.0 ? options.detector_eps : options.eps;
+}
+
+double DetectorDelta(const HeavyHitters::Options& options) {
+  return options.detector_delta > 0.0 ? options.detector_delta
+                                      : options.delta;
+}
+
 }  // namespace
 
 StatusOr<HeavyHitters> HeavyHitters::Create(const Options& options,
@@ -34,6 +45,19 @@ StatusOr<HeavyHitters> HeavyHitters::Create(const Options& options,
   }
   if (options.max_papers < 2) {
     return Status::InvalidArgument("max_papers must be >= 2");
+  }
+  const double detector_eps = DetectorEps(options);
+  if (!(detector_eps > 0.0 && detector_eps < 1.0)) {
+    return Status::InvalidArgument("detector_eps must be in (0, 1)");
+  }
+  const double detector_delta = DetectorDelta(options);
+  if (!(detector_delta > 0.0 && detector_delta < 1.0)) {
+    return Status::InvalidArgument("detector_delta must be in (0, 1)");
+  }
+  if (!GeometricGridFits(options.max_papers, detector_eps)) {
+    return Status::InvalidArgument(
+        "eps too small for max_papers: the detector grid would exceed " +
+        std::to_string(kMaxGeometricLevels) + " levels");
   }
   return HeavyHitters(options, seed);
 }
@@ -52,10 +76,8 @@ HeavyHitters::HeavyHitters(const Options& options, std::uint64_t seed)
   }
 
   OneHeavyHitter::Options detector_options;
-  detector_options.eps =
-      options.detector_eps > 0.0 ? options.detector_eps : options.eps;
-  detector_options.delta =
-      options.detector_delta > 0.0 ? options.detector_delta : options.delta;
+  detector_options.eps = DetectorEps(options);
+  detector_options.delta = DetectorDelta(options);
   detector_options.max_papers = options.max_papers;
   StatusOr<OneHeavyHitter> cell = OneHeavyHitter::Create(detector_options);
   HIMPACT_CHECK_MSG(cell.ok(), "detector options were pre-validated");

@@ -61,7 +61,8 @@ class HeavyHitters {
   };
 
   /// Validates options and builds the sketch. Requires `0 < eps < 1`,
-  /// `0 < delta < 1`, `max_papers >= 2`.
+  /// `0 < delta < 1`, `max_papers >= 2`, the detectors' eps and delta in
+  /// (0, 1), and `GeometricGridFits(max_papers, detector eps)`.
   static StatusOr<HeavyHitters> Create(const Options& options,
                                        std::uint64_t seed);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -31,6 +32,11 @@ StatusOr<OneHeavyHitter> OneHeavyHitter::Create(const Options& options) {
   }
   if (options.max_papers < 2) {
     return Status::InvalidArgument("max_papers must be >= 2");
+  }
+  if (!GeometricGridFits(options.max_papers, options.eps)) {
+    return Status::InvalidArgument(
+        "eps too small for max_papers: the level grid would exceed " +
+        std::to_string(kMaxGeometricLevels) + " levels");
   }
   return OneHeavyHitter(options);
 }

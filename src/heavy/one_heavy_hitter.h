@@ -62,7 +62,8 @@ class OneHeavyHitter {
   };
 
   /// Validates options and builds a detector. Requires `0 < eps < 1`,
-  /// `0 < delta < 1`, `max_papers >= 2`.
+  /// `0 < delta < 1`, `max_papers >= 2` and
+  /// `GeometricGridFits(max_papers, eps)`.
   static StatusOr<OneHeavyHitter> Create(const Options& options);
 
   /// One sample entry, ordered by `(priority, paper, authors)` (public so

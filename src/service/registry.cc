@@ -183,6 +183,11 @@ StatusOr<TieredUserRegistry> TieredUserRegistry::Create(
     if (options.hh_max_papers < 1) {
       return Status::InvalidArgument("hh_max_papers must be >= 1");
     }
+    if (!GeometricGridFits(options.hh_max_papers, options.hh_eps)) {
+      return Status::InvalidArgument(
+          "hh_eps too small for hh_max_papers: the detector grid would "
+          "exceed " + std::to_string(kMaxGeometricLevels) + " levels");
+    }
   }
   TieredUserRegistry registry(options);
   Status attached = registry.AttachSegmentStores();
@@ -524,7 +529,8 @@ double TieredUserRegistry::AddLocked(Stripe& stripe, AuthorId user,
   // Fault hook: a firing `worker-stall` wedges this stripe for the armed
   // parameter (microseconds) while holding its lock — queries against
   // the same stripe block behind it, which is what per-op deadlines and
-  // degraded queries exist to survive.
+  // degraded queries exist to survive. Under `AddPaper` the caller holds
+  // every stripe the paper touches, so one author's stall wedges them all.
   if (FaultRegistry::Global().AnyArmed() &&
       FaultRegistry::Global().ShouldFire(FaultPoint::kWorkerStall)) {
     SleepForMicros(FaultRegistry::Global().param(FaultPoint::kWorkerStall));

@@ -176,11 +176,13 @@ class TieredUserRegistry {
   /// Observes `paper.citations` for every author `a` whose bit `a` is
   /// set in `author_bits`, in author order, with the same per-author
   /// step as `Add`. Each touched stripe's lock is taken once, in
-  /// ascending stripe order, and held for the whole paper. Sets
-  /// `stripe_seqs[a]` to author `a`'s stripe's event count after that
-  /// author's step (co-authors on one stripe get consecutive values);
-  /// entries of unset bits are left alone. `stripe_seqs`, when not null,
-  /// needs room for `paper.authors.size()` values. Thread-safe.
+  /// ascending stripe order, and held for the whole paper, so a stall,
+  /// page-in or seal in one author's step holds every touched stripe.
+  /// Sets `stripe_seqs[a]` to author `a`'s stripe's event count after
+  /// that author's step (co-authors on one stripe get consecutive
+  /// values); entries of unset bits are left alone. `stripe_seqs`, when
+  /// not null, needs room for `paper.authors.size()` values.
+  /// Thread-safe.
   void AddPaper(const PaperTuple& paper, std::uint32_t author_bits,
                 std::uint64_t* stripe_seqs = nullptr);
 

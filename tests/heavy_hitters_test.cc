@@ -30,6 +30,18 @@ TEST(HeavyHittersTest, RejectsBadParameters) {
   options.eps = 0.2;
   options.delta = 0.0;
   EXPECT_FALSE(HeavyHitters::Create(options, 1).ok());
+  options.delta = 0.1;
+  options.detector_eps = 1.5;
+  EXPECT_FALSE(HeavyHitters::Create(options, 1).ok());
+  options.detector_eps = 0.0;
+  options.detector_delta = 1.5;
+  EXPECT_FALSE(HeavyHitters::Create(options, 1).ok());
+  // The detectors' level grid must fit, whichever eps sizes it.
+  options.detector_delta = 0.0;
+  options.max_papers = 1u << 20;
+  options.detector_eps = 1e-5;
+  EXPECT_EQ(HeavyHitters::Create(options, 1).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(HeavyHittersTest, GridDimensionsMatchTheorem) {

@@ -107,6 +107,12 @@ TEST(OneHeavyHitterTest, RejectsBadParameters) {
   options.delta = 0.1;
   options.max_papers = 1;
   EXPECT_FALSE(OneHeavyHitter::Create(options).ok());
+  // A level grid past kMaxGeometricLevels (~1.39M levels here) is refused,
+  // not built or aborted on.
+  options.max_papers = 1u << 20;
+  options.eps = 1e-5;
+  EXPECT_EQ(OneHeavyHitter::Create(options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(OneHeavyHitterTest, EmptyStreamDetectsNothing) {

@@ -109,6 +109,17 @@ TEST(RegistryCreate, RejectsBadOptions) {
     EXPECT_EQ(TieredUserRegistry::Create(options).status().code(),
               StatusCode::kInvalidArgument);
   }
+  // The same for the heavy-hitters detectors' grid, and through the
+  // service, which would otherwise build it.
+  options = ServiceOptions();
+  options.hh_max_papers = 1u << 20;
+  options.hh_eps = 1e-5;
+  EXPECT_EQ(TieredUserRegistry::Create(options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(HImpactService::Create(options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.enable_heavy_hitters = false;
+  EXPECT_TRUE(TieredUserRegistry::Create(options).ok());
   EXPECT_TRUE(TieredUserRegistry::Create(ServiceOptions()).ok());
 }
 

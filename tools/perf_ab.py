@@ -2,21 +2,18 @@
 """Alternating A/B runs of perfbench between a base revision and a change.
 
     tools/perf_ab.py --base <rev> --workload W --pairs N
-                     [--head <rev>] [--seconds S] [--seed-start K]
-                     [--trace 0|1] [--scratch DIR]
+                     [--seed-start K] [--trace 0|1] [--scratch DIR]
 
 Each side is exported into its own source tree under the scratch dir
 (default ${TMPDIR:-/tmp}/himpact_perf_ab): the base with `git archive
-<rev>`, the change with `git archive <head>` when --head is given, else
-as a copy of the working tree's tracked and untracked, not ignored,
-files. Exporting leaves the repository's own checkout and git metadata
-untouched. Each side builds its perfbench package once before the
-first pair.
+<rev>`, the change as a copy of the working tree's tracked and
+untracked, not ignored, files. Exporting leaves the repository's own
+checkout and git metadata untouched. Each side builds its perfbench
+package once before the first pair.
 
 Pair i runs `perfbench/run.py --workload W --seed <seed-start + i>
 --seconds S --trace T` once on each side, the base first on even i and
-the change first on odd i. --seconds defaults to BENCHMARK.json's
-run_seconds.
+the change first on odd i, where S is BENCHMARK.json's run_seconds.
 
 For every metric BENCHMARK.json lists (the end-to-end ones, or the
 per-layer ones with --trace 1) it prints the base's median and
@@ -72,9 +69,9 @@ def build(tree):
     subprocess.run([sys.executable, "-c", code], cwd=tree, check=True)
 
 
-def run_once(tree, args, seed):
+def run_once(tree, args, seconds, seed):
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(seed), "--seconds", str(args.seconds),
+           "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(args.trace)]
     done = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL)
@@ -97,10 +94,8 @@ def quartiles(values):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True)
-    ap.add_argument("--head")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--seed-start", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--scratch", type=Path,
@@ -111,8 +106,7 @@ def main():
         ap.error("--pairs must be >= 1")
 
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
-    if args.seconds is None:
-        args.seconds = bench["run_seconds"]
+    seconds = bench["run_seconds"]
     specs = bench["per_layer"] if args.trace else bench["end_to_end"]
 
     trees = {"base": args.scratch / "base", "head": args.scratch / "head"}
@@ -120,14 +114,13 @@ def main():
         shutil.rmtree(tree, ignore_errors=True)
     try:
         label = {"base": export_rev(args.base, trees["base"])}
-        label["head"] = (export_rev(args.head, trees["head"]) if args.head
-                         else export_working_tree(trees["head"]))
+        label["head"] = export_working_tree(trees["head"])
     except subprocess.CalledProcessError as e:
         print("perf_ab: export failed: %s" % e, file=sys.stderr)
         return 2
     print("# base %s, change %s; %s, %d pairs of %gs, seeds %d..%d, trace %d"
           % (label["base"], label["head"], args.workload, args.pairs,
-             args.seconds, args.seed_start, args.seed_start + args.pairs - 1,
+             seconds, args.seed_start, args.seed_start + args.pairs - 1,
              args.trace), flush=True)
     for side in ("base", "head"):
         build(trees[side])
@@ -138,7 +131,7 @@ def main():
         seed = args.seed_start + i
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for side in order:
-            result = run_once(trees[side], args, seed)
+            result = run_once(trees[side], args, seconds, seed)
             result["seed"] = seed
             runs[side].append(result)
             bad = (result["exit_code"] != 0 or not result.get("correct")
