@@ -133,6 +133,7 @@ std::uint64_t Pump(const std::vector<std::string>& batches, bool binary,
                    Handle&& handle) {
   const ConnectionLimits limits;
   Connection conn(UniqueFd(), 0);
+  std::string_view view;
   std::string request;
   std::string reply;
   std::uint64_t checksum = 0;
@@ -140,10 +141,11 @@ std::uint64_t Pump(const std::vector<std::string>& batches, bool binary,
     conn.AppendInput(batch.data(), batch.size(), 0);
     for (;;) {
       if (binary) {
-        if (conn.NextFrame(limits, &request) != FrameResult::kFrame) break;
+        if (conn.NextFrame(limits, &view) != FrameResult::kFrame) break;
       } else {
-        if (conn.NextLine(limits, &request) != LineResult::kLine) break;
+        if (conn.NextLine(limits, &view) != LineResult::kLine) break;
       }
+      request.assign(view);
       reply.clear();
       handle(request, &reply);
       checksum += reply.size() +

@@ -279,11 +279,9 @@ void HandleSigterm(int) {
 int ServeTcp(himpact::ServiceSession& session, const ServeOptions& options) {
   auto server_or = himpact::NetServer::Create(
       options.net,
-      [&session](const std::string& line, std::string* reply) {
-        return session.HandleLine(line, reply);
-      },
-      [&session](const std::string& frame, std::string* reply) {
-        return session.HandleFrame(frame, reply);
+      [&session](bool binary, himpact::RequestBatch requests,
+                 std::size_t reply_room, std::string* replies) {
+        return session.HandleBatch(binary, requests, reply_room, replies);
       });
   if (!server_or.ok()) {
     std::fprintf(stderr, "--listen: %s\n",

@@ -161,11 +161,20 @@ ExponentialHistogramEstimator::DeserializeFrom(ByteReader& reader) {
   if (!reader.F64(&eps) || !reader.U64(&max_h) || !reader.U64(&count)) {
     return Status::InvalidArgument("truncated checkpoint header");
   }
-  StatusOr<ExponentialHistogramEstimator> estimator = Create(eps, max_h);
-  if (!estimator.ok()) return estimator.status();
-  if (count != estimator.value().bucket_.size()) {
+  // Bound the stored sketch before its grid is built: a crafted eps
+  // that fits the level cap still sizes up to 2^20 levels, so the
+  // counters it declares must be the grid's and must all be present.
+  if (max_h < 1 || !GeometricGridFits(max_h, eps)) {
+    return Status::InvalidArgument("bad checkpoint eps or max_h");
+  }
+  if (count != static_cast<std::uint64_t>(NumGeometricLevels(max_h, eps))) {
     return Status::InvalidArgument("checkpoint counter count mismatch");
   }
+  if (count > reader.remaining() / sizeof(std::uint64_t)) {
+    return Status::InvalidArgument("truncated checkpoint counters");
+  }
+  StatusOr<ExponentialHistogramEstimator> estimator = Create(eps, max_h);
+  if (!estimator.ok()) return estimator.status();
   for (std::uint64_t i = 0; i < count; ++i) {
     if (!reader.U64(&estimator.value().bucket_[i])) {
       return Status::InvalidArgument("truncated checkpoint counters");

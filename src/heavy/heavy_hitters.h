@@ -69,9 +69,10 @@ class HeavyHitters {
   /// Observes one paper tuple: hashed per author, per row.
   void AddPaper(const PaperTuple& paper);
 
-  /// Batched `AddPaper`: the scalar loop in this translation unit, so the
-  /// call inlines and the row hashes stay hot. The state does not depend
-  /// on the order of the papers.
+  /// Batched `AddPaper`: works out every paper's level and every
+  /// (row, author) cell first, then makes the offers with each cell's
+  /// loads started a few offers ahead. The state does not depend on the
+  /// order of the papers, so it equals `AddPaper` per paper.
   void AddPaperBatch(std::span<const PaperTuple> papers);
 
   /// Merges another sketch built with identical options *and seed* (the

@@ -47,6 +47,7 @@ OneHeavyHitter::OneHeavyHitter(const Options& options)
       grid_(options.max_papers, options.eps) {
   bucket_.assign(static_cast<std::size_t>(grid_.num_levels()), 0);
   samples_.resize(bucket_.size());
+  bar_.assign(bucket_.size(), ~std::uint64_t{0});
 }
 
 void OneHeavyHitter::AddPaper(const PaperTuple& paper,
@@ -67,12 +68,21 @@ void OneHeavyHitter::AddAtLevel(const SampledPaper& paper, int level) {
   // paper to each qualifying threshold's sample, top down. Level i-1's
   // papers are a superset of level i's, so its admission bar is never
   // higher: once a level turns the paper away, every lower level would.
+  // A priority above a level's bar is turned away without touching the
+  // sample; an equal one still needs the full order, so it is offered.
   ++bucket_[static_cast<std::size_t>(level)];
-  for (int i = level; i >= 0; --i) {
-    if (!samples_[static_cast<std::size_t>(i)].Offer(paper, sample_size_)) {
+  for (std::size_t i = static_cast<std::size_t>(level) + 1; i-- > 0;) {
+    if (bar_[i] < paper.priority || !samples_[i].Offer(paper, sample_size_)) {
       break;
     }
+    UpdateBar(i);
   }
+}
+
+void OneHeavyHitter::UpdateBar(std::size_t i) {
+  const std::vector<SampledPaper>& entries = samples_[i].entries();
+  bar_[i] = entries.size() >= sample_size_ ? entries.back().priority
+                                           : ~std::uint64_t{0};
 }
 
 void OneHeavyHitter::Merge(const OneHeavyHitter& other) {
@@ -87,6 +97,7 @@ void OneHeavyHitter::Merge(const OneHeavyHitter& other) {
   for (std::size_t i = 0; i < bucket_.size(); ++i) {
     bucket_[i] += other.bucket_[i];
     samples_[i].Merge(other.samples_[i], sample_size_);
+    UpdateBar(i);
   }
 }
 
@@ -256,13 +267,15 @@ Status OneHeavyHitter::DeserializeStateFrom(ByteReader& reader,
   num_papers_ = num_papers;
   bucket_ = std::move(bucket);
   samples_ = std::move(samples);
+  for (std::size_t i = 0; i < samples_.size(); ++i) UpdateBar(i);
   return Status::OK();
 }
 
 SpaceUsage OneHeavyHitter::EstimateSpace() const {
   SpaceUsage usage;
   usage.words = bucket_.size();
-  usage.bytes = sizeof(*this) + bucket_.capacity() * sizeof(std::uint64_t);
+  usage.bytes = sizeof(*this) + (bucket_.capacity() + bar_.capacity()) *
+                                    sizeof(std::uint64_t);
   for (const auto& sample : samples_) usage += sample.EstimateSpace();
   return usage;
 }

@@ -95,6 +95,21 @@ class OneHeavyHitter {
   /// every threshold's sample up to it.
   void AddAtLevel(const SampledPaper& paper, int level);
 
+  /// Starts loading the fields `AddAtLevel` reads to find a level's
+  /// state (they are declared together, last).
+  void Prefetch() const {
+    __builtin_prefetch(&num_papers_);
+    __builtin_prefetch(&bar_);
+  }
+
+  /// Starts loading what `AddAtLevel(paper, level)` reads next: the
+  /// level's counter and admission bar.
+  void PrefetchLevel(int level) const {
+    if (level < 0) return;
+    __builtin_prefetch(&bucket_[static_cast<std::size_t>(level)]);
+    __builtin_prefetch(&bar_[static_cast<std::size_t>(level)]);
+  }
+
   /// Merges another detector built with identical options whose papers
   /// were prioritized by the same hash. The histogram counters add and
   /// each threshold's sample becomes the bottom-s of the union, so the
@@ -145,6 +160,9 @@ class OneHeavyHitter {
   /// Index of the winning level (-1 if no level qualifies).
   int WinningLevel() const;
 
+  /// Sets level `i`'s admission bar from its sample.
+  void UpdateBar(std::size_t i);
+
   Options options_;
   std::size_t sample_size_;
   GeometricGrid grid_;
@@ -153,6 +171,12 @@ class OneHeavyHitter {
   // One sample per threshold: the bottom-s of the papers whose count
   // reached (1+eps)^i.
   std::vector<BottomSample<SampledPaper>> samples_;
+  // Per threshold, the admission bar: the priority of its full sample's
+  // largest entry, all ones while the sample has room. A paper whose
+  // priority is above it cannot enter, which `AddAtLevel` decides
+  // without reading the sample. Derived from `samples_` (set on every
+  // accepted offer, rebuilt after a merge or decode), never serialized.
+  std::vector<std::uint64_t> bar_;
 };
 
 }  // namespace himpact

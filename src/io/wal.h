@@ -23,15 +23,24 @@
 /// survived the crash intact.
 ///
 /// Durability is tiered by fsync policy. Under `group` and `never`,
-/// `Append` only copies the record into an in-process group buffer, so
-/// a process crash (SIGKILL) loses the unflushed group too:
+/// `Append` only copies the record into an in-process group buffer. The
+/// session writes the group out (`Flush`) at the end of each batch of
+/// requests, before any of the batch's replies leave
+/// (`Durability::Commit`, service/durability.h), so no acknowledged
+/// record is still in the buffer when the process dies:
 ///
 ///   policy  disk behavior                 process crash   power cut
 ///   always  write + fsync per append      nothing acked   nothing acked
-///   group   buffer, flush + fsync by      the open group  the open group
-///           byte / age watermark
-///   never   buffer, flush by watermark,   the open group  the page cache
-///           fsync only on rotate/close
+///   group   buffer; write + fsync per     nothing acked   nothing acked
+///           batch and by byte / age
+///           watermark
+///   never   buffer; write per batch and   nothing acked   the page cache
+///           by watermark, fsync only on
+///           rotate/close
+///
+/// The byte and age watermarks are backstops: they bound the buffer
+/// within one large batch, and the records of a caller that never
+/// flushes.
 ///
 /// A crash can tear the final record mid-write; the reader repairs
 /// rather than rejects: it scans each segment to the last valid record,

@@ -19,7 +19,7 @@ void Connection::AppendInput(const char* data, std::size_t n,
 }
 
 LineResult Connection::NextLine(const ConnectionLimits& limits,
-                                std::string* line) {
+                                std::string_view* line) {
   const std::size_t newline = rbuf_.find('\n', rbuf_off_);
   if (newline == std::string::npos) {
     if (rbuf_.size() - rbuf_off_ > limits.max_line_bytes) {
@@ -30,12 +30,9 @@ LineResult Connection::NextLine(const ConnectionLimits& limits,
   if (newline - rbuf_off_ > limits.max_line_bytes) {
     return LineResult::kOversize;
   }
-  line->assign(rbuf_, rbuf_off_, newline - rbuf_off_);
+  *line = std::string_view(rbuf_).substr(rbuf_off_, newline - rbuf_off_);
   rbuf_off_ = newline + 1;
-  if (rbuf_off_ >= rbuf_.size()) {
-    rbuf_.clear();
-    rbuf_off_ = 0;
-  } else {
+  if (rbuf_off_ < rbuf_.size()) {
     // More pipelined bytes follow; the next request's clock starts at
     // the moment its first byte became the pending fragment — i.e. now,
     // when the previous line was consumed.
@@ -45,7 +42,7 @@ LineResult Connection::NextLine(const ConnectionLimits& limits,
 }
 
 FrameResult Connection::NextFrame(const ConnectionLimits& limits,
-                                  std::string* frame) {
+                                  std::string_view* frame) {
   const std::size_t pending = rbuf_.size() - rbuf_off_;
   if (pending == 0) return FrameResult::kNone;
   if (static_cast<unsigned char>(rbuf_[rbuf_off_]) != kWireRequestMagic) {
@@ -60,17 +57,19 @@ FrameResult Connection::NextFrame(const ConnectionLimits& limits,
   // length prefix must not grow the read buffer past the line bound.
   if (frame_bytes > limits.max_line_bytes) return FrameResult::kOversize;
   if (pending < frame_bytes) return FrameResult::kNone;
-  frame->assign(rbuf_, rbuf_off_, static_cast<std::size_t>(frame_bytes));
+  *frame = std::string_view(rbuf_).substr(
+      rbuf_off_, static_cast<std::size_t>(frame_bytes));
   rbuf_off_ += static_cast<std::size_t>(frame_bytes);
-  if (rbuf_off_ >= rbuf_.size()) {
-    rbuf_.clear();
-    rbuf_off_ = 0;
-  } else {
+  if (rbuf_off_ < rbuf_.size()) {
     // Same pipelining rule as NextLine: the next request's clock starts
     // when the previous frame was consumed.
     request_start_nanos_ = last_activity_nanos_;
   }
   return FrameResult::kFrame;
+}
+
+void Connection::Unread(std::string_view request) {
+  rbuf_off_ = static_cast<std::size_t>(request.data() - rbuf_.data());
 }
 
 void Connection::ConsumeWritten(std::size_t n, std::uint64_t now_nanos) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "net/socket.h"
 
@@ -83,9 +84,11 @@ class Connection {
   void AppendInput(const char* data, std::size_t n, std::uint64_t now_nanos);
 
   /// Extracts the next complete request line (newline stripped, any
-  /// carriage return left for the strict parser to reject). `kOversize`
-  /// once the pending fragment outgrows `limits.max_line_bytes`.
-  LineResult NextLine(const ConnectionLimits& limits, std::string* line);
+  /// carriage return left for the strict parser to reject) as a view
+  /// into the read buffer, valid until the next `AppendInput`.
+  /// `kOversize` once the pending fragment outgrows
+  /// `limits.max_line_bytes`.
+  LineResult NextLine(const ConnectionLimits& limits, std::string_view* line);
 
   /// Extracts the next complete binary frame (prelude + payload,
   /// exactly as `DecodeRequestFrame` expects). `kBadMagic` when the
@@ -96,8 +99,15 @@ class Connection {
   /// hostile length prefix must not make the server buffer 4 GiB). A
   /// frame with an unsupported version byte is still extracted whole —
   /// the frozen prelude makes its length trustworthy — and rejected
-  /// per-frame by the decoder.
-  FrameResult NextFrame(const ConnectionLimits& limits, std::string* frame);
+  /// per-frame by the decoder. The frame is a view into the read
+  /// buffer, valid until the next `AppendInput`.
+  FrameResult NextFrame(const ConnectionLimits& limits,
+                        std::string_view* frame);
+
+  /// Puts back `request`, a view returned since the last `AppendInput`,
+  /// and everything extracted after it: the next extraction starts at
+  /// `request` again.
+  void Unread(std::string_view request);
 
   /// The framing this connection speaks; latched by the server from
   /// the first received byte.

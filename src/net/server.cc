@@ -42,17 +42,19 @@ Status ErrnoStatus(const char* what) {
 
 }  // namespace
 
-NetServer::NetServer(const NetServerOptions& options, LineHandler handler,
-                     FrameHandler frame_handler)
-    : options_(options),
-      handler_(std::move(handler)),
-      frame_handler_(std::move(frame_handler)) {}
+NetServer::NetServer(const NetServerOptions& options, BatchHandler handler,
+                     bool binary)
+    : options_(options), handler_(std::move(handler)), binary_(binary) {}
 
 NetServer::~NetServer() = default;
 
 StatusOr<std::unique_ptr<NetServer>> NetServer::Create(
-    const NetServerOptions& options, LineHandler handler,
-    FrameHandler frame_handler) {
+    const NetServerOptions& options, BatchHandler handler) {
+  return Make(options, std::move(handler), /*binary=*/true);
+}
+
+StatusOr<std::unique_ptr<NetServer>> NetServer::Make(
+    const NetServerOptions& options, BatchHandler handler, bool binary) {
   if (options.max_connections == 0) {
     return Status::InvalidArgument("max_connections must be >= 1");
   }
@@ -61,10 +63,38 @@ StatusOr<std::unique_ptr<NetServer>> NetServer::Create(
         "write_resume_bytes must not exceed write_buffer_limit");
   }
   std::unique_ptr<NetServer> server(
-      new NetServer(options, std::move(handler), std::move(frame_handler)));
+      new NetServer(options, std::move(handler), binary));
   const Status init = server->Init();
   if (!init.ok()) return init;
   return server;
+}
+
+StatusOr<std::unique_ptr<NetServer>> NetServer::Create(
+    const NetServerOptions& options, LineHandler handler,
+    FrameHandler frame_handler) {
+  const bool binary = frame_handler != nullptr;
+  return Make(
+      options,
+      [line_handler = std::move(handler),
+       frame_handler = std::move(frame_handler)](
+          bool is_binary, RequestBatch requests, std::size_t reply_room,
+          std::string* replies) {
+        BatchResult result;
+        std::string request;
+        std::string reply;
+        for (const std::string_view view : requests) {
+          if (replies->size() > reply_room) break;
+          request.assign(view);
+          reply.clear();
+          result.keep = is_binary ? frame_handler(request, &reply)
+                                  : line_handler(request, &reply);
+          replies->append(reply);
+          ++result.handled;
+          if (!result.keep) break;
+        }
+        return result;
+      },
+      binary);
 }
 
 Status NetServer::Init() {
@@ -194,7 +224,7 @@ Status NetServer::Run() {
       }
       // Both readable and writable land in the same pump: it flushes,
       // unpauses below the resume watermark, and pulls new input.
-      PumpConnection(conn, now);
+      PumpConnection(conn, now, (events[i].events & EPOLLRDHUP) != 0);
     }
     if (stopped_) return Status::OK();
     now = FaultClock::NowNanos();
@@ -278,7 +308,8 @@ bool NetServer::EvictOldestIdle(std::uint64_t now) {
 }
 
 NetServer::ReadResult NetServer::ReadSome(Connection* conn,
-                                          std::uint64_t now) {
+                                          std::uint64_t now,
+                                          bool peer_closed) {
   char chunk[16384];
   std::size_t total = 0;
   while (total < kMaxReadPerPass) {
@@ -286,6 +317,11 @@ NetServer::ReadResult NetServer::ReadSome(Connection* conn,
     if (n > 0) {
       conn->AppendInput(chunk, static_cast<std::size_t>(n), now);
       total += static_cast<std::size_t>(n);
+      // A short read emptied the socket; edge-triggered epoll reports
+      // whatever arrives after it, so no EAGAIN read is needed to know.
+      if (static_cast<std::size_t>(n) < sizeof(chunk) && !peer_closed) {
+        return ReadResult::kDrained;
+      }
       continue;
     }
     if (n == 0) {
@@ -300,16 +336,13 @@ NetServer::ReadResult NetServer::ReadSome(Connection* conn,
   return ReadResult::kBudgetSpent;  // more may be waiting
 }
 
-void NetServer::PumpConnection(Connection* conn, std::uint64_t now) {
+void NetServer::PumpConnection(Connection* conn, std::uint64_t now,
+                               bool peer_closed) {
   const int fd = conn->fd();
   bool socket_dry = false;
   for (;;) {
     DetectProtocol(conn);
-    if (conn->protocol() == WireProtocol::kBinary) {
-      ProcessFrames(conn);
-    } else {
-      ProcessLines(conn);
-    }
+    ProcessRequests(conn);
     if (!FlushWrites(conn, now)) return;  // closed (or fully flushed quit)
     if (conn->paused()) {
       // Write backpressure: stop consuming input. Reading stops too, so
@@ -320,9 +353,9 @@ void NetServer::PumpConnection(Connection* conn, std::uint64_t now) {
       continue;  // answer the pipelined lines that were waiting
     }
     if (conn->close_after_flush() || conn->read_eof() || socket_dry) break;
-    // A read that stopped at EAGAIN needs no second read to prove the
-    // socket empty: edge-triggered epoll reports the next bytes to come.
-    const ReadResult read = ReadSome(conn, now);
+    // A read that found the socket drained needs no second read to prove
+    // it empty: edge-triggered epoll reports the next bytes to come.
+    const ReadResult read = ReadSome(conn, now, peer_closed);
     if (read == ReadResult::kClosed) return;
     if (read == ReadResult::kDrained) socket_dry = true;
   }
@@ -343,7 +376,7 @@ void NetServer::DetectProtocol(Connection* conn) {
   // 0xB1 is outside ASCII and no text verb starts with it, so one byte
   // decides. Without a frame handler the byte falls through to the text
   // parser, which answers it with ERR (the pre-binary behavior).
-  if (first == kWireRequestMagic && frame_handler_) {
+  if (first == kWireRequestMagic && binary_) {
     conn->set_protocol(WireProtocol::kBinary);
     binary_connections_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -351,65 +384,76 @@ void NetServer::DetectProtocol(Connection* conn) {
   }
 }
 
-void NetServer::ProcessFrames(Connection* conn) {
-  std::string frame;
-  std::string reply;
+void NetServer::ProcessRequests(Connection* conn) {
+  const bool binary = conn->protocol() == WireProtocol::kBinary;
+  // How a scan of the buffered input ended: at an incomplete request,
+  // or at one that kills the connection.
+  enum class ScanEnd { kIncomplete, kOversize, kBadMagic };
   while (!conn->close_after_flush()) {
     if (conn->WriteBacklogged(options_.limits)) {
       conn->set_paused(true);
       return;
     }
-    const FrameResult result = conn->NextFrame(options_.limits, &frame);
-    if (result == FrameResult::kNone) return;
-    if (result == FrameResult::kOversize) {
-      // Same policy as an oversize text line: one structured error,
-      // then the connection dies — judged on the declared length, so a
-      // hostile prefix never grows the buffer.
-      killed_oversize_.fetch_add(1, std::memory_order_relaxed);
-      conn->QueueReply(EncodeErrorFrame("frame exceeds max request size"));
-      conn->set_close_after_flush();
-      return;
+    batch_.clear();
+    ScanEnd end = ScanEnd::kIncomplete;
+    std::string_view request;
+    for (;;) {
+      if (binary) {
+        const FrameResult result = conn->NextFrame(options_.limits, &request);
+        if (result == FrameResult::kFrame) {
+          batch_.push_back(request);
+          continue;
+        }
+        if (result == FrameResult::kOversize) end = ScanEnd::kOversize;
+        if (result == FrameResult::kBadMagic) end = ScanEnd::kBadMagic;
+      } else {
+        const LineResult result = conn->NextLine(options_.limits, &request);
+        if (result == LineResult::kLine) {
+          batch_.push_back(request);
+          continue;
+        }
+        if (result == LineResult::kOversize) end = ScanEnd::kOversize;
+      }
+      break;
     }
-    if (result == FrameResult::kBadMagic) {
+    if (!batch_.empty()) {
+      replies_.clear();
+      const BatchResult result =
+          handler_(binary, batch_,
+                   options_.limits.write_buffer_limit -
+                       conn->PendingWriteBytes(),
+                   &replies_);
+      requests_.fetch_add(result.handled, std::memory_order_relaxed);
+      conn->QueueReply(replies_);
+      if (!result.keep) {
+        conn->set_close_after_flush();
+        return;
+      }
+      if (result.handled < batch_.size()) {
+        // The replies outgrew the room: the rest waits for the backlog
+        // to drain (the check above pauses the connection).
+        conn->Unread(batch_[result.handled]);
+        continue;
+      }
+    }
+    if (end == ScanEnd::kOversize) {
+      // One structured error, then the connection dies: an unbounded
+      // line is an attack, not a request, and a frame is judged on its
+      // declared length, so a hostile prefix never grows the buffer.
+      killed_oversize_.fetch_add(1, std::memory_order_relaxed);
+      conn->QueueReply(binary
+                           ? EncodeErrorFrame("frame exceeds max request size")
+                           : std::string("ERR line too long\n"));
+      conn->set_close_after_flush();
+    } else if (end == ScanEnd::kBadMagic) {
       // The stream is desynced — frame boundaries are unrecoverable, so
       // unlike a bad version or opcode this cannot be answered
       // per-frame. One error frame, then close.
       killed_bad_magic_.fetch_add(1, std::memory_order_relaxed);
       conn->QueueReply(EncodeErrorFrame("bad frame magic: stream desynced"));
       conn->set_close_after_flush();
-      return;
     }
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    reply.clear();
-    const bool keep = frame_handler_(frame, &reply);
-    conn->QueueReply(reply);
-    if (!keep) conn->set_close_after_flush();
-  }
-}
-
-void NetServer::ProcessLines(Connection* conn) {
-  std::string line;
-  std::string reply;
-  while (!conn->close_after_flush()) {
-    if (conn->WriteBacklogged(options_.limits)) {
-      conn->set_paused(true);
-      return;
-    }
-    const LineResult result = conn->NextLine(options_.limits, &line);
-    if (result == LineResult::kNone) return;
-    if (result == LineResult::kOversize) {
-      // One ERR, then the connection dies: an unbounded line is an
-      // attack, not a request.
-      killed_oversize_.fetch_add(1, std::memory_order_relaxed);
-      conn->QueueReply("ERR line too long\n");
-      conn->set_close_after_flush();
-      return;
-    }
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    reply.clear();
-    const bool keep = handler_(line, &reply);
-    conn->QueueReply(reply);
-    if (!keep) conn->set_close_after_flush();
+    return;
   }
 }
 
@@ -549,11 +593,7 @@ void NetServer::BeginDrain(std::uint64_t now) {
     if (it == connections_.end()) continue;
     Connection* conn = it->second.get();
     DetectProtocol(conn);
-    if (conn->protocol() == WireProtocol::kBinary) {
-      ProcessFrames(conn);
-    } else {
-      ProcessLines(conn);
-    }
+    ProcessRequests(conn);
     const auto again = connections_.find(fd);
     if (again == connections_.end()) continue;
     conn->set_close_after_flush();

@@ -5,8 +5,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "net/connection.h"
@@ -15,12 +18,12 @@
 /// \file
 /// The async TCP front end: a single-threaded, edge-triggered epoll
 /// event loop hosting both wire protocols on one port. The loop is
-/// protocol-agnostic — a `LineHandler` maps one request line to one
-/// reply block, a `FrameHandler` maps one binary frame to one reply
-/// frame, and the connection's first byte picks which one runs
-/// (docs/PROTOCOL.md "Protocol selection") — so the hardened
-/// `service/protocol.h` parser and the `net/wire.h` codec stay the
-/// core and the network layer adds only transport concerns:
+/// protocol-agnostic — a `BatchHandler` maps every complete request a
+/// read pass brought in (text lines or binary frames, the connection's
+/// first byte picks which; docs/PROTOCOL.md "Protocol selection") to
+/// their replies, in order — so the hardened `service/protocol.h`
+/// parser and the `net/wire.h` codec stay the core and the network
+/// layer adds only transport concerns:
 ///
 ///  * **Accept-storm batching + socket-level shedding.** Each listener
 ///    wakeup drains the whole accept queue. At the connection cap
@@ -91,6 +94,34 @@ struct NetServerCounters {
   std::uint64_t connections = 0;  // currently open
 };
 
+/// The complete requests one read pass brought in on one connection, in
+/// order: text lines (newline stripped) or whole binary frames (prelude
+/// + payload), viewed in place in the connection's read buffer and
+/// valid only during the handler call.
+using RequestBatch = std::span<const std::string_view>;
+
+/// What a `BatchHandler` did with a batch.
+struct BatchResult {
+  /// Requests answered, a prefix of the batch: all of them, or fewer
+  /// when the handler stopped after a `quit` or once its replies passed
+  /// the reply room. Unanswered requests are offered again later
+  /// (after a quit the connection closes instead).
+  std::size_t handled = 0;
+  /// False to close the connection after the replies flush (quit).
+  bool keep = true;
+};
+
+/// Maps a batch of requests to one reply each, appended to `replies` in
+/// request order: a '\n'-terminated block per text line, a reply frame
+/// per binary frame — never empty, even for undecodable requests (the
+/// handler answers those with a structured error). `binary` tells which
+/// framing the batch is in. The handler may stop before a request once
+/// `replies` holds more than `reply_room` bytes, so a connection's
+/// reply backlog stays near the write watermark.
+using BatchHandler =
+    std::function<BatchResult(bool binary, RequestBatch requests,
+                              std::size_t reply_room, std::string* replies)>;
+
 /// Maps one request line to one reply block (must be '\n'-terminated).
 /// Return false to close the connection after the reply flushes (quit).
 using LineHandler = std::function<bool(const std::string& line,
@@ -108,10 +139,17 @@ using FrameHandler = std::function<bool(const std::string& frame,
 /// handler.
 class NetServer {
  public:
-  /// Binds and listens; the loop is not running yet. Without a
-  /// `frame_handler` the server is text-only: a binary first byte is
-  /// handed to the line handler as (malformed) text, which answers it
-  /// with the text protocol's `ERR` — the pre-binary behavior.
+  /// Binds and listens; the loop is not running yet. Every complete
+  /// request of a read pass goes to `handler` in one call.
+  static StatusOr<std::unique_ptr<NetServer>> Create(
+      const NetServerOptions& options, BatchHandler handler);
+
+  /// The same server over per-request handlers, called once per request
+  /// of a batch (an adapter for callers that handle one at a time).
+  /// Without a `frame_handler` the server is text-only: a binary first
+  /// byte is handed to the line handler as (malformed) text, which
+  /// answers it with the text protocol's `ERR` — the pre-binary
+  /// behavior.
   static StatusOr<std::unique_ptr<NetServer>> Create(
       const NetServerOptions& options, LineHandler handler,
       FrameHandler frame_handler = nullptr);
@@ -147,23 +185,28 @@ class NetServer {
   std::string CountersJson() const;
 
  private:
-  /// How a `ReadSome` pass ended: at EAGAIN or EOF (whatever it read),
-  /// with its 64 KiB budget spent while bytes may remain, or by closing
-  /// the connection on a read error.
+  /// How a `ReadSome` pass ended: with the socket drained (a short
+  /// read, EAGAIN or EOF, whatever it read), with its 64 KiB budget
+  /// spent while bytes may remain, or by closing the connection on a
+  /// read error.
   enum class ReadResult { kDrained, kBudgetSpent, kClosed };
 
-  NetServer(const NetServerOptions& options, LineHandler handler,
-            FrameHandler frame_handler);
+  NetServer(const NetServerOptions& options, BatchHandler handler,
+            bool binary);
+  /// Validates `options`, binds and listens.
+  static StatusOr<std::unique_ptr<NetServer>> Make(
+      const NetServerOptions& options, BatchHandler handler, bool binary);
 
   Status Init();
   void AcceptBatch(std::uint64_t now);
   void ShedAtAccept(UniqueFd fd);
   bool EvictOldestIdle(std::uint64_t now);
-  ReadResult ReadSome(Connection* conn, std::uint64_t now);
-  void PumpConnection(Connection* conn, std::uint64_t now);
+  /// `peer_closed`: the wakeup reported the peer's FIN, which a short
+  /// read may leave unread, so the pass reads on to EOF or EAGAIN.
+  ReadResult ReadSome(Connection* conn, std::uint64_t now, bool peer_closed);
+  void PumpConnection(Connection* conn, std::uint64_t now, bool peer_closed);
   void DetectProtocol(Connection* conn);
-  void ProcessLines(Connection* conn);
-  void ProcessFrames(Connection* conn);
+  void ProcessRequests(Connection* conn);
   bool FlushWrites(Connection* conn, std::uint64_t now);
   void UpdateWriteInterest(Connection* conn);
   void ForceWriteEdge(Connection* conn);
@@ -172,8 +215,12 @@ class NetServer {
   void BeginDrain(std::uint64_t now);
 
   NetServerOptions options_;
-  LineHandler handler_;
-  FrameHandler frame_handler_;
+  BatchHandler handler_;
+  /// Whether a 0xB1 first byte selects the binary protocol.
+  const bool binary_;
+  /// One pass's requests and replies, reused across passes.
+  std::vector<std::string_view> batch_;
+  std::string replies_;
   std::function<void()> drain_callback_;
 
   UniqueFd listener_;

@@ -106,7 +106,7 @@ std::string Frame(unsigned char magic, const std::string& payload) {
 /// its payload. Shared by the request and reply decoders — the rules
 /// (magic, version, declared length = actual payload bytes) are
 /// identical in both directions.
-Status OpenFrame(const std::string& frame, unsigned char magic,
+Status OpenFrame(std::string_view frame, unsigned char magic,
                  Cursor* payload) {
   if (frame.size() < kWirePreludeBytes) {
     return BadFrame("truncated frame prelude");
@@ -192,7 +192,7 @@ std::string EncodeRequestFrame(const Command& command) {
   return Frame(kWireRequestMagic, payload);
 }
 
-StatusOr<Command> DecodeRequestFrame(const std::string& frame) {
+StatusOr<Command> DecodeRequestFrame(std::string_view frame) {
   Cursor payload{nullptr, 0};
   const Status opened = OpenFrame(frame, kWireRequestMagic, &payload);
   if (!opened.ok()) return opened;

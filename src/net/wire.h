@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "service/protocol.h"
@@ -95,7 +96,7 @@ std::string EncodeRequestFrame(const Command& command);
 /// version, unknown opcode, short/long operands, or operand values the
 /// text parser would reject (k = 0, empty/duplicate/oversized author
 /// lists, empty save path).
-StatusOr<Command> DecodeRequestFrame(const std::string& frame);
+StatusOr<Command> DecodeRequestFrame(std::string_view frame);
 
 // ---------------------------------------------------------------------
 // Replies.

@@ -27,6 +27,12 @@ void Durability::Record(const Command& command,
   }
 }
 
+void Durability::Commit() {
+  if (wal_ != nullptr && !wal_->degraded()) {
+    NoteWalFailure("commit", wal_->Flush());
+  }
+}
+
 Status Durability::Save(const std::string& path) {
   const Status saved = service_->CheckpointTo(path);
   // Every record appended so far preceded this save, so a save that

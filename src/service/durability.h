@@ -16,7 +16,9 @@
 /// on). Every applied write is appended to the attached log *before*
 /// the checkpoint cadence runs, and `Save` is the one place a save is
 /// followed by a rotation: only a save that landed on the
-/// auto-checkpoint path rotates the log.
+/// auto-checkpoint path rotates the log. The session calls `Commit`
+/// after each batch, before its replies leave, so an acknowledged write
+/// is in the file (and under `group` on the disk).
 ///
 /// It runs no background work: every save is a full save, inline on
 /// the session thread, and pending cold-tier records seal when a
@@ -54,6 +56,19 @@ class Durability {
   /// one), then runs the auto-checkpoint cadence.
   void Record(const Command& command,
               std::span<const std::uint64_t> stripe_seqs);
+
+  /// Writes out the log's open group: `write` under `never`,
+  /// `write`+`fsync` under `group` (`always` keeps none). A failure
+  /// degrades the log like a failed append.
+  void Commit();
+
+  /// Writes left before the cadence runs a save: at least 1, and the
+  /// largest value when unarmed. A session ends its write runs there,
+  /// so a cadence save captures the state after exactly that write.
+  std::uint64_t WritesUntilSave() const {
+    return armed() ? options_.checkpoint_every - writes_since_save_
+                   : ~std::uint64_t{0};
+  }
 
   /// Saves the service to `path`; on success rotates the WAL when
   /// `path` is the auto-checkpoint path.

@@ -10,16 +10,16 @@ namespace {
 
 /// Splits on single spaces; empty tokens (doubled or leading/trailing
 /// spaces) are preserved so the strict parser can reject them.
-std::vector<std::string> SplitTokens(const std::string& line) {
+std::vector<std::string> SplitTokens(std::string_view line) {
   std::vector<std::string> tokens;
   std::size_t start = 0;
   while (start <= line.size()) {
     const std::size_t space = line.find(' ', start);
-    if (space == std::string::npos) {
-      tokens.push_back(line.substr(start));
+    if (space == std::string_view::npos) {
+      tokens.emplace_back(line.substr(start));
       break;
     }
-    tokens.push_back(line.substr(start, space - start));
+    tokens.emplace_back(line.substr(start, space - start));
     start = space + 1;
   }
   return tokens;
@@ -62,11 +62,11 @@ Status ParseAuthors(const std::string& token, AuthorList* out) {
 
 }  // namespace
 
-StatusOr<Command> ParseCommandLine(const std::string& line) {
+StatusOr<Command> ParseCommandLine(std::string_view line) {
   // Embedded NULs are rejected up front: the numeric token parsers are
   // C-string based, so "add 5 6\0junk" would otherwise silently drop
   // everything after the NUL and parse as a valid command.
-  if (line.find('\0') != std::string::npos) {
+  if (line.find('\0') != std::string_view::npos) {
     return BadLine("embedded NUL byte");
   }
   const std::vector<std::string> tokens = SplitTokens(line);

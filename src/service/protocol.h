@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -75,7 +76,7 @@ struct Command {
 
 /// Parses one protocol line. `kInvalidArgument` (with a reason suitable
 /// for an `ERR` reply) on malformed input; blank lines are invalid.
-StatusOr<Command> ParseCommandLine(const std::string& line);
+StatusOr<Command> ParseCommandLine(std::string_view line);
 
 /// The `tier` value a `get` reply carries for a user the service has
 /// never seen (rendered as "none" on the text wire, 0xFF on the binary
@@ -83,7 +84,7 @@ StatusOr<Command> ParseCommandLine(const std::string& line);
 inline constexpr int kTierNone = -1;
 
 /// Transport-neutral outcome of one command: what the service answered,
-/// before any wire rendering. `ServiceSession::HandleCommand` produces
+/// before any wire rendering. `ServiceSession::HandleBatch` produces
 /// one per command; `FormatTextReply` renders it as the text protocol
 /// line and `EncodeReplyFrame` (net/wire.h) as a binary reply frame.
 /// Both renderings are lossless over these fields, which is what the

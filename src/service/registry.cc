@@ -6,6 +6,7 @@
 #include <cstring>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -471,66 +472,108 @@ void TieredUserRegistry::EnforceBudgetLocked(Stripe& stripe) {
 
 double TieredUserRegistry::Add(AuthorId user, std::uint64_t value,
                                std::uint64_t* stripe_seq) {
-  const std::uint64_t hash = SplitMix64(user);
-  Stripe& stripe = StripeOfHash(hash);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  return AddLocked(stripe, user, hash, value, stripe_seq);
+  const UserEvent event{user, value};
+  double estimate = 0.0;
+  ApplyRun({&event, 1}, stripe_seq, &estimate);
+  return estimate;
 }
 
-void TieredUserRegistry::AddPaper(const PaperTuple& paper,
-                                  std::uint32_t author_bits,
-                                  std::uint64_t* stripe_seqs) {
-  const int n = paper.authors.size();
-  std::array<std::uint64_t, kMaxAuthorsPerPaper> hashes{};
-  std::array<Stripe*, kMaxAuthorsPerPaper> stripes{};
-  // The touched stripes in ascending index order, the lock order.
-  std::array<std::size_t, kMaxAuthorsPerPaper> touched{};
-  int num_touched = 0;
-  for (int a = 0; a < n; ++a) {
-    if (((author_bits >> a) & 1u) == 0) continue;
-    hashes[a] = SplitMix64(paper.authors[a]);
-    const std::size_t index =
-        static_cast<std::size_t>(hashes[a] % stripes_.size());
-    stripes[a] = stripes_[index].get();
-    // Insertion into the sorted, duplicate-free prefix.
-    int at = num_touched;
-    while (at > 0 && touched[at - 1] > index) --at;
-    if (at > 0 && touched[at - 1] == index) continue;
-    for (int t = num_touched; t > at; --t) touched[t] = touched[t - 1];
-    touched[at] = index;
-    ++num_touched;
+void TieredUserRegistry::ApplyRun(std::span<const UserEvent> events,
+                                  std::uint64_t* stripe_seqs,
+                                  double* estimates) {
+  const std::size_t n = events.size();
+  if (n == 0) return;
+  // Reused across runs (serving is one thread, replay one job per
+  // worker), so a steady run allocates nothing.
+  thread_local std::vector<std::uint64_t> hashes;
+  thread_local std::vector<std::uint32_t> starts;
+  thread_local std::vector<std::uint32_t> order;
+  hashes.resize(n);
+  order.resize(n);
+  const std::size_t num_stripes = stripes_.size();
+  // A stable counting sort by stripe: `order` lists the events stripe
+  // by stripe, each stripe's in log order, from `starts[s]`.
+  starts.assign(num_stripes + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    hashes[i] = SplitMix64(events[i].user);
+    ++starts[hashes[i] % num_stripes + 1];
   }
-  std::array<std::unique_lock<std::mutex>, kMaxAuthorsPerPaper> locks;
-  for (int t = 0; t < num_touched; ++t) {
-    locks[t] = std::unique_lock<std::mutex>(stripes_[touched[t]]->mu);
+  for (std::size_t s = 0; s < num_stripes; ++s) starts[s + 1] += starts[s];
+  for (std::size_t i = 0; i < n; ++i) {
+    order[starts[hashes[i] % num_stripes]++] = static_cast<std::uint32_t>(i);
   }
-  // Start every author's loads before the first step needs one: the home
-  // slots, then the entries of the users already present.
-  for (int a = 0; a < n; ++a) {
-    if (stripes[a] != nullptr) stripes[a]->users.PrefetchHome(hashes[a]);
+  // `starts[s]` now ends stripe s's share; stripe s - 1's ended where it
+  // begins.
+  std::uint32_t begin = 0;
+  for (std::size_t s = 0; s < num_stripes; ++s) {
+    const std::uint32_t end = starts[s];
+    if (begin == end) continue;
+    Stripe& stripe = *stripes_[s];
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    ApplyStripeRunLocked(stripe, events, hashes,
+                         std::span<const std::uint32_t>(order).subspan(
+                             begin, end - begin),
+                         stripe_seqs, estimates);
+    begin = end;
   }
-  for (int a = 0; a < n; ++a) {
-    if (stripes[a] == nullptr) continue;
-    if (const UserState* state =
-            stripes[a]->users.Find(paper.authors[a], hashes[a])) {
-      __builtin_prefetch(state);
+}
+
+void TieredUserRegistry::ApplyStripeRunLocked(
+    Stripe& stripe, std::span<const UserEvent> events,
+    std::span<const std::uint64_t> hashes,
+    std::span<const std::uint32_t> order, std::uint64_t* stripe_seqs,
+    double* estimates) {
+  // A software pipeline over the stripe's events, kAhead events between
+  // its stages: event k + 2 * kAhead starts loading its home slot, event
+  // k + kAhead looks itself up (the slot has arrived) and starts loading
+  // its entry, and event k starts loading its hot sketch (the entry has
+  // arrived) kAhead / 2 events before its step. The lookup is kept for
+  // the step. A user absent at lookup time is inserted by the step; an
+  // entry never moves, so a kept one stays valid while earlier steps
+  // insert, promote or demote.
+  constexpr std::size_t kAhead = 4;
+  constexpr std::size_t kRing = 2 * kAhead;  // > kAhead, a power of 2
+  std::array<UserState*, kRing> found{};
+  const std::size_t m = order.size();
+  const auto lookup = [&](std::size_t k) {
+    const std::uint32_t i = order[k];
+    UserState* state = stripe.users.Find(events[i].user, hashes[i]);
+    if (state != nullptr) __builtin_prefetch(state);
+    found[k % kRing] = state;
+  };
+  for (std::size_t k = 0; k < std::min(m, 2 * kAhead); ++k) {
+    stripe.users.PrefetchHome(hashes[order[k]]);
+  }
+  for (std::size_t k = 0; k < std::min(m, kAhead); ++k) lookup(k);
+  for (std::size_t k = 0; k < m; ++k) {
+    if (k + 2 * kAhead < m) {
+      stripe.users.PrefetchHome(hashes[order[k + 2 * kAhead]]);
     }
-  }
-  for (int a = 0; a < n; ++a) {
-    if (stripes[a] == nullptr) continue;
-    AddLocked(*stripes[a], paper.authors[a], hashes[a], paper.citations,
-              stripe_seqs != nullptr ? &stripe_seqs[a] : nullptr);
+    if (k + kAhead < m) lookup(k + kAhead);
+    if (k + kAhead / 2 < m) {
+      const UserState* ahead = found[(k + kAhead / 2) % kRing];
+      if (ahead != nullptr && ahead->sketch != nullptr) {
+        __builtin_prefetch(ahead->sketch.get());
+      }
+    }
+    const std::uint32_t i = order[k];
+    const double estimate =
+        AddLocked(stripe, events[i].user, hashes[i], events[i].value,
+                  found[k % kRing],
+                  stripe_seqs != nullptr ? &stripe_seqs[i] : nullptr);
+    if (estimates != nullptr) estimates[i] = estimate;
   }
 }
 
 double TieredUserRegistry::AddLocked(Stripe& stripe, AuthorId user,
                                      std::uint64_t hash, std::uint64_t value,
+                                     UserState* found,
                                      std::uint64_t* stripe_seq) {
   // Fault hook: a firing `worker-stall` wedges this stripe for the armed
   // parameter (microseconds) while holding its lock — queries against
   // the same stripe block behind it, which is what per-op deadlines and
-  // degraded queries exist to survive. Under `AddPaper` the caller holds
-  // every stripe the paper touches, so one author's stall wedges them all.
+  // degraded queries exist to survive. Under `ApplyRun` the caller holds
+  // the stripe for its whole share of the run.
   if (FaultRegistry::Global().AnyArmed() &&
       FaultRegistry::Global().ShouldFire(FaultPoint::kWorkerStall)) {
     SleepForMicros(FaultRegistry::Global().param(FaultPoint::kWorkerStall));
@@ -538,7 +581,10 @@ double TieredUserRegistry::AddLocked(Stripe& stripe, AuthorId user,
   ++stripe.events;
   if (stripe_seq != nullptr) *stripe_seq = stripe.events;
 
-  auto [found, inserted] = stripe.users.FindOrInsert(user, hash);
+  bool inserted = false;
+  if (found == nullptr) {
+    std::tie(found, inserted) = stripe.users.FindOrInsert(user, hash);
+  }
   UserState& state = *found;
   const std::uint64_t before = inserted ? 0 : EntryBytes(state);
   ++state.events;

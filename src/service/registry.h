@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -52,10 +53,9 @@
 ///
 /// Thread safety: every public method is safe to call from any thread;
 /// each stripe is guarded by its own mutex, so operations on users in
-/// different stripes proceed in parallel. Only `AddPaper` holds more
-/// than one stripe lock, and it takes them in ascending stripe order;
-/// cross-stripe queries lock stripes one at a time. So the registry
-/// cannot deadlock against itself.
+/// different stripes proceed in parallel. No method holds two stripe
+/// locks at once (`ApplyRun` takes its stripes one after another, in
+/// ascending order), so the registry cannot deadlock against itself.
 
 namespace himpact {
 
@@ -113,6 +113,13 @@ struct LeaderboardEntry {
   double estimate = 0.0;
 };
 
+/// One author event of a run (`TieredUserRegistry::ApplyRun`): `value`
+/// responses observed for `user`.
+struct UserEvent {
+  AuthorId user = 0;
+  std::uint64_t value = 0;
+};
+
 /// Point-lookup result for one user.
 struct UserSnapshot {
   AuthorId user = 0;
@@ -166,25 +173,27 @@ class TieredUserRegistry {
 
   /// Observes one response count for `user` (one paper / post with
   /// `value` responses, aggregate model) and returns the user's updated
-  /// H-index estimate. When `stripe_seq` is given it receives the
-  /// user's stripe's event count after this event, read under the
-  /// stripe lock (see `StripeEvents`). Thread-safe; may promote the user
-  /// or demote colder users to stay under budget.
+  /// H-index estimate: a run of one event (`ApplyRun`). When
+  /// `stripe_seq` is given it receives the user's stripe's event count
+  /// after this event (see `StripeEvents`). Thread-safe; may promote
+  /// the user or demote colder users to stay under budget.
   double Add(AuthorId user, std::uint64_t value,
              std::uint64_t* stripe_seq = nullptr);
 
-  /// Observes `paper.citations` for every author `a` whose bit `a` is
-  /// set in `author_bits`, in author order, with the same per-author
-  /// step as `Add`. Each touched stripe's lock is taken once, in
-  /// ascending stripe order, and held for the whole paper, so a stall,
-  /// page-in or seal in one author's step holds every touched stripe.
-  /// Sets `stripe_seqs[a]` to author `a`'s stripe's event count after
-  /// that author's step (co-authors on one stripe get consecutive
-  /// values); entries of unset bits are left alone. `stripe_seqs`, when
-  /// not null, needs room for `paper.authors.size()` values.
-  /// Thread-safe.
-  void AddPaper(const PaperTuple& paper, std::uint32_t author_bits,
-                std::uint64_t* stripe_seqs = nullptr);
+  /// Applies a run of author events in log order, each with the
+  /// per-author step of `Add` (tier moves, leaderboard, budget check).
+  /// The events are grouped by stripe, keeping log order within each,
+  /// and each touched stripe's lock is taken once, in ascending stripe
+  /// order, for its whole share of the run: a stall, page-in or seal in
+  /// one event's step holds its stripe for the run. A stripe's state
+  /// depends only on its own events, so the result equals applying the
+  /// events one by one. When not null, `stripe_seqs[i]` receives event
+  /// `i`'s stripe's event count after its step (events on one stripe
+  /// get consecutive values) and `estimates[i]` the user's estimate
+  /// after it; each needs room for `events.size()` values. Thread-safe.
+  void ApplyRun(std::span<const UserEvent> events,
+                std::uint64_t* stripe_seqs = nullptr,
+                double* estimates = nullptr);
 
   /// The user's current H-index estimate (0 if never seen). For cold
   /// users this is exact; for hot users it carries Algorithm 1's
@@ -313,9 +322,17 @@ class TieredUserRegistry {
     return *stripes_[static_cast<std::size_t>(hash % stripes_.size())];
   }
   /// `Add`'s per-author step; the caller holds `stripe.mu`. `hash` is
-  /// `SplitMix64(user)`.
+  /// `SplitMix64(user)`, and `state` the user's entry when the caller
+  /// already found it (null: looked up here, inserted when absent).
   double AddLocked(Stripe& stripe, AuthorId user, std::uint64_t hash,
-                   std::uint64_t value, std::uint64_t* stripe_seq);
+                   std::uint64_t value, UserState* state,
+                   std::uint64_t* stripe_seq);
+  /// `ApplyRun`'s pass over one stripe's events, `order` (indices into
+  /// `events` and `hashes`, in log order); the caller holds `stripe.mu`.
+  void ApplyStripeRunLocked(Stripe& stripe, std::span<const UserEvent> events,
+                            std::span<const std::uint64_t> hashes,
+                            std::span<const std::uint32_t> order,
+                            std::uint64_t* stripe_seqs, double* estimates);
   double EstimateLocked(const UserState& state) const;
   void PromoteLocked(Stripe& stripe, UserState& state);
   void DemoteLocked(Stripe& stripe, AuthorId user, UserState& state);

@@ -156,11 +156,15 @@ HImpactService::HImpactService(TieredUserRegistry registry,
 double HImpactService::RecordResponseCount(AuthorId user,
                                            std::uint64_t value,
                                            std::uint64_t* stripe_seq) {
-  std::uint64_t seq = 0;
-  const double estimate = registry_.Add(user, value, &seq);
-  FeedGrid(ResponseCountPaper(user, value, seq));
-  if (stripe_seq != nullptr) *stripe_seq = seq;
-  return estimate;
+  PaperTuple tuple;
+  tuple.authors.PushBack(user);
+  tuple.citations = value;
+  ServiceWrite write;
+  write.paper = &tuple;
+  write.add = true;
+  write.stripe_seqs = stripe_seq;
+  ApplyRun({&write, 1});
+  return write.estimate;
 }
 
 PaperTuple HImpactService::ResponseCountPaper(AuthorId user,
@@ -176,17 +180,58 @@ PaperTuple HImpactService::ResponseCountPaper(AuthorId user,
 void HImpactService::ApplyPaper(const PaperTuple& paper,
                                 std::uint32_t author_bits, bool feed_grid,
                                 std::uint64_t* stripe_seqs) {
-  if (paper.authors.empty()) return;
-  registry_.AddPaper(paper, author_bits, stripe_seqs);
-  if (feed_grid) FeedGrid(paper);
+  ServiceWrite write;
+  write.paper = &paper;
+  write.author_bits = author_bits;
+  write.feed_grid = feed_grid;
+  write.stripe_seqs = stripe_seqs;
+  ApplyRun({&write, 1});
 }
 
-void HImpactService::FeedGrid(const PaperTuple& paper) {
-  if (!options().enable_heavy_hitters) return;
-  // The tuple is fed once (not per author): AddPaper hashes every
-  // author internally.
+void HImpactService::ApplyRun(std::span<ServiceWrite> writes) {
+  // Reused across runs (serving is one thread, replay one job per
+  // worker), so a steady run allocates nothing.
+  thread_local std::vector<UserEvent> events;
+  thread_local std::vector<std::uint64_t> seqs;
+  thread_local std::vector<double> estimates;
+  thread_local std::vector<PaperTuple> tuples;
+  events.clear();
+  for (const ServiceWrite& write : writes) {
+    const PaperTuple& paper = *write.paper;
+    for (int a = 0; a < paper.authors.size(); ++a) {
+      if (((write.author_bits >> a) & 1u) != 0) {
+        events.push_back({paper.authors[a], paper.citations});
+      }
+    }
+  }
+  seqs.resize(events.size());
+  estimates.resize(events.size());
+  registry_.ApplyRun(events, seqs.data(), estimates.data());
+
+  const bool grid = options().enable_heavy_hitters;
+  tuples.clear();
+  std::size_t event = 0;
+  for (ServiceWrite& write : writes) {
+    const PaperTuple& paper = *write.paper;
+    const std::size_t first = event;
+    for (int a = 0; a < paper.authors.size(); ++a) {
+      if (((write.author_bits >> a) & 1u) == 0) continue;
+      if (write.stripe_seqs != nullptr) write.stripe_seqs[a] = seqs[event];
+      write.estimate = estimates[event];
+      ++event;
+    }
+    if (!grid || !write.feed_grid || paper.authors.empty()) continue;
+    if (write.add) {
+      HIMPACT_DCHECK(event > first);
+      tuples.push_back(ResponseCountPaper(paper.authors[0], paper.citations,
+                                          seqs[first]));
+    } else {
+      tuples.push_back(paper);
+    }
+  }
+  if (tuples.empty()) return;
   std::lock_guard<std::mutex> lock(grid_->mu);
-  grid_->hh->AddPaper(paper);
+  grid_->hh->AddPaperBatch(tuples);
 }
 
 double HImpactService::PointHIndex(AuthorId user) const {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,31 @@ struct ServiceStats {
   std::uint64_t deadline_exceeded = 0;
 };
 
+/// One write of a run (`HImpactService::ApplyRun`): an add or a paper,
+/// with where its apply reports back.
+struct ServiceWrite {
+  /// The write's authors and response count. An add of `value` for
+  /// `user` is the tuple with the one author `user` and `citations =
+  /// value`; its id is unused.
+  const PaperTuple* paper = nullptr;
+  /// An add: the grid sees `ResponseCountPaper` for it, built from the
+  /// stripe sequence its author's step took, so that author must be
+  /// applied whenever `feed_grid` is set.
+  bool add = false;
+  /// Author `a` is applied iff bit `a` is set (replay passes its gate's
+  /// verdicts).
+  std::uint32_t author_bits = ~std::uint32_t{0};
+  /// Whether the write's tuple goes to the heavy-hitters grid.
+  bool feed_grid = true;
+  /// When not null, `stripe_seqs[a]` receives applied author `a`'s
+  /// post-apply stripe sequence (the value the WAL logs); entries of
+  /// unapplied authors are left alone.
+  std::uint64_t* stripe_seqs = nullptr;
+  /// Out: the user's estimate after the write's last applied author's
+  /// step (an add's reply).
+  double estimate = 0.0;
+};
+
 /// A top-k answer that may be degraded: when `stripes_skipped > 0` the
 /// deadline cut the scan short and `entries` covers only the merged
 /// stripes — still a valid lower-bound leaderboard, explicitly tagged.
@@ -128,15 +154,24 @@ class HImpactService {
     ApplyPaper(paper, ~std::uint32_t{0}, /*feed_grid=*/true);
   }
 
-  /// The apply step of `IngestPaper` and WAL replay
-  /// (service/wal_apply.cc): author `a`'s registry state absorbs the
-  /// paper iff bit `a` of `author_bits` is set (replay passes the gate's
-  /// verdicts), through one `TieredUserRegistry::AddPaper`, and the
-  /// tuple is fed to the heavy-hitters grid iff `feed_grid`. When given,
-  /// `stripe_seqs[a]` receives applied author `a`'s post-apply stripe
-  /// sequence (the values the WAL logs). Thread-safe.
+  /// `IngestPaper` as a run of one (`ApplyRun`): author `a`'s registry
+  /// state absorbs the paper iff bit `a` of `author_bits` is set, and
+  /// the tuple is fed to the heavy-hitters grid iff `feed_grid`. When
+  /// given, `stripe_seqs[a]` receives applied author `a`'s post-apply
+  /// stripe sequence. Thread-safe.
   void ApplyPaper(const PaperTuple& paper, std::uint32_t author_bits,
                   bool feed_grid, std::uint64_t* stripe_seqs = nullptr);
+
+  /// The apply step of serving and WAL replay (service/wal_apply.cc):
+  /// applies a run of writes as one batch. Every applied author event of
+  /// the run, in write and author order, goes through one
+  /// `TieredUserRegistry::ApplyRun` (one lock per touched stripe), then
+  /// the grid tuples of the writes that feed it go to the grid under one
+  /// lock (`HeavyHitters::AddPaperBatch`). A write without authors is
+  /// skipped. The end state equals applying the writes one by one:
+  /// each stripe sees its own events in order, and the grid is a
+  /// function of the set of its tuples. Thread-safe.
+  void ApplyRun(std::span<ServiceWrite> writes);
 
   /// The one-author paper an add of `value` for `user` is to the
   /// heavy-hitters grid, with id `stripe_seq * num_stripes + stripe`:
@@ -264,8 +299,6 @@ class HImpactService {
   HImpactService(TieredUserRegistry registry,
                  std::optional<HeavyHitters> grid);
 
-  /// Feeds `paper` to the grid (no-op when the grid is disabled).
-  void FeedGrid(const PaperTuple& paper);
 
   TieredUserRegistry registry_;
   std::unique_ptr<Grid> grid_;

@@ -1,7 +1,5 @@
 #include "service/session.h"
 
-#include <array>
-
 #include "engine/task_runtime.h"
 #include "net/wire.h"
 
@@ -16,6 +14,12 @@ std::string U64(std::uint64_t value) {
 void SetError(const Status& status, CommandResult* result) {
   result->code = status.code();
   result->message = status.message();
+}
+
+/// Appends `result` to `replies` in the batch's wire encoding.
+void AppendReply(bool binary, const CommandResult& result,
+                 std::string* replies) {
+  replies->append(binary ? EncodeReplyFrame(result) : FormatTextReply(result));
 }
 
 }  // namespace
@@ -114,25 +118,7 @@ bool ServiceSession::HandleCommand(const Command& command,
                                    CommandResult* result) {
   *result = CommandResult{};
   result->kind = command.kind;
-  // A write cannot fail once parsed: it is applied, then logged and
-  // counted toward the checkpoint cadence before the reply.
   switch (command.kind) {
-    case CommandKind::kAdd: {
-      std::uint64_t stripe_seq = 0;
-      result->estimate = service_->RecordResponseCount(
-          command.user, command.value, &stripe_seq);
-      durability_.Record(command, {&stripe_seq, 1});
-      return true;
-    }
-    case CommandKind::kPaper: {
-      std::array<std::uint64_t, kMaxAuthorsPerPaper> stripe_seqs{};
-      service_->ApplyPaper(command.paper, ~std::uint32_t{0},
-                           /*feed_grid=*/true, stripe_seqs.data());
-      result->num_authors =
-          static_cast<std::uint32_t>(command.paper.authors.size());
-      durability_.Record(command, stripe_seqs);
-      return true;
-    }
     case CommandKind::kGet: {
       result->user = command.user;
       UserSnapshot snapshot;
@@ -188,6 +174,8 @@ bool ServiceSession::HandleCommand(const Command& command,
     }
     case CommandKind::kQuit:
       return false;
+    case CommandKind::kAdd:
+    case CommandKind::kPaper:
     case CommandKind::kInvalid:
       break;
   }
@@ -195,35 +183,108 @@ bool ServiceSession::HandleCommand(const Command& command,
   return true;
 }
 
-bool ServiceSession::HandleLine(const std::string& line, std::string* reply) {
-  StatusOr<Command> parsed = ParseCommandLine(line);
-  if (!parsed.ok()) {
-    // Quarantine, never abort: the bad line is counted and dropped, and
-    // the loop keeps its one-reply-per-line invariant.
-    ++rejected_lines_;
-    *reply = "ERR " + parsed.status().message() + "\n";
-    return true;
+void ServiceSession::ApplyWrites(std::span<const Command> writes,
+                                 bool binary, std::string* replies) {
+  const std::size_t n = writes.size();
+  add_tuples_.resize(n);
+  seqs_.resize(n);
+  writes_.assign(n, ServiceWrite{});
+  for (std::size_t k = 0; k < n; ++k) {
+    const Command& command = writes[k];
+    ServiceWrite& write = writes_[k];
+    write.stripe_seqs = seqs_[k].data();
+    if (command.kind == CommandKind::kAdd) {
+      PaperTuple& tuple = add_tuples_[k];
+      tuple.authors = AuthorList{command.user};
+      tuple.citations = command.value;
+      write.paper = &tuple;
+      write.add = true;
+    } else {
+      write.paper = &command.paper;
+    }
   }
+  service_->ApplyRun(writes_);
+  // A write cannot fail once parsed: each is logged and counted toward
+  // the checkpoint cadence in request order, then answered.
   CommandResult result;
-  const bool keep_going = HandleCommand(parsed.value(), &result);
-  *reply = FormatTextReply(result);
-  return keep_going;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Command& command = writes[k];
+    const bool add = command.kind == CommandKind::kAdd;
+    const int authors = add ? 1 : command.paper.authors.size();
+    durability_.Record(command, std::span<const std::uint64_t>(seqs_[k]).first(
+                                    static_cast<std::size_t>(authors)));
+    result.kind = command.kind;
+    result.estimate = add ? writes_[k].estimate : 0.0;
+    result.num_authors = add ? 0 : static_cast<std::uint32_t>(authors);
+    AppendReply(binary, result, replies);
+  }
+}
+
+BatchResult ServiceSession::HandleBatch(bool binary, RequestBatch requests,
+                                        std::size_t reply_room,
+                                        std::string* replies) {
+  const std::size_t n = requests.size();
+  commands_.resize(n);
+  decoded_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    StatusOr<Command> command = binary ? DecodeRequestFrame(requests[i])
+                                       : ParseCommandLine(requests[i]);
+    decoded_[i] = command.status();
+    if (command.ok()) commands_[i] = std::move(command).value();
+  }
+  const auto is_write = [this](std::size_t i) {
+    return decoded_[i].ok() && (commands_[i].kind == CommandKind::kAdd ||
+                                commands_[i].kind == CommandKind::kPaper);
+  };
+  BatchResult batch;
+  CommandResult result;
+  while (batch.handled < n && replies->size() <= reply_room) {
+    const std::size_t i = batch.handled;
+    if (is_write(i)) {
+      // A maximal run of writes, cut at the checkpoint cadence.
+      const std::uint64_t limit = durability_.WritesUntilSave();
+      std::size_t end = i + 1;
+      while (end < n && end - i < limit && is_write(end)) ++end;
+      ApplyWrites(std::span<const Command>(commands_).subspan(i, end - i),
+                  binary, replies);
+      batch.handled = end;
+      continue;
+    }
+    ++batch.handled;
+    if (!decoded_[i].ok()) {
+      // Quarantine, never abort: the bad request is counted and
+      // answered, and the batch keeps its one-reply-per-request
+      // invariant.
+      if (binary) {
+        ++rejected_frames_;
+        replies->append(EncodeErrorFrame(decoded_[i].message()));
+      } else {
+        ++rejected_lines_;
+        replies->append("ERR " + decoded_[i].message() + "\n");
+      }
+      continue;
+    }
+    batch.keep = HandleCommand(commands_[i], &result);
+    AppendReply(binary, result, replies);
+    if (!batch.keep) break;
+  }
+  durability_.Commit();
+  return batch;
+}
+
+bool ServiceSession::HandleLine(const std::string& line, std::string* reply) {
+  reply->clear();
+  const std::string_view request(line);
+  return HandleBatch(/*binary=*/false, {&request, 1}, reply->max_size(), reply)
+      .keep;
 }
 
 bool ServiceSession::HandleFrame(const std::string& frame,
                                  std::string* reply) {
-  StatusOr<Command> decoded = DecodeRequestFrame(frame);
-  if (!decoded.ok()) {
-    // Same quarantine contract as the text path, rendered as a
-    // structured error frame (status kErr, opcode 0x00).
-    ++rejected_frames_;
-    *reply = EncodeErrorFrame(decoded.status().message());
-    return true;
-  }
-  CommandResult result;
-  const bool keep_going = HandleCommand(decoded.value(), &result);
-  *reply = EncodeReplyFrame(result);
-  return keep_going;
+  reply->clear();
+  const std::string_view request(frame);
+  return HandleBatch(/*binary=*/true, {&request, 1}, reply->max_size(), reply)
+      .keep;
 }
 
 }  // namespace himpact

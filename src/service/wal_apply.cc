@@ -1,6 +1,8 @@
 #include "service/wal_apply.h"
 
+#include <algorithm>
 #include <array>
+#include <span>
 #include <utility>
 
 #include "common/bytes.h"
@@ -145,28 +147,45 @@ Runs GateSegment(const std::vector<WalPayload>& payloads,
   return runs;
 }
 
+/// Records a replay job applies per `HImpactService::ApplyRun`: enough
+/// to amortize the locks, few enough that the decoded batch stays in
+/// cache.
+constexpr std::size_t kReplayBatch = 512;
+
 /// The parallel phase: one job per non-empty run, all on the shared
-/// runtime, then waits for every one. The stripes and the grid are
-/// separate structures under separate locks, so no two jobs contend. A
-/// stripe's run is its subsequence of the log and the grid run a set of
-/// tuples, so the jobs' interleaving cannot change any end state.
+/// runtime, then waits for every one. Each job applies its run in
+/// batches of `HImpactService::ApplyRun`, the path serving takes: a
+/// stripe's run with each record's author bits, the grid run with no
+/// bits. The stripes and the grid are separate structures under
+/// separate locks, so no two jobs contend. A stripe's run is its
+/// subsequence of the log and the grid run a set of tuples, so the
+/// jobs' interleaving cannot change any end state.
 void ApplyRuns(const std::vector<WalPayload>& payloads, const Runs& runs,
                HImpactService* service) {
   std::vector<TaskHandle> handles;
   TaskRuntime& runtime = TaskRuntime::Shared();
-  // Each job decodes its records again; the gate found them valid.
-  const auto apply = [&payloads, service](std::size_t record,
-                                          std::uint32_t author_bits,
-                                          bool feed_grid) {
-    WalEvent event;
-    (void)DecodeWalEvent(payloads[record], *service, &event);
-    service->ApplyPaper(event.paper, author_bits, feed_grid);
-  };
   for (const auto& run : runs) {
     if (run.empty()) continue;
     const bool feed_grid = &run == &runs.back();
-    handles.push_back(runtime.Submit([&apply, &run, feed_grid] {
-      for (const auto& [record, bits] : run) apply(record, bits, feed_grid);
+    handles.push_back(runtime.Submit([&payloads, service, &run, feed_grid] {
+      // Each job decodes its records again; the gate found them valid.
+      // A decoded add is already its grid tuple, `ResponseCountPaper`
+      // of the logged sequence, so every write here is a paper.
+      std::vector<WalEvent> events(std::min(run.size(), kReplayBatch));
+      std::vector<ServiceWrite> writes(events.size());
+      for (std::size_t begin = 0; begin < run.size(); begin += kReplayBatch) {
+        const std::size_t n = std::min(run.size() - begin, kReplayBatch);
+        for (std::size_t k = 0; k < n; ++k) {
+          const auto& [record, bits] = run[begin + k];
+          events[k] = WalEvent{};
+          (void)DecodeWalEvent(payloads[record], *service, &events[k]);
+          writes[k] = ServiceWrite{};
+          writes[k].paper = &events[k].paper;
+          writes[k].author_bits = bits;
+          writes[k].feed_grid = feed_grid;
+        }
+        service->ApplyRun(std::span<ServiceWrite>(writes).first(n));
+      }
     }));
   }
   for (TaskHandle& handle : handles) handle.Wait();

@@ -37,8 +37,9 @@
 /// Replay runs one WAL segment at a time. A serial gate decodes every
 /// record and decides each author's verdict against running per-stripe
 /// counts, seeded from one `StripeEvents` snapshot. Then the segment
-/// applies in parallel through `HImpactService::ApplyPaper`: one job per
-/// stripe's registry run, in log order, and one for the grid run. The
+/// applies in parallel through `HImpactService::ApplyRun`, the path
+/// serving takes: one job per stripe's registry run, in log order, and
+/// one for the grid run. The
 /// grid has its own gate, on its first author's `stripe_seq` against the
 /// counts the restored grid was saved at (`HImpactService::GridCoverage`),
 /// because a save cut short can leave stripe files newer than
@@ -68,7 +69,7 @@ std::vector<std::uint8_t> EncodeWalPaper(
 
 /// Appends the record of one applied add or paper to `wal`, with the
 /// post-apply stripe sequences the apply reported
-/// (`HImpactService::RecordResponseCount`, `ApplyPaper`). The record is
+/// (`HImpactService::ApplyRun`). The record is
 /// encoded into a stack buffer and framed in place by
 /// `WalWriter::Append`, so it is copied once.
 Status AppendWalAdd(WalWriter* wal, AuthorId user, std::uint64_t value,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/math_util.h"
 #include "core/exact.h"
 #include "core/exponential_histogram.h"
 #include "random/rng.h"
@@ -63,6 +64,30 @@ TEST(ExpHistogramTest, DecodersRejectATinyStoredEps) {
                   .code(),
               StatusCode::kInvalidArgument)
         << "eps " << eps;
+  }
+}
+
+// An eps that fits the level cap still sizes a grid of up to 2^20
+// levels, so a stored sketch must show every counter it declares before
+// its grid is built.
+TEST(ExpHistogramTest, DenseDecoderRejectsATruncatedSketchOfAHugeGrid) {
+  const double eps = 1.4e-5;
+  const std::uint64_t max_h = 1u << 20;
+  ASSERT_TRUE(GeometricGridFits(max_h, eps));
+  const int levels = NumGeometricLevels(max_h, eps);
+  ASSERT_GT(levels, kMaxGeometricLevels / 2);
+  for (const std::uint64_t present : {0, 1, 1000}) {
+    ByteWriter dense;
+    dense.U64(0x48494d5045585031ULL);  // HIMPEXP1
+    dense.F64(eps);
+    dense.U64(max_h);
+    dense.U64(static_cast<std::uint64_t>(levels));
+    for (std::uint64_t i = 0; i < present; ++i) dense.U64(1);
+    ByteReader reader(dense.buffer());
+    EXPECT_EQ(
+        ExponentialHistogramEstimator::DeserializeFrom(reader).status().code(),
+        StatusCode::kInvalidArgument)
+        << present << " counters present";
   }
 }
 

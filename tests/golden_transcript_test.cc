@@ -9,8 +9,13 @@
 // Each run is reduced to digests of its replies (one per window of
 // kWindow replies) and of the checkpoint, WAL and segment files it
 // leaves, and those must equal the committed constants. Only the
-// health keys in kMaskedHealthKeys are masked: they depend on timing or
-// on the host, not on the requests.
+// health keys in kMaskedHealthKeys are masked: they depend on timing,
+// on the host or on how the requests were batched, not on the requests.
+//
+// The stream goes through `ServiceSession::HandleBatch` in batches of 1,
+// 7 and 64 requests (a batch never spans a window), and every batching
+// must reproduce the same digests: runs of writes applied as one batch
+// answer and persist exactly as one request at a time.
 //
 // A change that alters bytes on purpose replaces the constants (a
 // failure prints the new ones) and says why in CHANGES.md. To see what
@@ -53,8 +58,9 @@ constexpr int kRequests = 4000;
 constexpr std::size_t kWindow = 1000;
 constexpr AuthorId kUsers = 600;
 
-// The health keys whose values depend on timing (WAL group flushes) or
-// on the host (task runtime workers); their digits are masked.
+// The health keys whose values depend on timing or batching (WAL group
+// flushes: one per batch) or on the host (task runtime workers); their
+// digits are masked.
 const char* const kMaskedHealthKeys[] = {"flushes", "fsyncs", "workers"};
 
 // What one configuration must reproduce.
@@ -110,18 +116,20 @@ std::string ReplaceAll(std::string text, const std::string& from,
   return text;
 }
 
+// Masks every occurrence: a batch's replies may hold several `health`s.
 std::string MaskHealth(std::string reply) {
   for (const char* key : kMaskedHealthKeys) {
     const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = reply.find(needle);
-    if (at == std::string::npos) continue;
-    const std::size_t begin = at + needle.size();
-    std::size_t end = begin;
-    while (end < reply.size() &&
-           std::isdigit(static_cast<unsigned char>(reply[end]))) {
-      ++end;
+    for (std::size_t at = reply.find(needle); at != std::string::npos;
+         at = reply.find(needle, at + needle.size())) {
+      const std::size_t begin = at + needle.size();
+      std::size_t end = begin;
+      while (end < reply.size() &&
+             std::isdigit(static_cast<unsigned char>(reply[end]))) {
+        ++end;
+      }
+      reply.replace(begin, end - begin, "_");
     }
-    reply.replace(begin, end - begin, "_");
   }
   return reply;
 }
@@ -178,13 +186,15 @@ std::vector<std::string> Requests() {
 }
 
 struct Outcome {
-  std::vector<std::string> transcript;  // request, then its reply
+  std::vector<std::string> transcript;  // a batch's requests, then replies
   Golden digests;
   RegistryStats registry;
 };
 
-// Runs the stream through one configuration in a fresh directory `dir`.
-Outcome RunConfig(const Config& config, const std::string& dir) {
+// Runs the stream through one configuration in a fresh directory `dir`,
+// `chunk` requests per batch.
+Outcome RunConfig(const Config& config, const std::string& dir,
+                  std::size_t chunk) {
   std::error_code ec;
   fs::remove_all(dir, ec);
   fs::create_directories(dir + "/wal");
@@ -207,19 +217,33 @@ Outcome RunConfig(const Config& config, const std::string& dir) {
     std::unique_ptr<WalWriter> wal = WalWriter::Open(wal_options).value();
     ServiceSession session(&service, session_options);
     session.AttachWal(wal.get());
+    const std::vector<std::string> requests = Requests();
     std::uint64_t window = Fnv1a("");
-    std::size_t replies = 0;
-    for (const std::string& request : Requests()) {
-      std::string reply;
-      EXPECT_TRUE(
-          session.HandleLine(ReplaceAll(request, "$DIR", dir), &reply));
-      reply = MaskHealth(ReplaceAll(reply, dir, "$DIR"));
-      outcome.transcript.push_back("> " + request + "\n" + reply);
-      window = Fnv1a(reply, window);
-      if (++replies % kWindow == 0) {
+    for (std::size_t begin = 0; begin < requests.size();) {
+      // A window's digest is the FNV-1a of its replies back to back, so
+      // a batch that ends at the window's end keeps the digests apart.
+      const std::size_t end = std::min(
+          {begin + chunk, requests.size(), (begin / kWindow + 1) * kWindow});
+      std::vector<std::string> lines;
+      std::string header;
+      for (std::size_t i = begin; i < end; ++i) {
+        lines.push_back(ReplaceAll(requests[i], "$DIR", dir));
+        header += "> " + requests[i] + "\n";
+      }
+      const std::vector<std::string_view> batch(lines.begin(), lines.end());
+      std::string replies;
+      const BatchResult result = session.HandleBatch(
+          /*binary=*/false, batch, replies.max_size(), &replies);
+      EXPECT_EQ(result.handled, batch.size());
+      EXPECT_TRUE(result.keep);
+      replies = MaskHealth(ReplaceAll(replies, dir, "$DIR"));
+      outcome.transcript.push_back(header + replies);
+      window = Fnv1a(replies, window);
+      if (end % kWindow == 0) {
         outcome.digests.reply_windows.push_back(window);
         window = Fnv1a("");
       }
+      begin = end;
     }
     outcome.digests.reply_windows.push_back(window);
     outcome.registry = service.Stats().registry;
@@ -247,7 +271,8 @@ Outcome RunConfig(const Config& config, const std::string& dir) {
     *digest = Fnv1a(bytes.str(), Fnv1a(file + '\0', *digest));
   }
 
-  if (const char* dump = std::getenv("HIMPACT_GOLDEN_DUMP")) {
+  const char* dump = std::getenv("HIMPACT_GOLDEN_DUMP");
+  if (dump != nullptr && chunk == 1) {
     fs::create_directories(dump);
     std::ofstream out(std::string(dump) + "/" + config.name + ".txt");
     for (const std::string& line : outcome.transcript) out << line;
@@ -276,17 +301,8 @@ std::string Constants(const Golden& digests) {
          Hex(digests.wal_files) + ", " + Hex(digests.segment_files) + "}";
 }
 
-class GoldenTranscriptTest : public testing::TestWithParam<Config> {
- protected:
-  void SetUp() override { FaultRegistry::Global().Reset(); }
-};
-
-TEST_P(GoldenTranscriptTest, RepliesAndFilesMatchTheCommittedDigests) {
-  const Config& config = GetParam();
-  const std::string dir = testing::TempDir() + "golden_" + config.name +
-                          "_" + std::to_string(static_cast<long>(::getpid()));
-  const Outcome outcome = RunConfig(config, dir);
-
+// Compares one run of `config` with its committed digests.
+void CheckRun(const Config& config, const Outcome& outcome) {
   // Each configuration exercises the tier it is named for.
   if (config.budget_bytes == kSmallBudget) {
     EXPECT_GT(outcome.registry.demotions, 0u);
@@ -313,6 +329,21 @@ TEST_P(GoldenTranscriptTest, RepliesAndFilesMatchTheCommittedDigests) {
   if (testing::Test::HasFailure()) {
     ADD_FAILURE() << "config " << config.name
                   << " digests: " << Constants(got);
+  }
+}
+
+class GoldenTranscriptTest : public testing::TestWithParam<Config> {
+ protected:
+  void SetUp() override { FaultRegistry::Global().Reset(); }
+};
+
+TEST_P(GoldenTranscriptTest, RepliesAndFilesMatchTheCommittedDigests) {
+  const Config& config = GetParam();
+  const std::string dir = testing::TempDir() + "golden_" + config.name +
+                          "_" + std::to_string(static_cast<long>(::getpid()));
+  for (const std::size_t chunk : {1, 7, 64}) {
+    SCOPED_TRACE("batches of " + std::to_string(chunk));
+    CheckRun(config, RunConfig(config, dir, chunk));
   }
 }
 

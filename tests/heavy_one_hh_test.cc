@@ -375,5 +375,86 @@ TEST(OneHeavyHitterTest, AddPaperEqualsThePerCellStep) {
   EXPECT_EQ(Bytes(wrapper.sketch), Bytes(per_cell.sketch));
 }
 
+TEST(OneHeavyHitterTest, AdmissionBarStaysCurrentAfterMergeDecodeAndCopy) {
+  // Each level turns away, without reading its sample, a paper ranked
+  // above its full sample's largest entry. A bar left stale by a merge,
+  // a decode or a copy would turn away papers the sample takes (or
+  // offer ones it refuses) and the bytes would drift from a detector fed
+  // the whole stream. Small samples fill at once, so most offers meet a
+  // full sample's bar.
+  OneHeavyHitter::Options options;
+  options.eps = 0.2;
+  options.delta = 0.05;
+  options.max_papers = 1u << 12;
+  options.sample_size_override = 4;
+  const TabulationHash priority(21);
+  const auto make = [&options] {
+    return OneHeavyHitter::Create(options).value();
+  };
+  const auto feed = [&priority](OneHeavyHitter& detector,
+                                const PaperStream& papers, std::size_t begin,
+                                std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      detector.AddPaper(papers[i], priority(papers[i].paper));
+    }
+  };
+  Rng rng(21);
+  PaperStream papers;
+  for (std::uint64_t p = 0; p < 1500; ++p) {
+    PaperTuple paper;
+    paper.paper = rng.UniformU64(1200);  // some ids repeat
+    paper.authors.PushBack(rng.UniformU64(7));
+    paper.citations = 1 + rng.UniformU64(4000);
+    papers.push_back(paper);
+  }
+  OneHeavyHitter whole = make();
+  feed(whole, papers, 0, papers.size());
+  const std::vector<std::uint8_t> want = Bytes(whole);
+  OneHeavyHitter prefix = make();
+  feed(prefix, papers, 0, 1000);
+
+  // Merge: the bottom-s of the union, into a detector with fuller and
+  // with emptier samples than the result.
+  OneHeavyHitter left = make();
+  OneHeavyHitter right = make();
+  for (std::size_t i = 0; i < 1000; ++i) {
+    (i % 4 == 0 ? left : right).AddPaper(papers[i], priority(papers[i].paper));
+  }
+  for (OneHeavyHitter* into : {&left, &right}) {
+    OneHeavyHitter merged = *into;
+    merged.Merge(into == &left ? right : left);
+    feed(merged, papers, 1000, papers.size());
+    EXPECT_EQ(Bytes(merged), want) << "after a merge";
+  }
+
+  // Decode: a fresh detector, and one whose samples were full of
+  // smaller entries before it took the prefix's state.
+  ByteWriter state;
+  prefix.SerializeStateTo(state);
+  const std::vector<std::uint8_t> state_bytes = state.Take();
+  ByteWriter full;
+  prefix.SerializeTo(full);
+  const std::vector<std::uint8_t> full_bytes = full.Take();
+  ByteReader full_reader(full_bytes);
+  OneHeavyHitter decoded =
+      OneHeavyHitter::DeserializeFrom(full_reader, priority).value();
+  feed(decoded, papers, 1000, papers.size());
+  EXPECT_EQ(Bytes(decoded), want) << "after DeserializeFrom";
+  OneHeavyHitter reused = whole;
+  ByteReader state_reader(state_bytes);
+  ASSERT_TRUE(reused.DeserializeStateFrom(state_reader, priority).ok());
+  feed(reused, papers, 1000, papers.size());
+  EXPECT_EQ(Bytes(reused), want) << "after DeserializeStateFrom";
+
+  // Copy, by construction and by assignment over a fuller detector.
+  OneHeavyHitter copied = prefix;
+  feed(copied, papers, 1000, papers.size());
+  EXPECT_EQ(Bytes(copied), want) << "after a copy";
+  OneHeavyHitter assigned = whole;
+  assigned = prefix;
+  feed(assigned, papers, 1000, papers.size());
+  EXPECT_EQ(Bytes(assigned), want) << "after an assignment";
+}
+
 }  // namespace
 }  // namespace himpact

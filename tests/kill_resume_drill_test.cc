@@ -116,8 +116,9 @@ pid_t SpawnServe(const std::string& checkpoint, int* stdin_fd, int* stdout_fd,
 // mutation only after that mutation's inline checkpoint returned, so
 // once this succeeds a kill leaves a checkpoint of this very round
 // behind. A 30 s wait per read bounds it: false means the server
-// stalled, closed, or died.
-bool AwaitReplies(int fd, int count, bool binary) {
+// stalled, closed, or died. `*seen_out` (when given) receives how many
+// complete replies were read, which may exceed `count`.
+bool AwaitReplies(int fd, int count, bool binary, int* seen_out = nullptr) {
   std::string pending;
   int seen = 0;
   char chunk[4096];
@@ -142,6 +143,7 @@ bool AwaitReplies(int fd, int count, bool binary) {
       ++seen;
     }
   }
+  if (seen_out != nullptr) *seen_out = seen;
   return true;
 }
 
@@ -683,26 +685,29 @@ bool TwinBatteryLines(const std::vector<std::vector<int>>& durable,
   return lines->size() == static_cast<std::size_t>(kBatteryUsers);
 }
 
-TEST(KillResumeDrill, WalRecoveryIsByteIdenticalToUncrashedTwin) {
-  // The monotone drills accept losing everything since the last
-  // checkpoint. With a WAL (--wal-dir, fsync always) the bar rises to
-  // *exact*: after SIGKILL, checkpoint + WAL replay must reconstruct
-  // precisely the durable per-user event prefixes — so every `get`
-  // reply line from the recovered server must be byte-identical to a
-  // fresh uncrashed twin fed exactly those events. Monotone-but-lossy
-  // recovery (the pre-WAL behavior) fails this; so would replaying a
-  // record twice (events too high) or out of order.
+// The WAL drill under one `--wal-fsync` policy. The monotone drills
+// accept losing everything since the last checkpoint. With a WAL the bar
+// rises to *exact*: after SIGKILL, checkpoint + WAL replay must
+// reconstruct precisely the durable per-user event prefixes — so every
+// `get` reply line from the recovered server must be byte-identical to a
+// fresh uncrashed twin fed exactly those events. Monotone-but-lossy
+// recovery (the pre-WAL behavior) fails this; so would replaying a
+// record twice (events too high) or out of order. And under every
+// policy the durable prefix covers every acknowledged write: a reply
+// leaves only after its record was written, so a process crash loses
+// none of them.
+void RunWalTwinDrill(const std::string& fsync) {
   ::signal(SIGPIPE, SIG_IGN);
 
-  const std::string root = TempPath("wal");
+  const std::string root = TempPath(("wal_" + fsync).c_str());
   const std::string wal_dir = root + "/wal";
   const std::string checkpoint = root + "/ckpt";
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(wal_dir);
   const std::vector<std::string> wal_flags = {"--wal-dir", wal_dir,
-                                              "--wal-fsync", "always"};
+                                              "--wal-fsync", fsync};
   const std::string query_flags =
-      " --wal-dir " + wal_dir + " --wal-fsync always";
+      " --wal-dir " + wal_dir + " --wal-fsync " + fsync;
 
   // Per-user durable history, extended each round by however many of
   // that round's writes the recovery proves survived.
@@ -727,8 +732,16 @@ TEST(KillResumeDrill, WalRecoveryIsByteIdenticalToUncrashedTwin) {
     }
     EXPECT_TRUE(wrote_all) << "child died before the kill in round "
                            << round;
-    ASSERT_TRUE(AwaitReplies(stdout_fd, std::atoi(kCheckpointEvery), false))
+    int acked = 0;
+    ASSERT_TRUE(AwaitReplies(stdout_fd, std::atoi(kCheckpointEvery), false,
+                             &acked))
         << "no auto-checkpoint completed in round " << round;
+    // Replies come in request order: the first `acked` writes were
+    // acknowledged before the kill.
+    std::vector<std::uint64_t> acked_per_user(kBatteryUsers, 0);
+    for (int i = 0; i < acked && i < kAddsPerRound; ++i) {
+      ++acked_per_user[static_cast<std::size_t>(i % kBatteryUsers)];
+    }
 
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     ::close(stdin_fd);
@@ -757,6 +770,9 @@ TEST(KillResumeDrill, WalRecoveryIsByteIdenticalToUncrashedTwin) {
       const auto& sent = written[static_cast<std::size_t>(u)];
       ASSERT_LE(applied, sent.size())
           << "round " << round << " invented events for user " << (u + 1);
+      EXPECT_GE(applied, acked_per_user[static_cast<std::size_t>(u)])
+          << "round " << round << " (" << fsync << ") lost acknowledged "
+          << "events for user " << (u + 1);
       durable[static_cast<std::size_t>(u)].insert(
           durable[static_cast<std::size_t>(u)].end(), sent.begin(),
           sent.begin() + static_cast<std::ptrdiff_t>(applied));
@@ -782,6 +798,18 @@ TEST(KillResumeDrill, WalRecoveryIsByteIdenticalToUncrashedTwin) {
   EXPECT_GT(total_events, 0u);
 
   std::filesystem::remove_all(root);
+}
+
+TEST(KillResumeDrill, WalRecoveryIsByteIdenticalToUncrashedTwin) {
+  RunWalTwinDrill("always");
+}
+
+TEST(KillResumeDrill, GroupFsyncRecoveryKeepsEveryAcknowledgedWrite) {
+  RunWalTwinDrill("group");
+}
+
+TEST(KillResumeDrill, NeverFsyncRecoveryKeepsEveryAcknowledgedWrite) {
+  RunWalTwinDrill("never");
 }
 
 // Reads reply lines from the captured stdout until one contains

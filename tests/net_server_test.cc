@@ -11,6 +11,7 @@
 // poll(2)-driven non-blocking client state machine so ten thousand
 // connections can be in flight from one thread.
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -68,6 +69,13 @@ struct ServerHarness {
              FrameHandler frame_handler = nullptr) {
     auto created = NetServer::Create(options, std::move(handler),
                                      std::move(frame_handler));
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    server = std::move(created).value();
+    loop = std::thread([this] { run_status = server->Run(); });
+  }
+
+  void Start(const NetServerOptions& options, BatchHandler handler) {
+    auto created = NetServer::Create(options, std::move(handler));
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     server = std::move(created).value();
     loop = std::thread([this] { run_status = server->Run(); });
@@ -356,6 +364,150 @@ TEST(NetServer, BinaryRepliesAreByteEquivalentToTextForEveryVerb) {
   std::remove((save_path + ".stripe-0").c_str());
   std::remove((save_path + ".stripe-1").c_str());
   std::remove((save_path + ".grid").c_str());
+}
+
+// A session behind the batch handler, the way hstream_serve serves, and
+// a twin session answering the same requests one at a time.
+struct BatchedSessions {
+  HImpactService served = MakeService();
+  ServiceSession session{&served, SessionOptions{}};
+  HImpactService twin = MakeService();
+  ServiceSession twin_session{&twin, SessionOptions{}};
+  /// The most requests one handler call received.
+  std::size_t largest_batch = 0;
+
+  static HImpactService MakeService() {
+    ServiceOptions options;
+    options.num_stripes = 2;
+    return HImpactService::Create(options).value();
+  }
+
+  BatchHandler Handler() {
+    return [this](bool binary, RequestBatch requests, std::size_t room,
+                  std::string* replies) {
+      largest_batch = std::max(largest_batch, requests.size());
+      return session.HandleBatch(binary, requests, room, replies);
+    };
+  }
+
+  /// The twin's replies to `requests`, one request at a time.
+  std::string OneAtATime(const std::vector<std::string>& requests,
+                         bool binary) {
+    std::string expected;
+    for (const std::string& request : requests) {
+      std::string reply;
+      if (binary) {
+        twin_session.HandleFrame(request, &reply);
+      } else {
+        twin_session.HandleLine(request, &reply);
+      }
+      expected += reply;
+    }
+    return expected;
+  }
+};
+
+std::vector<std::string> EncodeFrames(const std::vector<std::string>& lines) {
+  std::vector<std::string> frames;
+  for (const std::string& line : lines) {
+    frames.push_back(EncodeRequestFrame(ParseCommandLine(line).value()));
+  }
+  return frames;
+}
+
+TEST(NetServer, OneBinaryBatchAnswersEachRequestLikeOneAtATime) {
+  // One send carries a write, a read of it, a paper by the same author,
+  // a grid query and another write: the session gets them as one batch,
+  // applies each run of writes at once and answers the others between
+  // runs, so every reply equals the one a lone request gets.
+  BatchedSessions sessions;
+  ServerHarness harness;
+  harness.Start(ServerHarness::QuietOptions(), sessions.Handler());
+  const std::vector<std::string> frames = EncodeFrames(
+      {"add 7 12", "get 7", "paper 42 9 7,8", "heavy", "add 8 5"});
+  std::string burst;
+  for (const std::string& frame : frames) burst += frame;
+
+  Client client(harness.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(burst));
+  EXPECT_EQ(client.RecvFrames(frames.size()),
+            sessions.OneAtATime(frames, /*binary=*/true));
+  // A loopback write this small arrives whole, so one read took it all.
+  EXPECT_EQ(sessions.largest_batch, frames.size());
+  EXPECT_EQ(harness.server->Counters().requests, frames.size());
+}
+
+TEST(NetServer, FrameSplitAcrossTwoSendsIsAnsweredWhole) {
+  // The first read of the frame is short, which ends the pass; the
+  // second half must still arrive on the next edge and complete it.
+  BatchedSessions sessions;
+  ServerHarness harness;
+  harness.Start(ServerHarness::QuietOptions(), sessions.Handler());
+  const std::vector<std::string> frames = EncodeFrames({"paper 5 7 1,2,3"});
+  const std::string& frame = frames.front();
+
+  Client client(harness.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send(frame.substr(0, 7)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(client.Send(frame.substr(7)));
+  EXPECT_EQ(client.RecvFrames(1),
+            sessions.OneAtATime(frames, /*binary=*/true));
+}
+
+TEST(NetServer, HalfClosedClientGetsItsRepliesThenTheClose) {
+  // Requests and the FIN arrive together: the pass that reads them must
+  // read on to the EOF instead of stopping at the short read, or nothing
+  // would ever report the FIN again and the connection would linger.
+  ServerHarness harness;
+  harness.Start(ServerHarness::QuietOptions(), PongHandler());
+  Client client(harness.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.Send("a\nb\n"));
+  ASSERT_EQ(::shutdown(client.raw_fd(), SHUT_WR), 0);
+  std::string got;
+  char chunk[256];
+  ssize_t n = 0;
+  while ((n = ::read(client.raw_fd(), chunk, sizeof(chunk))) > 0) {
+    got.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "no close within the receive timeout: " << errno;
+  EXPECT_EQ(got, "PONG a\nPONG b\n");
+}
+
+TEST(NetServer, PipelinedBurstLargerThanOneReadChunkIsAnsweredInFull) {
+  // Well over one 16 KiB read chunk and one 64 KiB pass, in one send: no
+  // request may be left unanswered when a read comes back full or when
+  // the pass budget runs out.
+  for (const bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "text");
+    BatchedSessions sessions;
+    ServerHarness harness;
+    harness.Start(ServerHarness::QuietOptions(), sessions.Handler());
+    std::vector<std::string> lines;
+    for (int i = 0; i < 8000; ++i) {
+      lines.push_back(i % 10 == 9 ? "get " + std::to_string(i % 97)
+                                  : "add " + std::to_string(i % 97) + " " +
+                                        std::to_string(1 + i % 300));
+    }
+    const std::vector<std::string> requests =
+        binary ? EncodeFrames(lines) : lines;
+    std::string burst;
+    for (const std::string& request : requests) {
+      burst += request;
+      if (!binary) burst += "\n";
+    }
+    ASSERT_GT(burst.size(), std::size_t{1} << 16);
+
+    Client client(harness.port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.Send(burst));
+    EXPECT_EQ(binary ? client.RecvFrames(requests.size())
+                     : client.RecvLines(requests.size()),
+              sessions.OneAtATime(requests, binary));
+    EXPECT_EQ(harness.server->Counters().requests, requests.size());
+  }
 }
 
 TEST(NetServer, FirstByteSelectsTheProtocolPerConnection) {

@@ -200,15 +200,16 @@ TEST(UserIndexTest, MatchesAnUnorderedMapModel) {
   }
 }
 
-// --- registry: one paper under one lock per stripe ---------------------------
+// --- registry: one run under one lock per stripe -----------------------------
 
-// `AddPaper` is the per-author `Add`s in author order: the same stripe
-// sequences per author and the same stripe payload bytes. Papers carry
-// up to 8 authors over 3 stripes (so co-authors share stripes), some
-// repeat an author, some apply a subset of their authors as replay
-// does, and the budget is small enough that a paper's own authors
-// demote each other mid-paper; once freezing, once paging.
-TEST(RegistryAddPaper, EqualsPerAuthorAddsInAuthorOrder) {
+// `ApplyRun` is the per-event `Add`s in log order: the same stripe
+// sequence and estimate per event and the same stripe payload bytes.
+// Runs hold 1 to 40 papers of up to 8 authors over 3 stripes (so
+// co-authors share stripes and the prefetch window wraps), some repeat
+// an author, some apply a subset of their authors as replay does, and
+// the budget is small enough that a run's own events demote each other
+// mid-run; once freezing, once paging.
+TEST(RegistryApplyRun, EqualsPerEventAddsInLogOrder) {
   for (const bool paged : {false, true}) {
     ServiceOptions options = SmallOptions();
     options.num_stripes = 3;
@@ -226,29 +227,37 @@ TEST(RegistryAddPaper, EqualsPerAuthorAddsInAuthorOrder) {
     auto by_add = TieredUserRegistry::Create(add_options).value();
     Rng rng(paged ? 53 : 52);
     ZipfSampler users(600, 1.05);
-    for (int i = 0; i < 4000; ++i) {
-      PaperTuple paper;
-      paper.paper = static_cast<PaperId>(i + 1);
-      paper.citations = 1 + rng.UniformU64(80);
-      const int n = 1 + static_cast<int>(rng.UniformU64(kMaxAuthorsPerPaper));
-      const bool repeat = n > 1 && rng.Bernoulli(0.05);
-      for (int a = 0; a < n; ++a) {
-        paper.authors.PushBack(repeat && a == n - 1 ? paper.authors[0]
-                                                    : users.Sample(rng));
-      }
-      const std::uint32_t bits =
-          rng.Bernoulli(0.2)
-              ? static_cast<std::uint32_t>(rng.UniformU64(1u << n))
-              : ~std::uint32_t{0};
-      std::array<std::uint64_t, kMaxAuthorsPerPaper> got{};
-      std::array<std::uint64_t, kMaxAuthorsPerPaper> want{};
-      by_paper.AddPaper(paper, bits, got.data());
-      for (int a = 0; a < n; ++a) {
-        if (((bits >> a) & 1u) != 0) {
-          by_add.Add(paper.authors[a], paper.citations, &want[a]);
+    for (int run = 0; run < 400; ++run) {
+      std::vector<UserEvent> events;
+      const int papers = 1 + static_cast<int>(rng.UniformU64(40));
+      for (int p = 0; p < papers; ++p) {
+        const std::uint64_t citations = 1 + rng.UniformU64(80);
+        const int n =
+            1 + static_cast<int>(rng.UniformU64(kMaxAuthorsPerPaper));
+        const bool repeat = n > 1 && rng.Bernoulli(0.05);
+        const std::uint32_t bits =
+            rng.Bernoulli(0.2)
+                ? static_cast<std::uint32_t>(rng.UniformU64(1u << n))
+                : ~std::uint32_t{0};
+        AuthorId first = 0;
+        for (int a = 0; a < n; ++a) {
+          const AuthorId author =
+              repeat && a == n - 1 ? first : users.Sample(rng);
+          if (a == 0) first = author;
+          if (((bits >> a) & 1u) != 0) events.push_back({author, citations});
         }
       }
-      ASSERT_EQ(got, want) << "paper " << i;
+      std::vector<std::uint64_t> got_seqs(events.size());
+      std::vector<double> got_estimates(events.size());
+      by_paper.ApplyRun(events, got_seqs.data(), got_estimates.data());
+      for (std::size_t e = 0; e < events.size(); ++e) {
+        std::uint64_t want_seq = 0;
+        const double want_estimate =
+            by_add.Add(events[e].user, events[e].value, &want_seq);
+        ASSERT_EQ(got_seqs[e], want_seq) << "run " << run << " event " << e;
+        ASSERT_EQ(got_estimates[e], want_estimate)
+            << "run " << run << " event " << e;
+      }
     }
     const RegistryStats stats = by_paper.Stats();
     EXPECT_GT(stats.demotions, 100u);

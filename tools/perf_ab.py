@@ -21,7 +21,8 @@ quartiles, the change's median, the pairs the change won (ties count
 for neither side), whether the change's median is worse than the
 base's by more than the metric's bound (end-to-end metrics only), and
 whether a gain would hold: wins in at least 9/10 of the pairs and a
-median difference larger than the base's interquartile range. Every
+median improvement, in the metric's better direction, larger than the
+base's interquartile range (`verdict`). Every
 run's JSON goes to <scratch>/<workload>-results.json.
 
 Exits 1 when any run fails, reports `correct: false` or counts failed
@@ -91,6 +92,32 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def verdict(spec, pairs):
+    """Judges one metric from its (base, change) value pairs.
+
+    `spec` is the metric's BENCHMARK.json entry. A pair is a win when the
+    change is strictly better in the metric's direction. `past` is "PAST"
+    when the change's median is worse than the base's by more than the
+    metric's bound, "ok" when it is not, and "-" for a metric with no
+    bound. `gain` needs wins in at least 9/10 of the pairs and a median
+    improvement, in the better direction, larger than the base's
+    interquartile range: a change that got worse never shows a gain.
+    """
+    lower = spec["better"] == "lower"
+    base = [b for b, _ in pairs]
+    head = [h for _, h in pairs]
+    wins = sum(1 for b, h in pairs if (h < b if lower else h > b))
+    bmed, hmed = statistics.median(base), statistics.median(head)
+    q1, q3 = quartiles(base)
+    improvement = bmed - hmed if lower else hmed - bmed
+    past = "-"
+    if "bound" in spec:
+        past = "PAST" if -improvement > spec["bound"] * abs(bmed) else "ok"
+    gain = wins * 10 >= 9 * len(pairs) and improvement > q3 - q1
+    return {"base_med": bmed, "base_q1": q1, "base_q3": q3,
+            "change_med": hmed, "wins": wins, "past": past, "gain": gain}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True)
@@ -146,26 +173,17 @@ def main():
           % ("metric", "base_med", "base_q1", "base_q3", "change_med", "wins",
              "bound", "gain"))
     for spec in specs:
-        name, lower = spec["name"], spec["better"] == "lower"
-        pairs = [(b["metrics"].get(name, {}).get("value"),
-                  h["metrics"].get(name, {}).get("value"))
+        pairs = [(b["metrics"].get(spec["name"], {}).get("value"),
+                  h["metrics"].get(spec["name"], {}).get("value"))
                  for b, h in zip(runs["base"], runs["head"])]
         pairs = [(b, h) for b, h in pairs if b is not None and h is not None]
         if not pairs:
             continue
-        base = [b for b, _ in pairs]
-        head = [h for _, h in pairs]
-        wins = sum(1 for b, h in pairs if (h < b if lower else h > b))
-        bmed, hmed = statistics.median(base), statistics.median(head)
-        q1, q3 = quartiles(base)
-        past = "-"
-        if "bound" in spec:
-            limit = spec["bound"] * abs(bmed)
-            past = "PAST" if (hmed - bmed if lower else bmed - hmed) > limit else "ok"
-        gain = (wins * 10 >= 9 * len(pairs) and abs(hmed - bmed) > q3 - q1)
+        v = verdict(spec, pairs)
         print("%-32s %12.4g %12.4g %12.4g %12.4g %3d/%-2d %6s %5s"
-              % (name, bmed, q1, q3, hmed, wins, len(pairs), past,
-                 "yes" if gain else "no"))
+              % (spec["name"], v["base_med"], v["base_q1"], v["base_q3"],
+                 v["change_med"], v["wins"], len(pairs), v["past"],
+                 "yes" if v["gain"] else "no"))
     print("# every run: %s" % out)
     if not ok:
         print("perf_ab: a run failed, was incorrect or counted failed operations",
