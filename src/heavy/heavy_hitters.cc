@@ -33,6 +33,14 @@ double DetectorDelta(const HeavyHitters::Options& options) {
                                       : options.delta;
 }
 
+OneHeavyHitterOptions DetectorOptions(const HeavyHitters::Options& options) {
+  OneHeavyHitterOptions detector;
+  detector.eps = DetectorEps(options);
+  detector.delta = DetectorDelta(options);
+  detector.max_papers = options.max_papers;
+  return detector;
+}
+
 }  // namespace
 
 StatusOr<HeavyHitters> HeavyHitters::Create(const Options& options,
@@ -67,37 +75,34 @@ HeavyHitters::HeavyHitters(const Options& options, std::uint64_t seed)
       seed_(seed),
       num_rows_(NumRows(options)),
       num_buckets_(NumBuckets(options)),
-      priority_(SplitMix64(seed ^ 0x589965cc75374cc3ULL)) {
+      priority_(SplitMix64(seed ^ 0x589965cc75374cc3ULL)),
+      shape_(DetectorOptions(options)),
+      cells_(num_rows_ * num_buckets_, DetectorCell(shape_)) {
   std::uint64_t row_seed = SplitMix64(seed ^ 0xe7037ed1a0b428dbULL);
   row_hashes_.reserve(num_rows_);
   for (std::size_t j = 0; j < num_rows_; ++j) {
     row_seed = SplitMix64(row_seed);
     row_hashes_.emplace_back(num_buckets_, row_seed);
   }
-
-  OneHeavyHitter::Options detector_options;
-  detector_options.eps = DetectorEps(options);
-  detector_options.delta = DetectorDelta(options);
-  detector_options.max_papers = options.max_papers;
-  StatusOr<OneHeavyHitter> cell = OneHeavyHitter::Create(detector_options);
-  HIMPACT_CHECK_MSG(cell.ok(), "detector options were pre-validated");
-  cells_.assign(num_rows_ * num_buckets_, cell.value());
 }
 
 void HeavyHitters::AddPaper(const PaperTuple& paper) {
   ++num_papers_;
-  // Every cell has the same options, so the paper's level and sample
-  // entry are computed once and shared by all of them.
-  const int level = cells_.front().LevelOf(paper.citations);
-  const OneHeavyHitter::SampledPaper sampled{priority_(paper.paper),
-                                             paper.paper, paper.authors};
+  // Every cell has the same shape, so the paper's level and sample
+  // entry are computed once and shared by all of them, as is its slot
+  // in the table once a cell takes it.
+  const int level = shape_.LevelOf(paper.citations);
+  const SampledPaper sampled{priority_(paper.paper), paper.paper,
+                             paper.authors};
+  PaperTable::Slot slot = PaperTable::kNoSlot;
   for (std::size_t j = 0; j < num_rows_; ++j) {
     // One insertion per (row, author): an author's sub-stream inside its
     // bucket contains all of that author's papers (Algorithm 8, step 5).
     for (const AuthorId author : paper.authors) {
       const std::size_t bucket =
           static_cast<std::size_t>(row_hashes_[j](author));
-      cells_[j * num_buckets_ + bucket].AddAtLevel(sampled, level);
+      cells_[j * num_buckets_ + bucket].AddAtLevel(shape_, table_, sampled,
+                                                   level, &slot);
     }
   }
 }
@@ -108,21 +113,24 @@ void HeavyHitters::AddPaperBatch(std::span<const PaperTuple> papers) {
   // order. The offers then run with their cells' loads started ahead:
   // the cell 2 * kAhead offers on starts loading its fields, and the
   // one kAhead on, whose fields have arrived, its level's counter and
-  // bar.
+  // bar. A paper's offers are consecutive, so its slot, found by the
+  // first cell that takes it, stays live through the rest of them.
   struct Offer {
     std::uint32_t cell;
     std::uint32_t paper;
   };
-  thread_local std::vector<OneHeavyHitter::SampledPaper> sampled;
+  thread_local std::vector<SampledPaper> sampled;
   thread_local std::vector<int> levels;
+  thread_local std::vector<PaperTable::Slot> slots;
   thread_local std::vector<Offer> offers;
   sampled.clear();
   levels.clear();
   offers.clear();
+  slots.assign(papers.size(), PaperTable::kNoSlot);
   for (const PaperTuple& paper : papers) {
     const auto index = static_cast<std::uint32_t>(sampled.size());
     sampled.push_back({priority_(paper.paper), paper.paper, paper.authors});
-    levels.push_back(cells_.front().LevelOf(paper.citations));
+    levels.push_back(shape_.LevelOf(paper.citations));
     for (std::size_t j = 0; j < num_rows_; ++j) {
       for (const AuthorId author : paper.authors) {
         const std::size_t bucket =
@@ -141,7 +149,8 @@ void HeavyHitters::AddPaperBatch(std::span<const PaperTuple> papers) {
       cells_[ahead.cell].PrefetchLevel(levels[ahead.paper]);
     }
     const Offer& offer = offers[k];
-    cells_[offer.cell].AddAtLevel(sampled[offer.paper], levels[offer.paper]);
+    cells_[offer.cell].AddAtLevel(shape_, table_, sampled[offer.paper],
+                                  levels[offer.paper], &slots[offer.paper]);
   }
   num_papers_ += papers.size();
 }
@@ -160,16 +169,21 @@ void HeavyHitters::Merge(const HeavyHitters& other) {
   HIMPACT_CHECK_MSG(BuiltWith(other.options_, other.seed_),
                     "merging HeavyHitters with different parameters or seeds");
   num_papers_ += other.num_papers_;
+  // Each of `other`'s tuples is looked up once, by the first cell that
+  // keeps it.
+  std::vector<PaperTable::Slot> adopted(other.table_.slot_limit(),
+                                        PaperTable::kNoSlot);
   for (std::size_t c = 0; c < cells_.size(); ++c) {
-    cells_[c].Merge(other.cells_[c]);
+    cells_[c].Merge(shape_, table_, other.cells_[c], other.table_, adopted);
   }
 }
 
 std::vector<HeavyHitterReport> HeavyHitters::Report() const {
   // Collect detections per author across the grid.
   std::map<AuthorId, std::vector<double>> detections;
-  for (const OneHeavyHitter& cell : cells_) {
-    const std::optional<OneHeavyHitterResult> result = cell.Detect();
+  for (const DetectorCell& cell : cells_) {
+    const std::optional<OneHeavyHitterResult> result =
+        cell.Detect(shape_, table_);
     if (result.has_value()) {
       detections[result->author].push_back(result->h_estimate);
     }
@@ -202,7 +216,7 @@ double HeavyHitters::TotalImpactEstimate() const {
   for (std::size_t j = 0; j < num_rows_; ++j) {
     double total = 0.0;
     for (std::size_t k = 0; k < num_buckets_; ++k) {
-      total += cells_[j * num_buckets_ + k].StreamHEstimate();
+      total += cells_[j * num_buckets_ + k].StreamHEstimate(shape_);
     }
     row_totals.push_back(total);
   }
@@ -227,7 +241,7 @@ double HeavyHitters::TotalImpactL2Estimate() const {
   for (std::size_t j = 0; j < num_rows_; ++j) {
     double sum_squares = 0.0;
     for (std::size_t k = 0; k < num_buckets_; ++k) {
-      const double h = cells_[j * num_buckets_ + k].StreamHEstimate();
+      const double h = cells_[j * num_buckets_ + k].StreamHEstimate(shape_);
       sum_squares += h * h;
     }
     row_norms.push_back(std::sqrt(sum_squares));
@@ -248,9 +262,9 @@ std::vector<HeavyHitterReport> HeavyHitters::ReportL2Heavy(
 }
 
 namespace {
-constexpr std::uint64_t kHeavyHittersMagic = 0x48494d5048485332ULL;
-// The reservoir-sampling format of earlier builds (HIMPHHS1).
-constexpr std::uint64_t kReservoirHeavyHittersMagic = 0x48494d5048485331ULL;
+// HIMPHHS3. HIMPHHS1 (reservoirs) and HIMPHHS2 (every cell's samples of
+// whole tuples) are earlier builds' layouts.
+constexpr std::uint64_t kHeavyHittersMagic = 0x48494d5048485333ULL;
 }  // namespace
 
 void HeavyHitters::SerializeTo(ByteWriter& writer) const {
@@ -265,18 +279,22 @@ void HeavyHitters::SerializeTo(ByteWriter& writer) const {
   writer.U64(seed_);
   writer.U64(num_papers_);
   writer.U64(cells_.size());
-  for (const OneHeavyHitter& cell : cells_) {
-    cell.SerializeStateTo(writer);
-  }
+  WriteDetectorCells(writer, table_, cells_);
 }
 
 StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
   std::uint64_t magic = 0;
-  if (reader.U64(&magic) && magic == kReservoirHeavyHittersMagic) {
+  if (!reader.U64(&magic)) {
+    return Status::InvalidArgument("not a HeavyHitters checkpoint");
+  }
+  if (magic >> 8 == kHeavyHittersMagic >> 8 &&
+      ((magic & 0xff) == '1' || (magic & 0xff) == '2')) {
     return Status::FailedPrecondition(
-        "heavy-hitters grid is in the reservoir format (HIMPHHS1), which "
-        "this build cannot convert: keep serving it with the previous "
-        "build, or move it aside to start fresh");
+        "heavy-hitters grid is in an earlier layout (HIMPHHS" +
+        std::string(1, static_cast<char>(magic & 0xff)) +
+        "), which this build does not read; c7a62bd is the last build "
+        "that reads HIMPHHS2: restore with it and take a full save, or "
+        "move the grid aside to start fresh");
   }
   if (magic != kHeavyHittersMagic) {
     return Status::InvalidArgument("not a HeavyHitters checkpoint");
@@ -295,9 +313,7 @@ StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
     return Status::InvalidArgument("truncated HeavyHitters checkpoint");
   }
   // eps drives l = 2/eps^2 buckets, each holding a full detector; bound
-  // everything allocation-relevant before the constructor runs. Each
-  // cell's serialized state is at least 3 words, so the cell count must
-  // be consistent with the remaining bytes.
+  // everything allocation-relevant before the constructor runs.
   if (!(options.eps > 1e-3) || !(options.eps < 1.0) ||
       !(options.delta > 1e-12) || !(options.delta < 1.0) ||
       options.max_papers < 2 ||
@@ -307,26 +323,30 @@ StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
        (!(options.detector_eps > 1e-4) || !(options.detector_eps < 1.0))) ||
       (options.detector_delta != 0.0 &&
        (!(options.detector_delta > 1e-12) ||
-        !(options.detector_delta < 1.0)))) {
+        !(options.detector_delta < 1.0))) ||
+      !GeometricGridFits(options.max_papers, DetectorEps(options))) {
     return Status::InvalidArgument("corrupt HeavyHitters options");
-  }
-  if (num_cells * 3 * 8 > reader.remaining()) {
-    return Status::InvalidArgument(
-        "HeavyHitters checkpoint smaller than its declared geometry");
   }
   options.num_buckets_override =
       static_cast<std::size_t>(num_buckets_override);
   options.num_rows_override = static_cast<std::size_t>(num_rows_override);
+  if (num_cells != NumRows(options) * NumBuckets(options)) {
+    return Status::InvalidArgument("HeavyHitters cell-count mismatch");
+  }
+  // Each cell's level takes at least two bytes: its count and its sample
+  // size.
+  const auto levels = static_cast<std::uint64_t>(
+      NumGeometricLevels(options.max_papers, DetectorEps(options)));
+  if (num_cells * levels > reader.remaining() / 2) {
+    return Status::InvalidArgument(
+        "HeavyHitters checkpoint smaller than its declared geometry");
+  }
   StatusOr<HeavyHitters> sketch = Create(options, seed);
   if (!sketch.ok()) return sketch.status();
   HeavyHitters& out = sketch.value();
-  if (num_cells != out.cells_.size()) {
-    return Status::InvalidArgument("HeavyHitters cell-count mismatch");
-  }
-  for (OneHeavyHitter& cell : out.cells_) {
-    const Status status = cell.DeserializeStateFrom(reader, out.priority_);
-    if (!status.ok()) return status;
-  }
+  const Status status = ReadDetectorCells(reader, out.shape_, out.priority_,
+                                          &out.table_, out.cells_);
+  if (!status.ok()) return status;
   out.num_papers_ = num_papers;
   return sketch;
 }
@@ -336,8 +356,10 @@ SpaceUsage HeavyHitters::EstimateSpace() const {
   for (const auto& hash : row_hashes_) usage += hash.EstimateSpace();
   // The priority table is inline, so sizeof(*this) counts its bytes.
   usage.words += priority_.EstimateSpace().words;
+  usage += table_.EstimateSpace();
   for (const auto& cell : cells_) usage += cell.EstimateSpace();
-  usage.bytes += sizeof(*this);
+  usage.bytes +=
+      sizeof(*this) + shape_.grid.powers().capacity() * sizeof(double);
   return usage;
 }
 

@@ -27,6 +27,8 @@
 /// Every cell samples by one priority per paper, a seeded `TabulationHash`
 /// of its id, so the grid is a pure function of its papers and seed: any
 /// split of a stream into shards, in any order, merges to the same bytes.
+/// The cells' samples hold references into one `PaperTable` of the grid,
+/// so a paper sampled by many cells and levels is stored once.
 
 namespace himpact {
 
@@ -136,16 +138,21 @@ class HeavyHitters {
   /// Number of papers observed.
   std::uint64_t num_papers() const { return num_papers_; }
 
-  /// Space across all cells and hash functions.
+  /// The distinct sampled tuples the grid stores once, for all cells.
+  const PaperTable& papers() const { return table_; }
+
+  /// Space across all cells, the paper table and the hash functions.
   SpaceUsage EstimateSpace() const;
 
-  /// Appends a checkpoint (options + every cell detector's state). The
-  /// hashes and cell structures are re-derived from the seed.
+  /// Appends a checkpoint: options and paper count, then the paper table
+  /// and every cell (`WriteDetectorCells`). The hashes and cell
+  /// structures are re-derived from the seed. The same papers, in any
+  /// order or split, give the same bytes.
   void SerializeTo(ByteWriter& writer) const;
 
-  /// Restores a sketch from a `SerializeTo` checkpoint. The reservoir
-  /// format of earlier builds (`HIMPHHS1`) cannot be converted and is
-  /// `kFailedPrecondition`; any other malformed input `kInvalidArgument`.
+  /// Restores a sketch from a `SerializeTo` checkpoint. An earlier
+  /// build's layout (`HIMPHHS1`, `HIMPHHS2`) is `kFailedPrecondition`;
+  /// any other malformed input `kInvalidArgument`.
   static StatusOr<HeavyHitters> DeserializeFrom(ByteReader& reader);
 
  private:
@@ -158,7 +165,9 @@ class HeavyHitters {
   std::uint64_t num_papers_ = 0;
   std::vector<PairwiseRangeHash> row_hashes_;
   TabulationHash priority_;  // paper id -> sampling priority
-  std::vector<OneHeavyHitter> cells_;  // num_rows_ x num_buckets_
+  DetectorShape shape_;      // every cell's
+  PaperTable table_;         // the tuples every cell's samples reference
+  std::vector<DetectorCell> cells_;  // num_rows_ x num_buckets_
 };
 
 }  // namespace himpact

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -18,13 +19,9 @@
 namespace himpact {
 namespace {
 
-// The magic is "HIMPSRG" and a layout digit, its low byte. HIMPSRG2
-// added the segment-generation bound after the header, and HIMPSRG3
-// dropped the archive sketch that followed the counters. Both earlier
-// layouts still decode: the archive is parsed and dropped, and a
-// HIMPSRG1 payload (no bound) adopts every generation. HIMPSRG4 has
-// HIMPSRG3's fields; it marks service stripe payloads that no longer
-// end in a heavy-hitters grid (service/service.cc).
+// The magic is "HIMPSRG" and a layout digit, its low byte. HIMPSRG1 to
+// HIMPSRG3 are earlier builds' layouts, whose service payloads end in a
+// heavy-hitters grid of their stripe; a restore refuses them.
 constexpr std::uint64_t kStripeMagic = 0x48494d5053524734ULL;  // HIMPSRG4
 
 /// Fixed per-user overhead charged against the memory budget on top of
@@ -820,21 +817,27 @@ void TieredUserRegistry::SerializeStripe(std::size_t i,
 }
 
 Status TieredUserRegistry::DeserializeStripe(std::size_t i,
-                                             ByteReader& reader,
-                                             int* layout) {
+                                             ByteReader& reader) {
   HIMPACT_CHECK(i < stripes_.size());
 
   std::uint64_t magic = 0;
   std::uint64_t index = 0;
   std::uint64_t num_stripes = 0;
-  std::uint64_t generation_bound = kAllSegmentGenerations;
-  if (!reader.U64(&magic) || (magic >> 8) != (kStripeMagic >> 8) ||
-      (magic & 0xff) < '1' || (magic & 0xff) > '4') {
+  std::uint64_t generation_bound = 0;
+  if (reader.U64(&magic) && (magic >> 8) == (kStripeMagic >> 8) &&
+      (magic & 0xff) >= '1' && (magic & 0xff) <= '3') {
+    return Status::FailedPrecondition(
+        "registry stripe is in an earlier layout (HIMPSRG" +
+        std::string(1, static_cast<char>(magic & 0xff)) +
+        "), which this build does not read; c7a62bd is the last build "
+        "that reads HIMPSRG1-HIMPSRG3: restore with it and take a full "
+        "save");
+  }
+  if (magic != kStripeMagic) {
     return Status::InvalidArgument("not a registry stripe checkpoint");
   }
-  const int version = static_cast<int>(magic & 0xff) - '0';
   if (!reader.U64(&index) || !reader.U64(&num_stripes) ||
-      (version > 1 && !reader.U64(&generation_bound))) {
+      !reader.U64(&generation_bound)) {
     return Status::InvalidArgument("truncated stripe header");
   }
   if (index != i || num_stripes != stripes_.size()) {
@@ -851,12 +854,6 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
       !reader.U64(&demotions) || !reader.U64(&touch_clock)) {
     return Status::InvalidArgument("truncated stripe counters");
   }
-  if (version < 3) {
-    StatusOr<ExponentialHistogramEstimator> archive =
-        ExponentialHistogramEstimator::DeserializeFrom(reader);
-    if (!archive.ok()) return archive.status();
-  }
-
   std::uint64_t num_users = 0;
   if (!reader.U64(&num_users)) {
     return Status::InvalidArgument("truncated user count");
@@ -957,7 +954,6 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   // Residency was rebuilt from scratch; any unmeetable-budget floor the
   // previous population established no longer describes this one.
   stripe.unmeetable_floor_bytes = 0;
-  if (layout != nullptr) *layout = version;
   return Status::OK();
 }
 

@@ -247,11 +247,8 @@ class TieredUserRegistry {
   /// its current contents. Rejects foreign or corrupt payloads (and
   /// payloads recorded for a different stripe index or stripe count)
   /// with `kInvalidArgument`, leaving the stripe unchanged. An earlier
-  /// build's payload (`HIMPSRG1`–`HIMPSRG3`; the first two carried an
-  /// archive sketch) also decodes. Sets `*layout` (when given) to the
-  /// payload's layout number, 1 to 4.
-  Status DeserializeStripe(std::size_t i, ByteReader& reader,
-                           int* layout = nullptr);
+  /// build's payload (`HIMPSRG1`–`HIMPSRG3`) is `kFailedPrecondition`.
+  Status DeserializeStripe(std::size_t i, ByteReader& reader);
 
  private:
   struct UserState {

@@ -21,62 +21,30 @@ constexpr std::uint64_t kDeltaHeadMagic = 0x31444844504D4948ULL;
 // failing the save.
 constexpr RetryOptions kCheckpointRetry{};
 
-// Decodes the grid at `reader` into the one being restored: the first
-// is adopted, later ones (earlier layouts keep one per stripe) merge into
-// it, which is exact. A reservoir-format grid is `kFailedPrecondition`
-// (a refused format); a grid built with other options is corrupt.
-Status FoldGrid(ByteReader& reader, const ServiceOptions& options,
-                std::optional<HeavyHitters>* grid) {
-  StatusOr<HeavyHitters> found = HeavyHitters::DeserializeFrom(reader);
-  if (!found.ok()) return found.status();
-  if (!found.value().BuiltWith(HhOptions(options), options.seed)) {
+// Decodes the grid at `reader`. An earlier build's layout is
+// `kFailedPrecondition` (a refused format); a grid built with other
+// options is corrupt.
+StatusOr<HeavyHitters> DecodeGrid(ByteReader& reader,
+                                  const ServiceOptions& options) {
+  StatusOr<HeavyHitters> grid = HeavyHitters::DeserializeFrom(reader);
+  if (!grid.ok()) return grid.status();
+  if (!grid.value().BuiltWith(HhOptions(options), options.seed)) {
     return Status::InvalidArgument(
         "heavy-hitters grid recorded with different options");
   }
-  if (grid->has_value()) {
-    (*grid)->Merge(found.value());
-  } else {
-    *grid = std::move(found).value();
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("grid payload has trailing bytes");
   }
-  return Status::OK();
+  return grid;
 }
 
 // Decodes stripe `i`'s payload into the registry a restore assembles.
-// An earlier layout's payload ends in a heavy-hitters flag and, when
-// set, a grid, which is folded into `*grid` and sets `*had_grid`.
 Status DecodeStripePayload(std::size_t i,
                            const std::vector<std::uint8_t>& payload,
-                           const ServiceOptions& options,
-                           TieredUserRegistry& registry,
-                           std::optional<HeavyHitters>* grid,
-                           bool* had_grid) {
+                           TieredUserRegistry& registry) {
   ByteReader reader(payload);
-  int layout = 0;
-  Status stripe_status = registry.DeserializeStripe(i, reader, &layout);
+  Status stripe_status = registry.DeserializeStripe(i, reader);
   if (!stripe_status.ok()) return stripe_status;
-  // HIMPSRG1-HIMPSRG3 end in the stripe's heavy-hitters flag and grid;
-  // HIMPSRG4 keeps the grid in `path.grid`.
-  if (layout < 4) {
-    std::uint8_t hh_flag = 0;
-    if (!reader.U8(&hh_flag)) {
-      return Status::InvalidArgument("truncated stripe heavy-hitters flag");
-    }
-    if ((hh_flag == 1) != options.enable_heavy_hitters) {
-      return Status::InvalidArgument(
-          "stripe heavy-hitters flag disagrees with the manifest");
-    }
-    if (hh_flag == 1) {
-      Status folded = FoldGrid(reader, options, grid);
-      if (!folded.ok()) return folded;
-      *had_grid = true;
-      // HIMPSRG1 and HIMPSRG2 end in the counter they minted add ids
-      // from. Ids now derive from stripe sequences, which lie above it.
-      std::uint64_t paper_counter = 0;
-      if (layout < 3 && !reader.U64(&paper_counter)) {
-        return Status::InvalidArgument("truncated stripe paper counter");
-      }
-    }
-  }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("stripe payload has trailing bytes");
   }
@@ -487,19 +455,14 @@ Status HImpactService::RestoreFrom(const std::string& path, bool* refused) {
     if (!payload.ok()) return payload.status();
     payloads.push_back(std::move(payload).value());
   }
-  std::size_t stripe_grids = 0;
   for (std::size_t i = 0; i < mine.num_stripes; ++i) {
-    bool had_grid = false;
-    Status decoded = refuse(
-        StripePath(path, i),
-        DecodeStripePayload(i, payloads[i], mine, fresh_registry.value(),
-                            &fresh_grid, &had_grid));
+    Status decoded =
+        refuse(StripePath(path, i),
+               DecodeStripePayload(i, payloads[i], fresh_registry.value()));
     if (!decoded.ok()) return decoded;
-    stripe_grids += had_grid ? 1 : 0;
   }
 
-  // With heavy hitters enabled, the grid is either in every stripe file
-  // (earlier layouts) or in none, and then in `path.grid`.
+  // With heavy hitters enabled, the grid is in `path.grid`.
   if (!mine.enable_heavy_hitters) {
     if (ReadCheckpointFile(GridPath(path), CheckpointTag::kServiceGrid)
             .status()
@@ -507,7 +470,7 @@ Status HImpactService::RestoreFrom(const std::string& path, bool* refused) {
       return Status::InvalidArgument(
           GridPath(path) + " exists, but the manifest records no grid");
     }
-  } else if (stripe_grids == 0) {
+  } else {
     StatusOr<std::vector<std::uint8_t>> grid_file =
         ReadCheckpointFile(GridPath(path), CheckpointTag::kServiceGrid);
     if (!grid_file.ok()) return grid_file.status();
@@ -518,19 +481,9 @@ Status HImpactService::RestoreFrom(const std::string& path, bool* refused) {
         return Status::InvalidArgument("truncated grid stripe counts");
       }
     }
-    Status folded = refuse(GridPath(path), FoldGrid(reader, mine, &fresh_grid));
-    if (!folded.ok()) return folded;
-    if (!reader.AtEnd()) {
-      return Status::InvalidArgument("grid payload has trailing bytes");
-    }
-  } else if (stripe_grids != mine.num_stripes) {
-    return Status::InvalidArgument(
-        "stripe files mix the current layout with an earlier one");
-  } else {
-    // Each earlier layout saved a stripe's grid with the stripe.
-    for (std::size_t i = 0; i < mine.num_stripes; ++i) {
-      fresh_coverage.push_back(fresh_registry.value().StripeEvents(i));
-    }
+    StatusOr<HeavyHitters> grid = DecodeGrid(reader, mine);
+    if (!grid.ok()) return refuse(GridPath(path), grid.status());
+    fresh_grid = std::move(grid).value();
   }
 
   registry_ = std::move(fresh_registry).value();

@@ -37,11 +37,11 @@
 /// damaged checkpoint leaves the service unchanged.
 ///
 /// A checkpoint is always a full save: every file is rewritten. A
-/// restore merges the per-stripe grids of earlier builds' stripe files
-/// into the one grid, exactly. Two formats of earlier builds are
-/// refused, not read: a delta chain (`path.head` naming a generation
-/// above 0) and a reservoir-format heavy-hitters grid. See
-/// docs/CHECKPOINTS.md.
+/// restore reads only the layouts this build writes; an earlier build's
+/// is refused, not read: a delta chain (`path.head` naming a generation
+/// above 0), a grid in an earlier layout (`HIMPHHS1`, `HIMPHHS2`) and a
+/// stripe in an earlier layout (`HIMPSRG1`–`HIMPSRG3`, which carried a
+/// grid of their own). See docs/CHECKPOINTS.md.
 ///
 /// The grid is a pure function of its papers, so `HeavyReport` over an
 /// `IngestPaper`-only stream is the same at every stripe count. An add
@@ -243,10 +243,10 @@ class HImpactService {
   ///
   /// An earlier build's format this build does not read is also
   /// `kFailedPrecondition` and sets `*refused` (when given): a delta chain
-  /// (a `path.head` past generation 0, or one that does not decode), or a
-  /// reservoir-format grid, in `path.grid` or in an earlier layout's
-  /// stripe file. A save to `path` would destroy state only the earlier
-  /// build can serve, so a server must not start fresh over it.
+  /// (a `path.head` past generation 0, or one that does not decode), a
+  /// `path.grid` in an earlier grid layout, or a stripe file in an
+  /// earlier stripe layout. A save to `path` would destroy state only the
+  /// earlier build can serve, so a server must not start fresh over it.
   Status RestoreFrom(const std::string& path, bool* refused = nullptr);
 
   /// The per-stripe envelope path (`path.stripe-<i>`).

@@ -618,58 +618,6 @@ TEST(FaultInjectionTest, DamagedServiceGridFailsTheWholeRestore) {
   }
 }
 
-TEST(FaultInjectionTest, CraftedOneHeavyHitterSamplesRejected) {
-  // Decodable-looking payloads whose top-level sample breaks a decoder
-  // check: the last word of an empty detector's checkpoint is its top
-  // level's sample size, and the sampled papers follow it.
-  const TabulationHash& priority = OneHhPriority();
-  const auto empty = OneHeavyHitter::Create(SmallOneHhOptions()).value();
-  ByteWriter prefix_writer;
-  empty.SerializeTo(prefix_writer);
-  const std::vector<std::uint8_t> prefix(prefix_writer.buffer().begin(),
-                                         prefix_writer.buffer().end() - 8);
-  const std::size_t s = empty.sample_size();
-  // `s + 1` paper ids in ascending priority order.
-  std::vector<std::uint64_t> ids;
-  for (std::uint64_t id = 0; id <= s; ++id) ids.push_back(id);
-  std::sort(ids.begin(), ids.end(), [&](std::uint64_t a, std::uint64_t b) {
-    return priority(a) < priority(b);
-  });
-  const auto craft = [&](const std::vector<std::uint64_t>& papers,
-                         std::uint64_t num_authors) {
-    ByteWriter writer;
-    for (const std::uint8_t byte : prefix) writer.U8(byte);
-    writer.U64(papers.size());
-    for (const std::uint64_t id : papers) {
-      writer.U64(id);
-      writer.U64(num_authors);
-      for (std::uint64_t a = 0; a < num_authors; ++a) writer.U64(a);
-    }
-    return writer.Take();
-  };
-  {
-    // The crafting itself is sound: two papers in order decode.
-    const std::vector<std::uint8_t> bytes = craft({ids[0], ids[1]}, 1);
-    ByteReader reader(bytes);
-    const auto restored = OneHeavyHitter::DeserializeFrom(reader, priority);
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  }
-  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> cases =
-      {
-          {"unsorted sample", craft({ids[1], ids[0]}, 1)},
-          {"repeated entry", craft({ids[0], ids[0]}, 1)},
-          {"size above s", craft(ids, 1)},
-          {"author count above 8",
-           craft({ids[0]}, static_cast<std::uint64_t>(kMaxAuthorsPerPaper) +
-                               1)},
-      };
-  for (const auto& [name, bytes] : cases) {
-    ByteReader reader(bytes);
-    const auto restored = OneHeavyHitter::DeserializeFrom(reader, priority);
-    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument) << name;
-  }
-}
-
 // --- file layer -------------------------------------------------------------
 
 TEST(CheckpointFileTest, WriteRestoreRoundTrip) {

@@ -73,87 +73,43 @@ inline bool WriteFileRaw(const std::string& path,
   return written == bytes.size() && close_result == 0;
 }
 
-/// Rewrites the version byte of the heavy-hitters grid magic
-/// (`HIMPHHS2`) in the checkpoint file at `path`, an envelope tagged
-/// `tag` (a `path.grid` file, or a stripe file in an earlier layout), to
-/// `version` and re-seals the payload through `WriteCheckpointFile`, so
-/// the file passes its envelope check and only the grid decoder sees the
-/// change. Returns false when the file does not open or holds no grid.
-inline bool RewriteGridMagicVersion(const std::string& path, CheckpointTag tag,
-                                    char version) {
+/// Rewrites the version byte of the 8-byte magic `current` (written
+/// little-endian, so the version digit is its first byte) in the
+/// checkpoint file at `path`, an envelope tagged `tag`, to `version`, and
+/// re-seals the payload through `WriteCheckpointFile`, so the file passes
+/// its envelope check and only the decoder behind it sees the change.
+/// Returns false when the file does not open or holds no such magic.
+inline bool RewriteMagicVersion(const std::string& path, CheckpointTag tag,
+                                std::uint64_t current, char version) {
   StatusOr<std::vector<std::uint8_t>> payload = ReadCheckpointFile(path, tag);
   if (!payload.ok()) return false;
   std::vector<std::uint8_t>& bytes = payload.value();
-  const std::uint8_t grid_magic[8] = {'2', 'S', 'H', 'H', 'P', 'M', 'I', 'H'};
-  const auto at = std::search(bytes.begin(), bytes.end(), grid_magic,
-                              grid_magic + sizeof(grid_magic));
+  std::uint8_t magic[8];
+  for (int byte = 0; byte < 8; ++byte) {
+    magic[byte] = static_cast<std::uint8_t>(current >> (8 * byte));
+  }
+  const auto at = std::search(bytes.begin(), bytes.end(), magic, magic + 8);
   if (at == bytes.end()) return false;
   *at = static_cast<std::uint8_t>(version);
   return WriteCheckpointFile(path, tag, bytes).ok();
 }
 
-/// Rewrites the grid in the checkpoint file at `path` (see
-/// `RewriteGridMagicVersion`) as an earlier build wrote it: `HIMPHHS1`
-/// (reservoirs) instead of `HIMPHHS2` (bottom-s samples).
-inline bool ReencodeWithReservoirGridMagic(const std::string& path,
-                                           CheckpointTag tag) {
-  return RewriteGridMagicVersion(path, tag, '1');
+/// Rewrites the heavy-hitters grid magic (`HIMPHHS3`) in the `path.grid`
+/// file at `path` to layout `version`: '1' and '2' are earlier builds'
+/// grids (reservoirs, then samples of whole tuples), any other digit no
+/// layout at all.
+inline bool RewriteGridMagicVersion(const std::string& path, char version) {
+  return RewriteMagicVersion(path, CheckpointTag::kServiceGrid,
+                             0x48494d5048485333ULL, version);
 }
 
-/// Re-encodes `payload`, which starts with a registry stripe in the
-/// current `HIMPSRG4` layout (`TieredUserRegistry::SerializeStripe`), in
-/// an earlier build's layout: `version` '3' (`HIMPSRG3`, the same
-/// fields), '2' (`HIMPSRG2`) or '1' (`HIMPSRG1`, which also lacks the
-/// segment-generation bound). The last two carry the serialized archive
-/// sketch `archive` after the eight-word header and counters. Bytes
-/// after the registry stripe are kept. Returns an empty vector when
-/// `payload` is not in the current layout.
-inline std::vector<std::uint8_t> ReencodeStripeLayout(
-    const std::vector<std::uint8_t>& payload, char version,
-    const std::vector<std::uint8_t>& archive) {
-  constexpr std::size_t kBoundAt = 24;     // after magic, index, stripes
-  constexpr std::size_t kCountersEnd = 64;
-  if (payload.size() < kCountersEnd || payload[0] != '4') return {};
-  std::vector<std::uint8_t> legacy(payload.begin(),
-                                   payload.begin() + kCountersEnd);
-  legacy[0] = static_cast<std::uint8_t>(version);
-  if (version != '3') {
-    legacy.insert(legacy.end(), archive.begin(), archive.end());
-  }
-  legacy.insert(legacy.end(), payload.begin() + kCountersEnd, payload.end());
-  if (version == '1') {
-    legacy.erase(legacy.begin() + kBoundAt, legacy.begin() + kBoundAt + 8);
-  }
-  return legacy;
-}
-
-/// Rewrites the service stripe file at `stripe_path` as an earlier build
-/// wrote it: its registry stripe in `version`'s layout (see
-/// `ReencodeStripeLayout`), then the heavy-hitters flag and, when `grid`
-/// (that stripe's serialized grid) is not empty, the grid. In layouts
-/// '1' and '2' a grid is followed by `paper_counter`, the counter those
-/// builds minted add ids from. Returns false when the file does not open
-/// or is not in the current layout.
-inline bool ReencodeStripeFileAsLegacy(const std::string& stripe_path,
-                                       char version,
-                                       const std::vector<std::uint8_t>& archive,
-                                       const std::vector<std::uint8_t>& grid,
-                                       std::uint64_t paper_counter) {
-  StatusOr<std::vector<std::uint8_t>> payload =
-      ReadCheckpointFile(stripe_path, CheckpointTag::kServiceStripe);
-  if (!payload.ok()) return false;
-  std::vector<std::uint8_t> legacy =
-      ReencodeStripeLayout(payload.value(), version, archive);
-  if (legacy.empty()) return false;
-  legacy.push_back(grid.empty() ? 0 : 1);
-  legacy.insert(legacy.end(), grid.begin(), grid.end());
-  if (!grid.empty() && version != '3') {
-    for (int byte = 0; byte < 8; ++byte) {
-      legacy.push_back(static_cast<std::uint8_t>(paper_counter >> (8 * byte)));
-    }
-  }
-  return WriteCheckpointFile(stripe_path, CheckpointTag::kServiceStripe, legacy)
-      .ok();
+/// Rewrites the registry stripe magic (`HIMPSRG4`) of the service stripe
+/// file at `stripe_path` to an earlier build's layout digit ('1' to
+/// '3'). Only the magic changes: a restore refuses those layouts on it.
+inline bool RewriteStripeMagicVersion(const std::string& stripe_path,
+                                      char version) {
+  return RewriteMagicVersion(stripe_path, CheckpointTag::kServiceStripe,
+                             0x48494d5053524734ULL, version);
 }
 
 /// Re-encodes a segment record in the current `kSparseSegmentRecord`

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -361,6 +363,196 @@ TEST(HeavyHittersTest, EmptyGridAtServiceDefaultsFitsInAMebibyte) {
   options.max_papers = 1u << 20;
   const auto sketch = MakeSketch(options, 2017);
   EXPECT_LT(sketch.EstimateSpace().bytes, std::uint64_t{1} << 20);
+}
+
+// --- Checkpoint decoder corpus ----------------------------------------------
+
+// A small grid (3 rows x 8 buckets of detectors with s = 10), so a
+// corpus over every byte and bit of its checkpoint stays fast.
+HeavyHitters::Options CorpusOptions() {
+  HeavyHitters::Options options;
+  options.eps = 0.5;
+  options.delta = 0.25;
+  options.max_papers = 64;
+  return options;
+}
+
+constexpr std::uint64_t kCorpusSeed = 5;
+
+// The magic, nine words of options and counters, and the cell count.
+constexpr std::size_t kGridHeaderBytes = 11 * 8;
+
+// Decodes a whole checkpoint, as a restore does: trailing bytes are
+// corruption too.
+StatusOr<HeavyHitters> Decode(const std::vector<std::uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  StatusOr<HeavyHitters> grid = HeavyHitters::DeserializeFrom(reader);
+  if (grid.ok() && !reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes");
+  }
+  return grid;
+}
+
+TEST(HeavyHittersCodecTest, EveryTruncationAndBitFlipIsRejectedOrCanonical) {
+  // Retried papers, one id under two author lists, and citations from
+  // 0 to above max_papers.
+  Rng rng(41);
+  HeavyHitters grid = MakeSketch(CorpusOptions(), kCorpusSeed);
+  for (std::uint64_t p = 0; p < 60; ++p) {
+    PaperTuple paper;
+    paper.paper = rng.UniformU64(45);
+    const std::uint64_t num_authors = 1 + rng.UniformU64(3);
+    for (std::uint64_t a = 0; a < num_authors; ++a) {
+      paper.authors.PushBack(rng.UniformU64(12));
+    }
+    paper.citations = rng.UniformU64(100);
+    grid.AddPaper(paper);
+  }
+  const std::vector<std::uint8_t> bytes = Bytes(grid);
+  ASSERT_TRUE(Decode(bytes).ok());
+
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(), bytes.begin() + n);
+    EXPECT_EQ(Decode(prefix).status().code(), StatusCode::kInvalidArgument)
+        << "prefix of " << n << " bytes";
+  }
+  // A flipped bit either fails to decode or yields a grid that writes
+  // those very bytes: the decoder accepts only what the encoder writes.
+  // The magic's version digit flips to '2' or '1', earlier layouts.
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::vector<std::uint8_t> flipped = bytes;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    const StatusOr<HeavyHitters> decoded = Decode(flipped);
+    if (decoded.ok()) {
+      EXPECT_EQ(Bytes(decoded.value()), flipped) << "bit " << bit;
+    } else if (bit < 2) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kFailedPrecondition);
+    } else {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+          << "bit " << bit << ": " << decoded.status().message();
+    }
+  }
+}
+
+TEST(HeavyHittersCodecTest, CraftedTablesAndReferencesAreRejected) {
+  const HeavyHitters empty = MakeSketch(CorpusOptions(), kCorpusSeed);
+  const std::vector<std::uint8_t> empty_bytes = Bytes(empty);
+  const std::vector<std::uint8_t> header(
+      empty_bytes.begin(), empty_bytes.begin() + kGridHeaderBytes);
+  const std::size_t cells = empty.num_rows() * empty.num_buckets();
+  // After the header, an empty table's count and each level's count and
+  // sample size, one byte each.
+  const std::size_t levels =
+      (empty_bytes.size() - kGridHeaderBytes - 1) / (2 * cells);
+  ASSERT_EQ(kGridHeaderBytes + 1 + 2 * cells * levels, empty_bytes.size());
+
+  // Paper ids in the grid's priority order: the table of a grid fed
+  // papers 0..11 at the top level, where each of their cells' samples
+  // keeps the s = 10 smallest.
+  constexpr std::size_t kIds = 12;
+  HeavyHitters fed = MakeSketch(CorpusOptions(), kCorpusSeed);
+  for (PaperId id = 0; id < kIds; ++id) {
+    PaperTuple paper;
+    paper.paper = id;
+    paper.authors.PushBack(1);
+    paper.citations = 1000;
+    fed.AddPaper(paper);
+  }
+  const std::vector<std::uint8_t> fed_bytes = Bytes(fed);
+  ByteReader table_reader(std::span<const std::uint8_t>(fed_bytes).subspan(
+      kGridHeaderBytes));
+  std::uint64_t word = 0;
+  ASSERT_TRUE(table_reader.Varint(&word));
+  ASSERT_EQ(word, 10u);
+  std::vector<PaperId> ids(10);
+  for (PaperId& id : ids) {
+    ASSERT_TRUE(table_reader.Varint(&id) && table_reader.Varint(&word) &&
+                table_reader.Varint(&word));
+  }
+
+  // A grid whose table holds `table` (written in that order) and whose
+  // last cell's top level holds one sample: its size `size` and the
+  // varints `refs` (the first index, then the gaps). Every other level is
+  // empty. `table_count` overrides the table's count when set.
+  struct Tuple {
+    PaperId paper;
+    AuthorList authors;
+  };
+  const auto craft = [&](const std::vector<Tuple>& table,
+                         std::uint64_t size,
+                         const std::vector<std::uint64_t>& refs,
+                         std::optional<std::uint64_t> table_count = {}) {
+    ByteWriter writer;
+    writer.Bytes(header.data(), header.size());
+    writer.Varint(table_count.value_or(table.size()));
+    for (const Tuple& tuple : table) {
+      writer.Varint(tuple.paper);
+      writer.Varint(static_cast<std::uint64_t>(tuple.authors.size()));
+      for (const AuthorId author : tuple.authors) writer.Varint(author);
+    }
+    for (std::size_t c = 0; c < cells; ++c) {
+      const bool last = c + 1 == cells;
+      for (std::size_t l = 0; l < levels; ++l) {
+        writer.Varint(last && l + 1 == levels ? size : 0);  // level count
+      }
+      for (std::size_t l = 0; l + 1 < levels; ++l) writer.Varint(0);
+      if (!last) {
+        writer.Varint(0);
+        continue;
+      }
+      writer.Varint(size);
+      for (const std::uint64_t ref : refs) writer.Varint(ref);
+    }
+    return writer.Take();
+  };
+  const Tuple a{ids[0], AuthorList{1}};
+  const Tuple b{ids[1], AuthorList{1}};
+  // One id under two author lists: two tuples, the shorter list first.
+  const Tuple b_two{ids[1], AuthorList{1, 2}};
+  std::vector<Tuple> all;
+  std::vector<std::uint64_t> all_refs = {0};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    all.push_back({ids[i], AuthorList{1}});
+    if (i > 0) all_refs.push_back(1);
+  }
+  // The crafting itself is sound.
+  const std::vector<std::uint8_t> eight_authors =
+      craft({{ids[0], AuthorList{1, 2, 3, 4, 5, 6, 7, 8}}}, 1, {0});
+  for (const auto& bytes :
+       {craft({a, b}, 2, {0, 1}), craft({a, b, b_two}, 3, {0, 1, 1}),
+        craft(all, 10, all_refs), eight_authors}) {
+    const StatusOr<HeavyHitters> decoded = Decode(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    EXPECT_EQ(Bytes(decoded.value()), bytes);
+  }
+  // A ninth author: the count is rejected before any author is read.
+  std::vector<std::uint8_t> nine_authors = eight_authors;
+  ASSERT_EQ(nine_authors[kGridHeaderBytes + 2], 8u);
+  nine_authors[kGridHeaderBytes + 2] = 9;
+  all.push_back({ids[9], AuthorList{1, 2}});  // ranked last: s + 1 tuples
+  std::vector<std::uint64_t> eleven_refs = all_refs;
+  eleven_refs.push_back(1);
+
+  const std::pair<const char*, std::vector<std::uint8_t>> cases[] = {
+      {"first reference out of range", craft({a, b}, 1, {2})},
+      {"later reference out of range", craft({a, b}, 2, {0, 2})},
+      {"table entry no sample references", craft({a, b}, 1, {0})},
+      {"table out of order", craft({b, a}, 2, {0, 1})},
+      {"two author lists out of order", craft({a, b_two, b}, 3, {0, 1, 1})},
+      {"repeated tuple", craft({a, a}, 2, {0, 1})},
+      {"references not strictly ascending", craft({a, b}, 2, {1, 0})},
+      {"repeated reference", craft({a, b}, 3, {0, 0, 1})},
+      {"more than s references", craft(all, 11, eleven_refs)},
+      {"author count above the limit", nine_authors},
+      {"table count larger than the bytes left",
+       craft({a}, 1, {0}, std::uint64_t{1} << 40)},
+      {"reference count larger than the bytes left",
+       craft({a, b}, 8, {0, 1})},
+  };
+  for (const auto& [name, bytes] : cases) {
+    const StatusOr<HeavyHitters> decoded = Decode(bytes);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 // --- Baselines ---------------------------------------------------------------

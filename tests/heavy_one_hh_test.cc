@@ -49,35 +49,44 @@ std::vector<std::uint8_t> Bytes(const OneHeavyHitter& detector) {
 }
 
 // The counters and sample sizes of a detector, read back from its
-// serialized state (num_papers, buckets, then each level's sample).
+// checkpoint: five header words, num_papers, the paper table (a count,
+// then each tuple's id, author count and authors), then each level's
+// count and each level's sample (a size, then that many indices), all
+// after the header as varints.
 struct DetectorState {
   std::uint64_t num_papers = 0;
+  std::uint64_t tuples = 0;
   std::vector<std::uint64_t> buckets;
   std::vector<std::uint64_t> sample_sizes;
 };
 
 DetectorState ReadState(const OneHeavyHitter& detector) {
-  ByteWriter writer;
-  detector.SerializeStateTo(writer);
-  const std::vector<std::uint8_t> bytes = writer.Take();
+  const std::vector<std::uint8_t> bytes = Bytes(detector);
   ByteReader reader(bytes);
   DetectorState state;
-  std::uint64_t count = 0;
-  EXPECT_TRUE(reader.U64(&state.num_papers) && reader.U64(&count));
-  state.buckets.resize(count);
-  for (std::uint64_t& bucket : state.buckets) EXPECT_TRUE(reader.U64(&bucket));
-  EXPECT_TRUE(reader.U64(&count));
-  for (std::uint64_t level = 0; level < count; ++level) {
+  std::uint64_t word = 0;
+  for (int w = 0; w < 5; ++w) EXPECT_TRUE(reader.U64(&word));
+  EXPECT_TRUE(reader.U64(&state.num_papers));
+  EXPECT_TRUE(reader.Varint(&state.tuples));
+  for (std::uint64_t t = 0; t < state.tuples; ++t) {
+    std::uint64_t num_authors = 0;
+    EXPECT_TRUE(reader.Varint(&word) && reader.Varint(&num_authors));
+    for (std::uint64_t a = 0; a < num_authors; ++a) {
+      EXPECT_TRUE(reader.Varint(&word));
+    }
+  }
+  // The top level is where the largest count lands.
+  const int levels = detector.LevelOf(~std::uint64_t{0}) + 1;
+  state.buckets.resize(static_cast<std::size_t>(levels));
+  for (std::uint64_t& bucket : state.buckets) {
+    EXPECT_TRUE(reader.Varint(&bucket));
+  }
+  for (int level = 0; level < levels; ++level) {
     std::uint64_t size = 0;
-    EXPECT_TRUE(reader.U64(&size));
+    EXPECT_TRUE(reader.Varint(&size));
     state.sample_sizes.push_back(size);
     for (std::uint64_t e = 0; e < size; ++e) {
-      std::uint64_t paper = 0;
-      std::uint64_t num_authors = 0;
-      EXPECT_TRUE(reader.U64(&paper) && reader.U64(&num_authors));
-      for (std::uint64_t a = 0; a < num_authors; ++a) {
-        EXPECT_TRUE(reader.U64(&paper));
-      }
+      EXPECT_TRUE(reader.Varint(&word));
     }
   }
   EXPECT_TRUE(reader.AtEnd());
@@ -288,18 +297,22 @@ TEST(OneHeavyHitterTest, ZeroCitationPapersIgnored) {
 
 TEST(OneHeavyHitterTest, SampleIsASetOfPaperAuthorEntries) {
   // A retried paper is turned away; the same id under another author
-  // list is a second entry, ordered after the shorter list.
-  using Entry = OneHeavyHitter::SampledPaper;
-  const TabulationHash priority(10);
-  const Entry paper{priority(77), 77, AuthorList{5}};
-  const Entry coauthored{priority(77), 77, AuthorList{5, 6}};
-  BottomSample<Entry> sample;
-  EXPECT_TRUE(sample.Offer(paper, 4));
-  EXPECT_FALSE(sample.Offer(paper, 4));
-  EXPECT_TRUE(sample.Offer(coauthored, 4));
-  ASSERT_EQ(sample.entries().size(), 2u);
-  EXPECT_EQ(sample.entries()[0], paper);
-  EXPECT_EQ(sample.entries()[1], coauthored);
+  // list is a second entry, and a second stored tuple.
+  auto detector = MakeDetector(0.5, 0.05, 64, 10);
+  PaperTuple paper;
+  paper.paper = 77;
+  paper.authors = AuthorList{5};
+  paper.citations = 1;
+  PaperTuple coauthored = paper;
+  coauthored.authors = AuthorList{5, 6};
+  for (const PaperTuple& tuple : {paper, paper, coauthored, coauthored}) {
+    detector.AddPaper(tuple);
+  }
+  const DetectorState state = ReadState(detector.sketch);
+  EXPECT_EQ(state.num_papers, 4u);
+  EXPECT_EQ(state.buckets[0], 4u);
+  EXPECT_EQ(state.sample_sizes[0], 2u);
+  EXPECT_EQ(state.tuples, 2u);
 }
 
 TEST(OneHeavyHitterTest, MergeEqualsOneDetectorFedBothStreams) {
@@ -375,6 +388,30 @@ TEST(OneHeavyHitterTest, AddPaperEqualsThePerCellStep) {
   EXPECT_EQ(Bytes(wrapper.sketch), Bytes(per_cell.sketch));
 }
 
+TEST(OneHeavyHitterTest, EarlierLayoutsAreRefused) {
+  // The magic's first byte is its layout digit: '1' (reservoirs) and
+  // '2' (whole tuples per sample) are earlier builds', refused; any
+  // other digit is no layout at all.
+  auto detector = MakeDetector(0.2, 0.05, 500, 17);
+  detector.AddPaper(SingleAuthorPapers(3, 1, 40)[0]);
+  const std::vector<std::uint8_t> bytes = Bytes(detector.sketch);
+  ASSERT_EQ(bytes[0], '3');
+  for (const auto& [digit, code] :
+       {std::pair{'1', StatusCode::kFailedPrecondition},
+        std::pair{'2', StatusCode::kFailedPrecondition},
+        std::pair{'7', StatusCode::kInvalidArgument}}) {
+    std::vector<std::uint8_t> earlier = bytes;
+    earlier[0] = static_cast<std::uint8_t>(digit);
+    ByteReader reader(earlier);
+    EXPECT_EQ(
+        OneHeavyHitter::DeserializeFrom(reader, detector.priority)
+            .status()
+            .code(),
+        code)
+        << digit;
+  }
+}
+
 TEST(OneHeavyHitterTest, AdmissionBarStaysCurrentAfterMergeDecodeAndCopy) {
   // Each level turns away, without reading its sample, a paper ranked
   // above its full sample's largest entry. A bar left stale by a merge,
@@ -427,11 +464,7 @@ TEST(OneHeavyHitterTest, AdmissionBarStaysCurrentAfterMergeDecodeAndCopy) {
     EXPECT_EQ(Bytes(merged), want) << "after a merge";
   }
 
-  // Decode: a fresh detector, and one whose samples were full of
-  // smaller entries before it took the prefix's state.
-  ByteWriter state;
-  prefix.SerializeStateTo(state);
-  const std::vector<std::uint8_t> state_bytes = state.Take();
+  // Decode.
   ByteWriter full;
   prefix.SerializeTo(full);
   const std::vector<std::uint8_t> full_bytes = full.Take();
@@ -440,11 +473,6 @@ TEST(OneHeavyHitterTest, AdmissionBarStaysCurrentAfterMergeDecodeAndCopy) {
       OneHeavyHitter::DeserializeFrom(full_reader, priority).value();
   feed(decoded, papers, 1000, papers.size());
   EXPECT_EQ(Bytes(decoded), want) << "after DeserializeFrom";
-  OneHeavyHitter reused = whole;
-  ByteReader state_reader(state_bytes);
-  ASSERT_TRUE(reused.DeserializeStateFrom(state_reader, priority).ok());
-  feed(reused, papers, 1000, papers.size());
-  EXPECT_EQ(Bytes(reused), want) << "after DeserializeStateFrom";
 
   // Copy, by construction and by assignment over a fuller detector.
   OneHeavyHitter copied = prefix;

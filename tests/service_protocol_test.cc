@@ -385,8 +385,7 @@ TEST(ServeBinary, RestoreOfAReservoirFormatGridExitsWithoutTouchingIt) {
                 IngestScript(0, 500) + "save " + checkpoint + "\nquit\n");
   ASSERT_EQ(RunServe(flags, save_input).exit_code, 0);
   WriteTextFile(run_input, "add 7 1\nquit\n");
-  ASSERT_TRUE(test::ReencodeWithReservoirGridMagic(
-      checkpoint + ".grid", CheckpointTag::kServiceGrid));
+  ASSERT_TRUE(test::RewriteGridMagicVersion(checkpoint + ".grid", '1'));
 
   // Same refusal as a delta chain: exit 1, nothing served, every file of
   // the checkpoint left as it was.
@@ -404,6 +403,8 @@ TEST(ServeBinary, RestoreOfAReservoirFormatGridExitsWithoutTouchingIt) {
   EXPECT_EQ(refused.stdout_text.find("OK"), std::string::npos)
       << refused.stdout_text;
   EXPECT_NE(refused.stdout_text.find("HIMPHHS1"), std::string::npos)
+      << refused.stdout_text;
+  EXPECT_NE(refused.stdout_text.find("c7a62bd"), std::string::npos)
       << refused.stdout_text;
   for (std::size_t f = 0; f < files.size(); ++f) {
     EXPECT_EQ(ReadFileBytes(files[f]), before[f]) << files[f];
@@ -423,8 +424,7 @@ TEST(ServeBinary, RestoreOfAMalformedGridStartsFresh) {
                 IngestScript(0, 500) + "save " + checkpoint + "\nquit\n");
   ASSERT_EQ(RunServe(flags, save_input).exit_code, 0);
   WriteTextFile(run_input, "add 7 1\nquit\n");
-  ASSERT_TRUE(test::RewriteGridMagicVersion(
-      checkpoint + ".grid", CheckpointTag::kServiceGrid, '7'));
+  ASSERT_TRUE(test::RewriteGridMagicVersion(checkpoint + ".grid", '7'));
 
   // A grid that does not decode is corruption, not a refused format:
   // the server logs it, starts fresh and serves.

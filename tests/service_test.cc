@@ -720,15 +720,20 @@ TEST(ServiceTest, HeavyReportIsTheOfflineGridsReport) {
 TEST(ServiceTest, GridBytesStayWithinThePapersSpace) {
   // Thm 17/18's space for the grid: x rows x l = 2/eps^2 buckets, each
   // one Alg. 7 detector with L = |{(1+eps)^i <= n}| level counters and
-  // L samples of s entries. In bytes an entry is one `SampledPaper`.
-  // docs/SERVICE.md names the constant; this stream fills nearly every
-  // sample of a default grid, which then measures 1.02 of this space.
+  // L samples of s entries, an entry counted as one `SampledPaper`.
+  // docs/SERVICE.md names the constant. The samples hold 16 B references
+  // into one table of the distinct tuples, so this stream, which fills
+  // nearly every sample of a default grid, measures 0.22 of that space,
+  // and 1.03 of the interned bound below.
   // The grid is the service's at its defaults, fed offline:
   // `HeavyReportIsTheOfflineGridsReport` shows the served grid is one.
   constexpr double kConstant = 1.25;
   const ServiceOptions options;
   ASSERT_TRUE(options.enable_heavy_hitters);
-  auto grid = HeavyHitters::Create(HhOptions(options), options.seed).value();
+  const auto make = [&options] {
+    return HeavyHitters::Create(HhOptions(options), options.seed).value();
+  };
+  auto grid = make();
   auto detector_options = OneHeavyHitter::Options{};
   detector_options.eps = options.hh_eps;
   detector_options.delta = options.hh_delta;
@@ -738,17 +743,21 @@ TEST(ServiceTest, GridBytesStayWithinThePapersSpace) {
       std::floor(std::log(static_cast<double>(options.hh_max_papers)) /
                  std::log1p(options.hh_eps)) +
       1;
+  const double cell_levels =
+      static_cast<double>(grid.num_rows() * grid.num_buckets()) * levels;
   const double space =
-      static_cast<double>(grid.num_rows() * grid.num_buckets()) * levels *
-      (sizeof(std::uint64_t) +
-       static_cast<double>(detector.sample_size()) *
-           sizeof(OneHeavyHitter::SampledPaper));
+      cell_levels *
+      (sizeof(std::uint64_t) + static_cast<double>(detector.sample_size()) *
+                                   sizeof(SampledPaper));
 
   // Log-uniform citations up to n fill nearly every level's sample; two
   // to three authors from a wide pool spread the papers over every
-  // bucket.
+  // bucket. Samples turn over all along: heavy churn of the table. One
+  // id also comes under two author lists, at the top level, which takes
+  // both.
   Rng rng(83);
   const double log_n = std::log2(static_cast<double>(options.hh_max_papers));
+  std::vector<PaperTuple> papers;
   for (std::uint64_t p = 0; p < 60000; ++p) {
     PaperTuple paper;
     paper.paper = p;
@@ -758,11 +767,79 @@ TEST(ServiceTest, GridBytesStayWithinThePapersSpace) {
     for (std::uint64_t a = 0; a < num_authors; ++a) {
       paper.authors.PushBack(rng.UniformU64(100000));
     }
-    grid.AddPaper(paper);
+    papers.push_back(paper);
   }
+  constexpr PaperId kTwoLists = 1u << 30;
+  for (const AuthorList& authors : {AuthorList{7}, AuthorList{7, 8}}) {
+    PaperTuple paper;
+    paper.paper = kTwoLists;
+    paper.authors = authors;
+    paper.citations = options.hh_max_papers;
+    papers.push_back(paper);
+  }
+  for (const PaperTuple& paper : papers) grid.AddPaper(paper);
   const double bytes = static_cast<double>(grid.EstimateSpace().bytes);
   EXPECT_LE(bytes, kConstant * space)
       << "grid " << bytes << " B, paper's space " << space << " B";
+
+  // The interned bound: the table's tuples, 16 B per reference, and per
+  // level of each cell its count, bar and sample header. The rest is
+  // allocation slack, the table's index and the hash functions.
+  constexpr double kInternedConstant = 1.1;
+  const PaperTable& table = grid.papers();
+  const double interned =
+      static_cast<double>(table.size() * sizeof(SampledPaper)) +
+      16.0 * static_cast<double>(table.references()) +
+      cell_levels * (2 * sizeof(std::uint64_t) +
+                     sizeof(BottomSample<PaperTable::Ref>));
+  EXPECT_LE(bytes, kInternedConstant * interned)
+      << "grid " << bytes << " B, " << table.size() << " tuples, "
+      << table.references() << " references";
+  std::size_t two_lists = 0;
+  for (const PaperTable::Slot slot : table.SortedSlots()) {
+    two_lists += table[slot].paper == kTwoLists ? 1 : 0;
+  }
+  EXPECT_EQ(two_lists, 2u) << "one id under two author lists";
+
+  // No slot leaks: a decoder rejects a table entry no sample references
+  // and counts the references it reads, and the live table agrees.
+  const auto expect_no_leak = [](const HeavyHitters& live, const char* what) {
+    ByteWriter writer;
+    live.SerializeTo(writer);
+    ByteReader reader(writer.buffer());
+    const StatusOr<HeavyHitters> decoded =
+        HeavyHitters::DeserializeFrom(reader);
+    ASSERT_TRUE(decoded.ok()) << what << ": " << decoded.status().message();
+    EXPECT_EQ(decoded.value().papers().size(), live.papers().size()) << what;
+    EXPECT_EQ(decoded.value().papers().references(),
+              live.papers().references())
+        << what;
+  };
+  expect_no_leak(grid, "after churn");
+
+  // Shards fed shuffled parts in batches, merged in shuffled order, give
+  // the bytes and the table of the grid fed everything.
+  std::vector<std::vector<PaperTuple>> parts(3);
+  for (std::size_t i = 0; i < papers.size(); ++i) {
+    parts[rng.UniformU64(parts.size())].push_back(papers[i]);
+  }
+  std::vector<HeavyHitters> shards;
+  for (std::vector<PaperTuple>& part : parts) {
+    Shuffle(part, rng);
+    shards.push_back(make());
+    shards.back().AddPaperBatch(part);
+  }
+  HeavyHitters merged = std::move(shards[2]);
+  merged.Merge(shards[0]);
+  merged.Merge(shards[1]);
+  expect_no_leak(merged, "after a merge");
+  EXPECT_EQ(merged.papers().size(), table.size());
+  EXPECT_EQ(merged.papers().references(), table.references());
+  ByteWriter merged_bytes;
+  merged.SerializeTo(merged_bytes);
+  ByteWriter whole_bytes;
+  grid.SerializeTo(whole_bytes);
+  EXPECT_TRUE(merged_bytes.buffer() == whole_bytes.buffer());
 }
 
 // Shared driver: feed `count` deterministic events starting at `offset`.
@@ -872,35 +949,84 @@ TEST(ServiceCheckpoint, RestoreRejectsOptionMismatch) {
   RemoveServiceCheckpoint(path, options.num_stripes);
 }
 
-TEST(ServiceCheckpoint, ReservoirFormatGridIsRefusedAndKeepsState) {
-  // s uniform survivors of a reservoir cannot stand in for a bottom-s
-  // sample of the stream, so a grid in that format is refused.
-  const std::string path = TempPath("reservoir_grid");
-  ServiceOptions options = SmallOptions();
-  options.enable_heavy_hitters = true;
-  auto writer_service = HImpactService::Create(options).value();
-  Feed(writer_service, 0, 2000);
-  ASSERT_TRUE(writer_service.CheckpointTo(path).ok());
-  ASSERT_TRUE(test::ReencodeWithReservoirGridMagic(
-      HImpactService::GridPath(path), CheckpointTag::kServiceGrid));
-
+// Restores `path`, whose `file` was rewritten into an earlier build's
+// `layout`, into a service that already holds state: the restore is
+// refused, names the file, the layout and the last build that reads it,
+// and leaves both the service and every checkpoint file as they were.
+void ExpectRefusedAndUntouched(const std::string& path,
+                               const ServiceOptions& options,
+                               const std::string& file,
+                               const std::string& layout) {
+  std::vector<std::string> files = {path, HImpactService::GridPath(path)};
+  for (std::size_t i = 0; i < options.num_stripes; ++i) {
+    files.push_back(HImpactService::StripePath(path, i));
+  }
+  std::vector<std::vector<std::uint8_t>> before_files;
+  for (const std::string& f : files) before_files.push_back(ReadBytes(f));
   auto target = HImpactService::Create(options).value();
   Feed(target, 5, 300);
   const std::string before = AnswerTranscript(target);
   const std::vector<HeavyHitterReport> heavy_before = target.HeavyReport();
   bool refused = false;
   const Status status = target.RestoreFrom(path, &refused);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.message();
   EXPECT_TRUE(refused);
-  EXPECT_NE(status.message().find("reservoir format (HIMPHHS1)"),
-            std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find(HImpactService::GridPath(path)),
-            std::string::npos)
-      << status.message();
+  for (const std::string& part : {file, "(" + layout + ")",
+                                  std::string("c7a62bd")}) {
+    EXPECT_NE(status.message().find(part), std::string::npos)
+        << part << " not in: " << status.message();
+  }
   EXPECT_EQ(AnswerTranscript(target), before);
   ExpectSameHeavyReport(heavy_before, target.HeavyReport(), "after refusal");
-  RemoveServiceCheckpoint(path, options.num_stripes);
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    EXPECT_EQ(ReadBytes(files[f]), before_files[f]) << files[f];
+  }
+}
+
+TEST(ServiceCheckpoint, EarlierGridLayoutsAreRefusedAndKeepState) {
+  // Reservoirs (HIMPHHS1) cannot stand in for bottom-s samples, and
+  // per-cell samples of whole tuples (HIMPHHS2) are a layout this build
+  // no longer decodes: both are refused, not started over.
+  ServiceOptions options = SmallOptions();
+  options.enable_heavy_hitters = true;
+  for (const char version : {'1', '2'}) {
+    const std::string layout = std::string("HIMPHHS") + version;
+    SCOPED_TRACE(layout);
+    const std::string path = TempPath("earlier_grid");
+    auto writer_service = HImpactService::Create(options).value();
+    Feed(writer_service, 0, 2000);
+    ASSERT_TRUE(writer_service.CheckpointTo(path).ok());
+    ASSERT_TRUE(test::RewriteGridMagicVersion(HImpactService::GridPath(path),
+                                              version));
+    ExpectRefusedAndUntouched(path, options, HImpactService::GridPath(path),
+                              layout);
+    RemoveServiceCheckpoint(path, options.num_stripes);
+  }
+}
+
+TEST(ServiceCheckpoint, EarlierStripeLayoutsAreRefusedAndKeepState) {
+  // HIMPSRG1-HIMPSRG3 stripe files each carried a grid of their stripe,
+  // which a restore used to merge. A restore now refuses them, with or
+  // without heavy hitters, whichever stripe holds one.
+  for (const bool heavy : {true, false}) {
+    ServiceOptions options = SmallOptions();
+    options.enable_heavy_hitters = heavy;
+    options.num_stripes = 3;
+    for (const char version : {'1', '2', '3'}) {
+      const std::string layout = std::string("HIMPSRG") + version;
+      SCOPED_TRACE(layout + (heavy ? ", heavy" : ""));
+      const std::string path = TempPath("earlier_stripe");
+      auto writer_service = HImpactService::Create(options).value();
+      Feed(writer_service, 0, 2000);
+      ASSERT_TRUE(writer_service.CheckpointTo(path).ok());
+      const std::size_t stripe = static_cast<std::size_t>(version - '1');
+      const std::string stripe_path = HImpactService::StripePath(path, stripe);
+      ASSERT_TRUE(test::RewriteStripeMagicVersion(stripe_path, version));
+      ExpectRefusedAndUntouched(path, options, stripe_path, layout);
+      RemoveServiceCheckpoint(path, options.num_stripes);
+    }
+  }
 }
 
 TEST(ServiceTest, AddIsTheOneAuthorPaperOfItsStripeSequence) {
@@ -954,230 +1080,6 @@ TEST(ServiceTest, AddIsTheOneAuthorPaperOfItsStripeSequence) {
   RemoveServiceCheckpoint(twin_path, options.num_stripes);
 }
 
-// The paper ids in every Alg. 7 sample of the grid file at `grid_path`,
-// one list per sample. Skips the `stripes` stripe counts, then walks
-// `HeavyHitters::SerializeTo`: the magic, nine words of options and
-// counters, then each cell's paper count, level counts and samples of
-// (paper, author count, authors) entries.
-std::vector<std::vector<PaperId>> GridSamplePaperIds(
-    const std::string& grid_path, std::size_t stripes) {
-  const std::vector<std::uint8_t> payload =
-      ReadCheckpointFile(grid_path, CheckpointTag::kServiceGrid).value();
-  ByteReader reader(payload);
-  std::vector<std::vector<PaperId>> samples;
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < stripes; ++i) EXPECT_TRUE(reader.U64(&word));
-  for (int w = 0; w < 10; ++w) EXPECT_TRUE(reader.U64(&word));
-  std::uint64_t cells = 0;
-  EXPECT_TRUE(reader.U64(&cells));
-  for (std::uint64_t c = 0; c < cells; ++c) {
-    std::uint64_t levels = 0;
-    EXPECT_TRUE(reader.U64(&word));  // papers
-    EXPECT_TRUE(reader.U64(&levels));
-    for (std::uint64_t l = 0; l < levels; ++l) EXPECT_TRUE(reader.U64(&word));
-    std::uint64_t num_samples = 0;
-    EXPECT_TRUE(reader.U64(&num_samples));
-    for (std::uint64_t s = 0; s < num_samples; ++s) {
-      std::uint64_t size = 0;
-      EXPECT_TRUE(reader.U64(&size));
-      std::vector<PaperId>& ids = samples.emplace_back();
-      for (std::uint64_t e = 0; e < size; ++e) {
-        std::uint64_t authors = 0;
-        EXPECT_TRUE(reader.U64(&ids.emplace_back()));
-        EXPECT_TRUE(reader.U64(&authors));
-        for (std::uint64_t a = 0; a < authors; ++a) {
-          EXPECT_TRUE(reader.U64(&word));
-        }
-      }
-    }
-  }
-  EXPECT_TRUE(reader.AtEnd());
-  return samples;
-}
-
-// Every file a save to `path` writes, in a fixed order.
-std::vector<std::vector<std::uint8_t>> SavedFiles(
-    const HImpactService& service, const std::string& path) {
-  EXPECT_TRUE(service.CheckpointTo(path).ok());
-  std::vector<std::vector<std::uint8_t>> files = {ReadBytes(path)};
-  for (std::size_t i = 0; i < service.options().num_stripes; ++i) {
-    files.push_back(ReadBytes(HImpactService::StripePath(path, i)));
-  }
-  files.push_back(ReadBytes(HImpactService::GridPath(path)));
-  return files;
-}
-
-TEST(ServiceCheckpoint, EarlierStripeLayoutsStillRestore) {
-  // Earlier layouts keep one grid per stripe, fed the papers whose first
-  // author is on that stripe, after a heavy-hitters flag at the end of
-  // the stripe file. HIMPSRG2 files also carry an archive sketch after
-  // the stripe counters and, after the grid, the counter those builds
-  // minted add ids from (`counter * num_stripes + stripe`); HIMPSRG1
-  // files also lack the segment-generation bound. A restore merges the
-  // stripes' grids into the one grid, exactly, so every layout restores
-  // to the answers and heavy report of before the upgrade, and a WAL
-  // replayed on top ends where the uncrashed twin does.
-  for (const std::size_t stripes : {3, 8}) {
-    SCOPED_TRACE(std::to_string(stripes) + " stripes");
-    ServiceOptions options = SmallOptions();
-    options.enable_heavy_hitters = true;
-    options.num_stripes = stripes;
-    options.promote_threshold = 8;
-    options.memory_budget_bytes = 128 * 1024;  // frozen demotions
-    auto original = HImpactService::Create(options).value();
-    const TieredUserRegistry& registry = original.registry();
-    // An earlier build's add: the one-author paper under its stripe's
-    // next counter value, fed to that stripe's grid.
-    std::vector<std::uint64_t> counter(stripes);
-    std::vector<HeavyHitters> stripe_grids(
-        stripes,
-        HeavyHitters::Create(HhOptions(options), options.seed).value());
-    Rng rng(61);
-    ZipfSampler users(2000, 1.2);
-    DiscreteParetoSampler citations(1, 1.6, 1u << 12);
-    for (int i = 0; i < 8000; ++i) {
-      const AuthorId user = users.Sample(rng);
-      const std::size_t stripe = registry.StripeOf(user);
-      PaperTuple paper;
-      paper.paper = counter[stripe]++ * stripes + stripe;
-      paper.citations = citations.Sample(rng);
-      paper.authors.PushBack(user);
-      original.IngestPaper(paper);
-      stripe_grids[stripe].AddPaper(paper);
-    }
-    ASSERT_GT(original.Stats().registry.frozen_users, 0u);
-    const std::string base = TempPath("layout_base");
-    const std::vector<std::vector<std::uint8_t>> base_files =
-        SavedFiles(original, base);
-    const std::string answers_before = AnswerTranscript(original);
-    const std::vector<HeavyHitterReport> heavy_before =
-        original.HeavyReport();
-
-    // The uncrashed twin goes on, logging adds and papers to a WAL.
-    const std::string wal_dir = TempPath("layout_wal");
-    std::filesystem::remove_all(wal_dir);
-    std::filesystem::create_directories(wal_dir);
-    {
-      WalOptions wal_options;
-      wal_options.dir = wal_dir;
-      wal_options.fsync = WalFsync::kNever;
-      auto wal = WalWriter::Open(wal_options).value();
-      for (int i = 0; i < 3000; ++i) {
-        const AuthorId user = users.Sample(rng);
-        const std::uint64_t value = citations.Sample(rng);
-        if (i % 4 == 0) {
-          PaperTuple paper;
-          paper.paper = (std::uint64_t{1} << 40) + static_cast<unsigned>(i);
-          paper.citations = value;
-          paper.authors = {user, users.Sample(rng)};
-          original.IngestPaper(paper);
-          ASSERT_TRUE(AppendWalPaper(wal.get(), original, paper).ok());
-        } else {
-          original.RecordResponseCount(user, value);
-          ASSERT_TRUE(AppendWalAdd(wal.get(), original, user, value).ok());
-        }
-      }
-    }
-    const std::string current = TempPath("layout_current");
-    const std::vector<std::vector<std::uint8_t>> current_files =
-        SavedFiles(original, current);
-
-    auto archive = ExponentialHistogramEstimator::Create(options.eps,
-                                                         options.max_h)
-                       .value();
-    for (std::uint64_t v = 1; v <= 300; ++v) archive.Add(v % 97);
-    ByteWriter archive_writer;
-    archive.SerializeTo(archive_writer);
-    const std::vector<std::uint8_t> archive_bytes = archive_writer.Take();
-
-    for (const char version : {'3', '2', '1'}) {
-      SCOPED_TRACE(std::string("HIMPSRG") + version);
-      const std::string path = TempPath("layout_legacy");
-      RemoveServiceCheckpoint(path, stripes);
-      std::filesystem::copy_file(base, path);
-      for (std::size_t i = 0; i < stripes; ++i) {
-        std::filesystem::copy_file(HImpactService::StripePath(base, i),
-                                   HImpactService::StripePath(path, i));
-        ByteWriter grid;
-        stripe_grids[i].SerializeTo(grid);
-        ASSERT_TRUE(test::ReencodeStripeFileAsLegacy(
-            HImpactService::StripePath(path, i), version, archive_bytes,
-            grid.Take(), counter[i]));
-      }
-      auto restored = HImpactService::Create(options).value();
-      ASSERT_TRUE(restored.RestoreFrom(path).ok());
-      EXPECT_EQ(AnswerTranscript(restored), answers_before);
-      ExpectSameHeavyReport(heavy_before, restored.HeavyReport(), "restored");
-      // A save writes the current layout, byte for byte the original's.
-      const std::string resaved = TempPath("layout_resaved");
-      EXPECT_TRUE(SavedFiles(restored, resaved) == base_files);
-
-      WalApplyStats applied;
-      ASSERT_TRUE(ReplayWal(wal_dir, &restored, nullptr, &applied).ok());
-      EXPECT_EQ(applied.applied_adds + applied.applied_papers, 3000u);
-      EXPECT_EQ(AnswerTranscript(restored), AnswerTranscript(original));
-      ExpectSameHeavyReport(original.HeavyReport(), restored.HeavyReport(),
-                            "replayed");
-      EXPECT_TRUE(SavedFiles(restored, resaved) == current_files);
-
-      // The replayed adds took ids above their stripe's counter, so no
-      // sample holds an id twice, and some mix both kinds.
-      std::size_t mixed = 0;
-      for (std::vector<PaperId> ids :
-           GridSamplePaperIds(HImpactService::GridPath(resaved), stripes)) {
-        std::sort(ids.begin(), ids.end());
-        EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
-            << "a sample holds a paper id twice";
-        bool restored_id = false;
-        bool new_id = false;
-        for (const PaperId id : ids) {
-          const bool minted = id / stripes < counter[id % stripes];
-          restored_id |= minted;
-          new_id |= !minted;
-        }
-        mixed += restored_id && new_id ? 1 : 0;
-      }
-      EXPECT_GT(mixed, 0u) << "no sample mixes restored and new ids";
-      RemoveServiceCheckpoint(path, stripes);
-      RemoveServiceCheckpoint(resaved, stripes);
-    }
-
-    // A reservoir-format grid in an earlier layout's stripe is refused.
-    const std::string path = TempPath("layout_reservoir");
-    RemoveServiceCheckpoint(path, stripes);
-    std::filesystem::copy_file(base, path);
-    for (std::size_t i = 0; i < stripes; ++i) {
-      std::filesystem::copy_file(HImpactService::StripePath(base, i),
-                                 HImpactService::StripePath(path, i));
-      ByteWriter grid;
-      stripe_grids[i].SerializeTo(grid);
-      ASSERT_TRUE(test::ReencodeStripeFileAsLegacy(
-          HImpactService::StripePath(path, i), '3', archive_bytes,
-          grid.Take(), counter[i]));
-    }
-    ASSERT_TRUE(test::ReencodeWithReservoirGridMagic(
-        HImpactService::StripePath(path, stripes - 1),
-        CheckpointTag::kServiceStripe));
-    auto target = HImpactService::Create(options).value();
-    Feed(target, 5, 300);
-    const std::string target_before = AnswerTranscript(target);
-    bool refused = false;
-    const Status status = target.RestoreFrom(path, &refused);
-    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-    EXPECT_TRUE(refused);
-    EXPECT_NE(status.message().find(
-                  HImpactService::StripePath(path, stripes - 1)),
-              std::string::npos)
-        << status.message();
-    EXPECT_EQ(AnswerTranscript(target), target_before);
-
-    RemoveServiceCheckpoint(path, stripes);
-    RemoveServiceCheckpoint(base, stripes);
-    RemoveServiceCheckpoint(current, stripes);
-    std::filesystem::remove_all(wal_dir);
-  }
-}
-
 TEST(ServiceCheckpoint, GridFileMustMatchTheManifest) {
   ServiceOptions options = SmallOptions();
   options.enable_heavy_hitters = true;
@@ -1207,23 +1109,12 @@ TEST(ServiceCheckpoint, GridFileMustMatchTheManifest) {
   ASSERT_TRUE(plain.CheckpointTo(plain_path).ok());
   EXPECT_FALSE(std::filesystem::exists(HImpactService::GridPath(plain_path)));
   EXPECT_TRUE(target.RestoreFrom(plain_path).ok());
-
-  // Stripe files that mix the current layout with an earlier one.
-  ByteWriter empty_grid;
-  HeavyHitters::Create(HhOptions(options), options.seed)
-      .value()
-      .SerializeTo(empty_grid);
-  ASSERT_TRUE(test::ReencodeStripeFileAsLegacy(
-      HImpactService::StripePath(path, 0), '3', {}, empty_grid.Take(), 0));
-  auto heavy_target = HImpactService::Create(options).value();
-  status = heavy_target.RestoreFrom(path);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
   RemoveServiceCheckpoint(path, options.num_stripes);
   RemoveServiceCheckpoint(plain_path, options.num_stripes);
 }
 
 TEST(ServiceCheckpoint, MalformedGridIsRejectedButNotRefused) {
-  // Only the reservoir format is refused; a grid that does not decode
+  // Only earlier layouts are refused; a grid that does not decode
   // is plain corruption, which a caller handles by starting fresh.
   const std::string path = TempPath("malformed_grid");
   ServiceOptions options = SmallOptions();
@@ -1231,8 +1122,8 @@ TEST(ServiceCheckpoint, MalformedGridIsRejectedButNotRefused) {
   auto writer_service = HImpactService::Create(options).value();
   Feed(writer_service, 0, 2000);
   ASSERT_TRUE(writer_service.CheckpointTo(path).ok());
-  ASSERT_TRUE(test::RewriteGridMagicVersion(
-      HImpactService::GridPath(path), CheckpointTag::kServiceGrid, '7'));
+  ASSERT_TRUE(test::RewriteGridMagicVersion(HImpactService::GridPath(path),
+                                            '7'));
 
   auto target = HImpactService::Create(options).value();
   Feed(target, 5, 300);

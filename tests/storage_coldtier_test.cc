@@ -478,43 +478,6 @@ TEST_F(ColdTierTest, RestoreIgnoresSegmentGenerationsSealedAfterTheSave) {
   RemoveTree(dir);
 }
 
-TEST_F(ColdTierTest, V1StripePayloadStillRestoresByteIdentically) {
-  const std::string dir = TempPath("v1_dir");
-  RemoveTree(dir);
-  ServiceOptions options = PagedOptions(dir);
-  options.memory_budget_bytes = PairBudgetBytes(dir);
-  auto registry = TieredUserRegistry::Create(options).value();
-  for (int i = 0; i < 3; ++i) registry.Add(1, 5);
-  for (int i = 0; i < 50; ++i) registry.Add(2, 100);
-  ByteWriter writer;
-  registry.SerializeStripe(0, writer);
-  const std::vector<std::uint8_t> saved = writer.Take();
-
-  // HIMPSRG1 has no generation bound after the three-word header, and
-  // an archive sketch after the counters, which a restore drops.
-  auto archive = ExponentialHistogramEstimator::Create(0.1, 1u << 10).value();
-  for (std::uint64_t v = 1; v <= 40; ++v) archive.Add(v);
-  ByteWriter archive_bytes;
-  archive.SerializeTo(archive_bytes);
-  const std::vector<std::uint8_t> v1 =
-      test::ReencodeStripeLayout(saved, '1', archive_bytes.Take());
-  ASSERT_FALSE(v1.empty());
-  ASSERT_EQ(v1[0], '1');
-
-  auto restored = TieredUserRegistry::Create(options).value();
-  ByteReader reader(v1);
-  ASSERT_TRUE(restored.DeserializeStripe(0, reader).ok());
-  EXPECT_TRUE(reader.AtEnd());
-  UserSnapshot snapshot;
-  ASSERT_TRUE(restored.Lookup(1, &snapshot));
-  EXPECT_EQ(snapshot.tier, UserTier::kSegment);
-  EXPECT_EQ(snapshot.estimate, 3.0);
-  ByteWriter reencoded;
-  restored.SerializeStripe(0, reencoded);
-  EXPECT_EQ(reencoded.Take(), saved);
-  RemoveTree(dir);
-}
-
 TEST_F(ColdTierTest, RestoreWithoutSegmentFilesServesFloorsAndCountsFailures) {
   const std::string dir = TempPath("lost_dir");
   const std::string empty_dir = TempPath("lost_empty_dir");
