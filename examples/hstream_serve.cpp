@@ -29,11 +29,11 @@
 // whole service (PR 1 envelopes, engine-style manifest); `--restore
 // <path>` resumes from one at startup, falling back to a fresh service
 // with a note on stderr when the checkpoint is missing or damaged (an
-// earlier build's format that this build does not read, a delta chain
-// or a reservoir-format heavy-hitters grid, is refused with exit 1
-// instead), and `--checkpoint <path> --checkpoint-every N` re-saves
-// automatically after every N applied mutations (the kill-and-resume
-// drill's hook).
+// earlier build's format that this build does not read, a delta chain,
+// a `HIMPHHS1`/`HIMPHHS2` heavy-hitters grid or a `HIMPSRG1`–`HIMPSRG4`
+// stripe, is refused with exit 1 instead), and `--checkpoint <path>
+// --checkpoint-every N` re-saves automatically after every N applied
+// mutations (the kill-and-resume drill's hook).
 // The pair must be armed together: one without the other would silently
 // never checkpoint, so ParseArgs rejects it.
 //

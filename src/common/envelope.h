@@ -64,8 +64,8 @@ enum class CheckpointTag : std::uint32_t {
   kEngineShard = 26,
   kServiceManifest = 27,
   kServiceStripe = 28,
-  /// A paged user's state in the fixed-width layout of earlier builds;
-  /// still decoded (docs/CHECKPOINTS.md).
+  /// Reserved: a paged user's state in the fixed-width layout of
+  /// earlier builds.
   kSegmentRecord = 29,
   /// Reserved: an earlier build's incremental delta chain. A service
   /// restore still decodes a `kDeltaHead` to refuse a chain past
@@ -75,8 +75,8 @@ enum class CheckpointTag : std::uint32_t {
   kWalRecord = 32,
   /// A service's one Algorithm 8 grid (`path.grid`).
   kServiceGrid = 33,
-  /// A paged user's state: varint fields and the sketch's nonzero
-  /// buckets only (service/registry.cc).
+  /// A paged user's state: the user record that stripe payloads share
+  /// (`TieredUserRegistry::EncodeUserRecord`, service/registry.cc).
   kSparseSegmentRecord = 34,
 };
 

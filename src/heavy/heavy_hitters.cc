@@ -287,14 +287,19 @@ StatusOr<HeavyHitters> HeavyHitters::DeserializeFrom(ByteReader& reader) {
   if (!reader.U64(&magic)) {
     return Status::InvalidArgument("not a HeavyHitters checkpoint");
   }
+  // HIMPHHS1 (reservoirs) only ever sat inside earlier stripe files: no
+  // build reads it from a grid file.
   if (magic >> 8 == kHeavyHittersMagic >> 8 &&
       ((magic & 0xff) == '1' || (magic & 0xff) == '2')) {
     return Status::FailedPrecondition(
         "heavy-hitters grid is in an earlier layout (HIMPHHS" +
         std::string(1, static_cast<char>(magic & 0xff)) +
-        "), which this build does not read; c7a62bd is the last build "
-        "that reads HIMPHHS2: restore with it and take a full save, or "
-        "move the grid aside to start fresh");
+        "), which this build does not read and no build converts; " +
+        ((magic & 0xff) == '2'
+             ? "serve the checkpoint with c7a62bd, the last build that "
+               "reads it, or move it aside to start fresh"
+             : "no build reads it from a grid file (c7a62bd reads only "
+               "HIMPHHS2), so move the checkpoint aside to start fresh"));
   }
   if (magic != kHeavyHittersMagic) {
     return Status::InvalidArgument("not a HeavyHitters checkpoint");

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -20,9 +20,10 @@ namespace himpact {
 namespace {
 
 // The magic is "HIMPSRG" and a layout digit, its low byte. HIMPSRG1 to
-// HIMPSRG3 are earlier builds' layouts, whose service payloads end in a
-// heavy-hitters grid of their stripe; a restore refuses them.
-constexpr std::uint64_t kStripeMagic = 0x48494d5053524734ULL;  // HIMPSRG4
+// HIMPSRG4 are earlier builds' layouts (1 to 3 ended in a heavy-hitters
+// grid of their stripe, 4 wrote users fixed-width); a restore refuses
+// them.
+constexpr std::uint64_t kStripeMagic = 0x48494d5053524735ULL;  // HIMPSRG5
 
 /// Fixed per-user overhead charged against the memory budget on top of
 /// the state record: the user index's slots (user_index.h), 16-byte
@@ -32,117 +33,14 @@ constexpr std::uint64_t kStripeMagic = 0x48494d5053524734ULL;  // HIMPSRG4
 /// slots, so budget charges and evictions did not move with the index.
 constexpr std::uint64_t kMapNodeOverheadBytes = 48;
 
-/// Bytes of the smallest user record `SerializeStripe` writes (id,
-/// tier, events, last_touch, floor, cold_h), which bounds how many users
-/// a payload can hold.
-constexpr std::uint64_t kMinUserRecordBytes = 41;
+/// Bytes of the smallest user `SerializeStripe` writes: a frozen or
+/// segment user whose id gap, last touch and record fields (tier,
+/// events, floor bits, cold_h) take one byte each. It bounds how many
+/// users a payload can hold.
+constexpr std::uint64_t kMinUserRecordBytes = 6;
 
-/// A segment record's decoded payload: the full cold/hot state the user
-/// held the moment it was paged out.
-struct SegmentRecordState {
-  UserTier tier = UserTier::kCold;  // kCold or kHot only
-  std::uint64_t events = 0;
-  double floor = 0.0;
-  std::uint64_t cold_h = 0;
-  std::vector<std::uint64_t> values;
-  std::optional<ExponentialHistogramEstimator> sketch;
-};
-
-/// Serializes the evicted state into a `kSparseSegmentRecord` envelope.
-/// Layout: tier u8 (0 cold / 1 hot), then varints: events, the floor's
-/// IEEE-754 bits, cold_h, then the cold values (count, values) or the
-/// hot sketch's nonzero buckets (`SerializeSparseTo`). `last_touch` is
-/// deliberately excluded (stripe-local clock, refreshed on page-in).
-std::vector<std::uint8_t> EncodeSegmentRecord(const UserTier tier,
-                                              const std::uint64_t events,
-                                              const double floor,
-                                              const std::uint64_t cold_h,
-                                              const std::vector<std::uint64_t>&
-                                                  values,
-                                              const ExponentialHistogramEstimator*
-                                                  sketch) {
-  std::uint64_t floor_bits;
-  std::memcpy(&floor_bits, &floor, sizeof(floor_bits));
-  ByteWriter writer;
-  writer.U8(static_cast<std::uint8_t>(tier));
-  writer.Varint(events);
-  writer.Varint(floor_bits);
-  writer.Varint(cold_h);
-  if (tier == UserTier::kCold) {
-    writer.Varint(values.size());
-    for (const std::uint64_t v : values) writer.Varint(v);
-  } else {
-    sketch->SerializeSparseTo(writer);
-  }
-  return SealEnvelope(CheckpointTag::kSparseSegmentRecord, writer.buffer());
-}
-
-/// The envelope's tag field (0 when too short to hold one; `OpenEnvelope`
-/// then rejects the record).
-std::uint32_t EnvelopeTagOf(const std::vector<std::uint8_t>& envelope) {
-  ByteReader reader(envelope);
-  std::uint64_t magic_and_version = 0;
-  std::uint32_t tag = 0;
-  return reader.U64(&magic_and_version) && reader.U32(&tag) ? tag : 0;
-}
-
-/// Opens and decodes a segment record: the `kSparseSegmentRecord` layout
-/// above, or the fixed-width `kSegmentRecord` layout earlier builds wrote
-/// (events u64, floor f64, cold_h u64, then count + u64 values or the
-/// dense `SerializeTo` sketch). `eps` and `max_h` build a sparse sketch.
-StatusOr<SegmentRecordState> DecodeSegmentRecord(
-    const std::vector<std::uint8_t>& envelope, double eps,
-    std::uint64_t max_h) {
-  const bool dense = EnvelopeTagOf(envelope) ==
-                     static_cast<std::uint32_t>(CheckpointTag::kSegmentRecord);
-  StatusOr<std::vector<std::uint8_t>> payload = OpenEnvelope(
-      envelope, dense ? CheckpointTag::kSegmentRecord
-                      : CheckpointTag::kSparseSegmentRecord);
-  if (!payload.ok()) return payload.status();
-  ByteReader reader(payload.value());
-  // One field of either layout: a fixed-width u64 or a varint.
-  const auto field = [&reader, dense](std::uint64_t* value) {
-    return dense ? reader.U64(value) : reader.Varint(value);
-  };
-  SegmentRecordState state;
-  std::uint8_t tier = 0;
-  std::uint64_t floor_bits = 0;
-  if (!reader.U8(&tier) || !field(&state.events) || !field(&floor_bits) ||
-      !field(&state.cold_h)) {
-    return Status::InvalidArgument("truncated segment record");
-  }
-  std::memcpy(&state.floor, &floor_bits, sizeof(state.floor));
-  if (tier > static_cast<std::uint8_t>(UserTier::kHot)) {
-    return Status::InvalidArgument("bad segment record tier");
-  }
-  state.tier = static_cast<UserTier>(tier);
-  if (state.tier == UserTier::kCold) {
-    // Each value takes at least one byte (eight in the dense layout).
-    std::uint64_t n = 0;
-    if (!field(&n) || n > reader.remaining() / (dense ? 8 : 1)) {
-      return Status::InvalidArgument("bad segment record value count");
-    }
-    state.values.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t v = 0; v < n; ++v) {
-      std::uint64_t value = 0;
-      if (!field(&value)) {
-        return Status::InvalidArgument("truncated segment record values");
-      }
-      state.values.push_back(value);
-    }
-  } else {
-    StatusOr<ExponentialHistogramEstimator> sketch =
-        dense ? ExponentialHistogramEstimator::DeserializeFrom(reader)
-              : ExponentialHistogramEstimator::DeserializeSparseFrom(
-                    reader, eps, max_h);
-    if (!sketch.ok()) return sketch.status();
-    state.sketch = std::move(sketch).value();
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("segment record has trailing bytes");
-  }
-  return state;
-}
+/// A floor or leaderboard estimate is a lower bound of an H-index.
+bool IsEstimate(double value) { return std::isfinite(value) && value >= 0.0; }
 
 }  // namespace
 
@@ -319,10 +217,10 @@ void TieredUserRegistry::DemoteLocked(Stripe& stripe, AuthorId user,
     // Paged demotion: the full cold/hot state goes to the stripe's
     // segment store, which buffers it even when a seal fails (the state
     // is paged, not forgotten).
-    stripe.store->Put(user, EncodeSegmentRecord(state.tier, state.events,
-                                                state.floor, state.cold_h,
-                                                state.values,
-                                                state.sketch.get()));
+    ByteWriter record;
+    EncodeUserRecord(state, record);
+    stripe.store->Put(user, SealEnvelope(CheckpointTag::kSparseSegmentRecord,
+                                         record.buffer()));
   }
   state.values.clear();
   state.values.shrink_to_fit();
@@ -334,24 +232,25 @@ void TieredUserRegistry::DemoteLocked(Stripe& stripe, AuthorId user,
 void TieredUserRegistry::ReactivateLocked(Stripe& stripe, AuthorId user,
                                           UserState& state) {
   StatusOr<std::vector<std::uint8_t>> record = stripe.store->Get(user);
-  StatusOr<SegmentRecordState> decoded =
-      record.ok()
-          ? DecodeSegmentRecord(record.value(), options_.eps, options_.max_h)
-          : StatusOr<SegmentRecordState>(record.status());
-  if (decoded.ok()) {
-    SegmentRecordState& paged = decoded.value();
+  UserState paged;
+  const auto decode = [&](const std::vector<std::uint8_t>& envelope) {
+    StatusOr<std::vector<std::uint8_t>> payload =
+        OpenEnvelope(envelope, CheckpointTag::kSparseSegmentRecord);
+    if (!payload.ok()) return false;
+    ByteReader reader(payload.value());
+    // A paged user was cold or hot, and its record is all of the payload.
+    return DecodeUserRecord(reader, &paged).ok() && reader.AtEnd() &&
+           (paged.tier == UserTier::kCold || paged.tier == UserTier::kHot);
+  };
+  if (record.ok() && decode(record.value())) {
     // The RAM record kept counting events while paged out; keep the
     // larger counter (post-page-out events were floor-only updates only
     // if a failure path ran, so normally they are equal).
-    state.events = std::max(state.events, paged.events);
-    state.floor = std::max(state.floor, paged.floor);
-    state.cold_h = paged.cold_h;
-    state.values = std::move(paged.values);
-    if (paged.tier == UserTier::kHot) {
-      state.sketch = std::make_unique<ExponentialHistogramEstimator>(
-          std::move(*paged.sketch));
-    }
-    state.tier = paged.tier;
+    paged.events = std::max(state.events, paged.events);
+    paged.floor = std::max(state.floor, paged.floor);
+    paged.last_touch = state.last_touch;
+    paged.listed = state.listed;
+    state = std::move(paged);
     stripe.store->Forget(user);
     ++stripe.promotions;
     return;
@@ -748,6 +647,77 @@ RegistryStats TieredUserRegistry::Stats() const {
   return stats;
 }
 
+void TieredUserRegistry::EncodeUserRecord(const UserState& state,
+                                          ByteWriter& writer) {
+  std::uint64_t floor_bits;
+  std::memcpy(&floor_bits, &state.floor, sizeof(floor_bits));
+  writer.U8(static_cast<std::uint8_t>(state.tier));
+  writer.Varint(state.events);
+  writer.Varint(floor_bits);
+  writer.Varint(state.cold_h);
+  switch (state.tier) {
+    case UserTier::kCold:
+      writer.Varint(state.values.size());
+      for (const std::uint64_t v : state.values) writer.Varint(v);
+      break;
+    case UserTier::kHot:
+      state.sketch->SerializeSparseTo(writer);
+      break;
+    case UserTier::kFrozen:
+    case UserTier::kSegment:
+      // No payload: a frozen user's state IS the fields above; a segment
+      // user's full state lives in its sealed segment record.
+      break;
+  }
+}
+
+Status TieredUserRegistry::DecodeUserRecord(ByteReader& reader,
+                                            UserState* state) const {
+  std::uint8_t tier = 0;
+  std::uint64_t floor_bits = 0;
+  if (!reader.U8(&tier) || !reader.Varint(&state->events) ||
+      !reader.Varint(&floor_bits) || !reader.Varint(&state->cold_h)) {
+    return Status::InvalidArgument("truncated user record");
+  }
+  if (tier > static_cast<std::uint8_t>(UserTier::kSegment)) {
+    return Status::InvalidArgument("unknown user tier");
+  }
+  std::memcpy(&state->floor, &floor_bits, sizeof(state->floor));
+  if (!IsEstimate(state->floor)) {
+    return Status::InvalidArgument("user floor is negative or not finite");
+  }
+  state->tier = static_cast<UserTier>(tier);
+  switch (state->tier) {
+    case UserTier::kCold: {
+      // Each value takes at least one byte.
+      std::uint64_t n = 0;
+      if (!reader.Varint(&n) || n > reader.remaining()) {
+        return Status::InvalidArgument("bad cold value count");
+      }
+      state->values.resize(static_cast<std::size_t>(n));
+      for (std::uint64_t& value : state->values) {
+        if (!reader.Varint(&value)) {
+          return Status::InvalidArgument("truncated cold values");
+        }
+      }
+      break;
+    }
+    case UserTier::kHot: {
+      StatusOr<ExponentialHistogramEstimator> sketch =
+          ExponentialHistogramEstimator::DeserializeSparseFrom(
+              reader, options_.eps, options_.max_h);
+      if (!sketch.ok()) return sketch.status();
+      state->sketch = std::make_unique<ExponentialHistogramEstimator>(
+          std::move(sketch).value());
+      break;
+    }
+    case UserTier::kFrozen:
+    case UserTier::kSegment:
+      break;
+  }
+  return Status::OK();
+}
+
 void TieredUserRegistry::SerializeStripe(std::size_t i,
                                          ByteWriter& writer) const {
   HIMPACT_CHECK(i < stripes_.size());
@@ -782,29 +752,13 @@ void TieredUserRegistry::SerializeStripe(std::size_t i,
   });
   std::sort(users.begin(), users.end());
   writer.U64(users.size());
-  for (const auto& [user, entry] : users) {
-    const UserState& state = *entry;
-    writer.U64(user);
-    writer.U8(static_cast<std::uint8_t>(state.tier));
-    writer.U64(state.events);
-    writer.U64(state.last_touch);
-    writer.F64(state.floor);
-    writer.U64(state.cold_h);
-    switch (state.tier) {
-      case UserTier::kCold:
-        writer.U64(state.values.size());
-        for (const std::uint64_t v : state.values) writer.U64(v);
-        break;
-      case UserTier::kHot:
-        state.sketch->SerializeTo(writer);
-        break;
-      case UserTier::kFrozen:
-      case UserTier::kSegment:
-        // No variable payload: a frozen user's state IS the fixed
-        // fields; a segment user's full state lives in its (flushed)
-        // segment file.
-        break;
-    }
+  AuthorId previous = 0;
+  for (const auto& [user, state] : users) {
+    // Each id as its gap from the one before (the first from 0).
+    writer.Varint(user - previous);
+    previous = user;
+    writer.Varint(state->last_touch);
+    EncodeUserRecord(*state, writer);
   }
 
   // The leaderboard in stored order, so a restored registry answers
@@ -825,13 +779,14 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
   std::uint64_t num_stripes = 0;
   std::uint64_t generation_bound = 0;
   if (reader.U64(&magic) && (magic >> 8) == (kStripeMagic >> 8) &&
-      (magic & 0xff) >= '1' && (magic & 0xff) <= '3') {
+      (magic & 0xff) >= '1' && (magic & 0xff) <= '4') {
+    const char layout = static_cast<char>(magic & 0xff);
     return Status::FailedPrecondition(
         "registry stripe is in an earlier layout (HIMPSRG" +
-        std::string(1, static_cast<char>(magic & 0xff)) +
-        "), which this build does not read; c7a62bd is the last build "
-        "that reads HIMPSRG1-HIMPSRG3: restore with it and take a full "
-        "save");
+        std::string(1, layout) +
+        "), which this build does not read and no build converts; serve "
+        "the checkpoint with " + (layout == '4' ? "59cf277" : "c7a62bd") +
+        ", the last build that reads it, or move it aside to start fresh");
   }
   if (magic != kStripeMagic) {
     return Status::InvalidArgument("not a registry stripe checkpoint");
@@ -863,56 +818,26 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
       std::min(num_users, reader.remaining() / kMinUserRecordBytes)));
   std::vector<AuthorId> resident;
   std::uint64_t resident_bytes = 0;
+  AuthorId user = 0;
   for (std::uint64_t u = 0; u < num_users; ++u) {
-    std::uint64_t user = 0;
-    std::uint8_t tier = 0;
+    std::uint64_t gap = 0;
     UserState state;
-    if (!reader.U64(&user) || !reader.U8(&tier) ||
-        !reader.U64(&state.events) || !reader.U64(&state.last_touch) ||
-        !reader.F64(&state.floor) || !reader.U64(&state.cold_h)) {
+    if (!reader.Varint(&gap) || !reader.Varint(&state.last_touch)) {
       return Status::InvalidArgument("truncated user record");
     }
-    if (tier > static_cast<std::uint8_t>(UserTier::kSegment)) {
-      return Status::InvalidArgument("unknown user tier");
+    // Ids strictly ascend: a 0 gap after the first repeats an id, and a
+    // gap past 2^64 - 1 - id would wrap.
+    if ((u > 0 && gap == 0) || gap > ~user) {
+      return Status::InvalidArgument("stripe user ids not ascending");
     }
-    state.tier = static_cast<UserTier>(tier);
-    switch (state.tier) {
-      case UserTier::kCold: {
-        std::uint64_t n = 0;
-        if (!reader.U64(&n) || n > reader.remaining() / sizeof(std::uint64_t)) {
-          return Status::InvalidArgument("bad cold value count");
-        }
-        state.values.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t v = 0; v < n; ++v) {
-          std::uint64_t value = 0;
-          if (!reader.U64(&value)) {
-            return Status::InvalidArgument("truncated cold values");
-          }
-          state.values.push_back(value);
-        }
-        break;
-      }
-      case UserTier::kHot: {
-        StatusOr<ExponentialHistogramEstimator> sketch =
-            ExponentialHistogramEstimator::DeserializeFrom(reader);
-        if (!sketch.ok()) return sketch.status();
-        state.sketch = std::make_unique<ExponentialHistogramEstimator>(
-            std::move(sketch).value());
-        break;
-      }
-      case UserTier::kFrozen:
-      case UserTier::kSegment:
-        break;
-    }
+    user += gap;
+    Status decoded = DecodeUserRecord(reader, &state);
+    if (!decoded.ok()) return decoded;
     resident_bytes += EntryBytes(state);
     state.listed =
         state.tier == UserTier::kCold || state.tier == UserTier::kHot;
     if (state.listed) resident.push_back(user);
-    auto [entry, inserted] = users.FindOrInsert(user, SplitMix64(user));
-    if (!inserted) {
-      return Status::InvalidArgument("duplicate user in stripe checkpoint");
-    }
-    *entry = std::move(state);
+    *users.FindOrInsert(user, SplitMix64(user)).first = std::move(state);
   }
 
   std::uint64_t board_size = 0;
@@ -927,7 +852,14 @@ Status TieredUserRegistry::DeserializeStripe(std::size_t i,
     if (!reader.U64(&entry.user) || !reader.F64(&entry.estimate)) {
       return Status::InvalidArgument("truncated leaderboard");
     }
+    if (!IsEstimate(entry.estimate)) {
+      return Status::InvalidArgument(
+          "leaderboard estimate is negative or not finite");
+    }
     board.push_back(entry);
+  }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("stripe payload has trailing bytes");
   }
 
   Stripe& stripe = *stripes_[i];

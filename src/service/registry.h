@@ -243,11 +243,12 @@ class TieredUserRegistry {
   /// `writer`. Takes that stripe's lock.
   void SerializeStripe(std::size_t i, ByteWriter& writer) const;
 
-  /// Restores stripe `i` from a `SerializeStripe` payload, replacing
-  /// its current contents. Rejects foreign or corrupt payloads (and
-  /// payloads recorded for a different stripe index or stripe count)
-  /// with `kInvalidArgument`, leaving the stripe unchanged. An earlier
-  /// build's payload (`HIMPSRG1`–`HIMPSRG3`) is `kFailedPrecondition`.
+  /// Restores stripe `i` from a `SerializeStripe` payload, all that is
+  /// left in `reader`, replacing its current contents. Rejects foreign,
+  /// corrupt or trailing-byte payloads (and payloads recorded for a
+  /// different stripe index or stripe count) with `kInvalidArgument`,
+  /// leaving the stripe unchanged. An earlier build's payload
+  /// (`HIMPSRG1`–`HIMPSRG4`) is `kFailedPrecondition`.
   Status DeserializeStripe(std::size_t i, ByteReader& reader);
 
  private:
@@ -342,6 +343,20 @@ class TieredUserRegistry {
   /// `generation_bound`. Caller holds the stripe lock or owns the
   /// registry exclusively.
   Status OpenSegmentStore(std::size_t i, std::uint64_t generation_bound);
+  /// Appends `state`'s user record, the one per-user layout of stripe
+  /// payloads and segment records (docs/CHECKPOINTS.md, "User
+  /// records"): tier u8, then varints events, the floor's IEEE-754 bits
+  /// and cold_h, then the cold values (count, values) or the hot
+  /// sketch's nonzero buckets (`SerializeSparseTo`). Frozen and segment
+  /// users have no payload; `last_touch` and `listed` are not written.
+  static void EncodeUserRecord(const UserState& state, ByteWriter& writer);
+  /// Decodes one `EncodeUserRecord` record into `state`, which must be
+  /// default-constructed (its `last_touch` and `listed` are left alone).
+  /// The hot sketch takes the service's `eps` and `max_h`. Rejects, with
+  /// `kInvalidArgument`, a truncated or overlong varint, a tier past
+  /// `kSegment`, a negative or non-finite floor, a cold value count
+  /// larger than the bytes left, and a malformed sparse sketch.
+  Status DecodeUserRecord(ByteReader& reader, UserState* state) const;
   /// Pages a segment-resident user's state back into RAM (tier returns
   /// to cold/hot, the record is forgotten); on page-in failure degrades
   /// to a frozen-style fresh sketch over the suffix (floor kept).

@@ -38,19 +38,6 @@ StatusOr<HeavyHitters> DecodeGrid(ByteReader& reader,
   return grid;
 }
 
-// Decodes stripe `i`'s payload into the registry a restore assembles.
-Status DecodeStripePayload(std::size_t i,
-                           const std::vector<std::uint8_t>& payload,
-                           TieredUserRegistry& registry) {
-  ByteReader reader(payload);
-  Status stripe_status = registry.DeserializeStripe(i, reader);
-  if (!stripe_status.ok()) return stripe_status;
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("stripe payload has trailing bytes");
-  }
-  return Status::OK();
-}
-
 std::string HeadPath(const std::string& path) { return path + ".head"; }
 
 // The generation a delta-chain head names. `kUnavailable` when there is
@@ -81,8 +68,9 @@ Status CheckNotADeltaChain(const std::string& path) {
     return Status::FailedPrecondition(
         path + " is an incremental checkpoint at delta generation " +
         std::to_string(head.value()) +
-        ", which this build does not read; restore it with the previous "
-        "build and take a full save");
+        ", which this build does not read and no build converts; serve it "
+        "with e902fdb, the last build that reads it, or move it aside to "
+        "start fresh");
   }
   return Status::OK();
 }
@@ -456,9 +444,10 @@ Status HImpactService::RestoreFrom(const std::string& path, bool* refused) {
     payloads.push_back(std::move(payload).value());
   }
   for (std::size_t i = 0; i < mine.num_stripes; ++i) {
+    ByteReader reader(payloads[i]);
     Status decoded =
         refuse(StripePath(path, i),
-               DecodeStripePayload(i, payloads[i], fresh_registry.value()));
+               fresh_registry.value().DeserializeStripe(i, reader));
     if (!decoded.ok()) return decoded;
   }
 

@@ -41,7 +41,8 @@
 /// is refused, not read: a delta chain (`path.head` naming a generation
 /// above 0), a grid in an earlier layout (`HIMPHHS1`, `HIMPHHS2`) and a
 /// stripe in an earlier layout (`HIMPSRG1`–`HIMPSRG3`, which carried a
-/// grid of their own). See docs/CHECKPOINTS.md.
+/// grid of their own, and `HIMPSRG4`, which wrote users fixed-width).
+/// See docs/CHECKPOINTS.md.
 ///
 /// The grid is a pure function of its papers, so `HeavyReport` over an
 /// `IngestPaper`-only stream is the same at every stripe count. An add

@@ -9,7 +9,6 @@
 
 #include "common/bytes.h"
 #include "common/envelope.h"
-#include "core/exponential_histogram.h"
 #include "io/checkpoint.h"
 
 /// \file
@@ -17,8 +16,8 @@
 /// torn writes (truncation), media corruption (bit flips, byte smashes),
 /// and partially written files, then assert every decoder rejects the
 /// result with a clean `Status` instead of crashing or misbehaving. Also
-/// crafts checkpoints in the formats of earlier builds, which a restore
-/// must either refuse or still read.
+/// rewrites checkpoints into the layouts of earlier builds, which a
+/// restore must refuse.
 
 namespace himpact {
 namespace test {
@@ -103,48 +102,13 @@ inline bool RewriteGridMagicVersion(const std::string& path, char version) {
                              0x48494d5048485333ULL, version);
 }
 
-/// Rewrites the registry stripe magic (`HIMPSRG4`) of the service stripe
+/// Rewrites the registry stripe magic (`HIMPSRG5`) of the service stripe
 /// file at `stripe_path` to an earlier build's layout digit ('1' to
-/// '3'). Only the magic changes: a restore refuses those layouts on it.
+/// '4'). Only the magic changes: a restore refuses those layouts on it.
 inline bool RewriteStripeMagicVersion(const std::string& stripe_path,
                                       char version) {
   return RewriteMagicVersion(stripe_path, CheckpointTag::kServiceStripe,
-                             0x48494d5053524734ULL, version);
-}
-
-/// Re-encodes a segment record in the current `kSparseSegmentRecord`
-/// layout (service/registry.cc) as earlier builds wrote it: a
-/// `kSegmentRecord` envelope of tier u8, events u64, floor f64, cold_h
-/// u64, then the cold values (count + u64s) or the hot sketch's dense
-/// `SerializeTo` form. `eps` and `max_h` are the service's. Returns an
-/// empty vector when `record` is not a well-formed current record.
-inline std::vector<std::uint8_t> ReencodeSegmentRecordAsDense(
-    const std::vector<std::uint8_t>& record, double eps,
-    std::uint64_t max_h) {
-  StatusOr<std::vector<std::uint8_t>> payload =
-      OpenEnvelope(record, CheckpointTag::kSparseSegmentRecord);
-  if (!payload.ok()) return {};
-  ByteReader in(payload.value());
-  ByteWriter out;
-  std::uint8_t tier = 0;
-  std::uint64_t field = 0;
-  if (!in.U8(&tier)) return {};
-  out.U8(tier);
-  // events, the floor's bits, cold_h, and for a cold record the count.
-  for (int i = 0; i < (tier == 0 ? 4 : 3); ++i) {
-    if (!in.Varint(&field)) return {};
-    out.U64(field);
-  }
-  if (tier == 0) {
-    while (in.Varint(&field)) out.U64(field);
-  } else {
-    StatusOr<ExponentialHistogramEstimator> sketch =
-        ExponentialHistogramEstimator::DeserializeSparseFrom(in, eps, max_h);
-    if (!sketch.ok()) return {};
-    sketch.value().SerializeTo(out);
-  }
-  if (!in.AtEnd()) return {};
-  return SealEnvelope(CheckpointTag::kSegmentRecord, out.buffer());
+                             0x48494d5053524735ULL, version);
 }
 
 }  // namespace test

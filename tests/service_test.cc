@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -19,6 +20,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -271,30 +273,6 @@ TEST(RegistryApplyRun, EqualsPerEventAddsInLogOrder) {
     }
     std::filesystem::remove_all(root);
   }
-}
-
-// A hot user whose stored sketch eps is crafted to 1e-300: the stripe
-// payload is rejected, not decoded into a grid that never ends.
-TEST(RegistrySerialize, RejectsAHotUserWithATinyStoredEps) {
-  ServiceOptions options = SmallOptions();
-  options.num_stripes = 1;
-  auto registry = TieredUserRegistry::Create(options).value();
-  for (int i = 0; i < 40; ++i) registry.Add(7, 30);
-  ByteWriter writer;
-  registry.SerializeStripe(0, writer);
-  std::vector<std::uint8_t> bytes = writer.buffer();
-  ByteWriter magic;
-  magic.U64(0x48494d5045585031ULL);  // HIMPEXP1, the sketch's magic
-  const auto at = std::search(bytes.begin(), bytes.end(),
-                              magic.buffer().begin(), magic.buffer().end());
-  ASSERT_NE(at, bytes.end());
-  ByteWriter eps;
-  eps.F64(1e-300);
-  std::copy(eps.buffer().begin(), eps.buffer().end(), at + 8);
-  auto restored = TieredUserRegistry::Create(options).value();
-  ByteReader reader(bytes);
-  EXPECT_EQ(restored.DeserializeStripe(0, reader).code(),
-            StatusCode::kInvalidArgument);
 }
 
 // --- registry: tier semantics ------------------------------------------------
@@ -610,6 +588,164 @@ TEST(RegistrySerialize, RejectsWrongStripeIndexAndCorruption) {
   truncated.resize(truncated.size() / 2);
   ByteReader short_reader(truncated);
   EXPECT_FALSE(other.DeserializeStripe(0, short_reader).ok());
+}
+
+// --- registry: the stripe decoder corpus ------------------------------------
+
+std::vector<std::uint8_t> Varints(std::initializer_list<std::uint64_t> values) {
+  ByteWriter writer;
+  for (const std::uint64_t v : values) writer.Varint(v);
+  return writer.Take();
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// One stripe user: its id gap, last touch 1, then its user record (the
+// tier byte and the varint `fields` after it).
+std::vector<std::uint8_t> StripeUser(std::uint64_t gap, std::uint8_t tier,
+                                     std::initializer_list<std::uint64_t>
+                                         fields) {
+  std::vector<std::uint8_t> bytes = Varints({gap, 1});
+  bytes.push_back(tier);
+  const std::vector<std::uint8_t> rest = Varints(fields);
+  bytes.insert(bytes.end(), rest.begin(), rest.end());
+  return bytes;
+}
+
+ServiceOptions OneStripeOptions() {
+  ServiceOptions options = SmallOptions();
+  options.num_stripes = 1;
+  return options;
+}
+
+// A `HIMPSRG5` payload of stripe 0 of 1 (docs/CHECKPOINTS.md): the
+// header claiming `num_users`, the `users` bytes, and a leaderboard of
+// user 7 at `board_estimate`.
+std::vector<std::uint8_t> StripePayload(std::uint64_t num_users,
+                                        const std::vector<std::uint8_t>& users,
+                                        double board_estimate = 4.0) {
+  ByteWriter writer;
+  writer.U64(0x48494d5053524735ULL);  // HIMPSRG5
+  writer.U64(0);                      // stripe index
+  writer.U64(1);                      // stripe count
+  writer.U64(~std::uint64_t{0});      // generation bound: no segment store
+  for (const std::uint64_t counter : {36, 1, 2, 4}) writer.U64(counter);
+  writer.U64(num_users);
+  writer.Bytes(users.data(), users.size());
+  writer.U64(1);
+  writer.U64(7);
+  writer.F64(board_estimate);
+  return writer.Take();
+}
+
+Status DecodeStripe(const std::vector<std::uint8_t>& payload) {
+  auto registry = TieredUserRegistry::Create(OneStripeOptions()).value();
+  ByteReader reader(payload);
+  return registry.DeserializeStripe(0, reader);
+}
+
+// Users 5 (cold), 7 (hot), 8 (frozen) and 300 (segment).
+std::vector<std::uint8_t> FourTierUsers() {
+  const ServiceOptions options = OneStripeOptions();
+  auto sketch =
+      ExponentialHistogramEstimator::Create(options.eps, options.max_h).value();
+  for (const std::uint64_t v : {50, 50, 50, 3, 1000}) sketch.Add(v);
+  std::vector<std::uint8_t> users =
+      StripeUser(5, 0, {3, Bits(0.0), 2, 3, 4, 2, 1});
+  std::vector<std::uint8_t> hot = StripeUser(2, 1, {20, Bits(2.0), 2});
+  ByteWriter buckets;
+  sketch.SerializeSparseTo(buckets);
+  hot.insert(hot.end(), buckets.buffer().begin(), buckets.buffer().end());
+  for (const std::vector<std::uint8_t>& user :
+       {hot, StripeUser(1, 2, {4, Bits(3.0), 0}),
+        StripeUser(292, 3, {9, Bits(4.0), 0})}) {
+    users.insert(users.end(), user.begin(), user.end());
+  }
+  return users;
+}
+
+TEST(RegistrySerialize, EveryTruncationOfAFourTierStripeIsRejected) {
+  const std::vector<std::uint8_t> payload = StripePayload(4, FourTierUsers());
+  auto registry = TieredUserRegistry::Create(OneStripeOptions()).value();
+  ByteReader reader(payload);
+  ASSERT_TRUE(registry.DeserializeStripe(0, reader).ok());
+  // The crafted payload is the layout `SerializeStripe` writes.
+  ByteWriter reencoded;
+  registry.SerializeStripe(0, reencoded);
+  EXPECT_EQ(reencoded.buffer(), payload);
+  const std::pair<AuthorId, UserTier> tiers[] = {{5, UserTier::kCold},
+                                                 {7, UserTier::kHot},
+                                                 {8, UserTier::kFrozen},
+                                                 {300, UserTier::kSegment}};
+  for (const auto& [user, tier] : tiers) {
+    UserSnapshot snapshot;
+    ASSERT_TRUE(registry.Lookup(user, &snapshot)) << "user " << user;
+    EXPECT_EQ(snapshot.tier, tier) << "user " << user;
+  }
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_EQ(DecodeStripe(test::TruncateAt(payload, cut)).code(),
+              StatusCode::kInvalidArgument)
+        << "cut " << cut;
+  }
+}
+
+TEST(RegistrySerialize, CraftedStripesAreRejected) {
+  const std::vector<std::uint8_t> frozen = StripeUser(5, 2, {1, Bits(1.0), 0});
+  const auto join = [](std::initializer_list<std::vector<std::uint8_t>> parts) {
+    std::vector<std::uint8_t> bytes;
+    for (const std::vector<std::uint8_t>& part : parts) {
+      bytes.insert(bytes.end(), part.begin(), part.end());
+    }
+    return bytes;
+  };
+  ASSERT_TRUE(DecodeStripe(StripePayload(1, frozen)).ok());
+
+  // The smallest user takes 6 bytes (`kMinUserRecordBytes`), which caps
+  // what a count past the users present reserves before it is rejected.
+  std::vector<std::uint8_t> minimal;
+  for (int u = 0; u < 1000; ++u) {
+    const std::vector<std::uint8_t> user = StripeUser(1, 2, {0, 0, 0});
+    ASSERT_EQ(user.size(), 6u);
+    minimal.insert(minimal.end(), user.begin(), user.end());
+  }
+  ASSERT_TRUE(DecodeStripe(StripePayload(1000, minimal)).ok());
+
+  std::vector<std::uint8_t> trailing = StripePayload(1, frozen);
+  trailing.push_back(0);
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> cases =
+      {{"0 id gap",
+        StripePayload(2, join({frozen, StripeUser(0, 2, {1, 0, 0})}))},
+       {"id past 2^64 - 1",
+        StripePayload(2, join({StripeUser(~std::uint64_t{0}, 2, {1, 0, 0}),
+                               StripeUser(1, 2, {1, 0, 0})}))},
+       {"tier 4", StripePayload(1, StripeUser(5, 4, {1, 0, 0}))},
+       {"cold count past the bytes left",
+        StripePayload(1, StripeUser(5, 0, {1, 0, 1, 1000, 1}))},
+       {"cold count 2^62",
+        StripePayload(1, StripeUser(5, 0, {1, 0, 1, std::uint64_t{1} << 62}))},
+       {"overlong id gap",
+        StripePayload(1, join({{0x85, 0x00}, Varints({1}), {2},
+                               Varints({1, 0, 0})}))},
+       {"trailing bytes", trailing},
+       {"one user more than present", StripePayload(1001, minimal)},
+       {"2^62 users", StripePayload(std::uint64_t{1} << 62, minimal)},
+       {"NaN floor",
+        StripePayload(1, StripeUser(5, 2, {1, Bits(std::nan("")), 0}))},
+       {"infinite floor",
+        StripePayload(1, StripeUser(5, 2, {1, Bits(HUGE_VAL), 0}))},
+       {"negative floor",
+        StripePayload(1, StripeUser(5, 2, {1, Bits(-1.0), 0}))},
+       {"NaN board estimate", StripePayload(1, frozen, std::nan(""))},
+       {"infinite board estimate", StripePayload(1, frozen, -HUGE_VAL)},
+       {"negative board estimate", StripePayload(1, frozen, -1.0)}};
+  for (const auto& [name, payload] : cases) {
+    EXPECT_EQ(DecodeStripe(payload).code(), StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 // --- service: end-to-end -----------------------------------------------------
@@ -956,7 +1092,8 @@ TEST(ServiceCheckpoint, RestoreRejectsOptionMismatch) {
 void ExpectRefusedAndUntouched(const std::string& path,
                                const ServiceOptions& options,
                                const std::string& file,
-                               const std::string& layout) {
+                               const std::string& layout,
+                               const std::string& build) {
   std::vector<std::string> files = {path, HImpactService::GridPath(path)};
   for (std::size_t i = 0; i < options.num_stripes; ++i) {
     files.push_back(HImpactService::StripePath(path, i));
@@ -972,8 +1109,7 @@ void ExpectRefusedAndUntouched(const std::string& path,
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
       << status.message();
   EXPECT_TRUE(refused);
-  for (const std::string& part : {file, "(" + layout + ")",
-                                  std::string("c7a62bd")}) {
+  for (const std::string& part : {file, "(" + layout + ")", build}) {
     EXPECT_NE(status.message().find(part), std::string::npos)
         << part << " not in: " << status.message();
   }
@@ -1000,30 +1136,33 @@ TEST(ServiceCheckpoint, EarlierGridLayoutsAreRefusedAndKeepState) {
     ASSERT_TRUE(test::RewriteGridMagicVersion(HImpactService::GridPath(path),
                                               version));
     ExpectRefusedAndUntouched(path, options, HImpactService::GridPath(path),
-                              layout);
+                              layout, "c7a62bd");
     RemoveServiceCheckpoint(path, options.num_stripes);
   }
 }
 
 TEST(ServiceCheckpoint, EarlierStripeLayoutsAreRefusedAndKeepState) {
   // HIMPSRG1-HIMPSRG3 stripe files each carried a grid of their stripe,
-  // which a restore used to merge. A restore now refuses them, with or
-  // without heavy hitters, whichever stripe holds one.
+  // which a restore used to merge, and HIMPSRG4 wrote users fixed-width.
+  // A restore now refuses them, with or without heavy hitters, whichever
+  // stripe holds one.
   for (const bool heavy : {true, false}) {
     ServiceOptions options = SmallOptions();
     options.enable_heavy_hitters = heavy;
     options.num_stripes = 3;
-    for (const char version : {'1', '2', '3'}) {
+    for (const char version : {'1', '2', '3', '4'}) {
       const std::string layout = std::string("HIMPSRG") + version;
       SCOPED_TRACE(layout + (heavy ? ", heavy" : ""));
       const std::string path = TempPath("earlier_stripe");
       auto writer_service = HImpactService::Create(options).value();
       Feed(writer_service, 0, 2000);
       ASSERT_TRUE(writer_service.CheckpointTo(path).ok());
-      const std::size_t stripe = static_cast<std::size_t>(version - '1');
+      const std::size_t stripe =
+          static_cast<std::size_t>(version - '1') % options.num_stripes;
       const std::string stripe_path = HImpactService::StripePath(path, stripe);
       ASSERT_TRUE(test::RewriteStripeMagicVersion(stripe_path, version));
-      ExpectRefusedAndUntouched(path, options, stripe_path, layout);
+      ExpectRefusedAndUntouched(path, options, stripe_path, layout,
+                                version == '4' ? "59cf277" : "c7a62bd");
       RemoveServiceCheckpoint(path, options.num_stripes);
     }
   }

@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -543,116 +542,33 @@ TEST_F(ColdTierTest, RestoreWithoutSegmentFilesServesFloorsAndCountsFailures) {
   RemoveTree(empty_dir);
 }
 
-// --- segment record layouts --------------------------------------------------
+// --- segment records ---------------------------------------------------------
 
-// Writes every segment generation in `from` to `to`, each record passed
-// through `rewrite(generation, id, record)` and the blocks cut at
-// `block_bytes`.
-using RecordRewrite = std::function<std::vector<std::uint8_t>(
-    std::uint64_t, AuthorId, std::vector<std::uint8_t>)>;
-
+// Writes every segment generation in `from` to `to`, with `user`'s
+// record replaced by `record`.
 void RewriteSegments(const std::string& from, const std::string& to,
-                     std::size_t block_bytes, const RecordRewrite& rewrite) {
+                     AuthorId user, const std::vector<std::uint8_t>& record) {
   RemoveTree(to);
   std::filesystem::create_directories(to);
   for (const auto& entry : std::filesystem::directory_iterator(from)) {
     StatusOr<SegmentReader> reader = SegmentReader::Open(entry.path());
     ASSERT_TRUE(reader.ok()) << entry.path();
-    const std::uint64_t generation = reader.value().generation();
-    SegmentWriter writer(reader.value().stripe(), generation, block_bytes);
-    for (const SegmentRecord& record : reader.value().records()) {
-      writer.Add(record.id,
-                 rewrite(generation, record.id,
-                         reader.value().ReadRecord(record.id).value()));
+    SegmentWriter writer(reader.value().stripe(), reader.value().generation());
+    for (const SegmentRecord& stored : reader.value().records()) {
+      writer.Add(stored.id, stored.id == user
+                                ? record
+                                : reader.value().ReadRecord(stored.id).value());
     }
     ASSERT_TRUE(test::WriteFileRaw(to + "/" + entry.path().filename().string(),
                                    writer.Seal()));
   }
 }
 
-// Earlier builds paged users out in the fixed-width `kSegmentRecord`
-// layout and cut 4 KiB blocks. A checkpoint whose segment directory
-// holds such generations, alone or mixed with current ones, restores
-// and pages every user back in exactly as from current records.
-TEST_F(ColdTierTest, DenseRecordsOfEarlierBuildsPageInAlike) {
-  const std::string dir = TempPath("dense_dir");
-  const std::string dense_dir = TempPath("dense_dense");
-  const std::string mixed_dir = TempPath("dense_mixed");
-  const std::string save = TempPath("dense_ck");
-  RemoveTree(dir);
-  ServiceOptions options = PagedOptions(dir);
-  options.num_stripes = 2;
-  options.promote_threshold = 8;
-  options.memory_budget_bytes = 24 * 1024;
-  auto service = HImpactService::Create(options).value();
-  Rng rng(43);
-  ZipfSampler users(200, 1.2);
-  DiscreteParetoSampler citations(1, 1.6, 1u << 10);
-  // Two saves, so each stripe seals at least two generations.
-  for (int save_round = 0; save_round < 2; ++save_round) {
-    for (int i = 0; i < 8000; ++i) {
-      service.RecordResponseCount(users.Sample(rng), citations.Sample(rng));
-    }
-    ASSERT_TRUE(service.CheckpointTo(save).ok());
-  }
-
-  std::uint64_t dense_records = 0;
-  const auto dense = [&](std::uint64_t, AuthorId,
-                         std::vector<std::uint8_t> record) {
-    ++dense_records;
-    return test::ReencodeSegmentRecordAsDense(record, options.eps,
-                                              options.max_h);
-  };
-  RewriteSegments(dir, dense_dir, 4u << 10, dense);
-  const std::uint64_t all_records = dense_records;
-  RewriteSegments(dir, mixed_dir, 4u << 10,
-                  [&](std::uint64_t generation, AuthorId id,
-                      std::vector<std::uint8_t> record) {
-                    return generation % 2 == 1 ? dense(generation, id, record)
-                                               : record;
-                  });
-  ASSERT_GT(all_records, 0u);
-  ASSERT_GT(dense_records - all_records, 0u) << "no dense record in the mix";
-  ASSERT_LT(dense_records - all_records, all_records) << "no sparse record";
-
-  std::vector<HImpactService> restored;
-  for (const std::string& segment_dir : {dir, dense_dir, mixed_dir}) {
-    ServiceOptions restore_options = options;
-    restore_options.segment_dir = segment_dir;
-    restored.push_back(HImpactService::Create(restore_options).value());
-    ASSERT_TRUE(restored.back().RestoreFrom(save).ok());
-  }
-  std::uint64_t paged = 0;
-  for (AuthorId user = 1; user <= 200; ++user) {
-    UserSnapshot live;
-    if (!service.Lookup(user, &live)) continue;
-    paged += live.tier == UserTier::kSegment ? 1 : 0;
-    const double want = service.RecordResponseCount(user, 9);
-    ASSERT_TRUE(service.Lookup(user, &live));
-    for (std::size_t r = 0; r < restored.size(); ++r) {
-      EXPECT_EQ(restored[r].RecordResponseCount(user, 9), want)
-          << "user " << user << " dir " << r;
-      UserSnapshot got;
-      ASSERT_TRUE(restored[r].Lookup(user, &got));
-      EXPECT_EQ(got.tier, live.tier) << "user " << user << " dir " << r;
-      EXPECT_EQ(got.events, live.events) << "user " << user << " dir " << r;
-    }
-  }
-  ASSERT_GT(paged, 0u);
-  for (const HImpactService& r : restored) {
-    EXPECT_EQ(r.Stats().registry.page_in_failures, 0u);
-    EXPECT_GT(r.Stats().registry.page_ins, 0u);
-  }
-  RemoveCheckpoint(save, options.num_stripes);
-  RemoveTree(dir);
-  RemoveTree(dense_dir);
-  RemoveTree(mixed_dir);
-}
-
 // A segment file is untrusted input: a sealed record whose envelope is
 // intact but whose layout is not (each case below) fails its page-in,
 // which counts in `page_in_failures`, and the user continues on a fresh
-// sketch over its floor.
+// sketch over its floor. That includes an earlier build's fixed-width
+// record (tag 29), which no restorable checkpoint references.
 TEST_F(ColdTierTest, MalformedRecordsFailThePageInAndKeepTheFloor) {
   const std::string dir = TempPath("malformed_dir");
   const std::string case_dir = TempPath("malformed_case");
@@ -689,9 +605,10 @@ TEST_F(ColdTierTest, MalformedRecordsFailThePageInAndKeepTheFloor) {
     return writer.Take();
   };
   const auto record = [&](std::uint8_t tier,
-                          const std::vector<std::uint8_t>& rest) {
+                          const std::vector<std::uint8_t>& rest,
+                          std::uint64_t bits) {
     std::vector<std::uint8_t> payload = {tier};
-    const std::vector<std::uint8_t> head = fields({paged.events, floor_bits});
+    const std::vector<std::uint8_t> head = fields({paged.events, bits});
     payload.insert(payload.end(), head.begin(), head.end());
     payload.insert(payload.end(), rest.begin(), rest.end());
     return payload;
@@ -699,22 +616,20 @@ TEST_F(ColdTierTest, MalformedRecordsFailThePageInAndKeepTheFloor) {
   ByteWriter hot_rest;
   hot_rest.Varint(0);  // cold_h
   sketch.SerializeSparseTo(hot_rest);
-  const std::vector<std::uint8_t> hot = record(1, hot_rest.buffer());
-  const std::vector<std::uint8_t> cold = record(0, fields({3, 3, 5, 5, 300}));
+  const std::vector<std::uint8_t> hot =
+      record(1, hot_rest.buffer(), floor_bits);
+  const std::vector<std::uint8_t> cold =
+      record(0, fields({3, 3, 5, 5, 300}), floor_bits);
+  const auto sparse = [](const std::vector<std::uint8_t>& payload) {
+    return SealEnvelope(CheckpointTag::kSparseSegmentRecord, payload);
+  };
 
-  // Restores the save over a copy of the segments holding `payload` as
+  // Restores the save over a copy of the segments holding `envelope` as
   // user 2's record, then sends user 2 an event of value 1 and returns
   // its estimate. (The event may page user 2 straight back out.)
-  const auto page_in = [&](const std::vector<std::uint8_t>& payload,
+  const auto page_in = [&](const std::vector<std::uint8_t>& envelope,
                            std::uint64_t* failures, UserSnapshot* after) {
-    RewriteSegments(dir, case_dir, kSegmentBlockBytes,
-                    [&](std::uint64_t, AuthorId id,
-                        std::vector<std::uint8_t> bytes) {
-                      return id == 2 ? SealEnvelope(
-                                           CheckpointTag::kSparseSegmentRecord,
-                                           payload)
-                                     : bytes;
-                    });
+    RewriteSegments(dir, case_dir, 2, envelope);
     ServiceOptions case_options = options;
     case_options.segment_dir = case_dir;
     auto restored = HImpactService::Create(case_options).value();
@@ -731,9 +646,9 @@ TEST_F(ColdTierTest, MalformedRecordsFailThePageInAndKeepTheFloor) {
   ExponentialHistogramEstimator continued = sketch;
   continued.Add(1);
   ASSERT_GT(continued.Estimate(), paged.estimate);
-  EXPECT_EQ(page_in(hot, &failures, &after), continued.Estimate());
+  EXPECT_EQ(page_in(sparse(hot), &failures, &after), continued.Estimate());
   EXPECT_EQ(failures, 0u) << "the valid hot record must page in";
-  page_in(cold, &failures, &after);
+  page_in(sparse(cold), &failures, &after);
   EXPECT_EQ(failures, 0u) << "the valid cold record must page in";
 
   std::vector<std::vector<std::uint8_t>> malformed;
@@ -751,18 +666,33 @@ TEST_F(ColdTierTest, MalformedRecordsFailThePageInAndKeepTheFloor) {
     }
   }
   malformed.push_back({1, 0x81, 0x00, 0x00, 0x00, 0x00});  // overlong events
-  malformed.push_back(record(0, fields({3, 2, 5})));       // too few values
+  // Well-formed frozen and segment records: no paged user is either.
+  malformed.push_back(record(2, fields({0}), floor_bits));
+  malformed.push_back(record(3, fields({0}), floor_bits));
+  malformed.push_back(record(0, fields({3, 2, 5}), floor_bits));  // too few
   for (const std::vector<std::uint8_t>& sketch_part :
        {fields({0, 2, 3, 1, 0, 1}),                   // zero gap after the first
         fields({0, 1, top + 1, 1}),                   // gap past the last level
         fields({0, 2, top, 1, 1, 1}),                 // second bucket past it
         fields({0, 1, 0, 0}),                         // zero count
         fields({0, top + 2, 0, 1})}) {                // more buckets than levels
-    malformed.push_back(record(1, sketch_part));
+    malformed.push_back(record(1, sketch_part, floor_bits));
   }
+  // Floors that are no H-index: NaN, +inf, -inf and -1.
+  for (const std::uint64_t bits :
+       {0x7ff8000000000000ULL, 0x7ff0000000000000ULL, 0xfff0000000000000ULL,
+        0xbff0000000000000ULL}) {
+    malformed.push_back(record(1, hot_rest.buffer(), bits));
+    malformed.push_back(record(0, fields({3, 3, 5, 5, 300}), bits));
+  }
+  std::vector<std::vector<std::uint8_t>> envelopes;
+  for (const std::vector<std::uint8_t>& payload : malformed) {
+    envelopes.push_back(sparse(payload));
+  }
+  envelopes.push_back(SealEnvelope(CheckpointTag::kSegmentRecord, hot));
   // A fresh sketch holding the one value 1 stays under the floor.
-  for (std::size_t i = 0; i < malformed.size(); ++i) {
-    EXPECT_EQ(page_in(malformed[i], &failures, &after), paged.estimate)
+  for (std::size_t i = 0; i < envelopes.size(); ++i) {
+    EXPECT_EQ(page_in(envelopes[i], &failures, &after), paged.estimate)
         << "case " << i;
     EXPECT_EQ(failures, 1u) << "case " << i;
     EXPECT_EQ(after.events, paged.events + 1) << "case " << i;

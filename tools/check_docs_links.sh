@@ -7,13 +7,21 @@
 # Exit status: 0 when every reference resolves, 1 otherwise (each
 # broken reference is printed as "<doc>: <target>").
 #
-# Two kinds of references are checked:
+# Three kinds of references are checked:
 #   1. Markdown inline links `[text](target)` whose target is relative
 #      (external http(s)/mailto links and pure #anchors are skipped).
 #   2. Backticked repo paths like `docs/CHECKPOINTS.md` or
 #      `src/engine/shard_set.h` — the dominant cross-reference
 #      style in this repo's prose (paths containing a `/` and ending in
 #      a known source/doc extension).
+#   3. Backticked test citations `Suite.Test`, both parts starting upper
+#      case (`ColdTierTest.ReactivationContinuesTheExactStream`), which
+#      must name a TEST, TEST_F or TEST_P in tests/*.cc. Only the docs
+#      that describe the code as it stands are checked for these: every
+#      doc below a directory, and README, DESIGN, CONTRIBUTING,
+#      EXPERIMENTS and ROADMAP at the root. The other root docs are
+#      history (CHANGES.md cites tests since deleted) or notes on the
+#      paper and related work.
 
 set -u
 
@@ -43,6 +51,12 @@ check() {
   status=1
 }
 
+# Every `Suite.Test` that tests/*.cc defines, one per line (a TEST may
+# span lines, so the files are joined first).
+tests=$(cat tests/*.cc | tr '\n' ' ' |
+        grep -oE 'TEST(_F|_P)?\( *[A-Za-z0-9_]+ *, *[A-Za-z0-9_]+ *\)' |
+        sed -E 's/TEST(_F|_P)?\( *([A-Za-z0-9_]+) *, *([A-Za-z0-9_]+) *\)/\2.\3/')
+
 for doc in $docs; do
   # 1. Inline markdown links [text](target).
   for target in $(grep -o '\[[^][]*\]([^()[:space:]]*)' "$doc" 2>/dev/null |
@@ -57,6 +71,19 @@ for doc in $docs; do
                   grep -E '\.(md|h|cc|cpp|sh|txt)$' |
                   sort -u); do
     check "$doc" "$target"
+  done
+  # 3. Backticked test citations.
+  case "$doc" in
+    ./*/*|./README.md|./DESIGN.md|./CONTRIBUTING.md|./EXPERIMENTS.md) ;;
+    ./ROADMAP.md) ;;
+    *) continue ;;
+  esac
+  for target in $(grep -oE '`[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*`' "$doc" |
+                  tr -d '`' | sort -u); do
+    if ! printf '%s\n' "$tests" | grep -qxF "$target"; then
+      printf '%s: no test %s in tests/*.cc\n' "$doc" "$target"
+      status=1
+    fi
   done
 done
 
